@@ -1,232 +1,9 @@
-//! A/B benchmark for the extension hot-path kernels (hybrid intersection +
-//! candidate arenas) against faithful copies of the pre-kernel enumerators.
-//!
-//! The "legacy" enumerators below reproduce the previous implementations
-//! exactly: merge-only intersection with per-level `Vec` candidate stacks
-//! for KClist, and gather + sort + dedup neighbor unions for the generic
-//! vertex-induced strategy. Both sides run end-to-end through the same
-//! executor (`vfractoid_with`), so the measured delta is the kernel layer
-//! itself. Counts are asserted bit-identical before timing, and a micro
-//! A/B isolates the adaptive intersection against the old sorted merge.
+//! Micro A/B of the adaptive intersection kernel against the plain sorted
+//! merge on skewed inputs. End-to-end kernel cost is tracked by the
+//! `graph.kernel_*_ns_per_elem` probes of `fractal_bench`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use fractal_core::{FractalContext, FractalGraph};
-use fractal_enum::canonical::canonical_vertex_extension;
-use fractal_enum::kclist::CliqueDag;
-use fractal_enum::{Subgraph, SubgraphEnumerator};
 use fractal_graph::kernels::{intersect, merge_into, KernelCounters};
-use fractal_graph::{gen, Graph, VertexId};
-use fractal_runtime::ClusterConfig;
-use std::sync::Arc;
-
-const VERTICES: usize = 600;
-const CLIQUE_K: usize = 4;
-const MOTIF_K: usize = 3;
-
-/// Pre-PR KClist enumerator: merge-only intersection, one owned `Vec` per
-/// level with a spare-buffer pool.
-struct LegacyKClistEnumerator {
-    dag: Arc<CliqueDag>,
-    cand_stack: Vec<Vec<u32>>,
-    spare: Vec<Vec<u32>>,
-}
-
-impl LegacyKClistEnumerator {
-    fn with_dag(dag: Arc<CliqueDag>) -> Self {
-        LegacyKClistEnumerator {
-            dag,
-            cand_stack: Vec::new(),
-            spare: Vec::new(),
-        }
-    }
-
-    fn intersect_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
-        out.clear();
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(a[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-    }
-}
-
-impl SubgraphEnumerator for LegacyKClistEnumerator {
-    fn compute_extensions(&mut self, g: &Graph, sg: &Subgraph, out: &mut Vec<u64>) -> u64 {
-        out.clear();
-        if sg.num_vertices() == 0 {
-            out.extend(0..g.num_vertices() as u64);
-            return g.num_vertices() as u64;
-        }
-        let cands = self.cand_stack.last().expect("state out of sync");
-        out.extend(cands.iter().map(|&v| v as u64));
-        cands.len() as u64
-    }
-
-    fn extend(&mut self, g: &Graph, sg: &mut Subgraph, word: u64) {
-        let v = word as u32;
-        let mut next = self.spare.pop().unwrap_or_default();
-        match self.cand_stack.last() {
-            None => {
-                next.clear();
-                next.extend_from_slice(self.dag.out(v));
-            }
-            Some(top) => Self::intersect_into(top, self.dag.out(v), &mut next),
-        }
-        self.cand_stack.push(next);
-        sg.push_vertex_induced_scan(g, v);
-    }
-
-    fn retract(&mut self, _g: &Graph, sg: &mut Subgraph) {
-        let top = self.cand_stack.pop().expect("retract on empty state");
-        self.spare.push(top);
-        sg.pop_vertex_induced();
-    }
-
-    fn reset_state(&mut self, _g: &Graph) {
-        while let Some(top) = self.cand_stack.pop() {
-            self.spare.push(top);
-        }
-    }
-
-    fn clone_boxed(&self) -> Box<dyn SubgraphEnumerator> {
-        Box::new(LegacyKClistEnumerator::with_dag(self.dag.clone()))
-    }
-}
-
-/// Pre-PR vertex-induced enumerator: gather all prefix neighbors, then
-/// sort + dedup the scratch buffer on every extension computation.
-#[derive(Default)]
-struct LegacyVertexInducedEnumerator {
-    scratch: Vec<u32>,
-}
-
-impl SubgraphEnumerator for LegacyVertexInducedEnumerator {
-    fn compute_extensions(&mut self, g: &Graph, sg: &Subgraph, out: &mut Vec<u64>) -> u64 {
-        out.clear();
-        if sg.num_vertices() == 0 {
-            out.extend(0..g.num_vertices() as u64);
-            return g.num_vertices() as u64;
-        }
-        self.scratch.clear();
-        for &v in sg.vertices() {
-            for &u in g.neighbors(VertexId(v)) {
-                if !sg.has_vertex(u) {
-                    self.scratch.push(u);
-                }
-            }
-        }
-        self.scratch.sort_unstable();
-        self.scratch.dedup();
-        let tests = self.scratch.len() as u64;
-        for &u in &self.scratch {
-            if canonical_vertex_extension(g, sg.vertices(), u) {
-                out.push(u as u64);
-            }
-        }
-        tests
-    }
-
-    fn extend(&mut self, g: &Graph, sg: &mut Subgraph, word: u64) {
-        sg.push_vertex_induced_scan(g, word as u32);
-    }
-
-    fn retract(&mut self, _g: &Graph, sg: &mut Subgraph) {
-        sg.pop_vertex_induced();
-    }
-
-    fn clone_boxed(&self) -> Box<dyn SubgraphEnumerator> {
-        Box::new(LegacyVertexInducedEnumerator::default())
-    }
-}
-
-fn make_fg() -> FractalGraph {
-    let fc = FractalContext::new(ClusterConfig::local(1, 2));
-    fc.fractal_graph(gen::mico_like(VERTICES, 1, 7))
-}
-
-/// Same graph bound to a pre-kernel-shaped engine (every level registered
-/// stealable, terminal count leaves materialized) so the legacy side pays
-/// the execution costs the old implementation actually paid.
-fn make_fg_compat() -> FractalGraph {
-    let fc = FractalContext::new(ClusterConfig::local(1, 2).with_engine_compat(true));
-    fc.fractal_graph(gen::mico_like(VERTICES, 1, 7))
-}
-
-fn kclist_legacy(fg: &FractalGraph, k: usize) -> u64 {
-    let dag = Arc::new(CliqueDag::build(fg.graph()));
-    fg.vfractoid_with(move |_g| Box::new(LegacyKClistEnumerator::with_dag(dag.clone())))
-        .expand(1)
-        .explore(k)
-        .count()
-}
-
-fn motifs_legacy(fg: &FractalGraph, k: usize) -> u64 {
-    fg.vfractoid_with(|_g| Box::new(LegacyVertexInducedEnumerator::default()))
-        .expand(k)
-        .count()
-}
-
-fn speedup(c: &Criterion, label: &str) -> f64 {
-    let legacy = c.summaries[c.summaries.len() - 2].median().as_secs_f64();
-    let kernel = c.summaries[c.summaries.len() - 1].median().as_secs_f64();
-    let ratio = legacy / kernel;
-    println!("kernel speedup [{label}]: {ratio:.2}x (legacy {legacy:.4}s / kernels {kernel:.4}s)");
-    ratio
-}
-
-fn bench_kernels_ab(c: &mut Criterion) {
-    let fg = make_fg();
-    let fg_legacy = make_fg_compat();
-
-    // Counts must be bit-identical before any timing matters.
-    let want_cliques = kclist_legacy(&fg_legacy, CLIQUE_K);
-    assert_eq!(
-        fractal_apps::cliques::count_kclist(&fg, CLIQUE_K),
-        want_cliques
-    );
-    let want_motifs = motifs_legacy(&fg_legacy, MOTIF_K);
-    assert_eq!(
-        fractal_apps::motifs::total_subgraphs(&fg, MOTIF_K),
-        want_motifs
-    );
-
-    let mut g = c.benchmark_group("kernels");
-    g.sample_size(10);
-    g.bench_function("kclist_k4/legacy", |b| {
-        b.iter(|| black_box(kclist_legacy(&fg_legacy, CLIQUE_K)))
-    });
-    g.bench_function("kclist_k4/kernels", |b| {
-        b.iter(|| black_box(fractal_apps::cliques::count_kclist(&fg, CLIQUE_K)))
-    });
-    g.bench_function("motifs_k3/legacy", |b| {
-        b.iter(|| black_box(motifs_legacy(&fg_legacy, MOTIF_K)))
-    });
-    g.bench_function("motifs_k3/kernels", |b| {
-        b.iter(|| black_box(fractal_apps::motifs::total_subgraphs(&fg, MOTIF_K)))
-    });
-    g.finish();
-
-    let motif_ratio = speedup(c, "motifs_k3");
-    // Drop the motif summaries' offset: kclist pair sits 2 earlier.
-    let legacy = c.summaries[c.summaries.len() - 4].median().as_secs_f64();
-    let kernel = c.summaries[c.summaries.len() - 3].median().as_secs_f64();
-    let clique_ratio = legacy / kernel;
-    println!("kernel speedup [kclist_k4]: {clique_ratio:.2}x (legacy {legacy:.4}s / kernels {kernel:.4}s)");
-    // Regression tripwire with slack for noisy shared runners; on a quiet
-    // machine the ratios measure ~3.6x (motifs) and ~2.4x (kclist) — see
-    // EXPERIMENTS.md.
-    assert!(
-        motif_ratio > 1.5 && clique_ratio > 1.2,
-        "kernel paths regressed: motifs {motif_ratio:.2}x, kclist {clique_ratio:.2}x"
-    );
-}
 
 fn bench_intersect_micro(c: &mut Criterion) {
     // Skewed adjacency: a hub list vs many short lists — the shape the
@@ -272,8 +49,13 @@ fn bench_intersect_micro(c: &mut Criterion) {
         })
     });
     g.finish();
-    speedup(c, "intersect_micro/skewed");
+    let merge = c.summaries[c.summaries.len() - 2].median().as_secs_f64();
+    let adaptive = c.summaries[c.summaries.len() - 1].median().as_secs_f64();
+    println!(
+        "kernel speedup [intersect_micro/skewed]: {:.2}x (merge {merge:.4}s / adaptive {adaptive:.4}s)",
+        merge / adaptive
+    );
 }
 
-criterion_group!(benches, bench_kernels_ab, bench_intersect_micro);
+criterion_group!(benches, bench_intersect_micro);
 criterion_main!(benches);

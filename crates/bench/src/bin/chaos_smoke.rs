@@ -26,8 +26,9 @@ use fractal_apps::{cliques, fsm, motifs};
 use fractal_core::{FractalContext, FractalGraph};
 use fractal_graph::{gen, Graph};
 use fractal_net::{run_cluster, AppSpec, ChaosKill, DriverConfig, LocalCluster};
+use fractal_runtime::json::Emitter;
+use fractal_runtime::wire::fnv1a64;
 use fractal_runtime::{ClusterConfig, FaultConfig, FaultStats};
-use std::fmt::Write as _;
 use std::process::Command;
 
 const MOTIF_K: usize = 3;
@@ -75,27 +76,30 @@ fn fingerprint(items: impl IntoIterator<Item = u64>) -> u64 {
     // sorted first so the fingerprint is deterministic across schedules.
     let mut v: Vec<u64> = items.into_iter().collect();
     v.sort_unstable();
-    let mut h: u64 = 0xcbf29ce484222325;
-    for x in v {
-        for b in x.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
+    fnv1a64(&v.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>())
 }
 
 fn sum_faults(reports: &[fractal_runtime::JobReport]) -> FaultStats {
     let mut s = FaultStats::default();
     for r in reports {
-        s.faults_injected += r.faults.faults_injected;
-        s.units_retried += r.faults.units_retried;
-        s.units_reexecuted += r.faults.units_reexecuted;
-        s.watchdog_trips += r.faults.watchdog_trips;
-        s.recovery_ns += r.faults.recovery_ns;
-        s.units_lost += r.faults.units_lost;
+        s.absorb(&r.faults);
     }
     s
+}
+
+/// One row of the `scenarios` array.
+fn scenario(e: &mut Emitter, workload: &str, fault: &str, seed: u64, exact: bool, f: &FaultStats) {
+    e.inline().begin_obj();
+    e.key("workload").str(workload);
+    e.key("fault").str(fault);
+    e.key("seed").u64(seed);
+    e.key("exact").bool(exact);
+    e.key("faults_injected").u64(f.faults_injected);
+    e.key("units_retried").u64(f.units_retried);
+    e.key("units_reexecuted").u64(f.units_reexecuted);
+    e.key("watchdog_trips").u64(f.watchdog_trips);
+    e.key("units_lost").u64(f.units_lost);
+    e.end_obj();
 }
 
 fn workloads() -> Vec<Workload> {
@@ -215,13 +219,13 @@ fn main() {
         }
     }
 
-    let mut json = String::with_capacity(4096);
-    json.push_str("{\n  \"schema\": \"fractal-chaos-smoke/1\",\n");
-    let _ = writeln!(json, "  \"seeds\": {num_seeds},");
-    json.push_str("  \"scenarios\": [\n");
+    let mut e = Emitter::pretty();
+    e.begin_obj();
+    e.key("schema").str("fractal-chaos-smoke/1");
+    e.key("seeds").u64(num_seeds);
+    e.key("scenarios").begin_arr();
 
     let mut failures: Vec<String> = Vec::new();
-    let mut first = true;
 
     for wl in workloads() {
         let (want, base_faults) = (wl.run)(&fg_of(&wl.graph, base_cfg()));
@@ -249,22 +253,7 @@ fn main() {
                         wl.name, faults.units_lost
                     ));
                 }
-                if !first {
-                    json.push_str(",\n");
-                }
-                first = false;
-                let _ = write!(
-                    json,
-                    "    {{\"workload\": \"{}\", \"fault\": \"{kind}\", \"seed\": {seed}, \
-                     \"exact\": {exact}, \"faults_injected\": {}, \"units_retried\": {}, \
-                     \"units_reexecuted\": {}, \"watchdog_trips\": {}, \"units_lost\": {}}}",
-                    wl.name,
-                    faults.faults_injected,
-                    faults.units_retried,
-                    faults.units_reexecuted,
-                    faults.watchdog_trips,
-                    faults.units_lost,
-                );
+                scenario(&mut e, wl.name, kind, seed, exact, &faults);
             }
         }
     }
@@ -300,18 +289,16 @@ fn main() {
                     (false, 0, 0, 0)
                 }
             };
-            if !first {
-                json.push_str(",\n");
-            }
-            first = false;
-            let _ = write!(
-                json,
-                "    {{\"workload\": \"{}\", \"fault\": \"cluster-kill\", \"seed\": {seed}, \
-                 \"exact\": {exact}, \"faults_injected\": {deaths}, \"units_retried\": {orphaned}, \
-                 \"units_reexecuted\": {recoveries}, \"watchdog_trips\": {deaths}, \
-                 \"units_lost\": 0}}",
-                wl.name,
-            );
+            // The driver's death / orphan / recovery tallies ride in the
+            // slots of their in-process analogues.
+            let tallies = FaultStats {
+                faults_injected: deaths,
+                units_retried: orphaned,
+                units_reexecuted: recoveries,
+                watchdog_trips: deaths,
+                ..Default::default()
+            };
+            scenario(&mut e, wl.name, "cluster-kill", seed, exact, &tallies);
         }
     }
 
@@ -346,24 +333,17 @@ fn main() {
                 .to_string(),
         );
     }
-    let _ = write!(
-        json,
-        "\n  ],\n  \"self_test\": {{\"units_lost_every_seed\": {sabotage_lost}, \
-         \"diverged_some_seed\": {sabotage_diverged}}},\n  \"failures\": ["
-    );
-    for (i, f) in failures.iter().enumerate() {
-        let _ = write!(
-            json,
-            "{}\n    \"{}\"",
-            if i == 0 { "" } else { "," },
-            f.replace('\\', "\\\\").replace('"', "\\\"")
-        );
+    e.end_arr();
+    e.key("self_test").inline().begin_obj();
+    e.key("units_lost_every_seed").bool(sabotage_lost);
+    e.key("diverged_some_seed").bool(sabotage_diverged);
+    e.end_obj();
+    e.key("failures").begin_arr();
+    for f in &failures {
+        e.str(f);
     }
-    json.push_str(if failures.is_empty() {
-        "]\n}\n"
-    } else {
-        "\n  ]\n}\n"
-    });
+    e.end_arr().end_obj();
+    let json = e.finish();
 
     match out_path {
         Some(p) => std::fs::write(&p, &json).unwrap_or_else(|e| panic!("write {p}: {e}")),

@@ -20,8 +20,9 @@
 use fractal_apps::planned::PlanMode;
 use fractal_core::{ExecutionReport, FractalContext, FractalGraph};
 use fractal_graph::gen;
-use fractal_runtime::{ClusterConfig, WsMode};
-use std::fmt::Write as _;
+use fractal_runtime::json::Emitter;
+use fractal_runtime::stats::emit_fields;
+use fractal_runtime::{ClusterConfig, FaultStats, PlannerStats, WsMode};
 
 const VERTICES: usize = 700;
 const LABELS: u32 = 4;
@@ -46,42 +47,39 @@ fn k5_fractal_graph(config: ClusterConfig) -> FractalGraph {
 }
 
 /// Deterministic work counters of one workload run (single step).
-fn work_counters(name: &str, count: u64, report: &ExecutionReport, out: &mut String) {
+fn work_counters(name: &str, count: u64, report: &ExecutionReport, e: &mut Emitter) {
     let step = &report.steps[0];
-    let units: u64 = step.cores.iter().map(|(_, s)| s.units).sum();
     let (km, kg, kb, ks) = step.kernel_totals();
-    let _ = write!(
-        out,
-        "    \"{name}\": {{\n      \"count\": {count},\n      \"total_ec\": {},\n      \
-         \"total_units\": {units},\n      \"kernel_merge\": {km},\n      \
-         \"kernel_gallop\": {kg},\n      \"kernel_bitset\": {kb},\n      \
-         \"kernel_scanned\": {ks},\n      \"arena_peak_bytes\": {},\n      \
-         \"plans_compiled\": {},\n      \"subpatterns_counted\": {},\n      \
-         \"ie_terms\": {},\n      \"elapsed_ms\": {:.3}\n    }}",
-        step.total_ec(),
-        step.arena_peak_bytes(),
-        step.planner.plans_compiled,
-        step.planner.subpatterns_counted,
-        step.planner.ie_terms,
-        report.elapsed.as_secs_f64() * 1e3,
-    );
+    e.key(name).begin_obj();
+    e.key("count").u64(count);
+    e.key("total_ec").u64(step.total_ec());
+    e.key("total_units")
+        .u64(step.cores.iter().map(|(_, s)| s.units).sum());
+    e.key("kernel_merge").u64(km);
+    e.key("kernel_gallop").u64(kg);
+    e.key("kernel_bitset").u64(kb);
+    e.key("kernel_scanned").u64(ks);
+    e.key("arena_peak_bytes").u64(step.arena_peak_bytes());
+    emit_fields(PlannerStats::FIELDS, &step.planner, e);
+    e.key("elapsed_ms")
+        .f64(report.elapsed.as_secs_f64() * 1e3, 3);
+    e.end_obj();
 }
 
 /// Scheduling-dependent balance metrics of one workload run.
-fn balance_counters(name: &str, count: u64, report: &ExecutionReport, out: &mut String) {
+fn balance_counters(name: &str, count: u64, report: &ExecutionReport, e: &mut Emitter) {
     let step = &report.steps[0];
     let (int_steals, ext_steals) = step.steals();
-    let _ = write!(
-        out,
-        "    \"{name}\": {{\n      \"count\": {count},\n      \
-         \"internal_steals\": {int_steals},\n      \"external_steals\": {ext_steals},\n      \
-         \"imbalance\": {:.6},\n      \"utilization\": {:.6},\n      \
-         \"steal_overhead\": {:.6},\n      \"elapsed_ms\": {:.3}\n    }}",
-        step.imbalance(),
-        step.utilization(),
-        step.steal_overhead(),
-        report.elapsed.as_secs_f64() * 1e3,
-    );
+    e.key(name).begin_obj();
+    e.key("count").u64(count);
+    e.key("internal_steals").u64(int_steals);
+    e.key("external_steals").u64(ext_steals);
+    e.key("imbalance").f64(step.imbalance(), 6);
+    e.key("utilization").f64(step.utilization(), 6);
+    e.key("steal_overhead").f64(step.steal_overhead(), 6);
+    e.key("elapsed_ms")
+        .f64(report.elapsed.as_secs_f64() * 1e3, 3);
+    e.end_obj();
 }
 
 /// Recovery counters summed over all steps of the given reports. Both
@@ -91,54 +89,32 @@ fn balance_counters(name: &str, count: u64, report: &ExecutionReport, out: &mut 
 /// `net_units` rides along for the same reason: a single-process run has
 /// no network substrate attached, so any externally pulled unit means the
 /// cluster hooks leaked into plain execution.
-fn fault_counters(reports: &[&ExecutionReport], out: &mut String) {
-    let mut sum = fractal_runtime::FaultStats::default();
+fn fault_counters(reports: &[&ExecutionReport], e: &mut Emitter) {
+    let mut sum = FaultStats::default();
     let mut net_units = 0u64;
-    for r in reports {
-        for step in &r.steps {
-            sum.faults_injected += step.faults.faults_injected;
-            sum.units_retried += step.faults.units_retried;
-            sum.units_reexecuted += step.faults.units_reexecuted;
-            sum.watchdog_trips += step.faults.watchdog_trips;
-            sum.recovery_ns += step.faults.recovery_ns;
-            sum.units_lost += step.faults.units_lost;
-            sum.tap_drained += step.faults.tap_drained;
-            sum.jobs_admitted += step.faults.jobs_admitted;
-            sum.jobs_rejected += step.faults.jobs_rejected;
-            sum.snapshot_evictions += step.faults.snapshot_evictions;
-            sum.journal_replayed += step.faults.journal_replayed;
-            sum.resumed_jobs += step.faults.resumed_jobs;
-            sum.link_faults_injected += step.faults.link_faults_injected;
-            sum.client_reconnects += step.faults.client_reconnects;
-            net_units += step.net_units();
+    for step in reports.iter().flat_map(|r| &r.steps) {
+        sum.absorb(&step.faults);
+        net_units += step.net_units();
+    }
+    e.key("faults").begin_obj();
+    for f in FaultStats::FIELDS {
+        e.key(f.name).u64((f.get)(&sum));
+        // `net_units` keeps its place in the fractal-perf-smoke/1 key order.
+        if f.name == "tap_drained" {
+            e.key("net_units").u64(net_units);
         }
     }
-    let _ = write!(
-        out,
-        "    \"faults\": {{\n      \"faults_injected\": {},\n      \"units_retried\": {},\n      \
-         \"units_reexecuted\": {},\n      \"watchdog_trips\": {},\n      \
-         \"recovery_ns\": {},\n      \"units_lost\": {},\n      \"tap_drained\": {},\n      \
-         \"net_units\": {},\n      \
-         \"jobs_admitted\": {},\n      \"jobs_rejected\": {},\n      \
-         \"snapshot_evictions\": {},\n      \"journal_replayed\": {},\n      \
-         \"resumed_jobs\": {},\n      \"link_faults_injected\": {},\n      \
-         \"client_reconnects\": {}\n    }}",
-        sum.faults_injected,
-        sum.units_retried,
-        sum.units_reexecuted,
-        sum.watchdog_trips,
-        sum.recovery_ns,
-        sum.units_lost,
-        sum.tap_drained,
-        net_units,
-        sum.jobs_admitted,
-        sum.jobs_rejected,
-        sum.snapshot_evictions,
-        sum.journal_replayed,
-        sum.resumed_jobs,
-        sum.link_faults_injected,
-        sum.client_reconnects,
-    );
+    e.end_obj();
+}
+
+/// The `graph` / `graph_k5` descriptor objects.
+fn graph_descriptor(key: &str, generator: &str, vertices: usize, e: &mut Emitter) {
+    e.key(key).inline().begin_obj();
+    e.key("generator").str(generator);
+    e.key("vertices").u64(vertices as u64);
+    e.key("labels").u64(LABELS as u64);
+    e.key("seed").u64(SEED);
+    e.end_obj();
 }
 
 fn main() {
@@ -180,47 +156,28 @@ fn main() {
     let (par_cliques, par_report) = fractal_apps::cliques::count_kclist_with_report(&par, CLIQUE_K);
     assert_eq!(par_cliques, cliques, "parallel leg must count identically");
 
-    let mut json = String::with_capacity(2048);
-    json.push_str("{\n  \"schema\": \"fractal-perf-smoke/1\",\n");
-    let _ = writeln!(
-        json,
-        "  \"graph\": {{\"generator\": \"mico_like\", \"vertices\": {VERTICES}, \
-         \"labels\": {LABELS}, \"seed\": {SEED}}},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"graph_k5\": {{\"generator\": \"patents_like\", \"vertices\": {K5_VERTICES}, \
-         \"labels\": {LABELS}, \"seed\": {SEED}}},"
-    );
-    json.push_str("  \"deterministic\": {\n");
-    work_counters(
-        &format!("kclist_k{CLIQUE_K}"),
-        cliques,
-        &clique_report,
-        &mut json,
-    );
-    json.push_str(",\n");
-    work_counters(
-        &format!("motifs_k{MOTIF_K}"),
-        motif_total,
-        &motif_report,
-        &mut json,
-    );
-    json.push_str(",\n");
-    work_counters(
-        &format!("motifs_k{MOTIF_K5}_enumerate"),
-        k5_total,
-        &k5_enum_report,
-        &mut json,
-    );
-    json.push_str(",\n");
-    work_counters(
-        &format!("motifs_k{MOTIF_K5}_decomposed"),
-        k5_total,
-        &k5_dec_report,
-        &mut json,
-    );
-    json.push_str(",\n");
+    let mut e = Emitter::pretty();
+    e.begin_obj();
+    e.key("schema").str("fractal-perf-smoke/1");
+    graph_descriptor("graph", "mico_like", VERTICES, &mut e);
+    graph_descriptor("graph_k5", "patents_like", K5_VERTICES, &mut e);
+    e.key("deterministic").begin_obj();
+    for (name, count, report) in [
+        (format!("kclist_k{CLIQUE_K}"), cliques, &clique_report),
+        (format!("motifs_k{MOTIF_K}"), motif_total, &motif_report),
+        (
+            format!("motifs_k{MOTIF_K5}_enumerate"),
+            k5_total,
+            &k5_enum_report,
+        ),
+        (
+            format!("motifs_k{MOTIF_K5}_decomposed"),
+            k5_total,
+            &k5_dec_report,
+        ),
+    ] {
+        work_counters(&name, count, report, &mut e);
+    }
     fault_counters(
         &[
             &clique_report,
@@ -228,18 +185,19 @@ fn main() {
             &k5_enum_report,
             &k5_dec_report,
         ],
-        &mut json,
+        &mut e,
     );
-    json.push_str("\n  },\n  \"parallel\": {\n");
+    e.end_obj();
+    e.key("parallel").begin_obj();
     balance_counters(
         &format!("kclist_k{CLIQUE_K}"),
         par_cliques,
         &par_report,
-        &mut json,
+        &mut e,
     );
-    json.push_str(",\n");
-    fault_counters(&[&par_report], &mut json);
-    json.push_str("\n  }\n}\n");
+    fault_counters(&[&par_report], &mut e);
+    e.end_obj().end_obj();
+    let json = e.finish();
 
     match out_path {
         Some(p) => std::fs::write(&p, &json).unwrap_or_else(|e| panic!("write {p}: {e}")),

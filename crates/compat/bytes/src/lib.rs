@@ -1,149 +1,6 @@
-//! Offline stand-in for [`bytes`](https://crates.io/crates/bytes).
-//!
-//! Provides the big-endian read/write surface the steal wire format uses:
-//! [`BytesMut`] with [`BufMut`] writers and [`Buf`] readers over `&[u8]`
-//! (see `crates/compat/README.md` for why these shims exist).
-
-/// Sequential big-endian reader. Implemented for `&[u8]`, where each read
-/// advances the slice.
-pub trait Buf {
-    /// Number of bytes left to read.
-    fn remaining(&self) -> usize;
-    /// Reads `N` bytes, advancing the cursor.
-    fn take_array<const N: usize>(&mut self) -> [u8; N];
-
-    /// Reads a big-endian `u32`.
-    fn get_u32(&mut self) -> u32 {
-        u32::from_be_bytes(self.take_array())
-    }
-
-    /// Reads a big-endian `u64`.
-    fn get_u64(&mut self) -> u64 {
-        u64::from_be_bytes(self.take_array())
-    }
-
-    /// Reads a single byte.
-    fn get_u8(&mut self) -> u8 {
-        self.take_array::<1>()[0]
-    }
-}
-
-impl Buf for &[u8] {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-
-    fn take_array<const N: usize>(&mut self) -> [u8; N] {
-        let (head, tail) = self.split_at(N);
-        *self = tail;
-        head.try_into().expect("split_at returned N bytes")
-    }
-}
-
-/// Sequential big-endian writer.
-pub trait BufMut {
-    /// Appends raw bytes.
-    fn put_slice(&mut self, src: &[u8]);
-
-    /// Appends a big-endian `u32`.
-    fn put_u32(&mut self, v: u32) {
-        self.put_slice(&v.to_be_bytes());
-    }
-
-    /// Appends a big-endian `u64`.
-    fn put_u64(&mut self, v: u64) {
-        self.put_slice(&v.to_be_bytes());
-    }
-
-    /// Appends a single byte.
-    fn put_u8(&mut self, v: u8) {
-        self.put_slice(&[v]);
-    }
-}
-
-/// A growable byte buffer (thin wrapper over `Vec<u8>`).
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct BytesMut {
-    inner: Vec<u8>,
-}
-
-impl BytesMut {
-    /// Creates an empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty buffer with `cap` bytes pre-allocated.
-    pub fn with_capacity(cap: usize) -> Self {
-        BytesMut {
-            inner: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Number of written bytes.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Copies the contents into a fresh `Vec<u8>`.
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.inner.clone()
-    }
-}
-
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.inner.extend_from_slice(src);
-    }
-}
-
-impl BufMut for Vec<u8> {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.extend_from_slice(src);
-    }
-}
-
-impl AsRef<[u8]> for BytesMut {
-    fn as_ref(&self) -> &[u8] {
-        &self.inner
-    }
-}
-
-impl From<BytesMut> for Vec<u8> {
-    fn from(b: BytesMut) -> Vec<u8> {
-        b.inner
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn write_read_roundtrip() {
-        let mut buf = BytesMut::with_capacity(16);
-        buf.put_u32(0xDEAD_BEEF);
-        buf.put_u64(u64::MAX - 1);
-        buf.put_u8(7);
-        let v = buf.to_vec();
-        assert_eq!(v.len(), 13);
-        let mut r: &[u8] = &v;
-        assert_eq!(r.get_u32(), 0xDEAD_BEEF);
-        assert_eq!(r.get_u64(), u64::MAX - 1);
-        assert_eq!(r.get_u8(), 7);
-        assert_eq!(r.remaining(), 0);
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn big_endian_layout() {
-        let mut buf = BytesMut::new();
-        buf.put_u32(1);
-        assert_eq!(buf.as_ref(), &[0, 0, 0, 1]);
-    }
-}
+//! Placeholder for the former [`bytes`](https://crates.io/crates/bytes)
+//! stand-in. Nothing imports this crate any more: every byte that leaves
+//! a process is written and read by `fractal_runtime::wire`. The package
+//! itself remains only because `crates/runtime` and `crates/enum` still
+//! list it and `fractal_bench/Cargo.lock` pins that edge; it goes away
+//! with the next PR that may refresh that lock (ROADMAP item 3).

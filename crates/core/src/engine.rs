@@ -352,8 +352,6 @@ struct StepSpec<'a> {
     /// set, this worker enumerates only the given roots instead of the full
     /// root frontier (the driver owns the partitioning).
     roots_override: Option<Vec<u64>>,
-    /// Pre-kernel compatibility mode (see `ClusterConfig::engine_compat`).
-    compat: bool,
     collected: Mutex<Vec<SubgraphData>>,
     counter: AtomicU64,
     participation: Mutex<Option<Participation>>,
@@ -412,7 +410,6 @@ impl<'a> StepSpec<'a> {
             merged: Mutex::new((0..num_live).map(|_| None).collect()),
             mode,
             roots_override: None,
-            compat: fractoid.fgraph.config.engine_compat,
             collected: Mutex::new(Vec::new()),
             counter: AtomicU64::new(0),
             participation: Mutex::new(None),
@@ -568,9 +565,8 @@ impl StepTask<'_> {
                 // untouched, and the stealable frontier still deepens on
                 // demand: a stolen prefix re-registers its own shallowest
                 // level on the thief.
-                if !self.spec.compat
-                    && (Some(&idx) == self.spec.ext_indices.last()
-                        || self.levels_registered >= MAX_REGISTERED_LEVELS)
+                if Some(&idx) == self.spec.ext_indices.last()
+                    || self.levels_registered >= MAX_REGISTERED_LEVELS
                 {
                     let mut exts = self.exts_pool.pop().unwrap_or_default();
                     exts.clear();

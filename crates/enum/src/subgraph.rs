@@ -132,28 +132,6 @@ impl Subgraph {
         self.level_edges.push(added);
     }
 
-    /// Reference variant of [`push_vertex_induced`](Self::push_vertex_induced)
-    /// that always scans the full adjacency of `v` (the pre-kernel
-    /// behavior). Kept for A/B benchmarking and for cross-checking the
-    /// hybrid kernel; produces byte-identical state.
-    pub fn push_vertex_induced_scan(&mut self, g: &Graph, v: u32) {
-        debug_assert!(!self.has_vertex(v));
-        let mut added = 0u32;
-        let nbrs = g.neighbors(VertexId(v));
-        let eids = g.incident_edges(VertexId(v));
-        for (i, &u) in nbrs.iter().enumerate() {
-            if self.vmember.get(u as usize) {
-                let e = eids[i];
-                self.edges.push(e);
-                self.emember.set(e as usize);
-                added += 1;
-            }
-        }
-        self.vertices.push(v);
-        self.vmember.set(v as usize);
-        self.level_edges.push(added);
-    }
-
     /// Undoes the most recent [`push_vertex_induced`](Self::push_vertex_induced).
     pub fn pop_vertex_induced(&mut self) {
         // panic-ok: push/pop discipline is enforced by the enumerator's

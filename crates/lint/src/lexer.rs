@@ -1,8 +1,7 @@
 //! A minimal Rust tokenizer — just enough lexical structure for the lint
 //! passes to reason about *code* separately from comments and string
-//! literals, which is exactly where the old regex linter
-//! (`scripts/lint_invariants.py`) was blind: a `std::sync::atomic`
-//! spelled inside a doc string, or an `// ordering:` tag inside a
+//! literals, which is exactly where the regex linter this crate replaced
+//! was blind: a `std::sync::atomic` spelled inside a doc string, or an `// ordering:` tag inside a
 //! string literal, fooled it in both directions.
 //!
 //! The lexer is std-only and deliberately incomplete: it does not

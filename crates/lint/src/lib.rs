@@ -2,7 +2,7 @@
 //!
 //! Token-level static analysis for the fractal workspace (DESIGN.md §15).
 //! Std-only, no crates.io dependencies — the same philosophy as the
-//! compat shims. Five passes run over every product `.rs` file:
+//! compat shims; JSON goes through `fractal_runtime::json`. Five passes run over every product `.rs` file:
 //!
 //! 1. **facade-escape** — `std::sync::{atomic,Mutex,RwLock,Condvar}`,
 //!    `crossbeam`, `parking_lot` and raw `UnsafeCell` are forbidden
@@ -34,7 +34,6 @@
 //! waivers are themselves findings (`waiver-hygiene`).
 
 pub mod artifacts;
-pub mod json;
 pub mod lexer;
 pub mod passes;
 pub mod selftest;
@@ -42,6 +41,7 @@ pub mod source;
 pub mod testkit;
 pub mod waivers;
 
+pub use fractal_runtime::json;
 use source::SourceFile;
 use std::path::{Path, PathBuf};
 
@@ -295,41 +295,33 @@ pub fn run(cfg: &LintConfig) -> Result<LintOutcome, String> {
 /// envelope the trace/perf tooling emits, so `scripts/perf_gate.py` can
 /// assert on it).
 pub fn metrics_json(out: &LintOutcome) -> String {
-    let mut s = String::new();
-    s.push_str("{\n  \"schema\": \"fractal-metrics/1\",\n  \"kind\": \"lint\",\n");
-    s.push_str(&format!(
-        "  \"lint_files_scanned\": {},\n",
-        out.files_scanned
-    ));
-    s.push_str(&format!("  \"lint_findings\": {},\n", out.findings.len()));
-    s.push_str(&format!("  \"lint_waivers\": {},\n", out.waivers_used));
-    s.push_str("  \"passes\": [\n");
-    for (i, (name, n, w)) in out.pass_stats.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"findings\": {}, \"waivers\": {}}}{}\n",
-            name,
-            n,
-            w,
-            if i + 1 < out.pass_stats.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
+    let mut e = json::Emitter::pretty();
+    e.begin_obj();
+    e.key("schema").str("fractal-metrics/1");
+    e.key("kind").str("lint");
+    e.key("lint_files_scanned").u64(out.files_scanned as u64);
+    e.key("lint_findings").u64(out.findings.len() as u64);
+    e.key("lint_waivers").u64(out.waivers_used as u64);
+    e.key("passes").begin_arr();
+    for (name, n, w) in &out.pass_stats {
+        e.inline().begin_obj();
+        e.key("name").str(name);
+        e.key("findings").u64(*n as u64);
+        e.key("waivers").u64(*w as u64);
+        e.end_obj();
     }
-    s.push_str("  ],\n  \"findings\": [\n");
-    for (i, f) in out.findings.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"pass\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\"}}{}\n",
-            f.pass,
-            json::escape(&f.file),
-            f.line,
-            json::escape(&f.message),
-            if i + 1 < out.findings.len() { "," } else { "" }
-        ));
+    e.end_arr();
+    e.key("findings").begin_arr();
+    for f in &out.findings {
+        e.inline().begin_obj();
+        e.key("pass").str(f.pass);
+        e.key("file").str(&f.file);
+        e.key("line").u64(f.line as u64);
+        e.key("message").str(&f.message);
+        e.end_obj();
     }
-    s.push_str("  ]\n}\n");
-    s
+    e.end_arr().end_obj();
+    e.finish()
 }
 
 /// Human-readable findings listing for terminal use.

@@ -264,21 +264,15 @@ pub fn unsafe_pass(
 
     let inv_path = cfg.root.join(&cfg.inventory_file);
     if cfg.update_inventory {
-        let mut s =
-            String::from("{\n  \"schema\": \"fractal-unsafe-inventory/1\",\n  \"files\": {");
-        for (i, (rel, n)) in census.iter().enumerate() {
-            s.push_str(&format!(
-                "{}\n    \"{}\": {}",
-                if i > 0 { "," } else { "" },
-                crate::json::escape(rel),
-                n
-            ));
+        let mut e = crate::json::Emitter::pretty();
+        e.begin_obj();
+        e.key("schema").str("fractal-unsafe-inventory/1");
+        e.key("files").begin_obj();
+        for (rel, n) in &census {
+            e.key(rel).u64(*n);
         }
-        if census.is_empty() {
-            s.push_str("}\n}\n");
-        } else {
-            s.push_str("\n  }\n}\n");
-        }
+        e.end_obj().end_obj();
+        let s = e.finish();
         if let Some(dir) = inv_path.parent() {
             let _ = std::fs::create_dir_all(dir);
         }

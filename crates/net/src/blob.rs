@@ -13,7 +13,8 @@ use fractal_graph::Graph;
 use fractal_pattern::CanonicalCode;
 use fractal_runtime::fault::FaultStats;
 use fractal_runtime::level::GlobalCoreId;
-use fractal_runtime::stats::{CoreStats, JobReport, PlannerStats};
+use fractal_runtime::stats::{get_fields, put_fields, CoreStats, JobReport, PlannerStats};
+use fractal_runtime::wire::{self, Reader, Writer};
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
@@ -36,6 +37,16 @@ impl std::fmt::Display for BlobError {
 }
 
 impl std::error::Error for BlobError {}
+
+impl From<wire::Error> for BlobError {
+    fn from(e: wire::Error) -> Self {
+        match e {
+            wire::Error::Truncated => BlobError::Truncated,
+            wire::Error::TrailingBytes => BlobError::Malformed("trailing bytes"),
+            wire::Error::BadUtf8 => BlobError::Malformed("utf-8 string"),
+        }
+    }
+}
 
 /// Which GPM application a cluster job runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,94 +90,37 @@ impl AppSpec {
     }
 }
 
-// ---- primitive helpers ----
-
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], BlobError> {
-        let end = self.pos.checked_add(n).ok_or(BlobError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(BlobError::Truncated);
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, BlobError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, BlobError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, BlobError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    /// Guards a claimed element count against the remaining bytes so a
-    /// corrupt count cannot trigger a huge allocation.
-    fn count(&mut self, elem_bytes: usize) -> Result<usize, BlobError> {
-        let n = self.u32()? as usize;
-        if n > self.buf.len().saturating_sub(self.pos) / elem_bytes.max(1) {
-            return Err(BlobError::Truncated);
-        }
-        Ok(n)
-    }
-    fn finish(self) -> Result<(), BlobError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(BlobError::Malformed("trailing bytes"))
-        }
-    }
-}
-
 // ---- app spec ----
 
-fn put_app(out: &mut Vec<u8>, app: &AppSpec) {
+fn put_app(out: &mut Writer, app: &AppSpec) {
     match app {
         AppSpec::Motifs {
             k,
             use_labels,
             decomposed,
         } => {
-            put_u8(out, 1);
-            put_u32(out, *k);
+            out.u8(1);
+            out.u32(*k);
             // Flags byte: bit 0 = use_labels, bit 1 = decomposed. Plain
             // 0/1 values stay wire-compatible with the pre-planner layout.
-            put_u8(out, (*use_labels as u8) | ((*decomposed as u8) << 1));
+            out.u8((*use_labels as u8) | ((*decomposed as u8) << 1));
         }
         AppSpec::Kclist { k } => {
-            put_u8(out, 2);
-            put_u32(out, *k);
+            out.u8(2);
+            out.u32(*k);
         }
         AppSpec::Fsm {
             min_support,
             max_edges,
         } => {
-            put_u8(out, 3);
-            put_u64(out, *min_support);
-            put_u32(out, *max_edges);
+            out.u8(3);
+            out.u64(*min_support);
+            out.u32(*max_edges);
         }
     }
 }
 
-fn get_app(c: &mut Cursor<'_>) -> Result<AppSpec, BlobError> {
+fn get_app(c: &mut Reader<'_>) -> Result<AppSpec, BlobError> {
     Ok(match c.u8()? {
         1 => {
             let k = c.u32()?;
@@ -196,14 +150,14 @@ fn get_app(c: &mut Cursor<'_>) -> Result<AppSpec, BlobError> {
 /// Encodes an app spec alone — the payload of a `Submit` frame, where the
 /// graph travels separately as a registered snapshot id.
 pub fn encode_app_spec(app: &AppSpec) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut out = Writer::new();
     put_app(&mut out, app);
-    out
+    out.finish()
 }
 
 /// Decodes an app spec encoded by [`encode_app_spec`].
 pub fn decode_app_spec(bytes: &[u8]) -> Result<AppSpec, BlobError> {
-    let mut c = Cursor::new(bytes);
+    let mut c = Reader::new(bytes);
     let app = get_app(&mut c)?;
     c.finish()?;
     Ok(app)
@@ -216,31 +170,24 @@ pub fn decode_app_spec(bytes: &[u8]) -> Result<AppSpec, BlobError> {
 /// machine rebuilds a bit-identical CSR (and therefore identical work
 /// words and enumeration order).
 pub fn encode_graph(g: &Graph) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + g.num_vertices() * 4 + 4 + g.num_edges() * 12);
-    put_u32(&mut out, g.num_vertices() as u32);
+    let mut out = Writer::with_capacity(4 + g.num_vertices() * 4 + 4 + g.num_edges() * 12);
+    out.u32(g.num_vertices() as u32);
     for v in g.vertices() {
-        put_u32(&mut out, g.vertex_label(v).raw());
+        out.u32(g.vertex_label(v).raw());
     }
-    put_u32(&mut out, g.num_edges() as u32);
+    out.u32(g.num_edges() as u32);
     for e in g.edges() {
         let (u, v) = g.edge_endpoints(e);
-        put_u32(&mut out, u.0);
-        put_u32(&mut out, v.0);
-        put_u32(&mut out, g.edge_label(e).raw());
+        out.u32(u.0);
+        out.u32(v.0);
+        out.u32(g.edge_label(e).raw());
     }
-    out
+    out.finish()
 }
 
 /// Decodes a graph encoded by [`encode_graph`].
 pub fn decode_graph(bytes: &[u8]) -> Result<Graph, BlobError> {
-    let mut c = Cursor::new(bytes);
-    let (g, c) = decode_graph_inner(c.take(bytes.len())?).map(|g| (g, c))?;
-    c.finish()?;
-    Ok(g)
-}
-
-fn decode_graph_inner(bytes: &[u8]) -> Result<Graph, BlobError> {
-    let mut c = Cursor::new(bytes);
+    let mut c = Reader::new(bytes);
     let nv = c.count(4)?;
     let mut labels = Vec::with_capacity(nv);
     for _ in 0..nv {
@@ -265,31 +212,29 @@ fn decode_graph_inner(bytes: &[u8]) -> Result<Graph, BlobError> {
 
 /// Encodes the job blob shipped in the first `Assign` of a session.
 pub fn encode_job(app: &AppSpec, g: &Graph) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut out = Writer::new();
     put_app(&mut out, app);
-    out.extend_from_slice(&encode_graph(g));
-    out
+    out.raw(&encode_graph(g));
+    out.finish()
 }
 
 /// Decodes a job blob back into the app spec and input graph.
 pub fn decode_job(bytes: &[u8]) -> Result<(AppSpec, Graph), BlobError> {
-    let mut c = Cursor::new(bytes);
+    let mut c = Reader::new(bytes);
     let app = get_app(&mut c)?;
-    let rest = c.take(bytes.len() - c.pos)?;
-    let g = decode_graph_inner(rest)?;
-    Ok((app, g))
+    Ok((app, decode_graph(c.rest())?))
 }
 
 // ---- canonical codes ----
 
-fn put_code(out: &mut Vec<u8>, code: &CanonicalCode) {
-    put_u32(out, code.0.len() as u32);
+fn put_code(out: &mut Writer, code: &CanonicalCode) {
+    out.u32(code.0.len() as u32);
     for &w in &code.0 {
-        put_u32(out, w);
+        out.u32(w);
     }
 }
 
-fn get_code(c: &mut Cursor<'_>) -> Result<CanonicalCode, BlobError> {
+fn get_code(c: &mut Reader<'_>) -> Result<CanonicalCode, BlobError> {
     let n = c.count(4)?;
     let mut words = Vec::with_capacity(n);
     for _ in 0..n {
@@ -304,18 +249,18 @@ fn get_code(c: &mut Cursor<'_>) -> Result<CanonicalCode, BlobError> {
 pub fn encode_motifs_map(map: &HashMap<CanonicalCode, u64>) -> Vec<u8> {
     let mut rows: Vec<(&CanonicalCode, &u64)> = map.iter().collect();
     rows.sort_by(|a, b| a.0 .0.cmp(&b.0 .0));
-    let mut out = Vec::new();
-    put_u32(&mut out, rows.len() as u32);
+    let mut out = Writer::new();
+    out.u32(rows.len() as u32);
     for (code, count) in rows {
         put_code(&mut out, code);
-        put_u64(&mut out, *count);
+        out.u64(*count);
     }
-    out
+    out.finish()
 }
 
 /// Decodes a motif count map.
 pub fn decode_motifs_map(bytes: &[u8]) -> Result<HashMap<CanonicalCode, u64>, BlobError> {
-    let mut c = Cursor::new(bytes);
+    let mut c = Reader::new(bytes);
     let n = c.count(12)?;
     let mut map = HashMap::with_capacity(n);
     for _ in 0..n {
@@ -334,24 +279,21 @@ pub fn decode_motifs_map(bytes: &[u8]) -> Result<HashMap<CanonicalCode, u64>, Bl
 /// Encodes a decomposed-plan partial-totals vector: one `i128` per plan
 /// node, each split into two big-endian `u64` halves (high word first).
 pub fn encode_plan_totals(totals: &[i128]) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u32(&mut out, totals.len() as u32);
+    let mut out = Writer::new();
+    out.u32(totals.len() as u32);
     for &v in totals {
-        put_u64(&mut out, (v >> 64) as u64);
-        put_u64(&mut out, v as u64);
+        out.i128(v);
     }
-    out
+    out.finish()
 }
 
 /// Decodes a totals vector encoded by [`encode_plan_totals`].
 pub fn decode_plan_totals(bytes: &[u8]) -> Result<Vec<i128>, BlobError> {
-    let mut c = Cursor::new(bytes);
+    let mut c = Reader::new(bytes);
     let n = c.count(16)?;
     let mut totals = Vec::with_capacity(n);
     for _ in 0..n {
-        let hi = c.u64()?;
-        let lo = c.u64()?;
-        totals.push(((hi as i128) << 64) | (lo as i128));
+        totals.push(c.i128()?);
     }
     c.finish()?;
     Ok(totals)
@@ -364,27 +306,27 @@ pub fn decode_plan_totals(bytes: &[u8]) -> Result<Vec<i128>, BlobError> {
 pub fn encode_fsm_map(map: &HashMap<CanonicalCode, DomainSupport>) -> Vec<u8> {
     let mut rows: Vec<(&CanonicalCode, &DomainSupport)> = map.iter().collect();
     rows.sort_by(|a, b| a.0 .0.cmp(&b.0 .0));
-    let mut out = Vec::new();
-    put_u32(&mut out, rows.len() as u32);
+    let mut out = Writer::new();
+    out.u32(rows.len() as u32);
     for (code, sup) in rows {
         put_code(&mut out, code);
         let domains = sup.domains();
-        put_u32(&mut out, domains.len() as u32);
+        out.u32(domains.len() as u32);
         for d in domains {
             let mut vs: Vec<u32> = d.iter().copied().collect();
             vs.sort_unstable();
-            put_u32(&mut out, vs.len() as u32);
+            out.u32(vs.len() as u32);
             for v in vs {
-                put_u32(&mut out, v);
+                out.u32(v);
             }
         }
     }
-    out
+    out.finish()
 }
 
 /// Decodes an FSM support map.
 pub fn decode_fsm_map(bytes: &[u8]) -> Result<HashMap<CanonicalCode, DomainSupport>, BlobError> {
-    let mut c = Cursor::new(bytes);
+    let mut c = Reader::new(bytes);
     let n = c.count(8)?;
     let mut map = HashMap::with_capacity(n);
     for _ in 0..n {
@@ -413,27 +355,24 @@ pub fn decode_fsm_map(bytes: &[u8]) -> Result<HashMap<CanonicalCode, DomainSuppo
 /// Encodes the seed list an FSM `Assign` ships for round `r`: the globally
 /// merged + filtered support maps of rounds `0..r`, in round order.
 pub fn encode_fsm_seeds(seeds: &[HashMap<CanonicalCode, DomainSupport>]) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u32(&mut out, seeds.len() as u32);
+    let mut out = Writer::new();
+    out.u32(seeds.len() as u32);
     for map in seeds {
-        let bytes = encode_fsm_map(map);
-        put_u32(&mut out, bytes.len() as u32);
-        out.extend_from_slice(&bytes);
+        out.bytes(&encode_fsm_map(map));
     }
-    out
+    out.finish()
 }
 
 /// Decodes a seed list encoded by [`encode_fsm_seeds`].
 pub fn decode_fsm_seeds(
     bytes: &[u8],
 ) -> Result<Vec<HashMap<CanonicalCode, DomainSupport>>, BlobError> {
-    let mut c = Cursor::new(bytes);
+    let mut c = Reader::new(bytes);
     let n = c.count(4)?;
     let mut seeds = Vec::with_capacity(n);
     for _ in 0..n {
-        let len = c.u32()? as usize;
-        let chunk = c.take(len)?;
-        seeds.push(decode_fsm_map(chunk)?);
+        let len = c.count(1)?;
+        seeds.push(decode_fsm_map(c.take(len)?)?);
     }
     c.finish()?;
     Ok(seeds)
@@ -441,119 +380,43 @@ pub fn decode_fsm_seeds(
 
 // ---- metrics report ----
 
-const CORE_STAT_FIELDS: usize = 15;
-
 /// Encodes the metrics-relevant subset of a worker's [`JobReport`]: wall
-/// time, server/fault counters and every per-core counter (busy segments
-/// are dropped — they only feed local timeline rendering).
+/// time, server counters and the three counter tables in struct order
+/// (busy segments are dropped — they only feed local timeline rendering).
 pub fn encode_report(r: &JobReport) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u64(&mut out, r.elapsed.as_nanos() as u64);
-    put_u64(&mut out, r.bytes_served);
-    put_u64(&mut out, r.steal_requests);
-    put_u64(&mut out, r.steal_hits);
-    for v in [
-        r.faults.faults_injected,
-        r.faults.units_retried,
-        r.faults.units_reexecuted,
-        r.faults.watchdog_trips,
-        r.faults.recovery_ns,
-        r.faults.units_lost,
-        r.faults.tap_drained,
-        r.faults.jobs_admitted,
-        r.faults.jobs_rejected,
-        r.faults.snapshot_evictions,
-        r.faults.journal_replayed,
-        r.faults.resumed_jobs,
-        r.faults.link_faults_injected,
-        r.faults.client_reconnects,
-        r.planner.plans_compiled,
-        r.planner.subpatterns_counted,
-        r.planner.ie_terms,
-    ] {
-        put_u64(&mut out, v);
-    }
-    put_u32(&mut out, r.cores.len() as u32);
+    let mut out = Writer::new();
+    out.u64(r.elapsed.as_nanos() as u64);
+    out.u64(r.bytes_served);
+    out.u64(r.steal_requests);
+    out.u64(r.steal_hits);
+    put_fields(FaultStats::FIELDS, &r.faults, &mut out);
+    put_fields(PlannerStats::FIELDS, &r.planner, &mut out);
+    out.u32(r.cores.len() as u32);
     for (id, s) in &r.cores {
-        put_u32(&mut out, id.worker as u32);
-        put_u32(&mut out, id.core as u32);
-        for v in [
-            s.busy_ns,
-            s.units,
-            s.internal_steals,
-            s.external_steals,
-            s.net_units,
-            s.failed_steal_rounds,
-            s.bytes_received,
-            s.ec,
-            s.peak_state_bytes,
-            s.steal_ns,
-            s.kernel_merge,
-            s.kernel_gallop,
-            s.kernel_bitset,
-            s.kernel_scanned,
-            s.arena_peak_bytes,
-        ] {
-            put_u64(&mut out, v);
-        }
+        out.u32(id.worker as u32);
+        out.u32(id.core as u32);
+        put_fields(CoreStats::FIELDS, s, &mut out);
     }
-    out
+    out.finish()
 }
 
 /// Decodes a report encoded by [`encode_report`].
 pub fn decode_report(bytes: &[u8]) -> Result<JobReport, BlobError> {
-    let mut c = Cursor::new(bytes);
+    let mut c = Reader::new(bytes);
     let elapsed = Duration::from_nanos(c.u64()?);
     let bytes_served = c.u64()?;
     let steal_requests = c.u64()?;
     let steal_hits = c.u64()?;
-    let faults = FaultStats {
-        faults_injected: c.u64()?,
-        units_retried: c.u64()?,
-        units_reexecuted: c.u64()?,
-        watchdog_trips: c.u64()?,
-        recovery_ns: c.u64()?,
-        units_lost: c.u64()?,
-        tap_drained: c.u64()?,
-        jobs_admitted: c.u64()?,
-        jobs_rejected: c.u64()?,
-        snapshot_evictions: c.u64()?,
-        journal_replayed: c.u64()?,
-        resumed_jobs: c.u64()?,
-        link_faults_injected: c.u64()?,
-        client_reconnects: c.u64()?,
-    };
-    let planner = PlannerStats {
-        plans_compiled: c.u64()?,
-        subpatterns_counted: c.u64()?,
-        ie_terms: c.u64()?,
-    };
-    let ncores = c.count(8 + CORE_STAT_FIELDS * 8)?;
+    let faults = get_fields(FaultStats::FIELDS, &mut c)?;
+    let planner = get_fields(PlannerStats::FIELDS, &mut c)?;
+    let ncores = c.count(8 + CoreStats::FIELDS.len() * 8)?;
     let mut cores = Vec::with_capacity(ncores);
     for _ in 0..ncores {
-        let worker = c.u32()? as usize;
-        let core = c.u32()? as usize;
-        // Struct fields evaluate in written order, which must match the
-        // field order `encode_report` writes.
-        let s = CoreStats {
-            busy_ns: c.u64()?,
-            units: c.u64()?,
-            internal_steals: c.u64()?,
-            external_steals: c.u64()?,
-            net_units: c.u64()?,
-            failed_steal_rounds: c.u64()?,
-            bytes_received: c.u64()?,
-            ec: c.u64()?,
-            peak_state_bytes: c.u64()?,
-            steal_ns: c.u64()?,
-            kernel_merge: c.u64()?,
-            kernel_gallop: c.u64()?,
-            kernel_bitset: c.u64()?,
-            kernel_scanned: c.u64()?,
-            arena_peak_bytes: c.u64()?,
-            ..Default::default()
+        let id = GlobalCoreId {
+            worker: c.u32()? as usize,
+            core: c.u32()? as usize,
         };
-        cores.push((GlobalCoreId { worker, core }, s));
+        cores.push((id, get_fields(CoreStats::FIELDS, &mut c)?));
     }
     c.finish()?;
     Ok(JobReport {
@@ -676,66 +539,6 @@ mod tests {
             assert_eq!(g.domains(), sup.domains());
             assert_eq!(g.support(), sup.support());
         }
-    }
-
-    #[test]
-    fn report_round_trip() {
-        let s = CoreStats {
-            busy_ns: 123,
-            units: 9,
-            net_units: 2,
-            ec: 77,
-            ..Default::default()
-        };
-        let r = JobReport {
-            elapsed: Duration::from_millis(5),
-            cores: vec![
-                (GlobalCoreId { worker: 0, core: 0 }, s.clone()),
-                (GlobalCoreId { worker: 0, core: 1 }, CoreStats::default()),
-            ],
-            bytes_served: 10,
-            steal_requests: 4,
-            steal_hits: 3,
-            faults: FaultStats {
-                faults_injected: 1,
-                units_retried: 2,
-                units_reexecuted: 3,
-                watchdog_trips: 4,
-                recovery_ns: 5,
-                units_lost: 6,
-                tap_drained: 7,
-                jobs_admitted: 8,
-                jobs_rejected: 9,
-                snapshot_evictions: 10,
-                journal_replayed: 11,
-                resumed_jobs: 12,
-                link_faults_injected: 13,
-                client_reconnects: 14,
-            },
-            planner: PlannerStats {
-                plans_compiled: 15,
-                subpatterns_counted: 16,
-                ie_terms: 17,
-            },
-            trace: None,
-        };
-        let bytes = encode_report(&r);
-        let r2 = decode_report(&bytes).expect("decode");
-        assert_eq!(r2.elapsed, r.elapsed);
-        assert_eq!(r2.cores.len(), 2);
-        assert_eq!(r2.cores[0].1.busy_ns, 123);
-        assert_eq!(r2.cores[0].1.net_units, 2);
-        assert_eq!(r2.faults.units_lost, 6);
-        assert_eq!(r2.faults.jobs_admitted, 8);
-        assert_eq!(r2.faults.snapshot_evictions, 10);
-        assert_eq!(r2.faults.journal_replayed, 11);
-        assert_eq!(r2.faults.resumed_jobs, 12);
-        assert_eq!(r2.faults.link_faults_injected, 13);
-        assert_eq!(r2.faults.client_reconnects, 14);
-        assert_eq!(r2.planner.plans_compiled, 15);
-        assert_eq!(r2.planner.subpatterns_counted, 16);
-        assert_eq!(r2.planner.ie_terms, 17);
-        assert_eq!(r2.steal_hits, 3);
     }
 
     #[test]

@@ -405,39 +405,12 @@ impl<K: FrameSink> Driver<K> {
     fn accumulate_report(&mut self, i: usize, report: JobReport) {
         for (id, s) in report.cores {
             self.conns[i].summary.net_units += s.net_units;
-            let acc = self.acc_cores.entry((i, id.core)).or_default();
-            acc.busy_ns += s.busy_ns;
-            acc.units += s.units;
-            acc.internal_steals += s.internal_steals;
-            acc.external_steals += s.external_steals;
-            acc.net_units += s.net_units;
-            acc.failed_steal_rounds += s.failed_steal_rounds;
-            acc.bytes_received += s.bytes_received;
-            acc.ec += s.ec;
-            acc.peak_state_bytes = acc.peak_state_bytes.max(s.peak_state_bytes);
-            acc.steal_ns += s.steal_ns;
-            acc.kernel_merge += s.kernel_merge;
-            acc.kernel_gallop += s.kernel_gallop;
-            acc.kernel_bitset += s.kernel_bitset;
-            acc.kernel_scanned += s.kernel_scanned;
-            acc.arena_peak_bytes = acc.arena_peak_bytes.max(s.arena_peak_bytes);
+            self.acc_cores.entry((i, id.core)).or_default().absorb(&s);
         }
         self.bytes_served += report.bytes_served;
         self.steal_requests += report.steal_requests;
         self.steal_hits += report.steal_hits;
-        self.faults.faults_injected += report.faults.faults_injected;
-        self.faults.units_retried += report.faults.units_retried;
-        self.faults.units_reexecuted += report.faults.units_reexecuted;
-        self.faults.watchdog_trips += report.faults.watchdog_trips;
-        self.faults.recovery_ns += report.faults.recovery_ns;
-        self.faults.units_lost += report.faults.units_lost;
-        self.faults.jobs_admitted += report.faults.jobs_admitted;
-        self.faults.jobs_rejected += report.faults.jobs_rejected;
-        self.faults.snapshot_evictions += report.faults.snapshot_evictions;
-        self.faults.journal_replayed += report.faults.journal_replayed;
-        self.faults.resumed_jobs += report.faults.resumed_jobs;
-        self.faults.link_faults_injected += report.faults.link_faults_injected;
-        self.faults.client_reconnects += report.faults.client_reconnects;
+        self.faults.absorb(&report.faults);
         // Every worker runs the same compiled plan: keep the shared
         // counters instead of summing duplicates.
         self.planner.absorb(&report.planner);

@@ -18,7 +18,7 @@
 //! whose encodings live in [`crate::blob`]; the frame layer only frames,
 //! checks and routes them.
 
-use fractal_runtime::steal::fnv1a64;
+use fractal_runtime::wire::{self, unseal, Reader, Writer};
 use std::io::{self, Read, Write};
 
 /// Frame magic: the first two wire bytes of every fractal-net message.
@@ -272,108 +272,26 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-// ---- payload writer ----
-
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-fn put_blob(out: &mut Vec<u8>, b: &[u8]) {
-    put_u32(out, b.len() as u32);
-    out.extend_from_slice(b);
-}
-fn put_words(out: &mut Vec<u8>, words: &[u64]) {
-    put_u32(out, words.len() as u32);
-    for &w in words {
-        put_u64(out, w);
-    }
-}
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_blob(out, s.as_bytes());
-}
-
-// ---- payload reader ----
-
-/// Bounds-checked big-endian cursor over a payload slice.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
-        // `checked_add` keeps a hostile inner length from wrapping.
-        let end = self.pos.checked_add(n).ok_or(FrameError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(FrameError::Truncated);
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, FrameError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, FrameError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, FrameError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn blob(&mut self) -> Result<Vec<u8>, FrameError> {
-        let n = self.u32()? as usize;
-        Ok(self.take(n)?.to_vec())
-    }
-    fn string(&mut self) -> Result<String, FrameError> {
-        let b = self.blob()?;
-        String::from_utf8(b).map_err(|_| FrameError::Malformed("utf-8 string"))
-    }
-    fn words(&mut self) -> Result<Vec<u64>, FrameError> {
-        let n = self.u32()? as usize;
-        // Each word is 8 bytes; reject counts the payload can't hold
-        // before allocating.
-        if n > self.buf.len().saturating_sub(self.pos) / 8 {
-            return Err(FrameError::Truncated);
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u64()?);
-        }
-        Ok(out)
-    }
-    fn finish(self) -> Result<(), FrameError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(FrameError::TrailingBytes)
+impl From<wire::Error> for FrameError {
+    fn from(e: wire::Error) -> Self {
+        match e {
+            wire::Error::Truncated => FrameError::Truncated,
+            wire::Error::TrailingBytes => FrameError::TrailingBytes,
+            wire::Error::BadUtf8 => FrameError::Malformed("utf-8 string"),
         }
     }
 }
 
 fn encode_payload(frame: &Frame) -> Vec<u8> {
-    let mut p = Vec::new();
+    let mut p = Writer::new();
     match frame {
         Frame::Hello { role, cores } => {
-            put_u8(
-                &mut p,
-                match role {
-                    Role::Driver => 0,
-                    Role::Worker => 1,
-                    Role::Client => 2,
-                },
-            );
-            put_u32(&mut p, *cores);
+            p.u8(match role {
+                Role::Driver => 0,
+                Role::Worker => 1,
+                Role::Client => 2,
+            });
+            p.u32(*cores);
         }
         Frame::Assign {
             round,
@@ -382,7 +300,7 @@ fn encode_payload(frame: &Frame) -> Vec<u8> {
             seed,
             roots,
         } => {
-            put_u32(&mut p, *round);
+            p.u32(*round);
             let mut flags = 0u8;
             if *recovery {
                 flags |= 1;
@@ -393,30 +311,30 @@ fn encode_payload(frame: &Frame) -> Vec<u8> {
             if seed.is_some() {
                 flags |= 4;
             }
-            put_u8(&mut p, flags);
+            p.u8(flags);
             if let Some(j) = job {
-                put_blob(&mut p, j);
+                p.bytes(j);
             }
             if let Some(s) = seed {
-                put_blob(&mut p, s);
+                p.bytes(s);
             }
-            put_words(&mut p, roots);
+            p.words(roots);
         }
-        Frame::StealRequest { round } => put_u32(&mut p, *round),
+        Frame::StealRequest { round } => p.u32(*round),
         Frame::StealReply { round, word, unit } => {
-            put_u32(&mut p, *round);
-            put_u64(&mut p, *word);
+            p.u32(*round);
+            p.u64(*word);
             match unit {
                 Some(u) => {
-                    put_u8(&mut p, 1);
-                    put_blob(&mut p, u);
+                    p.u8(1);
+                    p.bytes(u);
                 }
-                None => put_u8(&mut p, 0),
+                None => p.u8(0),
             }
         }
         Frame::Ack { round, word } | Frame::Nack { round, word } => {
-            put_u32(&mut p, *round);
-            put_u64(&mut p, *word);
+            p.u32(*round);
+            p.u64(*word);
         }
         Frame::AggFlush {
             round,
@@ -424,16 +342,16 @@ fn encode_payload(frame: &Frame) -> Vec<u8> {
             agg,
             report,
         } => {
-            put_u32(&mut p, *round);
-            put_u64(&mut p, *count);
-            put_blob(&mut p, agg);
-            put_blob(&mut p, report);
+            p.u32(*round);
+            p.u64(*count);
+            p.bytes(agg);
+            p.bytes(report);
         }
         Frame::Heartbeat { round, completed } => {
-            put_u32(&mut p, *round);
-            put_words(&mut p, completed);
+            p.u32(*round);
+            p.words(completed);
         }
-        Frame::Done { round } => put_u32(&mut p, *round),
+        Frame::Done { round } => p.u32(*round),
         Frame::Submit {
             tenant,
             priority,
@@ -441,24 +359,24 @@ fn encode_payload(frame: &Frame) -> Vec<u8> {
             app,
             token,
         } => {
-            put_str(&mut p, tenant);
-            put_u8(&mut p, *priority);
-            put_str(&mut p, snapshot);
-            put_blob(&mut p, app);
-            put_str(&mut p, token);
+            p.str(tenant);
+            p.u8(*priority);
+            p.str(snapshot);
+            p.bytes(app);
+            p.str(token);
         }
-        Frame::Status { job } => put_u64(&mut p, *job),
-        Frame::Cancel { job } => put_u64(&mut p, *job),
+        Frame::Status { job } => p.u64(*job),
+        Frame::Cancel { job } => p.u64(*job),
         Frame::Result {
             job,
             count,
             agg,
             report,
         } => {
-            put_u64(&mut p, *job);
-            put_u64(&mut p, *count);
-            put_blob(&mut p, agg);
-            put_blob(&mut p, report);
+            p.u64(*job);
+            p.u64(*count);
+            p.bytes(agg);
+            p.bytes(report);
         }
         Frame::JobEvent {
             job,
@@ -467,26 +385,26 @@ fn encode_payload(frame: &Frame) -> Vec<u8> {
             value,
             event_seq,
         } => {
-            put_u64(&mut p, *job);
-            put_u8(&mut p, kind.code());
-            put_str(&mut p, detail);
-            put_u64(&mut p, *value);
-            put_u64(&mut p, *event_seq);
+            p.u64(*job);
+            p.u8(kind.code());
+            p.str(detail);
+            p.u64(*value);
+            p.u64(*event_seq);
         }
         Frame::Mux { job, inner } => {
-            put_u64(&mut p, *job);
-            put_blob(&mut p, inner);
+            p.u64(*job);
+            p.bytes(inner);
         }
         Frame::Watch { job, after_seq } => {
-            put_u64(&mut p, *job);
-            put_u64(&mut p, *after_seq);
+            p.u64(*job);
+            p.u64(*after_seq);
         }
     }
-    p
+    p.finish()
 }
 
 fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, FrameError> {
-    let mut c = Cursor::new(payload);
+    let mut c = Reader::new(payload);
     let frame = match ty {
         1 => {
             let role = match c.u8()? {
@@ -507,12 +425,12 @@ fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, FrameError> {
                 return Err(FrameError::Malformed("assign flags"));
             }
             let job = if flags & 2 != 0 {
-                Some(c.blob()?)
+                Some(c.bytes()?)
             } else {
                 None
             };
             let seed = if flags & 4 != 0 {
-                Some(c.blob()?)
+                Some(c.bytes()?)
             } else {
                 None
             };
@@ -530,7 +448,7 @@ fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, FrameError> {
             let word = c.u64()?;
             let unit = match c.u8()? {
                 0 => None,
-                1 => Some(c.blob()?),
+                1 => Some(c.bytes()?),
                 _ => return Err(FrameError::Malformed("steal reply flag")),
             };
             Frame::StealReply { round, word, unit }
@@ -546,8 +464,8 @@ fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, FrameError> {
         7 => Frame::AggFlush {
             round: c.u32()?,
             count: c.u64()?,
-            agg: c.blob()?,
-            report: c.blob()?,
+            agg: c.bytes()?,
+            report: c.bytes()?,
         },
         8 => Frame::Heartbeat {
             round: c.u32()?,
@@ -555,30 +473,30 @@ fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, FrameError> {
         },
         9 => Frame::Done { round: c.u32()? },
         10 => Frame::Submit {
-            tenant: c.string()?,
+            tenant: c.str()?,
             priority: c.u8()?,
-            snapshot: c.string()?,
-            app: c.blob()?,
-            token: c.string()?,
+            snapshot: c.str()?,
+            app: c.bytes()?,
+            token: c.str()?,
         },
         11 => Frame::Status { job: c.u64()? },
         12 => Frame::Cancel { job: c.u64()? },
         13 => Frame::Result {
             job: c.u64()?,
             count: c.u64()?,
-            agg: c.blob()?,
-            report: c.blob()?,
+            agg: c.bytes()?,
+            report: c.bytes()?,
         },
         14 => Frame::JobEvent {
             job: c.u64()?,
             kind: EventKind::from_code(c.u8()?)?,
-            detail: c.string()?,
+            detail: c.str()?,
             value: c.u64()?,
             event_seq: c.u64()?,
         },
         15 => Frame::Mux {
             job: c.u64()?,
-            inner: c.blob()?,
+            inner: c.bytes()?,
         },
         16 => Frame::Watch {
             job: c.u64()?,
@@ -595,87 +513,61 @@ fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, FrameError> {
 pub fn encode_frame(seq: u32, frame: &Frame) -> Vec<u8> {
     let payload = encode_payload(frame);
     debug_assert!(payload.len() <= MAX_PAYLOAD as usize);
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + CHECKSUM_LEN);
-    put_u16(&mut out, MAGIC);
-    put_u8(&mut out, VERSION);
-    put_u8(&mut out, frame.type_code());
-    put_u32(&mut out, seq);
-    put_u32(&mut out, payload.len() as u32);
-    out.extend_from_slice(&payload);
-    let sum = fnv1a64(&out);
-    put_u64(&mut out, sum);
-    out
+    let mut out = Writer::with_capacity(HEADER_LEN + payload.len() + CHECKSUM_LEN);
+    out.u16(MAGIC);
+    out.u8(VERSION);
+    out.u8(frame.type_code());
+    out.u32(seq);
+    out.bytes(&payload);
+    out.seal()
+}
+
+/// Checks a frame header and returns `(type, seq, payload_len)`. The
+/// length is capped here, before anything is allocated for it.
+fn decode_header(header: &[u8]) -> Result<(u8, u32, usize), FrameError> {
+    let mut h = Reader::new(header);
+    let (magic, version, ty, seq, len) = (h.u16()?, h.u8()?, h.u8()?, h.u32()?, h.u32()?);
+    if magic != MAGIC {
+        return Err(FrameError::BadMagic);
+    }
+    if version != VERSION {
+        return Err(FrameError::BadVersion(version));
+    }
+    if len > MAX_PAYLOAD {
+        return Err(FrameError::Oversized(len));
+    }
+    Ok((ty, seq, len as usize))
 }
 
 /// Decodes one complete frame from a buffer. The buffer must contain
 /// exactly one frame; extra bytes are [`FrameError::TrailingBytes`].
 pub fn decode_frame(buf: &[u8]) -> Result<(u32, Frame), FrameError> {
-    if buf.len() < HEADER_LEN {
-        return Err(FrameError::Truncated);
-    }
-    let magic = u16::from_be_bytes([buf[0], buf[1]]);
-    if magic != MAGIC {
-        return Err(FrameError::BadMagic);
-    }
-    if buf[2] != VERSION {
-        return Err(FrameError::BadVersion(buf[2]));
-    }
-    let ty = buf[3];
-    let seq = u32::from_be_bytes(buf[4..8].try_into().unwrap());
-    let len = u32::from_be_bytes(buf[8..12].try_into().unwrap());
-    if len > MAX_PAYLOAD {
-        return Err(FrameError::Oversized(len));
-    }
-    let total = HEADER_LEN + len as usize + CHECKSUM_LEN;
+    let (ty, seq, len) = decode_header(buf)?;
+    let total = HEADER_LEN + len + CHECKSUM_LEN;
     if buf.len() < total {
         return Err(FrameError::Truncated);
     }
     if buf.len() > total {
         return Err(FrameError::TrailingBytes);
     }
-    let body = &buf[..HEADER_LEN + len as usize];
-    let sum = u64::from_be_bytes(buf[total - CHECKSUM_LEN..total].try_into().unwrap());
-    if fnv1a64(body) != sum {
+    let (body, carried, computed) = unseal(buf)?;
+    if carried != computed {
         return Err(FrameError::ChecksumMismatch);
     }
-    let frame = decode_payload(ty, &buf[HEADER_LEN..HEADER_LEN + len as usize])?;
-    Ok((seq, frame))
-}
-
-fn invalid(e: FrameError) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, e)
+    Ok((seq, decode_payload(ty, &body[HEADER_LEN..])?))
 }
 
 /// Reads one frame from a stream. Returns `UnexpectedEof` when the peer
 /// closed the connection (cleanly between frames or mid-frame) and
 /// `InvalidData` on protocol corruption.
 pub fn read_frame(r: &mut impl Read) -> io::Result<(u32, Frame)> {
-    let mut header = [0u8; HEADER_LEN];
-    r.read_exact(&mut header)?;
-    let magic = u16::from_be_bytes([header[0], header[1]]);
-    if magic != MAGIC {
-        return Err(invalid(FrameError::BadMagic));
-    }
-    if header[2] != VERSION {
-        return Err(invalid(FrameError::BadVersion(header[2])));
-    }
-    let ty = header[3];
-    let seq = u32::from_be_bytes(header[4..8].try_into().unwrap());
-    let len = u32::from_be_bytes(header[8..12].try_into().unwrap());
-    if len > MAX_PAYLOAD {
-        return Err(invalid(FrameError::Oversized(len)));
-    }
-    let mut rest = vec![0u8; len as usize + CHECKSUM_LEN];
-    r.read_exact(&mut rest)?;
-    let sum = u64::from_be_bytes(rest[len as usize..].try_into().unwrap());
-    let mut body = Vec::with_capacity(HEADER_LEN + len as usize);
-    body.extend_from_slice(&header);
-    body.extend_from_slice(&rest[..len as usize]);
-    if fnv1a64(&body) != sum {
-        return Err(invalid(FrameError::ChecksumMismatch));
-    }
-    let frame = decode_payload(ty, &rest[..len as usize]).map_err(invalid)?;
-    Ok((seq, frame))
+    let invalid = |e: FrameError| io::Error::new(io::ErrorKind::InvalidData, e);
+    let mut buf = vec![0u8; HEADER_LEN];
+    r.read_exact(&mut buf)?;
+    let (_, _, len) = decode_header(&buf).map_err(invalid)?;
+    buf.resize(HEADER_LEN + len + CHECKSUM_LEN, 0);
+    r.read_exact(&mut buf[HEADER_LEN..])?;
+    decode_frame(&buf).map_err(invalid)
 }
 
 /// Writes one frame to a stream.
@@ -782,6 +674,7 @@ impl<K: FrameSink> FrameSink for MuxSink<K> {
 mod tests {
     use super::*;
     use fractal_runtime::steal::corrupt_payload;
+    use fractal_runtime::wire::fnv1a64;
 
     fn sample_frames() -> Vec<Frame> {
         vec![
@@ -984,50 +877,41 @@ mod tests {
         assert_eq!(decode_frame(&wire).unwrap_err(), FrameError::TrailingBytes);
     }
 
-    #[test]
-    fn inner_word_count_cannot_overallocate() {
-        // Hand-build a Heartbeat whose word count claims far more words
-        // than the payload holds.
-        let mut payload = Vec::new();
-        put_u32(&mut payload, 4); // round
-        put_u32(&mut payload, u32::MAX); // claimed word count
-        let mut wire = Vec::new();
-        put_u16(&mut wire, MAGIC);
-        put_u8(&mut wire, VERSION);
-        put_u8(&mut wire, 8); // Heartbeat
-        put_u32(&mut wire, 1);
-        put_u32(&mut wire, payload.len() as u32);
-        wire.extend_from_slice(&payload);
-        let sum = fnv1a64(&wire);
-        put_u64(&mut wire, sum);
-        assert_eq!(decode_frame(&wire).unwrap_err(), FrameError::Truncated);
-    }
-
     /// Builds a frame's wire bytes from a raw payload, checksummed, so
     /// payload-level malformations survive the outer checks.
-    fn frame_with_payload(ty: u8, payload: &[u8]) -> Vec<u8> {
-        let mut wire = Vec::new();
-        put_u16(&mut wire, MAGIC);
-        put_u8(&mut wire, VERSION);
-        put_u8(&mut wire, ty);
-        put_u32(&mut wire, 1);
-        put_u32(&mut wire, payload.len() as u32);
-        wire.extend_from_slice(payload);
-        let sum = fnv1a64(&wire);
-        put_u64(&mut wire, sum);
-        wire
+    fn frame_with_payload(ty: u8, payload: Writer) -> Vec<u8> {
+        let mut wire = Writer::new();
+        wire.u16(MAGIC);
+        wire.u8(VERSION);
+        wire.u8(ty);
+        wire.u32(1);
+        wire.bytes(&payload.finish());
+        wire.seal()
+    }
+
+    #[test]
+    fn inner_word_count_cannot_overallocate() {
+        // A Heartbeat whose word count claims far more words than the
+        // payload holds.
+        let mut payload = Writer::new();
+        payload.u32(4); // round
+        payload.u32(u32::MAX); // claimed word count
+        assert_eq!(
+            decode_frame(&frame_with_payload(8, payload)).unwrap_err(),
+            FrameError::Truncated
+        );
     }
 
     #[test]
     fn bad_event_kind_rejected() {
-        let mut payload = Vec::new();
-        put_u64(&mut payload, 1); // job
-        put_u8(&mut payload, 99); // invalid kind
-        put_str(&mut payload, "x");
-        put_u64(&mut payload, 0);
-        put_u64(&mut payload, 0); // event_seq
+        let mut payload = Writer::new();
+        payload.u64(1); // job
+        payload.u8(99); // invalid kind
+        payload.str("x");
+        payload.u64(0);
+        payload.u64(0); // event_seq
         assert_eq!(
-            decode_frame(&frame_with_payload(14, &payload)).unwrap_err(),
+            decode_frame(&frame_with_payload(14, payload)).unwrap_err(),
             FrameError::Malformed("event kind")
         );
     }
@@ -1035,25 +919,25 @@ mod tests {
     #[test]
     fn non_utf8_strings_rejected() {
         // A Submit whose tenant bytes are invalid UTF-8.
-        let mut payload = Vec::new();
-        put_blob(&mut payload, &[0xFF, 0xFE, 0x80]); // tenant
-        put_u8(&mut payload, 0); // priority
-        put_str(&mut payload, "snap");
-        put_blob(&mut payload, &[]); // app
-        put_str(&mut payload, "tok");
+        let mut payload = Writer::new();
+        payload.bytes(&[0xFF, 0xFE, 0x80]); // tenant
+        payload.u8(0); // priority
+        payload.str("snap");
+        payload.bytes(&[]); // app
+        payload.str("tok");
         assert_eq!(
-            decode_frame(&frame_with_payload(10, &payload)).unwrap_err(),
+            decode_frame(&frame_with_payload(10, payload)).unwrap_err(),
             FrameError::Malformed("utf-8 string")
         );
     }
 
     #[test]
     fn bad_hello_client_role_byte_rejected() {
-        let mut payload = Vec::new();
-        put_u8(&mut payload, 3); // only 0/1/2 are valid roles
-        put_u32(&mut payload, 4);
+        let mut payload = Writer::new();
+        payload.u8(3); // only 0/1/2 are valid roles
+        payload.u32(4);
         assert_eq!(
-            decode_frame(&frame_with_payload(1, &payload)).unwrap_err(),
+            decode_frame(&frame_with_payload(1, payload)).unwrap_err(),
             FrameError::Malformed("hello role")
         );
     }

@@ -22,7 +22,7 @@
 //! record by later appends.
 
 use crate::frame::MAX_PAYLOAD;
-use fractal_runtime::steal::fnv1a64;
+use fractal_runtime::wire::{unseal, Reader, Writer};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read as _, Write as _};
@@ -111,73 +111,8 @@ impl Record {
     }
 }
 
-// ---- payload codec (self-contained; mirrors the frame codec idiom) ----
-
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_u32(out, b.len() as u32);
-    out.extend_from_slice(b);
-}
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
-}
-
-struct Rd<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Rd<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Rd { buf, pos: 0 }
-    }
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.buf.len() {
-            return None;
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Some(s)
-    }
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|b| u32::from_be_bytes(b.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|b| u64::from_be_bytes(b.try_into().unwrap()))
-    }
-    fn bytes(&mut self) -> Option<Vec<u8>> {
-        let n = self.u32()? as usize;
-        // Length guard: the announced size can never exceed what is
-        // actually present, so a hostile length cannot over-allocate.
-        if n > self.buf.len() - self.pos {
-            return None;
-        }
-        self.take(n).map(|b| b.to_vec())
-    }
-    fn string(&mut self) -> Option<String> {
-        String::from_utf8(self.bytes()?).ok()
-    }
-    fn finish(self) -> Option<()> {
-        (self.pos == self.buf.len()).then_some(())
-    }
-}
-
 fn encode_payload(r: &Record) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut out = Writer::new();
     match r {
         Record::JobAdmitted {
             job,
@@ -188,25 +123,25 @@ fn encode_payload(r: &Record) -> Vec<u8> {
             snapshot,
             app,
         } => {
-            put_u64(&mut out, *job);
-            put_str(&mut out, token);
-            put_str(&mut out, tenant);
-            put_u8(&mut out, *priority);
-            put_u64(&mut out, *submit_seq);
-            put_str(&mut out, snapshot);
-            put_bytes(&mut out, app);
+            out.u64(*job);
+            out.str(token);
+            out.str(tenant);
+            out.u8(*priority);
+            out.u64(*submit_seq);
+            out.str(snapshot);
+            out.bytes(app);
         }
-        Record::JobStarted { job } => put_u64(&mut out, *job),
+        Record::JobStarted { job } => out.u64(*job),
         Record::WordSetCommitted {
             job,
             rounds_done,
             count,
             agg,
         } => {
-            put_u64(&mut out, *job);
-            put_u32(&mut out, *rounds_done);
-            put_u64(&mut out, *count);
-            put_bytes(&mut out, agg);
+            out.u64(*job);
+            out.u32(*rounds_done);
+            out.u64(*count);
+            out.bytes(agg);
         }
         Record::JobFinished {
             job,
@@ -214,53 +149,53 @@ fn encode_payload(r: &Record) -> Vec<u8> {
             agg,
             report,
         } => {
-            put_u64(&mut out, *job);
-            put_u64(&mut out, *count);
-            put_bytes(&mut out, agg);
-            put_bytes(&mut out, report);
+            out.u64(*job);
+            out.u64(*count);
+            out.bytes(agg);
+            out.bytes(report);
         }
-        Record::JobCancelled { job } => put_u64(&mut out, *job),
+        Record::JobCancelled { job } => out.u64(*job),
         Record::JobFailed { job, error } => {
-            put_u64(&mut out, *job);
-            put_str(&mut out, error);
+            out.u64(*job);
+            out.str(error);
         }
     }
-    out
+    out.finish()
 }
 
 fn decode_payload(code: u8, payload: &[u8]) -> Option<Record> {
-    let mut r = Rd::new(payload);
+    let mut r = Reader::new(payload);
     let rec = match code {
         1 => Record::JobAdmitted {
-            job: r.u64()?,
-            token: r.string()?,
-            tenant: r.string()?,
-            priority: r.u8()?,
-            submit_seq: r.u64()?,
-            snapshot: r.string()?,
-            app: r.bytes()?,
+            job: r.u64().ok()?,
+            token: r.str().ok()?,
+            tenant: r.str().ok()?,
+            priority: r.u8().ok()?,
+            submit_seq: r.u64().ok()?,
+            snapshot: r.str().ok()?,
+            app: r.bytes().ok()?,
         },
-        2 => Record::JobStarted { job: r.u64()? },
+        2 => Record::JobStarted { job: r.u64().ok()? },
         3 => Record::WordSetCommitted {
-            job: r.u64()?,
-            rounds_done: r.u32()?,
-            count: r.u64()?,
-            agg: r.bytes()?,
+            job: r.u64().ok()?,
+            rounds_done: r.u32().ok()?,
+            count: r.u64().ok()?,
+            agg: r.bytes().ok()?,
         },
         4 => Record::JobFinished {
-            job: r.u64()?,
-            count: r.u64()?,
-            agg: r.bytes()?,
-            report: r.bytes()?,
+            job: r.u64().ok()?,
+            count: r.u64().ok()?,
+            agg: r.bytes().ok()?,
+            report: r.bytes().ok()?,
         },
-        5 => Record::JobCancelled { job: r.u64()? },
+        5 => Record::JobCancelled { job: r.u64().ok()? },
         6 => Record::JobFailed {
-            job: r.u64()?,
-            error: r.string()?,
+            job: r.u64().ok()?,
+            error: r.str().ok()?,
         },
         _ => return None,
     };
-    r.finish()?;
+    r.finish().ok()?;
     Some(rec)
 }
 
@@ -269,40 +204,26 @@ fn decode_payload(code: u8, payload: &[u8]) -> Option<Record> {
 pub fn encode_record(r: &Record) -> Vec<u8> {
     let payload = encode_payload(r);
     debug_assert!(payload.len() <= MAX_PAYLOAD as usize);
-    let mut out = Vec::with_capacity(RECORD_HEADER_LEN + payload.len() + RECORD_CHECKSUM_LEN);
-    put_u32(&mut out, JOURNAL_MAGIC);
-    put_u8(&mut out, JOURNAL_VERSION);
-    put_u8(&mut out, r.type_code());
-    put_u32(&mut out, payload.len() as u32);
-    out.extend_from_slice(&payload);
-    let sum = fnv1a64(&out);
-    put_u64(&mut out, sum);
-    out
+    let mut out = Writer::with_capacity(RECORD_HEADER_LEN + payload.len() + RECORD_CHECKSUM_LEN);
+    out.u32(JOURNAL_MAGIC);
+    out.u8(JOURNAL_VERSION);
+    out.u8(r.type_code());
+    out.bytes(&payload);
+    out.seal()
 }
 
 /// Attempts to decode one record at the start of `buf`. Returns the
 /// record and the bytes it consumed, or `None` if the prefix is
 /// truncated, torn, or corrupt — the replay stop condition.
 pub fn decode_record(buf: &[u8]) -> Option<(Record, usize)> {
-    if buf.len() < RECORD_HEADER_LEN {
-        return None;
-    }
-    let magic = u32::from_be_bytes(buf[0..4].try_into().unwrap());
-    if magic != JOURNAL_MAGIC || buf[4] != JOURNAL_VERSION {
-        return None;
-    }
-    let code = buf[5];
-    let len = u32::from_be_bytes(buf[6..10].try_into().unwrap());
-    if len > MAX_PAYLOAD {
+    let mut h = Reader::new(buf);
+    let (magic, version, code, len) = (h.u32().ok()?, h.u8().ok()?, h.u8().ok()?, h.u32().ok()?);
+    if magic != JOURNAL_MAGIC || version != JOURNAL_VERSION || len > MAX_PAYLOAD {
         return None;
     }
     let total = RECORD_HEADER_LEN + len as usize + RECORD_CHECKSUM_LEN;
-    if buf.len() < total {
-        return None;
-    }
-    let body = &buf[..RECORD_HEADER_LEN + len as usize];
-    let sum = u64::from_be_bytes(buf[total - 8..total].try_into().unwrap());
-    if fnv1a64(body) != sum {
+    let (body, carried, computed) = unseal(buf.get(..total)?).ok()?;
+    if carried != computed {
         return None;
     }
     let rec = decode_payload(code, &body[RECORD_HEADER_LEN..])?;

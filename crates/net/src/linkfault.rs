@@ -21,7 +21,7 @@
 //! seeded, budgeted, deterministic — so chaos runs replay exactly.
 
 use crate::frame::{encode_frame, Frame, FrameSink, FrameSource};
-use fractal_runtime::steal::fnv1a64;
+use fractal_runtime::wire::fnv1a64;
 use fractal_runtime::{LinkFaultAction, LinkFaultInjector};
 use std::collections::VecDeque;
 use std::io;

@@ -249,7 +249,7 @@ impl WorkerLink {
                         if let Ok((seq, f)) = crate::frame::decode_frame(&inner) {
                             // `inner` IS the frame's canonical encoding,
                             // so hashing it equals content_hash(seq, f).
-                            let h = fractal_runtime::steal::fnv1a64(&inner);
+                            let h = fractal_runtime::wire::fnv1a64(&inner);
                             if !dedup.entry(job).or_default().fresh(seq, h) {
                                 continue; // injected duplicate
                             }
@@ -911,7 +911,7 @@ fn serve_client(inner: Arc<ServerInner>, stream: TcpStream) -> io::Result<()> {
             } => handle_submit(&inner, &conn, tenant, priority, snapshot, &app, token)?,
             Frame::Watch { job, after_seq } => handle_watch(&inner, &conn, job, after_seq)?,
             Frame::Status { job } => {
-                let reply = status_event(&inner, job);
+                let reply = status_event(&inner.state.lock(), job);
                 conn.send(&reply)?;
             }
             Frame::Cancel { job } => {
@@ -928,7 +928,7 @@ fn serve_client(inner: Arc<ServerInner>, stream: TcpStream) -> io::Result<()> {
                             agg: out.agg.clone(),
                             report: out.report.clone(),
                         },
-                        None => status_event_unlocked(&st, job),
+                        None => status_event(&st, job),
                     }
                 };
                 conn.send(&reply)?;
@@ -1116,7 +1116,7 @@ fn handle_watch(
             JobState::Done | JobState::Cancelled | JobState::Failed
         )
     {
-        let terminal = status_event_unlocked(&st, job);
+        let terminal = status_event(&st, job);
         drop(st);
         return conn.send(&terminal);
     }
@@ -1124,8 +1124,7 @@ fn handle_watch(
 }
 
 /// A `JobEvent` describing `job`'s current lifecycle state.
-fn status_event(inner: &ServerInner, job: u64) -> Frame {
-    let st = inner.state.lock();
+fn status_event(st: &ServerState, job: u64) -> Frame {
     match st.jobs.get(&job) {
         None => event(job, EventKind::Failed, "unknown job", 0),
         Some(rec) => match rec.state {
@@ -1171,25 +1170,7 @@ fn handle_cancel(inner: &ServerInner, job: u64) -> Frame {
             event(job, EventKind::Running, "cancelling", 0)
         }
         // Already terminal: report the state as-is.
-        _ => status_event_unlocked(&st, job),
-    }
-}
-
-fn status_event_unlocked(st: &ServerState, job: u64) -> Frame {
-    match st.jobs.get(&job) {
-        None => event(job, EventKind::Failed, "unknown job", 0),
-        Some(rec) => match rec.state {
-            JobState::Queued => event(job, EventKind::Queued, "", 0),
-            JobState::Running => event(job, EventKind::Running, rec.app.name(), 0),
-            JobState::Done => event(
-                job,
-                EventKind::Done,
-                "",
-                rec.outcome.as_ref().map(|o| o.count).unwrap_or(0),
-            ),
-            JobState::Cancelled => event(job, EventKind::Cancelled, "", 0),
-            JobState::Failed => event(job, EventKind::Failed, rec.error.clone(), 0),
-        },
+        _ => status_event(&st, job),
     }
 }
 

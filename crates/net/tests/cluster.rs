@@ -230,8 +230,9 @@ fn within_secs<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'sta
 /// in ONE heartbeat, and after the round's `Done` sends its final
 /// `AggFlush` and then goes *silent* (no further heartbeats) until the
 /// shutdown broadcast. The only liveness evidence the driver gets after
-/// `Done` is the flush itself.
-fn scripted_quiet_flush_worker(listener: TcpListener) -> thread::JoinHandle<()> {
+/// `Done` is the flush itself. `tap_drained` is stamped into the flushed
+/// report so a test can tell the two workers' reports apart.
+fn scripted_quiet_flush_worker(listener: TcpListener, tap_drained: u64) -> thread::JoinHandle<()> {
     thread::spawn(move || {
         let (mut stream, _) = listener.accept().expect("accept");
         match read_frame(&mut stream).expect("driver hello") {
@@ -266,6 +267,7 @@ fn scripted_quiet_flush_worker(listener: TcpListener) -> thread::JoinHandle<()> 
             other => panic!("scripted worker only runs motifs, got {other:?}"),
         };
         let mut outcome = fractoid.execute_step_distributed(roots.clone(), false, None);
+        outcome.report.faults.tap_drained = tap_drained;
         let map = Aggregator::<CanonicalCode, u64>::take_map(outcome.shards.remove(0));
 
         write_frame(
@@ -338,7 +340,7 @@ fn post_done_flush_survives_slow_driver_iteration() {
     for _ in 0..2 {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
-        handles.push(scripted_quiet_flush_worker(listener));
+        handles.push(scripted_quiet_flush_worker(listener, 0));
         streams.push(TcpStream::connect(addr).expect("connect"));
     }
 
@@ -370,6 +372,37 @@ fn post_done_flush_survives_slow_driver_iteration() {
         assert!(!w.died);
         assert_eq!(w.flushes, 1);
     }
+}
+
+/// The federated report sums every fault counter of the workers'
+/// reports. `tap_drained` was once missing from the driver's hand-written
+/// sum; the merge is now derived from `FaultStats::FIELDS`.
+#[test]
+fn federated_report_sums_tap_drained() {
+    let mut handles = Vec::new();
+    let mut streams = Vec::new();
+    for tap_drained in [3, 4] {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        handles.push(scripted_quiet_flush_worker(listener, tap_drained));
+        streams.push(TcpStream::connect(addr).expect("connect"));
+    }
+    let config = DriverConfig::new(
+        AppSpec::Motifs {
+            k: 3,
+            use_labels: false,
+            decomposed: false,
+        },
+        gen::mico_like(60, 4, 13),
+    );
+    let result = within_secs(30, move || {
+        run_cluster(streams, vec!["ta".into(), "tb".into()], config).expect("cluster run")
+    });
+    for h in handles {
+        h.join().expect("worker thread");
+    }
+    assert_eq!(result.deaths, 0);
+    assert_eq!(result.report.faults.tap_drained, 7);
 }
 
 #[test]

@@ -33,6 +33,7 @@
 //! prevents a merely-stuck worker from being re-executed concurrently with
 //! itself.
 
+use crate::stats::{absorb_fields, field, Field, Merge};
 use crate::steal::StolenUnit;
 use crate::sync::Mutex;
 use crate::sync::{AtomicBool, AtomicU64, Ordering};
@@ -317,22 +318,38 @@ impl FaultLedger {
             recovery_ns: self.recovery_ns.load(Ordering::Relaxed),
             units_lost: self.units_lost.load(Ordering::Relaxed),
             tap_drained: self.tap_drained.load(Ordering::Relaxed),
-            // Serve-path counters are owned by the `fractal serve`
-            // daemon, not the in-process ledger: always zero here.
-            jobs_admitted: 0,
-            jobs_rejected: 0,
-            snapshot_evictions: 0,
-            journal_replayed: 0,
-            resumed_jobs: 0,
-            // Link faults are counted by the transport wrappers (the
-            // worker's session envelope), not the in-process ledger.
-            link_faults_injected: 0,
-            client_reconnects: 0,
+            // The serve-path and link-fault counters are owned by the
+            // `fractal serve` daemon and the transport wrappers, not the
+            // in-process ledger: always zero here.
+            ..FaultStats::default()
         }
     }
 }
 
 impl FaultStats {
+    /// The counters, in struct (= blob) order.
+    pub const FIELDS: &'static [Field<FaultStats>] = &[
+        field!("faults_injected", Sum, faults_injected),
+        field!("units_retried", Sum, units_retried),
+        field!("units_reexecuted", Sum, units_reexecuted),
+        field!("watchdog_trips", Sum, watchdog_trips),
+        field!("recovery_ns", Sum, recovery_ns),
+        field!("units_lost", Sum, units_lost),
+        field!("tap_drained", Sum, tap_drained),
+        field!("jobs_admitted", Sum, jobs_admitted),
+        field!("jobs_rejected", Sum, jobs_rejected),
+        field!("snapshot_evictions", Sum, snapshot_evictions),
+        field!("journal_replayed", Sum, journal_replayed),
+        field!("resumed_jobs", Sum, resumed_jobs),
+        field!("link_faults_injected", Sum, link_faults_injected),
+        field!("client_reconnects", Sum, client_reconnects),
+    ];
+
+    /// Adds another report's counters to `self`.
+    pub fn absorb(&mut self, other: &FaultStats) {
+        absorb_fields(Self::FIELDS, self, other);
+    }
+
     /// Whether any recovery machinery ran.
     pub fn any_recovery(&self) -> bool {
         self.units_retried > 0 || self.units_reexecuted > 0 || self.watchdog_trips > 0
@@ -1055,6 +1072,21 @@ mod tests {
         assert_eq!(s.watchdog_trips, 1);
         assert!(s.any_recovery());
         assert!(!FaultStats::default().any_recovery());
+    }
+
+    #[test]
+    fn fault_stats_table_covers_every_counter() {
+        crate::stats::check_table(FaultStats::FIELDS, std::mem::size_of::<FaultStats>() / 8);
+        let mut a = FaultStats {
+            tap_drained: 3,
+            ..Default::default()
+        };
+        a.absorb(&FaultStats {
+            tap_drained: 4,
+            units_lost: 1,
+            ..Default::default()
+        });
+        assert_eq!((a.tap_drained, a.units_lost), (7, 1));
     }
 
     #[test]

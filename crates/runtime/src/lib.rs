@@ -17,17 +17,21 @@
 //! - [`executor`] — job execution, core main loops, exact termination,
 //! - [`steal`] — steal protocol: local scans, remote request/reply servers,
 //! - [`stats`] — per-core busy-time accounting and the [`JobReport`],
-//! - [`trace`] — the flight recorder: per-core event rings + histograms.
+//! - [`trace`] — the flight recorder: per-core event rings + histograms,
+//! - [`wire`] / [`json`] — the one byte codec and the one JSON layer
+//!   everything that leaves the process is written and read with.
 
 pub mod executor;
 
 pub mod sync;
 
 pub mod fault;
+pub mod json;
 pub mod level;
 pub mod stats;
 pub mod steal;
 pub mod trace;
+pub mod wire;
 
 pub use executor::{
     run_job, run_job_with, CoreCtx, CoreTask, ExternalHooks, ExternalJobHandle, ExternalPull,
@@ -82,12 +86,6 @@ pub struct ClusterConfig {
     /// Flight-recorder settings (off by default; recording costs one
     /// branch per instrumentation point when disabled).
     pub trace: TraceConfig,
-    /// Run the enumeration engine in pre-kernel compatibility mode:
-    /// register every DFS level as a stealable queue and materialize
-    /// subgraph state at terminal count leaves. Slower; exists so A/B
-    /// benchmarks and debugging sessions can reproduce the historical
-    /// execution shape in the same binary.
-    pub engine_compat: bool,
     /// Deterministic fault-injection plan (chaos testing). `None` — the
     /// default — runs fault-free: no injector, no watchdog thread, and the
     /// recovery counters in the report stay zero.
@@ -104,7 +102,6 @@ impl ClusterConfig {
             ws_mode: WsMode::Both,
             net_latency_us: 50,
             trace: TraceConfig::default(),
-            engine_compat: false,
             fault: None,
         }
     }
@@ -129,13 +126,6 @@ impl ClusterConfig {
     /// Returns the config with the given flight-recorder settings.
     pub fn with_trace(mut self, trace: TraceConfig) -> Self {
         self.trace = trace;
-        self
-    }
-
-    /// Returns the config with engine compatibility mode toggled (see
-    /// [`ClusterConfig::engine_compat`]).
-    pub fn with_engine_compat(mut self, compat: bool) -> Self {
-        self.engine_compat = compat;
         self
     }
 

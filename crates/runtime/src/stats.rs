@@ -6,9 +6,78 @@
 //! (extension cost) and §6 (work-stealing overhead).
 
 use crate::fault::FaultStats;
+use crate::json::Emitter;
 use crate::level::GlobalCoreId;
-use crate::trace::{json_escape, Histogram, TraceDump};
+use crate::trace::{Histogram, TraceDump};
+use crate::wire::{self, Reader, Writer};
 use std::time::Duration;
+
+/// How a counter combines when per-worker reports are federated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Merge {
+    Sum,
+    Max,
+}
+
+/// One row of a counter struct's field table. Each of [`CoreStats`],
+/// [`PlannerStats`] and [`FaultStats`] declares its counters once, as a
+/// `FIELDS` table in struct order; the report blob, the metrics JSON and
+/// the federation merge are all derived from it (adding a counter = one
+/// field + one table row).
+pub struct Field<S> {
+    pub name: &'static str,
+    pub merge: Merge,
+    pub get: fn(&S) -> u64,
+    pub get_mut: fn(&mut S) -> &mut u64,
+}
+
+/// One [`Field`] row. The name is spelled out as a literal because the
+/// lint artifact pass looks for `"<field>"` in this file.
+macro_rules! field {
+    ($name:literal, $merge:ident, $f:ident) => {
+        Field {
+            name: $name,
+            merge: Merge::$merge,
+            get: |s| s.$f,
+            get_mut: |s| &mut s.$f,
+        }
+    };
+}
+pub(crate) use field;
+
+/// Folds `from` into `into`, row by row.
+pub fn absorb_fields<S>(fields: &[Field<S>], into: &mut S, from: &S) {
+    for f in fields {
+        let (slot, v) = ((f.get_mut)(into), (f.get)(from));
+        *slot = match f.merge {
+            Merge::Sum => *slot + v,
+            Merge::Max => (*slot).max(v),
+        };
+    }
+}
+
+/// Writes every counter as a `u64`, in table order.
+pub fn put_fields<S>(fields: &[Field<S>], s: &S, w: &mut Writer) {
+    for f in fields {
+        w.u64((f.get)(s));
+    }
+}
+
+/// Reads what [`put_fields`] wrote.
+pub fn get_fields<S: Default>(fields: &[Field<S>], r: &mut Reader<'_>) -> Result<S, wire::Error> {
+    let mut s = S::default();
+    for f in fields {
+        *(f.get_mut)(&mut s) = r.u64()?;
+    }
+    Ok(s)
+}
+
+/// Emits every counter as a `"name": value` member of the open object.
+pub fn emit_fields<S>(fields: &[Field<S>], s: &S, e: &mut Emitter) {
+    for f in fields {
+        e.key(f.name).u64((f.get)(s));
+    }
+}
 
 /// Counters recorded by one core during one job.
 #[derive(Debug, Default, Clone)]
@@ -52,6 +121,31 @@ pub struct CoreStats {
 }
 
 impl CoreStats {
+    /// The counters, in struct (= blob) order.
+    pub const FIELDS: &'static [Field<CoreStats>] = &[
+        field!("busy_ns", Sum, busy_ns),
+        field!("units", Sum, units),
+        field!("internal_steals", Sum, internal_steals),
+        field!("external_steals", Sum, external_steals),
+        field!("net_units", Sum, net_units),
+        field!("failed_steal_rounds", Sum, failed_steal_rounds),
+        field!("bytes_received", Sum, bytes_received),
+        field!("ec", Sum, ec),
+        field!("peak_state_bytes", Max, peak_state_bytes),
+        field!("steal_ns", Sum, steal_ns),
+        field!("kernel_merge", Sum, kernel_merge),
+        field!("kernel_gallop", Sum, kernel_gallop),
+        field!("kernel_bitset", Sum, kernel_bitset),
+        field!("kernel_scanned", Sum, kernel_scanned),
+        field!("arena_peak_bytes", Max, arena_peak_bytes),
+    ];
+
+    /// Folds another round's counters for the same core into `self`
+    /// (busy segments are local to a run and stay untouched).
+    pub fn absorb(&mut self, other: &CoreStats) {
+        absorb_fields(Self::FIELDS, self, other);
+    }
+
     /// Records a processed unit busy interval, merging near-contiguous
     /// segments (gap below 200µs) to bound memory.
     pub fn record_segment(&mut self, start_ns: u64, end_ns: u64) {
@@ -88,13 +182,18 @@ pub struct PlannerStats {
 }
 
 impl PlannerStats {
-    /// Folds `other` into `self` (used when merging per-worker reports;
-    /// the plan is identical on every worker, so merge takes the max
-    /// rather than summing duplicates).
+    /// The counters, in struct (= blob) order. The plan is identical on
+    /// every worker, so a merge takes the max rather than summing
+    /// duplicates.
+    pub const FIELDS: &'static [Field<PlannerStats>] = &[
+        field!("plans_compiled", Max, plans_compiled),
+        field!("subpatterns_counted", Max, subpatterns_counted),
+        field!("ie_terms", Max, ie_terms),
+    ];
+
+    /// Folds another worker's report into `self`.
     pub fn absorb(&mut self, other: &PlannerStats) {
-        self.plans_compiled = self.plans_compiled.max(other.plans_compiled);
-        self.subpatterns_counted = self.subpatterns_counted.max(other.subpatterns_counted);
-        self.ie_terms = self.ie_terms.max(other.ie_terms);
+        absorb_fields(Self::FIELDS, self, other);
     }
 }
 
@@ -124,7 +223,7 @@ pub struct JobReport {
 impl JobReport {
     /// Total busy time across cores.
     pub fn total_busy(&self) -> Duration {
-        Duration::from_nanos(self.cores.iter().map(|(_, s)| s.busy_ns).sum())
+        Duration::from_nanos(self.total(|s| s.busy_ns))
     }
 
     /// Mean CPU utilization: busy time / (cores × wall time), in `[0, 1]`.
@@ -168,37 +267,39 @@ impl JobReport {
         out
     }
 
+    /// One counter summed over the cores.
+    fn total(&self, get: fn(&CoreStats) -> u64) -> u64 {
+        self.cores.iter().map(|(_, s)| get(s)).sum()
+    }
+
     /// Total successful steals `(internal, external)`.
     pub fn steals(&self) -> (u64, u64) {
-        self.cores.iter().fold((0, 0), |(i, e), (_, s)| {
-            (i + s.internal_steals, e + s.external_steals)
-        })
+        (
+            self.total(|s| s.internal_steals),
+            self.total(|s| s.external_steals),
+        )
     }
 
     /// Total units pulled from a cross-process steal source (zero unless a
     /// network substrate was attached).
     pub fn net_units(&self) -> u64 {
-        self.cores.iter().map(|(_, s)| s.net_units).sum()
+        self.total(|s| s.net_units)
     }
 
     /// Total extension cost (candidate tests, §4.3).
     pub fn total_ec(&self) -> u64 {
-        self.cores.iter().map(|(_, s)| s.ec).sum()
+        self.total(|s| s.ec)
     }
 
     /// Kernel-path totals across cores:
     /// `(merge_calls, gallop_calls, bitset_calls, elements_scanned)`.
     pub fn kernel_totals(&self) -> (u64, u64, u64, u64) {
-        self.cores
-            .iter()
-            .fold((0, 0, 0, 0), |(m, g, b, s), (_, c)| {
-                (
-                    m + c.kernel_merge,
-                    g + c.kernel_gallop,
-                    b + c.kernel_bitset,
-                    s + c.kernel_scanned,
-                )
-            })
+        (
+            self.total(|s| s.kernel_merge),
+            self.total(|s| s.kernel_gallop),
+            self.total(|s| s.kernel_bitset),
+            self.total(|s| s.kernel_scanned),
+        )
     }
 
     /// Largest candidate-set arena observed on any core, in bytes.
@@ -228,8 +329,7 @@ impl JobReport {
 
     /// Fraction of busy time spent on work-stealing code paths (§6).
     pub fn steal_overhead(&self) -> f64 {
-        let busy: u64 = self.cores.iter().map(|(_, s)| s.busy_ns).sum();
-        let steal: u64 = self.cores.iter().map(|(_, s)| s.steal_ns).sum();
+        let (busy, steal) = (self.total(|s| s.busy_ns), self.total(|s| s.steal_ns));
         if busy + steal == 0 {
             return 0.0;
         }
@@ -250,166 +350,82 @@ impl JobReport {
     /// the CI regression gate. `timeline_buckets` controls the resolution
     /// of the embedded per-job utilization timeline (Fig. 8 curve).
     pub fn to_json(&self, timeline_buckets: usize) -> String {
+        let mut e = Emitter::pretty();
+        self.emit_json(&mut e, timeline_buckets);
+        e.finish()
+    }
+
+    /// Writes the [`to_json`](Self::to_json) document as the next value of
+    /// `e`, so callers can embed reports in a larger artifact.
+    pub fn emit_json(&self, e: &mut Emitter, timeline_buckets: usize) {
         let (int_steals, ext_steals) = self.steals();
-        let failed: u64 = self.cores.iter().map(|(_, s)| s.failed_steal_rounds).sum();
-        let units: u64 = self.cores.iter().map(|(_, s)| s.units).sum();
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"fractal-metrics/1\",\n");
-        out.push_str(&format!(
-            "  \"elapsed_ms\": {:.3},\n",
-            self.elapsed.as_secs_f64() * 1e3
-        ));
-        out.push_str(&format!("  \"cores\": {},\n", self.cores.len()));
-        out.push_str(&format!(
-            "  \"workers\": {},\n",
-            self.worker_state_bytes().len()
-        ));
-        out.push_str(&format!("  \"utilization\": {:.6},\n", self.utilization()));
-        out.push_str(&format!("  \"imbalance\": {:.6},\n", self.imbalance()));
-        out.push_str(&format!(
-            "  \"steal_overhead\": {:.6},\n",
-            self.steal_overhead()
-        ));
-        out.push_str(&format!("  \"total_units\": {units},\n"));
-        out.push_str(&format!("  \"total_ec\": {},\n", self.total_ec()));
         let (km, kg, kb, ks) = self.kernel_totals();
-        out.push_str(&format!("  \"kernel_merge\": {km},\n"));
-        out.push_str(&format!("  \"kernel_gallop\": {kg},\n"));
-        out.push_str(&format!("  \"kernel_bitset\": {kb},\n"));
-        out.push_str(&format!("  \"kernel_scanned\": {ks},\n"));
-        out.push_str(&format!(
-            "  \"arena_peak_bytes\": {},\n",
-            self.arena_peak_bytes()
-        ));
-        out.push_str(&format!("  \"internal_steals\": {int_steals},\n"));
-        out.push_str(&format!("  \"external_steals\": {ext_steals},\n"));
-        out.push_str(&format!("  \"net_units\": {},\n", self.net_units()));
-        out.push_str(&format!("  \"failed_steal_rounds\": {failed},\n"));
-        out.push_str(&format!("  \"steal_requests\": {},\n", self.steal_requests));
-        out.push_str(&format!("  \"steal_hits\": {},\n", self.steal_hits));
-        out.push_str(&format!("  \"bytes_served\": {},\n", self.bytes_served));
-        out.push_str(&format!(
-            "  \"faults_injected\": {},\n",
-            self.faults.faults_injected
-        ));
-        out.push_str(&format!(
-            "  \"units_retried\": {},\n",
-            self.faults.units_retried
-        ));
-        out.push_str(&format!(
-            "  \"units_reexecuted\": {},\n",
-            self.faults.units_reexecuted
-        ));
-        out.push_str(&format!(
-            "  \"watchdog_trips\": {},\n",
-            self.faults.watchdog_trips
-        ));
-        out.push_str(&format!(
-            "  \"recovery_ns\": {},\n",
-            self.faults.recovery_ns
-        ));
-        out.push_str(&format!("  \"units_lost\": {},\n", self.faults.units_lost));
-        out.push_str(&format!(
-            "  \"tap_drained\": {},\n",
-            self.faults.tap_drained
-        ));
-        out.push_str(&format!(
-            "  \"jobs_admitted\": {},\n",
-            self.faults.jobs_admitted
-        ));
-        out.push_str(&format!(
-            "  \"jobs_rejected\": {},\n",
-            self.faults.jobs_rejected
-        ));
-        out.push_str(&format!(
-            "  \"snapshot_evictions\": {},\n",
-            self.faults.snapshot_evictions
-        ));
-        out.push_str(&format!(
-            "  \"journal_replayed\": {},\n",
-            self.faults.journal_replayed
-        ));
-        out.push_str(&format!(
-            "  \"resumed_jobs\": {},\n",
-            self.faults.resumed_jobs
-        ));
-        out.push_str(&format!(
-            "  \"link_faults_injected\": {},\n",
-            self.faults.link_faults_injected
-        ));
-        out.push_str(&format!(
-            "  \"client_reconnects\": {},\n",
-            self.faults.client_reconnects
-        ));
-        out.push_str(&format!(
-            "  \"plans_compiled\": {},\n",
-            self.planner.plans_compiled
-        ));
-        out.push_str(&format!(
-            "  \"subpatterns_counted\": {},\n",
-            self.planner.subpatterns_counted
-        ));
-        out.push_str(&format!("  \"ie_terms\": {},\n", self.planner.ie_terms));
-        out.push_str(&format!(
-            "  \"worker_state_bytes\": {},\n",
-            json_u64_array(&self.worker_state_bytes())
-        ));
-        out.push_str(&format!(
-            "  \"utilization_timeline\": {},\n",
-            json_f64_array(&self.utilization_timeline(timeline_buckets))
-        ));
-        out.push_str("  \"per_core\": [\n");
-        for (i, (id, s)) in self.cores.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"worker\": {}, \"core\": {}, \"busy_ns\": {}, \"steal_ns\": {}, \
-                 \"units\": {}, \"internal_steals\": {}, \"external_steals\": {}, \
-                 \"net_units\": {}, \
-                 \"failed_steal_rounds\": {}, \"bytes_received\": {}, \"ec\": {}, \
-                 \"kernel_scanned\": {}, \"arena_peak_bytes\": {}, \
-                 \"peak_state_bytes\": {}}}{}\n",
-                id.worker,
-                id.core,
-                s.busy_ns,
-                s.steal_ns,
-                s.units,
-                s.internal_steals,
-                s.external_steals,
-                s.net_units,
-                s.failed_steal_rounds,
-                s.bytes_received,
-                s.ec,
-                s.kernel_scanned,
-                s.arena_peak_bytes,
-                s.peak_state_bytes,
-                if i + 1 < self.cores.len() { "," } else { "" }
-            ));
+        e.begin_obj();
+        e.key("schema").str("fractal-metrics/1");
+        e.key("elapsed_ms").f64(self.elapsed.as_secs_f64() * 1e3, 3);
+        e.key("cores").u64(self.cores.len() as u64);
+        e.key("workers").u64(self.worker_state_bytes().len() as u64);
+        e.key("utilization").f64(self.utilization(), 6);
+        e.key("imbalance").f64(self.imbalance(), 6);
+        e.key("steal_overhead").f64(self.steal_overhead(), 6);
+        e.key("total_units").u64(self.total(|s| s.units));
+        e.key("total_ec").u64(self.total_ec());
+        e.key("kernel_merge").u64(km);
+        e.key("kernel_gallop").u64(kg);
+        e.key("kernel_bitset").u64(kb);
+        e.key("kernel_scanned").u64(ks);
+        e.key("arena_peak_bytes").u64(self.arena_peak_bytes());
+        e.key("internal_steals").u64(int_steals);
+        e.key("external_steals").u64(ext_steals);
+        e.key("net_units").u64(self.net_units());
+        e.key("failed_steal_rounds")
+            .u64(self.total(|s| s.failed_steal_rounds));
+        e.key("steal_requests").u64(self.steal_requests);
+        e.key("steal_hits").u64(self.steal_hits);
+        e.key("bytes_served").u64(self.bytes_served);
+        emit_fields(FaultStats::FIELDS, &self.faults, e);
+        emit_fields(PlannerStats::FIELDS, &self.planner, e);
+        e.key("worker_state_bytes").inline().begin_arr();
+        for b in self.worker_state_bytes() {
+            e.u64(b);
         }
-        out.push_str("  ],\n");
+        e.end_arr();
+        e.key("utilization_timeline").inline().begin_arr();
+        for u in self.utilization_timeline(timeline_buckets) {
+            e.f64(u, 6);
+        }
+        e.end_arr();
+        e.key("per_core").begin_arr();
+        for (id, s) in &self.cores {
+            e.inline().begin_obj();
+            e.key("worker").u64(id.worker as u64);
+            e.key("core").u64(id.core as u64);
+            emit_fields(CoreStats::FIELDS, s, e);
+            e.end_obj();
+        }
+        e.end_arr();
+        e.key("trace");
         match &self.trace {
             Some(dump) => {
                 let (steal_lat, service, depth) = dump.merged_histograms();
-                out.push_str("  \"trace\": {\n");
-                out.push_str(&format!(
-                    "    \"events\": {},\n    \"dropped\": {},\n",
-                    dump.num_events(),
-                    dump.total_dropped()
-                ));
-                out.push_str(&format!(
-                    "    \"steal_latency_ns\": {},\n",
-                    histogram_json(&steal_lat)
-                ));
-                out.push_str(&format!(
-                    "    \"service_ns\": {},\n",
-                    histogram_json(&service)
-                ));
-                out.push_str(&format!("    \"ext_depth\": {}\n", histogram_json(&depth)));
-                out.push_str("  }\n");
+                e.begin_obj();
+                e.key("events").u64(dump.num_events() as u64);
+                e.key("dropped").u64(dump.total_dropped());
+                for (name, h) in [
+                    ("steal_latency_ns", &steal_lat),
+                    ("service_ns", &service),
+                    ("ext_depth", &depth),
+                ] {
+                    e.key(name);
+                    emit_histogram(h, e);
+                }
+                e.end_obj();
             }
-            None => out.push_str("  \"trace\": null\n"),
+            None => {
+                e.null();
+            }
         }
-        out.push('}');
-        out
+        e.end_obj();
     }
 
     /// Coefficient of variation of per-core busy times (0 = perfectly
@@ -429,47 +445,89 @@ impl JobReport {
     }
 }
 
-/// Renders a `u64` slice as a JSON array.
-fn json_u64_array(values: &[u64]) -> String {
-    let items: Vec<String> = values.iter().map(|v| v.to_string()).collect();
-    format!("[{}]", items.join(", "))
+/// Emits a histogram summary as one inline JSON object.
+fn emit_histogram(h: &Histogram, e: &mut Emitter) {
+    e.inline().begin_obj();
+    e.key("count").u64(h.count());
+    e.key("sum").u64(h.sum());
+    e.key("mean").f64(h.mean(), 3);
+    e.key("max").u64(h.max());
+    e.key("p50_bound").u64(h.quantile_bound(0.5));
+    e.key("p99_bound").u64(h.quantile_bound(0.99));
+    e.key("buckets").begin_arr();
+    for (bound, n) in h.nonzero_buckets() {
+        e.begin_arr().u64(bound).u64(n).end_arr();
+    }
+    e.end_arr().end_obj();
 }
 
-/// Renders an `f64` slice as a JSON array with fixed precision.
-fn json_f64_array(values: &[f64]) -> String {
-    let items: Vec<String> = values.iter().map(|v| format!("{v:.6}")).collect();
-    format!("[{}]", items.join(", "))
-}
-
-/// Renders a histogram summary as a JSON object.
-fn histogram_json(h: &Histogram) -> String {
-    format!(
-        "{{\"count\": {}, \"sum\": {}, \"mean\": {:.3}, \"max\": {}, \
-         \"p50_bound\": {}, \"p99_bound\": {}, \"buckets\": {}}}",
-        h.count(),
-        h.sum(),
-        h.mean(),
-        h.max(),
-        h.quantile_bound(0.5),
-        h.quantile_bound(0.99),
-        json_bucket_pairs(&h.nonzero_buckets()),
-    )
-}
-
-fn json_bucket_pairs(pairs: &[(u64, u64)]) -> String {
-    let items: Vec<String> = pairs.iter().map(|(b, n)| format!("[{b}, {n}]")).collect();
-    format!("[{}]", items.join(", "))
-}
-
-/// Quotes and escapes a string as a JSON value (shared with the CLI for
-/// composing metrics documents).
-pub fn json_string(s: &str) -> String {
-    format!("\"{}\"", json_escape(s))
+/// Every row reads and writes a field of its own, there is one row per
+/// `u64` field, and the blob form decodes to what was encoded.
+#[cfg(test)]
+pub(crate) fn check_table<S: Default>(fields: &[Field<S>], u64_fields: usize) {
+    assert_eq!(fields.len(), u64_fields, "one table row per u64 field");
+    let mut s = S::default();
+    for (i, f) in fields.iter().enumerate() {
+        *(f.get_mut)(&mut s) = i as u64 + 1;
+    }
+    let mut w = Writer::new();
+    put_fields(fields, &s, &mut w);
+    let bytes = w.finish();
+    assert_eq!(bytes.len(), 8 * fields.len());
+    let mut r = Reader::new(&bytes);
+    let back: S = get_fields(fields, &mut r).expect("decode");
+    r.finish().expect("no trailing bytes");
+    for (i, f) in fields.iter().enumerate() {
+        assert_eq!((f.get)(&s), i as u64 + 1, "row {} aliases another", f.name);
+        assert_eq!((f.get)(&back), i as u64 + 1, "row {} round trip", f.name);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stats_tables_cover_every_counter() {
+        use std::mem::size_of;
+        check_table(
+            CoreStats::FIELDS,
+            (size_of::<CoreStats>() - size_of::<Vec<(u64, u64)>>()) / 8,
+        );
+        check_table(PlannerStats::FIELDS, size_of::<PlannerStats>() / 8);
+    }
+
+    #[test]
+    fn core_stats_absorb_sums_counters_and_maxes_peaks() {
+        let mut a = CoreStats {
+            ec: 5,
+            peak_state_bytes: 100,
+            arena_peak_bytes: 7,
+            ..Default::default()
+        };
+        a.absorb(&CoreStats {
+            ec: 6,
+            peak_state_bytes: 40,
+            arena_peak_bytes: 9,
+            ..Default::default()
+        });
+        assert_eq!((a.ec, a.peak_state_bytes, a.arena_peak_bytes), (11, 100, 9));
+    }
+
+    #[test]
+    fn per_core_objects_carry_every_counter() {
+        let r = report(
+            vec![CoreStats {
+                kernel_gallop: 4,
+                ..Default::default()
+            }],
+            10,
+        );
+        let v = crate::json::parse(&r.to_json(1)).expect("valid JSON");
+        let core = &v.get("per_core").unwrap().as_arr().unwrap()[0];
+        assert_eq!(core.as_obj().unwrap().len(), 2 + CoreStats::FIELDS.len());
+        assert_eq!(core.get("kernel_gallop").unwrap().as_u64(), Some(4));
+    }
 
     fn report(cores: Vec<CoreStats>, elapsed_ns: u64) -> JobReport {
         JobReport {
@@ -567,27 +625,13 @@ mod tests {
         assert!(json.contains("\"steal_requests\": 5"));
         assert!(json.contains("\"bytes_served\": 44"));
         assert!(json.contains("\"trace\": null"));
-        // Fault counters are always present (zero on fault-free runs).
-        assert!(json.contains("\"faults_injected\": 0"));
-        assert!(json.contains("\"units_retried\": 0"));
-        assert!(json.contains("\"units_reexecuted\": 0"));
-        assert!(json.contains("\"watchdog_trips\": 0"));
-        assert!(json.contains("\"recovery_ns\": 0"));
-        assert!(json.contains("\"units_lost\": 0"));
-        // Serve-path counters likewise present and zero off the serve path.
-        assert!(json.contains("\"jobs_admitted\": 0"));
-        assert!(json.contains("\"jobs_rejected\": 0"));
-        assert!(json.contains("\"snapshot_evictions\": 0"));
-        // Durability / degraded-link counters: present and zero when the
-        // journal and link-fault envelope are idle.
-        assert!(json.contains("\"journal_replayed\": 0"));
-        assert!(json.contains("\"resumed_jobs\": 0"));
-        assert!(json.contains("\"link_faults_injected\": 0"));
-        assert!(json.contains("\"client_reconnects\": 0"));
-        // Planner counters: present and zero on enumeration jobs.
-        assert!(json.contains("\"plans_compiled\": 0"));
-        assert!(json.contains("\"subpatterns_counted\": 0"));
-        assert!(json.contains("\"ie_terms\": 0"));
+        // Every fault and planner counter is present, and zero on a
+        // fault-free enumeration job.
+        let doc = crate::json::parse(&json).expect("valid JSON");
+        let fault_names = FaultStats::FIELDS.iter().map(|f| f.name);
+        for name in fault_names.chain(PlannerStats::FIELDS.iter().map(|f| f.name)) {
+            assert_eq!(doc.get(name).and_then(|v| v.as_u64()), Some(0), "{name}");
+        }
         // A 4-bucket timeline over a fully-busy single core is all ones.
         assert!(json.contains("\"utilization_timeline\": [1.000000, 1.000000, 1.000000, 1.000000]"));
     }
@@ -650,24 +694,13 @@ mod tests {
             subpatterns_counted: 17,
             ie_terms: 12,
         };
-        let json = r.to_json(1);
-        assert!(json.contains("\"plans_compiled\": 9"));
-        assert!(json.contains("\"subpatterns_counted\": 17"));
-        assert!(json.contains("\"ie_terms\": 12"));
+        let doc = crate::json::parse(&r.to_json(1)).expect("valid JSON");
+        assert_eq!(doc.get("subpatterns_counted").unwrap().as_u64(), Some(17));
         // Worker merge keeps the shared plan's counters instead of
         // double-counting them.
         let mut a = r.planner;
-        a.absorb(&PlannerStats {
-            plans_compiled: 9,
-            subpatterns_counted: 17,
-            ie_terms: 12,
-        });
+        a.absorb(&r.planner);
         assert_eq!(a, r.planner);
-    }
-
-    #[test]
-    fn json_string_escapes() {
-        assert_eq!(json_string("a\"b"), "\"a\\\"b\"");
     }
 
     #[test]

@@ -26,8 +26,7 @@ use crate::fault::{FaultCtx, RecoveryUnit};
 use crate::level::{LevelQueue, WorkerRegistry};
 use crate::sync::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use crate::sync::{AtomicU64, Ordering};
-use bytes::{Buf, BufMut, BytesMut};
-
+use crate::wire::{self, unseal, Reader, Writer};
 use std::time::{Duration, Instant};
 
 /// A unit of stolen work: the prefix to rebuild plus the claimed extension.
@@ -123,30 +122,13 @@ pub fn steal_root_for_export(
     None
 }
 
-/// FNV-1a 64 over a byte slice — the wire checksum. Not cryptographic;
-/// catches the bit flips and truncations the fault injector (and a flaky
-/// transport) produce.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// Serializes a stolen unit: `u32` prefix length, prefix words, word, and
 /// a trailing FNV-1a 64 checksum over everything before it.
 pub fn encode_unit(unit: &StolenUnit) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(4 + 8 * (unit.prefix.len() + 2));
-    buf.put_u32(unit.prefix.len() as u32);
-    for &w in &unit.prefix {
-        buf.put_u64(w);
-    }
-    buf.put_u64(unit.word);
-    let sum = fnv1a64(buf.as_ref());
-    buf.put_u64(sum);
-    buf.to_vec()
+    let mut w = Writer::with_capacity(4 + 8 * (unit.prefix.len() + 2));
+    w.words(&unit.prefix);
+    w.u64(unit.word);
+    w.seal()
 }
 
 /// Why a steal payload failed to decode.
@@ -187,20 +169,27 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+/// [`decode_unit`] checks the exact length before it reads a field, so
+/// these conversions are never taken and carry no byte counts.
+impl From<wire::Error> for DecodeError {
+    fn from(e: wire::Error) -> Self {
+        match e {
+            wire::Error::TrailingBytes => DecodeError::TrailingBytes(0),
+            wire::Error::Truncated | wire::Error::BadUtf8 => {
+                DecodeError::Truncated { needed: 0, got: 0 }
+            }
+        }
+    }
+}
+
 /// Deserializes a stolen unit, verifying framing and checksum. Never
 /// panics: adversarial input (truncation, bit flips, garbage) yields a
 /// [`DecodeError`].
 pub fn decode_unit(bytes: &[u8]) -> Result<StolenUnit, DecodeError> {
+    // The prefix length fixes the frame size exactly: u32 len, `len`
+    // prefix words, the word and the checksum.
     let total = bytes.len();
-    // Minimum frame: u32 len + word + checksum.
-    if total < 4 + 8 + 8 {
-        return Err(DecodeError::Truncated {
-            needed: 4 + 8 + 8,
-            got: total,
-        });
-    }
-    let mut view = bytes;
-    let len = view.get_u32() as usize;
+    let len = Reader::new(bytes).u32().map_or(0, |n| n as usize);
     let needed = 4 + 8 * (len + 2);
     if total < needed {
         return Err(DecodeError::Truncated { needed, got: total });
@@ -208,22 +197,20 @@ pub fn decode_unit(bytes: &[u8]) -> Result<StolenUnit, DecodeError> {
     if total > needed {
         return Err(DecodeError::TrailingBytes(total - needed));
     }
-    let expected = fnv1a64(&bytes[..total - 8]);
-    // panic-ok: the slice is exactly 8 bytes by the length checks above;
-    // try_into cannot fail.
-    let carried = u64::from_be_bytes(bytes[total - 8..].try_into().unwrap());
-    if carried != expected {
+    let (body, carried, actual) = unseal(bytes)?;
+    if carried != actual {
         return Err(DecodeError::ChecksumMismatch {
             expected: carried,
-            actual: expected,
+            actual,
         });
     }
-    let mut prefix = Vec::with_capacity(len);
-    for _ in 0..len {
-        prefix.push(view.get_u64());
-    }
-    let word = view.get_u64();
-    Ok(StolenUnit { prefix, word })
+    let mut r = Reader::new(body);
+    let unit = StolenUnit {
+        prefix: r.words()?,
+        word: r.u64()?,
+    };
+    r.finish()?;
+    Ok(unit)
 }
 
 /// A served unit: the encoded payload plus the ack channel the requester

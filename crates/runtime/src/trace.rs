@@ -26,6 +26,7 @@
 //!   single branch on a local bool; compiling the runtime without the
 //!   `trace` feature removes even that.
 
+use crate::json::{self, Emitter};
 use crate::level::GlobalCoreId;
 use crate::sync::{AtomicU64, Ordering};
 use std::io::{self, Write};
@@ -686,17 +687,17 @@ impl TraceDump {
     /// events in chronological order.
     pub fn write_jsonl(&self, out: &mut impl Write) -> io::Result<()> {
         for core in &self.cores {
-            for e in &core.events {
-                writeln!(
-                    out,
-                    "{{\"w\":{},\"c\":{},\"t_ns\":{},\"kind\":\"{}\",\"a\":{},\"b\":{}}}",
-                    core.id.worker,
-                    core.id.core,
-                    e.t_ns,
-                    e.kind.as_str(),
-                    e.a,
-                    e.b
-                )?;
+            for ev in &core.events {
+                let mut e = Emitter::compact();
+                e.begin_obj();
+                e.key("w").u64(core.id.worker as u64);
+                e.key("c").u64(core.id.core as u64);
+                e.key("t_ns").u64(ev.t_ns);
+                e.key("kind").str(ev.kind.as_str());
+                e.key("a").u64(ev.a);
+                e.key("b").u64(ev.b);
+                e.end_obj();
+                out.write_all(e.finish().as_bytes())?;
             }
         }
         Ok(())
@@ -714,14 +715,20 @@ impl TraceDump {
                 continue;
             }
             let err = |what: &str| format!("line {}: {what}", lineno + 1);
-            let w = json_u64_field(line, "w").ok_or_else(|| err("missing \"w\""))? as usize;
-            let c = json_u64_field(line, "c").ok_or_else(|| err("missing \"c\""))? as usize;
-            let t_ns = json_u64_field(line, "t_ns").ok_or_else(|| err("missing \"t_ns\""))?;
-            let kind_s = json_str_field(line, "kind").ok_or_else(|| err("missing \"kind\""))?;
-            let kind = EventKind::parse(&kind_s)
-                .ok_or_else(|| err(&format!("unknown kind {kind_s:?}")))?;
-            let a = json_u64_field(line, "a").ok_or_else(|| err("missing \"a\""))?;
-            let b = json_u64_field(line, "b").ok_or_else(|| err("missing \"b\""))?;
+            let obj = json::parse(line).map_err(|e| err(&e))?;
+            let num = |key: &str| {
+                obj.get(key)
+                    .and_then(|v| v.as_u64())
+                    .ok_or_else(|| err(&format!("missing \"{key}\"")))
+            };
+            let (w, c) = (num("w")? as usize, num("c")? as usize);
+            let (t_ns, a, b) = (num("t_ns")?, num("a")?, num("b")?);
+            let kind_s = obj
+                .get("kind")
+                .and_then(|v| v.as_str())
+                .ok_or_else(|| err("missing \"kind\""))?;
+            let kind =
+                EventKind::parse(kind_s).ok_or_else(|| err(&format!("unknown kind {kind_s:?}")))?;
             let id = GlobalCoreId { worker: w, core: c };
             let event = TraceEvent { t_ns, kind, a, b };
             match cores.iter_mut().find(|ct| ct.id == id) {
@@ -742,46 +749,6 @@ impl TraceDump {
         }
         Ok(TraceDump { cores })
     }
-}
-
-/// Extracts `"key":<u64>` from a flat one-line JSON object.
-fn json_u64_field(line: &str, key: &str) -> Option<u64> {
-    let rest = field_value(line, key)?;
-    let end = rest
-        .find(|ch: char| !ch.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts `"key":"<string>"` from a flat one-line JSON object
-/// (no escape handling — keys and kinds are plain identifiers).
-fn json_str_field(line: &str, key: &str) -> Option<String> {
-    let rest = field_value(line, key)?;
-    let rest = rest.strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-fn field_value<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let at = line.find(&needle)?;
-    Some(line[at + needle.len()..].trim_start())
-}
-
-/// Escapes a string for embedding in a JSON document.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1015,11 +982,5 @@ mod tests {
         .is_err());
         // Blank lines are fine.
         assert_eq!(TraceDump::parse_jsonl("\n\n").unwrap().cores.len(), 0);
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("plain"), "plain");
     }
 }

@@ -78,6 +78,7 @@
 //! ```
 
 use crate::prelude::*;
+use fractal_runtime::json::Emitter;
 use std::collections::HashMap;
 
 /// Entry point shared by the `fractal` and `fractal-cli` binaries.
@@ -146,12 +147,7 @@ pub fn run() {
             let k = opt_num(&opts, "k").unwrap_or(3);
             let mode = parse_plan_mode(&opts, crate::apps::planned::PlanMode::Enumerate);
             let (motifs, _, choice) = crate::apps::planned::motifs_planned(&fg, k, false, mode);
-            let mut rows: Vec<_> = motifs.into_iter().collect();
-            rows.sort_by_key(|(_, c)| std::cmp::Reverse(*c));
-            for (code, count) in rows {
-                let p = code.to_pattern();
-                println!("{count:>12}  {p}");
-            }
+            print_motifs(&motifs);
             eprintln!("execution path: {}", choice.summary());
         }
         "cliques" => {
@@ -293,16 +289,19 @@ pub fn run() {
             out.flush()
                 .unwrap_or_else(|e| die(&format!("cannot flush {trace_path}: {e}")));
 
-            let steps: Vec<String> = report.steps.iter().map(|s| s.to_json(buckets)).collect();
-            let metrics = format!(
-                "{{\n\"app\": \"motifs\",\n\"k\": {k},\n\"motif_classes\": {},\n\
-                 \"elapsed_ms\": {:.3},\n\"steps\": [\n{}\n]\n}}",
-                motifs.len(),
-                report.elapsed.as_secs_f64() * 1e3,
-                steps.join(",\n"),
-            );
-            std::fs::write(&metrics_path, &metrics)
-                .unwrap_or_else(|e| die(&format!("cannot write {metrics_path}: {e}")));
+            let mut e = Emitter::pretty();
+            e.begin_obj();
+            e.key("app").str("motifs");
+            e.key("k").u64(k as u64);
+            e.key("motif_classes").u64(motifs.len() as u64);
+            e.key("elapsed_ms")
+                .f64(report.elapsed.as_secs_f64() * 1e3, 3);
+            e.key("steps").begin_arr();
+            for step in &report.steps {
+                step.emit_json(&mut e, buckets);
+            }
+            e.end_arr().end_obj();
+            write_metrics(&metrics_path, &e.finish());
 
             let (int_steals, ext_steals) = report.steals();
             let events: usize = report
@@ -317,7 +316,6 @@ pub fn run() {
                 motifs.len()
             );
             eprintln!("trace   -> {trace_path}");
-            eprintln!("metrics -> {metrics_path}");
         }
         other => die(&format!("unknown app {other:?}")),
     }
@@ -581,22 +579,53 @@ fn run_submit(opts: &HashMap<String, String>) {
     let t0 = std::time::Instant::now();
     let result = run_cluster(streams, names, config)
         .unwrap_or_else(|e| die(&format!("cluster run failed: {e}")));
-    match result.app {
-        AppSpec::Motifs { k, .. } => {
-            let mut rows: Vec<_> = result.motifs.iter().collect();
-            rows.sort_by_key(|(_, c)| std::cmp::Reverse(**c));
-            for (code, count) in rows {
-                println!("{count:>12}  {}", code.to_pattern());
-            }
-            eprintln!("motifs k={k}: {} pattern classes", result.motifs.len());
-            if let Some(s) = &plan_summary {
-                eprintln!("{s}");
-            }
+    print_result(result.app, result.count, &result.motifs, &result.frequent);
+    if let AppSpec::Motifs { k, .. } = result.app {
+        eprintln!("motifs k={k}: {} pattern classes", result.motifs.len());
+        if let Some(s) = &plan_summary {
+            eprintln!("{s}");
         }
-        AppSpec::Kclist { k } => println!("{k}-cliques: {}", result.count),
+    }
+    if result.deaths > 0 {
+        eprintln!(
+            "recovered from {} worker death(s): {} orphaned words, {} recovery assigns",
+            result.deaths, result.orphaned_words, result.recovery_assigns
+        );
+    }
+    if opts.contains_key("per-worker") {
+        eprint!("{}", crate::net::render_per_worker(&result));
+    }
+    write_report_metrics(opts, &result.report);
+    if opts.contains_key("verify-single") {
+        verify_single(&result, graph, cores);
+    }
+    eprintln!("done in {:.2}s", t0.elapsed().as_secs_f64());
+}
+
+/// Prints a motif census, most frequent class first.
+fn print_motifs(motifs: &HashMap<crate::pattern::CanonicalCode, u64>) {
+    let mut rows: Vec<_> = motifs.iter().collect();
+    rows.sort_by_key(|(_, c)| std::cmp::Reverse(**c));
+    for (code, count) in rows {
+        println!("{count:>12}  {}", code.to_pattern());
+    }
+}
+
+/// Prints a cluster job's result the way the single-process apps print
+/// theirs (shared by `submit` and `client`).
+fn print_result(
+    app: crate::net::AppSpec,
+    count: u64,
+    motifs: &HashMap<crate::pattern::CanonicalCode, u64>,
+    frequent: &[HashMap<crate::pattern::CanonicalCode, crate::apps::fsm::DomainSupport>],
+) {
+    use crate::net::AppSpec;
+    match app {
+        AppSpec::Motifs { .. } => print_motifs(motifs),
+        AppSpec::Kclist { k } => println!("{k}-cliques: {count}"),
         AppSpec::Fsm { min_support, .. } => {
             println!("frequent patterns (support >= {min_support}):");
-            for (r, map) in result.frequent.iter().enumerate() {
+            for (r, map) in frequent.iter().enumerate() {
                 let mut rows: Vec<_> = map.iter().collect();
                 rows.sort_by(|a, b| a.0 .0.cmp(&b.0 .0));
                 for (code, sup) in rows {
@@ -610,25 +639,20 @@ fn run_submit(opts: &HashMap<String, String>) {
             }
         }
     }
-    if result.deaths > 0 {
-        eprintln!(
-            "recovered from {} worker death(s): {} orphaned words, {} recovery assigns",
-            result.deaths, result.orphaned_words, result.recovery_assigns
-        );
-    }
-    if opts.contains_key("per-worker") {
-        eprint!("{}", crate::net::render_per_worker(&result));
-    }
+}
+
+/// Writes a metrics artifact and says where it went.
+fn write_metrics(path: &str, json: &str) {
+    std::fs::write(path, json).unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
+    eprintln!("metrics -> {path}");
+}
+
+/// Writes `report` as `fractal-metrics/1` JSON to `--metrics-out`, if given.
+fn write_report_metrics(opts: &HashMap<String, String>, report: &fractal_runtime::JobReport) {
     if let Some(path) = opts.get("metrics-out") {
         let buckets = opt_num(opts, "buckets").unwrap_or(32);
-        std::fs::write(path, result.report.to_json(buckets))
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        eprintln!("metrics -> {path}");
+        write_metrics(path, &report.to_json(buckets));
     }
-    if opts.contains_key("verify-single") {
-        verify_single(&result, graph, cores);
-    }
-    eprintln!("done in {:.2}s", t0.elapsed().as_secs_f64());
 }
 
 /// Re-runs the job single-process and compares exact results — the CI
@@ -910,42 +934,22 @@ fn report_result(
         AppSpec::Motifs { k, .. } => {
             motifs = crate::net::blob::decode_motifs_map(agg)
                 .unwrap_or_else(|e| die(&format!("bad motifs blob: {e}")));
-            let mut rows: Vec<_> = motifs.iter().collect();
-            rows.sort_by_key(|(_, c)| std::cmp::Reverse(**c));
-            for (code, n) in rows {
-                println!("{n:>12}  {}", code.to_pattern());
-            }
             eprintln!("job {job} motifs k={k}: {} pattern classes", motifs.len());
         }
-        AppSpec::Kclist { k } => println!("{k}-cliques: {count}"),
-        AppSpec::Fsm { min_support, .. } => {
+        AppSpec::Kclist { .. } => {}
+        AppSpec::Fsm { .. } => {
             frequent = crate::net::blob::decode_fsm_seeds(agg)
                 .unwrap_or_else(|e| die(&format!("bad fsm blob: {e}")));
-            println!("frequent patterns (support >= {min_support}):");
-            for (r, map) in frequent.iter().enumerate() {
-                let mut rows: Vec<_> = map.iter().collect();
-                rows.sort_by(|a, b| a.0 .0.cmp(&b.0 .0));
-                for (code, sup) in rows {
-                    println!(
-                        "{:>9}  {} edges  {}",
-                        sup.support(),
-                        r + 1,
-                        code.to_pattern()
-                    );
-                }
-            }
         }
     }
-    if let Some(path) = opts.get("metrics-out") {
+    print_result(app, count, &motifs, &frequent);
+    if opts.contains_key("metrics-out") {
         let mut decoded = crate::net::blob::decode_report(report)
             .unwrap_or_else(|e| die(&format!("bad report blob: {e}")));
         // The daemon cannot see client-side reconnects; stamp them here so
         // the metrics artifact carries the full fault picture.
         decoded.faults.client_reconnects += reconnects;
-        let buckets = opt_num(opts, "buckets").unwrap_or(32);
-        std::fs::write(path, decoded.to_json(buckets))
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        eprintln!("metrics -> {path}");
+        write_report_metrics(opts, &decoded);
     }
     if opts.contains_key("verify-single") {
         if snapshot.is_empty() {
@@ -983,12 +987,7 @@ fn run_trace_per_worker(opts: &HashMap<String, String>) {
     let result = run_cluster(streams, names, config)
         .unwrap_or_else(|e| die(&format!("cluster run failed: {e}")));
     print!("{}", crate::net::render_per_worker(&result));
-    if let Some(path) = opts.get("metrics-out") {
-        let buckets = opt_num(opts, "buckets").unwrap_or(32);
-        std::fs::write(path, result.report.to_json(buckets))
-            .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        eprintln!("metrics -> {path}");
-    }
+    write_report_metrics(opts, &result.report);
     eprintln!(
         "motifs k={k}: {} pattern classes across {n} workers",
         result.motifs.len()
@@ -1015,47 +1014,48 @@ fn run_check(opts: &HashMap<String, String>) {
     let wall_ms = started.elapsed().as_millis() as u64;
 
     let mut total_executions = 0u64;
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"schema\": \"fractal-metrics/1\",\n");
-    json.push_str("  \"kind\": \"model_check\",\n");
+    let mut e = Emitter::pretty();
+    e.begin_obj();
+    e.key("schema").str("fractal-metrics/1");
+    e.key("kind").str("model_check");
+    e.key("preemption_bound");
     match bound {
-        Some(b) => json.push_str(&format!("  \"preemption_bound\": {b},\n")),
-        None => json.push_str("  \"preemption_bound\": null,\n"),
-    }
-    json.push_str(&format!("  \"wall_ms\": {wall_ms},\n"));
-    json.push_str("  \"models\": [\n");
-    for (i, r) in runs.iter().enumerate() {
+        Some(b) => e.u64(b as u64),
+        None => e.null(),
+    };
+    e.key("wall_ms").u64(wall_ms);
+    e.key("models").begin_arr();
+    for r in &runs {
         total_executions += r.executions;
         let role = if r.expect_failure {
             "self_validation"
         } else {
             "invariant"
         };
-        json.push_str(&format!(
-            "    {{ \"name\": \"{}\", \"role\": \"{}\", \"executions\": {}, \"steps\": {}, \"pruned\": {}",
-            r.name, role, r.executions, r.steps, r.pruned
-        ));
+        e.inline().begin_obj();
+        e.key("name").str(r.name);
+        e.key("role").str(role);
+        e.key("executions").u64(r.executions);
+        e.key("steps").u64(r.steps);
+        e.key("pruned").u64(r.pruned);
         if let Some(s) = &r.schedule {
-            json.push_str(&format!(", \"caught_schedule\": \"{s}\""));
+            e.key("caught_schedule").str(s);
         }
-        json.push_str(" }");
-        json.push_str(if i + 1 < runs.len() { ",\n" } else { "\n" });
+        e.end_obj();
         eprintln!(
             "model {: <32} {: <16} executions={: <8} pruned={}",
             r.name, role, r.executions, r.pruned
         );
     }
-    json.push_str("  ],\n");
-    json.push_str(&format!("  \"total_executions\": {total_executions}\n"));
-    json.push_str("}\n");
+    e.end_arr();
+    e.key("total_executions").u64(total_executions);
+    e.end_obj();
+    let json = e.finish();
 
     eprintln!("total explored interleavings: {total_executions} in {wall_ms} ms");
-    if let Some(path) = opts.get("metrics-out") {
-        std::fs::write(path, &json).unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        eprintln!("metrics written to {path}");
-    } else {
-        print!("{json}");
+    match opts.get("metrics-out") {
+        Some(path) => write_metrics(path, &json),
+        None => print!("{json}"),
     }
 }
 
@@ -1091,9 +1091,7 @@ fn run_lint(opts: &HashMap<String, String>) {
     }
     let json = fractal_lint::metrics_json(&outcome);
     if let Some(path) = opts.get("metrics-out") {
-        std::fs::write(path, &json)
-            .unwrap_or_else(|e| die(&format!("writing --metrics-out {path}: {e}")));
-        eprintln!("lint: wrote metrics to {path}");
+        write_metrics(path, &json);
     } else if outcome.ok() {
         print!("{json}");
     }
