@@ -127,114 +127,112 @@ impl GraphBuilder {
         self.edge_keywords[e.index()].push(k);
     }
 
-    /// Freezes the accumulated graph into its immutable CSR form.
-    ///
-    /// O(V + E log E): adjacency is built by counting sort over endpoints and
-    /// each neighborhood is then sorted by neighbor id.
+    /// Freezes the accumulated graph into its immutable CSR form, through
+    /// the same checked pass as [`try_graph_from_edges`].
     pub fn build(self) -> Graph {
-        let n = self.vertex_labels.len();
-        let m = self.edges.len();
-
-        let mut degree = vec![0u32; n];
-        for &(u, v, _) in &self.edges {
-            degree[u as usize] += 1;
-            degree[v as usize] += 1;
+        let mut g = freeze(self.vertex_labels, &self.edges).expect("add_edge validated every edge");
+        if self.has_keywords {
+            g.vertex_keywords = Some(KeywordSets::from_sets(self.vertex_keywords));
+            g.edge_keywords = Some(KeywordSets::from_sets(self.edge_keywords));
+            g.keyword_table = Some(self.keyword_table);
         }
-        let mut offsets = vec![0u32; n + 1];
-        for i in 0..n {
-            offsets[i + 1] = offsets[i] + degree[i];
-        }
-        let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        let mut nbr_vertices = vec![0u32; 2 * m];
-        let mut nbr_edges = vec![0u32; 2 * m];
-        let mut edge_src = vec![0u32; m];
-        let mut edge_dst = vec![0u32; m];
-        let mut edge_labels = vec![0u32; m];
-        for (e, &(u, v, l)) in self.edges.iter().enumerate() {
-            edge_src[e] = u;
-            edge_dst[e] = v;
-            edge_labels[e] = l;
-            let cu = cursor[u as usize] as usize;
-            nbr_vertices[cu] = v;
-            nbr_edges[cu] = e as u32;
-            cursor[u as usize] += 1;
-            let cv = cursor[v as usize] as usize;
-            nbr_vertices[cv] = u;
-            nbr_edges[cv] = e as u32;
-            cursor[v as usize] += 1;
-        }
-        // Sort each neighborhood by neighbor id, keeping edge ids aligned.
-        let mut perm: Vec<u32> = Vec::new();
-        for i in 0..n {
-            let (lo, hi) = (offsets[i] as usize, offsets[i + 1] as usize);
-            let span = hi - lo;
-            if span <= 1 {
-                continue;
-            }
-            perm.clear();
-            perm.extend(0..span as u32);
-            let vs = &nbr_vertices[lo..hi];
-            perm.sort_unstable_by_key(|&p| vs[p as usize]);
-            let sorted_v: Vec<u32> = perm
-                .iter()
-                .map(|&p| nbr_vertices[lo + p as usize])
-                .collect();
-            let sorted_e: Vec<u32> = perm.iter().map(|&p| nbr_edges[lo + p as usize]).collect();
-            nbr_vertices[lo..hi].copy_from_slice(&sorted_v);
-            nbr_edges[lo..hi].copy_from_slice(&sorted_e);
-        }
-
-        let num_vertex_labels = self
-            .vertex_labels
-            .iter()
-            .copied()
-            .max()
-            .map_or(0, |l| l + 1);
-        let num_edge_labels = edge_labels.iter().copied().max().map_or(0, |l| l + 1);
-
-        let (vertex_keywords, edge_keywords, keyword_table) = if self.has_keywords {
-            (
-                Some(KeywordSets::from_sets(self.vertex_keywords)),
-                Some(KeywordSets::from_sets(self.edge_keywords)),
-                Some(self.keyword_table),
-            )
-        } else {
-            (None, None, None)
-        };
-
-        let g = Graph {
-            offsets,
-            nbr_vertices,
-            nbr_edges,
-            edge_src,
-            edge_dst,
-            vertex_labels: self.vertex_labels,
-            edge_labels,
-            vertex_keywords,
-            edge_keywords,
-            keyword_table,
-            num_vertex_labels,
-            num_edge_labels,
-        };
-        debug_assert!(g.validate().is_ok(), "builder produced invalid graph");
         g
     }
 }
 
-/// Builds a graph from explicit vertex labels and an edge list; convenience
-/// for tests and examples.
+/// The one CSR freeze, under both [`GraphBuilder::build`] and
+/// [`try_graph_from_edges`]: checks every edge against the model (Def. 1:
+/// known endpoints, no self-loop, no duplicate undirected edge) and builds
+/// the sorted adjacency arrays. Edge ids are positions in `edges`.
 ///
-/// `edges` entries are `(u, v, label)` triples over indices into `labels`.
-pub fn graph_from_edges(labels: &[u32], edges: &[(u32, u32, u32)]) -> Graph {
-    let mut b = GraphBuilder::with_capacity(labels.len(), edges.len());
-    for &l in labels {
-        b.add_vertex(Label(l));
-    }
+/// O(V + E) plus a sort of each neighbourhood: a counting sort over
+/// endpoints places every `(neighbour, edge)` pair in its vertex's span,
+/// each span is sorted by neighbour id, and a duplicate edge is then two
+/// adjacent entries with the same neighbour — no hash set needed.
+fn freeze(vertex_labels: Vec<u32>, edges: &[(u32, u32, u32)]) -> Result<Graph, GraphError> {
+    let n = vertex_labels.len();
+    let m = edges.len();
+
+    let mut offsets = vec![0u32; n + 1];
+    let mut edge_src = Vec::with_capacity(m);
+    let mut edge_dst = Vec::with_capacity(m);
+    let mut edge_labels = Vec::with_capacity(m);
     for &(u, v, l) in edges {
-        b.add_edge(VertexId(u), VertexId(v), Label(l))
-            .expect("invalid edge in graph_from_edges");
+        if u == v {
+            return Err(GraphError::SelfLoop(u));
+        }
+        for x in [u, v] {
+            if x as usize >= n {
+                return Err(GraphError::UnknownVertex(x));
+            }
+        }
+        edge_src.push(u.min(v));
+        edge_dst.push(u.max(v));
+        edge_labels.push(l);
+        offsets[u as usize + 1] += 1;
+        offsets[v as usize + 1] += 1;
     }
-    b.build()
+    for i in 0..n {
+        offsets[i + 1] += offsets[i];
+    }
+
+    let mut cursor: Vec<u32> = offsets[..n].to_vec();
+    let mut pairs = vec![(0u32, 0u32); 2 * m];
+    for (e, (&u, &v)) in edge_src.iter().zip(&edge_dst).enumerate() {
+        for (at, nbr) in [(u, v), (v, u)] {
+            let c = &mut cursor[at as usize];
+            pairs[*c as usize] = (nbr, e as u32);
+            *c += 1;
+        }
+    }
+    for i in 0..n {
+        let span = &mut pairs[offsets[i] as usize..offsets[i + 1] as usize];
+        span.sort_unstable();
+        if let Some(w) = span.windows(2).find(|w| w[0].0 == w[1].0) {
+            let (i, j) = (i as u32, w[0].0);
+            return Err(GraphError::DuplicateEdge(i.min(j), i.max(j)));
+        }
+    }
+    let (nbr_vertices, nbr_edges) = pairs.into_iter().unzip();
+
+    let num_vertex_labels = vertex_labels.iter().copied().max().map_or(0, |l| l + 1);
+    let num_edge_labels = edge_labels.iter().copied().max().map_or(0, |l| l + 1);
+    let g = Graph {
+        offsets,
+        nbr_vertices,
+        nbr_edges,
+        edge_src,
+        edge_dst,
+        vertex_labels,
+        edge_labels,
+        vertex_keywords: None,
+        edge_keywords: None,
+        keyword_table: None,
+        num_vertex_labels,
+        num_edge_labels,
+    };
+    debug_assert!(g.validate().is_ok(), "freeze produced invalid graph");
+    Ok(g)
+}
+
+/// Builds a graph from explicit vertex labels and an edge list in one
+/// checked pass — the bulk constructor for edge lists that arrive from
+/// outside the program (a job blob off the wire). A self-loop, an endpoint
+/// outside `labels` or a repeated undirected edge is an `Err` naming it.
+///
+/// `edges` entries are `(u, v, label)` triples over indices into `labels`;
+/// edge `i` of the graph is `edges[i]`.
+pub fn try_graph_from_edges(
+    labels: &[u32],
+    edges: &[(u32, u32, u32)],
+) -> Result<Graph, GraphError> {
+    freeze(labels.to_vec(), edges)
+}
+
+/// [`try_graph_from_edges`] for edge lists the program itself wrote;
+/// convenience for tests and examples. Panics on an invalid edge.
+pub fn graph_from_edges(labels: &[u32], edges: &[(u32, u32, u32)]) -> Graph {
+    try_graph_from_edges(labels, edges).expect("invalid edge in graph_from_edges")
 }
 
 /// Builds an unlabeled graph (all labels zero) from an edge list over

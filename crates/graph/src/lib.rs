@@ -37,7 +37,7 @@ mod graph;
 mod ids;
 
 pub use bitset::Bitset;
-pub use builder::{graph_from_edges, unlabeled_from_edges, GraphBuilder};
+pub use builder::{graph_from_edges, try_graph_from_edges, unlabeled_from_edges, GraphBuilder};
 pub use graph::{EdgeRef, Graph};
 pub use ids::{EdgeId, KeywordId, Label, VertexId};
 pub use kernels::{ExtensionKernels, KernelCounters};

@@ -1,7 +1,7 @@
 //! Property-based tests for the graph substrate.
 
 use fractal_graph::bitset::Bitset;
-use fractal_graph::{GraphBuilder, Label, VertexId};
+use fractal_graph::{try_graph_from_edges, Graph, GraphBuilder, GraphError, Label, VertexId};
 use proptest::prelude::*;
 
 /// Strategy: a random simple graph as (n, edge list with dedup handled by
@@ -13,20 +13,80 @@ fn arb_graph() -> impl Strategy<Value = (usize, Vec<(u32, u32, u32)>)> {
     })
 }
 
-fn build(n: usize, edges: &[(u32, u32, u32)]) -> fractal_graph::Graph {
+/// Vertex labels for `n` vertices and the edges of `edges` the model
+/// admits (the ones `add_edge` accepts, in order), with the graph the
+/// builder freezes from them.
+fn admitted(n: usize, edges: &[(u32, u32, u32)]) -> (Vec<u32>, Vec<(u32, u32, u32)>, Graph) {
+    let labels: Vec<u32> = (0..n as u32).map(|i| i % 3).collect();
     let mut b = GraphBuilder::new();
-    for i in 0..n {
-        b.add_vertex(Label(i as u32 % 3));
+    for &l in &labels {
+        b.add_vertex(Label(l));
     }
+    let mut valid = Vec::new();
     for &(u, v, l) in edges {
-        if u != v {
-            b.add_edge_dedup(VertexId(u), VertexId(v), Label(l));
+        if b.add_edge(VertexId(u), VertexId(v), Label(l)).is_ok() {
+            valid.push((u, v, l));
         }
     }
-    b.build()
+    (labels, valid, b.build())
+}
+
+fn build(n: usize, edges: &[(u32, u32, u32)]) -> Graph {
+    admitted(n, edges).2
 }
 
 proptest! {
+    /// The bulk constructor and the builder are one freeze: same offsets,
+    /// same two neighbour arrays, same endpoints and labels.
+    #[test]
+    fn bulk_constructor_agrees_with_builder((n, edges) in arb_graph()) {
+        let (labels, valid, built) = admitted(n, &edges);
+        let bulk = try_graph_from_edges(&labels, &valid).expect("admitted edges");
+        prop_assert_eq!(bulk.num_vertices(), built.num_vertices());
+        prop_assert_eq!(bulk.num_edges(), built.num_edges());
+        for v in built.vertices() {
+            prop_assert_eq!(bulk.degree(v), built.degree(v));
+            prop_assert_eq!(bulk.neighbors(v), built.neighbors(v));
+            prop_assert_eq!(bulk.incident_edges(v), built.incident_edges(v));
+            prop_assert_eq!(bulk.vertex_label(v), built.vertex_label(v));
+        }
+        for e in built.edges() {
+            prop_assert_eq!(bulk.edge_endpoints(e), built.edge_endpoints(e));
+            prop_assert_eq!(bulk.edge_label(e), built.edge_label(e));
+        }
+        prop_assert_eq!(bulk.num_vertex_labels(), built.num_vertex_labels());
+        prop_assert_eq!(bulk.num_edge_labels(), built.num_edge_labels());
+    }
+
+    /// One bad edge anywhere in an otherwise valid list is an `Err` that
+    /// names it: a self-loop, an endpoint past the last vertex (either
+    /// side), a repeated edge (either orientation).
+    #[test]
+    fn bulk_constructor_names_the_offending_edge(
+        (n, edges) in arb_graph(),
+        pick in any::<usize>(),
+        flip in any::<bool>(),
+    ) {
+        let (labels, valid, _) = admitted(n, &edges);
+        let with = |bad: (u32, u32, u32)| {
+            let mut list = valid.clone();
+            list.insert(pick % (valid.len() + 1), bad);
+            try_graph_from_edges(&labels, &list)
+        };
+        let v = (pick % n) as u32;
+        let past = n as u32 + (pick % 5) as u32;
+        prop_assert!(matches!(with((v, v, 0)), Err(GraphError::SelfLoop(x)) if x == v));
+        let unknown = if flip { (past, v, 0) } else { (v, past, 0) };
+        prop_assert!(matches!(with(unknown), Err(GraphError::UnknownVertex(x)) if x == past));
+        if let Some(&(a, b, l)) = valid.get(pick % valid.len().max(1)) {
+            let again = if flip { (b, a, l + 1) } else { (a, b, l) };
+            prop_assert!(matches!(
+                with(again),
+                Err(GraphError::DuplicateEdge(x, y)) if (x, y) == (a.min(b), a.max(b))
+            ));
+        }
+    }
+
     /// Every built graph passes internal validation.
     #[test]
     fn builder_always_valid((n, edges) in arb_graph()) {

@@ -8,8 +8,7 @@
 //! layer's adversarial-input posture.
 
 use fractal_apps::fsm::DomainSupport;
-use fractal_graph::builder::graph_from_edges;
-use fractal_graph::Graph;
+use fractal_graph::{try_graph_from_edges, Graph, GraphError};
 use fractal_pattern::CanonicalCode;
 use fractal_runtime::fault::FaultStats;
 use fractal_runtime::level::GlobalCoreId;
@@ -185,7 +184,10 @@ pub fn encode_graph(g: &Graph) -> Vec<u8> {
     out.finish()
 }
 
-/// Decodes a graph encoded by [`encode_graph`].
+/// Decodes a graph encoded by [`encode_graph`]. The edge list is checked
+/// where the CSR is built ([`try_graph_from_edges`]): a self-loop or an
+/// endpoint past the last vertex is `Malformed("edge endpoint")`, a
+/// repeated undirected edge `Malformed("duplicate edge")`.
 pub fn decode_graph(bytes: &[u8]) -> Result<Graph, BlobError> {
     let mut c = Reader::new(bytes);
     let nv = c.count(4)?;
@@ -196,16 +198,13 @@ pub fn decode_graph(bytes: &[u8]) -> Result<Graph, BlobError> {
     let ne = c.count(12)?;
     let mut edges = Vec::with_capacity(ne);
     for _ in 0..ne {
-        let u = c.u32()?;
-        let v = c.u32()?;
-        let l = c.u32()?;
-        if u as usize >= nv || v as usize >= nv || u == v {
-            return Err(BlobError::Malformed("edge endpoint"));
-        }
-        edges.push((u, v, l));
+        edges.push((c.u32()?, c.u32()?, c.u32()?));
     }
     c.finish()?;
-    Ok(graph_from_edges(&labels, &edges))
+    try_graph_from_edges(&labels, &edges).map_err(|e| match e {
+        GraphError::DuplicateEdge(..) => BlobError::Malformed("duplicate edge"),
+        _ => BlobError::Malformed("edge endpoint"),
+    })
 }
 
 // ---- job (app + graph) ----
@@ -573,6 +572,43 @@ mod tests {
         let mut bytes = encode_app_spec(&AppSpec::Kclist { k: 3 });
         bytes.push(0);
         assert!(decode_app_spec(&bytes).is_err());
+    }
+
+    /// A well-framed graph blob whose edge list breaks the model is
+    /// rejected by name, never by a panic in the session thread.
+    #[test]
+    fn invalid_edge_lists_are_rejected_by_name() {
+        let blob = |edges: &[(u32, u32, u32)]| {
+            let mut out = Writer::new();
+            out.u32(3);
+            for l in [0, 1, 0] {
+                out.u32(l);
+            }
+            out.u32(edges.len() as u32);
+            for &(u, v, l) in edges {
+                out.u32(u);
+                out.u32(v);
+                out.u32(l);
+            }
+            out.finish()
+        };
+        assert!(decode_graph(&blob(&[(0, 1, 0), (1, 2, 0)])).is_ok());
+        for (edges, what) in [
+            (&[(0, 1, 0), (2, 2, 0)][..], "edge endpoint"),
+            (&[(0, 1, 0), (1, 3, 0)][..], "edge endpoint"),
+            (&[(3, 1, 0)][..], "edge endpoint"),
+            (&[(0, 1, 0), (1, 2, 0), (0, 1, 0)][..], "duplicate edge"),
+            (&[(0, 1, 0), (1, 2, 0), (1, 0, 5)][..], "duplicate edge"),
+        ] {
+            assert_eq!(
+                decode_graph(&blob(edges)).err(),
+                Some(BlobError::Malformed(what)),
+                "{edges:?}"
+            );
+            let mut job = encode_app_spec(&AppSpec::Kclist { k: 3 });
+            job.extend(blob(edges));
+            assert_eq!(decode_job(&job).err(), Some(BlobError::Malformed(what)));
+        }
     }
 
     #[test]

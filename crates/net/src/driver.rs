@@ -402,6 +402,11 @@ impl<K: FrameSink> Driver<K> {
         }
     }
 
+    /// Folds one flushed worker report into the federated one. Its
+    /// `steal_requests`/`steal_hits` are the worker's in-process steal
+    /// servers' (zero under `WsMode::InternalOnly`); the cross-process
+    /// steals are counted where this driver relays them — a request per
+    /// thief `StealRequest` frame, a hit per `steal_relays`.
     fn accumulate_report(&mut self, i: usize, report: JobReport) {
         for (id, s) in report.cores {
             self.conns[i].summary.net_units += s.net_units;
@@ -453,6 +458,7 @@ impl<K: FrameSink> Driver<K> {
                 }
             }
             Frame::StealRequest { round } => {
+                self.steal_requests += 1;
                 if round != rs.round || rs.done_broadcast {
                     let miss = Frame::StealReply {
                         round,
@@ -1035,7 +1041,8 @@ where
         cores,
         bytes_served: drv.bytes_served,
         steal_requests: drv.steal_requests,
-        steal_hits: drv.steal_hits,
+        // A cross-process hit is a reply that carried a unit: a relay.
+        steal_hits: drv.steal_hits + drv.steal_relays,
         faults: drv.faults,
         planner: drv.planner,
         trace: None,

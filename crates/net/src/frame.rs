@@ -624,6 +624,21 @@ impl FrameSource for ChannelSource {
     }
 }
 
+/// The sending twin of [`ChannelSource`]: a sink unit tests read back
+/// frame by frame.
+#[cfg(test)]
+pub(crate) struct ChannelSink(pub std::sync::mpsc::Sender<(u32, Frame)>);
+
+#[cfg(test)]
+impl FrameSink for ChannelSink {
+    fn send(&mut self, seq: u32, frame: &Frame) -> io::Result<()> {
+        self.0
+            .send((seq, frame.clone()))
+            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "receiver gone"))
+    }
+    fn close(&mut self) {}
+}
+
 /// A [`FrameSink`] that wraps every frame in a [`Frame::Mux`] envelope for
 /// one job and writes it to a *shared* physical sink. The physical
 /// sequence counter is shared across all jobs on the connection; per-job

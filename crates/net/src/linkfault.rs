@@ -169,21 +169,9 @@ impl<S: FrameSource> FrameSource for DedupSource<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::ChannelSource;
+    use crate::frame::{ChannelSink, ChannelSource};
     use fractal_runtime::LinkFaultConfig;
-    use std::sync::mpsc::{channel, Sender};
-
-    /// A sink that records every frame it is asked to write.
-    struct RecordingSink(Sender<(u32, Frame)>);
-
-    impl FrameSink for RecordingSink {
-        fn send(&mut self, seq: u32, frame: &Frame) -> io::Result<()> {
-            self.0
-                .send((seq, frame.clone()))
-                .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "receiver gone"))
-        }
-        fn close(&mut self) {}
-    }
+    use std::sync::mpsc::channel;
 
     fn beat(completed: u64) -> Frame {
         Frame::Heartbeat {
@@ -196,7 +184,7 @@ mod tests {
     fn faulty_sink_never_loses_frames_and_dedup_restores_stream() {
         let (tx, rx) = channel();
         let injector = Arc::new(LinkFaultInjector::new(LinkFaultConfig::flaky(1234)));
-        let mut sink = FaultySink::new(RecordingSink(tx), Arc::clone(&injector));
+        let mut sink = FaultySink::new(ChannelSink(tx), Arc::clone(&injector));
         let n = 300u64;
         for i in 0..n {
             sink.send(i as u32, &beat(i)).expect("send");
@@ -237,7 +225,7 @@ mod tests {
         };
         let (tx, rx) = channel();
         let injector = Arc::new(LinkFaultInjector::new(cfg));
-        let mut sink = FaultySink::new(RecordingSink(tx), injector);
+        let mut sink = FaultySink::new(ChannelSink(tx), injector);
         sink.send(0, &beat(0)).expect("send");
         assert!(rx.try_recv().is_err(), "frame should be held back");
         sink.close();

@@ -16,10 +16,19 @@
 //! ([`fractal_runtime::ExternalJobHandle::steal_root`]) — the driver
 //! mediates all steal traffic, so the worker never opens peer connections.
 //!
+//! Round completion is an event, not something the driver finds on a
+//! tick: the moment a core runs dry (its [`WorkerHooks::pull`], which
+//! always follows that core's last `root_done`) it sends the root words
+//! completed so far as a `Heartbeat`, so the driver can broadcast `Done`
+//! as soon as the last core anywhere finishes.
+//!
 //! Threads per session: the session loop is the frame **reader**; each
 //! `Assign` spawns a **job** thread (the executor blocks it until the
-//! round drains); a **heartbeat** thread beats every ~15 ms carrying the
-//! root words completed since the last beat. All writes to the driver go
+//! round drains); a **heartbeat** thread beats every ~15 ms for liveness
+//! (the driver's staleness watchdog) and progress (it carries whatever
+//! completed since the last report, which on a long round feeds the
+//! `Progress` events) — no job waits on it, and it stops the moment the
+//! session ends. All writes to the driver go
 //! through one mutex-guarded sink, so frames never interleave — in mux
 //! mode the sink is a [`MuxSink`] sharing the physical stream's lock with
 //! every other job. Concurrent jobs each run `cores` executor threads
@@ -62,7 +71,9 @@ pub enum ServeOutcome {
     Disconnected,
 }
 
-/// Heartbeat period. Keep well under the driver's staleness watchdog.
+/// Heartbeat period: liveness and progress only (completion is reported
+/// by [`WorkerHooks::pull`]). Keep well under the driver's staleness
+/// watchdog.
 const HEARTBEAT_EVERY: Duration = Duration::from_millis(15);
 
 /// How long a puller waits for its relayed steal reply before giving the
@@ -161,6 +172,19 @@ impl<K: FrameSink + 'static> ExternalHooks for WorkerHooks<K> {
             || self.shared.round_done.load(Ordering::SeqCst)
         {
             return ExternalPull::Drained;
+        }
+        // This core has run dry, after its last `root_done`: report what
+        // completed now, so the round's `Done` never waits for a beat.
+        // Before the `try_lock` — a contended core must report too.
+        let completed = std::mem::take(&mut *self.shared.completed.lock());
+        if !completed.is_empty() {
+            let report = Frame::Heartbeat {
+                round: self.round,
+                completed,
+            };
+            if self.shared.send(&report).is_err() {
+                return ExternalPull::Drained;
+            }
         }
         // One puller at a time; contended cores go back to local stealing.
         let rx = match self.rx.try_lock() {
@@ -336,7 +360,7 @@ pub fn serve_conn_with(
     match &first.1 {
         Frame::Hello {
             role: Role::Driver, ..
-        } => run_session(reader, stream, cores, Some(first), None),
+        } => run_session(reader, stream, cores, Some(first), None, HEARTBEAT_EVERY),
         Frame::Mux { .. } => serve_mux(reader, stream, cores, first, link_fault),
         Frame::Done {
             round: SHUTDOWN_ROUND,
@@ -351,12 +375,15 @@ pub fn serve_conn_with(
 /// Runs one driver session over generic transports. `peeked` is a frame
 /// the caller already read off the source (the mode-dispatch peek); it is
 /// processed first. The session starts with the driver's `Hello`.
+/// `heartbeat_every` is [`HEARTBEAT_EVERY`] everywhere but in the test
+/// that silences the beat.
 fn run_session<S, K>(
     mut source: S,
     sink: K,
     cores: usize,
     peeked: Option<(u32, Frame)>,
     injector: Option<Arc<LinkFaultInjector>>,
+    heartbeat_every: Duration,
 ) -> io::Result<ServeOutcome>
 where
     S: FrameSource,
@@ -400,18 +427,18 @@ where
         cores: cores as u32,
     })?;
 
-    // Heartbeat thread: liveness + completed-word deltas.
-    let hb_stop = Arc::new(AtomicBool::new(false));
+    // Heartbeat thread: liveness + completed-word deltas. It waits on the
+    // stop channel, so a timeout means a beat is due and anything else
+    // (the sender dropped, at teardown or on an early return) ends it.
+    let (hb_stop, hb_wait) = channel::<()>();
     let hb = {
         let shared = Arc::clone(&shared);
-        let stop = Arc::clone(&hb_stop);
-        // ordering: SeqCst — heartbeat control: stop flag and current round are
-        // rare control-plane reads on a 1-per-interval thread.
         thread::spawn(move || {
-            while !stop.load(Ordering::SeqCst) {
-                thread::sleep(HEARTBEAT_EVERY);
+            while let Err(RecvTimeoutError::Timeout) = hb_wait.recv_timeout(heartbeat_every) {
                 let completed = std::mem::take(&mut *shared.completed.lock());
                 let beat = Frame::Heartbeat {
+                    // ordering: SeqCst — the current round is a rare
+                    // control-plane read on a 1-per-interval thread.
                     round: shared.round.load(Ordering::SeqCst),
                     completed,
                 };
@@ -574,8 +601,8 @@ where
     }
 
     // Unblock and reap everything: a running job sees Drained immediately
-    // (round_done + dropped reply sender), the heartbeat thread stops on
-    // its next tick.
+    // (round_done + dropped reply sender), the heartbeat thread wakes on
+    // its dropped stop channel.
     // ordering: SeqCst — teardown: publish disconnected/round_done before
     // reaping threads so blocked pulls see Drained, not a hang.
     shared.disconnected.store(true, Ordering::SeqCst);
@@ -584,7 +611,7 @@ where
     if let Some(h) = job.take() {
         let _ = h.join();
     }
-    hb_stop.store(true, Ordering::SeqCst);
+    drop(hb_stop);
     let _ = hb.join();
     // Flush-and-close the sink explicitly: an armed link may still hold
     // one reordered frame in its stash, and losing it would turn the
@@ -650,12 +677,20 @@ fn serve_mux(
                                 let faulty = FaultySink::new(sink, Arc::clone(&injector));
                                 let source = DedupSource::new(ChannelSource(rx));
                                 thread::spawn(move || {
-                                    run_session(source, faulty, cores, None, Some(injector))
+                                    run_session(
+                                        source,
+                                        faulty,
+                                        cores,
+                                        None,
+                                        Some(injector),
+                                        HEARTBEAT_EVERY,
+                                    )
                                 });
                             }
                             None => {
                                 thread::spawn(move || {
-                                    run_session(ChannelSource(rx), sink, cores, None, None)
+                                    let source = ChannelSource(rx);
+                                    run_session(source, sink, cores, None, None, HEARTBEAT_EVERY)
                                 });
                             }
                         }
@@ -688,4 +723,129 @@ fn serve_mux(
         };
     }
     Ok(outcome)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::ChannelSink;
+    use fractal_graph::gen;
+    use std::collections::HashSet;
+
+    /// One whole session with the beat silenced (a period of an hour), so
+    /// nothing in it can be found on a tick: the round's completion must
+    /// arrive because a core ran dry, and `run_session` must return
+    /// because it was told to. The driver side is scripted here, frame by
+    /// frame; the only clock is the bound that fails a hung run.
+    fn silent_session_completes_and_returns(cores: usize) {
+        let (done_tx, done_rx) = channel();
+        thread::spawn(move || {
+            let graph = gen::mico_like(60, 4, 13);
+            let app = AppSpec::Motifs {
+                k: 3,
+                use_labels: false,
+                decomposed: false,
+            };
+            let job = blob::encode_job(&app, &graph);
+            let fg = FractalContext::new(ClusterConfig::local(1, 1)).fractal_graph(graph);
+            let roots = motifs::motifs_fractoid(&fg, 3, false).step_roots();
+            let expected = motifs::motifs(&fg, 3);
+
+            let (to_worker, from_driver) = channel();
+            let (to_driver, from_worker) = channel();
+            let session = thread::spawn(move || {
+                let hour = Duration::from_secs(3600);
+                let source = ChannelSource(from_driver);
+                run_session(source, ChannelSink(to_driver), cores, None, None, hour)
+            });
+            let send = |seq: u32, frame: Frame| to_worker.send((seq, frame)).expect("session up");
+            // The next frame that is not steal traffic; every pull is
+            // answered with a miss, as a driver with no other worker would.
+            let next = || loop {
+                match from_worker.recv().expect("session up") {
+                    (seq, Frame::StealRequest { round }) => send(
+                        seq,
+                        Frame::StealReply {
+                            round,
+                            word: MISS_WORD,
+                            unit: None,
+                        },
+                    ),
+                    (_, frame) => break frame,
+                }
+            };
+
+            send(
+                0,
+                Frame::Hello {
+                    role: Role::Driver,
+                    cores: 0,
+                },
+            );
+            assert!(matches!(
+                next(),
+                Frame::Hello {
+                    role: Role::Worker,
+                    ..
+                }
+            ));
+            let mut owed: HashSet<u64> = roots.iter().copied().collect();
+            assert!(!owed.is_empty());
+            send(
+                1,
+                Frame::Assign {
+                    round: 0,
+                    recovery: false,
+                    job: Some(job),
+                    seed: None,
+                    roots,
+                },
+            );
+            while !owed.is_empty() {
+                match next() {
+                    Frame::Heartbeat {
+                        round: 0,
+                        completed,
+                    } => {
+                        assert!(!completed.is_empty(), "the silenced beat fired");
+                        for w in completed {
+                            assert!(owed.remove(&w), "word {w} reported twice or never assigned");
+                        }
+                    }
+                    other => panic!("expected a completion report, got {other:?}"),
+                }
+            }
+            send(2, Frame::Done { round: 0 });
+            match next() {
+                Frame::AggFlush { round: 0, agg, .. } => {
+                    assert_eq!(blob::decode_motifs_map(&agg).expect("agg"), expected);
+                }
+                other => panic!("expected the flush, got {other:?}"),
+            }
+            send(
+                3,
+                Frame::Done {
+                    round: SHUTDOWN_ROUND,
+                },
+            );
+            let outcome = session.join().expect("session thread").expect("session");
+            assert_eq!(outcome, ServeOutcome::Shutdown);
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("session hung or failed: it waited on the silenced beat");
+    }
+
+    #[test]
+    fn silent_session_one_core() {
+        silent_session_completes_and_returns(1);
+    }
+
+    /// Two cores: whichever finishes second finds the other holding the
+    /// pull lock and must still report before it returns.
+    #[test]
+    fn silent_session_two_cores() {
+        silent_session_completes_and_returns(2);
+    }
 }

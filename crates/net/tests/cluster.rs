@@ -71,6 +71,12 @@ fn motifs_cluster_matches_single_process() {
     let completed: u64 = result.workers.iter().map(|w| w.completed).sum();
     let assigned: u64 = result.workers.iter().map(|w| w.assigned).sum();
     assert_eq!(completed, assigned);
+    // Cross-process steals are counted at the driver that relays them (the
+    // workers' in-process steal servers never see one): a hit is a reply
+    // that carried a unit, and every hit answers a thief's request.
+    assert_eq!(result.report.steal_hits, result.steal_relays);
+    assert!(result.report.steal_requests >= result.report.steal_hits);
+    assert!(result.report.steal_requests > 0, "idle cores pull");
 }
 
 /// Decomposed motif counting over the cluster substrate: workers flush raw
