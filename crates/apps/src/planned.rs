@@ -113,8 +113,11 @@ pub fn motif_plan_blocker(k: usize, use_labels: bool) -> Option<&'static str> {
     }
 }
 
-fn query_plan_blocker(query: &Pattern) -> Option<&'static str> {
-    if !query.is_connected() {
+/// Why a query cannot be compiled to a counting plan, if it cannot.
+pub fn query_plan_blocker(query: &Pattern) -> Option<&'static str> {
+    if query.num_vertices() == 0 {
+        Some("query pattern is empty")
+    } else if !query.is_connected() {
         Some("query pattern is disconnected")
     } else if !is_unlabeled(query) {
         Some("labeled query matching needs the enumerator")

@@ -2,9 +2,7 @@
 //!
 //! The reproduction harness: one module per table/figure of the paper's
 //! evaluation (§5, Appendix C), shared dataset registry, table printing
-//! and CSV output. The `repro` binary dispatches to these modules; the
-//! criterion benches under `benches/` cover the same kernels at micro
-//! scale.
+//! and CSV output. The `repro` binary dispatches to these modules.
 //!
 //! Shapes, not absolute numbers, are the reproduction target: the
 //! original ran on a 10-machine cluster against JVM systems; this

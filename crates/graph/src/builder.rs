@@ -103,12 +103,6 @@ impl GraphBuilder {
         }
     }
 
-    /// Whether the undirected edge `(u, v)` was already added.
-    pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        let key = (u.raw().min(v.raw()), u.raw().max(v.raw()));
-        self.edge_set.contains(&key)
-    }
-
     /// Interns a keyword string for later use in `add_*_keyword`.
     pub fn intern_keyword(&mut self, name: &str) -> KeywordId {
         self.has_keywords = true;

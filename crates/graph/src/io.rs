@@ -1,17 +1,14 @@
-//! Graph file formats.
+//! The graph file format.
 //!
-//! Two formats are supported so that the real evaluation datasets (Mico,
+//! The **adjacency-list format** (the format used by Arabesque and the
+//! original Fractal release), so that the real evaluation datasets (Mico,
 //! Patents, Youtube, Wikidata — Table 1) can be dropped in when available:
-//!
-//! - **Adjacency-list format** (the format used by Arabesque and the
-//!   original Fractal release): one line per vertex,
-//!   `vertex_id vertex_label neighbor1 [neighbor2 ...]`, with every
-//!   undirected edge appearing in both endpoint lines. A labeled variant
-//!   writes `neighbor,edge_label` pairs.
-//! - **Edge-list format**: header `n m`, then one `u v [label]` line per
-//!   edge; vertex labels optionally given by `v <vid> <label>` lines.
+//! one line per vertex, `vertex_id vertex_label neighbor1 [neighbor2 ...]`,
+//! with every undirected edge appearing in both endpoint lines. A labeled
+//! variant writes `neighbor,edge_label` pairs.
 
-use crate::{Graph, GraphBuilder, GraphError, Label, VertexId};
+use crate::builder::try_graph_from_edges;
+use crate::{Graph, GraphError};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
@@ -27,69 +24,39 @@ pub fn load_adjacency_list(path: impl AsRef<Path>) -> Result<Graph, GraphError> 
 /// `nbr,elabel` to carry an edge label. Vertex ids must be dense `0..n` and
 /// lines must appear in id order (the format used by Arabesque's datasets).
 pub fn read_adjacency_list<R: Read>(reader: BufReader<R>) -> Result<Graph, GraphError> {
-    struct Pending {
-        u: u32,
-        v: u32,
-        label: u32,
-    }
     let mut labels: Vec<u32> = Vec::new();
-    let mut pending: Vec<Pending> = Vec::new();
+    let mut edges: Vec<(u32, u32, u32)> = Vec::new();
     for (lineno, line) in reader.lines().enumerate() {
         let line = line?;
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
+        let bad = |what: &str| GraphError::Parse(lineno + 1, what.into());
         let mut tok = line.split_whitespace();
         let vid: u32 = tok
             .next()
-            .unwrap()
+            .expect("a trimmed non-empty line has a token")
             .parse()
-            .map_err(|_| GraphError::Parse(lineno + 1, "bad vertex id".into()))?;
+            .map_err(|_| bad("bad vertex id"))?;
         if vid as usize != labels.len() {
-            return Err(GraphError::Parse(
-                lineno + 1,
-                format!("vertex ids must be dense and ordered, got {vid}"),
-            ));
+            return Err(bad(&format!(
+                "vertex ids must be dense and ordered, got {vid}"
+            )));
         }
-        let vlabel: u32 = tok
-            .next()
-            .ok_or_else(|| GraphError::Parse(lineno + 1, "missing vertex label".into()))?
-            .parse()
-            .map_err(|_| GraphError::Parse(lineno + 1, "bad vertex label".into()))?;
-        labels.push(vlabel);
+        let vlabel = tok.next().ok_or_else(|| bad("missing vertex label"))?;
+        labels.push(vlabel.parse().map_err(|_| bad("bad vertex label"))?);
         for t in tok {
-            let (nbr, elabel) = match t.split_once(',') {
-                Some((n, l)) => (
-                    n.parse()
-                        .map_err(|_| GraphError::Parse(lineno + 1, "bad neighbor id".into()))?,
-                    l.parse()
-                        .map_err(|_| GraphError::Parse(lineno + 1, "bad edge label".into()))?,
-                ),
-                None => (
-                    t.parse()
-                        .map_err(|_| GraphError::Parse(lineno + 1, "bad neighbor id".into()))?,
-                    0u32,
-                ),
-            };
+            let (nbr, elabel) = t.split_once(',').unwrap_or((t, "0"));
+            let nbr: u32 = nbr.parse().map_err(|_| bad("bad neighbor id"))?;
+            let elabel: u32 = elabel.parse().map_err(|_| bad("bad edge label"))?;
             // Each undirected edge appears twice; keep the (u < v) copy.
             if vid < nbr {
-                pending.push(Pending {
-                    u: vid,
-                    v: nbr,
-                    label: elabel,
-                });
+                edges.push((vid, nbr, elabel));
             }
         }
     }
-    let mut b = GraphBuilder::with_capacity(labels.len(), pending.len());
-    for &l in &labels {
-        b.add_vertex(Label(l));
-    }
-    for p in pending {
-        b.add_edge(VertexId(p.u), VertexId(p.v), Label(p.label))?;
-    }
-    Ok(b.build())
+    try_graph_from_edges(&labels, &edges)
 }
 
 /// Writes `g` in the adjacency-list format (with `nbr,elabel` tokens when
@@ -116,101 +83,11 @@ pub fn save_adjacency_list(g: &Graph, path: impl AsRef<Path>) -> std::io::Result
     write_adjacency_list(g, BufWriter::new(file))
 }
 
-/// Loads an edge-list file: header `n m`, then `m` lines `u v [elabel]`,
-/// optionally preceded by `v <vid> <vlabel>` vertex-label lines.
-pub fn load_edge_list(path: impl AsRef<Path>) -> Result<Graph, GraphError> {
-    let file = std::fs::File::open(path)?;
-    read_edge_list(BufReader::new(file))
-}
-
-/// Reads the edge-list format from any reader.
-pub fn read_edge_list<R: Read>(reader: BufReader<R>) -> Result<Graph, GraphError> {
-    let mut lines = reader.lines().enumerate();
-    let (n, _m) = loop {
-        match lines.next() {
-            Some((lineno, line)) => {
-                let line = line?;
-                let line = line.trim();
-                if line.is_empty() || line.starts_with('#') {
-                    continue;
-                }
-                let mut tok = line.split_whitespace();
-                let n: usize = tok
-                    .next()
-                    .unwrap()
-                    .parse()
-                    .map_err(|_| GraphError::Parse(lineno + 1, "bad vertex count".into()))?;
-                let m: usize = tok
-                    .next()
-                    .ok_or_else(|| GraphError::Parse(lineno + 1, "missing edge count".into()))?
-                    .parse()
-                    .map_err(|_| GraphError::Parse(lineno + 1, "bad edge count".into()))?;
-                break (n, m);
-            }
-            None => return Err(GraphError::Parse(0, "empty edge-list file".into())),
-        }
-    };
-    let mut vlabels = vec![0u32; n];
-    let mut edges: Vec<(u32, u32, u32)> = Vec::new();
-    for (lineno, line) in lines {
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut tok = line.split_whitespace();
-        let first = tok.next().unwrap();
-        if first == "v" {
-            let vid: usize = tok
-                .next()
-                .ok_or_else(|| GraphError::Parse(lineno + 1, "missing vertex id".into()))?
-                .parse()
-                .map_err(|_| GraphError::Parse(lineno + 1, "bad vertex id".into()))?;
-            let l: u32 = tok
-                .next()
-                .ok_or_else(|| GraphError::Parse(lineno + 1, "missing vertex label".into()))?
-                .parse()
-                .map_err(|_| GraphError::Parse(lineno + 1, "bad vertex label".into()))?;
-            if vid >= n {
-                return Err(GraphError::Parse(
-                    lineno + 1,
-                    "vertex id out of range".into(),
-                ));
-            }
-            vlabels[vid] = l;
-        } else {
-            let u: u32 = first
-                .parse()
-                .map_err(|_| GraphError::Parse(lineno + 1, "bad edge endpoint".into()))?;
-            let v: u32 = tok
-                .next()
-                .ok_or_else(|| GraphError::Parse(lineno + 1, "missing edge endpoint".into()))?
-                .parse()
-                .map_err(|_| GraphError::Parse(lineno + 1, "bad edge endpoint".into()))?;
-            let l: u32 = match tok.next() {
-                Some(t) => t
-                    .parse()
-                    .map_err(|_| GraphError::Parse(lineno + 1, "bad edge label".into()))?,
-                None => 0,
-            };
-            edges.push((u, v, l));
-        }
-    }
-    let mut b = GraphBuilder::with_capacity(n, edges.len());
-    for &l in &vlabels {
-        b.add_vertex(Label(l));
-    }
-    for (u, v, l) in edges {
-        b.add_edge(VertexId(u), VertexId(v), Label(l))?;
-    }
-    Ok(b.build())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::graph_from_edges;
-    use std::io::BufReader;
+    use crate::{Label, VertexId};
 
     #[test]
     fn adjacency_roundtrip_unlabeled_edges() {
@@ -245,15 +122,18 @@ mod tests {
     }
 
     #[test]
-    fn edge_list_roundtrip() {
-        let input = b"# comment\n4 3\nv 0 7\nv 3 2\n0 1 4\n1 2\n2 3 1\n" as &[u8];
-        let g = read_edge_list(BufReader::new(input)).unwrap();
-        assert_eq!(g.num_vertices(), 4);
-        assert_eq!(g.num_edges(), 3);
-        assert_eq!(g.vertex_label(VertexId(0)), Label(7));
-        assert_eq!(g.vertex_label(VertexId(1)), Label(0));
-        let e = g.edge_between(VertexId(0), VertexId(1)).unwrap();
-        assert_eq!(g.edge_label(e), Label(4));
+    fn adjacency_rejects_invalid_edges_by_name() {
+        // Vertex 0 lists neighbour 1 twice; then a neighbour past the last line.
+        let dup = b"0 0 1 1\n1 0 0\n" as &[u8];
+        assert!(matches!(
+            read_adjacency_list(BufReader::new(dup)),
+            Err(GraphError::DuplicateEdge(0, 1))
+        ));
+        let unknown = b"0 0 1 7\n1 0 0\n" as &[u8];
+        assert!(matches!(
+            read_adjacency_list(BufReader::new(unknown)),
+            Err(GraphError::UnknownVertex(7))
+        ));
     }
 
     #[test]

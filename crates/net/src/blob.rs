@@ -79,6 +79,20 @@ impl AppSpec {
         }
     }
 
+    /// The root work words of every round: the extensions of the empty
+    /// subgraph, a pure function of graph + app (every vertex for the
+    /// vertex-induced, decomposed and KClist paths — isolated vertices
+    /// included, size-1 plan nodes count them — and every edge for FSM),
+    /// so the driver lists them without building a fractoid
+    /// (`worker::tests` pins this against `Fractoid::step_roots`).
+    pub fn root_words(&self, graph: &Graph) -> Vec<u64> {
+        let count = match self {
+            AppSpec::Motifs { .. } | AppSpec::Kclist { .. } => graph.num_vertices(),
+            AppSpec::Fsm { .. } => graph.num_edges(),
+        };
+        (0..count as u64).collect()
+    }
+
     /// Short name for logs and reports.
     pub fn name(&self) -> &'static str {
         match self {

@@ -22,15 +22,11 @@
 
 use crate::blob::{self, AppSpec};
 use crate::frame::{Frame, FrameSink, FrameSource, Role, MISS_WORD, SHUTDOWN_ROUND};
-use fractal_apps::fsm::{fsm_fractoid, DomainSupport};
-use fractal_apps::{cliques, motifs};
-use fractal_core::FractalContext;
+use fractal_apps::fsm::DomainSupport;
 use fractal_graph::Graph;
 use fractal_pattern::{CanonicalCode, CountingPlan, GraphStats};
 use fractal_runtime::steal::{encode_unit, StolenUnit};
-use fractal_runtime::{
-    ClusterConfig, CoreStats, FaultStats, GlobalCoreId, JobReport, PlannerStats,
-};
+use fractal_runtime::{CoreStats, FaultStats, GlobalCoreId, JobReport, PlannerStats};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, BufRead, BufReader};
 use std::net::{SocketAddr, TcpStream};
@@ -739,22 +735,9 @@ where
         resume,
     } = config;
     let job_blob = blob::encode_job(&app, &graph);
-    let fg = FractalContext::new(ClusterConfig::local(1, 1)).fractal_graph_shared(graph);
-    // Root words are a pure function of graph + app, identical on every
-    // process. For FSM they are the same every round (extensions of the
-    // empty subgraph; aggregation filters prune only deeper levels).
-    let roots = match &app {
-        // Decomposed plans evaluate every vertex as a root (isolated
-        // vertices included — size-1 plan nodes count them).
-        AppSpec::Motifs {
-            decomposed: true, ..
-        } => (0..fg.graph().num_vertices() as u64).collect(),
-        AppSpec::Motifs { k, use_labels, .. } => {
-            motifs::motifs_fractoid(&fg, *k as usize, *use_labels).step_roots()
-        }
-        AppSpec::Kclist { k } => cliques::cliques_kclist_fractoid(&fg, *k as usize).step_roots(),
-        AppSpec::Fsm { min_support, .. } => fsm_fractoid(&fg, *min_support, 1).step_roots(),
-    };
+    // Identical on every process, and for FSM the same every round
+    // (aggregation filters prune only deeper levels).
+    let roots = app.root_words(&graph);
     // The driver compiles the same plan every worker compiles from the
     // shipped graph (compilation is deterministic); it owns the
     // inclusion–exclusion finalize over the summed totals.
@@ -765,7 +748,7 @@ where
             ..
         } => Some(CountingPlan::plan_motifs(
             *k as usize,
-            GraphStats::of(fg.graph()),
+            GraphStats::of(&graph),
         )),
         _ => None,
     };

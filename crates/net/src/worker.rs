@@ -51,7 +51,7 @@ use fractal_runtime::steal::{decode_unit, encode_unit, StolenUnit};
 use fractal_runtime::sync::Mutex;
 use fractal_runtime::sync::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use fractal_runtime::{
-    ClusterConfig, ExternalHooks, ExternalJobHandle, ExternalPull, LinkFaultConfig,
+    ClusterConfig, ExternalHooks, ExternalJobHandle, ExternalPull, JobReport, LinkFaultConfig,
     LinkFaultInjector, WsMode,
 };
 use std::collections::HashMap;
@@ -251,6 +251,30 @@ fn build_fractoid(
     }
 }
 
+/// The round's commit point: stamps the report with this flush's share of
+/// injected link faults and sends the `AggFlush`.
+fn flush_round<K: FrameSink>(
+    shared: &Shared<K>,
+    round: u32,
+    count: u64,
+    agg: Vec<u8>,
+    mut report: JobReport,
+) {
+    if let Some(inj) = &shared.injector {
+        let now = inj.injected();
+        // ordering: Relaxed — flushes are serialized per session; the
+        // swap only carries the high-water mark between them.
+        let last = shared.injected_reported.swap(now, Ordering::Relaxed);
+        report.faults.link_faults_injected = now.saturating_sub(last);
+    }
+    let _ = shared.send(&Frame::AggFlush {
+        round,
+        count,
+        agg,
+        report: blob::encode_report(&report),
+    });
+}
+
 /// Runs one assigned round to completion and flushes its results.
 fn run_round_seeded<K: FrameSink>(
     shared: &Arc<Shared<K>>,
@@ -261,13 +285,6 @@ fn run_round_seeded<K: FrameSink>(
     hooks: Option<Arc<dyn ExternalHooks>>,
 ) {
     let mut outcome = fractoid.execute_step_distributed(roots, app.counts(), hooks);
-    if let Some(inj) = &shared.injector {
-        let now = inj.injected();
-        // ordering: Relaxed — flushes are serialized per session; the
-        // swap only carries the high-water mark between them.
-        let last = shared.injected_reported.swap(now, Ordering::Relaxed);
-        outcome.report.faults.link_faults_injected = now.saturating_sub(last);
-    }
     let agg = match app {
         AppSpec::Motifs { .. } => {
             let map = Aggregator::<CanonicalCode, u64>::take_map(outcome.shards.remove(0));
@@ -280,12 +297,7 @@ fn run_round_seeded<K: FrameSink>(
             blob::encode_fsm_map(&map)
         }
     };
-    let _ = shared.send(&Frame::AggFlush {
-        round,
-        count: outcome.count,
-        agg,
-        report: blob::encode_report(&outcome.report),
-    });
+    flush_round(shared, round, outcome.count, agg, outcome.report);
 }
 
 /// Runs one assigned round of a *decomposed* motif job: compile the
@@ -302,20 +314,8 @@ fn run_round_decomposed<K: FrameSink>(
     hooks: Option<Arc<dyn ExternalHooks>>,
 ) {
     let plan = CountingPlan::plan_motifs(k, GraphStats::of(fg.graph()));
-    let (totals, mut report) = execute_plan_step_distributed(fg, &plan, roots, hooks);
-    if let Some(inj) = &shared.injector {
-        let now = inj.injected();
-        // ordering: Relaxed — flushes are serialized per session; the
-        // swap only carries the high-water mark between them.
-        let last = shared.injected_reported.swap(now, Ordering::Relaxed);
-        report.faults.link_faults_injected = now.saturating_sub(last);
-    }
-    let _ = shared.send(&Frame::AggFlush {
-        round,
-        count: 0,
-        agg: blob::encode_plan_totals(&totals),
-        report: blob::encode_report(&report),
-    });
+    let (totals, report) = execute_plan_step_distributed(fg, &plan, roots, hooks);
+    flush_round(shared, round, 0, blob::encode_plan_totals(&totals), report);
 }
 
 /// Serves exactly one connection accepted on `listener` and returns how
@@ -731,6 +731,43 @@ mod tests {
     use crate::frame::ChannelSink;
     use fractal_graph::gen;
     use std::collections::HashSet;
+
+    /// `AppSpec::root_words` is what the driver partitions; the fractoid a
+    /// worker builds for the same app must start from exactly those words.
+    #[test]
+    fn root_words_match_every_apps_fractoid() {
+        let fg = FractalContext::new(ClusterConfig::local(1, 1))
+            .fractal_graph(gen::patents_like(70, 3, 5));
+        let motifs = |use_labels, decomposed| AppSpec::Motifs {
+            k: 3,
+            use_labels,
+            decomposed,
+        };
+        for app in [
+            motifs(false, false),
+            motifs(true, false),
+            AppSpec::Kclist { k: 4 },
+            AppSpec::Fsm {
+                min_support: 2,
+                max_edges: 2,
+            },
+        ] {
+            let roots = app.root_words(fg.graph());
+            assert!(!roots.is_empty());
+            assert_eq!(
+                roots,
+                build_fractoid(&app, &fg, 0, &[]).step_roots(),
+                "{}",
+                app.name()
+            );
+        }
+        // A decomposed plan has no fractoid: every vertex is a root.
+        let n = fg.graph().num_vertices() as u64;
+        assert_eq!(
+            motifs(false, true).root_words(fg.graph()),
+            (0..n).collect::<Vec<_>>()
+        );
+    }
 
     /// One whole session with the beat silenced (a period of an hour), so
     /// nothing in it can be found on a tick: the round's completion must

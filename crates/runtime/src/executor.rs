@@ -1418,7 +1418,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn watchdog_drains_dead_cores_tap() {
         use crate::trace::TraceConfig;
@@ -1444,7 +1443,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn no_tap_configured_means_no_tap_drained() {
         let spec = tree_spec();
@@ -1544,9 +1542,6 @@ mod tests {
         assert_eq!(spec.total.load(Ordering::SeqCst), expected);
     }
 
-    // Asserts on retained events, which require the `trace` feature to be
-    // compiled in (Recorder::record is a no-op otherwise).
-    #[cfg(feature = "trace")]
     #[test]
     fn trace_records_claims_steals_and_round_trips() {
         use crate::trace::TraceConfig;
@@ -1607,7 +1602,6 @@ mod tests {
         assert!(json.contains("\"steal_latency_ns\""));
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn trace_records_fault_events() {
         use crate::trace::TraceConfig;

@@ -23,8 +23,8 @@
 //!   overwritten and counted in [`RingBuffer::dropped`];
 //! - a histogram update is one `leading_zeros` and three integer ops;
 //! - with the recorder disabled (the default) every record call is a
-//!   single branch on a local bool; compiling the runtime without the
-//!   `trace` feature removes even that.
+//!   single branch on a local bool ([`TraceConfig::enabled`] is the only
+//!   gate).
 
 use crate::json::{self, Emitter};
 use crate::level::GlobalCoreId;
@@ -529,15 +529,14 @@ pub struct Recorder {
 impl Recorder {
     /// Builds a recorder according to `config`.
     pub fn new(config: TraceConfig) -> Self {
-        let enabled = config.enabled && cfg!(feature = "trace");
         Recorder {
-            enabled,
+            enabled: config.enabled,
             ring: RingBuffer::new(if config.enabled {
                 config.ring_capacity
             } else {
                 1
             }),
-            tap: (enabled && config.tap_capacity > 0)
+            tap: (config.enabled && config.tap_capacity > 0)
                 .then(|| Arc::new(TraceTap::new(config.tap_capacity))),
             steal_latency_ns: Histogram::new(),
             service_ns: Histogram::new(),
@@ -562,58 +561,38 @@ impl Recorder {
         self.tap.clone()
     }
 
-    /// Records one event. A no-op unless enabled (and compiled in).
+    /// Records one event. A no-op unless enabled.
     #[inline]
     pub fn record(&mut self, t_ns: u64, kind: EventKind, a: u64, b: u64) {
-        #[cfg(feature = "trace")]
         if self.enabled {
             self.ring.push(TraceEvent { t_ns, kind, a, b });
             if let Some(tap) = &self.tap {
                 tap.publish(kind, a, b);
             }
         }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (t_ns, kind, a, b);
-        }
     }
 
     /// Records a steal-latency sample (ns).
     #[inline]
     pub fn record_steal_latency(&mut self, ns: u64) {
-        #[cfg(feature = "trace")]
         if self.enabled {
             self.steal_latency_ns.record(ns);
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = ns;
         }
     }
 
     /// Records a unit service-time sample (ns).
     #[inline]
     pub fn record_service(&mut self, ns: u64) {
-        #[cfg(feature = "trace")]
         if self.enabled {
             self.service_ns.record(ns);
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = ns;
         }
     }
 
     /// Records an extension-call depth sample.
     #[inline]
     pub fn record_ext_depth(&mut self, depth: u64) {
-        #[cfg(feature = "trace")]
         if self.enabled {
             self.ext_depth.record(depth);
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = depth;
         }
     }
 
@@ -844,9 +823,6 @@ mod tests {
         assert_eq!(ct.service_ns.count(), 0);
     }
 
-    // Relies on Recorder::record retaining events, which is compiled out
-    // without the `trace` feature.
-    #[cfg(feature = "trace")]
     #[test]
     fn enabled_recorder_round_trips_through_jsonl() {
         let mut r0 = Recorder::new(TraceConfig::enabled());
@@ -932,7 +908,6 @@ mod tests {
         writer.join().unwrap();
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn recorder_mirrors_events_into_tap() {
         let mut r = Recorder::new(TraceConfig {

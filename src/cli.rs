@@ -35,8 +35,10 @@
 //!              [--verify-single] [--per-worker]
 //!              [--chaos-kill <i>] [--metrics-out f.json]
 //!              runs the job on a real multi-process cluster; --plan is
-//!              resolved driver-side (auto compares cost estimates) and
-//!              the summary names the execution path taken and why
+//!              resolved driver-side (auto compares cost estimates; an
+//!              explicit decomposed on a task the planner cannot compile
+//!              exits 2 naming the blocker, on every verb that takes it)
+//!              and the summary names the execution path taken and why
 //!   check      [--bound <n> | --unbounded] [--metrics-out f.json]
 //!              runs the concurrency model-check suite of `crates/check`
 //!              (mirror models of the lock-free protocols, including the
@@ -146,6 +148,7 @@ pub fn run() {
         "motifs" => {
             let k = opt_num(&opts, "k").unwrap_or(3);
             let mode = parse_plan_mode(&opts, crate::apps::planned::PlanMode::Enumerate);
+            require_compilable(mode, crate::apps::planned::motif_plan_blocker(k, false));
             let (motifs, _, choice) = crate::apps::planned::motifs_planned(&fg, k, false, mode);
             print_motifs(&motifs);
             eprintln!("execution path: {}", choice.summary());
@@ -184,6 +187,7 @@ pub fn run() {
             let qname = opts.get("query").unwrap_or_else(|| die("--query required"));
             let q = resolve_query(qname);
             let mode = parse_plan_mode(&opts, crate::apps::planned::PlanMode::Enumerate);
+            require_compilable(mode, crate::apps::planned::query_plan_blocker(&q));
             let (n, _, choice) = crate::apps::planned::count_matches_planned(&fg, &q, mode);
             println!(
                 "{qname} ({}v {}e): {n} matches",
@@ -205,7 +209,8 @@ pub fn run() {
                     q.num_vertices(),
                     q.num_edges()
                 );
-                let plan = (q.is_connected() && crate::pattern::planner::is_unlabeled(&q))
+                let plan = crate::apps::planned::query_plan_blocker(&q)
+                    .is_none()
                     .then(|| CountingPlan::plan_pattern(&q, stats));
                 (
                     crate::apps::planned::choose_query_path(fg.graph(), &q, mode),
@@ -377,6 +382,15 @@ fn parse_plan_mode(
     }
 }
 
+/// An explicit `--plan decomposed` is a demand, not a hint: a task the
+/// planner cannot compile is refused naming the blocker. Only `auto` may
+/// choose enumeration on the caller's behalf.
+fn require_compilable(mode: crate::apps::planned::PlanMode, blocker: Option<&str>) {
+    if let (crate::apps::planned::PlanMode::Decomposed, Some(why)) = (mode, blocker) {
+        die(&format!("--plan decomposed: {why}"));
+    }
+}
+
 /// Applies `--plan` to a cluster app spec, resolving the mode to a
 /// concrete strategy *before* the job ships — every worker must receive
 /// either enumerate or decomposed, never `auto`. With the graph in hand
@@ -389,11 +403,14 @@ fn apply_plan_flag(
     app: crate::net::AppSpec,
     graph: Option<&crate::graph::Graph>,
 ) -> (crate::net::AppSpec, Option<String>) {
-    use crate::apps::planned::{choose_motifs_path, choose_motifs_path_blind, ExecPath, PlanMode};
+    use crate::apps::planned::{
+        choose_motifs_path, choose_motifs_path_blind, motif_plan_blocker, ExecPath, PlanMode,
+    };
     use crate::net::AppSpec;
     let mode = parse_plan_mode(opts, PlanMode::Enumerate);
     match app {
         AppSpec::Motifs { k, use_labels, .. } => {
+            require_compilable(mode, motif_plan_blocker(k as usize, use_labels));
             let choice = match graph {
                 Some(g) => choose_motifs_path(g, k as usize, use_labels, mode),
                 None => {
@@ -419,12 +436,10 @@ fn apply_plan_flag(
             (app, Some(summary))
         }
         other => {
-            let summary = (mode != PlanMode::Enumerate).then(|| {
-                format!(
-                    "execution path: enumerate ({} has no decomposed path)",
-                    other.name()
-                )
-            });
+            let why = format!("{} has no decomposed path", other.name());
+            require_compilable(mode, Some(&why));
+            let summary =
+                (mode == PlanMode::Auto).then(|| format!("execution path: enumerate ({why})"));
             (other, summary)
         }
     }
@@ -1108,8 +1123,10 @@ fn usage() {
          app:    -k <size> [--kclist] | --support N [--max-edges N] [--reduce]\n\
                  | --query <q1..q8|clique<k>|path<k>|cycle<k>> | --words a,b,c [--no-reduce]\n\
          plan:   motifs/query take --plan <enumerate|decomposed|auto> to pick the\n\
-                 execution strategy; the `plan` verb (-k N | --query q) prints the\n\
-                 compiled decomposition, cost estimates and the auto choice\n\
+                 execution strategy (decomposed on a task the planner cannot\n\
+                 compile is an error; only auto may choose); the `plan` verb\n\
+                 (-k N | --query q) prints the compiled decomposition, cost\n\
+                 estimates and the auto choice\n\
          trace:  -k <size> [--trace-out f.jsonl] [--metrics-out f.json] [--buckets N] [--ring N]\n\
                  [--per-worker [--local-cluster N]]\n\
          cluster (simulated): --workers N --cores N [--ws disabled|internal|external|both]\n\

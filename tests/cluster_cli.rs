@@ -2,7 +2,9 @@
 //! submit --local-cluster N` spawns real worker processes over localhost
 //! TCP and `--verify-single` re-runs the job in-process, dying unless the
 //! results are bit-identical. The chaos variant SIGKILLs one worker
-//! mid-job and demands the same exactness from the recovery path.
+//! mid-job and demands the same exactness from the recovery path. The
+//! last two tests pin that every verb taking `--plan` refuses an explicit
+//! `decomposed` on a task the planner cannot compile, naming the blocker.
 
 use std::process::{Command, Output};
 
@@ -92,4 +94,64 @@ fn submit_kclist_local_cluster_matches_single_process() {
         "--verify-single",
     ]);
     assert_verified(&out);
+}
+
+fn assert_refused(out: &Output, blocker: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr:\n{stderr}");
+    assert!(
+        stderr.contains("--plan decomposed") && stderr.contains(blocker),
+        "blocker not named:\n{stderr}"
+    );
+}
+
+fn fractal(args: &str) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_fractal"))
+        .args(args.split(' '))
+        .output()
+        .expect("run fractal")
+}
+
+#[test]
+fn explicit_decomposed_on_uncompilable_task_is_refused_by_name() {
+    for (task, blocker) in [
+        ("motifs -k 6", "sizes 1..=5"),
+        ("query --query path0", "query pattern is empty"),
+        ("submit --local-cluster 1 --app motifs -k 6", "sizes 1..=5"),
+        (
+            "submit --local-cluster 1 --app cliques -k 3",
+            "kclist has no",
+        ),
+    ] {
+        let out = fractal(&format!("{task} --gen mico --n 20 --plan decomposed"));
+        assert_refused(&out, blocker);
+    }
+    // `auto` is the one mode that may choose the enumerator itself.
+    let auto = fractal("motifs -k 6 --gen mico --n 20 --plan auto");
+    let stderr = String::from_utf8_lossy(&auto.stderr);
+    assert!(auto.status.success() && stderr.contains("execution path: enumerate"));
+}
+
+#[test]
+fn client_submit_refuses_uncompilable_decomposed_by_name() {
+    use fractal::net::frame::{read_frame, write_frame, Frame, Role};
+    // A daemon that only shakes hands: the job must be refused client-side.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let daemon = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().expect("accept");
+        read_frame(&mut conn).expect("client hello");
+        let hello = Frame::Hello {
+            role: Role::Driver,
+            cores: 0,
+        };
+        write_frame(&mut conn, 0, &hello).expect("driver hello");
+        // Nothing but EOF may follow.
+        assert!(read_frame(&mut conn).is_err(), "client sent a frame");
+    });
+    let out = fractal(&format!(
+        "client submit --server {addr} --snapshot gen:mico:30:1 --app fsm --plan decomposed"
+    ));
+    assert_refused(&out, "fsm has no decomposed path");
+    daemon.join().expect("daemon thread");
 }
