@@ -21,41 +21,8 @@
 
 use fractal_core::{Aggregator, ExecutionReport, FractalGraph, Fractoid, SubgraphView};
 use fractal_pattern::CanonicalCode;
-use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-
-thread_local! {
-    /// Per-thread cache of automorphism-orbit representatives per canonical
-    /// pattern: `orbits[pos]` is the smallest position in `pos`'s orbit.
-    static ORBIT_CACHE: RefCell<HashMap<CanonicalCode, Arc<Vec<u8>>>> =
-        RefCell::new(HashMap::new());
-}
-
-/// Orbit representatives of the canonical pattern's vertex positions.
-///
-/// Positions in the same automorphism orbit have identical domains under
-/// exact minimum-image support; folding each vertex into its orbit
-/// representative makes the computed support exact (and therefore
-/// anti-monotone) even though each subgraph instance is enumerated with a
-/// single canonical mapping.
-fn orbit_reps(code: &CanonicalCode) -> Arc<Vec<u8>> {
-    ORBIT_CACHE.with(|c| {
-        if let Some(reps) = c.borrow().get(code) {
-            return reps.clone();
-        }
-        let pattern = code.to_pattern();
-        let auts = fractal_pattern::autom::automorphisms(&pattern);
-        let n = pattern.num_vertices();
-        let mut reps = vec![0u8; n];
-        for (pos, rep) in reps.iter_mut().enumerate() {
-            *rep = fractal_pattern::autom::orbit(&auts, pos)[0];
-        }
-        let reps = Arc::new(reps);
-        c.borrow_mut().insert(code.clone(), reps.clone());
-        reps
-    })
-}
 
 /// Minimum image-based support: one vertex domain per canonical pattern
 /// position (the paper's `DomainSupport`).
@@ -69,14 +36,19 @@ impl DomainSupport {
     /// lands in the domain of its canonical pattern position. Vertex ids
     /// are translated to the original input graph via `fg` so reductions
     /// between steps don't skew supports.
+    ///
+    /// Positions in the same automorphism orbit have identical domains
+    /// under exact minimum-image support; folding each vertex into its
+    /// orbit representative makes the computed support exact (and therefore
+    /// anti-monotone) even though each subgraph instance is enumerated with
+    /// a single canonical mapping.
     pub fn of(view: &SubgraphView<'_>, fg: &FractalGraph) -> Self {
-        let form = view.canonical_form(true, true);
-        let reps = orbit_reps(&form.code);
         let mut domains = vec![HashSet::with_capacity(1); view.num_vertices()];
-        for (i, &v) in view.vertices().iter().enumerate() {
-            let pos = form.perm[i] as usize;
-            domains[reps[pos] as usize].insert(fg.orig_vertex(v));
-        }
+        view.canonical_form(true, true, |form| {
+            for (&v, &pos) in view.vertices().iter().zip(form.perm) {
+                domains[form.orbit_reps[pos as usize] as usize].insert(fg.orig_vertex(v));
+            }
+        });
         DomainSupport { domains }
     }
 
@@ -164,16 +136,7 @@ pub fn fsm(fg: &FractalGraph, min_support: u64, max_edges: usize) -> FsmResult {
     if max_edges == 0 {
         return result;
     }
-    let mut fractoid = {
-        let fgc = fg.clone();
-        fg.efractoid().expand(1).aggregate_filtered(
-            "support",
-            |s| s.pattern_code(true, true),
-            move |s| DomainSupport::of(s, &fgc),
-            |a: &mut DomainSupport, b| a.merge(b),
-            move |_, v: &DomainSupport| v.has_enough_support(min_support),
-        )
-    };
+    let mut fractoid = fsm_fractoid(fg, min_support, 1);
     let mut size = 1;
     loop {
         result.reports.push(fractoid.execute());
@@ -189,19 +152,7 @@ pub fn fsm(fg: &FractalGraph, min_support: u64, max_edges: usize) -> FsmResult {
             break;
         }
         size += 1;
-        let fgc = fg.clone();
-        fractoid = fractoid
-            .filter_agg("support", |s, agg| {
-                agg.contains_key::<CanonicalCode, DomainSupport>(&s.pattern_code(true, true))
-            })
-            .expand(1)
-            .aggregate_filtered(
-                "support",
-                |s| s.pattern_code(true, true),
-                move |s| DomainSupport::of(s, &fgc),
-                |a: &mut DomainSupport, b| a.merge(b),
-                move |_, v: &DomainSupport| v.has_enough_support(min_support),
-            );
+        fractoid = grow_round(fractoid, fg, min_support);
     }
     result
 }
@@ -216,13 +167,28 @@ pub fn fsm_support_aggregator(
     min_support: u64,
 ) -> Aggregator<CanonicalCode, DomainSupport> {
     let fgc = fg.clone();
-    Aggregator::new(
+    Aggregator::by_pattern(
         "support",
-        |s: &SubgraphView<'_>| s.pattern_code(true, true),
+        true,
+        true,
         move |s| DomainSupport::of(s, &fgc),
         |a: &mut DomainSupport, b| a.merge(b),
     )
     .with_filter(move |_, v: &DomainSupport| v.has_enough_support(min_support))
+}
+
+/// One FSM growth round appended to `fractoid`: keep subgraphs whose
+/// pattern was frequent in the previous round, extend by one edge,
+/// aggregate supports.
+fn grow_round(fractoid: Fractoid, fg: &FractalGraph, min_support: u64) -> Fractoid {
+    fractoid
+        .filter_agg("support", |s, agg| {
+            s.canonical_form(true, true, |form| {
+                agg.contains_key::<CanonicalCode, DomainSupport>(form.code)
+            })
+        })
+        .expand(1)
+        .aggregate_spec(Arc::new(fsm_support_aggregator(fg, min_support)))
 }
 
 /// The FSM fractoid chain after `rounds` growth iterations (round 1 is the
@@ -238,12 +204,7 @@ pub fn fsm_fractoid(fg: &FractalGraph, min_support: u64, rounds: usize) -> Fract
         .expand(1)
         .aggregate_spec(Arc::new(fsm_support_aggregator(fg, min_support)));
     for _ in 1..rounds {
-        fractoid = fractoid
-            .filter_agg("support", |s, agg| {
-                agg.contains_key::<CanonicalCode, DomainSupport>(&s.pattern_code(true, true))
-            })
-            .expand(1)
-            .aggregate_spec(Arc::new(fsm_support_aggregator(fg, min_support)));
+        fractoid = grow_round(fractoid, fg, min_support);
     }
     fractoid
 }
@@ -262,22 +223,17 @@ pub fn fsm_with_reduction(fg: &FractalGraph, min_support: u64, max_edges: usize)
 
     for size in 1..=max_edges {
         let sets = frequent_sets.clone();
-        let fgc = current.clone();
         let fractoid = current
             .efractoid()
             .expand(1)
             .filter(move |s| {
                 let k = s.num_edges();
-                k == 0 || k > sets.len() || sets[k - 1].contains(&s.pattern_code(true, true))
+                k == 0
+                    || k > sets.len()
+                    || s.canonical_form(true, true, |form| sets[k - 1].contains(form.code))
             })
             .explore(size)
-            .aggregate_filtered(
-                "support",
-                |s| s.pattern_code(true, true),
-                move |s| DomainSupport::of(s, &fgc),
-                |a: &mut DomainSupport, b| a.merge(b),
-                move |_, v: &DomainSupport| v.has_enough_support(min_support),
-            );
+            .aggregate_spec(Arc::new(fsm_support_aggregator(&current, min_support)));
         let report = fractoid.execute_tracking_participation();
         let frequent = fractoid.aggregation::<CanonicalCode, DomainSupport>("support");
         let participation = report.participation.clone();

@@ -6,21 +6,25 @@
 //! ignores the labels in G"); a labeled variant is provided for the
 //! multi-label memory experiments (Table 2).
 
-use fractal_core::{ExecutionReport, FractalGraph, Fractoid};
+use fractal_core::{Aggregator, ExecutionReport, FractalGraph, Fractoid};
 use fractal_pattern::CanonicalCode;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The Listing 1 fractoid: `vfractoid.expand(k).aggregate("motifs", …)`,
 /// exposed standalone so distributed drivers/workers build the identical
 /// workflow.
 pub fn motifs_fractoid(fg: &FractalGraph, k: usize, use_labels: bool) -> Fractoid {
     assert!(k >= 1, "motif size must be at least 1");
-    fg.vfractoid().expand(k).aggregate(
-        "motifs",
-        move |s| s.pattern_code(use_labels, use_labels),
-        |_| 1u64,
-        |acc, v| *acc += v,
-    )
+    fg.vfractoid()
+        .expand(k)
+        .aggregate_spec(Arc::new(Aggregator::by_pattern(
+            "motifs",
+            use_labels,
+            use_labels,
+            |_| 1u64,
+            |acc, v| *acc += v,
+        )))
 }
 
 /// Counts all k-vertex motifs: pattern → number of induced instances

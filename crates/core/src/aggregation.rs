@@ -7,7 +7,8 @@
 //! stored under the aggregation's name for downstream aggregation filters
 //! (W4) and output operators (O2).
 
-use crate::view::SubgraphView;
+use crate::view::{class_code, PatternClass, SubgraphView};
+use fractal_pattern::CanonicalCode;
 use std::any::Any;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -68,14 +69,61 @@ type ExtractFn<T> = Arc<dyn Fn(&SubgraphView<'_>) -> T + Send + Sync>;
 type ReduceFn<V> = Arc<dyn Fn(&mut V, V) + Send + Sync>;
 type FilterFn<K, V> = Arc<dyn Fn(&K, &V) -> bool + Send + Sync>;
 
+/// How a shard keys the subgraphs it folds.
+#[derive(Clone)]
+enum KeyFn<K> {
+    /// The paper's key function, evaluated per subgraph.
+    Direct(ExtractFn<K>),
+    /// The key is the subgraph's canonical pattern `ρ(S)`: staged under the
+    /// core's interned [`PatternClass`] (Arabesque's quick level, no
+    /// allocation per subgraph) and resolved to `K` only when the unit's
+    /// staged shard drains into a durable one.
+    Pattern {
+        use_vlabels: bool,
+        use_elabels: bool,
+        resolve: fn(PatternClass) -> K,
+    },
+}
+
 /// A typed aggregation over keys `K` and values `V` — the generic engine
 /// behind [`crate::Fractoid::aggregate`].
 pub struct Aggregator<K, V> {
     name: String,
-    key_fn: ExtractFn<K>,
+    key_fn: KeyFn<K>,
     value_fn: ExtractFn<V>,
     reduce_fn: ReduceFn<V>,
     agg_filter: Option<FilterFn<K, V>>,
+}
+
+impl<V> Aggregator<CanonicalCode, V>
+where
+    V: Send + Sync + 'static,
+{
+    /// An aggregation keyed by the canonical pattern of each subgraph (the
+    /// paper's `ρ(S)`, Listings 1 and 3). Same result map as keying
+    /// [`Aggregator::new`] by [`SubgraphView::pattern_code`], without
+    /// building a `CanonicalCode` per subgraph: each unit accumulates under
+    /// interned pattern classes and one code per class is made when the
+    /// unit commits.
+    pub fn by_pattern(
+        name: impl Into<String>,
+        use_vlabels: bool,
+        use_elabels: bool,
+        value_fn: impl Fn(&SubgraphView<'_>) -> V + Send + Sync + 'static,
+        reduce_fn: impl Fn(&mut V, V) + Send + Sync + 'static,
+    ) -> Self {
+        Aggregator {
+            name: name.into(),
+            key_fn: KeyFn::Pattern {
+                use_vlabels,
+                use_elabels,
+                resolve: class_code,
+            },
+            value_fn: Arc::new(value_fn),
+            reduce_fn: Arc::new(reduce_fn),
+            agg_filter: None,
+        }
+    }
 }
 
 impl<K, V> Aggregator<K, V>
@@ -92,7 +140,7 @@ where
     ) -> Self {
         Aggregator {
             name: name.into(),
-            key_fn: Arc::new(key_fn),
+            key_fn: KeyFn::Direct(Arc::new(key_fn)),
             value_fn: Arc::new(value_fn),
             reduce_fn: Arc::new(reduce_fn),
             agg_filter: None,
@@ -110,11 +158,12 @@ where
     /// runs: workers call this to turn their merged local shard into a
     /// wire-encodable map. Panics on a type mismatch.
     pub fn take_map(shard: Box<dyn AggShard>) -> HashMap<K, V> {
-        shard
+        let mut shard = shard
             .into_any()
             .downcast::<TypedShard<K, V>>()
-            .expect("aggregation type mismatch")
-            .map
+            .expect("aggregation type mismatch");
+        shard.settle();
+        shard.map
     }
 
     /// Rebuilds a shard of this aggregation from a decoded mapping — the
@@ -122,22 +171,99 @@ where
     /// globally merged result back into a fractoid store.
     pub fn shard_from_map(&self, map: HashMap<K, V>) -> Box<dyn AggShard> {
         let accumulated = map.len() as u64;
-        let approx_bytes = map.len() * (std::mem::size_of::<K>() + std::mem::size_of::<V>() + 32);
-        Box::new(TypedShard {
-            map,
+        let mut shard = self.typed_shard();
+        shard.approx_bytes = map.len() * entry_bytes::<K, V>();
+        shard.accumulated = accumulated;
+        shard.map = map;
+        Box::new(shard)
+    }
+
+    fn typed_shard(&self) -> TypedShard<K, V> {
+        TypedShard {
+            map: HashMap::new(),
+            quick: QuickLevel::default(),
             key_fn: self.key_fn.clone(),
             value_fn: self.value_fn.clone(),
             reduce_fn: self.reduce_fn.clone(),
             agg_filter: self.agg_filter.clone(),
-            approx_bytes,
-            accumulated,
-        })
+            approx_bytes: 0,
+            accumulated: 0,
+        }
+    }
+}
+
+/// Rough resident size of one reduced entry.
+const fn entry_bytes<K, V>() -> usize {
+    std::mem::size_of::<K>() + std::mem::size_of::<V>() + 32
+}
+
+/// The quick level of a [`KeyFn::Pattern`] shard: the values of the unit in
+/// flight, indexed by interned class, plus the classes touched so commit
+/// and abort cost what the unit used and not what the table holds.
+struct QuickLevel<V> {
+    /// Table every class in `touched` belongs to.
+    table: u64,
+    values: Vec<Option<V>>,
+    touched: Vec<u32>,
+}
+
+impl<V> Default for QuickLevel<V> {
+    fn default() -> Self {
+        QuickLevel {
+            table: 0,
+            values: Vec::new(),
+            touched: Vec::new(),
+        }
+    }
+}
+
+impl<V> QuickLevel<V> {
+    #[inline]
+    fn fold(&mut self, class: PatternClass, value: V, reduce: &ReduceFn<V>) {
+        if self.touched.is_empty() {
+            self.table = class.table;
+        }
+        assert_eq!(
+            self.table, class.table,
+            "one staged unit folded pattern classes of two cores"
+        );
+        let at = class.index as usize;
+        if at >= self.values.len() {
+            self.values.resize_with(at + 1, || None);
+        }
+        match &mut self.values[at] {
+            Some(acc) => reduce(acc, value),
+            empty => {
+                *empty = Some(value);
+                self.touched.push(class.index);
+            }
+        }
+    }
+
+    /// Hands every staged `(class, value)` to `sink`, leaving the level
+    /// empty with its capacity kept.
+    fn drain(&mut self, mut sink: impl FnMut(PatternClass, V)) {
+        for index in self.touched.drain(..) {
+            if let Some(value) = self.values[index as usize].take() {
+                sink(
+                    PatternClass {
+                        table: self.table,
+                        index,
+                    },
+                    value,
+                );
+            }
+        }
     }
 }
 
 struct TypedShard<K, V> {
+    /// Reduced entries under their final keys.
     map: HashMap<K, V>,
-    key_fn: ExtractFn<K>,
+    /// Entries of the unit in flight under interned pattern classes
+    /// ([`KeyFn::Pattern`] only; always empty otherwise).
+    quick: QuickLevel<V>,
+    key_fn: KeyFn<K>,
     value_fn: ExtractFn<V>,
     reduce_fn: ReduceFn<V>,
     agg_filter: Option<FilterFn<K, V>>,
@@ -145,6 +271,57 @@ struct TypedShard<K, V> {
     approx_bytes: usize,
     /// Total accumulate calls (monotonic, merged additively).
     accumulated: u64,
+}
+
+/// Folds `(k, v)` into `map`, reducing into an existing entry.
+fn fold_entry<K: Eq + Hash, V>(
+    map: &mut HashMap<K, V>,
+    approx_bytes: &mut usize,
+    reduce: &ReduceFn<V>,
+    k: K,
+    v: V,
+) {
+    match map.entry(k) {
+        std::collections::hash_map::Entry::Occupied(mut e) => reduce(e.get_mut(), v),
+        std::collections::hash_map::Entry::Vacant(e) => {
+            *approx_bytes += entry_bytes::<K, V>();
+            e.insert(v);
+        }
+    }
+}
+
+impl<K, V> TypedShard<K, V>
+where
+    K: Eq + Hash + Clone + Send + Sync + 'static,
+    V: Send + Sync + 'static,
+{
+    /// Resolves this shard's quick-level entries to their keys and folds
+    /// them into `map`, leaving the quick level empty.
+    fn flush_quick(&mut self, map: &mut HashMap<K, V>, approx_bytes: &mut usize) {
+        if let KeyFn::Pattern { resolve, .. } = self.key_fn {
+            let reduce = &self.reduce_fn;
+            self.quick
+                .drain(|class, v| fold_entry(map, approx_bytes, reduce, resolve(class), v));
+        }
+    }
+
+    /// Moves every entry of both levels into `map`, leaving this shard
+    /// empty but reusable.
+    fn drain_entries(&mut self, map: &mut HashMap<K, V>, approx_bytes: &mut usize) {
+        self.flush_quick(map, approx_bytes);
+        for (k, v) in self.map.drain() {
+            fold_entry(map, approx_bytes, &self.reduce_fn, k, v);
+        }
+        self.approx_bytes = 0;
+    }
+
+    /// Folds the quick level into this shard's own map, so readers of
+    /// `map` see everything that was accumulated.
+    fn settle(&mut self) {
+        let (mut map, mut approx_bytes) = (std::mem::take(&mut self.map), self.approx_bytes);
+        self.flush_quick(&mut map, &mut approx_bytes);
+        (self.map, self.approx_bytes) = (map, approx_bytes);
+    }
 }
 
 impl<K, V> AggregatorSpec for Aggregator<K, V>
@@ -157,15 +334,7 @@ where
     }
 
     fn new_shard(&self) -> Box<dyn AggShard> {
-        Box::new(TypedShard {
-            map: HashMap::new(),
-            key_fn: self.key_fn.clone(),
-            value_fn: self.value_fn.clone(),
-            reduce_fn: self.reduce_fn.clone(),
-            agg_filter: self.agg_filter.clone(),
-            approx_bytes: 0,
-            accumulated: 0,
-        })
+        Box::new(self.typed_shard())
     }
 }
 
@@ -176,36 +345,37 @@ where
 {
     fn accumulate(&mut self, view: &SubgraphView<'_>) {
         self.accumulated += 1;
-        let key = (self.key_fn)(view);
-        let value = (self.value_fn)(view);
-        match self.map.entry(key) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                (self.reduce_fn)(e.get_mut(), value);
+        match &self.key_fn {
+            KeyFn::Direct(key_fn) => {
+                let key = key_fn(view);
+                let value = (self.value_fn)(view);
+                fold_entry(
+                    &mut self.map,
+                    &mut self.approx_bytes,
+                    &self.reduce_fn,
+                    key,
+                    value,
+                );
             }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                self.approx_bytes += std::mem::size_of::<K>() + std::mem::size_of::<V>() + 32;
-                e.insert(value);
+            KeyFn::Pattern {
+                use_vlabels,
+                use_elabels,
+                ..
+            } => {
+                let class = view.pattern_class(*use_vlabels, *use_elabels);
+                self.quick
+                    .fold(class, (self.value_fn)(view), &self.reduce_fn);
             }
         }
     }
 
     fn merge_from(&mut self, other: Box<dyn AggShard>) {
-        let other = other
+        let mut other = other
             .into_any()
             .downcast::<TypedShard<K, V>>()
             .expect("merging shards of different aggregations");
         self.accumulated += other.accumulated;
-        for (k, v) in other.map {
-            match self.map.entry(k) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    (self.reduce_fn)(e.get_mut(), v);
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    self.approx_bytes += std::mem::size_of::<K>() + std::mem::size_of::<V>() + 32;
-                    e.insert(v);
-                }
-            }
-        }
+        other.drain_entries(&mut self.map, &mut self.approx_bytes);
     }
 
     fn drain_into(&mut self, target: &mut dyn AggShard) {
@@ -215,34 +385,25 @@ where
             .expect("draining into a shard of a different aggregation");
         target.accumulated += self.accumulated;
         self.accumulated = 0;
-        self.approx_bytes = 0;
-        for (k, v) in self.map.drain() {
-            match target.map.entry(k) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    (self.reduce_fn)(e.get_mut(), v);
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    target.approx_bytes += std::mem::size_of::<K>() + std::mem::size_of::<V>() + 32;
-                    e.insert(v);
-                }
-            }
-        }
+        self.drain_entries(&mut target.map, &mut target.approx_bytes);
     }
 
     fn reset(&mut self) {
         self.map.clear();
+        self.quick.drain(|_, _| {});
         self.approx_bytes = 0;
         self.accumulated = 0;
     }
 
     fn finalize(&mut self) {
+        self.settle();
         if let Some(f) = &self.agg_filter {
             self.map.retain(|k, v| f(k, v));
         }
     }
 
     fn len(&self) -> usize {
-        self.map.len()
+        self.map.len() + self.quick.touched.len()
     }
 
     fn accumulated(&self) -> u64 {
@@ -250,7 +411,7 @@ where
     }
 
     fn resident_bytes(&self) -> usize {
-        self.approx_bytes
+        self.approx_bytes + self.quick.touched.len() * entry_bytes::<K, V>()
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -473,6 +634,38 @@ mod tests {
         assert!(shard.is_empty());
         assert_eq!(shard.accumulated(), 0);
         assert_eq!(shard.resident_bytes(), 0);
+    }
+
+    #[test]
+    fn reset_leaves_no_quick_level_residue() {
+        // A pattern-keyed unit is staged, aborted and re-run: the committed
+        // counts must be those of one run, on both levels of the shard.
+        let g = fractal_graph::gen::mico_like(40, 1, 5);
+        let spec = Aggregator::by_pattern("motifs", false, false, |_| 1u64, |a, v| *a += v);
+        let run_unit = |staged: &mut dyn AggShard| {
+            let mut sg = Subgraph::new(&g);
+            sg.push_vertex_induced(&g, 0);
+            crate::view::tests::for_each_leaf(&g, &mut sg, 3, &mut |view| staged.accumulate(view));
+        };
+        let mut once = spec.new_shard();
+        run_unit(&mut *once);
+        let leaves = once.accumulated();
+        assert!(leaves > 0 && !once.is_empty());
+
+        let (mut staged, mut durable) = (spec.new_shard(), spec.new_shard());
+        run_unit(&mut *staged);
+        staged.reset();
+        assert!(staged.is_empty());
+        assert_eq!(staged.accumulated(), 0);
+        assert_eq!(staged.resident_bytes(), 0);
+        run_unit(&mut *staged);
+        staged.drain_into(&mut *durable);
+        assert!(staged.is_empty());
+        assert_eq!(durable.accumulated(), leaves);
+        let committed = Aggregator::<CanonicalCode, u64>::take_map(durable);
+        assert_eq!(committed.values().sum::<u64>(), leaves);
+        // `take_map` settles a shard that was accumulated into directly.
+        assert_eq!(committed, Aggregator::<CanonicalCode, u64>::take_map(once));
     }
 
     #[test]

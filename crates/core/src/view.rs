@@ -2,21 +2,53 @@
 
 use fractal_enum::Subgraph;
 use fractal_graph::{EdgeId, Graph, VertexId};
-use fractal_pattern::canon::{CanonicalForm, CodeCache};
+use fractal_pattern::canon::{InternedForm, PatternTable};
 use fractal_pattern::{CanonicalCode, Pattern};
+use fractal_runtime::sync::{AtomicU64, Ordering};
 use std::cell::RefCell;
-use std::sync::Arc;
 
-thread_local! {
-    /// Per-thread canonicalization cache: enumeration revisits the same few
-    /// raw pattern shapes constantly, so this makes the hot aggregation key
-    /// a single hash lookup.
-    static CODE_CACHE: RefCell<CodeCache> = RefCell::new(CodeCache::new());
+/// This core's two-level pattern table (quick pattern → canonical
+/// pattern) and the identity its [`PatternClass`] handles carry.
+struct CoreTable {
+    uid: u64,
+    table: PatternTable,
 }
 
-/// Canonical form of `p` through the per-thread memo cache.
-pub fn canonical_form_cached(p: &Pattern) -> Arc<CanonicalForm> {
-    CODE_CACHE.with(|c| c.borrow_mut().canonical_form(p))
+static NEXT_TABLE_UID: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// One table per core thread, living as long as the thread (one fractal
+    /// step): the only pattern cache on the engine path. Filters, key
+    /// functions and FSM's support all resolve a subgraph through it with
+    /// one lookup.
+    static PATTERNS: RefCell<CoreTable> = RefCell::new(CoreTable {
+        // ordering: Relaxed — uniqueness comes from fetch_add atomicity alone;
+        // the uid never synchronizes other memory.
+        uid: NEXT_TABLE_UID.fetch_add(1, Ordering::Relaxed),
+        table: PatternTable::new(),
+    });
+}
+
+/// A canonical pattern interned in the calling core's table: the cheap
+/// (`Copy`, no heap) stand-in for a [`CanonicalCode`] that pattern-keyed
+/// aggregations stage under. Only meaningful on the thread that produced
+/// it; [`class_code`] refuses a handle from another core's table.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PatternClass {
+    pub(crate) table: u64,
+    pub(crate) index: u32,
+}
+
+/// The canonical code `class` stands for.
+pub(crate) fn class_code(class: PatternClass) -> CanonicalCode {
+    PATTERNS.with(|p| {
+        let p = p.borrow();
+        assert_eq!(
+            p.uid, class.table,
+            "pattern class resolved on a core that did not intern it"
+        );
+        p.table.class_code(class.index).clone()
+    })
 }
 
 /// The live subgraph a filter / aggregation closure observes (read-only).
@@ -87,19 +119,54 @@ impl SubgraphView<'_> {
         self.subgraph.pattern(self.graph, use_vlabels, use_elabels)
     }
 
-    /// The canonical code of this subgraph's pattern (cached per thread) —
-    /// the paper's `ρ(S)`, the usual aggregation key.
-    pub fn pattern_code(&self, use_vlabels: bool, use_elabels: bool) -> CanonicalCode {
-        canonical_form_cached(&self.pattern(use_vlabels, use_elabels))
-            .code
-            .clone()
+    /// Interns this subgraph's quick pattern in `t`.
+    #[inline]
+    fn intern(&self, t: &mut PatternTable, use_vlabels: bool, use_elabels: bool) -> u32 {
+        t.intern(|q| {
+            self.subgraph
+                .quick_pattern(self.graph, use_vlabels, use_elabels, q)
+        })
     }
 
-    /// Canonical form (code + permutation of the subgraph's vertex order
-    /// onto canonical positions); FSM's minimum-image support needs the
-    /// permutation.
-    pub fn canonical_form(&self, use_vlabels: bool, use_elabels: bool) -> Arc<CanonicalForm> {
-        canonical_form_cached(&self.pattern(use_vlabels, use_elabels))
+    /// The canonical pattern of this subgraph as an interned handle: what a
+    /// pattern-keyed aggregation stages under
+    /// ([`Aggregator::by_pattern`](crate::Aggregator::by_pattern)).
+    #[inline]
+    pub(crate) fn pattern_class(&self, use_vlabels: bool, use_elabels: bool) -> PatternClass {
+        PATTERNS.with(|p| {
+            let p = &mut *p.borrow_mut();
+            let id = self.intern(&mut p.table, use_vlabels, use_elabels);
+            PatternClass {
+                table: p.uid,
+                index: p.table.class(id),
+            }
+        })
+    }
+
+    /// The canonical code of this subgraph's pattern — the paper's `ρ(S)`.
+    /// Allocates the returned code; per-subgraph callers that only look
+    /// the code up should borrow it through
+    /// [`canonical_form`](Self::canonical_form) instead.
+    pub fn pattern_code(&self, use_vlabels: bool, use_elabels: bool) -> CanonicalCode {
+        class_code(self.pattern_class(use_vlabels, use_elabels))
+    }
+
+    /// Runs `f` on this subgraph's canonical form: code, permutation of the
+    /// subgraph's vertex order onto canonical positions, and orbit
+    /// representatives (FSM's minimum-image support needs all three). `f`
+    /// runs inside the core's pattern table and must not ask this or
+    /// another view for a pattern.
+    pub fn canonical_form<R>(
+        &self,
+        use_vlabels: bool,
+        use_elabels: bool,
+        f: impl FnOnce(InternedForm<'_>) -> R,
+    ) -> R {
+        PATTERNS.with(|p| {
+            let table = &mut p.borrow_mut().table;
+            let id = self.intern(table, use_vlabels, use_elabels);
+            f(table.form(id))
+        })
     }
 }
 
@@ -124,9 +191,111 @@ impl SubgraphData {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::aggregation::{Aggregator, AggregatorSpec};
+    use fractal_enum::{SubgraphEnumerator, VertexInducedEnumerator};
     use fractal_graph::builder::unlabeled_from_edges;
+    use fractal_pattern::canon::canonical_code;
+    use std::collections::HashMap;
+
+    /// Calls `f` on every vertex-induced subgraph of `depth` vertices that
+    /// extends `sg`, on the calling thread (so the thread's pattern table
+    /// is the one under test).
+    pub(crate) fn for_each_leaf(
+        g: &Graph,
+        sg: &mut Subgraph,
+        depth: usize,
+        f: &mut dyn FnMut(&SubgraphView<'_>),
+    ) {
+        if sg.num_vertices() == depth {
+            return f(&SubgraphView {
+                graph: g,
+                subgraph: sg,
+            });
+        }
+        let mut en = VertexInducedEnumerator::new();
+        let mut exts = Vec::new();
+        en.compute_extensions(g, sg, &mut exts);
+        for w in exts {
+            en.extend(g, sg, w);
+            for_each_leaf(g, sg, depth, f);
+            en.retract(g, sg);
+        }
+    }
+
+    #[test]
+    fn census_canonicalises_once_per_distinct_quick_pattern() {
+        let g = fractal_graph::gen::mico_like(60, 1, 3);
+        let stats = || PATTERNS.with(|p| (p.borrow().table.stats(), p.borrow().table.len()));
+        let ((hits0, misses0), len0) = stats();
+        let spec = Aggregator::by_pattern("motifs", false, false, |_| 1u64, |a, v| *a += v);
+        let (mut staged, mut durable) = (spec.new_shard(), spec.new_shard());
+        let mut want: HashMap<CanonicalCode, u64> = HashMap::new();
+        let mut leaves = 0u64;
+        // One unit per root vertex, committed like the engine commits it.
+        for root in 0..g.num_vertices() as u32 {
+            let mut sg = Subgraph::new(&g);
+            sg.push_vertex_induced(&g, root);
+            for_each_leaf(&g, &mut sg, 4, &mut |view| {
+                leaves += 1;
+                staged.accumulate(view);
+                *want
+                    .entry(canonical_code(&view.pattern(false, false)))
+                    .or_insert(0) += 1;
+            });
+            staged.drain_into(&mut *durable);
+        }
+        let ((hits, misses), len) = stats();
+        let (hits, misses, entries) = (hits - hits0, misses - misses0, (len - len0) as u64);
+        assert!(
+            leaves > 1000 && want.len() == 6,
+            "{leaves} leaves, {} motifs",
+            want.len()
+        );
+        assert_eq!(
+            misses, entries,
+            "one canonical_form per distinct quick pattern"
+        );
+        assert_eq!(hits, leaves - misses);
+        assert!(entries < 64, "{entries} quick patterns for six 4-motifs");
+        assert_eq!(Aggregator::<CanonicalCode, u64>::take_map(durable), want);
+    }
+
+    #[test]
+    fn canonical_form_matches_uncached_canonicaliser() {
+        let g = fractal_graph::gen::mico_like(40, 3, 11);
+        let mut sg = Subgraph::new(&g);
+        for_each_leaf(&g, &mut sg, 3, &mut |view| {
+            let want = fractal_pattern::canon::canonical_form(&view.pattern(true, true));
+            assert_eq!(view.pattern_code(true, true), want.code);
+            view.canonical_form(true, true, |form| {
+                assert_eq!(*form.code, want.code);
+                assert_eq!(form.perm, &want.perm[..]);
+                assert_eq!(form.orbit_reps.len(), 3);
+            });
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "did not intern it")]
+    fn class_from_another_core_is_refused() {
+        let g = unlabeled_from_edges(2, &[(0, 1)]);
+        let mut sg = Subgraph::new(&g);
+        sg.push_vertex_induced(&g, 0);
+        let class = std::thread::scope(|s| {
+            s.spawn(|| {
+                SubgraphView {
+                    graph: &g,
+                    subgraph: &sg,
+                }
+                .pattern_class(false, false)
+            })
+            .join()
+            .unwrap()
+        });
+        class_code(class);
+    }
 
     #[test]
     fn view_accessors_and_clique_check() {
@@ -143,14 +312,6 @@ mod tests {
         assert!(view.is_clique());
         assert_eq!(view.last_level_edge_count(), 2);
         assert_eq!(view.pattern_code(false, false).num_vertices(), 3);
-    }
-
-    #[test]
-    fn cached_form_is_stable() {
-        let p = Pattern::clique(3);
-        let a = canonical_form_cached(&p);
-        let b = canonical_form_cached(&p);
-        assert_eq!(a.code, b.code);
     }
 
     #[test]

@@ -233,7 +233,7 @@ pub struct PatternEnumerator {
     match_vertex_labels: bool,
     /// Whether graph edge labels must equal pattern edge labels.
     match_edge_labels: bool,
-    edge_scratch: Vec<u32>,
+    edge_scratch: Vec<(u8, u32)>,
     kernels: ExtensionKernels,
     cand_a: Vec<u32>,
     cand_b: Vec<u32>,
@@ -372,7 +372,7 @@ impl SubgraphEnumerator for PatternEnumerator {
             let e = g
                 .edge_between(VertexId(u), VertexId(v))
                 .expect("extend called with a non-adjacent candidate");
-            self.edge_scratch.push(e.raw());
+            self.edge_scratch.push((epos, e.raw()));
         }
         let edges = std::mem::take(&mut self.edge_scratch);
         sg.push_matched(v, &edges);

@@ -2,6 +2,7 @@
 
 use fractal_graph::bitset::Bitset;
 use fractal_graph::{EdgeId, Graph, VertexId};
+use fractal_pattern::canon::QuickPattern;
 use fractal_pattern::Pattern;
 
 /// A connected subgraph under construction (Definition 2).
@@ -19,10 +20,15 @@ use fractal_pattern::Pattern;
 ///   explicit set of matched edges (pattern-induced growth).
 ///
 /// Each push records what it added; the corresponding `pop_*` undoes it.
+/// Every stored edge also keeps the local positions (indices into
+/// `vertices`) of its two endpoints, so the subgraph's quick pattern is read
+/// off it directly ([`quick_pattern`](Subgraph::quick_pattern)).
 #[derive(Debug, Clone)]
 pub struct Subgraph {
     vertices: Vec<u32>,
     edges: Vec<u32>,
+    /// Parallel to `edges`: local endpoint positions `(lo, hi)`, `lo < hi`.
+    edge_ends: Vec<(u8, u8)>,
     vmember: Bitset,
     emember: Bitset,
     /// Per vertex-level: number of edges that level added (vertex modes).
@@ -37,6 +43,7 @@ impl Subgraph {
         Subgraph {
             vertices: Vec::with_capacity(16),
             edges: Vec::with_capacity(32),
+            edge_ends: Vec::with_capacity(32),
             vmember: Bitset::new(g.num_vertices()),
             emember: Bitset::new(g.num_edges()),
             level_edges: Vec::with_capacity(16),
@@ -116,14 +123,17 @@ impl Subgraph {
         let eids = g.incident_edges(VertexId(v));
         let vmember = &self.vmember;
         let edges = &mut self.edges;
+        let edge_ends = &mut self.edge_ends;
         let emember = &mut self.emember;
+        let at_v = self.vertices.len() as u8;
         let added = fractal_graph::kernels::collect_induced_edges(
             nbrs,
             eids,
             &self.vertices,
             |u| vmember.get(u as usize),
-            |e| {
+            |e, at_u| {
                 edges.push(e);
+                edge_ends.push((at_u as u8, at_v));
                 emember.set(e as usize);
             },
         );
@@ -138,10 +148,12 @@ impl Subgraph {
         // recursion; an underflow is a traversal bug and must fail loudly, not
         // corrupt counts.
         let added = self.level_edges.pop().expect("pop on empty subgraph") as usize;
-        for _ in 0..added {
-            let e = self.edges.pop().unwrap();
+        let keep = self.edges.len() - added;
+        for &e in &self.edges[keep..] {
             self.emember.clear(e as usize);
         }
+        self.edges.truncate(keep);
+        self.edge_ends.truncate(keep);
         // panic-ok: same pop discipline — vertices/edges stay balanced with
         // level_edges.
         let v = self.vertices.pop().unwrap();
@@ -154,14 +166,20 @@ impl Subgraph {
         debug_assert!(!self.has_edge(e));
         let (s, d) = g.edge_endpoints(EdgeId(e));
         let mut added = 0u32;
-        for v in [s.raw(), d.raw()] {
-            if !self.vmember.get(v as usize) {
+        let at = [s.raw(), d.raw()].map(|v| {
+            if self.vmember.get(v as usize) {
+                // panic-ok: the membership bitmap mirrors `vertices`; a set
+                // bit without a list entry is a corrupted subgraph.
+                self.vertices.iter().position(|&x| x == v).unwrap() as u8
+            } else {
                 self.vertices.push(v);
                 self.vmember.set(v as usize);
                 added += 1;
+                (self.vertices.len() - 1) as u8
             }
-        }
+        });
         self.edges.push(e);
+        self.edge_ends.push((at[0].min(at[1]), at[0].max(at[1])));
         self.emember.set(e as usize);
         self.level_vertices.push(added);
     }
@@ -177,21 +195,26 @@ impl Subgraph {
         // panic-ok: same pop discipline — the edge pushed with this level is
         // still present.
         let e = self.edges.pop().unwrap();
+        self.edge_ends.pop();
         self.emember.clear(e as usize);
     }
 
-    /// Adds vertex `v` plus the explicit `matched_edges` (pattern-induced
+    /// Adds vertex `v` plus the explicit `matched` edges, each given as
+    /// `(local position of its earlier endpoint, edge id)` (pattern-induced
     /// growth: only the pattern's edges are part of the subgraph, Fig. 1).
-    pub fn push_matched(&mut self, v: u32, matched_edges: &[u32]) {
+    pub fn push_matched(&mut self, v: u32, matched: &[(u8, u32)]) {
         debug_assert!(!self.has_vertex(v));
-        for &e in matched_edges {
+        let at_v = self.vertices.len() as u8;
+        for &(at_u, e) in matched {
             debug_assert!(!self.has_edge(e));
+            debug_assert!(at_u < at_v);
             self.edges.push(e);
+            self.edge_ends.push((at_u, at_v));
             self.emember.set(e as usize);
         }
         self.vertices.push(v);
         self.vmember.set(v as usize);
-        self.level_edges.push(matched_edges.len() as u32);
+        self.level_edges.push(matched.len() as u32);
     }
 
     /// Undoes the most recent [`push_matched`](Self::push_matched).
@@ -209,13 +232,17 @@ impl Subgraph {
         }
         self.vertices.clear();
         self.edges.clear();
+        self.edge_ends.clear();
         self.level_edges.clear();
         self.level_vertices.clear();
     }
 
     /// The pattern of this subgraph as stored (vertex set + stored edges).
     /// For vertex-induced growth the stored edges are exactly the induced
-    /// edges, so this is the induced pattern.
+    /// edges, so this is the induced pattern. Built from graph lookups and
+    /// position searches: the engine names a subgraph through
+    /// [`quick_pattern`](Self::quick_pattern) instead, and the property
+    /// tests hold that against this.
     pub fn pattern(&self, g: &Graph, use_vlabels: bool, use_elabels: bool) -> Pattern {
         if self.edges.is_empty() {
             // Single vertices (or empty).
@@ -262,6 +289,38 @@ impl Subgraph {
         Pattern::new(labels, edges)
     }
 
+    /// Writes this subgraph's quick pattern — the content of
+    /// [`pattern`](Self::pattern) as flat words — into `out`: labels and
+    /// stored endpoint positions only, no graph topology lookups, no search
+    /// and no allocation once `out` has grown.
+    #[inline]
+    pub fn quick_pattern(
+        &self,
+        g: &Graph,
+        use_vlabels: bool,
+        use_elabels: bool,
+        out: &mut QuickPattern,
+    ) {
+        for &v in &self.vertices {
+            out.vertex(if use_vlabels {
+                g.vertex_label(VertexId(v)).raw()
+            } else {
+                0
+            });
+        }
+        for (&e, &(lo, hi)) in self.edges.iter().zip(&self.edge_ends) {
+            out.edge(
+                lo,
+                hi,
+                if use_elabels {
+                    g.edge_label(EdgeId(e)).raw()
+                } else {
+                    0
+                },
+            );
+        }
+    }
+
     /// An owned snapshot `(vertices, edges)` of the current state.
     pub fn snapshot(&self) -> (Vec<u32>, Vec<u32>) {
         (self.vertices.clone(), self.edges.clone())
@@ -271,6 +330,7 @@ impl Subgraph {
     pub fn resident_bytes(&self) -> usize {
         self.vertices.capacity() * 4
             + self.edges.capacity() * 4
+            + self.edge_ends.capacity() * 2
             + self.vmember.resident_bytes()
             + self.emember.resident_bytes()
             + self.level_edges.capacity() * 4
@@ -346,8 +406,8 @@ mod tests {
         let g = triangle_plus_tail();
         let mut sg = Subgraph::new(&g);
         sg.push_matched(0, &[]);
-        sg.push_matched(1, &[0]);
-        sg.push_matched(2, &[1]); // only pattern edge 1-2, not 0-2
+        sg.push_matched(1, &[(0, 0)]);
+        sg.push_matched(2, &[(1, 1)]); // only pattern edge 1-2, not 0-2
         assert_eq!(sg.num_edges(), 2);
         assert!(!sg.has_edge(2));
         sg.pop_matched();

@@ -6,8 +6,10 @@ use fractal_enum::enumerator::{
 };
 use fractal_enum::{KClistEnumerator, Subgraph};
 use fractal_graph::{Graph, GraphBuilder, Label, VertexId};
+use fractal_pattern::canon::{canonical_form, PatternTable};
 use fractal_pattern::{ExplorationPlan, Pattern};
 use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -16,6 +18,87 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
         // Density high enough to create triangles regularly.
         fractal_graph::gen::erdos_renyi(n, n * 2, 2, seed)
     })
+}
+
+/// A random graph with three vertex labels and three edge labels.
+fn arb_labeled_graph() -> impl Strategy<Value = Graph> {
+    (4usize..14, 0u64..1000).prop_map(|(n, seed)| {
+        let topology = fractal_graph::gen::erdos_renyi(n, n * 2, 1, seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37);
+        let labels: Vec<u32> = (0..n).map(|_| rng.gen_range(0u32..3)).collect();
+        let edges: Vec<(u32, u32, u32)> = topology
+            .edges()
+            .map(|e| {
+                let (u, v) = topology.edge_endpoints(e);
+                (u.raw(), v.raw(), rng.gen_range(0u32..3))
+            })
+            .collect();
+        fractal_graph::builder::graph_from_edges(&labels, &edges)
+    })
+}
+
+/// Every label setting: the table's form of the live subgraph must be the
+/// uncached canonical form of the `Pattern` built the slow way.
+fn check_interned_form(table: &mut PatternTable, g: &Graph, sg: &Subgraph) -> Result<(), String> {
+    for (vl, el) in [(false, false), (true, false), (false, true), (true, true)] {
+        let want = canonical_form(&sg.pattern(g, vl, el));
+        let id = table.intern(|q| sg.quick_pattern(g, vl, el, q));
+        let got = table.form(id);
+        if *got.code != want.code || got.perm != &want.perm[..] {
+            return Err(format!(
+                "labels ({vl}, {el}) on {:?}: table says {} {:?}, canonicaliser {} {:?}",
+                sg.snapshot(),
+                got.code,
+                got.perm,
+                want.code,
+                want.perm
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// A seeded random walk of `extend` / `retract` / `rebuild` over one
+/// enumerator, checking the interned form after every move.
+fn walk_and_check(
+    g: &Graph,
+    fresh: &dyn Fn() -> Box<dyn SubgraphEnumerator>,
+    max_depth: usize,
+    seed: u64,
+    table: &mut PatternTable,
+) -> Result<(), String> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut en = fresh();
+    let mut sg = Subgraph::new(g);
+    let mut words: Vec<u64> = Vec::new();
+    let mut exts = Vec::new();
+    for _ in 0..60 {
+        match rng.gen_range(0u32..10) {
+            0..=5 if words.len() < max_depth => {
+                en.compute_extensions(g, &sg, &mut exts);
+                if exts.is_empty() {
+                    continue;
+                }
+                let w = exts[rng.gen_range(0..exts.len())];
+                en.extend(g, &mut sg, w);
+                words.push(w);
+            }
+            6..=8 if !words.is_empty() => {
+                en.retract(g, &mut sg);
+                words.pop();
+            }
+            _ => {
+                // A thief's view: fresh enumerator, fresh or reused subgraph.
+                en = fresh();
+                if rng.gen_bool(0.5) {
+                    sg = Subgraph::new(g);
+                }
+                en.rebuild(g, &mut sg, &words);
+            }
+        }
+        check_interned_form(table, g, &sg)?;
+    }
+    Ok(())
 }
 
 /// Drives any enumerator to `depth`, returning all snapshots.
@@ -210,6 +293,34 @@ proptest! {
             en2.retract(&g, &mut sg2);
         }
         prop_assert_eq!(in_place, stolen);
+    }
+
+    /// The quick pattern read off a live subgraph names the same pattern
+    /// `Subgraph::pattern` builds: over random push/pop/rebuild sequences in
+    /// all three growth modes, with labels on and off, the table's code and
+    /// permutation equal the uncached canonicaliser's. One table serves the
+    /// whole case, so hits are checked as much as misses.
+    #[test]
+    fn interned_form_matches_canonical_form(g in arb_labeled_graph(), seed in 0u64..1000) {
+        let mut table = PatternTable::new();
+        let vertex = || Box::new(VertexInducedEnumerator::new()) as Box<dyn SubgraphEnumerator>;
+        let edge = || Box::new(EdgeInducedEnumerator::new()) as Box<dyn SubgraphEnumerator>;
+        let queries = [Pattern::cycle(4), Pattern::star(3), Pattern::clique(3), Pattern::path(4)];
+        let plan = Arc::new(ExplorationPlan::new(&queries[seed as usize % queries.len()]));
+        let matched =
+            || Box::new(PatternEnumerator::new(plan.clone(), false, false)) as Box<dyn SubgraphEnumerator>;
+        for (fresh, depth) in [
+            (&vertex as &dyn Fn() -> Box<dyn SubgraphEnumerator>, 5),
+            (&edge, 5),
+            (&matched, 4),
+        ] {
+            if let Err(e) = walk_and_check(&g, fresh, depth, seed, &mut table) {
+                prop_assert!(false, "{}", e);
+            }
+        }
+        let (hits, misses) = table.stats();
+        prop_assert_eq!(misses as usize, table.len());
+        prop_assert!(hits > 0);
     }
 
     /// Push/pop round trips leave the subgraph in its prior state for all

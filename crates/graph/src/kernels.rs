@@ -222,8 +222,9 @@ pub const PROBE_MAX_MEMBERS: usize = 16;
 /// Hybrid on relative sizes, mirroring the merge/gallop crossover: when
 /// the member set is small against `deg(v)`, each member is binary-probed
 /// into the adjacency (`O(k log d)`); otherwise the adjacency is scanned
-/// once through the `is_member` filter (`O(d)`). Both paths emit edge ids
-/// in ascending adjacency position, so growth/rollback bookkeeping is
+/// once through the `is_member` filter (`O(d)`). Both paths emit
+/// `(edge id, position in members of the edge's other endpoint)` in
+/// ascending adjacency position, so growth/rollback bookkeeping is
 /// byte-identical regardless of the path taken. Returns the number of
 /// edges emitted.
 pub fn collect_induced_edges(
@@ -231,7 +232,7 @@ pub fn collect_induced_edges(
     eids: &[u32],
     members: &[u32],
     is_member: impl Fn(u32) -> bool,
-    mut emit: impl FnMut(u32),
+    mut emit: impl FnMut(u32, usize),
 ) -> u32 {
     debug_assert_eq!(nbrs.len(), eids.len());
     let d = nbrs.len();
@@ -240,24 +241,29 @@ pub fn collect_induced_edges(
     // path's branchier access pattern vs the linear scan.
     let probe_cost = (usize::BITS - d.leading_zeros() + 1) as usize;
     if k <= PROBE_MAX_MEMBERS && 2 * k * probe_cost < d {
-        let mut hits = [(0u32, 0u32); PROBE_MAX_MEMBERS];
+        let mut hits = [(0u32, 0u32, 0usize); PROBE_MAX_MEMBERS];
         let mut nh = 0;
-        for &u in members {
+        for (at, &u) in members.iter().enumerate() {
             if let Ok(pos) = nbrs.binary_search(&u) {
-                hits[nh] = (pos as u32, eids[pos]);
+                hits[nh] = (pos as u32, eids[pos], at);
                 nh += 1;
             }
         }
         hits[..nh].sort_unstable();
-        for &(_, e) in &hits[..nh] {
-            emit(e);
+        for &(_, e, at) in &hits[..nh] {
+            emit(e, at);
         }
         nh as u32
     } else {
         let mut added = 0;
         for (i, &u) in nbrs.iter().enumerate() {
             if is_member(u) {
-                emit(eids[i]);
+                let at = members.iter().position(|&m| m == u);
+                // panic-ok: `is_member` is the membership bitmap of
+                // `members`; a vertex it accepts that the list lacks is a
+                // corrupted subgraph and must not yield an edge position.
+                let at = at.expect("member bitmap and list disagree");
+                emit(eids[i], at);
                 added += 1;
             }
         }

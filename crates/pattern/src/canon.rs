@@ -261,12 +261,13 @@ pub fn are_isomorphic(p: &Pattern, q: &Pattern) -> bool {
     canonical_code(p) == canonical_code(q)
 }
 
-/// A memoizing cache from raw patterns to canonical forms.
+/// A memoizing cache from raw patterns to canonical forms, keyed by the
+/// [`Pattern`] itself.
 ///
-/// Subgraph enumeration produces the same few motif shapes over and over in
-/// different raw vertex orders; the number of distinct raw `Pattern` keys is
-/// bounded by (shapes × orderings), so a plain map is effective and the hot
-/// path becomes a single hash lookup.
+/// This is the memo of the reference implementations (`crates/baselines`),
+/// which build a `Pattern` per embedding anyway and must stay independent
+/// of the engine's [`PatternTable`] so the parity suites compare two
+/// implementations, not one.
 #[derive(Debug, Default)]
 pub struct CodeCache {
     map: HashMap<Pattern, std::sync::Arc<CanonicalForm>>,
@@ -305,6 +306,281 @@ impl CodeCache {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
+    }
+}
+
+/// The *quick pattern* of a live subgraph (Arabesque's first aggregation
+/// level): exactly what [`Pattern::new`] would store for it — vertex labels
+/// in insertion order plus sorted `(u, v, edge label)` triples with
+/// `u < v` — as flat words, so it can be hashed and compared without
+/// building a `Pattern`.
+///
+/// Layout: `[n | m << 8, label(0..n), edge(0..m)]` with
+/// `edge = u << 40 | v << 32 | label`, edges ascending (which is the
+/// `(u, v, label)` order `Pattern::new` sorts by).
+#[derive(Debug, Default)]
+pub struct QuickPattern {
+    words: Vec<u64>,
+}
+
+impl QuickPattern {
+    fn begin(&mut self) {
+        self.words.clear();
+        self.words.push(0);
+    }
+
+    /// Appends the next vertex in insertion order. Every vertex comes
+    /// before the first [`edge`](Self::edge).
+    #[inline]
+    pub fn vertex(&mut self, label: u32) {
+        debug_assert_eq!(
+            self.words.len() as u64,
+            1 + self.words[0],
+            "vertex after edge"
+        );
+        self.words[0] += 1;
+        self.words.push(label as u64);
+    }
+
+    /// Appends the edge between local vertex positions `u` and `v`.
+    #[inline]
+    pub fn edge(&mut self, u: u8, v: u8, label: u32) {
+        let (lo, hi) = if u < v { (u, v) } else { (v, u) };
+        self.words
+            .push((lo as u64) << 40 | (hi as u64) << 32 | label as u64);
+    }
+
+    /// Normalises edge order and seals the header.
+    fn finish(&mut self) {
+        let n = self.words[0] as usize;
+        assert!(
+            n <= crate::pattern::MAX_PATTERN_VERTICES,
+            "pattern too large"
+        );
+        let edges = &mut self.words[1 + n..];
+        edges.sort_unstable();
+        self.words[0] |= (edges.len() as u64) << 8;
+    }
+}
+
+/// The `Pattern` a sealed quick pattern names (cache-miss path only).
+fn quick_to_pattern(key: &[u64]) -> Pattern {
+    let n = (key[0] & 0xff) as usize;
+    let labels = key[1..1 + n].iter().map(|&w| w as u32).collect();
+    let edges = key[1 + n..]
+        .iter()
+        .map(|&w| ((w >> 40) as u8, (w >> 32) as u8, w as u32))
+        .collect();
+    Pattern::new(labels, edges)
+}
+
+/// Multiply-rotate hash over a sealed quick pattern. Cheap, and only a
+/// slot hint: [`PatternTable`] compares the full key on every hit.
+#[inline]
+fn quick_hash(key: &[u64]) -> u32 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let mut h = 0u64;
+    for &w in key {
+        h = (h.rotate_left(5) ^ w).wrapping_mul(K);
+    }
+    ((h ^ (h >> 32)).wrapping_mul(K) >> 32) as u32
+}
+
+/// One interned quick pattern: where its key and permutation live and
+/// which canonical pattern it is an ordering of.
+#[derive(Debug, Clone, Copy)]
+struct QuickEntry {
+    hash: u32,
+    key_start: u32,
+    perm_start: u32,
+    class: u32,
+}
+
+/// One canonical pattern (Arabesque's second aggregation level).
+#[derive(Debug)]
+struct CanonClass {
+    code: CanonicalCode,
+    /// `orbit_reps[pos]` is the smallest canonical position in `pos`'s
+    /// automorphism orbit; computed on first request.
+    orbit_reps: Option<Box<[u8]>>,
+}
+
+/// Everything the table knows about one interned quick pattern.
+#[derive(Debug, Clone, Copy)]
+pub struct InternedForm<'a> {
+    /// The canonical code.
+    pub code: &'a CanonicalCode,
+    /// `perm[subgraph vertex position] = canonical position`.
+    pub perm: &'a [u8],
+    /// `orbit_reps[canonical position]` = smallest position of its
+    /// automorphism orbit (FSM folds domains of one orbit together).
+    pub orbit_reps: &'a [u8],
+}
+
+/// The per-core two-level pattern table: quick pattern → canonical pattern.
+///
+/// Enumeration meets the same few shapes over and over in different vertex
+/// orders, so each distinct quick pattern is canonicalised once and every
+/// later subgraph with that quick pattern costs one hash, one probe and one
+/// full-key comparison. Keys and permutations live in two shared arenas and
+/// an entry is 16 bytes; codes and orbit representatives are stored once
+/// per canonical pattern.
+#[derive(Debug)]
+pub struct PatternTable {
+    /// Open-addressing index: entry id + 1, 0 = empty. Power-of-two sized,
+    /// at most half full.
+    slots: Vec<u32>,
+    entries: Vec<QuickEntry>,
+    keys: Vec<u64>,
+    perms: Vec<u8>,
+    classes: Vec<CanonClass>,
+    class_of: HashMap<CanonicalCode, u32>,
+    scratch: QuickPattern,
+    hits: u64,
+    misses: u64,
+}
+
+impl Default for PatternTable {
+    fn default() -> Self {
+        PatternTable {
+            slots: vec![0; 16],
+            entries: Vec::new(),
+            keys: Vec::new(),
+            perms: Vec::new(),
+            classes: Vec::new(),
+            class_of: HashMap::new(),
+            scratch: QuickPattern::default(),
+            hits: 0,
+            misses: 0,
+        }
+    }
+}
+
+impl PatternTable {
+    /// Creates an empty table.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Interns the quick pattern `write` describes and returns its id,
+    /// canonicalising it if this table has not seen it before.
+    #[inline]
+    pub fn intern(&mut self, write: impl FnOnce(&mut QuickPattern)) -> u32 {
+        let mut key = std::mem::take(&mut self.scratch);
+        key.begin();
+        write(&mut key);
+        key.finish();
+        let id = self.intern_hashed(&key.words, quick_hash(&key.words));
+        self.scratch = key;
+        id
+    }
+
+    /// Interns a sealed key under the given hash. The hash picks the probe
+    /// start and pre-screens candidates; identity is the full key.
+    fn intern_hashed(&mut self, key: &[u64], hash: u32) -> u32 {
+        let mask = self.slots.len() - 1;
+        let mut slot = hash as usize & mask;
+        while self.slots[slot] != 0 {
+            let id = self.slots[slot] - 1;
+            let e = &self.entries[id as usize];
+            // The header word carries both lengths, so a prefix match of
+            // the arena tail is equality with the stored key.
+            if e.hash == hash && self.keys[e.key_start as usize..].starts_with(key) {
+                self.hits += 1;
+                return id;
+            }
+            slot = (slot + 1) & mask;
+        }
+        self.misses += 1;
+        let form = canonical_form(&quick_to_pattern(key));
+        let class = match self.class_of.get(&form.code) {
+            Some(&c) => c,
+            None => {
+                let c = self.classes.len() as u32;
+                self.class_of.insert(form.code.clone(), c);
+                self.classes.push(CanonClass {
+                    code: form.code,
+                    orbit_reps: None,
+                });
+                c
+            }
+        };
+        let id = self.entries.len() as u32;
+        self.entries.push(QuickEntry {
+            hash,
+            key_start: self.keys.len() as u32,
+            perm_start: self.perms.len() as u32,
+            class,
+        });
+        self.keys.extend_from_slice(key);
+        self.perms.extend_from_slice(&form.perm);
+        self.slots[slot] = id + 1;
+        if self.entries.len() * 2 > self.slots.len() {
+            self.grow();
+        }
+        id
+    }
+
+    /// Doubles the index and re-seats every entry.
+    fn grow(&mut self) {
+        let mask = self.slots.len() * 2 - 1;
+        self.slots.clear();
+        self.slots.resize(mask + 1, 0);
+        for (id, e) in self.entries.iter().enumerate() {
+            let mut slot = e.hash as usize & mask;
+            while self.slots[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = id as u32 + 1;
+        }
+    }
+
+    /// The canonical pattern (class index, dense from 0) quick pattern `id`
+    /// is an ordering of.
+    #[inline]
+    pub fn class(&self, id: u32) -> u32 {
+        self.entries[id as usize].class
+    }
+
+    /// The canonical code of class `class`.
+    #[inline]
+    pub fn class_code(&self, class: u32) -> &CanonicalCode {
+        &self.classes[class as usize].code
+    }
+
+    /// Code, permutation and orbit representatives of quick pattern `id`.
+    pub fn form(&mut self, id: u32) -> InternedForm<'_> {
+        let e = self.entries[id as usize];
+        let class = &mut self.classes[e.class as usize];
+        let code = &class.code;
+        let orbit_reps = class.orbit_reps.get_or_insert_with(|| {
+            let pattern = code.to_pattern();
+            let auts = crate::autom::automorphisms(&pattern);
+            (0..pattern.num_vertices())
+                .map(|pos| crate::autom::orbit(&auts, pos)[0])
+                .collect()
+        });
+        let perm = &self.perms[e.perm_start as usize..][..code.num_vertices()];
+        InternedForm {
+            code,
+            perm,
+            orbit_reps,
+        }
+    }
+
+    /// `(hits, misses)` counters; every miss ran one `canonical_form`.
+    pub fn stats(&self) -> (u64, u64) {
+        (self.hits, self.misses)
+    }
+
+    /// Number of distinct quick patterns interned.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether nothing has been interned.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
     }
 }
 
@@ -463,6 +739,109 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(cache.stats(), (1, 1));
         assert_eq!(cache.len(), 1);
+    }
+
+    /// Writes `p` into the table the way a subgraph would, edges in the
+    /// given order.
+    fn intern_pattern(t: &mut PatternTable, p: &Pattern, reverse_edges: bool) -> u32 {
+        t.intern(|q| {
+            for v in 0..p.num_vertices() {
+                q.vertex(p.vertex_label(v));
+            }
+            let mut edges = p.edges().to_vec();
+            if reverse_edges {
+                edges.reverse();
+            }
+            for (u, v, l) in edges {
+                q.edge(v, u, l);
+            }
+        })
+    }
+
+    #[test]
+    fn table_agrees_with_the_uncached_canonicaliser() {
+        let p = Pattern::new(
+            vec![0, 1, 0, 1],
+            vec![(0, 1, 1), (1, 2, 0), (2, 3, 1), (0, 3, 0)],
+        );
+        let mut t = PatternTable::new();
+        for perm in permutations(4) {
+            let q = p.permuted(&perm);
+            let id = intern_pattern(&mut t, &q, false);
+            // Edge insertion order is normalised away: same id, a hit.
+            assert_eq!(intern_pattern(&mut t, &q, true), id);
+            let want = canonical_form(&q);
+            let got = t.form(id);
+            assert_eq!(*got.code, want.code);
+            assert_eq!(got.perm, &want.perm[..]);
+            assert_eq!(t.class_code(t.class(id)), &want.code);
+        }
+        assert_eq!(t.classes.len(), 1);
+        let (hits, misses) = t.stats();
+        assert_eq!(misses as usize, t.len());
+        assert_eq!(hits + misses, 48);
+        // The 4-cycle with alternating labels has a dihedral symmetry that
+        // maps several orderings onto one quick pattern.
+        assert!(t.len() < 24 && t.len() > 1, "{} quick patterns", t.len());
+    }
+
+    #[test]
+    fn colliding_hashes_still_get_distinct_codes() {
+        // Two different quick patterns forced onto one hash (and so one
+        // slot): identity is the full key, never the hash.
+        let mut t = PatternTable::new();
+        let keys: Vec<Vec<u64>> = [Pattern::path(4), Pattern::star(3)]
+            .iter()
+            .map(|p| {
+                let mut q = QuickPattern::default();
+                q.begin();
+                (0..4).for_each(|v| q.vertex(p.vertex_label(v)));
+                p.edges().iter().for_each(|&(u, v, l)| q.edge(u, v, l));
+                q.finish();
+                q.words
+            })
+            .collect();
+        let a = t.intern_hashed(&keys[0], 42);
+        let b = t.intern_hashed(&keys[1], 42);
+        assert_ne!(a, b);
+        assert_ne!(t.class(a), t.class(b));
+        assert_eq!(*t.form(a).code, canonical_code(&Pattern::path(4)));
+        assert_eq!(*t.form(b).code, canonical_code(&Pattern::star(3)));
+        // Both are still found behind the shared hash.
+        assert_eq!(t.intern_hashed(&keys[1], 42), b);
+        assert_eq!(t.intern_hashed(&keys[0], 42), a);
+        assert_eq!(t.stats(), (2, 2));
+    }
+
+    #[test]
+    fn table_survives_growth_and_reports_orbits() {
+        // 60 labeled single edges: well past the initial 16 slots.
+        let mut t = PatternTable::new();
+        let pats: Vec<Pattern> = (0..60u32)
+            .map(|l| Pattern::new(vec![l % 7, l % 5], vec![(0, 1, l)]))
+            .collect();
+        let ids: Vec<u32> = pats
+            .iter()
+            .map(|p| intern_pattern(&mut t, p, false))
+            .collect();
+        assert_eq!(t.len(), 60);
+        for (p, &id) in pats.iter().zip(&ids) {
+            assert_eq!(intern_pattern(&mut t, p, false), id);
+            assert_eq!(*t.form(id).code, canonical_code(p));
+            // Equal endpoint labels: the two positions share an orbit.
+            let symmetric = p.vertex_label(0) == p.vertex_label(1);
+            assert_eq!(
+                t.form(id).orbit_reps,
+                if symmetric { &[0, 0] } else { &[0, 1] }
+            );
+        }
+        assert_eq!(t.stats(), (60, 60));
+    }
+
+    #[test]
+    #[should_panic(expected = "pattern too large")]
+    fn oversized_quick_pattern_is_rejected() {
+        PatternTable::new().intern(|q| (0..33).for_each(|_| q.vertex(0)));
     }
 
     #[test]

@@ -469,24 +469,38 @@ fn load_graph(opts: &HashMap<String, String>) -> crate::graph::Graph {
     }
 }
 
+/// `<shape><k>` with `k` in `min..=MAX_PATTERN_VERTICES`; any other size
+/// exits 2 naming the bound (the `Pattern` constructors would panic on it).
+fn sized_query(
+    name: &str,
+    shape: &str,
+    min: usize,
+    build: fn(usize) -> Pattern,
+) -> Option<Pattern> {
+    let size = name.strip_prefix(shape)?;
+    let max = crate::pattern::pattern::MAX_PATTERN_VERTICES;
+    match size.parse::<usize>() {
+        Ok(k) if (min..=max).contains(&k) => Some(build(k)),
+        _ => die(&format!(
+            "bad query {name:?}: {shape}<k> takes k in {min}..={max}"
+        )),
+    }
+}
+
 fn resolve_query(name: &str) -> Pattern {
     for (qn, q) in crate::apps::query::evaluation_queries() {
         if qn == name {
             return q;
         }
     }
-    if let Some(k) = name.strip_prefix("clique") {
-        return Pattern::clique(k.parse().unwrap_or_else(|_| die("bad clique size")));
-    }
-    if let Some(k) = name.strip_prefix("path") {
-        return Pattern::path(k.parse().unwrap_or_else(|_| die("bad path size")));
-    }
-    if let Some(k) = name.strip_prefix("cycle") {
-        return Pattern::cycle(k.parse().unwrap_or_else(|_| die("bad cycle size")));
-    }
-    die(&format!(
-        "unknown query {name:?} (q1..q8, clique<k>, path<k>, cycle<k>)"
-    ))
+    sized_query(name, "clique", 1, Pattern::clique)
+        .or_else(|| sized_query(name, "path", 1, Pattern::path))
+        .or_else(|| sized_query(name, "cycle", 3, Pattern::cycle))
+        .unwrap_or_else(|| {
+            die(&format!(
+                "unknown query {name:?} (q1..q8, clique<k>, path<k>, cycle<k>)"
+            ))
+        })
 }
 
 /// `fractal worker`: one cluster worker process, serving a single driver

@@ -116,7 +116,6 @@ fn fractal(args: &str) -> Output {
 fn explicit_decomposed_on_uncompilable_task_is_refused_by_name() {
     for (task, blocker) in [
         ("motifs -k 6", "sizes 1..=5"),
-        ("query --query path0", "query pattern is empty"),
         ("submit --local-cluster 1 --app motifs -k 6", "sizes 1..=5"),
         (
             "submit --local-cluster 1 --app cliques -k 3",
@@ -130,6 +129,31 @@ fn explicit_decomposed_on_uncompilable_task_is_refused_by_name() {
     let auto = fractal("motifs -k 6 --gen mico --n 20 --plan auto");
     let stderr = String::from_utf8_lossy(&auto.stderr);
     assert!(auto.status.success() && stderr.contains("execution path: enumerate"));
+}
+
+#[test]
+fn out_of_range_query_sizes_are_refused_naming_the_bound() {
+    // `Pattern::{path,cycle,clique}` panic on these sizes; the CLI must
+    // refuse them first, on every plan mode (the default is the enumerator).
+    for verb in ["query", "plan"] {
+        for (name, bound) in [
+            ("path0", "path<k> takes k in 1..=32"),
+            ("cycle2", "cycle<k> takes k in 3..=32"),
+            ("clique40", "clique<k> takes k in 1..=32"),
+        ] {
+            for plan in ["", " --plan decomposed"] {
+                let out = fractal(&format!("{verb} --query {name} --gen mico --n 20{plan}"));
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                assert_eq!(out.status.code(), Some(2), "{verb} {name}:\n{stderr}");
+                assert!(stderr.contains(bound), "bound not named:\n{stderr}");
+            }
+        }
+    }
+    // The lower edges of the ranges still run.
+    for name in ["path1", "cycle3", "clique1"] {
+        let out = fractal(&format!("query --query {name} --gen mico --n 20"));
+        assert!(out.status.success(), "{name} refused");
+    }
 }
 
 #[test]
