@@ -20,46 +20,90 @@
 //!   unaffected by re-indexing.
 
 use fractal_core::{Aggregator, ExecutionReport, FractalGraph, Fractoid, SubgraphView};
+use fractal_pattern::canon::InternedForm;
 use fractal_pattern::CanonicalCode;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher, RandomState};
+use std::sync::{Arc, OnceLock};
+
+/// Hashes one `u32` vertex id with one multiply. Vertex ids are dense, and
+/// the hash table takes its control byte from the hash's top bits, so the
+/// identity would not do; an odd multiplier spreads every id bit upwards.
+/// The multiplier is drawn once per process, so a served graph cannot be
+/// crafted to collide.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct VertexHasher(u64);
+
+impl Hasher for VertexHasher {
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        static MULTIPLIER: OnceLock<u64> = OnceLock::new();
+        let m = *MULTIPLIER.get_or_init(|| RandomState::new().hash_one(0u32) | 1);
+        self.0 = (v as u64).wrapping_mul(m);
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("VertexHasher hashes u32 vertex ids only");
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The set of graph vertices seen at one canonical pattern position.
+pub type Domain = HashSet<u32, BuildHasherDefault<VertexHasher>>;
 
 /// Minimum image-based support: one vertex domain per canonical pattern
 /// position (the paper's `DomainSupport`).
 #[derive(Debug, Clone, Default)]
 pub struct DomainSupport {
-    domains: Vec<HashSet<u32>>,
+    domains: Vec<Domain>,
 }
 
 impl DomainSupport {
-    /// Builds the single-subgraph support: each of the subgraph's vertices
-    /// lands in the domain of its canonical pattern position. Vertex ids
-    /// are translated to the original input graph via `fg` so reductions
-    /// between steps don't skew supports.
+    /// The support of a pattern of `positions` vertices with no embedding
+    /// inserted yet.
+    pub fn empty(positions: usize) -> Self {
+        DomainSupport {
+            domains: vec![Domain::default(); positions],
+        }
+    }
+
+    /// Inserts one embedding: each of the subgraph's vertices lands in the
+    /// domain of its canonical pattern position, read off `form` (the
+    /// subgraph's canonical form). Vertex ids are translated to the original
+    /// input graph via `fg` so reductions between steps don't skew supports.
     ///
     /// Positions in the same automorphism orbit have identical domains
     /// under exact minimum-image support; folding each vertex into its
     /// orbit representative makes the computed support exact (and therefore
     /// anti-monotone) even though each subgraph instance is enumerated with
     /// a single canonical mapping.
-    pub fn of(view: &SubgraphView<'_>, fg: &FractalGraph) -> Self {
-        let mut domains = vec![HashSet::with_capacity(1); view.num_vertices()];
-        view.canonical_form(true, true, |form| {
-            for (&v, &pos) in view.vertices().iter().zip(form.perm) {
-                domains[form.orbit_reps[pos as usize] as usize].insert(fg.orig_vertex(v));
-            }
-        });
-        DomainSupport { domains }
+    #[inline]
+    pub fn insert(&mut self, view: &SubgraphView<'_>, form: InternedForm<'_>, fg: &FractalGraph) {
+        for (&v, &pos) in view.vertices().iter().zip(form.perm) {
+            self.domains[form.orbit_reps[pos as usize] as usize].insert(fg.orig_vertex(v));
+        }
+    }
+
+    /// Positionwise domain union that moves `other`'s vertices out, leaving
+    /// it empty with its tables allocated (the staged support of a unit is
+    /// absorbed on commit and refilled by the next unit).
+    pub fn absorb(&mut self, other: &mut DomainSupport) {
+        if self.domains.len() < other.domains.len() {
+            self.domains
+                .resize_with(other.domains.len(), Domain::default);
+        }
+        for (mine, theirs) in self.domains.iter_mut().zip(&mut other.domains) {
+            mine.extend(theirs.drain());
+        }
     }
 
     /// Positionwise domain union (the aggregation's reduce function).
-    pub fn merge(&mut self, other: DomainSupport) {
-        if self.domains.len() < other.domains.len() {
-            self.domains.resize_with(other.domains.len(), HashSet::new);
-        }
-        for (mine, theirs) in self.domains.iter_mut().zip(other.domains) {
-            mine.extend(theirs);
-        }
+    pub fn merge(&mut self, mut other: DomainSupport) {
+        self.absorb(&mut other);
     }
 
     /// The minimum image-based support: min over orbit-representative
@@ -82,13 +126,13 @@ impl DomainSupport {
     }
 
     /// The per-position vertex domains (wire serialization support).
-    pub fn domains(&self) -> &[HashSet<u32>] {
+    pub fn domains(&self) -> &[Domain] {
         &self.domains
     }
 
     /// Rebuilds a support from decoded domains — the inverse of
     /// [`DomainSupport::domains`].
-    pub fn from_domains(domains: Vec<HashSet<u32>>) -> Self {
+    pub fn from_domains(domains: Vec<Domain>) -> Self {
         DomainSupport { domains }
     }
 }
@@ -171,8 +215,9 @@ pub fn fsm_support_aggregator(
         "support",
         true,
         true,
-        move |s| DomainSupport::of(s, &fgc),
-        |a: &mut DomainSupport, b| a.merge(b),
+        |code| DomainSupport::empty(code.num_vertices()),
+        move |sup: &mut DomainSupport, view, form| sup.insert(view, form, &fgc),
+        DomainSupport::absorb,
     )
     .with_filter(move |_, v: &DomainSupport| v.has_enough_support(min_support))
 }
@@ -297,6 +342,58 @@ mod tests {
         assert_eq!(a.support(), 2); // min(|{1,2,3}|, |{5,6}|)
         assert!(a.has_enough_support(2));
         assert!(!a.has_enough_support(3));
+    }
+
+    #[test]
+    fn inserting_embeddings_one_at_a_time_builds_the_domains() {
+        // Two (0)-(1) edges and two (0)-(0) edges sharing vertex 4.
+        let g = graph_from_edges(
+            &[0, 1, 0, 1, 0],
+            &[(0, 1, 0), (2, 3, 0), (0, 4, 0), (2, 4, 0)],
+        );
+        let fg = fg_of(g);
+        let g = fg.graph();
+        let mut got: HashMap<CanonicalCode, DomainSupport> = HashMap::new();
+        let mut sg = fractal_enum::Subgraph::new(g);
+        for e in 0..g.num_edges() as u32 {
+            sg.push_edge(g, e);
+            let view = SubgraphView {
+                graph: g,
+                subgraph: &sg,
+            };
+            view.canonical_form(true, true, |form| {
+                got.entry(form.code.clone())
+                    .or_insert_with(|| DomainSupport::empty(form.code.num_vertices()))
+                    .insert(&view, form, &fg)
+            });
+            sg.pop_edge();
+        }
+        assert_eq!(got.len(), 2);
+        for (code, sup) in &got {
+            let pattern = code.to_pattern();
+            let want = if pattern.vertex_label(0) == pattern.vertex_label(1) {
+                // One orbit: both endpoints of both edges fold into the
+                // representative position, the other stays empty.
+                vec![[0u32, 2, 4].into_iter().collect(), Domain::default()]
+            } else {
+                let mut by_label = [[0u32, 2], [1, 3]].map(|d| d.into_iter().collect());
+                if pattern.vertex_label(0) == 1 {
+                    by_label.reverse();
+                }
+                by_label.to_vec()
+            };
+            assert_eq!(sup.domains(), DomainSupport::from_domains(want).domains());
+        }
+        // Absorbing moves the domains and leaves the source empty but sized.
+        let mut all = DomainSupport::default();
+        for sup in got.values_mut() {
+            let positions = sup.domains().len();
+            all.absorb(sup);
+            assert_eq!(sup.domains(), DomainSupport::empty(positions).domains());
+        }
+        // Whichever way the positions line up, the smaller union is a
+        // two-vertex by-label domain.
+        assert_eq!(all.support(), 2);
     }
 
     #[test]

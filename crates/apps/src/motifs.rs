@@ -22,8 +22,9 @@ pub fn motifs_fractoid(fg: &FractalGraph, k: usize, use_labels: bool) -> Fractoi
             "motifs",
             use_labels,
             use_labels,
-            |_| 1u64,
-            |acc, v| *acc += v,
+            |_| 0u64,
+            |count, _, _| *count += 1,
+            |into, from| *into += std::mem::take(from),
         )))
 }
 

@@ -1,5 +1,6 @@
 //! CI perf-smoke probe: runs the kernel-gated workloads (KClist clique
-//! counting and generic motif enumeration) on a fixed Mico-like graph, plus
+//! counting and generic motif enumeration) and a three-round FSM job (the
+//! only leg on the edge-induced enumerator) on a fixed Mico-like graph, plus
 //! the depth-bound 5-motif benchmark through *both* execution paths
 //! (enumerate vs. decomposed planner) on a sparser Patents-like graph, and
 //! emits their **work counters** as one JSON document.
@@ -29,6 +30,11 @@ const LABELS: u32 = 4;
 const SEED: u64 = 42;
 const CLIQUE_K: usize = 4;
 const MOTIF_K: usize = 3;
+// A support at which FSM on the Mico-like graph finds frequent patterns of
+// one, two and three edges: three rounds, so the edge enumerator runs at
+// every depth the FSM workloads use.
+const FSM_SUPPORT: u64 = 160;
+const FSM_MAX_EDGES: usize = 3;
 // The 5-motif pair runs on a sparser citation-shaped graph: depth-5
 // enumeration on the dense Mico-like instance would dominate CI wall-clock,
 // while this size keeps the enumerate leg measurable and the decomposed leg
@@ -63,6 +69,34 @@ fn work_counters(name: &str, count: u64, report: &ExecutionReport, e: &mut Emitt
     emit_fields(PlannerStats::FIELDS, &step.planner, e);
     e.key("elapsed_ms")
         .f64(report.elapsed.as_secs_f64() * 1e3, 3);
+    e.end_obj();
+}
+
+/// Work counters of a multi-round FSM job, summed over every step of every
+/// round. The gate pins `count` (frequent patterns), `total_ec` and
+/// `total_units`; the kernel counters sit under `recorded`, which the gate
+/// and its baseline do not read (the edge enumerator does not owe the kernel
+/// layer any particular call mix).
+fn fsm_counters(name: &str, result: &fractal_apps::fsm::FsmResult, e: &mut Emitter) {
+    let steps = || result.reports.iter().flat_map(|r| &r.steps);
+    let kernels = steps().fold((0, 0, 0, 0), |acc, s| {
+        let (km, kg, kb, ks) = s.kernel_totals();
+        (acc.0 + km, acc.1 + kg, acc.2 + kb, acc.3 + ks)
+    });
+    e.key(name).begin_obj();
+    e.key("count").u64(result.frequent.len() as u64);
+    e.key("rounds").u64(result.reports.len() as u64);
+    e.key("total_ec").u64(steps().map(|s| s.total_ec()).sum());
+    e.key("total_units")
+        .u64(steps().flat_map(|s| &s.cores).map(|(_, s)| s.units).sum());
+    e.key("recorded").inline().begin_obj();
+    e.key("kernel_merge").u64(kernels.0);
+    e.key("kernel_gallop").u64(kernels.1);
+    e.key("kernel_bitset").u64(kernels.2);
+    e.key("kernel_scanned").u64(kernels.3);
+    e.end_obj();
+    let elapsed: f64 = result.reports.iter().map(|r| r.elapsed.as_secs_f64()).sum();
+    e.key("elapsed_ms").f64(elapsed * 1e3, 3);
     e.end_obj();
 }
 
@@ -136,6 +170,12 @@ fn main() {
     let (cliques, clique_report) = fractal_apps::cliques::count_kclist_with_report(&det, CLIQUE_K);
     let (motif_hist, motif_report) = fractal_apps::motifs::motifs_with_report(&det, MOTIF_K, false);
     let motif_total: u64 = motif_hist.values().sum();
+    let fsm = fractal_apps::fsm::fsm(&det, FSM_SUPPORT, FSM_MAX_EDGES);
+    assert_eq!(
+        (fsm.reports.len(), fsm.max_size()),
+        (FSM_MAX_EDGES, FSM_MAX_EDGES),
+        "the FSM leg must mine three rounds"
+    );
 
     // Depth-bound 5-motif benchmark: the same task through both execution
     // paths. Bit-identity between the histograms is asserted here so a
@@ -178,15 +218,15 @@ fn main() {
     ] {
         work_counters(&name, count, report, &mut e);
     }
-    fault_counters(
-        &[
-            &clique_report,
-            &motif_report,
-            &k5_enum_report,
-            &k5_dec_report,
-        ],
-        &mut e,
-    );
+    fsm_counters(&format!("fsm_s{FSM_SUPPORT}"), &fsm, &mut e);
+    let mut fault_free = vec![
+        &clique_report,
+        &motif_report,
+        &k5_enum_report,
+        &k5_dec_report,
+    ];
+    fault_free.extend(&fsm.reports);
+    fault_counters(&fault_free, &mut e);
     e.end_obj();
     e.key("parallel").begin_obj();
     balance_counters(

@@ -8,6 +8,7 @@
 //! (W4) and output operators (O2).
 
 use crate::view::{class_code, PatternClass, SubgraphView};
+use fractal_pattern::canon::InternedForm;
 use fractal_pattern::CanonicalCode;
 use std::any::Any;
 use std::collections::HashMap;
@@ -42,6 +43,11 @@ pub trait AggShard: Send + Sync {
     /// Discards all entries, restoring the freshly-created state (the
     /// per-unit abort path).
     fn reset(&mut self);
+    /// Resolves entries held under the calling core's interned pattern
+    /// classes to their final keys. A pattern-keyed shard must be settled
+    /// on the thread that accumulated it before another thread reads or
+    /// merges it; settling anywhere else panics.
+    fn settle(&mut self);
     /// Applies the final `aggFilter`, dropping entries that fail it.
     fn finalize(&mut self);
     /// Number of reduced entries.
@@ -68,19 +74,29 @@ pub trait AggShard: Send + Sync {
 type ExtractFn<T> = Arc<dyn Fn(&SubgraphView<'_>) -> T + Send + Sync>;
 type ReduceFn<V> = Arc<dyn Fn(&mut V, V) + Send + Sync>;
 type FilterFn<K, V> = Arc<dyn Fn(&K, &V) -> bool + Send + Sync>;
+type EmptyFn<V> = Arc<dyn Fn(&CanonicalCode) -> V + Send + Sync>;
+type FoldFn<V> = Arc<dyn Fn(&mut V, &SubgraphView<'_>, InternedForm<'_>) + Send + Sync>;
+type AbsorbFn<V> = Arc<dyn Fn(&mut V, &mut V) + Send + Sync>;
 
-/// How a shard keys the subgraphs it folds.
-#[derive(Clone)]
-enum KeyFn<K> {
-    /// The paper's key function, evaluated per subgraph.
-    Direct(ExtractFn<K>),
-    /// The key is the subgraph's canonical pattern `ρ(S)`: staged under the
-    /// core's interned [`PatternClass`] (Arabesque's quick level, no
-    /// allocation per subgraph) and resolved to `K` only when the unit's
-    /// staged shard drains into a durable one.
+/// How a shard turns one subgraph into (part of) an entry.
+enum Source<K, V> {
+    /// The paper's key and value functions, evaluated per subgraph; the
+    /// value is reduced into the key's entry.
+    Direct {
+        key_fn: ExtractFn<K>,
+        value_fn: ExtractFn<V>,
+    },
+    /// The key is the subgraph's canonical pattern `ρ(S)` and the subgraph
+    /// is folded into that pattern's value in place. Values sit under the
+    /// core's interned [`PatternClass`] (Arabesque's quick level: an index,
+    /// no allocation per subgraph) on both the staged and the durable side,
+    /// and are resolved to `K` once per class when the shard settles.
     Pattern {
         use_vlabels: bool,
         use_elabels: bool,
+        empty: EmptyFn<V>,
+        fold: FoldFn<V>,
+        absorb: AbsorbFn<V>,
         resolve: fn(PatternClass) -> K,
     },
 }
@@ -89,8 +105,7 @@ enum KeyFn<K> {
 /// behind [`crate::Fractoid::aggregate`].
 pub struct Aggregator<K, V> {
     name: String,
-    key_fn: KeyFn<K>,
-    value_fn: ExtractFn<V>,
+    source: Arc<Source<K, V>>,
     reduce_fn: ReduceFn<V>,
     agg_filter: Option<FilterFn<K, V>>,
 }
@@ -100,27 +115,40 @@ where
     V: Send + Sync + 'static,
 {
     /// An aggregation keyed by the canonical pattern of each subgraph (the
-    /// paper's `ρ(S)`, Listings 1 and 3). Same result map as keying
-    /// [`Aggregator::new`] by [`SubgraphView::pattern_code`], without
-    /// building a `CanonicalCode` per subgraph: each unit accumulates under
-    /// interned pattern classes and one code per class is made when the
-    /// unit commits.
+    /// paper's `ρ(S)`, Listings 1 and 3), whose values subgraphs are folded
+    /// *into*. Same result map as keying [`Aggregator::new`] by
+    /// [`SubgraphView::pattern_code`], for one pattern-table lookup and no
+    /// value built per subgraph:
+    ///
+    /// - `empty(code)` makes the value of a pattern nothing was folded into;
+    /// - `fold(value, view, form)` folds one subgraph in place. `form` is the
+    ///   subgraph's canonical form (the lookup is already done); `fold` runs
+    ///   inside the core's pattern table and must not ask a view for a
+    ///   pattern;
+    /// - `absorb(into, from)` moves everything in `from` into `into` and
+    ///   leaves `from` equal to `empty` with its allocations kept: a unit's
+    ///   staged values are absorbed on commit and reused by the next unit.
     pub fn by_pattern(
         name: impl Into<String>,
         use_vlabels: bool,
         use_elabels: bool,
-        value_fn: impl Fn(&SubgraphView<'_>) -> V + Send + Sync + 'static,
-        reduce_fn: impl Fn(&mut V, V) + Send + Sync + 'static,
+        empty: impl Fn(&CanonicalCode) -> V + Send + Sync + 'static,
+        fold: impl Fn(&mut V, &SubgraphView<'_>, InternedForm<'_>) + Send + Sync + 'static,
+        absorb: impl Fn(&mut V, &mut V) + Send + Sync + 'static,
     ) -> Self {
+        let absorb: AbsorbFn<V> = Arc::new(absorb);
+        let by_value = absorb.clone();
         Aggregator {
             name: name.into(),
-            key_fn: KeyFn::Pattern {
+            source: Arc::new(Source::Pattern {
                 use_vlabels,
                 use_elabels,
+                empty: Arc::new(empty),
+                fold: Arc::new(fold),
+                absorb,
                 resolve: class_code,
-            },
-            value_fn: Arc::new(value_fn),
-            reduce_fn: Arc::new(reduce_fn),
+            }),
+            reduce_fn: Arc::new(move |acc, mut v| by_value(acc, &mut v)),
             agg_filter: None,
         }
     }
@@ -140,8 +168,10 @@ where
     ) -> Self {
         Aggregator {
             name: name.into(),
-            key_fn: KeyFn::Direct(Arc::new(key_fn)),
-            value_fn: Arc::new(value_fn),
+            source: Arc::new(Source::Direct {
+                key_fn: Arc::new(key_fn),
+                value_fn: Arc::new(value_fn),
+            }),
             reduce_fn: Arc::new(reduce_fn),
             agg_filter: None,
         }
@@ -156,7 +186,8 @@ where
     /// Extracts the reduced mapping from a shard of this aggregation's
     /// type, consuming the shard. The serialization boundary of distributed
     /// runs: workers call this to turn their merged local shard into a
-    /// wire-encodable map. Panics on a type mismatch.
+    /// wire-encodable map. Panics on a type mismatch, and on a shard that
+    /// still holds another core's unsettled pattern classes.
     pub fn take_map(shard: Box<dyn AggShard>) -> HashMap<K, V> {
         let mut shard = shard
             .into_any()
@@ -181,9 +212,8 @@ where
     fn typed_shard(&self) -> TypedShard<K, V> {
         TypedShard {
             map: HashMap::new(),
-            quick: QuickLevel::default(),
-            key_fn: self.key_fn.clone(),
-            value_fn: self.value_fn.clone(),
+            classes: ClassLevel::default(),
+            source: self.source.clone(),
             reduce_fn: self.reduce_fn.clone(),
             agg_filter: self.agg_filter.clone(),
             approx_bytes: 0,
@@ -197,54 +227,90 @@ const fn entry_bytes<K, V>() -> usize {
     std::mem::size_of::<K>() + std::mem::size_of::<V>() + 32
 }
 
-/// The quick level of a [`KeyFn::Pattern`] shard: the values of the unit in
-/// flight, indexed by interned class, plus the classes touched so commit
-/// and abort cost what the unit used and not what the table holds.
-struct QuickLevel<V> {
-    /// Table every class in `touched` belongs to.
-    table: u64,
-    values: Vec<Option<V>>,
-    touched: Vec<u32>,
+/// One class's place in a [`ClassLevel`].
+struct ClassSlot<V> {
+    /// Made on a fold that finds none, and kept when a commit absorbs it, so
+    /// a staging shard reuses one value (and its allocations) across units.
+    value: Option<V>,
+    /// Whether `value` holds something of the current unit (staging shard)
+    /// or of any committed unit (durable shard).
+    live: bool,
 }
 
-impl<V> Default for QuickLevel<V> {
+/// The class-indexed level of a [`Source::Pattern`] shard: one value per
+/// interned class, plus the live classes so commit, abort and settle cost
+/// what was touched and not what the table holds.
+struct ClassLevel<V> {
+    /// Table every class here belongs to (0: none yet).
+    table: u64,
+    slots: Vec<ClassSlot<V>>,
+    live: Vec<u32>,
+}
+
+impl<V> Default for ClassLevel<V> {
     fn default() -> Self {
-        QuickLevel {
+        ClassLevel {
             table: 0,
-            values: Vec::new(),
-            touched: Vec::new(),
+            slots: Vec::new(),
+            live: Vec::new(),
         }
     }
 }
 
-impl<V> QuickLevel<V> {
+impl<V> ClassLevel<V> {
+    /// The slot of `class`, marked live.
     #[inline]
-    fn fold(&mut self, class: PatternClass, value: V, reduce: &ReduceFn<V>) {
-        if self.touched.is_empty() {
+    fn slot(&mut self, class: PatternClass) -> &mut ClassSlot<V> {
+        if self.table == 0 {
             self.table = class.table;
         }
         assert_eq!(
             self.table, class.table,
-            "one staged unit folded pattern classes of two cores"
+            "one shard folded pattern classes of two cores"
         );
         let at = class.index as usize;
-        if at >= self.values.len() {
-            self.values.resize_with(at + 1, || None);
+        if at >= self.slots.len() {
+            self.slots.resize_with(at + 1, || ClassSlot {
+                value: None,
+                live: false,
+            });
         }
-        match &mut self.values[at] {
-            Some(acc) => reduce(acc, value),
-            empty => {
-                *empty = Some(value);
-                self.touched.push(class.index);
+        let slot = &mut self.slots[at];
+        if !slot.live {
+            slot.live = true;
+            self.live.push(class.index);
+        }
+        slot
+    }
+
+    /// Commits every live value into `target`'s slot of the same class,
+    /// leaving this level with no live class. A class `target` has not seen
+    /// takes the value itself (a pattern met by one unit holds one value,
+    /// not a durable one and an emptied staged one); a class it has seen
+    /// absorbs it, and the emptied value stays here, allocated, for the
+    /// next unit.
+    fn commit_into(&mut self, target: &mut ClassLevel<V>, absorb: &AbsorbFn<V>) {
+        for index in self.live.drain(..) {
+            let from = &mut self.slots[index as usize];
+            from.live = false;
+            let class = PatternClass {
+                table: self.table,
+                index,
+            };
+            match (&mut target.slot(class).value, &mut from.value) {
+                (Some(into), Some(from)) => absorb(into, from),
+                (into @ None, from) => *into = from.take(),
+                (Some(_), None) => {}
             }
         }
     }
 
-    /// Hands every staged `(class, value)` to `sink`, leaving the level
-    /// empty with its capacity kept.
+    /// Hands every live `(class, value)` to `sink`, leaving the level empty.
     fn drain(&mut self, mut sink: impl FnMut(PatternClass, V)) {
-        for index in self.touched.drain(..) {
-            if let Some(value) = self.values[index as usize].take() {
+        for index in self.live.drain(..) {
+            let slot = &mut self.slots[index as usize];
+            slot.live = false;
+            if let Some(value) = slot.value.take() {
                 sink(
                     PatternClass {
                         table: self.table,
@@ -260,11 +326,10 @@ impl<V> QuickLevel<V> {
 struct TypedShard<K, V> {
     /// Reduced entries under their final keys.
     map: HashMap<K, V>,
-    /// Entries of the unit in flight under interned pattern classes
-    /// ([`KeyFn::Pattern`] only; always empty otherwise).
-    quick: QuickLevel<V>,
-    key_fn: KeyFn<K>,
-    value_fn: ExtractFn<V>,
+    /// Entries under interned pattern classes ([`Source::Pattern`] only;
+    /// always empty otherwise), until [`AggShard::settle`] resolves them.
+    classes: ClassLevel<V>,
+    source: Arc<Source<K, V>>,
     reduce_fn: ReduceFn<V>,
     agg_filter: Option<FilterFn<K, V>>,
     /// Rough per-entry size estimate maintained incrementally.
@@ -290,40 +355,6 @@ fn fold_entry<K: Eq + Hash, V>(
     }
 }
 
-impl<K, V> TypedShard<K, V>
-where
-    K: Eq + Hash + Clone + Send + Sync + 'static,
-    V: Send + Sync + 'static,
-{
-    /// Resolves this shard's quick-level entries to their keys and folds
-    /// them into `map`, leaving the quick level empty.
-    fn flush_quick(&mut self, map: &mut HashMap<K, V>, approx_bytes: &mut usize) {
-        if let KeyFn::Pattern { resolve, .. } = self.key_fn {
-            let reduce = &self.reduce_fn;
-            self.quick
-                .drain(|class, v| fold_entry(map, approx_bytes, reduce, resolve(class), v));
-        }
-    }
-
-    /// Moves every entry of both levels into `map`, leaving this shard
-    /// empty but reusable.
-    fn drain_entries(&mut self, map: &mut HashMap<K, V>, approx_bytes: &mut usize) {
-        self.flush_quick(map, approx_bytes);
-        for (k, v) in self.map.drain() {
-            fold_entry(map, approx_bytes, &self.reduce_fn, k, v);
-        }
-        self.approx_bytes = 0;
-    }
-
-    /// Folds the quick level into this shard's own map, so readers of
-    /// `map` see everything that was accumulated.
-    fn settle(&mut self) {
-        let (mut map, mut approx_bytes) = (std::mem::take(&mut self.map), self.approx_bytes);
-        self.flush_quick(&mut map, &mut approx_bytes);
-        (self.map, self.approx_bytes) = (map, approx_bytes);
-    }
-}
-
 impl<K, V> AggregatorSpec for Aggregator<K, V>
 where
     K: Eq + Hash + Clone + Send + Sync + 'static,
@@ -345,26 +376,26 @@ where
 {
     fn accumulate(&mut self, view: &SubgraphView<'_>) {
         self.accumulated += 1;
-        match &self.key_fn {
-            KeyFn::Direct(key_fn) => {
-                let key = key_fn(view);
-                let value = (self.value_fn)(view);
-                fold_entry(
-                    &mut self.map,
-                    &mut self.approx_bytes,
-                    &self.reduce_fn,
-                    key,
-                    value,
-                );
-            }
-            KeyFn::Pattern {
+        match &*self.source {
+            Source::Direct { key_fn, value_fn } => fold_entry(
+                &mut self.map,
+                &mut self.approx_bytes,
+                &self.reduce_fn,
+                key_fn(view),
+                value_fn(view),
+            ),
+            Source::Pattern {
                 use_vlabels,
                 use_elabels,
+                empty,
+                fold,
                 ..
             } => {
-                let class = view.pattern_class(*use_vlabels, *use_elabels);
-                self.quick
-                    .fold(class, (self.value_fn)(view), &self.reduce_fn);
+                let classes = &mut self.classes;
+                view.classified(*use_vlabels, *use_elabels, |class, form| {
+                    let value = &mut classes.slot(class).value;
+                    fold(value.get_or_insert_with(|| empty(form.code)), view, form)
+                })
             }
         }
     }
@@ -375,7 +406,10 @@ where
             .downcast::<TypedShard<K, V>>()
             .expect("merging shards of different aggregations");
         self.accumulated += other.accumulated;
-        other.drain_entries(&mut self.map, &mut self.approx_bytes);
+        other.settle();
+        for (k, v) in other.map.drain() {
+            fold_entry(&mut self.map, &mut self.approx_bytes, &self.reduce_fn, k, v);
+        }
     }
 
     fn drain_into(&mut self, target: &mut dyn AggShard) {
@@ -385,14 +419,35 @@ where
             .expect("draining into a shard of a different aggregation");
         target.accumulated += self.accumulated;
         self.accumulated = 0;
-        self.drain_entries(&mut target.map, &mut target.approx_bytes);
+        if let Source::Pattern { absorb, .. } = &*self.source {
+            self.classes.commit_into(&mut target.classes, absorb);
+        }
+        for (k, v) in self.map.drain() {
+            fold_entry(
+                &mut target.map,
+                &mut target.approx_bytes,
+                &self.reduce_fn,
+                k,
+                v,
+            );
+        }
+        self.approx_bytes = 0;
     }
 
     fn reset(&mut self) {
         self.map.clear();
-        self.quick.drain(|_, _| {});
+        self.classes.drain(|_, _| {});
         self.approx_bytes = 0;
         self.accumulated = 0;
+    }
+
+    fn settle(&mut self) {
+        if let Source::Pattern { resolve, .. } = &*self.source {
+            let (map, approx_bytes, reduce) =
+                (&mut self.map, &mut self.approx_bytes, &self.reduce_fn);
+            self.classes
+                .drain(|class, v| fold_entry(map, approx_bytes, reduce, resolve(class), v));
+        }
     }
 
     fn finalize(&mut self) {
@@ -403,7 +458,7 @@ where
     }
 
     fn len(&self) -> usize {
-        self.map.len() + self.quick.touched.len()
+        self.map.len() + self.classes.live.len()
     }
 
     fn accumulated(&self) -> u64 {
@@ -411,7 +466,7 @@ where
     }
 
     fn resident_bytes(&self) -> usize {
-        self.approx_bytes + self.quick.touched.len() * entry_bytes::<K, V>()
+        self.approx_bytes + self.classes.live.len() * entry_bytes::<K, V>()
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -636,36 +691,116 @@ mod tests {
         assert_eq!(shard.resident_bytes(), 0);
     }
 
+    /// A per-pattern vertex set: a value with something to leave behind.
+    fn vertex_sets() -> Aggregator<CanonicalCode, Vec<u32>> {
+        Aggregator::by_pattern(
+            "vertex-sets",
+            false,
+            false,
+            |_| Vec::new(),
+            |set: &mut Vec<u32>, view, _| {
+                set.extend_from_slice(view.vertices());
+                set.sort_unstable();
+                set.dedup();
+            },
+            |into: &mut Vec<u32>, from: &mut Vec<u32>| {
+                into.append(from);
+                into.sort_unstable();
+                into.dedup();
+            },
+        )
+    }
+
+    /// Folds every 3-vertex subgraph rooted at `root` into `shard`.
+    fn run_unit(g: &fractal_graph::Graph, root: u32, shard: &mut dyn AggShard) {
+        let mut sg = Subgraph::new(g);
+        sg.push_vertex_induced(g, root);
+        crate::view::tests::for_each_leaf(g, &mut sg, 3, &mut |view| shard.accumulate(view));
+    }
+
     #[test]
-    fn reset_leaves_no_quick_level_residue() {
-        // A pattern-keyed unit is staged, aborted and re-run: the committed
-        // counts must be those of one run, on both levels of the shard.
+    fn aborted_unit_leaves_reused_staged_values_empty() {
+        // A pattern-keyed unit is folded, aborted and re-run in the same
+        // staging shard: what commits must be what a fresh shard computes.
         let g = fractal_graph::gen::mico_like(40, 1, 5);
-        let spec = Aggregator::by_pattern("motifs", false, false, |_| 1u64, |a, v| *a += v);
-        let run_unit = |staged: &mut dyn AggShard| {
-            let mut sg = Subgraph::new(&g);
-            sg.push_vertex_induced(&g, 0);
-            crate::view::tests::for_each_leaf(&g, &mut sg, 3, &mut |view| staged.accumulate(view));
-        };
-        let mut once = spec.new_shard();
-        run_unit(&mut *once);
-        let leaves = once.accumulated();
-        assert!(leaves > 0 && !once.is_empty());
+        let spec = vertex_sets();
+        let mut fresh = spec.new_shard();
+        run_unit(&g, 0, &mut *fresh);
+        let leaves = fresh.accumulated();
+        assert!(leaves > 0 && !fresh.is_empty());
 
         let (mut staged, mut durable) = (spec.new_shard(), spec.new_shard());
-        run_unit(&mut *staged);
+        // An earlier committed unit leaves reusable (empty) staged values.
+        run_unit(&g, 1, &mut *staged);
+        staged.drain_into(&mut *durable);
+        assert!(staged.is_empty());
+        let before = durable.accumulated();
+        run_unit(&g, 0, &mut *staged);
         staged.reset();
         assert!(staged.is_empty());
         assert_eq!(staged.accumulated(), 0);
         assert_eq!(staged.resident_bytes(), 0);
-        run_unit(&mut *staged);
-        staged.drain_into(&mut *durable);
+        run_unit(&g, 0, &mut *staged);
+        let mut rerun = spec.new_shard();
+        staged.drain_into(&mut *rerun);
         assert!(staged.is_empty());
-        assert_eq!(durable.accumulated(), leaves);
-        let committed = Aggregator::<CanonicalCode, u64>::take_map(durable);
-        assert_eq!(committed.values().sum::<u64>(), leaves);
-        // `take_map` settles a shard that was accumulated into directly.
-        assert_eq!(committed, Aggregator::<CanonicalCode, u64>::take_map(once));
+        assert_eq!(rerun.accumulated(), leaves);
+        assert_eq!(durable.accumulated(), before);
+        assert_eq!(
+            Aggregator::<CanonicalCode, Vec<u32>>::take_map(rerun),
+            Aggregator::<CanonicalCode, Vec<u32>>::take_map(fresh)
+        );
+    }
+
+    #[test]
+    fn units_touching_one_class_commit_to_the_union() {
+        let g = fractal_graph::gen::mico_like(40, 1, 5);
+        let spec = vertex_sets();
+        let (mut staged, mut durable) = (spec.new_shard(), spec.new_shard());
+        let mut want: HashMap<CanonicalCode, Vec<u32>> = HashMap::new();
+        for root in [0, 1] {
+            run_unit(&g, root, &mut *staged);
+            staged.drain_into(&mut *durable);
+            assert!(staged.is_empty());
+            let mut alone = spec.new_shard();
+            run_unit(&g, root, &mut *alone);
+            for (code, set) in Aggregator::<CanonicalCode, Vec<u32>>::take_map(alone) {
+                let all = want.entry(code).or_default();
+                all.extend(set);
+                all.sort_unstable();
+                all.dedup();
+            }
+        }
+        // Both units met the wedge, so its entry is a union of two commits.
+        assert!(want
+            .values()
+            .any(|set| set.contains(&0) && set.contains(&1)));
+        // Settling on the owning thread is what `StepTask::finish` does; the
+        // shard can then be read anywhere.
+        durable.settle();
+        let got = std::thread::scope(|s| {
+            s.spawn(|| Aggregator::<CanonicalCode, Vec<u32>>::take_map(durable))
+                .join()
+                .expect("a settled shard reads off-thread")
+        });
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn unsettled_shard_refuses_to_be_read_off_its_core() {
+        let g = fractal_graph::gen::mico_like(40, 1, 5);
+        let spec = vertex_sets();
+        let (mut staged, mut durable) = (spec.new_shard(), spec.new_shard());
+        run_unit(&g, 0, &mut *staged);
+        staged.drain_into(&mut *durable);
+        assert!(!durable.is_empty());
+        let read = std::thread::scope(|s| {
+            s.spawn(|| Aggregator::<CanonicalCode, Vec<u32>>::take_map(durable))
+                .join()
+        });
+        let panic = read.expect_err("class-keyed entries resolved on a foreign thread");
+        let message = panic.downcast_ref::<String>().expect("assert message");
+        assert!(message.contains("did not intern it"), "{message}");
     }
 
     #[test]

@@ -722,7 +722,11 @@ impl CoreTask for StepTask<'_> {
 
     fn finish(&mut self, ctx: &mut CoreCtx<'_>) {
         ctx.track_state_bytes(self.state_bytes());
-        for (slot, shard) in self.shards.iter().enumerate() {
+        for (slot, shard) in self.shards.iter_mut().enumerate() {
+            // Pattern-keyed entries sit under this core's interned classes;
+            // only this thread can name them, so they get their codes here,
+            // once per class, before the shard is handed to anyone else.
+            shard.settle();
             ctx.record_agg_flush(slot as u64, shard.len() as u64);
         }
         let mut merged = self.spec.merged.lock();

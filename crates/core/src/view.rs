@@ -162,10 +162,27 @@ impl SubgraphView<'_> {
         use_elabels: bool,
         f: impl FnOnce(InternedForm<'_>) -> R,
     ) -> R {
+        self.classified(use_vlabels, use_elabels, |_, form| f(form))
+    }
+
+    /// [`canonical_form`](Self::canonical_form) plus the interned class the
+    /// form belongs to, from one table lookup: everything a pattern-keyed
+    /// aggregation needs to fold this subgraph in place.
+    #[inline]
+    pub(crate) fn classified<R>(
+        &self,
+        use_vlabels: bool,
+        use_elabels: bool,
+        f: impl FnOnce(PatternClass, InternedForm<'_>) -> R,
+    ) -> R {
         PATTERNS.with(|p| {
-            let table = &mut p.borrow_mut().table;
-            let id = self.intern(table, use_vlabels, use_elabels);
-            f(table.form(id))
+            let p = &mut *p.borrow_mut();
+            let id = self.intern(&mut p.table, use_vlabels, use_elabels);
+            let class = PatternClass {
+                table: p.uid,
+                index: p.table.class(id),
+            };
+            f(class, p.table.form(id))
         })
     }
 }
@@ -229,7 +246,14 @@ pub(crate) mod tests {
         let g = fractal_graph::gen::mico_like(60, 1, 3);
         let stats = || PATTERNS.with(|p| (p.borrow().table.stats(), p.borrow().table.len()));
         let ((hits0, misses0), len0) = stats();
-        let spec = Aggregator::by_pattern("motifs", false, false, |_| 1u64, |a, v| *a += v);
+        let spec = Aggregator::by_pattern(
+            "motifs",
+            false,
+            false,
+            |_| 0u64,
+            |n, _, _| *n += 1,
+            |into, from| *into += std::mem::take(from),
+        );
         let (mut staged, mut durable) = (spec.new_shard(), spec.new_shard());
         let mut want: HashMap<CanonicalCode, u64> = HashMap::new();
         let mut leaves = 0u64;

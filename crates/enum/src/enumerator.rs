@@ -153,9 +153,10 @@ impl SubgraphEnumerator for VertexInducedEnumerator {
 /// canonicality rule over edge ids.
 #[derive(Debug, Default, Clone)]
 pub struct EdgeInducedEnumerator {
-    kernels: ExtensionKernels,
-    incident_scratch: Vec<Vec<u32>>,
-    scratch: Vec<u32>,
+    /// Per member vertex position: index of the earliest prefix edge that
+    /// contains it.
+    first_edge: Vec<u8>,
+    sufmax: Vec<u32>,
 }
 
 impl EdgeInducedEnumerator {
@@ -172,37 +173,52 @@ impl SubgraphEnumerator for EdgeInducedEnumerator {
             out.extend(0..g.num_edges() as u64);
             return g.num_edges() as u64;
         }
-        // Incident-edge lists are CSR slices ordered by neighbor vertex,
-        // not by edge id — sort each (reusing buffers) and merge-union.
-        let nv = sg.num_vertices();
-        while self.incident_scratch.len() < nv {
-            self.incident_scratch.push(Vec::new());
+        // The same anchor + suffix-max rule as the vertex enumerator, over
+        // edge ids: a candidate edge `e` is adjacent to exactly the prefix
+        // edges that contain one of its member endpoints, so its anchor is
+        // the earliest prefix edge containing such an endpoint, and `e` is
+        // canonical iff `e > prefix[0]` and `e > max(prefix[anchor+1..])`.
+        // One pass over each member's `(neighbour, edge)` CSR slice finds
+        // every candidate; nothing is copied, merged or probed.
+        let prefix = sg.edges();
+        let members = sg.vertices();
+        self.first_edge.clear();
+        self.first_edge.resize(members.len(), u8::MAX);
+        for (i, &(lo, hi)) in sg.edge_ends().iter().enumerate().rev() {
+            self.first_edge[lo as usize] = i as u8;
+            self.first_edge[hi as usize] = i as u8;
         }
-        for (i, &v) in sg.vertices().iter().enumerate() {
-            let buf = &mut self.incident_scratch[i];
-            buf.clear();
-            buf.extend_from_slice(g.incident_edges(VertexId(v)));
-            buf.sort_unstable();
+        self.sufmax.clear();
+        self.sufmax.resize(prefix.len(), 0);
+        let mut running = 0u32;
+        for i in (0..prefix.len()).rev() {
+            running = running.max(prefix[i]);
+            self.sufmax[i] = running;
         }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        {
-            let lists: Vec<&[u32]> = self.incident_scratch[..nv]
-                .iter()
-                .map(|b| b.as_slice())
-                .collect();
-            self.kernels.union_sorted_into(&lists, &mut scratch);
-        }
+        let first = prefix[0];
         let mut tests = 0u64;
-        for &e in &scratch {
-            if sg.has_edge(e) {
-                continue;
-            }
-            tests += 1;
-            if canonical_edge_extension(g, sg.edges(), e) {
-                out.push(e as u64);
+        for (at, &v) in members.iter().enumerate() {
+            // `push_edge` appends vertices as edges bring them in, so
+            // positions are ordered by first edge: of two member endpoints
+            // the earlier position holds the anchor.
+            let anchor = self.first_edge[at] as usize;
+            let later_max = self.sufmax.get(anchor + 1).copied();
+            let nbrs = g.neighbors(VertexId(v));
+            for (&u, &e) in nbrs.iter().zip(g.incident_edges(VertexId(v))) {
+                // An edge between two members is in both their slices: it is
+                // taken from the earlier one.
+                if sg.has_edge(e) || (sg.has_vertex(u) && members[..at].contains(&u)) {
+                    continue;
+                }
+                tests += 1;
+                let canonical = e > first && later_max.is_none_or(|m| m < e);
+                debug_assert_eq!(canonical, canonical_edge_extension(g, prefix, e));
+                if canonical {
+                    out.push(e as u64);
+                }
             }
         }
-        self.scratch = scratch;
+        out.sort_unstable();
         tests
     }
 
@@ -212,10 +228,6 @@ impl SubgraphEnumerator for EdgeInducedEnumerator {
 
     fn retract(&mut self, _g: &Graph, sg: &mut Subgraph) {
         sg.pop_edge();
-    }
-
-    fn take_kernel_counters(&mut self) -> KernelCounters {
-        self.kernels.take_counters()
     }
 
     fn clone_boxed(&self) -> Box<dyn SubgraphEnumerator> {
@@ -457,6 +469,27 @@ pub(crate) mod tests {
             run_to_depth(&g, Box::new(EdgeInducedEnumerator::new()), 2).len(),
             1
         );
+    }
+
+    #[test]
+    fn edge_closing_a_cycle_is_tested_once_from_its_earlier_endpoint() {
+        // Triangle 0-1-2 (edges 0: 0-1, 1: 1-2, 2: 0-2) with a tail 2-3
+        // (edge 3). After [0, 1] all three triangle vertices are members and
+        // edge 2 sits in the slices of vertices 0 and 2.
+        let g = unlabeled_from_edges(4, &[(0, 1), (1, 2), (0, 2), (2, 3)]);
+        let mut en = EdgeInducedEnumerator::new();
+        let mut sg = Subgraph::new(&g);
+        en.extend(&g, &mut sg, 0);
+        en.extend(&g, &mut sg, 1);
+        let mut exts = Vec::new();
+        assert_eq!(en.compute_extensions(&g, &sg, &mut exts), 2);
+        assert_eq!(exts, vec![2, 3]);
+        // Reached as [0, 2] the closing edge is 1, smaller than the last
+        // prefix edge and anchored at the first: not canonical.
+        en.retract(&g, &mut sg);
+        en.extend(&g, &mut sg, 2);
+        assert_eq!(en.compute_extensions(&g, &sg, &mut exts), 2);
+        assert_eq!(exts, vec![3]);
     }
 
     #[test]

@@ -63,6 +63,13 @@ impl Subgraph {
         &self.edges
     }
 
+    /// Local endpoint positions `(lo, hi)`, `lo < hi`, of each edge of
+    /// [`edges`](Self::edges): indices into [`vertices`](Self::vertices).
+    #[inline(always)]
+    pub fn edge_ends(&self) -> &[(u8, u8)] {
+        &self.edge_ends
+    }
+
     /// Number of vertices.
     #[inline(always)]
     pub fn num_vertices(&self) -> usize {

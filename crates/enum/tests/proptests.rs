@@ -1,6 +1,7 @@
 //! Property tests: enumeration strategies vs brute-force oracles on random
 //! graphs.
 
+use fractal_enum::canonical::canonical_edge_extension;
 use fractal_enum::enumerator::{
     EdgeInducedEnumerator, PatternEnumerator, SubgraphEnumerator, VertexInducedEnumerator,
 };
@@ -197,6 +198,53 @@ proptest! {
         prop_assert_eq!(unique.len(), sets.len(), "duplicate enumeration");
         for (_, es) in &subs {
             prop_assert_eq!(es.len(), k);
+        }
+    }
+
+    /// Over random canonical edge prefixes, `compute_extensions` returns
+    /// exactly "the union of the members' incident edges, minus the prefix,
+    /// filtered by `canonical_edge_extension`, ascending" and counts one test
+    /// per candidate. Half the walk's steps prefer a candidate whose two
+    /// endpoints are both members, so prefixes with closed cycles (and
+    /// candidates that would close one) are the common case, not the rare one.
+    #[test]
+    fn edge_extensions_equal_filtered_incident_union(g in arb_labeled_graph(), seed in 0u64..1000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut en = EdgeInducedEnumerator::new();
+        let mut sg = Subgraph::new(&g);
+        let mut got = Vec::new();
+        for _ in 0..7 {
+            let tests = en.compute_extensions(&g, &sg, &mut got);
+            let candidates: BTreeSet<u32> = if sg.num_edges() == 0 {
+                g.edges().map(|e| e.raw()).collect()
+            } else {
+                sg.vertices()
+                    .iter()
+                    .flat_map(|&v| g.incident_edges(VertexId(v)).iter().copied())
+                    .filter(|&e| !sg.has_edge(e))
+                    .collect()
+            };
+            let want: Vec<u64> = candidates
+                .iter()
+                .filter(|&&e| canonical_edge_extension(&g, sg.edges(), e))
+                .map(|&e| e as u64)
+                .collect();
+            prop_assert_eq!(tests, candidates.len() as u64, "tests after {:?}", sg.edges());
+            prop_assert_eq!(&got, &want, "words after {:?}", sg.edges());
+            let closing: Vec<u64> = got
+                .iter()
+                .copied()
+                .filter(|&w| {
+                    let (s, d) = g.edge_endpoints(fractal_graph::EdgeId(w as u32));
+                    sg.has_vertex(s.raw()) && sg.has_vertex(d.raw())
+                })
+                .collect();
+            let pool = if !closing.is_empty() && rng.gen_bool(0.5) { &closing } else { &got };
+            if pool.is_empty() {
+                break;
+            }
+            let w = pool[rng.gen_range(0..pool.len())];
+            en.extend(&g, &mut sg, w);
         }
     }
 

@@ -290,9 +290,6 @@ pub struct ExtensionKernels {
     arena: Vec<u32>,
     /// Start offset of each live level inside `arena`.
     marks: Vec<usize>,
-    /// Double-buffer scratch for multi-way unions.
-    scratch_a: Vec<u32>,
-    scratch_b: Vec<u32>,
     /// Per-list cursor scratch for the anchored k-way union.
     cursors: Vec<usize>,
 }
@@ -326,7 +323,7 @@ impl ExtensionKernels {
 
     /// Resident bytes of the arena + scratch buffers.
     pub fn resident_bytes(&self) -> usize {
-        (self.arena.capacity() + self.scratch_a.capacity() + self.scratch_b.capacity()) * 4
+        self.arena.capacity() * 4
             + self.bits.capacity() * 8
             + self.marks.capacity() * std::mem::size_of::<usize>()
     }
@@ -590,39 +587,6 @@ impl ExtensionKernels {
 
     // ---- multi-way sorted union ----
 
-    /// Sorted, deduplicated union of `lists` into `out` (cleared first):
-    /// pairwise merges through the reusable double-buffer scratch, folding
-    /// shorter lists first. Replaces the gather + `sort_unstable` + `dedup`
-    /// pattern of the generic enumerators — the inputs are already-sorted
-    /// CSR slices, so merging is `O(total · log k)` with no allocation.
-    pub fn union_sorted_into(&mut self, lists: &[&[u32]], out: &mut Vec<u32>) {
-        out.clear();
-        match lists.len() {
-            0 => return,
-            1 => {
-                out.extend_from_slice(lists[0]);
-                return;
-            }
-            _ => {}
-        }
-        // Fold in ascending length order so early merges stay small.
-        let mut order: Vec<usize> = (0..lists.len()).collect();
-        order.sort_unstable_by_key(|&i| lists[i].len());
-        let mut acc = std::mem::take(&mut self.scratch_a);
-        let mut next = std::mem::take(&mut self.scratch_b);
-        acc.clear();
-        acc.extend_from_slice(lists[order[0]]);
-        for &i in &order[1..] {
-            next.clear();
-            Self::union_pair(&acc, lists[i], &mut next, &mut self.counters);
-            std::mem::swap(&mut acc, &mut next);
-        }
-        out.extend_from_slice(&acc);
-        self.scratch_a = acc;
-        self.scratch_b = next;
-        self.note_high_water();
-    }
-
     /// Sorted, deduplicated k-way union that also reports, for every output
     /// element, the **smallest list index containing it** (`anchors`, same
     /// length as `out`). For the growth-sequence canonicality rule the
@@ -673,32 +637,6 @@ impl ExtensionKernels {
             }
         }
         self.counters.elements_scanned += lists.iter().map(|l| l.len() as u64).sum::<u64>();
-    }
-
-    /// Deduplicating merge-union of two sorted lists.
-    fn union_pair(a: &[u32], b: &[u32], out: &mut Vec<u32>, c: &mut KernelCounters) {
-        c.merge_calls += 1;
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => {
-                    out.push(a[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(b[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    out.push(a[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        out.extend_from_slice(&a[i..]);
-        out.extend_from_slice(&b[j..]);
-        c.elements_scanned += (a.len() + b.len()) as u64;
     }
 }
 
@@ -839,29 +777,6 @@ mod tests {
                 assert_eq!(k.top(), &want[..], "trial {trial}");
             }
         }
-    }
-
-    #[test]
-    fn union_matches_sort_dedup() {
-        let mut k = ExtensionKernels::new();
-        let lists: Vec<Vec<u32>> = vec![
-            vec![5, 9, 40],
-            vec![],
-            (0..50).step_by(5).collect(),
-            vec![9, 10, 11],
-        ];
-        let refs: Vec<&[u32]> = lists.iter().map(|l| l.as_slice()).collect();
-        let mut out = Vec::new();
-        k.union_sorted_into(&refs, &mut out);
-        let mut want: Vec<u32> = lists.iter().flatten().copied().collect();
-        want.sort_unstable();
-        want.dedup();
-        assert_eq!(out, want);
-        // Single and empty inputs.
-        k.union_sorted_into(&[&[1, 2][..]], &mut out);
-        assert_eq!(out, vec![1, 2]);
-        k.union_sorted_into(&[], &mut out);
-        assert!(out.is_empty());
     }
 
     #[test]

@@ -7,14 +7,15 @@
 //! before encoding) and bounds-checked on decode, mirroring the frame
 //! layer's adversarial-input posture.
 
-use fractal_apps::fsm::DomainSupport;
+use fractal_apps::fsm::{Domain, DomainSupport};
 use fractal_graph::{try_graph_from_edges, Graph, GraphError};
+use fractal_pattern::pattern::MAX_PATTERN_VERTICES;
 use fractal_pattern::CanonicalCode;
 use fractal_runtime::fault::FaultStats;
 use fractal_runtime::level::GlobalCoreId;
 use fractal_runtime::stats::{get_fields, put_fields, CoreStats, JobReport, PlannerStats};
 use fractal_runtime::wire::{self, Reader, Writer};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::time::Duration;
 
 /// Why a blob failed to decode.
@@ -91,6 +92,26 @@ impl AppSpec {
             AppSpec::Fsm { .. } => graph.num_edges(),
         };
         (0..count as u64).collect()
+    }
+
+    /// Why no engine can run this spec, if its size is one no pattern can
+    /// hold: a motif census of more than [`MAX_PATTERN_VERTICES`] vertices,
+    /// or FSM growing past `MAX_PATTERN_VERTICES - 1` edges (a tree of that
+    /// many edges already spans every vertex a pattern has). Such a subgraph
+    /// panics the core thread that tries to name it, so every front door
+    /// (CLI verbs, `serve` admission) refuses the spec with this reason.
+    pub fn size_blocker(&self) -> Option<String> {
+        let max = MAX_PATTERN_VERTICES as u32;
+        match *self {
+            AppSpec::Motifs { k, .. } if !(1..=max).contains(&k) => Some(format!(
+                "motifs takes k in 1..={max}: a pattern holds at most {max} vertices"
+            )),
+            AppSpec::Fsm { max_edges, .. } if max_edges >= max => Some(format!(
+                "fsm takes max-edges in 0..={}: a pattern holds at most {max} vertices",
+                max - 1
+            )),
+            _ => None,
+        }
     }
 
     /// Short name for logs and reports.
@@ -348,7 +369,7 @@ pub fn decode_fsm_map(bytes: &[u8]) -> Result<HashMap<CanonicalCode, DomainSuppo
         let mut domains = Vec::with_capacity(nd);
         for _ in 0..nd {
             let nv = c.count(4)?;
-            let mut set = HashSet::with_capacity(nv);
+            let mut set = Domain::with_capacity_and_hasher(nv, Default::default());
             for _ in 0..nv {
                 set.insert(c.u32()?);
             }
@@ -537,7 +558,7 @@ mod tests {
             DomainSupport::from_domains(vec![
                 [1u32, 5, 9].into_iter().collect(),
                 [2u32].into_iter().collect(),
-                HashSet::new(),
+                Domain::default(),
             ]),
         );
         map.insert(

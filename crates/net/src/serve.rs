@@ -956,17 +956,17 @@ fn handle_submit(
     app_blob: &[u8],
     token: String,
 ) -> io::Result<()> {
-    let app = match blob::decode_app_spec(app_blob) {
+    // A spec no worker could run (undecodable, or of a size that would
+    // panic a worker's core thread) is refused before it costs anything.
+    let spec = blob::decode_app_spec(app_blob)
+        .map_err(|e| format!("bad app spec: {e}"))
+        .and_then(|app| app.size_blocker().map_or(Ok(app), Err));
+    let app = match spec {
         Ok(app) => app,
-        Err(e) => {
+        Err(why) => {
             // ordering: Relaxed — monotonic diagnostic counter.
             inner.stats.jobs_rejected.fetch_add(1, Ordering::Relaxed);
-            return conn.send(&event(
-                0,
-                EventKind::Rejected,
-                format!("bad app spec: {e}"),
-                0,
-            ));
+            return conn.send(&event(0, EventKind::Rejected, why, 0));
         }
     };
     // Phase 1 (state lock): dedup + admission checks; reserve the id and

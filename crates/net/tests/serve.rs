@@ -239,6 +239,54 @@ fn full_queue_rejects_cleanly() {
     })
 }
 
+/// A spec whose subgraphs no pattern can hold would panic a worker's core
+/// thread; admission refuses it naming the bound, and the daemon goes on
+/// admitting.
+#[test]
+fn oversized_specs_are_rejected_at_admission() {
+    within_secs(30, || {
+        let (handles, workers) = start_workers(1, 1);
+        let config = ServeConfig {
+            max_running: 0,
+            ..ServeConfig::default()
+        };
+        let (server, addr) = start_server(workers, config);
+        let mut client = Client::connect(&addr).expect("connect");
+        for (app, bound) in [
+            (
+                AppSpec::Fsm {
+                    min_support: 1,
+                    max_edges: 32,
+                },
+                "fsm takes max-edges in 0..=31",
+            ),
+            (
+                AppSpec::Motifs {
+                    k: 33,
+                    use_labels: false,
+                    decomposed: false,
+                },
+                "motifs takes k in 1..=32",
+            ),
+        ] {
+            let err = client
+                .submit("t", 0, SNAPSHOT, &app, "")
+                .expect_err("oversized spec admitted");
+            assert!(err.to_string().contains(bound), "bound not named: {err}");
+        }
+        let largest = AppSpec::Fsm {
+            min_support: 1,
+            max_edges: 31,
+        };
+        client
+            .submit("t", 0, SNAPSHOT, &largest, "")
+            .expect("the bound itself is admitted");
+
+        fractal_net::serve::shutdown_workers(&server);
+        join_shutdown(handles);
+    })
+}
+
 /// Higher-priority submissions dispatch first when capacity frees up:
 /// with the scheduler initially saturated at zero slots there is no way
 /// to run this end-to-end without a live worker, so this exercises the

@@ -549,18 +549,23 @@ impl PatternTable {
     }
 
     /// Code, permutation and orbit representatives of quick pattern `id`.
+    #[inline]
     pub fn form(&mut self, id: u32) -> InternedForm<'_> {
-        let e = self.entries[id as usize];
-        let class = &mut self.classes[e.class as usize];
-        let code = &class.code;
-        let orbit_reps = class.orbit_reps.get_or_insert_with(|| {
+        #[cold]
+        fn orbit_reps_of(code: &CanonicalCode) -> Box<[u8]> {
             let pattern = code.to_pattern();
             let auts = crate::autom::automorphisms(&pattern);
             (0..pattern.num_vertices())
                 .map(|pos| crate::autom::orbit(&auts, pos)[0])
                 .collect()
-        });
-        let perm = &self.perms[e.perm_start as usize..][..code.num_vertices()];
+        }
+        let e = self.entries[id as usize];
+        let class = &mut self.classes[e.class as usize];
+        let code = &class.code;
+        let orbit_reps = class.orbit_reps.get_or_insert_with(|| orbit_reps_of(code));
+        // One representative per vertex: that length is at hand, the code's
+        // own is behind another pointer.
+        let perm = &self.perms[e.perm_start as usize..][..orbit_reps.len()];
         InternedForm {
             code,
             perm,

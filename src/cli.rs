@@ -146,7 +146,7 @@ pub fn run() {
     let t0 = std::time::Instant::now();
     match app.as_str() {
         "motifs" => {
-            let k = opt_num(&opts, "k").unwrap_or(3);
+            let k = motif_size(&opts);
             let mode = parse_plan_mode(&opts, crate::apps::planned::PlanMode::Enumerate);
             require_compilable(mode, crate::apps::planned::motif_plan_blocker(k, false));
             let (motifs, _, choice) = crate::apps::planned::motifs_planned(&fg, k, false, mode);
@@ -166,12 +166,17 @@ pub fn run() {
             println!("triangles: {}", crate::apps::cliques::triangles(&fg));
         }
         "fsm" => {
-            let support: u64 = opt_num(&opts, "support").unwrap_or(100) as u64;
-            let max_edges = opt_num(&opts, "max-edges").unwrap_or(3);
+            let crate::net::AppSpec::Fsm {
+                min_support: support,
+                max_edges,
+            } = app_spec("fsm", &opts)
+            else {
+                unreachable!("asked for fsm");
+            };
             let result = if opts.contains_key("reduce") {
-                crate::apps::fsm::fsm_with_reduction(&fg, support, max_edges)
+                crate::apps::fsm::fsm_with_reduction(&fg, support, max_edges as usize)
             } else {
-                crate::apps::fsm::fsm(&fg, support, max_edges)
+                crate::apps::fsm::fsm(&fg, support, max_edges as usize)
             };
             println!("frequent patterns (support >= {support}):");
             for p in &result.frequent {
@@ -271,7 +276,7 @@ pub fn run() {
             }
         }
         "trace" => {
-            let k = opt_num(&opts, "k").unwrap_or(3);
+            let k = motif_size(&opts);
             let buckets = opt_num(&opts, "buckets").unwrap_or(32);
             let (motifs, report) = crate::apps::motifs::motifs_with_report(&fg, k, false);
 
@@ -530,22 +535,43 @@ fn run_worker(opts: &HashMap<String, String>) {
     }
 }
 
-fn parse_app_spec(opts: &HashMap<String, String>) -> crate::net::AppSpec {
+/// The spec of the app called `name` with its size options read from `opts`
+/// and checked: the one place `motifs`, `fsm`, `trace`, `submit` and
+/// `client submit` get `-k` and `--max-edges` from, so a size no pattern can
+/// hold exits 2 naming the bound instead of panicking a core thread.
+fn app_spec(name: &str, opts: &HashMap<String, String>) -> crate::net::AppSpec {
     use crate::net::AppSpec;
-    match opts.get("app").map(String::as_str) {
-        Some("motifs") => AppSpec::Motifs {
-            k: opt_num(opts, "k").unwrap_or(3) as u32,
+    let size = |key: &str| opt_num(opts, key).map_or(3, |n| u32::try_from(n).unwrap_or(u32::MAX));
+    let app = match name {
+        "motifs" => AppSpec::Motifs {
+            k: size("k"),
             use_labels: false,
             decomposed: false,
         },
-        Some("cliques") | Some("kclist") => AppSpec::Kclist {
-            k: opt_num(opts, "k").unwrap_or(3) as u32,
-        },
-        Some("fsm") => AppSpec::Fsm {
+        "cliques" | "kclist" => AppSpec::Kclist { k: size("k") },
+        "fsm" => AppSpec::Fsm {
             min_support: opt_num(opts, "support").unwrap_or(100) as u64,
-            max_edges: opt_num(opts, "max-edges").unwrap_or(3) as u32,
+            max_edges: size("max-edges"),
         },
-        Some(other) => die(&format!("unknown --app {other:?} (motifs|cliques|fsm)")),
+        other => die(&format!("unknown --app {other:?} (motifs|cliques|fsm)")),
+    };
+    if let Some(why) = app.size_blocker() {
+        die(&why);
+    }
+    app
+}
+
+/// `-k` of the motif census `opts` describe, checked by [`app_spec`].
+fn motif_size(opts: &HashMap<String, String>) -> usize {
+    let crate::net::AppSpec::Motifs { k, .. } = app_spec("motifs", opts) else {
+        unreachable!("asked for motifs");
+    };
+    k as usize
+}
+
+fn parse_app_spec(opts: &HashMap<String, String>) -> crate::net::AppSpec {
+    match opts.get("app") {
+        Some(name) => app_spec(name, opts),
         None => die("submit requires --app <motifs|cliques|fsm>"),
     }
 }
@@ -996,7 +1022,7 @@ fn report_result(
 fn run_trace_per_worker(opts: &HashMap<String, String>) {
     use crate::net::{run_cluster, AppSpec, DriverConfig, LocalCluster};
     let graph = load_graph(opts);
-    let k = opt_num(opts, "k").unwrap_or(3);
+    let k = motif_size(opts);
     let n = opt_num(opts, "local-cluster").unwrap_or(2);
     let cores = opt_num(opts, "cores").unwrap_or(2);
     let lc = LocalCluster::spawn(n, cores)

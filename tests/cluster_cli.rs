@@ -3,8 +3,10 @@
 //! TCP and `--verify-single` re-runs the job in-process, dying unless the
 //! results are bit-identical. The chaos variant SIGKILLs one worker
 //! mid-job and demands the same exactness from the recovery path. The
-//! last two tests pin that every verb taking `--plan` refuses an explicit
-//! `decomposed` on a task the planner cannot compile, naming the blocker.
+//! remaining tests are the refusal table: every verb taking `--plan` refuses
+//! an explicit `decomposed` on a task the planner cannot compile, naming the
+//! blocker, and every verb taking a pattern size refuses one outside what a
+//! pattern can hold, naming the bound.
 
 use std::process::{Command, Output};
 
@@ -96,13 +98,15 @@ fn submit_kclist_local_cluster_matches_single_process() {
     assert_verified(&out);
 }
 
-fn assert_refused(out: &Output, blocker: &str) {
+fn assert_refused_naming(out: &Output, reason: &str) {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "stderr:\n{stderr}");
-    assert!(
-        stderr.contains("--plan decomposed") && stderr.contains(blocker),
-        "blocker not named:\n{stderr}"
-    );
+    assert!(stderr.contains(reason), "reason not named:\n{stderr}");
+}
+
+fn assert_refused(out: &Output, blocker: &str) {
+    assert_refused_naming(out, "--plan decomposed");
+    assert_refused_naming(out, blocker);
 }
 
 fn fractal(args: &str) -> Output {
@@ -154,28 +158,82 @@ fn out_of_range_query_sizes_are_refused_naming_the_bound() {
         let out = fractal(&format!("query --query {name} --gen mico --n 20"));
         assert!(out.status.success(), "{name} refused");
     }
+    // A subgraph of more than 32 vertices panics the core thread that names
+    // its pattern (and the job then hangs): every verb that grows subgraphs
+    // to a size given on the command line refuses such a size first.
+    let (k, max_edges) = ("motifs takes k in 1..=32", "fsm takes max-edges in 0..=31");
+    for (task, bound) in [
+        ("motifs -k 33", k),
+        ("motifs -k 0", k),
+        ("trace -k 33", k),
+        ("fsm --support 1 --max-edges 32", max_edges),
+        ("submit --local-cluster 1 --app motifs -k 33", k),
+        (
+            "submit --local-cluster 1 --app fsm --max-edges 32",
+            max_edges,
+        ),
+    ] {
+        let out = fractal(&format!("{task} --gen mico --n 20"));
+        assert_refused_naming(&out, bound);
+    }
+    // The largest sizes a pattern holds still run (on a 40-vertex path,
+    // which has subgraphs of every size and few of each).
+    let path = std::env::temp_dir().join(format!("fractal-path40-{}.adj", std::process::id()));
+    let rows: Vec<String> = (0..40u32)
+        .map(|v| match v {
+            0 => "0 0 1".to_string(),
+            39 => "39 0 38".to_string(),
+            _ => format!("{v} 0 {} {}", v - 1, v + 1),
+        })
+        .collect();
+    std::fs::write(&path, rows.join("\n") + "\n").expect("write path graph");
+    for task in ["motifs -k 32", "fsm --support 1 --max-edges 31"] {
+        let out = fractal(&format!("{task} --graph {}", path.display()));
+        assert!(out.status.success(), "{task} refused");
+    }
+    std::fs::remove_file(&path).expect("remove path graph");
+}
+
+/// Runs `client submit` once per task against a daemon that only shakes
+/// hands, so each job must be refused client-side, naming its reason.
+fn assert_client_refuses(tasks: &'static [(&'static str, &'static str)]) {
+    use fractal::net::frame::{read_frame, write_frame, Frame, Role};
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let daemon = std::thread::spawn(move || {
+        for _ in tasks {
+            let (mut conn, _) = listener.accept().expect("accept");
+            read_frame(&mut conn).expect("client hello");
+            let hello = Frame::Hello {
+                role: Role::Driver,
+                cores: 0,
+            };
+            write_frame(&mut conn, 0, &hello).expect("driver hello");
+            // Nothing but EOF may follow.
+            assert!(read_frame(&mut conn).is_err(), "client sent a frame");
+        }
+    });
+    for (task, reason) in tasks {
+        let out = fractal(&format!(
+            "client submit --server {addr} --snapshot gen:mico:30:1 {task}"
+        ));
+        assert_refused_naming(&out, reason);
+    }
+    daemon.join().expect("daemon thread");
 }
 
 #[test]
 fn client_submit_refuses_uncompilable_decomposed_by_name() {
-    use fractal::net::frame::{read_frame, write_frame, Frame, Role};
-    // A daemon that only shakes hands: the job must be refused client-side.
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr").to_string();
-    let daemon = std::thread::spawn(move || {
-        let (mut conn, _) = listener.accept().expect("accept");
-        read_frame(&mut conn).expect("client hello");
-        let hello = Frame::Hello {
-            role: Role::Driver,
-            cores: 0,
-        };
-        write_frame(&mut conn, 0, &hello).expect("driver hello");
-        // Nothing but EOF may follow.
-        assert!(read_frame(&mut conn).is_err(), "client sent a frame");
-    });
-    let out = fractal(&format!(
-        "client submit --server {addr} --snapshot gen:mico:30:1 --app fsm --plan decomposed"
-    ));
-    assert_refused(&out, "fsm has no decomposed path");
-    daemon.join().expect("daemon thread");
+    assert_client_refuses(&[(
+        "--app fsm --plan decomposed",
+        "--plan decomposed: fsm has no decomposed path",
+    )]);
+}
+
+#[test]
+fn client_submit_refuses_oversized_apps_naming_the_bound() {
+    assert_client_refuses(&[
+        ("--app fsm --max-edges 32", "fsm takes max-edges in 0..=31"),
+        ("--app motifs -k 33", "motifs takes k in 1..=32"),
+    ]);
 }
