@@ -66,8 +66,11 @@ struct PlanCoreTask<'a> {
 }
 
 impl PlanCoreTask<'_> {
+    /// The per-node accumulators plus what the executor keeps resident
+    /// (its mark words: 4 bytes a graph vertex a core).
     fn state_bytes(&self) -> u64 {
-        ((self.durable.len() + self.staged.len()) * std::mem::size_of::<i128>()) as u64
+        let sums = (self.durable.len() + self.staged.len()) * std::mem::size_of::<i128>();
+        (sums + self.exec.resident_bytes()) as u64
     }
 }
 
@@ -265,5 +268,22 @@ mod tests {
         let (totals, _) = run_plan_counts(&fg, &plan);
         let (serial, _, _) = exec::count_all_roots(fg.graph(), &plan);
         assert_eq!(totals, serial);
+    }
+
+    #[test]
+    fn tracked_state_bytes_grow_with_the_graph() {
+        // The executor holds one mark word per vertex, so a plan job's
+        // memory-per-worker (Table 2) must depend on |V|.
+        let peak = |n: u32| {
+            let edges: Vec<(u32, u32)> = (1..n).map(|v| (v - 1, v)).collect();
+            let fg = fg_of(n as usize, &edges, 1, 1);
+            let plan = CountingPlan::plan_motifs(3, GraphStats::of(fg.graph()));
+            run_plan_counts(&fg, &plan).1.peak_worker_state_bytes()
+        };
+        let (small, large) = (peak(64), peak(4096));
+        assert!(
+            large >= small + 4 * (4096 - 64),
+            "small={small} large={large}"
+        );
     }
 }

@@ -24,10 +24,10 @@
 //! heuristic stays observable through the flight recorder and the CI perf
 //! gate.
 //!
-//! Intersection-with-filter variants ([`intersect_above`],
-//! [`ExtensionKernels::intersect_above_into`]) push symmetry-breaking
-//! lower bounds *into* the kernel: both inputs are first advanced past the
-//! bound with a binary search, so candidates ruled out by a
+//! The intersection-with-filter variant
+//! ([`ExtensionKernels::intersect_above_into`]) pushes a symmetry-breaking
+//! lower bound *into* the kernel: both inputs are first advanced past the
+//! bound with a binary search ([`seek_above`]), so candidates ruled out by a
 //! `must_be_greater_than` constraint are never scanned at all.
 //!
 //! Candidate sets themselves live in a per-core bump arena
@@ -122,13 +122,6 @@ pub fn intersect(a: &[u32], b: &[u32], out: &mut Vec<u32>, c: &mut KernelCounter
     } else {
         merge_into(s, l, out, c);
     }
-}
-
-/// Adaptive intersection keeping only elements strictly greater than `lo`
-/// (the symmetry-breaking lower-bound filter variant). Both inputs are
-/// advanced past the bound before any scanning happens.
-pub fn intersect_above(a: &[u32], b: &[u32], lo: u32, out: &mut Vec<u32>, c: &mut KernelCounters) {
-    intersect(seek_above(a, lo), seek_above(b, lo), out, c);
 }
 
 /// Two-pointer sorted-merge intersection (exposed for tests/benches; use
@@ -546,8 +539,9 @@ impl ExtensionKernels {
         }
     }
 
-    /// Hybrid intersection keeping only elements strictly above `lo` — the
-    /// stateful counterpart of [`intersect_above`].
+    /// Hybrid intersection keeping only elements strictly above `lo` (the
+    /// symmetry-breaking lower-bound filter): both inputs are advanced past
+    /// the bound before any scanning happens.
     pub fn intersect_above_into(&mut self, a: &[u32], b: &[u32], lo: u32, out: &mut Vec<u32>) {
         let a = seek_above(a, lo);
         let b = seek_above(b, lo);
@@ -701,10 +695,7 @@ mod tests {
         let a: Vec<u32> = (0..100).collect();
         let b: Vec<u32> = (0..100).step_by(2).collect();
         let mut out = Vec::new();
-        let mut c = KernelCounters::default();
-        intersect_above(&a, &b, 50, &mut out, &mut c);
         let want: Vec<u32> = (52..100).step_by(2).collect();
-        assert_eq!(out, want);
         let mut k = ExtensionKernels::new();
         k.intersect_above_into(&a, &b, 50, &mut out);
         assert_eq!(out, want);

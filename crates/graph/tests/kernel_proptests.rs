@@ -5,8 +5,7 @@
 //! behave exactly like a stack of freshly-allocated `Vec`s.
 
 use fractal_graph::kernels::{
-    gallop_into, intersect, intersect_above, merge_into, seek_above, ExtensionKernels,
-    KernelCounters,
+    gallop_into, intersect, merge_into, seek_above, ExtensionKernels, KernelCounters,
 };
 use fractal_graph::{gen, VertexId};
 use proptest::prelude::*;
@@ -107,9 +106,6 @@ proptest! {
     ) {
         let want = naive_intersect_above(&a, &b, lo);
         let mut out = Vec::new();
-        let mut c = KernelCounters::default();
-        intersect_above(&a, &b, lo, &mut out, &mut c);
-        prop_assert_eq!(&out, &want);
         let mut k = ExtensionKernels::new();
         k.ensure_universe(512);
         k.intersect_above_into(&a, &b, lo, &mut out);

@@ -1,22 +1,87 @@
 //! Single-root execution of compiled counting plans.
 //!
 //! [`PlanExecutor`] evaluates every node of a [`CountingPlan`] for one root
-//! vertex: direct nodes run a symmetry-broken rooted DFS whose candidate
-//! sets come from the PR-2 intersection kernels
-//! ([`fractal_graph::kernels`]), product nodes combine already-evaluated
-//! children with the inclusion–exclusion corrections. Because nodes are in
-//! topological order, one linear pass suffices per root.
+//! vertex: direct nodes run a symmetry-broken rooted DFS, product nodes
+//! combine already-evaluated children with the inclusion–exclusion
+//! corrections. Because nodes are in topological order, one linear pass
+//! suffices per root.
+//!
+//! The DFS never intersects adjacency lists (DESIGN.md §14.2). At position
+//! `q` it scans the bound-trimmed neighbour slice of the **latest** back
+//! edge in place, and every **earlier** back edge is one mask test per
+//! candidate against the per-core `marks` words: bit `p` of `marks[u]` is
+//! set while `u` is adjacent to the match at position `p`. A match marks its
+//! neighbourhood once, however many partial matches are explored below it.
+//! The deepest level is counted, not walked.
 //!
 //! Per-root evaluation is what lets the engine distribute this exactly like
 //! enumeration jobs: each root vertex is one work unit, node values are
 //! additive over roots, and a worker's kernel counters drain into the same
 //! `fractal-metrics/1` fields the enumerator uses.
 
-use fractal_graph::kernels::{intersect, intersect_above, seek_above, seek_below, KernelCounters};
+use fractal_graph::kernels::{seek_above, seek_below, KernelCounters};
 use fractal_graph::{Graph, VertexId};
 
 use crate::planner::{CountingPlan, PlanKind};
 use crate::{CanonicalCode, ExplorationPlan, Pattern};
+
+/// One DFS position of a direct node, compiled once in
+/// [`PlanExecutor::new`].
+#[derive(Debug, Clone, Copy)]
+struct Level {
+    /// The latest back edge: its match's neighbour slice is the one scanned.
+    latest: u8,
+    /// Bits of the earlier back-edge positions; a candidate must carry all
+    /// of them in `marks`. Zero when `latest` is the only back edge.
+    mask: u32,
+    /// Whether a match at this position marks its neighbourhood: true iff
+    /// some deeper level tests this position's bit, i.e. has it as a back
+    /// edge that is not that level's latest one.
+    sets_mark: bool,
+}
+
+/// Compiles the per-position scan/mask/mark table of one matching order.
+fn compile_levels(plan: &ExplorationPlan) -> Vec<Level> {
+    let mut levels = vec![
+        Level {
+            latest: 0,
+            mask: 0,
+            sets_mark: false
+        };
+        plan.len()
+    ];
+    let mut tested = 0u32;
+    for (pos, level) in levels.iter_mut().enumerate().skip(1) {
+        // Back edges are listed by ascending earlier position.
+        let (&(latest, _), earlier) = plan
+            .back_edges(pos)
+            .split_last()
+            .expect("matching orders are connected");
+        level.latest = latest;
+        level.mask = earlier.iter().fold(0, |m, &(p, _)| m | 1 << p);
+        tested |= level.mask;
+    }
+    for (pos, level) in levels.iter_mut().enumerate() {
+        level.sets_mark = tested >> pos & 1 == 1;
+    }
+    levels
+}
+
+/// Sets `bit` in the mark word of every vertex of `nbrs`.
+#[inline]
+fn mark(marks: &mut [u32], nbrs: &[u32], bit: u32) {
+    for &u in nbrs {
+        marks[u as usize] |= bit;
+    }
+}
+
+/// Clears `bit` again: the inverse of [`mark`] over the same slice.
+#[inline]
+fn unmark(marks: &mut [u32], nbrs: &[u32], bit: u32) {
+    for &u in nbrs {
+        marks[u as usize] &= !bit;
+    }
+}
 
 /// Evaluates a compiled counting plan one root vertex at a time.
 pub struct PlanExecutor<'a> {
@@ -24,9 +89,16 @@ pub struct PlanExecutor<'a> {
     plan: &'a CountingPlan,
     /// Per-node value for the current root (scratch, overwritten per root).
     vals: Vec<i128>,
-    /// One candidate buffer per DFS depth.
-    bufs: Vec<Vec<u32>>,
-    scratch: Vec<u32>,
+    /// Per-node level table (empty for product nodes).
+    levels: Vec<Vec<Level>>,
+    /// Whether any direct node tests bit 0: the root is position 0 of every
+    /// one of them, so it marks once per root, not once per node.
+    root_marks: bool,
+    /// One word per graph vertex; all zero between evaluations.
+    marks: Vec<u32>,
+    /// Set for the duration of an `eval_root`; still set on entry only when
+    /// the previous evaluation was unwound and may have left marks behind.
+    in_flight: bool,
     matched: Vec<u32>,
     counters: KernelCounters,
     ec: u64,
@@ -35,13 +107,25 @@ pub struct PlanExecutor<'a> {
 impl<'a> PlanExecutor<'a> {
     /// Prepares an executor for `plan` over `g`.
     pub fn new(g: &'a Graph, plan: &'a CountingPlan) -> Self {
-        let max_len = plan.nodes.iter().map(|n| n.rooted.len()).max().unwrap_or(1);
+        let levels: Vec<Vec<Level>> = plan
+            .nodes
+            .iter()
+            .map(|n| match &n.kind {
+                PlanKind::Direct { plan, .. } => compile_levels(plan),
+                PlanKind::Product { .. } => Vec::new(),
+            })
+            .collect();
+        let max_len = levels.iter().map(Vec::len).max().unwrap_or(1);
         PlanExecutor {
             g,
             plan,
             vals: vec![0; plan.nodes.len()],
-            bufs: vec![Vec::new(); max_len],
-            scratch: Vec::new(),
+            root_marks: levels
+                .iter()
+                .any(|l| l.first().is_some_and(|l| l.sets_mark)),
+            levels,
+            marks: vec![0; g.num_vertices()],
+            in_flight: false,
             matched: Vec::with_capacity(max_len),
             counters: KernelCounters::default(),
             ec: 0,
@@ -53,24 +137,47 @@ impl<'a> PlanExecutor<'a> {
         self.plan
     }
 
+    /// Bytes this executor keeps resident for its lifetime: the mark words
+    /// (4 per graph vertex) plus the per-node value, level and match tables.
+    pub fn resident_bytes(&self) -> usize {
+        self.marks.capacity() * std::mem::size_of::<u32>()
+            + self.vals.capacity() * std::mem::size_of::<i128>()
+            + self.matched.capacity() * std::mem::size_of::<u32>()
+            + self
+                .levels
+                .iter()
+                .map(|l| l.capacity() * std::mem::size_of::<Level>())
+                .sum::<usize>()
+    }
+
     /// Evaluates every node for root `v` and adds the per-node values into
     /// `acc` (length = number of plan nodes). Summing `acc` over all graph
     /// vertices yields the totals [`CountingPlan::finalize`] expects.
     pub fn eval_root(&mut self, v: u32, acc: &mut [i128]) {
         debug_assert_eq!(acc.len(), self.plan.nodes.len());
+        if self.in_flight {
+            // The previous evaluation never reached its end (a unit unwound
+            // by a fault): whatever it marked is still set.
+            self.marks.fill(0);
+        }
+        self.in_flight = true;
+        let root_nbrs = self.g.neighbors(VertexId(v));
+        if self.root_marks {
+            mark(&mut self.marks, root_nbrs, 1);
+        }
         for (i, slot) in acc.iter_mut().enumerate() {
             let val = match &self.plan.nodes[i].kind {
                 PlanKind::Direct { plan, stab_size } => {
-                    let count = rooted_count(
-                        self.g,
+                    let count = Walk {
+                        g: self.g,
                         plan,
-                        v,
-                        &mut self.matched,
-                        &mut self.bufs,
-                        &mut self.scratch,
-                        &mut self.counters,
-                        &mut self.ec,
-                    );
+                        levels: &self.levels[i],
+                        marks: &mut self.marks,
+                        matched: &mut self.matched,
+                        counters: &mut self.counters,
+                        ec: &mut self.ec,
+                    }
+                    .rooted_count(v);
                     count as i128 * *stab_size as i128
                 }
                 PlanKind::Product {
@@ -89,6 +196,14 @@ impl<'a> PlanExecutor<'a> {
             self.vals[i] = val;
             *slot += val;
         }
+        if self.root_marks {
+            unmark(&mut self.marks, root_nbrs, 1);
+        }
+        self.in_flight = false;
+        debug_assert!(
+            self.marks.iter().all(|&m| m == 0),
+            "every mark is cleared by the level that set it"
+        );
     }
 
     /// Drains the kernel counters accumulated since the last take.
@@ -103,104 +218,97 @@ impl<'a> PlanExecutor<'a> {
     }
 }
 
-/// Rooted symmetry-broken DFS: the number of injective embeddings of
-/// `plan.pattern()` with position 0 pinned to `root`, restricted to the
-/// plan's symmetry-condition representatives.
-#[allow(clippy::too_many_arguments)]
-fn rooted_count(
-    g: &Graph,
-    plan: &ExplorationPlan,
-    root: u32,
-    matched: &mut Vec<u32>,
-    bufs: &mut [Vec<u32>],
-    scratch: &mut Vec<u32>,
-    c: &mut KernelCounters,
-    ec: &mut u64,
-) -> u64 {
-    matched.clear();
-    matched.push(root);
-    if plan.len() == 1 {
-        *ec += 1;
-        return 1;
-    }
-    dfs(g, plan, 1, matched, &mut bufs[1..], scratch, c, ec)
+/// The rooted DFS of one direct node for one root: borrows the executor's
+/// per-core state for the duration of the node.
+struct Walk<'e> {
+    g: &'e Graph,
+    plan: &'e ExplorationPlan,
+    levels: &'e [Level],
+    marks: &'e mut [u32],
+    matched: &'e mut Vec<u32>,
+    counters: &'e mut KernelCounters,
+    ec: &'e mut u64,
 }
 
-/// One DFS level: `bufs[0]` is this position's candidate buffer, deeper
-/// positions use the tail.
-#[allow(clippy::too_many_arguments)]
-fn dfs(
-    g: &Graph,
-    plan: &ExplorationPlan,
-    pos: usize,
-    matched: &mut Vec<u32>,
-    bufs: &mut [Vec<u32>],
-    scratch: &mut Vec<u32>,
-    c: &mut KernelCounters,
-    ec: &mut u64,
-) -> u64 {
-    let lo = plan
-        .must_be_greater_than(pos)
-        .iter()
-        .map(|&p| matched[p as usize])
-        .max();
-    let hi = plan
-        .must_be_less_than(pos)
-        .iter()
-        .map(|&p| matched[p as usize])
-        .min();
-    let bes = plan.back_edges(pos);
-    debug_assert!(!bes.is_empty(), "orders are connected");
-    let last = pos + 1 == plan.len();
+impl Walk<'_> {
+    /// Rooted symmetry-broken DFS: the number of injective embeddings of
+    /// `plan.pattern()` with position 0 pinned to `root`, restricted to the
+    /// plan's symmetry-condition representatives. The root's own marks are
+    /// the caller's (they are shared by every node of the plan).
+    fn rooted_count(&mut self, root: u32) -> u64 {
+        self.matched.clear();
+        self.matched.push(root);
+        if self.plan.len() == 1 {
+            *self.ec += 1;
+            return 1;
+        }
+        self.dfs(1)
+    }
 
-    let (head, tail) = bufs.split_at_mut(1);
-    let cands: &[u32] = if bes.len() == 1 {
-        // Single back edge: the neighbor slice itself, bound-trimmed with
-        // zero copies.
-        let mut slice = g.neighbors(VertexId(matched[bes[0].0 as usize]));
-        if let Some(lo) = lo {
+    /// One DFS level: the accepted candidates at `pos` are the vertices of
+    /// the latest back edge's bound-trimmed neighbour slice that carry every
+    /// earlier back edge's mark and are not matched already.
+    fn dfs(&mut self, pos: usize) -> u64 {
+        let g = self.g;
+        let Level {
+            latest,
+            mask,
+            sets_mark,
+        } = self.levels[pos];
+        let mut slice = g.neighbors(VertexId(self.matched[latest as usize]));
+        let lo = self.plan.must_be_greater_than(pos).iter();
+        if let Some(lo) = lo.map(|&p| self.matched[p as usize]).max() {
             slice = seek_above(slice, lo);
         }
-        if let Some(hi) = hi {
+        let hi = self.plan.must_be_less_than(pos).iter();
+        if let Some(hi) = hi.map(|&p| self.matched[p as usize]).min() {
             slice = seek_below(slice, hi);
         }
-        slice
-    } else {
-        // Fold the back-edge neighborhoods through the adaptive kernels.
-        let buf = &mut head[0];
-        let a = g.neighbors(VertexId(matched[bes[0].0 as usize]));
-        let b = g.neighbors(VertexId(matched[bes[1].0 as usize]));
-        match lo {
-            Some(lo) => intersect_above(a, b, lo, buf, c),
-            None => intersect(a, b, buf, c),
+        if mask != 0 {
+            self.counters.bitset_calls += 1;
+            self.counters.elements_scanned += slice.len() as u64;
         }
-        for &(bp, _) in &bes[2..] {
-            let nbrs = g.neighbors(VertexId(matched[bp as usize]));
-            intersect(buf, nbrs, scratch, c);
-            std::mem::swap(buf, scratch);
-        }
-        if let Some(hi) = hi {
-            let keep = seek_below(buf, hi).len();
-            buf.truncate(keep);
-        }
-        buf
-    };
+        let hit = |marks: &[u32], u: u32| marks[u as usize] & mask == mask;
 
-    let mut count = 0u64;
-    for &cand in cands.iter() {
-        if matched.contains(&cand) {
-            continue; // injectivity
+        if pos + 1 == self.plan.len() {
+            // Counted, not walked: a leaf only ever adds 1, so the level is
+            // the number of hits in the slice minus the matched vertices
+            // among them (injectivity). `ec` grows by what a walk would
+            // have accepted one at a time.
+            let hits = if mask == 0 {
+                slice.len()
+            } else {
+                slice.iter().filter(|&&u| hit(self.marks, u)).count()
+            };
+            let taken = self
+                .matched
+                .iter()
+                .filter(|&&m| hit(self.marks, m) && slice.binary_search(&m).is_ok())
+                .count();
+            let accepted = (hits - taken) as u64;
+            *self.ec += accepted;
+            return accepted;
         }
-        *ec += 1;
-        if last {
-            count += 1;
-        } else {
-            matched.push(cand);
-            count += dfs(g, plan, pos + 1, matched, tail, scratch, c, ec);
-            matched.pop();
+
+        let bit = 1u32 << pos;
+        let mut count = 0u64;
+        for &cand in slice {
+            if !hit(self.marks, cand) || self.matched.contains(&cand) {
+                continue;
+            }
+            *self.ec += 1;
+            self.matched.push(cand);
+            if sets_mark {
+                mark(self.marks, g.neighbors(VertexId(cand)), bit);
+            }
+            count += self.dfs(pos + 1);
+            if sets_mark {
+                unmark(self.marks, g.neighbors(VertexId(cand)), bit);
+            }
+            self.matched.pop();
         }
+        count
     }
-    count
 }
 
 /// Evaluates `plan` over every vertex of `g` single-threaded, returning the
@@ -237,9 +345,14 @@ pub fn count_pattern_decomposed(g: &Graph, p: &Pattern) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::autom::{automorphisms, orbit, stabilizer};
     use crate::canon::canonical_code;
-    use crate::decompose::connected_shapes;
+    use crate::decompose::{connected_shapes, RootedPattern};
+    use crate::planner::{GraphStats, PlanNode};
+    use crate::symmetry::SymmetryConditions;
     use fractal_graph::builder::graph_from_edges;
+    use fractal_graph::kernels::intersect;
+    use proptest::prelude::*;
 
     fn complete_graph(n: u32) -> Graph {
         let mut edges = Vec::new();
@@ -300,7 +413,8 @@ mod tests {
         let g = complete_graph(6);
         let plan = CountingPlan::plan_pattern(&Pattern::clique(4), crate::GraphStats::of(&g));
         let (_, kc, ec) = count_all_roots(&g, &plan);
-        assert!(kc.calls() > 0, "clique counting intersects");
+        assert!(kc.bitset_calls > 0, "clique levels test earlier back edges");
+        assert_eq!(kc.merge_calls + kc.gallop_calls, 0);
         assert!(ec > 0);
     }
 
@@ -361,6 +475,209 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The walk this executor replaced, kept as the reference: candidates
+    /// are the back-edge neighbourhoods folded through the merge/gallop
+    /// kernels, and every leaf is visited to add 1. Returns the rooted
+    /// count and the extension count of one root.
+    fn reference_rooted_count(g: &Graph, plan: &ExplorationPlan, root: u32) -> (u64, u64) {
+        fn dfs(
+            g: &Graph,
+            plan: &ExplorationPlan,
+            pos: usize,
+            matched: &mut Vec<u32>,
+            ec: &mut u64,
+        ) -> u64 {
+            let lo = plan.must_be_greater_than(pos).iter();
+            let lo = lo.map(|&p| matched[p as usize]).max();
+            let hi = plan.must_be_less_than(pos).iter();
+            let hi = hi.map(|&p| matched[p as usize]).min();
+            let (&(first, _), rest) = plan.back_edges(pos).split_first().unwrap();
+            let mut cands = g.neighbors(VertexId(matched[first as usize])).to_vec();
+            if let Some(lo) = lo {
+                cands = seek_above(&cands, lo).to_vec();
+            }
+            let (mut out, mut c) = (Vec::new(), KernelCounters::default());
+            for &(bp, _) in rest {
+                let nbrs = g.neighbors(VertexId(matched[bp as usize]));
+                intersect(&cands, nbrs, &mut out, &mut c);
+                std::mem::swap(&mut cands, &mut out);
+            }
+            if let Some(hi) = hi {
+                cands.truncate(seek_below(&cands, hi).len());
+            }
+            let mut count = 0;
+            for cand in cands {
+                if matched.contains(&cand) {
+                    continue;
+                }
+                *ec += 1;
+                if pos + 1 == plan.len() {
+                    count += 1;
+                } else {
+                    matched.push(cand);
+                    count += dfs(g, plan, pos + 1, matched, ec);
+                    matched.pop();
+                }
+            }
+            count
+        }
+        if plan.len() == 1 {
+            return (1, 1);
+        }
+        let mut ec = 0;
+        let count = dfs(g, plan, 1, &mut vec![root], &mut ec);
+        (count, ec)
+    }
+
+    /// A plan of one direct node: `p` rooted at `order[0]`, matched in
+    /// `order`, under the root stabilizer's symmetry conditions (what
+    /// `PlanBuilder::direct` compiles, with the order given).
+    fn single_node_plan(p: &Pattern, order: Vec<u8>, g: &Graph) -> CountingPlan {
+        let root = order[0];
+        let stab = stabilizer(&automorphisms(p), root as usize);
+        let stab_size = stab.len() as u64;
+        let conditions = SymmetryConditions::for_group(p.num_vertices(), stab);
+        CountingPlan {
+            nodes: vec![PlanNode {
+                rooted: RootedPattern::new(p.clone(), root),
+                kind: PlanKind::Direct {
+                    plan: Box::new(ExplorationPlan::with_order(p, order, conditions)),
+                    stab_size,
+                },
+                est_cost: 0.0,
+            }],
+            outputs: Vec::new(),
+            basis: None,
+            k: p.num_vertices(),
+            stats: GraphStats::of(g),
+        }
+    }
+
+    /// A connected matching order of `p` from `root`; `seed` picks among the
+    /// attachable vertices at every step.
+    fn seeded_order(p: &Pattern, root: u8, mut seed: u64) -> Vec<u8> {
+        let n = p.num_vertices();
+        let mut order = vec![root];
+        while order.len() < n {
+            let open: Vec<u8> = (0..n as u8)
+                .filter(|v| !order.contains(v))
+                .filter(|&v| order.iter().any(|&u| p.adjacent(u as usize, v as usize)))
+                .collect();
+            order.push(open[(seed % open.len() as u64) as usize]);
+            seed = seed / open.len() as u64 + 0x9e37;
+        }
+        order
+    }
+
+    fn direct_plan(plan: &CountingPlan) -> (&ExplorationPlan, u64) {
+        match &plan.nodes[0].kind {
+            PlanKind::Direct { plan, stab_size } => (plan, *stab_size),
+            PlanKind::Product { .. } => unreachable!("single_node_plan builds a direct node"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Every connected shape of 2..=5 vertices, rooted in every orbit
+        /// and matched in a seeded order: the marked, leaf-counting executor
+        /// returns the reference walk's count and `ec` for every root, and
+        /// leaves no mark behind.
+        #[test]
+        fn marks_and_counted_leaves_equal_the_walked_merge_fold(
+            n in 2u32..=10,
+            bits in proptest::collection::vec(any::<bool>(), 45),
+            order_seed in any::<u64>(),
+        ) {
+            let pairs = (0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v, 0)));
+            let edges: Vec<(u32, u32, u32)> =
+                pairs.zip(&bits).filter(|(_, &on)| on).map(|(e, _)| e).collect();
+            let g = graph_from_edges(&vec![0; n as usize], &edges);
+            for shape in (2..=5).flat_map(connected_shapes) {
+                let auts = automorphisms(&shape);
+                for root in 0..shape.num_vertices() {
+                    if orbit(&auts, root)[0] as usize != root {
+                        continue;
+                    }
+                    let order = seeded_order(&shape, root as u8, order_seed);
+                    let plan = single_node_plan(&shape, order.clone(), &g);
+                    let (direct, stab_size) = direct_plan(&plan);
+                    let mut exec = PlanExecutor::new(&g, &plan);
+                    for v in 0..n {
+                        let mut acc = [0i128];
+                        exec.eval_root(v, &mut acc);
+                        let (count, ec) = reference_rooted_count(&g, direct, v);
+                        prop_assert_eq!(
+                            (acc[0], exec.take_ec()),
+                            ((count * stab_size) as i128, ec),
+                            "shape={} order={:?} root vertex={}", shape, order, v
+                        );
+                        prop_assert!(exec.marks.iter().all(|&m| m == 0));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Twelve positions: a path 0-1-…-8 ending in the 4-clique {8, 9, 10, 11},
+    /// matched in vertex order, so position 10 tests bit 8 and position 11
+    /// tests bits 8 and 9 — marks above the low byte of the word. (With `n`
+    /// positions the highest bit ever tested is `n - 3`: the leaf scans
+    /// position `n - 2` and masks at most `n - 3`.)
+    #[test]
+    fn marks_above_the_low_byte_match_brute_force() {
+        let mut pedges: Vec<(u8, u8, u32)> = (1..=9).map(|v| (v - 1, v, 0)).collect();
+        pedges.extend([(8, 10, 0), (9, 10, 0), (8, 11, 0), (9, 11, 0), (10, 11, 0)]);
+        let p = Pattern::new(vec![0; 12], pedges);
+        // A path 0-…-8 into a 5-clique on 8..=12, and chords that give the
+        // path detours and the clique more than one way in.
+        let mut edges: Vec<(u32, u32, u32)> = (1..=8).map(|v| (v - 1, v, 0)).collect();
+        for u in 8..=12 {
+            edges.extend((u + 1..=12).map(|v| (u, v, 0)));
+        }
+        edges.extend([(0, 13, 0), (1, 13, 0), (2, 9, 0), (5, 11, 0), (7, 12, 0)]);
+        let g = graph_from_edges(&[0; 14], &edges);
+        let plan = single_node_plan(&p, (0..12).collect(), &g);
+        let levels = compile_levels(direct_plan(&plan).0);
+        assert_eq!(levels[10].mask, 1 << 8);
+        assert_eq!(levels[11].mask, 1 << 8 | 1 << 9);
+        assert!(levels[8].sets_mark && levels[9].sets_mark && !levels[10].sets_mark);
+        let (totals, _, _) = count_all_roots(&g, &plan);
+        let aut = automorphisms(&p).len() as i128;
+        let want = brute_count(&g, &p);
+        assert!(
+            want > 0,
+            "the graph must hold the pattern for the test to bite"
+        );
+        assert_eq!(totals[0], want as i128 * aut);
+    }
+
+    /// An evaluation that is unwound part-way leaves `in_flight` set and
+    /// whatever it had marked; the next `eval_root` must not see either.
+    #[test]
+    fn an_unwound_evaluation_leaves_nothing_for_the_next_root() {
+        let g = lcg_graph(14, 9, 45);
+        let plan = CountingPlan::plan_motifs(5, GraphStats::of(&g));
+        let mut clean = PlanExecutor::new(&g, &plan);
+        let mut unwound = PlanExecutor::new(&g, &plan);
+        // What a panic between a mark and its clear leaves behind.
+        unwound.in_flight = true;
+        unwound.matched.extend([3, 1, 4]);
+        for (u, m) in unwound.marks.iter_mut().enumerate() {
+            *m = 0x0301 << (u % 5);
+        }
+        let n = plan.nodes.len();
+        for v in 0..g.num_vertices() as u32 {
+            let (mut a, mut b) = (vec![0i128; n], vec![0i128; n]);
+            clean.eval_root(v, &mut a);
+            unwound.eval_root(v, &mut b);
+            assert_eq!(a, b, "root {v}");
+            assert_eq!(clean.take_ec(), unwound.take_ec(), "root {v}");
+            assert!(!unwound.in_flight);
+            assert!(unwound.marks.iter().all(|&m| m == 0), "root {v}");
         }
     }
 }

@@ -21,8 +21,8 @@
 //! - [`decompose`] — rooted pattern decomposition and the Möbius motif
 //!   basis (DwarvesGraph-style counting, DESIGN.md §14),
 //! - [`planner`] — cost-modelled compilation of counting plans,
-//! - [`exec`] — single-root execution of compiled plans over the
-//!   intersection kernels.
+//! - [`exec`] — single-root execution of compiled plans: neighbour-slice
+//!   scans against per-position vertex marks, the deepest level counted.
 
 pub mod autom;
 pub mod canon;

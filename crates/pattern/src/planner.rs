@@ -65,7 +65,8 @@ impl GraphStats {
 /// How one plan node is computed.
 #[derive(Debug, Clone)]
 pub enum PlanKind {
-    /// Symmetry-broken rooted DFS over the intersection kernels.
+    /// Symmetry-broken rooted DFS (slice scans against vertex marks, see
+    /// [`crate::exec`]).
     Direct {
         /// The compiled matching order (root at position 0). Boxed: a full
         /// exploration plan dwarfs the two-index `Product` variant, and
