@@ -6,6 +6,10 @@ use fractal_enum::kclist::CliqueDag;
 use fractal_enum::KClistEnumerator;
 use std::sync::Arc;
 
+/// The largest clique either fractoid here can grow: one vertex-induced
+/// word per clique vertex.
+pub const MAX_CLIQUE_SIZE: usize = fractal_enum::MAX_VERTEX_WORDS;
+
 /// The Listing 2 fractoid: `vfractoid.expand(1).filter(clique).explore(k)`.
 ///
 /// The filter is exactly the paper's check: the number of edges added by

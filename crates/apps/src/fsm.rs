@@ -19,7 +19,7 @@
 //!   subgraphs. Domains are recorded in original-graph ids so supports are
 //!   unaffected by re-indexing.
 
-use fractal_core::{Aggregator, ExecutionReport, FractalGraph, Fractoid, SubgraphView};
+use fractal_core::{Aggregator, ExecutionReport, FractalGraph, Fractoid};
 use fractal_pattern::canon::InternedForm;
 use fractal_pattern::CanonicalCode;
 use std::collections::{HashMap, HashSet};
@@ -71,10 +71,11 @@ impl DomainSupport {
         }
     }
 
-    /// Inserts one embedding: each of the subgraph's vertices lands in the
-    /// domain of its canonical pattern position, read off `form` (the
-    /// subgraph's canonical form). Vertex ids are translated to the original
-    /// input graph via `fg` so reductions between steps don't skew supports.
+    /// Inserts one embedding: each of the subgraph's `vertices` (insertion
+    /// order) lands in the domain of its canonical pattern position, read off
+    /// `form` (the subgraph's canonical form). Vertex ids are translated to
+    /// the original input graph via `fg` so reductions between steps don't
+    /// skew supports.
     ///
     /// Positions in the same automorphism orbit have identical domains
     /// under exact minimum-image support; folding each vertex into its
@@ -82,8 +83,8 @@ impl DomainSupport {
     /// anti-monotone) even though each subgraph instance is enumerated with
     /// a single canonical mapping.
     #[inline]
-    pub fn insert(&mut self, view: &SubgraphView<'_>, form: InternedForm<'_>, fg: &FractalGraph) {
-        for (&v, &pos) in view.vertices().iter().zip(form.perm) {
+    pub fn insert(&mut self, vertices: &[u32], form: InternedForm<'_>, fg: &FractalGraph) {
+        for (&v, &pos) in vertices.iter().zip(form.perm) {
             self.domains[form.orbit_reps[pos as usize] as usize].insert(fg.orig_vertex(v));
         }
     }
@@ -216,7 +217,7 @@ pub fn fsm_support_aggregator(
         true,
         true,
         |code| DomainSupport::empty(code.num_vertices()),
-        move |sup: &mut DomainSupport, view, form| sup.insert(view, form, &fgc),
+        move |sup: &mut DomainSupport, vertices, form| sup.insert(vertices, form, &fgc),
         DomainSupport::absorb,
     )
     .with_filter(move |_, v: &DomainSupport| v.has_enough_support(min_support))
@@ -315,7 +316,7 @@ pub fn frequent_map(result: &FsmResult) -> HashMap<CanonicalCode, u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fractal_core::FractalContext;
+    use fractal_core::{FractalContext, SubgraphView};
     use fractal_graph::builder::graph_from_edges;
     use fractal_graph::gen;
     use fractal_runtime::ClusterConfig;
@@ -364,7 +365,7 @@ mod tests {
             view.canonical_form(true, true, |form| {
                 got.entry(form.code.clone())
                     .or_insert_with(|| DomainSupport::empty(form.code.num_vertices()))
-                    .insert(&view, form, &fg)
+                    .insert(view.vertices(), form, &fg)
             });
             sg.pop_edge();
         }

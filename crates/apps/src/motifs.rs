@@ -23,7 +23,7 @@ pub fn motifs_fractoid(fg: &FractalGraph, k: usize, use_labels: bool) -> Fractoi
             use_labels,
             use_labels,
             |_| 0u64,
-            |count, _, _| *count += 1,
+            |count: &mut u64, _, _| *count += 1,
             |into, from| *into += std::mem::take(from),
         )))
 }

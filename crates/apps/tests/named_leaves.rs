@@ -1,0 +1,212 @@
+//! Engine parity for the deepest-level rule (DESIGN.md §2.5). A step whose
+//! tail after the deepest `expand` only names the subgraph (live pattern-keyed
+//! aggregations, output mode none or count) never materialises its leaves:
+//! each is folded in under the pattern its enumerator's tip grows out of the
+//! parent's. Every other tail materialises them as before. Both must be
+//! invisible in the results: each shape below is held against the
+//! single-thread baselines of `fractal-baselines` (which build a `Pattern`
+//! per subgraph and share no table, trie or tip with the engine), on one
+//! core and with stealing.
+
+use fractal_apps::{fsm, motifs};
+use fractal_baselines::single_thread::{grami_fsm, gtries_motifs};
+use fractal_core::{Aggregator, FractalContext, FractalGraph};
+use fractal_enum::canonical::canonical_vertex_extension;
+use fractal_graph::{gen, Graph, VertexId};
+use fractal_pattern::canon::canonical_code;
+use fractal_pattern::{CanonicalCode, Pattern};
+use fractal_runtime::{ClusterConfig, WsMode};
+use std::collections::HashMap;
+use std::sync::Arc;
+
+type Census = HashMap<CanonicalCode, u64>;
+
+fn shapes() -> Vec<ClusterConfig> {
+    vec![
+        ClusterConfig::local(1, 1).with_ws(WsMode::Disabled),
+        ClusterConfig::local(2, 2),
+    ]
+}
+
+/// Scale-free, four vertex labels, three edge labels: label flags matter.
+fn labeled_graph() -> Graph {
+    gen::barabasi_albert(90, 3, 4, 3, 11)
+}
+
+fn fg_of(g: &Graph, cfg: ClusterConfig) -> FractalGraph {
+    FractalContext::new(cfg).fractal_graph(g.clone())
+}
+
+/// The labeled motif census the slow way: canonical growth sequences, one
+/// `Pattern` and one `canonical_code` per subgraph. `gtries_motifs` with
+/// label flags.
+fn census_oracle(g: &Graph, k: usize, use_vlabels: bool, use_elabels: bool) -> Census {
+    fn rec(g: &Graph, k: usize, flags: (bool, bool), prefix: &mut Vec<u32>, out: &mut Census) {
+        if prefix.len() == k {
+            let p = Pattern::from_vertex_induced(g, prefix, flags.0, flags.1);
+            *out.entry(canonical_code(&p)).or_insert(0) += 1;
+            return;
+        }
+        let mut cands: Vec<u32> = if prefix.is_empty() {
+            (0..g.num_vertices() as u32).collect()
+        } else {
+            prefix
+                .iter()
+                .flat_map(|&v| g.neighbors(VertexId(v)).iter().copied())
+                .filter(|u| !prefix.contains(u))
+                .collect()
+        };
+        cands.sort_unstable();
+        cands.dedup();
+        for u in cands {
+            if canonical_vertex_extension(g, prefix, u) {
+                prefix.push(u);
+                rec(g, k, flags, prefix, out);
+                prefix.pop();
+            }
+        }
+    }
+    let mut out = Census::new();
+    rec(g, k, (use_vlabels, use_elabels), &mut Vec::new(), &mut out);
+    out
+}
+
+fn counting(
+    name: &str,
+    use_vlabels: bool,
+    use_elabels: bool,
+) -> Arc<Aggregator<CanonicalCode, u64>> {
+    Arc::new(Aggregator::by_pattern(
+        name,
+        use_vlabels,
+        use_elabels,
+        |_| 0u64,
+        |n: &mut u64, _, _| *n += 1,
+        |into, from| *into += std::mem::take(from),
+    ))
+}
+
+#[test]
+fn named_motif_census_matches_gtries() {
+    let g = gen::mico_like(160, 4, 7);
+    for k in [3, 4] {
+        let want = gtries_motifs(&g, k);
+        assert!(want.len() > 1 && want.values().sum::<u64>() > 1000);
+        for cfg in shapes() {
+            let got = motifs::motifs(&fg_of(&g, cfg.clone()), k);
+            assert_eq!(got, want, "k={k} on {cfg:?}");
+        }
+    }
+}
+
+#[test]
+fn named_fsm_rounds_match_grami() {
+    // Rounds 2 and 3 name every embedding from its parent; round 1's single
+    // edges are unit roots and are pushed.
+    let g = gen::patents_like(110, 3, 13);
+    let want: HashMap<CanonicalCode, u64> = grami_fsm(&g, 9, 3).into_iter().collect();
+    assert!(
+        want.keys().any(|c| c.num_vertices() >= 3),
+        "no round past the first"
+    );
+    for cfg in shapes() {
+        let result = fsm::fsm(&fg_of(&g, cfg.clone()), 9, 3);
+        assert_eq!(result.reports.len(), 3, "three rounds on {cfg:?}");
+        assert_eq!(fsm::frequent_map(&result), want, "{cfg:?}");
+    }
+}
+
+#[test]
+fn two_named_aggregations_keep_their_own_label_flags() {
+    let g = labeled_graph();
+    let unlabeled = gtries_motifs(&g, 3);
+    let by_vertex_labels = census_oracle(&g, 3, true, false);
+    assert!(census_oracle(&g, 3, true, true).len() > by_vertex_labels.len());
+    for cfg in shapes() {
+        let fg = fg_of(&g, cfg);
+        // Vertex labels only: both levels can be read off a vertex tip. With
+        // edge labels the vertex tip declines for the second aggregation, and
+        // the leaf is materialised for both.
+        for (vl, el) in [(true, false), (true, true)] {
+            let labeled = census_oracle(&g, 3, vl, el);
+            assert!(labeled.len() > unlabeled.len());
+            let f = fg
+                .vfractoid()
+                .expand(3)
+                .aggregate_spec(counting("plain", false, false))
+                .aggregate_spec(counting("labeled", vl, el));
+            assert_eq!(f.aggregation::<CanonicalCode, u64>("plain"), unlabeled);
+            assert_eq!(f.aggregation::<CanonicalCode, u64>("labeled"), labeled);
+        }
+    }
+}
+
+#[test]
+fn count_and_named_aggregation_share_one_pass() {
+    let g = gen::mico_like(120, 3, 5);
+    let want = gtries_motifs(&g, 4);
+    for cfg in shapes() {
+        let fg = fg_of(&g, cfg);
+        let f = motifs::motifs_fractoid(&fg, 4, false);
+        let (count, report) = f.count_with_report();
+        assert_eq!(count, want.values().sum::<u64>());
+        assert_eq!(report.num_steps(), 1);
+        // The counting pass computed the census; this reads it from the store.
+        let result = f.aggregation_result("motifs");
+        assert_eq!(result.accumulated(), count);
+        assert_eq!(*result.map::<CanonicalCode, u64>(), want);
+    }
+}
+
+#[test]
+fn tails_that_read_the_subgraph_are_materialised_and_agree() {
+    let g = gen::mico_like(100, 4, 17);
+    let want = gtries_motifs(&g, 3);
+    let total: u64 = want.values().sum();
+    for cfg in shapes() {
+        let fg = fg_of(&g, cfg);
+        // A filter after the deepest expand.
+        let triangles_only = fg
+            .vfractoid()
+            .expand(3)
+            .filter(|s| s.is_clique())
+            .aggregate_spec(counting("motifs", false, false))
+            .aggregation::<CanonicalCode, u64>("motifs");
+        let triangle = canonical_code(&Pattern::clique(3));
+        assert_eq!(triangles_only.len(), 1);
+        assert_eq!(triangles_only[&triangle], want[&triangle]);
+        // Collect: the subgraphs come back whole, the census beside them.
+        let f = motifs::motifs_fractoid(&fg, 3, false);
+        let subgraphs = f.subgraphs();
+        assert_eq!(subgraphs.len() as u64, total);
+        for s in &subgraphs {
+            let induced = Pattern::from_vertex_induced(&g, &s.vertices, false, false);
+            assert_eq!(s.edges.len(), induced.num_edges(), "{s:?}");
+        }
+        assert_eq!(f.aggregation::<CanonicalCode, u64>("motifs"), want);
+    }
+}
+
+#[test]
+fn labeled_motifs_are_materialised_for_their_edge_labels() {
+    // Table 2's -ML census: a vertex tip knows its edges but not their ids,
+    // so not their labels either.
+    let g = labeled_graph();
+    let want = census_oracle(&g, 3, true, true);
+    assert!(want.len() > census_oracle(&g, 3, true, false).len());
+    for cfg in shapes() {
+        assert_eq!(motifs::motifs_labeled(&fg_of(&g, cfg), 3), want);
+    }
+}
+
+#[test]
+fn fsm_with_reduction_tracks_participation_and_matches_grami() {
+    // TrackOnly reads every result subgraph's vertices and edges, and the
+    // level filter sits after the deepest expand: materialised twice over.
+    let g = gen::patents_like(110, 3, 13);
+    let want: HashMap<CanonicalCode, u64> = grami_fsm(&g, 9, 3).into_iter().collect();
+    for cfg in shapes() {
+        let result = fsm::fsm_with_reduction(&fg_of(&g, cfg.clone()), 9, 3);
+        assert_eq!(fsm::frequent_map(&result), want, "{cfg:?}");
+    }
+}

@@ -21,6 +21,12 @@ pub trait AggregatorSpec: Send + Sync {
     fn name(&self) -> &str;
     /// Creates an empty per-core shard.
     fn new_shard(&self) -> Box<dyn AggShard>;
+    /// `(use_vlabels, use_elabels)` of an aggregation keyed by the canonical
+    /// pattern ([`Aggregator::by_pattern`]), whose shards can be handed a
+    /// subgraph by class and vertex list
+    /// ([`AggShard::accumulate_named`]); `None` for one that reads the
+    /// subgraph through key and value functions.
+    fn pattern_flags(&self) -> Option<(bool, bool)>;
 }
 
 /// A per-core accumulation shard.
@@ -34,6 +40,12 @@ pub trait AggregatorSpec: Send + Sync {
 pub trait AggShard: Send + Sync {
     /// Folds one subgraph into the shard.
     fn accumulate(&mut self, view: &SubgraphView<'_>);
+    /// Folds one subgraph that was never materialised into a pattern-keyed
+    /// shard: its vertices in insertion order, and the class and form its
+    /// quick pattern was interned under with the shard's label flags, on
+    /// this thread. Everything such a shard reads from a view. Panics on a
+    /// shard whose [`AggregatorSpec::pattern_flags`] is `None`.
+    fn accumulate_named(&mut self, vertices: &[u32], class: PatternClass, form: InternedForm<'_>);
     /// Merges another shard of the same aggregation into this one.
     fn merge_from(&mut self, other: Box<dyn AggShard>);
     /// Moves every entry of this shard into `target` (same aggregation),
@@ -75,7 +87,7 @@ type ExtractFn<T> = Arc<dyn Fn(&SubgraphView<'_>) -> T + Send + Sync>;
 type ReduceFn<V> = Arc<dyn Fn(&mut V, V) + Send + Sync>;
 type FilterFn<K, V> = Arc<dyn Fn(&K, &V) -> bool + Send + Sync>;
 type EmptyFn<V> = Arc<dyn Fn(&CanonicalCode) -> V + Send + Sync>;
-type FoldFn<V> = Arc<dyn Fn(&mut V, &SubgraphView<'_>, InternedForm<'_>) + Send + Sync>;
+type FoldFn<V> = Arc<dyn Fn(&mut V, &[u32], InternedForm<'_>) + Send + Sync>;
 type AbsorbFn<V> = Arc<dyn Fn(&mut V, &mut V) + Send + Sync>;
 
 /// How a shard turns one subgraph into (part of) an entry.
@@ -121,10 +133,12 @@ where
     /// value built per subgraph:
     ///
     /// - `empty(code)` makes the value of a pattern nothing was folded into;
-    /// - `fold(value, view, form)` folds one subgraph in place. `form` is the
-    ///   subgraph's canonical form (the lookup is already done); `fold` runs
-    ///   inside the core's pattern table and must not ask a view for a
-    ///   pattern;
+    /// - `fold(value, vertices, form)` folds one subgraph in place, given as
+    ///   its vertices in insertion order and its canonical form (`form.perm`
+    ///   maps vertex positions to canonical positions). That is all a fold
+    ///   can read: a deepest-level subgraph is named from its parent and
+    ///   never materialised, so there is no view to hand over. `fold` runs
+    ///   inside the core's pattern table;
     /// - `absorb(into, from)` moves everything in `from` into `into` and
     ///   leaves `from` equal to `empty` with its allocations kept: a unit's
     ///   staged values are absorbed on commit and reused by the next unit.
@@ -133,7 +147,7 @@ where
         use_vlabels: bool,
         use_elabels: bool,
         empty: impl Fn(&CanonicalCode) -> V + Send + Sync + 'static,
-        fold: impl Fn(&mut V, &SubgraphView<'_>, InternedForm<'_>) + Send + Sync + 'static,
+        fold: impl Fn(&mut V, &[u32], InternedForm<'_>) + Send + Sync + 'static,
         absorb: impl Fn(&mut V, &mut V) + Send + Sync + 'static,
     ) -> Self {
         let absorb: AbsorbFn<V> = Arc::new(absorb);
@@ -367,6 +381,17 @@ where
     fn new_shard(&self) -> Box<dyn AggShard> {
         Box::new(self.typed_shard())
     }
+
+    fn pattern_flags(&self) -> Option<(bool, bool)> {
+        match &*self.source {
+            Source::Direct { .. } => None,
+            Source::Pattern {
+                use_vlabels,
+                use_elabels,
+                ..
+            } => Some((*use_vlabels, *use_elabels)),
+        }
+    }
 }
 
 impl<K, V> AggShard for TypedShard<K, V>
@@ -375,29 +400,38 @@ where
     V: Send + Sync + 'static,
 {
     fn accumulate(&mut self, view: &SubgraphView<'_>) {
-        self.accumulated += 1;
         match &*self.source {
-            Source::Direct { key_fn, value_fn } => fold_entry(
-                &mut self.map,
-                &mut self.approx_bytes,
-                &self.reduce_fn,
-                key_fn(view),
-                value_fn(view),
-            ),
-            Source::Pattern {
+            Source::Direct { key_fn, value_fn } => {
+                self.accumulated += 1;
+                fold_entry(
+                    &mut self.map,
+                    &mut self.approx_bytes,
+                    &self.reduce_fn,
+                    key_fn(view),
+                    value_fn(view),
+                )
+            }
+            &Source::Pattern {
                 use_vlabels,
                 use_elabels,
-                empty,
-                fold,
                 ..
-            } => {
-                let classes = &mut self.classes;
-                view.classified(*use_vlabels, *use_elabels, |class, form| {
-                    let value = &mut classes.slot(class).value;
-                    fold(value.get_or_insert_with(|| empty(form.code)), view, form)
-                })
-            }
+            } => view.classified(use_vlabels, use_elabels, |class, form| {
+                self.accumulate_named(view.vertices(), class, form)
+            }),
         }
+    }
+
+    fn accumulate_named(&mut self, vertices: &[u32], class: PatternClass, form: InternedForm<'_>) {
+        let Source::Pattern { empty, fold, .. } = &*self.source else {
+            panic!("a subgraph was named for an aggregation that is not keyed by pattern");
+        };
+        self.accumulated += 1;
+        let value = &mut self.classes.slot(class).value;
+        fold(
+            value.get_or_insert_with(|| empty(form.code)),
+            vertices,
+            form,
+        )
     }
 
     fn merge_from(&mut self, other: Box<dyn AggShard>) {
@@ -565,12 +599,12 @@ mod tests {
         let spec = count_agg();
         let mut shard = spec.new_shard();
         let mut sg = Subgraph::new(&g);
-        sg.push_vertex_induced(&g, 0);
+        sg.push_vertex_induced(&g, 0, sg.adjacency_mask(&g, 0));
         shard.accumulate(&SubgraphView {
             graph: &g,
             subgraph: &sg,
         });
-        sg.push_vertex_induced(&g, 1);
+        sg.push_vertex_induced(&g, 1, sg.adjacency_mask(&g, 1));
         shard.accumulate(&SubgraphView {
             graph: &g,
             subgraph: &sg,
@@ -594,7 +628,7 @@ mod tests {
         let mut a = spec.new_shard();
         let mut b = spec.new_shard();
         let mut sg = Subgraph::new(&g);
-        sg.push_vertex_induced(&g, 0);
+        sg.push_vertex_induced(&g, 0, sg.adjacency_mask(&g, 0));
         a.accumulate(&SubgraphView {
             graph: &g,
             subgraph: &sg,
@@ -615,12 +649,12 @@ mod tests {
         let spec = count_agg().with_filter(|_, &v| v >= 2);
         let mut shard = spec.new_shard();
         let mut sg = Subgraph::new(&g);
-        sg.push_vertex_induced(&g, 0);
+        sg.push_vertex_induced(&g, 0, sg.adjacency_mask(&g, 0));
         shard.accumulate(&SubgraphView {
             graph: &g,
             subgraph: &sg,
         });
-        sg.push_vertex_induced(&g, 1);
+        sg.push_vertex_induced(&g, 1, sg.adjacency_mask(&g, 1));
         shard.accumulate(&SubgraphView {
             graph: &g,
             subgraph: &sg,
@@ -643,7 +677,7 @@ mod tests {
         let mut durable = spec.new_shard();
         let mut staged = spec.new_shard();
         let mut sg = Subgraph::new(&g);
-        sg.push_vertex_induced(&g, 0);
+        sg.push_vertex_induced(&g, 0, sg.adjacency_mask(&g, 0));
         durable.accumulate(&SubgraphView {
             graph: &g,
             subgraph: &sg,
@@ -652,7 +686,7 @@ mod tests {
             graph: &g,
             subgraph: &sg,
         });
-        sg.push_vertex_induced(&g, 1);
+        sg.push_vertex_induced(&g, 1, sg.adjacency_mask(&g, 1));
         staged.accumulate(&SubgraphView {
             graph: &g,
             subgraph: &sg,
@@ -679,7 +713,7 @@ mod tests {
         let spec = count_agg();
         let mut shard = spec.new_shard();
         let mut sg = Subgraph::new(&g);
-        sg.push_vertex_induced(&g, 0);
+        sg.push_vertex_induced(&g, 0, sg.adjacency_mask(&g, 0));
         shard.accumulate(&SubgraphView {
             graph: &g,
             subgraph: &sg,
@@ -698,8 +732,8 @@ mod tests {
             false,
             false,
             |_| Vec::new(),
-            |set: &mut Vec<u32>, view, _| {
-                set.extend_from_slice(view.vertices());
+            |set: &mut Vec<u32>, vertices, _| {
+                set.extend_from_slice(vertices);
                 set.sort_unstable();
                 set.dedup();
             },
@@ -711,11 +745,52 @@ mod tests {
         )
     }
 
-    /// Folds every 3-vertex subgraph rooted at `root` into `shard`.
+    /// Folds every 3-vertex subgraph rooted at `root` into `shard`, each
+    /// materialised and handed over as a view.
     fn run_unit(g: &fractal_graph::Graph, root: u32, shard: &mut dyn AggShard) {
         let mut sg = Subgraph::new(g);
-        sg.push_vertex_induced(g, root);
+        sg.push_vertex_induced(g, root, 0);
         crate::view::tests::for_each_leaf(g, &mut sg, 3, &mut |view| shard.accumulate(view));
+    }
+
+    /// [`run_unit`] the way the engine runs a census: 2-vertex parents are
+    /// materialised, every leaf is named from its parent and handed over as
+    /// class + vertex list. Stops (a unit failing half-way) once `budget`
+    /// leaves are folded; returns how many were.
+    fn run_unit_named(
+        g: &fractal_graph::Graph,
+        root: u32,
+        shard: &mut dyn AggShard,
+        budget: u64,
+    ) -> u64 {
+        use fractal_enum::{SubgraphEnumerator, VertexInducedEnumerator};
+        let mut sg = Subgraph::new(g);
+        sg.push_vertex_induced(g, root, 0);
+        let mut en = VertexInducedEnumerator::new();
+        let mut folded = 0;
+        crate::view::tests::for_each_leaf(g, &mut sg, 2, &mut |parent| {
+            let mut exts = Vec::new();
+            en.compute_extensions(g, parent.subgraph, &mut exts);
+            let mut vertices = parent.vertices().to_vec();
+            vertices.push(0);
+            for w in exts {
+                if folded == budget {
+                    return;
+                }
+                let tip = en
+                    .tip(g, parent.subgraph, w)
+                    .expect("vertex words have tips");
+                vertices[2] = tip.new_vertex().expect("a vertex tip adds its vertex");
+                let level = tip.level(g, false, false).expect("no edge labels asked");
+                crate::view::with_patterns(|uid, table| {
+                    let id = parent.intern(table, false, false);
+                    let (class, form) = crate::view::classify_child(uid, table, id, level);
+                    shard.accumulate_named(&vertices, class, form)
+                });
+                folded += 1;
+            }
+        });
+        folded
     }
 
     #[test]
@@ -740,7 +815,14 @@ mod tests {
         assert!(staged.is_empty());
         assert_eq!(staged.accumulated(), 0);
         assert_eq!(staged.resident_bytes(), 0);
-        run_unit(&g, 0, &mut *staged);
+        // The same again with named leaves, aborted half-way through them:
+        // nothing of the failed attempt may survive in the reused values.
+        assert_eq!(run_unit_named(&g, 0, &mut *staged, leaves / 2), leaves / 2);
+        assert!(!staged.is_empty());
+        staged.reset();
+        assert!(staged.is_empty());
+        assert_eq!(staged.accumulated(), 0);
+        assert_eq!(run_unit_named(&g, 0, &mut *staged, u64::MAX), leaves);
         let mut rerun = spec.new_shard();
         staged.drain_into(&mut *rerun);
         assert!(staged.is_empty());

@@ -3,10 +3,11 @@
 
 use crate::aggregation::{AggResult, AggShard};
 use crate::fractoid::{Fractoid, Primitive};
-use crate::view::{SubgraphData, SubgraphView};
+use crate::view::{classify_child, with_patterns, SubgraphData, SubgraphView};
 use fractal_enum::{Subgraph, SubgraphEnumerator};
 use fractal_graph::bitset::Bitset;
 use fractal_graph::Graph;
+use fractal_pattern::canon::Level;
 use fractal_runtime::executor::{run_job, run_job_with, CoreCtx, CoreTask, ExternalHooks, JobSpec};
 use fractal_runtime::level::GlobalCoreId;
 use fractal_runtime::stats::JobReport;
@@ -190,15 +191,32 @@ fn resolve_source(prims: &[Primitive], idx: usize, name: &str) -> Option<u64> {
     })
 }
 
-/// Executes a fractoid: split into steps, run each step on the runtime,
-/// merge and publish aggregations between steps.
-pub(crate) fn execute(fractoid: &Fractoid, mode: OutputMode) -> (ExecutionReport, OutputData) {
-    let t0 = Instant::now();
+/// Refuses, before any core starts, a workflow no step of which could run:
+/// one that does not begin by growing a subgraph, or that grows more words
+/// than its enumerator can hold (a panic inside a core would hang the job).
+fn check_workflow(fractoid: &Fractoid) {
     let prims = &fractoid.primitives;
     assert!(
         matches!(prims.first(), Some(Primitive::Expand)),
         "a fractal workflow must start with expand()"
     );
+    let expands = prims
+        .iter()
+        .filter(|p| matches!(p, Primitive::Expand))
+        .count();
+    let max = (fractoid.factory)(&fractoid.fgraph.graph).max_words();
+    assert!(
+        expands <= max,
+        "a fractal workflow grows at most {max} words with this enumerator, got {expands} expand()s"
+    );
+}
+
+/// Executes a fractoid: split into steps, run each step on the runtime,
+/// merge and publish aggregations between steps.
+pub(crate) fn execute(fractoid: &Fractoid, mode: OutputMode) -> (ExecutionReport, OutputData) {
+    let t0 = Instant::now();
+    let prims = &fractoid.primitives;
+    check_workflow(fractoid);
     let ends = split_steps(fractoid);
     // panic-ok: split_steps returns at least one boundary for a workflow
     // that passed the expand() assert above.
@@ -280,10 +298,7 @@ pub(crate) fn execute_step_distributed(
     hooks: Option<Arc<dyn ExternalHooks>>,
 ) -> StepOutcome {
     let prims = &fractoid.primitives;
-    assert!(
-        matches!(prims.first(), Some(Primitive::Expand)),
-        "a fractal workflow must start with expand()"
-    );
+    check_workflow(fractoid);
     let ends = split_steps(fractoid);
     assert_eq!(
         ends.len(),
@@ -345,6 +360,8 @@ struct StepSpec<'a> {
     live_agg_specs: Vec<Arc<dyn crate::aggregation::AggregatorSpec>>,
     /// Uid of each live aggregation, by slot.
     live_agg_uids: Vec<u64>,
+    /// What becomes of the subgraphs of the deepest `Expand`.
+    deepest: DeepestLevel,
     /// Merged shards (one per live slot), filled by core `finish`.
     merged: Mutex<Vec<Option<Box<dyn AggShard>>>>,
     mode: OutputMode,
@@ -400,6 +417,7 @@ impl<'a> StepSpec<'a> {
             }
         }
         let num_live = live_agg_specs.len();
+        let deepest = DeepestLevel::of(&resolved, &ext_indices, &live_agg_specs, mode);
         StepSpec {
             fractoid,
             graph,
@@ -407,12 +425,82 @@ impl<'a> StepSpec<'a> {
             ext_indices,
             live_agg_specs,
             live_agg_uids,
+            deepest,
             merged: Mutex::new((0..num_live).map(|_| None).collect()),
             mode,
             roots_override: None,
             collected: Mutex::new(Vec::new()),
             counter: AtomicU64::new(0),
             participation: Mutex::new(None),
+        }
+    }
+}
+
+/// One live pattern-keyed aggregation after the deepest `Expand`.
+struct NamedAgg {
+    slot: usize,
+    use_vlabels: bool,
+    use_elabels: bool,
+}
+
+/// What a step does with the subgraphs of its deepest `Expand`: the least
+/// that what comes after it needs.
+enum DeepestLevel {
+    /// Nothing after the deepest `Expand` reads the subgraph: its
+    /// extensions are tallied.
+    Counted,
+    /// The subgraph is only named, for these aggregations: each extension
+    /// is folded in under the pattern its tip grows out of the parent's.
+    Named(Vec<NamedAgg>),
+    /// Something reads the subgraph itself: `extend`, run the tail,
+    /// `retract`.
+    Materialised,
+}
+
+impl DeepestLevel {
+    /// Decided from the step's shape alone. With an output mode that reads
+    /// no subgraph (`None`, `Count`): counted when every primitive after the
+    /// deepest `Expand` is a replayed aggregation (a pass-through) or there
+    /// is none; named when the rest are live aggregations keyed by pattern,
+    /// which a [`fractal_enum::Tip`] and the parent suffice for. A filter
+    /// after the deepest `Expand`, a key/value aggregation, `Collect` and
+    /// `TrackOnly` all read the subgraph itself.
+    fn of(
+        resolved: &[Resolved],
+        ext_indices: &[usize],
+        live_agg_specs: &[Arc<dyn crate::aggregation::AggregatorSpec>],
+        mode: OutputMode,
+    ) -> Self {
+        let Some(&deepest) = ext_indices.last() else {
+            return DeepestLevel::Materialised;
+        };
+        if !matches!(mode, OutputMode::None | OutputMode::Count) {
+            return DeepestLevel::Materialised;
+        }
+        let mut named = Vec::new();
+        for r in &resolved[deepest + 1..] {
+            match r {
+                Resolved::AggregateReplayed => {}
+                Resolved::AggregateLive(slot) => {
+                    let Some((use_vlabels, use_elabels)) = live_agg_specs[*slot].pattern_flags()
+                    else {
+                        return DeepestLevel::Materialised;
+                    };
+                    named.push(NamedAgg {
+                        slot: *slot,
+                        use_vlabels,
+                        use_elabels,
+                    });
+                }
+                Resolved::Expand | Resolved::Filter(_) | Resolved::AggFilter { .. } => {
+                    return DeepestLevel::Materialised
+                }
+            }
+        }
+        if named.is_empty() {
+            DeepestLevel::Counted
+        } else {
+            DeepestLevel::Named(named)
         }
     }
 }
@@ -456,6 +544,9 @@ impl JobSpec for StepSpec<'_> {
             levels_since_track: 0,
             levels_registered: 0,
             exts_pool: Vec::new(),
+            leaf_vertices: Vec::new(),
+            parent_ids: Vec::new(),
+            levels: Vec::new(),
         })
     }
 }
@@ -493,6 +584,12 @@ struct StepTask<'a> {
     /// Spare extension buffers for inlined (unregistered) levels, one per
     /// active inlined depth, recycled across the whole job.
     exts_pool: Vec<Vec<u64>>,
+    /// Scratch of [`name_leaf`](Self::name_leaf): the leaf's vertex list,
+    /// and per named aggregation the parent's quick pattern id and the level
+    /// the leaf adds to it.
+    leaf_vertices: Vec<u32>,
+    parent_ids: Vec<u32>,
+    levels: Vec<Level>,
 }
 
 /// How many stealable levels one dispatched unit registers before the DFS
@@ -504,6 +601,69 @@ struct StepTask<'a> {
 const MAX_REGISTERED_LEVELS: usize = 1;
 
 impl StepTask<'_> {
+    /// Folds the extension `word` of the current subgraph into the
+    /// aggregations of `tail` without materialising it: the parent's quick
+    /// pattern is interned once per aggregation (by the first leaf named
+    /// after [`begin_named_level`](Self::begin_named_level)), then a leaf
+    /// costs its [`fractal_enum::Tip`], one trie probe (`PatternTable::child`) and the
+    /// fold. Returns `false`, having folded nothing, when the word has no tip
+    /// or a tip that cannot name the level under some aggregation's label
+    /// flags (a vertex tip knows no edge labels): the caller materialises
+    /// the leaf.
+    fn name_leaf(&mut self, tail: &[NamedAgg], word: u64) -> bool {
+        let g = self.spec.graph;
+        let Some(tip) = self.enumerator.tip(g, &self.sg, word) else {
+            return false;
+        };
+        self.levels.clear();
+        for a in tail {
+            match tip.level(g, a.use_vlabels, a.use_elabels) {
+                Some(level) => self.levels.push(level),
+                None => return false,
+            }
+        }
+        let n = self.sg.num_vertices();
+        let vertices = match tip.new_vertex() {
+            Some(v) => {
+                self.leaf_vertices[n] = v;
+                &self.leaf_vertices[..]
+            }
+            None => &self.leaf_vertices[..n],
+        };
+        let view = SubgraphView {
+            graph: g,
+            subgraph: &self.sg,
+        };
+        let (levels, parents, staged) =
+            (&self.levels, &mut self.parent_ids, &mut self.staged_shards);
+        with_patterns(|uid, table| {
+            if parents.is_empty() {
+                parents.extend(
+                    tail.iter()
+                        .map(|a| view.intern(table, a.use_vlabels, a.use_elabels)),
+                );
+            }
+            for ((a, &parent), &level) in tail.iter().zip(&*parents).zip(levels) {
+                let (class, form) = classify_child(uid, table, parent, level);
+                staged[a.slot].accumulate_named(vertices, class, form);
+            }
+        });
+        if self.spec.mode.counts() {
+            self.staged_count += 1;
+        }
+        true
+    }
+
+    /// Readies [`name_leaf`](Self::name_leaf) for the extensions of the
+    /// current subgraph: the leaf's vertex list is the parent's, copied here
+    /// once, plus one element rewritten per leaf.
+    fn begin_named_level(&mut self) {
+        self.parent_ids.clear();
+        self.leaf_vertices.clear();
+        self.leaf_vertices.extend_from_slice(self.sg.vertices());
+        self.leaf_vertices.push(0);
+    }
+
     fn leaf(&mut self) {
         match self.spec.mode {
             OutputMode::Collect => {
@@ -574,30 +734,39 @@ impl StepTask<'_> {
                         self.enumerator
                             .compute_extensions(self.spec.graph, &self.sg, &mut exts);
                     ctx.add_ec(ec);
-                    // Terminal count leaves: nothing below this Expand reads
-                    // subgraph state, so each extension contributes exactly
-                    // one to the tally — count them without materializing
-                    // (for KClist that skips a candidate-set intersection
-                    // per leaf). `None` leaves are pure no-ops; skip those
-                    // outright.
-                    if idx + 1 == self.spec.resolved.len() {
-                        match self.spec.mode {
-                            OutputMode::Count => {
-                                self.staged_count += exts.len() as u64;
-                                self.exts_pool.push(exts);
-                                return;
-                            }
-                            OutputMode::None => {
-                                self.exts_pool.push(exts);
-                                return;
-                            }
-                            OutputMode::Collect | OutputMode::TrackOnly => {}
+                    let deepest =
+                        (Some(&idx) == self.spec.ext_indices.last()).then_some(&self.spec.deepest);
+                    if let Some(DeepestLevel::Counted) = deepest {
+                        // Nothing below this Expand reads subgraph state, so
+                        // each extension contributes exactly one to the
+                        // tally: count them without materializing (for
+                        // KClist that skips a candidate-set intersection per
+                        // leaf). Under `None` there is not even a tally.
+                        if self.spec.mode.counts() {
+                            self.staged_count += exts.len() as u64;
                         }
-                    }
-                    for &w in &exts {
-                        self.enumerator.extend(self.spec.graph, &mut self.sg, w);
-                        self.dfs(ctx, idx + 1);
-                        self.enumerator.retract(self.spec.graph, &mut self.sg);
+                    } else {
+                        // Named: everything below this Expand names the
+                        // subgraph and reads nothing else of it, so each
+                        // extension is folded in under the pattern its tip
+                        // grows out of the parent's, without being pushed; a
+                        // word whose enumerator gives no tip is materialised
+                        // after all, like every word of any other level.
+                        let named = match deepest {
+                            Some(DeepestLevel::Named(tail)) => Some(&tail[..]),
+                            _ => None,
+                        };
+                        if named.is_some() {
+                            self.begin_named_level();
+                        }
+                        for &w in &exts {
+                            if named.is_some_and(|tail| self.name_leaf(tail, w)) {
+                                continue;
+                            }
+                            self.enumerator.extend(self.spec.graph, &mut self.sg, w);
+                            self.dfs(ctx, idx + 1);
+                            self.enumerator.retract(self.spec.graph, &mut self.sg);
+                        }
                     }
                     self.exts_pool.push(exts);
                     return;
@@ -967,6 +1136,86 @@ mod tests {
         assert_eq!(report.num_steps(), 1);
         assert!(report.total_ec() > 0);
         assert!(report.elapsed.as_nanos() > 0);
+    }
+
+    /// What becomes of the deepest level of `f` run in `mode`: `"counted"`,
+    /// `"materialised"`, or the label flags of the aggregations it is named
+    /// for.
+    fn deepest_of(f: &Fractoid, mode: OutputMode) -> String {
+        match StepSpec::build(f, &f.primitives, mode).deepest {
+            DeepestLevel::Counted => "counted".into(),
+            DeepestLevel::Materialised => "materialised".into(),
+            DeepestLevel::Named(tail) => tail
+                .iter()
+                .map(|a| format!("named({}, {})", a.use_vlabels, a.use_elabels))
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn deepest_level_is_named_only_when_nothing_else_reads_it() {
+        use crate::aggregation::Aggregator;
+        let fg = small();
+        let by_pattern = |name: &str, vl: bool, el: bool| {
+            Arc::new(Aggregator::by_pattern(
+                name,
+                vl,
+                el,
+                |_| 0u64,
+                |n: &mut u64, _, _| *n += 1,
+                |into, from| *into += std::mem::take(from),
+            ))
+        };
+        let census = fg
+            .vfractoid()
+            .expand(3)
+            .aggregate_spec(by_pattern("m", false, false));
+        assert_eq!(deepest_of(&census, OutputMode::None), "named(false, false)");
+        assert_eq!(
+            deepest_of(&census, OutputMode::Count),
+            "named(false, false)"
+        );
+        // Output that reads the subgraph itself has it materialised.
+        assert_eq!(deepest_of(&census, OutputMode::Collect), "materialised");
+        assert_eq!(deepest_of(&census, OutputMode::TrackOnly), "materialised");
+        // Two pattern-keyed aggregations, each with its own label flags.
+        let two = census.clone().aggregate_spec(by_pattern("l", true, true));
+        assert_eq!(
+            deepest_of(&two, OutputMode::None),
+            "named(false, false)named(true, true)"
+        );
+        // Nothing after the deepest Expand.
+        let bare = fg.vfractoid().expand(3);
+        assert_eq!(deepest_of(&bare, OutputMode::Count), "counted");
+        assert_eq!(deepest_of(&bare, OutputMode::Collect), "materialised");
+        // A filter or a key/value aggregation after it reads a view.
+        let filtered = fg
+            .vfractoid()
+            .expand(3)
+            .filter(|_| true)
+            .aggregate_spec(by_pattern("m", false, false));
+        assert_eq!(deepest_of(&filtered, OutputMode::None), "materialised");
+        let keyed = census
+            .clone()
+            .aggregate("e", |s| s.num_edges(), |_| 1u64, |a, v| *a += v);
+        assert_eq!(deepest_of(&keyed, OutputMode::None), "materialised");
+        // What sits before the deepest Expand does not matter.
+        let earlier = fg
+            .vfractoid()
+            .expand(1)
+            .filter(|_| true)
+            .aggregate("e", |s| s.num_edges(), |_| 1u64, |a, v| *a += v)
+            .expand(2)
+            .aggregate_spec(by_pattern("m", false, false));
+        assert_eq!(
+            deepest_of(&earlier, OutputMode::None),
+            "named(false, false)"
+        );
+        // A replayed aggregation passes through: once computed, the census
+        // leaves nothing to name for and its leaves are counted.
+        assert_eq!(census.count(), 3);
+        assert_eq!(deepest_of(&census, OutputMode::Count), "counted");
+        assert_eq!(census.count(), 3);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use fractal_enum::Subgraph;
 use fractal_graph::{EdgeId, Graph, VertexId};
-use fractal_pattern::canon::{InternedForm, PatternTable};
+use fractal_pattern::canon::{InternedForm, Level, PatternTable};
 use fractal_pattern::{CanonicalCode, Pattern};
 use fractal_runtime::sync::{AtomicU64, Ordering};
 use std::cell::RefCell;
@@ -34,9 +34,38 @@ thread_local! {
 /// aggregations stage under. Only meaningful on the thread that produced
 /// it; [`class_code`] refuses a handle from another core's table.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct PatternClass {
+pub struct PatternClass {
     pub(crate) table: u64,
     pub(crate) index: u32,
+}
+
+/// Runs `f` on the calling core's pattern table and the identity its
+/// [`PatternClass`] handles carry. `f` must not ask a view for a pattern.
+#[inline]
+pub(crate) fn with_patterns<R>(f: impl FnOnce(u64, &mut PatternTable) -> R) -> R {
+    PATTERNS.with(|p| {
+        let p = &mut *p.borrow_mut();
+        f(p.uid, &mut p.table)
+    })
+}
+
+/// Class and form of the quick pattern `level` grows out of the interned
+/// quick pattern `parent` of `table` (whose identity is `uid`): what
+/// [`SubgraphView::classified`] finds for the extended subgraph, from one
+/// trie probe and without the subgraph.
+#[inline]
+pub(crate) fn classify_child(
+    uid: u64,
+    table: &mut PatternTable,
+    parent: u32,
+    level: Level,
+) -> (PatternClass, InternedForm<'_>) {
+    let id = table.child(parent, level);
+    let class = PatternClass {
+        table: uid,
+        index: table.class(id),
+    };
+    (class, table.form(id))
 }
 
 /// The canonical code `class` stands for.
@@ -121,7 +150,7 @@ impl SubgraphView<'_> {
 
     /// Interns this subgraph's quick pattern in `t`.
     #[inline]
-    fn intern(&self, t: &mut PatternTable, use_vlabels: bool, use_elabels: bool) -> u32 {
+    pub(crate) fn intern(&self, t: &mut PatternTable, use_vlabels: bool, use_elabels: bool) -> u32 {
         t.intern(|q| {
             self.subgraph
                 .quick_pattern(self.graph, use_vlabels, use_elabels, q)
@@ -133,12 +162,11 @@ impl SubgraphView<'_> {
     /// ([`Aggregator::by_pattern`](crate::Aggregator::by_pattern)).
     #[inline]
     pub(crate) fn pattern_class(&self, use_vlabels: bool, use_elabels: bool) -> PatternClass {
-        PATTERNS.with(|p| {
-            let p = &mut *p.borrow_mut();
-            let id = self.intern(&mut p.table, use_vlabels, use_elabels);
+        with_patterns(|uid, table| {
+            let id = self.intern(table, use_vlabels, use_elabels);
             PatternClass {
-                table: p.uid,
-                index: p.table.class(id),
+                table: uid,
+                index: table.class(id),
             }
         })
     }
@@ -175,14 +203,13 @@ impl SubgraphView<'_> {
         use_elabels: bool,
         f: impl FnOnce(PatternClass, InternedForm<'_>) -> R,
     ) -> R {
-        PATTERNS.with(|p| {
-            let p = &mut *p.borrow_mut();
-            let id = self.intern(&mut p.table, use_vlabels, use_elabels);
+        with_patterns(|uid, table| {
+            let id = self.intern(table, use_vlabels, use_elabels);
             let class = PatternClass {
-                table: p.uid,
-                index: p.table.class(id),
+                table: uid,
+                index: table.class(id),
             };
-            f(class, p.table.form(id))
+            f(class, table.form(id))
         })
     }
 }
@@ -251,7 +278,7 @@ pub(crate) mod tests {
             false,
             false,
             |_| 0u64,
-            |n, _, _| *n += 1,
+            |n: &mut u64, _, _| *n += 1,
             |into, from| *into += std::mem::take(from),
         );
         let (mut staged, mut durable) = (spec.new_shard(), spec.new_shard());
@@ -260,7 +287,7 @@ pub(crate) mod tests {
         // One unit per root vertex, committed like the engine commits it.
         for root in 0..g.num_vertices() as u32 {
             let mut sg = Subgraph::new(&g);
-            sg.push_vertex_induced(&g, root);
+            sg.push_vertex_induced(&g, root, sg.adjacency_mask(&g, root));
             for_each_leaf(&g, &mut sg, 4, &mut |view| {
                 leaves += 1;
                 staged.accumulate(view);
@@ -306,7 +333,7 @@ pub(crate) mod tests {
     fn class_from_another_core_is_refused() {
         let g = unlabeled_from_edges(2, &[(0, 1)]);
         let mut sg = Subgraph::new(&g);
-        sg.push_vertex_induced(&g, 0);
+        sg.push_vertex_induced(&g, 0, sg.adjacency_mask(&g, 0));
         let class = std::thread::scope(|s| {
             s.spawn(|| {
                 SubgraphView {
@@ -325,9 +352,9 @@ pub(crate) mod tests {
     fn view_accessors_and_clique_check() {
         let g = unlabeled_from_edges(4, &[(0, 1), (1, 2), (0, 2), (2, 3)]);
         let mut sg = Subgraph::new(&g);
-        sg.push_vertex_induced(&g, 0);
-        sg.push_vertex_induced(&g, 1);
-        sg.push_vertex_induced(&g, 2);
+        sg.push_vertex_induced(&g, 0, sg.adjacency_mask(&g, 0));
+        sg.push_vertex_induced(&g, 1, sg.adjacency_mask(&g, 1));
+        sg.push_vertex_induced(&g, 2, sg.adjacency_mask(&g, 2));
         let view = SubgraphView {
             graph: &g,
             subgraph: &sg,

@@ -3,10 +3,15 @@
 //! documented semantics primitive by primitive.
 
 use fractal_core::prelude::*;
+use fractal_core::Aggregator;
 use fractal_enum::canonical::canonical_vertex_extension;
 use fractal_graph::{Graph, VertexId};
+use fractal_pattern::CanonicalCode;
 use fractal_runtime::{ClusterConfig, WsMode};
 use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Oracle: sequential DFS over [expand, filter]* with the same canonical
 /// rule and filter semantics as the engine.
@@ -76,8 +81,84 @@ fn engine_count(g: &Graph, levels: &[Option<u32>], cfg: ClusterConfig) -> u64 {
     f.count()
 }
 
+/// Everything a pattern-keyed fold is handed for one subgraph: its vertices
+/// in insertion order, and the permutation and orbit representatives of its
+/// canonical form.
+type Folded = (Vec<u32>, Vec<u8>, Vec<u8>);
+
+/// Runs `fractoid` into an aggregation that records, per canonical pattern,
+/// every [`Folded`] its fold was called with.
+fn folded_by_pattern(
+    fractoid: Fractoid,
+    use_vlabels: bool,
+    use_elabels: bool,
+) -> HashMap<CanonicalCode, Vec<Folded>> {
+    let spec = Aggregator::by_pattern(
+        "folded",
+        use_vlabels,
+        use_elabels,
+        |_| Vec::new(),
+        |all: &mut Vec<Folded>, vertices, form| {
+            all.push((
+                vertices.to_vec(),
+                form.perm.to_vec(),
+                form.orbit_reps.to_vec(),
+            ))
+        },
+        |into: &mut Vec<Folded>, from: &mut Vec<Folded>| into.append(from),
+    );
+    let mut map = fractoid
+        .aggregate_spec(Arc::new(spec))
+        .aggregation::<CanonicalCode, Vec<Folded>>("folded");
+    map.values_mut().for_each(|all| all.sort());
+    map
+}
+
+/// `erdos_renyi(n, 2n)` with three vertex labels and three edge labels.
+fn labeled_graph(n: usize, seed: u64) -> Graph {
+    let topology = fractal_graph::gen::erdos_renyi(n, n * 2, 1, seed);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37);
+    let labels: Vec<u32> = (0..n).map(|_| rng.gen_range(0u32..3)).collect();
+    let edges: Vec<(u32, u32, u32)> = topology
+        .edges()
+        .map(|e| {
+            let (u, v) = topology.edge_endpoints(e);
+            (u.raw(), v.raw(), rng.gen_range(0u32..3))
+        })
+        .collect();
+    fractal_graph::builder::graph_from_edges(&labels, &edges)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A deepest level that is only named is never materialised: each leaf
+    /// is folded under the class its tip grows out of its parent's, with the
+    /// parent's vertex list plus the tip's vertex. A pass-all filter after
+    /// the deepest `expand` makes the engine `extend` every leaf and name it
+    /// by its whole key instead. Both growth modes, depths 2..=5, every label
+    /// setting: the folds must be handed the same class, permutation, orbit
+    /// representatives and vertex list for every leaf.
+    #[test]
+    fn named_leaves_fold_what_materialised_leaves_fold(
+        n in 5usize..12,
+        seed in 0u64..500,
+        depth in 2usize..=5,
+        flags in 0usize..4,
+    ) {
+        let (use_vlabels, use_elabels) = (flags & 1 == 1, flags & 2 == 2);
+        let fc = FractalContext::new(ClusterConfig::local(1, 2));
+        let fg = fc.fractal_graph(labeled_graph(n, seed));
+        for grow in [FractalGraph::vfractoid, FractalGraph::efractoid] {
+            let named = folded_by_pattern(grow(&fg).expand(depth), use_vlabels, use_elabels);
+            let materialised = folded_by_pattern(
+                grow(&fg).expand(depth).filter(|_| true),
+                use_vlabels,
+                use_elabels,
+            );
+            prop_assert_eq!(named, materialised);
+        }
+    }
 
     /// Random [expand, filter?]* workflows: engine == oracle across
     /// cluster shapes and stealing modes.

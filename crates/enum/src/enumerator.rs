@@ -12,9 +12,107 @@
 use crate::canonical::{canonical_edge_extension, canonical_vertex_extension};
 use crate::subgraph::Subgraph;
 use fractal_graph::kernels::seek_above;
-use fractal_graph::{ExtensionKernels, Graph, KernelCounters, VertexId};
+use fractal_graph::{EdgeId, ExtensionKernels, Graph, KernelCounters, VertexId};
+use fractal_pattern::canon::Level;
 use fractal_pattern::ExplorationPlan;
 use std::sync::Arc;
+
+/// Most words a vertex-induced growth sequence holds: a word carries one
+/// adjacency bit per earlier position, and the mask has 32.
+pub const MAX_VERTEX_WORDS: usize = 33;
+
+/// Most words an edge-induced growth sequence holds: `Subgraph` keeps local
+/// vertex positions in a byte, and 255 edges span at most 256 vertices.
+pub const MAX_EDGE_WORDS: usize = 255;
+
+/// A vertex-induced extension word: the vertex, and above it the positions
+/// of the prefix it is adjacent to (bit `p`: `sg.vertices()[p]`). The root
+/// word of a vertex is its bare id.
+#[inline]
+pub fn vertex_word(v: u32, mask: u32) -> u64 {
+    (mask as u64) << 32 | v as u64
+}
+
+/// `(vertex, adjacency mask)` of a [`vertex_word`].
+#[inline]
+pub fn vertex_word_parts(word: u64) -> (u32, u32) {
+    (word as u32, (word >> 32) as u32)
+}
+
+/// What one extension word adds to the subgraph it extends, in local
+/// positions: enough to name the extended subgraph's pattern and vertex list
+/// without pushing the word
+/// ([`SubgraphEnumerator::tip`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tip {
+    /// Vertex `v`, adjacent to the positions in `mask` (all its edges into
+    /// the subgraph; their ids are not known).
+    Vertex {
+        /// The vertex added, at position `num_vertices()`.
+        v: u32,
+        /// Positions of the subgraph's vertices `v` is adjacent to.
+        mask: u32,
+    },
+    /// Edge `e` between local positions `lo < hi`.
+    Edge {
+        /// The edge added.
+        e: u32,
+        /// Position of its earlier endpoint, always a member.
+        lo: u8,
+        /// Position of its later endpoint: `num_vertices()` when the edge
+        /// brings that endpoint in.
+        hi: u8,
+        /// The endpoint the edge brings in, if any.
+        new_vertex: Option<u32>,
+    },
+}
+
+impl Tip {
+    /// The vertex this tip appends to the subgraph's vertex list, if any.
+    #[inline]
+    pub fn new_vertex(&self) -> Option<u32> {
+        match *self {
+            Tip::Vertex { v, .. } => Some(v),
+            Tip::Edge { new_vertex, .. } => new_vertex,
+        }
+    }
+
+    /// What this tip adds to its parent's quick pattern under the given
+    /// label flags. `None` when the tip cannot say: a vertex tip holds no
+    /// edge ids, so it knows its edges but not their labels.
+    #[inline]
+    pub fn level(&self, g: &Graph, use_vlabels: bool, use_elabels: bool) -> Option<Level> {
+        let vlabel = |v: u32| {
+            if use_vlabels {
+                g.vertex_label(VertexId(v)).raw()
+            } else {
+                0
+            }
+        };
+        match *self {
+            Tip::Vertex { .. } if use_elabels => None,
+            Tip::Vertex { v, mask } => Some(Level::Vertex {
+                label: vlabel(v),
+                mask,
+            }),
+            Tip::Edge {
+                e,
+                lo,
+                hi,
+                new_vertex,
+            } => Some(Level::Edge {
+                lo,
+                hi,
+                label: if use_elabels {
+                    g.edge_label(EdgeId(e)).raw()
+                } else {
+                    0
+                },
+                new_vertex: new_vertex.map(vlabel),
+            }),
+        }
+    }
+}
 
 /// A strategy for growing subgraphs one word at a time (Fig. 7).
 ///
@@ -30,6 +128,19 @@ pub trait SubgraphEnumerator: Send {
 
     /// Undoes the most recent extension.
     fn retract(&mut self, g: &Graph, sg: &mut Subgraph);
+
+    /// What `word` (one of `compute_extensions(g, sg, ..)`'s) would add to
+    /// `sg`, without adding it. The engine names a deepest-level subgraph
+    /// from its parent through this instead of `extend` + `retract`.
+    /// Enumerators whose words do not say (`None`, the default) have every
+    /// subgraph materialised.
+    fn tip(&self, _g: &Graph, _sg: &Subgraph, _word: u64) -> Option<Tip> {
+        None
+    }
+
+    /// The longest word sequence this enumerator can grow. The engine
+    /// refuses a workflow with more `expand()`s before any core starts.
+    fn max_words(&self) -> usize;
 
     /// Clears custom state (called before rebuilding from a prefix).
     fn reset_state(&mut self, _g: &Graph) {}
@@ -68,7 +179,7 @@ impl Clone for Box<dyn SubgraphEnumerator> {
 pub struct VertexInducedEnumerator {
     kernels: ExtensionKernels,
     scratch: Vec<u32>,
-    anchors: Vec<u32>,
+    masks: Vec<u32>,
     sufmax: Vec<u32>,
 }
 
@@ -86,15 +197,16 @@ impl SubgraphEnumerator for VertexInducedEnumerator {
             out.extend(0..g.num_vertices() as u64);
             return g.num_vertices() as u64;
         }
-        // Anchored multi-way merge-union of the prefix's sorted
-        // neighborhoods (the CSR slices are sorted, so no gather + sort +
-        // dedup). The union reports each candidate's anchor — the earliest
-        // prefix position it is adjacent to — which turns the canonicality
-        // rule into a single suffix-max comparison: a candidate `u`
-        // anchored at position `a` is canonical iff `u > prefix[0]` and
-        // `u > max(prefix[a+1..])`. No per-candidate adjacency probes.
+        // Multi-way merge-union of the prefix's sorted neighborhoods (the
+        // CSR slices are sorted, so no gather + sort + dedup). The union
+        // reports which prefix positions each candidate is adjacent to. The
+        // lowest is its anchor, which turns the canonicality rule into a
+        // single suffix-max comparison: a candidate `u` anchored at position
+        // `a` is canonical iff `u > prefix[0]` and `u > max(prefix[a+1..])`.
+        // No per-candidate adjacency probes, and the whole mask rides in the
+        // word: it is the candidate's induced edges.
         let mut scratch = std::mem::take(&mut self.scratch);
-        let mut anchors = std::mem::take(&mut self.anchors);
+        let mut masks = std::mem::take(&mut self.masks);
         {
             let lists: Vec<&[u32]> = sg
                 .vertices()
@@ -102,7 +214,7 @@ impl SubgraphEnumerator for VertexInducedEnumerator {
                 .map(|&v| g.neighbors(VertexId(v)))
                 .collect();
             self.kernels
-                .union_sorted_anchored_into(&lists, &mut scratch, &mut anchors);
+                .union_sorted_masked_into(&lists, &mut scratch, &mut masks);
         }
         let prefix = sg.vertices();
         self.sufmax.clear();
@@ -114,30 +226,39 @@ impl SubgraphEnumerator for VertexInducedEnumerator {
         }
         let first = prefix[0];
         let mut tests = 0u64;
-        for (&u, &a) in scratch.iter().zip(&anchors) {
+        for (&u, &mask) in scratch.iter().zip(&masks) {
             if sg.has_vertex(u) {
                 continue;
             }
             tests += 1;
-            debug_assert_eq!(
-                u > first && self.sufmax.get(a as usize + 1).is_none_or(|&m| m < u),
-                canonical_vertex_extension(g, prefix, u)
-            );
-            if u > first && self.sufmax.get(a as usize + 1).is_none_or(|&m| m < u) {
-                out.push(u as u64);
+            let anchor = mask.trailing_zeros() as usize;
+            let canonical = u > first && self.sufmax.get(anchor + 1).is_none_or(|&m| m < u);
+            debug_assert_eq!(canonical, canonical_vertex_extension(g, prefix, u));
+            if canonical {
+                out.push(vertex_word(u, mask));
             }
         }
         self.scratch = scratch;
-        self.anchors = anchors;
+        self.masks = masks;
         tests
     }
 
     fn extend(&mut self, g: &Graph, sg: &mut Subgraph, word: u64) {
-        sg.push_vertex_induced(g, word as u32);
+        let (v, mask) = vertex_word_parts(word);
+        sg.push_vertex_induced(g, v, mask);
     }
 
     fn retract(&mut self, _g: &Graph, sg: &mut Subgraph) {
         sg.pop_vertex_induced();
+    }
+
+    fn tip(&self, _g: &Graph, _sg: &Subgraph, word: u64) -> Option<Tip> {
+        let (v, mask) = vertex_word_parts(word);
+        Some(Tip::Vertex { v, mask })
+    }
+
+    fn max_words(&self) -> usize {
+        MAX_VERTEX_WORDS
     }
 
     fn take_kernel_counters(&mut self) -> KernelCounters {
@@ -154,7 +275,7 @@ impl SubgraphEnumerator for VertexInducedEnumerator {
 #[derive(Debug, Default, Clone)]
 pub struct EdgeInducedEnumerator {
     /// Per member vertex position: index of the earliest prefix edge that
-    /// contains it.
+    /// contains it ([`MAX_EDGE_WORDS`] keeps it in a byte).
     first_edge: Vec<u8>,
     sufmax: Vec<u32>,
 }
@@ -182,6 +303,10 @@ impl SubgraphEnumerator for EdgeInducedEnumerator {
         // every candidate; nothing is copied, merged or probed.
         let prefix = sg.edges();
         let members = sg.vertices();
+        assert!(
+            prefix.len() < MAX_EDGE_WORDS,
+            "an edge-induced subgraph grows to at most {MAX_EDGE_WORDS} edges"
+        );
         self.first_edge.clear();
         self.first_edge.resize(members.len(), u8::MAX);
         for (i, &(lo, hi)) in sg.edge_ends().iter().enumerate().rev() {
@@ -228,6 +353,29 @@ impl SubgraphEnumerator for EdgeInducedEnumerator {
 
     fn retract(&mut self, _g: &Graph, sg: &mut Subgraph) {
         sg.pop_edge();
+    }
+
+    fn tip(&self, g: &Graph, sg: &Subgraph, word: u64) -> Option<Tip> {
+        let e = word as u32;
+        let (s, d) = g.edge_endpoints(EdgeId(e));
+        let n = sg.num_vertices();
+        let (lo, hi, new_vertex) = match (sg.position_of(s.raw()), sg.position_of(d.raw())) {
+            (Some(a), Some(b)) => (a.min(b), a.max(b), None),
+            (Some(a), None) => (a, n, Some(d.raw())),
+            (None, Some(b)) => (b, n, Some(s.raw())),
+            // A root edge brings both endpoints: not one level over a parent.
+            (None, None) => return None,
+        };
+        Some(Tip::Edge {
+            e,
+            lo: lo as u8,
+            hi: hi as u8,
+            new_vertex,
+        })
+    }
+
+    fn max_words(&self) -> usize {
+        MAX_EDGE_WORDS
     }
 
     fn clone_boxed(&self) -> Box<dyn SubgraphEnumerator> {
@@ -395,6 +543,10 @@ impl SubgraphEnumerator for PatternEnumerator {
         sg.pop_matched();
     }
 
+    fn max_words(&self) -> usize {
+        self.plan.len()
+    }
+
     fn take_kernel_counters(&mut self) -> KernelCounters {
         self.kernels.take_counters()
     }
@@ -540,16 +692,143 @@ pub(crate) mod tests {
 
     #[test]
     fn rebuild_reproduces_state() {
+        // A thief is handed the words the victim's enumerator produced,
+        // masks and all, and replays them.
         let g = unlabeled_from_edges(4, &[(0, 1), (1, 2), (0, 2), (2, 3)]);
         let mut en: Box<dyn SubgraphEnumerator> = Box::new(VertexInducedEnumerator::new());
         let mut sg = Subgraph::new(&g);
-        en.extend(&g, &mut sg, 0);
-        en.extend(&g, &mut sg, 1);
+        let mut words = Vec::new();
+        let mut exts = Vec::new();
+        for pick in [0, 1, 0] {
+            en.compute_extensions(&g, &sg, &mut exts);
+            words.push(exts[pick]);
+            en.extend(&g, &mut sg, exts[pick]);
+        }
+        assert_eq!(sg.vertices(), &[0, 2, 3]);
+        assert_eq!(sg.edges(), &[2, 3]);
         let snap = sg.snapshot();
         let mut en2: Box<dyn SubgraphEnumerator> = en.clone_boxed();
         let mut sg2 = Subgraph::new(&g);
-        en2.rebuild(&g, &mut sg2, &[0, 1]);
+        en2.rebuild(&g, &mut sg2, &words);
         assert_eq!(sg2.snapshot(), snap);
+    }
+
+    #[test]
+    fn vertex_words_carry_the_adjacency_of_what_they_add() {
+        // Triangle 0-1-2 with a tail 2-3: after [0, 1], vertex 2 is adjacent
+        // to both positions; after [0, 2], vertex 3 to position 1 only.
+        let g = unlabeled_from_edges(4, &[(0, 1), (1, 2), (0, 2), (2, 3)]);
+        let mut en = VertexInducedEnumerator::new();
+        let mut sg = Subgraph::new(&g);
+        let mut exts = Vec::new();
+        en.extend(&g, &mut sg, 0);
+        en.extend(&g, &mut sg, vertex_word(1, 0b1));
+        en.compute_extensions(&g, &sg, &mut exts);
+        assert_eq!(exts, vec![vertex_word(2, 0b11)]);
+        assert_eq!(
+            en.tip(&g, &sg, exts[0]),
+            Some(Tip::Vertex { v: 2, mask: 0b11 })
+        );
+        en.retract(&g, &mut sg);
+        en.extend(&g, &mut sg, vertex_word(2, 0b1));
+        en.compute_extensions(&g, &sg, &mut exts);
+        assert_eq!(exts, vec![vertex_word(3, 0b10)]);
+        for &w in &exts {
+            let (v, mask) = vertex_word_parts(w);
+            assert_eq!(mask, sg.adjacency_mask(&g, v));
+        }
+    }
+
+    #[test]
+    fn edge_tips_give_local_endpoints_and_what_comes_in() {
+        // Triangle 0-1-2 (edges 0: 0-1, 1: 1-2, 2: 0-2) with a tail 2-3
+        // (edge 3).
+        let g = unlabeled_from_edges(4, &[(0, 1), (1, 2), (0, 2), (2, 3)]);
+        let mut en = EdgeInducedEnumerator::new();
+        let mut sg = Subgraph::new(&g);
+        // A root edge brings both endpoints in: not a level over a parent.
+        assert_eq!(en.tip(&g, &sg, 0), None);
+        en.extend(&g, &mut sg, 0);
+        assert_eq!(
+            en.tip(&g, &sg, 1),
+            Some(Tip::Edge {
+                e: 1,
+                lo: 1,
+                hi: 2,
+                new_vertex: Some(2)
+            })
+        );
+        en.extend(&g, &mut sg, 1);
+        // Edge 2 closes the triangle between positions 0 and 2.
+        let closing = Tip::Edge {
+            e: 2,
+            lo: 0,
+            hi: 2,
+            new_vertex: None,
+        };
+        assert_eq!(en.tip(&g, &sg, 2), Some(closing));
+        assert_eq!(closing.new_vertex(), None);
+        // What a tip says is what `extend` then does.
+        en.extend(&g, &mut sg, 3);
+        assert_eq!(sg.edge_ends().last(), Some(&(2, 3)));
+        // Positions, not ids, order the endpoints: reached as [1, 2] the
+        // members are 1, 2, 0 and edge 0 closes between positions 2 and 0.
+        sg.reset();
+        sg.push_edge(&g, 1);
+        sg.push_edge(&g, 2);
+        assert_eq!(sg.vertices(), &[1, 2, 0]);
+        let closing = Tip::Edge {
+            e: 0,
+            lo: 0,
+            hi: 2,
+            new_vertex: None,
+        };
+        assert_eq!(en.tip(&g, &sg, 0), Some(closing));
+    }
+
+    #[test]
+    fn a_vertex_tip_knows_its_edges_but_not_their_labels() {
+        let g = graph_from_edges(&[4, 5, 6], &[(0, 1, 7), (1, 2, 8), (0, 2, 9)]);
+        let tip = Tip::Vertex { v: 2, mask: 0b11 };
+        assert_eq!(
+            tip.level(&g, true, false),
+            Some(Level::Vertex {
+                label: 6,
+                mask: 0b11
+            })
+        );
+        assert_eq!(
+            tip.level(&g, false, false),
+            Some(Level::Vertex {
+                label: 0,
+                mask: 0b11
+            })
+        );
+        assert_eq!(tip.level(&g, true, true), None);
+        let tip = Tip::Edge {
+            e: 1,
+            lo: 1,
+            hi: 2,
+            new_vertex: Some(2),
+        };
+        assert_eq!(
+            tip.level(&g, true, true),
+            Some(Level::Edge {
+                lo: 1,
+                hi: 2,
+                label: 8,
+                new_vertex: Some(6)
+            })
+        );
+        assert_eq!(
+            tip.level(&g, false, false),
+            Some(Level::Edge {
+                lo: 1,
+                hi: 2,
+                label: 0,
+                new_vertex: Some(0)
+            })
+        );
     }
 
     #[test]
@@ -560,7 +839,7 @@ pub(crate) mod tests {
         let mut exts = Vec::new();
         // Root: n tests.
         assert_eq!(en.compute_extensions(&g, &sg, &mut exts), 4);
-        sg.push_vertex_induced(&g, 0);
+        sg.push_vertex_induced(&g, 0, sg.adjacency_mask(&g, 0));
         // All 3 other vertices are candidates.
         assert_eq!(en.compute_extensions(&g, &sg, &mut exts), 3);
         assert_eq!(exts.len(), 3);

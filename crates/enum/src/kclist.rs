@@ -9,7 +9,7 @@
 //! enumerator state of Listing 6; when work is stolen the state is rebuilt
 //! from the prefix (Listing 6's `extend` chain replayed from scratch).
 
-use crate::enumerator::SubgraphEnumerator;
+use crate::enumerator::{SubgraphEnumerator, MAX_VERTEX_WORDS};
 use crate::subgraph::Subgraph;
 use fractal_graph::{ExtensionKernels, Graph, KernelCounters, VertexId};
 use std::sync::Arc;
@@ -103,12 +103,19 @@ impl SubgraphEnumerator for KClistEnumerator {
         } else {
             self.kernels.push_level_intersect(self.dag.out(v));
         }
-        sg.push_vertex_induced(g, v);
+        // A clique's induced edges are known without looking: the candidate
+        // is adjacent to every vertex of the prefix.
+        let all = (1u64 << sg.num_vertices()) - 1;
+        sg.push_vertex_induced(g, v, all as u32);
     }
 
     fn retract(&mut self, _g: &Graph, sg: &mut Subgraph) {
         self.kernels.pop_level();
         sg.pop_vertex_induced();
+    }
+
+    fn max_words(&self) -> usize {
+        MAX_VERTEX_WORDS
     }
 
     fn reset_state(&mut self, _g: &Graph) {

@@ -9,10 +9,13 @@
 //! estimator of `N_d` (each depth-`d` subgraph's generation path survives
 //! with probability exactly `p^d`).
 //!
-//! The coin for a candidate is a hash of `(seed, prefix words, word)` —
+//! The coin for a candidate is a hash of `(seed, prefix vertices, word)` —
 //! deterministic and **location-independent**, so a stolen unit rebuilt on
 //! another core draws exactly the same decisions and parallel estimates
-//! are reproducible.
+//! are reproducible. The word is hashed whole, whatever the inner enumerator
+//! packs into it (a vertex-induced word carries its adjacency mask): a
+//! change of word layout changes which subgraphs a seed keeps, not the
+//! estimator's law.
 
 use crate::enumerator::SubgraphEnumerator;
 use crate::subgraph::Subgraph;
@@ -68,6 +71,10 @@ impl SubgraphEnumerator for SamplingEnumerator {
 
     fn retract(&mut self, g: &Graph, sg: &mut Subgraph) {
         self.inner.retract(g, sg);
+    }
+
+    fn max_words(&self) -> usize {
+        self.inner.max_words()
     }
 
     fn reset_state(&mut self, g: &Graph) {

@@ -120,15 +120,48 @@ impl Subgraph {
         self.level_edges.last().copied().unwrap_or(0) as usize
     }
 
+    /// Local position (index into [`vertices`](Self::vertices)) of `v`, if
+    /// it is a member.
+    #[inline]
+    pub fn position_of(&self, v: u32) -> Option<usize> {
+        // panic-ok: the membership bitmap mirrors `vertices`; a set bit
+        // without a list entry is a corrupted subgraph.
+        self.has_vertex(v).then(|| {
+            let at = self.vertices.iter().position(|&x| x == v);
+            at.expect("member bitmap and list disagree")
+        })
+    }
+
+    /// The positions of the current vertices `v` is adjacent to (bit `p`:
+    /// `vertices()[p]`), found the slow way, one adjacency probe per member.
+    /// Enumeration never calls this: a vertex-induced word carries the mask
+    /// its enumerator already saw. It is what `push_vertex_induced` holds a
+    /// given mask against in debug builds, and what a hand-built subgraph
+    /// pushes with.
+    pub fn adjacency_mask(&self, g: &Graph, v: u32) -> u32 {
+        let nbrs = g.neighbors(VertexId(v));
+        self.vertices
+            .iter()
+            .enumerate()
+            .filter(|(_, u)| nbrs.binary_search(u).is_ok())
+            .fold(0, |mask, (p, _)| mask | 1 << p)
+    }
+
     /// Adds vertex `v` and every edge of `g` between `v` and the current
-    /// vertices (vertex-induced growth).
-    pub fn push_vertex_induced(&mut self, g: &Graph, v: u32) {
+    /// vertices (vertex-induced growth). `mask` says which those are: bit
+    /// `p` set iff `v` is adjacent to `vertices()[p]`
+    /// ([`adjacency_mask`](Self::adjacency_mask)). It is trusted, so only
+    /// the adjacent members are probed for their edge ids.
+    pub fn push_vertex_induced(&mut self, g: &Graph, v: u32, mask: u32) {
         debug_assert!(!self.has_vertex(v));
-        // Hybrid induced-edge kernel: probes the (small) member set into
-        // v's sorted adjacency when deg(v) is large, scans otherwise.
+        debug_assert_eq!(
+            mask,
+            self.adjacency_mask(g, v),
+            "adjacency mask of vertex {v} against {:?}",
+            self.vertices
+        );
         let nbrs = g.neighbors(VertexId(v));
         let eids = g.incident_edges(VertexId(v));
-        let vmember = &self.vmember;
         let edges = &mut self.edges;
         let edge_ends = &mut self.edge_ends;
         let emember = &mut self.emember;
@@ -137,7 +170,7 @@ impl Subgraph {
             nbrs,
             eids,
             &self.vertices,
-            |u| vmember.get(u as usize),
+            mask,
             |e, at_u| {
                 edges.push(e);
                 edge_ends.push((at_u as u8, at_v));
@@ -174,16 +207,12 @@ impl Subgraph {
         let (s, d) = g.edge_endpoints(EdgeId(e));
         let mut added = 0u32;
         let at = [s.raw(), d.raw()].map(|v| {
-            if self.vmember.get(v as usize) {
-                // panic-ok: the membership bitmap mirrors `vertices`; a set
-                // bit without a list entry is a corrupted subgraph.
-                self.vertices.iter().position(|&x| x == v).unwrap() as u8
-            } else {
+            self.position_of(v).unwrap_or_else(|| {
                 self.vertices.push(v);
                 self.vmember.set(v as usize);
                 added += 1;
-                (self.vertices.len() - 1) as u8
-            }
+                self.vertices.len() - 1
+            }) as u8
         });
         self.edges.push(e);
         self.edge_ends.push((at[0].min(at[1]), at[0].max(at[1])));
@@ -359,11 +388,11 @@ mod tests {
     fn vertex_induced_push_collects_all_edges() {
         let g = triangle_plus_tail();
         let mut sg = Subgraph::new(&g);
-        sg.push_vertex_induced(&g, 0);
+        sg.push_vertex_induced(&g, 0, sg.adjacency_mask(&g, 0));
         assert_eq!(sg.num_edges(), 0);
-        sg.push_vertex_induced(&g, 1);
+        sg.push_vertex_induced(&g, 1, sg.adjacency_mask(&g, 1));
         assert_eq!(sg.num_edges(), 1);
-        sg.push_vertex_induced(&g, 2);
+        sg.push_vertex_induced(&g, 2, sg.adjacency_mask(&g, 2));
         // Vertex 2 connects to both 0 and 1.
         assert_eq!(sg.num_edges(), 3);
         assert_eq!(sg.last_level_edge_count(), 2);
@@ -375,10 +404,10 @@ mod tests {
     fn vertex_induced_pop_restores_exactly() {
         let g = triangle_plus_tail();
         let mut sg = Subgraph::new(&g);
-        sg.push_vertex_induced(&g, 0);
-        sg.push_vertex_induced(&g, 2);
+        sg.push_vertex_induced(&g, 0, sg.adjacency_mask(&g, 0));
+        sg.push_vertex_induced(&g, 2, sg.adjacency_mask(&g, 2));
         let snap = sg.snapshot();
-        sg.push_vertex_induced(&g, 1);
+        sg.push_vertex_induced(&g, 1, sg.adjacency_mask(&g, 1));
         sg.pop_vertex_induced();
         assert_eq!(sg.snapshot(), snap);
         assert!(!sg.has_vertex(1));
@@ -436,9 +465,9 @@ mod tests {
     fn pattern_extraction_vertex_induced() {
         let g = triangle_plus_tail();
         let mut sg = Subgraph::new(&g);
-        sg.push_vertex_induced(&g, 0);
-        sg.push_vertex_induced(&g, 1);
-        sg.push_vertex_induced(&g, 2);
+        sg.push_vertex_induced(&g, 0, sg.adjacency_mask(&g, 0));
+        sg.push_vertex_induced(&g, 1, sg.adjacency_mask(&g, 1));
+        sg.push_vertex_induced(&g, 2, sg.adjacency_mask(&g, 2));
         let p = sg.pattern(&g, true, true);
         assert_eq!(p.num_vertices(), 3);
         assert_eq!(p.num_edges(), 3);
@@ -451,14 +480,14 @@ mod tests {
     fn reset_clears_membership() {
         let g = triangle_plus_tail();
         let mut sg = Subgraph::new(&g);
-        sg.push_vertex_induced(&g, 0);
-        sg.push_vertex_induced(&g, 1);
+        sg.push_vertex_induced(&g, 0, sg.adjacency_mask(&g, 0));
+        sg.push_vertex_induced(&g, 1, sg.adjacency_mask(&g, 1));
         sg.reset();
         assert!(sg.is_empty());
         assert!(!sg.has_vertex(0));
         assert!(!sg.has_edge(0));
         // Reusable after reset.
-        sg.push_vertex_induced(&g, 3);
+        sg.push_vertex_induced(&g, 3, sg.adjacency_mask(&g, 3));
         assert_eq!(sg.vertices(), &[3]);
     }
 }

@@ -102,6 +102,75 @@ fn walk_and_check(
     Ok(())
 }
 
+/// Every label setting, every subgraph `depth` more words reach from `sg`,
+/// every extension on the way: the id the trie gives for (parent's id, the tip's level)
+/// is the id the whole key of the materialised child interns to, and the
+/// tip's new vertex is what `extend` appends. Returns how many children
+/// were named.
+fn check_children_named_from_parents(
+    table: &mut PatternTable,
+    g: &Graph,
+    en: &mut dyn SubgraphEnumerator,
+    sg: &mut Subgraph,
+    depth: usize,
+) -> Result<u64, String> {
+    const FLAGS: [(bool, bool); 4] = [(false, false), (true, false), (false, true), (true, true)];
+    let mut named = 0;
+    let mut exts = Vec::new();
+    en.compute_extensions(g, sg, &mut exts);
+    for w in exts {
+        let tip = if sg.is_empty() {
+            None
+        } else {
+            en.tip(g, sg, w)
+        };
+        let parents = FLAGS.map(|(vl, el)| table.intern(|q| sg.quick_pattern(g, vl, el, q)));
+        let before = sg.vertices().to_vec();
+        en.extend(g, sg, w);
+        if let Some(tip) = tip {
+            let mut want = before;
+            want.extend(tip.new_vertex());
+            if sg.vertices() != want {
+                return Err(format!(
+                    "{tip:?} names {want:?}, extend built {:?}",
+                    sg.vertices()
+                ));
+            }
+            for ((vl, el), parent) in FLAGS.into_iter().zip(parents) {
+                let whole = table.intern(|q| sg.quick_pattern(g, vl, el, q));
+                match tip.level(g, vl, el) {
+                    Some(level) => {
+                        let child = table.child(parent, level);
+                        if child != whole {
+                            return Err(format!(
+                                "labels ({vl}, {el}) on {:?}: {level:?} of parent {parent} gives \
+                                 {child}, the whole key {whole}",
+                                sg.snapshot()
+                            ));
+                        }
+                        named += 1;
+                    }
+                    // Only a vertex tip asked for edge labels may decline.
+                    None if el && matches!(tip, fractal_enum::Tip::Vertex { .. }) => {}
+                    None => return Err(format!("{tip:?} declined labels ({vl}, {el})")),
+                }
+            }
+        } else if !want_no_tip(sg) {
+            return Err(format!("no tip for word {w} onto {:?}", sg.snapshot()));
+        }
+        if depth > 1 {
+            named += check_children_named_from_parents(table, g, en, sg, depth - 1)?;
+        }
+        en.retract(g, sg);
+    }
+    Ok(named)
+}
+
+/// Only a root word (one vertex, or one edge) has no parent to be named from.
+fn want_no_tip(sg: &Subgraph) -> bool {
+    sg.num_vertices() == 1 || sg.num_edges() == 1 && sg.num_vertices() == 2
+}
+
 /// Drives any enumerator to `depth`, returning all snapshots.
 fn run(g: &Graph, mut en: Box<dyn SubgraphEnumerator>, depth: usize) -> Vec<(Vec<u32>, Vec<u32>)> {
     fn rec(
@@ -369,6 +438,28 @@ proptest! {
         let (hits, misses) = table.stats();
         prop_assert_eq!(misses as usize, table.len());
         prop_assert!(hits > 0);
+    }
+
+    /// A subgraph's quick pattern is its parent's plus what the extension's
+    /// tip adds: over random labeled graphs, both tipped growth modes and
+    /// depths 2..=5, `PatternTable::child` agrees with whole-key `intern` for
+    /// every parent and every extension, and the table still canonicalises
+    /// each distinct quick pattern once.
+    #[test]
+    fn children_named_from_parents_match_whole_keys(g in arb_labeled_graph(), depth in 2usize..=5) {
+        let mut table = PatternTable::new();
+        for mut en in [
+            Box::new(VertexInducedEnumerator::new()) as Box<dyn SubgraphEnumerator>,
+            Box::new(EdgeInducedEnumerator::new()),
+        ] {
+            let mut sg = Subgraph::new(&g);
+            match check_children_named_from_parents(&mut table, &g, &mut *en, &mut sg, depth) {
+                Ok(named) => prop_assert!(named > 0 || g.num_edges() == 0),
+                Err(e) => prop_assert!(false, "{}", e),
+            }
+        }
+        let (_, misses) = table.stats();
+        prop_assert_eq!(misses as usize, table.len());
     }
 
     /// Push/pop round trips leave the subgraph in its prior state for all

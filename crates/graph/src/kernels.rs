@@ -204,64 +204,46 @@ pub fn retain_mapped(
     }
 }
 
-/// Upper bound on the member-set size for the probe path of
-/// [`collect_induced_edges`] (hits are staged in a stack buffer).
-pub const PROBE_MAX_MEMBERS: usize = 16;
-
 /// Collects the edges connecting a new vertex (sorted adjacency `nbrs`
-/// with parallel edge ids `eids`) to the current subgraph `members` —
-/// the inner loop of vertex-induced growth (`Subgraph::push_vertex_induced`).
+/// with parallel edge ids `eids`) to the members of the current subgraph it
+/// is adjacent to — the inner loop of vertex-induced growth
+/// (`Subgraph::push_vertex_induced`).
 ///
-/// Hybrid on relative sizes, mirroring the merge/gallop crossover: when
-/// the member set is small against `deg(v)`, each member is binary-probed
-/// into the adjacency (`O(k log d)`); otherwise the adjacency is scanned
-/// once through the `is_member` filter (`O(d)`). Both paths emit
+/// `mask` names those members by position in `members` (bit `p` set: the
+/// vertex is adjacent to `members[p]`); whoever found the vertex already
+/// knows it (the anchored union sees every member list a candidate sits in),
+/// so nothing is searched for here that could be absent: each named member
+/// is binary-probed into the adjacency for its edge id. Emits
 /// `(edge id, position in members of the edge's other endpoint)` in
-/// ascending adjacency position, so growth/rollback bookkeeping is
-/// byte-identical regardless of the path taken. Returns the number of
-/// edges emitted.
+/// ascending adjacency position and returns the number of edges emitted.
 pub fn collect_induced_edges(
     nbrs: &[u32],
     eids: &[u32],
     members: &[u32],
-    is_member: impl Fn(u32) -> bool,
+    mask: u32,
     mut emit: impl FnMut(u32, usize),
 ) -> u32 {
     debug_assert_eq!(nbrs.len(), eids.len());
-    let d = nbrs.len();
-    let k = members.len();
-    // Cost of one binary probe (~log2 d), with a 2x fudge for the probe
-    // path's branchier access pattern vs the linear scan.
-    let probe_cost = (usize::BITS - d.leading_zeros() + 1) as usize;
-    if k <= PROBE_MAX_MEMBERS && 2 * k * probe_cost < d {
-        let mut hits = [(0u32, 0u32, 0usize); PROBE_MAX_MEMBERS];
-        let mut nh = 0;
-        for (at, &u) in members.iter().enumerate() {
-            if let Ok(pos) = nbrs.binary_search(&u) {
-                hits[nh] = (pos as u32, eids[pos], at);
-                nh += 1;
-            }
-        }
-        hits[..nh].sort_unstable();
-        for &(_, e, at) in &hits[..nh] {
-            emit(e, at);
-        }
-        nh as u32
-    } else {
-        let mut added = 0;
-        for (i, &u) in nbrs.iter().enumerate() {
-            if is_member(u) {
-                let at = members.iter().position(|&m| m == u);
-                // panic-ok: `is_member` is the membership bitmap of
-                // `members`; a vertex it accepts that the list lacks is a
-                // corrupted subgraph and must not yield an edge position.
-                let at = at.expect("member bitmap and list disagree");
-                emit(eids[i], at);
-                added += 1;
-            }
-        }
-        added
+    let mut hits = [(0u32, 0u32, 0usize); u32::BITS as usize];
+    let mut nh = 0;
+    let mut rest = mask;
+    while rest != 0 {
+        let at = rest.trailing_zeros() as usize;
+        rest &= rest - 1;
+        // panic-ok: the mask is the enumerator's own record of which member
+        // lists held this vertex; a named member missing from the vertex's
+        // adjacency is a corrupted word and must not yield a subgraph.
+        let pos = nbrs
+            .binary_search(&members[at])
+            .expect("adjacency mask names a non-adjacent member");
+        hits[nh] = (pos as u32, eids[pos], at);
+        nh += 1;
     }
+    hits[..nh].sort_unstable();
+    for &(_, e, at) in &hits[..nh] {
+        emit(e, at);
+    }
+    nh as u32
 }
 
 /// Per-core kernel state: the bump-arena candidate-set stack, the bitset
@@ -582,24 +564,33 @@ impl ExtensionKernels {
     // ---- multi-way sorted union ----
 
     /// Sorted, deduplicated k-way union that also reports, for every output
-    /// element, the **smallest list index containing it** (`anchors`, same
-    /// length as `out`). For the growth-sequence canonicality rule the
-    /// anchor of a candidate is exactly the earliest prefix position it is
-    /// adjacent to, so tracking it during the union removes every
-    /// per-candidate adjacency probe from the extension filter.
+    /// element, **which lists contain it** (`masks`, same length as `out`:
+    /// bit `i` set iff `lists[i]` holds the element). For vertex-induced
+    /// growth the lists are the prefix's neighbourhoods, so a candidate's
+    /// mask is the set of prefix positions it is adjacent to: its lowest bit
+    /// is the anchor of the growth-sequence canonicality rule (no
+    /// per-candidate adjacency probe in the extension filter), and the whole
+    /// mask is the candidate's induced edges (none looked up again when the
+    /// candidate is pushed or named).
     ///
     /// Uses a direct k-way head scan (not the pairwise fold, which reorders
     /// lists and loses source indices); `k` is the prefix length, which is
-    /// small, so the `O(out · k)` head comparisons stay cheap.
-    pub fn union_sorted_anchored_into(
+    /// small, so the `O(out · k)` head comparisons stay cheap. The loop that
+    /// advances the cursors past the minimum visits exactly the lists that
+    /// hold it, so the mask costs one `or` per membership.
+    pub fn union_sorted_masked_into(
         &mut self,
         lists: &[&[u32]],
         out: &mut Vec<u32>,
-        anchors: &mut Vec<u32>,
+        masks: &mut Vec<u32>,
     ) {
         out.clear();
-        anchors.clear();
+        masks.clear();
         let k = lists.len();
+        assert!(
+            k <= u32::BITS as usize,
+            "a membership mask names at most 32 lists, got {k}"
+        );
         if k == 0 {
             return;
         }
@@ -609,26 +600,28 @@ impl ExtensionKernels {
         cursors.resize(k, 0);
         loop {
             let mut min = 0u32;
-            let mut src = u32::MAX;
+            let mut found = false;
             for i in 0..k {
                 if cursors[i] < lists[i].len() {
                     let v = lists[i][cursors[i]];
-                    if src == u32::MAX || v < min {
+                    if !found || v < min {
                         min = v;
-                        src = i as u32;
+                        found = true;
                     }
                 }
             }
-            if src == u32::MAX {
+            if !found {
                 break;
             }
-            out.push(min);
-            anchors.push(src);
+            let mut mask = 0u32;
             for i in 0..k {
                 if cursors[i] < lists[i].len() && lists[i][cursors[i]] == min {
                     cursors[i] += 1;
+                    mask |= 1 << i;
                 }
             }
+            out.push(min);
+            masks.push(mask);
         }
         self.counters.elements_scanned += lists.iter().map(|l| l.len() as u64).sum::<u64>();
     }

@@ -5,7 +5,8 @@
 //! behave exactly like a stack of freshly-allocated `Vec`s.
 
 use fractal_graph::kernels::{
-    gallop_into, intersect, merge_into, seek_above, ExtensionKernels, KernelCounters,
+    collect_induced_edges, gallop_into, intersect, merge_into, seek_above, ExtensionKernels,
+    KernelCounters,
 };
 use fractal_graph::{gen, VertexId};
 use proptest::prelude::*;
@@ -116,25 +117,59 @@ proptest! {
     }
 
     #[test]
-    fn anchored_union_equals_union_plus_first_membership(
+    fn masked_union_equals_union_plus_every_membership(
         lists in proptest::collection::vec(arb_sorted_set(256, 60), 0..6),
     ) {
         let mut k = ExtensionKernels::new();
         let refs: Vec<&[u32]> = lists.iter().map(|l| l.as_slice()).collect();
-        let (mut out, mut anchors) = (Vec::new(), Vec::new());
-        k.union_sorted_anchored_into(&refs, &mut out, &mut anchors);
+        let (mut out, mut masks) = (Vec::new(), Vec::new());
+        k.union_sorted_masked_into(&refs, &mut out, &mut masks);
         let mut plain: Vec<u32> = lists.iter().flatten().copied().collect();
         plain.sort_unstable();
         plain.dedup();
         prop_assert_eq!(&out, &plain);
-        prop_assert_eq!(anchors.len(), out.len());
-        for (&u, &a) in out.iter().zip(&anchors) {
+        prop_assert_eq!(masks.len(), out.len());
+        for (&u, &mask) in out.iter().zip(&masks) {
+            // The mask is exactly the set of lists holding the element...
             let want = lists
                 .iter()
-                .position(|l| l.binary_search(&u).is_ok())
-                .expect("union element missing from every list");
-            prop_assert_eq!(a as usize, want);
+                .enumerate()
+                .filter(|(_, l)| l.binary_search(&u).is_ok())
+                .fold(0u32, |m, (i, _)| m | 1 << i);
+            prop_assert_eq!(mask, want, "element {}", u);
+            // ...so its lowest bit is the anchor: the first list holding it.
+            let anchor = lists.iter().position(|l| l.binary_search(&u).is_ok());
+            prop_assert_eq!(Some(mask.trailing_zeros() as usize), anchor);
         }
+    }
+
+    #[test]
+    fn induced_edges_are_the_masked_members_in_adjacency_order(
+        nbrs in arb_sorted_set(256, 60),
+        others in arb_sorted_set(256, 12),
+        seed in 0u64..1000,
+    ) {
+        // Members in a scrambled order: some adjacent (drawn from `nbrs`),
+        // some not; the mask names the adjacent ones.
+        let mut members: Vec<u32> = nbrs.iter().copied().step_by(3).take(10).collect();
+        members.extend(others.iter().copied().filter(|u| nbrs.binary_search(u).is_err()));
+        let len = members.len().max(1);
+        members.rotate_left(seed as usize % len);
+        let eids: Vec<u32> = nbrs.iter().map(|&u| u * 7 + 1).collect();
+        let mask = members
+            .iter()
+            .enumerate()
+            .filter(|(_, u)| nbrs.binary_search(u).is_ok())
+            .fold(0u32, |m, (p, _)| m | 1 << p);
+        let mut got = Vec::new();
+        let added = collect_induced_edges(&nbrs, &eids, &members, mask, |e, at| got.push((e, at)));
+        let want: Vec<(u32, usize)> = nbrs
+            .iter()
+            .zip(&eids)
+            .filter_map(|(u, &e)| members.iter().position(|m| m == u).map(|at| (e, at)))
+            .collect();
+        prop_assert_eq!(added as usize, want.len());
+        prop_assert_eq!(got, want);
     }
 
     #[test]

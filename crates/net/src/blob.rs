@@ -7,6 +7,7 @@
 //! before encoding) and bounds-checked on decode, mirroring the frame
 //! layer's adversarial-input posture.
 
+use fractal_apps::cliques::MAX_CLIQUE_SIZE;
 use fractal_apps::fsm::{Domain, DomainSupport};
 use fractal_graph::{try_graph_from_edges, Graph, GraphError};
 use fractal_pattern::pattern::MAX_PATTERN_VERTICES;
@@ -94,12 +95,15 @@ impl AppSpec {
         (0..count as u64).collect()
     }
 
-    /// Why no engine can run this spec, if its size is one no pattern can
-    /// hold: a motif census of more than [`MAX_PATTERN_VERTICES`] vertices,
-    /// or FSM growing past `MAX_PATTERN_VERTICES - 1` edges (a tree of that
-    /// many edges already spans every vertex a pattern has). Such a subgraph
-    /// panics the core thread that tries to name it, so every front door
-    /// (CLI verbs, `serve` admission) refuses the spec with this reason.
+    /// Why no engine can run this spec, if its size is one no pattern or
+    /// growth sequence can hold: a motif census of more than
+    /// [`MAX_PATTERN_VERTICES`] vertices, FSM growing past
+    /// `MAX_PATTERN_VERTICES - 1` edges (a tree of that many edges already
+    /// spans every vertex a pattern has), or cliques of more than
+    /// [`MAX_CLIQUE_SIZE`] vertices. The engine refuses such a workflow with
+    /// a panic (and a subgraph too large to name panics a core thread), so
+    /// every front door (CLI verbs, `serve` admission) refuses the spec with
+    /// this reason.
     pub fn size_blocker(&self) -> Option<String> {
         let max = MAX_PATTERN_VERTICES as u32;
         match *self {
@@ -109,6 +113,10 @@ impl AppSpec {
             AppSpec::Fsm { max_edges, .. } if max_edges >= max => Some(format!(
                 "fsm takes max-edges in 0..={}: a pattern holds at most {max} vertices",
                 max - 1
+            )),
+            AppSpec::Kclist { k } if !(1..=MAX_CLIQUE_SIZE as u32).contains(&k) => Some(format!(
+                "cliques takes k in 1..={MAX_CLIQUE_SIZE}: a vertex-induced subgraph grows to \
+                 at most {MAX_CLIQUE_SIZE} vertices"
             )),
             _ => None,
         }

@@ -346,8 +346,7 @@ impl QuickPattern {
     #[inline]
     pub fn edge(&mut self, u: u8, v: u8, label: u32) {
         let (lo, hi) = if u < v { (u, v) } else { (v, u) };
-        self.words
-            .push((lo as u64) << 40 | (hi as u64) << 32 | label as u64);
+        self.words.push(edge_word(lo, hi, label));
     }
 
     /// Normalises edge order and seals the header.
@@ -361,6 +360,37 @@ impl QuickPattern {
         edges.sort_unstable();
         self.words[0] |= (edges.len() as u64) << 8;
     }
+}
+
+/// One edge of a quick pattern, `lo < hi`.
+#[inline]
+fn edge_word(lo: u8, hi: u8, label: u32) -> u64 {
+    (lo as u64) << 40 | (hi as u64) << 32 | label as u64
+}
+
+/// What one extension adds to an interned quick pattern of `n` vertices:
+/// the step from a parent to one of its children in [`PatternTable::child`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Level {
+    /// A vertex at position `n` with `label`, joined by label-0 edges to the
+    /// positions in `mask`.
+    Vertex {
+        /// The new vertex's label.
+        label: u32,
+        /// Positions (bit `p`: position `p`) the new vertex is adjacent to.
+        mask: u32,
+    },
+    /// An edge with `label` between positions `lo < hi`.
+    Edge {
+        /// The edge's earlier endpoint, a position of the parent.
+        lo: u8,
+        /// The edge's later endpoint: `n` exactly when the edge brings it in.
+        hi: u8,
+        /// The edge's label.
+        label: u32,
+        /// The label of position `hi` when the edge brings that vertex in.
+        new_vertex: Option<u32>,
+    },
 }
 
 /// The `Pattern` a sealed quick pattern names (cache-miss path only).
@@ -396,6 +426,33 @@ struct QuickEntry {
     class: u32,
 }
 
+/// One edge of the trie [`PatternTable::child`] walks: `parent` reaches
+/// `child` by `level`. 16 bytes. A vertex level is all in `level`
+/// (`label << 32 | mask`). An edge level sets [`EDGE_LEVEL`] in `parent` and
+/// keeps its [`edge_word`] in `level`, with the low half of the label of a
+/// vertex the edge brings in above it (bits 48..64, which an edge word
+/// leaves free); the rest of that label is read back from the child's own
+/// stored key, so identity is still the whole `(parent, level)`.
+#[derive(Debug, Clone, Copy, Default)]
+struct ChildSlot {
+    parent: u32,
+    /// Child id + 1; 0 = empty.
+    child: u32,
+    level: u64,
+}
+
+/// Marks a [`ChildSlot`] whose level is an edge. Quick pattern ids stay
+/// below it: `key_start` is a `u32` and every key has at least one word.
+const EDGE_LEVEL: u32 = 1 << 31;
+
+/// Slot hint for a trie edge.
+#[inline]
+fn child_hash(parent: u32, level: u64) -> usize {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let h = (parent as u64).wrapping_mul(K) ^ level;
+    (h.wrapping_mul(K) >> 32) as usize
+}
+
 /// One canonical pattern (Arabesque's second aggregation level).
 #[derive(Debug)]
 struct CanonClass {
@@ -425,11 +482,21 @@ pub struct InternedForm<'a> {
 /// full-key comparison. Keys and permutations live in two shared arenas and
 /// an entry is 16 bytes; codes and orbit representatives are stored once
 /// per canonical pattern.
+///
+/// Growth reaches most quick patterns one extension at a time, so the table
+/// also keeps a trie edge per `(parent id, level)` met
+/// ([`child`](Self::child)): a subgraph whose parent is already interned is
+/// named by one 16-byte probe, with no key written, sorted or hashed. The
+/// trie is a cache over this table's own ids, filled through the same
+/// [`intern_hashed`](Self::intern_hashed) a whole key goes through.
 #[derive(Debug)]
 pub struct PatternTable {
     /// Open-addressing index: entry id + 1, 0 = empty. Power-of-two sized,
     /// at most half full.
     slots: Vec<u32>,
+    /// Open-addressing trie edges. Power-of-two sized, at most half full.
+    children: Vec<ChildSlot>,
+    num_children: usize,
     entries: Vec<QuickEntry>,
     keys: Vec<u64>,
     perms: Vec<u8>,
@@ -444,6 +511,8 @@ impl Default for PatternTable {
     fn default() -> Self {
         PatternTable {
             slots: vec![0; 16],
+            children: vec![ChildSlot::default(); 16],
+            num_children: 0,
             entries: Vec::new(),
             keys: Vec::new(),
             perms: Vec::new(),
@@ -532,6 +601,116 @@ impl PatternTable {
                 slot = (slot + 1) & mask;
             }
             self.slots[slot] = id as u32 + 1;
+        }
+    }
+
+    /// The id of the quick pattern `level` grows out of quick pattern
+    /// `parent`: what [`intern`](Self::intern) returns for the parent's key
+    /// with the level's vertex and edges added, found without writing that
+    /// key when this `(parent, level)` has been met before.
+    #[inline]
+    pub fn child(&mut self, parent: u32, level: Level) -> u32 {
+        debug_assert!((parent as usize) < self.entries.len());
+        let (tagged, word, new_at) = match level {
+            Level::Vertex { label, mask } => (parent, (label as u64) << 32 | mask as u64, None),
+            Level::Edge {
+                lo,
+                hi,
+                label,
+                new_vertex,
+            } => (
+                parent | EDGE_LEVEL,
+                edge_word(lo, hi, label) | (new_vertex.unwrap_or(0) as u64 & 0xffff) << 48,
+                new_vertex.map(|l| (1 + hi as usize, l as u64)),
+            ),
+        };
+        let mask = self.children.len() - 1;
+        let mut slot = child_hash(tagged, word) & mask;
+        loop {
+            let s = self.children[slot];
+            if s.child == 0 {
+                break;
+            }
+            if s.parent == tagged && s.level == word {
+                let id = s.child - 1;
+                if new_at.is_none_or(|(at, label)| {
+                    self.keys[self.entries[id as usize].key_start as usize + at] == label
+                }) {
+                    self.hits += 1;
+                    return id;
+                }
+            }
+            slot = (slot + 1) & mask;
+        }
+        let edge = ChildSlot {
+            parent: tagged,
+            child: 0,
+            level: word,
+        };
+        self.grow_child(parent, level, edge, slot)
+    }
+
+    /// Trie miss: writes the child's key from the parent's stored key plus
+    /// `level`, interns it like any whole key (so a child another path
+    /// already interned is a hit, and a new one is canonicalised here) and
+    /// records the edge in the free `slot` the probe ended on.
+    #[cold]
+    fn grow_child(&mut self, parent: u32, level: Level, mut edge: ChildSlot, slot: usize) -> u32 {
+        let mut key = std::mem::take(&mut self.scratch);
+        key.begin();
+        let start = self.entries[parent as usize].key_start as usize;
+        let n = (self.keys[start] & 0xff) as usize;
+        let m = (self.keys[start] >> 8) as usize;
+        let labels = start + 1..start + 1 + n;
+        let edges = labels.end..labels.end + m;
+        for &label in &self.keys[labels] {
+            key.vertex(label as u32);
+        }
+        match level {
+            Level::Vertex { label, mask } => {
+                key.vertex(label);
+                key.words.extend_from_slice(&self.keys[edges]);
+                for p in (0..n as u8).filter(|p| mask >> p & 1 == 1) {
+                    key.edge(p, n as u8, 0);
+                }
+            }
+            Level::Edge {
+                lo,
+                hi,
+                label,
+                new_vertex,
+            } => {
+                debug_assert_eq!(new_vertex.is_some(), hi as usize == n);
+                if let Some(label) = new_vertex {
+                    key.vertex(label);
+                }
+                key.words.extend_from_slice(&self.keys[edges]);
+                key.edge(lo, hi, label);
+            }
+        }
+        key.finish();
+        let id = self.intern_hashed(&key.words, quick_hash(&key.words));
+        self.scratch = key;
+        edge.child = id + 1;
+        self.children[slot] = edge;
+        self.num_children += 1;
+        if self.num_children * 2 > self.children.len() {
+            self.grow_children();
+        }
+        id
+    }
+
+    /// Doubles the trie and re-seats every edge.
+    fn grow_children(&mut self) {
+        let old = std::mem::take(&mut self.children);
+        let mask = old.len() * 2 - 1;
+        self.children.resize(mask + 1, ChildSlot::default());
+        for s in old.into_iter().filter(|s| s.child != 0) {
+            let mut slot = child_hash(s.parent, s.level) & mask;
+            while self.children[slot].child != 0 {
+                slot = (slot + 1) & mask;
+            }
+            self.children[slot] = s;
         }
     }
 
@@ -841,6 +1020,167 @@ mod tests {
             );
         }
         assert_eq!(t.stats(), (60, 60));
+    }
+
+    /// The id `intern` gives the child written out whole: the parent's key
+    /// plus `level`, the slow way.
+    fn intern_child_whole(t: &mut PatternTable, parent: &Pattern, level: Level) -> u32 {
+        let n = parent.num_vertices() as u8;
+        t.intern(|q| {
+            (0..n).for_each(|v| q.vertex(parent.vertex_label(v as usize)));
+            match level {
+                Level::Vertex { label, mask } => {
+                    q.vertex(label);
+                    parent.edges().iter().for_each(|&(u, v, l)| q.edge(u, v, l));
+                    (0..n)
+                        .filter(|p| mask >> p & 1 == 1)
+                        .for_each(|p| q.edge(p, n, 0));
+                }
+                Level::Edge {
+                    lo,
+                    hi,
+                    label,
+                    new_vertex,
+                } => {
+                    new_vertex.into_iter().for_each(|l| q.vertex(l));
+                    parent.edges().iter().for_each(|&(u, v, l)| q.edge(u, v, l));
+                    q.edge(hi, lo, label);
+                }
+            }
+        })
+    }
+
+    #[test]
+    fn child_is_the_whole_key_intern_across_trie_growth() {
+        // One parent (a labeled wedge), more distinct levels than the trie's
+        // initial 16 slots and the index's: vertices of 9 labels over every
+        // nonzero mask, closing edges of 9 labels, pendant edges bringing in
+        // vertices whose labels differ only above bit 16 (the half of the
+        // label a trie slot does not hold).
+        let parent = Pattern::new(vec![3, 1, 4], vec![(0, 1, 0), (1, 2, 0)]);
+        let mut levels = Vec::new();
+        for label in 0..9 {
+            for mask in 1..8 {
+                levels.push(Level::Vertex { label, mask });
+            }
+            levels.push(Level::Edge {
+                lo: 0,
+                hi: 2,
+                label,
+                new_vertex: None,
+            });
+            for lo in 0..3 {
+                for high_half in [0u32, 1 << 16, 7 << 20] {
+                    levels.push(Level::Edge {
+                        lo,
+                        hi: 3,
+                        label: 5,
+                        new_vertex: Some(label | high_half),
+                    });
+                }
+            }
+        }
+        let mut t = PatternTable::new();
+        let parent_id = intern_pattern(&mut t, &parent, false);
+        let (slots0, children0) = (t.slots.len(), t.children.len());
+        let ids: Vec<u32> = levels.iter().map(|&l| t.child(parent_id, l)).collect();
+        assert!(t.slots.len() > slots0 && t.children.len() > children0);
+        assert_eq!(t.num_children, levels.len());
+        // Every level is its own quick pattern, each canonicalised once.
+        let distinct: std::collections::HashSet<u32> = ids.iter().copied().collect();
+        assert_eq!(distinct.len(), levels.len());
+        assert_eq!(t.stats(), (0, 1 + levels.len() as u64));
+        for (&level, &id) in levels.iter().zip(&ids) {
+            // Found again through the grown trie, as a hit...
+            assert_eq!(t.child(parent_id, level), id, "{level:?}");
+            // ...and it is the id the whole key has, with the whole key's form.
+            assert_eq!(intern_child_whole(&mut t, &parent, level), id, "{level:?}");
+            let key = &t.keys[t.entries[id as usize].key_start as usize..];
+            let want = canonical_form(&quick_to_pattern(
+                &key[..1 + (key[0] & 0xff) as usize + (key[0] >> 8) as usize],
+            ));
+            assert_eq!(*t.form(id).code, want.code);
+            assert_eq!(t.form(id).perm, &want.perm[..]);
+        }
+        let (hits, misses) = t.stats();
+        assert_eq!(
+            misses as usize,
+            t.len(),
+            "one miss per distinct quick pattern"
+        );
+        assert_eq!(hits as usize, 2 * levels.len());
+        assert_eq!(t.num_children, levels.len(), "a trie hit records nothing");
+    }
+
+    #[test]
+    fn trie_miss_on_an_interned_child_is_a_hit() {
+        // The triangle is interned whole first; reaching it from the edge by
+        // a vertex level misses the trie, finds the entry, canonicalises
+        // nothing and records the edge.
+        let mut t = PatternTable::new();
+        let triangle = intern_pattern(&mut t, &Pattern::clique(3), false);
+        let wedge = intern_pattern(&mut t, &Pattern::path(3), false);
+        let edge = intern_pattern(&mut t, &Pattern::clique(2), false);
+        assert_eq!(t.stats(), (0, 3));
+        let v = |mask| Level::Vertex { label: 0, mask };
+        assert_eq!(t.child(edge, v(0b11)), triangle);
+        assert_eq!(t.stats(), (1, 3));
+        assert_eq!(t.child(edge, v(0b10)), wedge);
+        assert_eq!(t.child(edge, v(0b10)), wedge);
+        assert_eq!(t.stats(), (3, 3));
+        // The same level as an edge that brings its endpoint in.
+        let pendant = Level::Edge {
+            lo: 1,
+            hi: 2,
+            label: 0,
+            new_vertex: Some(0),
+        };
+        assert_eq!(t.child(edge, pendant), wedge);
+        assert_eq!(t.num_children, 3);
+        assert_eq!(t.len(), 3);
+    }
+
+    #[test]
+    fn colliding_trie_hints_still_reach_distinct_children() {
+        // Three pendant edges that differ only in the upper half of the label
+        // of the vertex they bring in: a trie slot holds the lower half, so
+        // all three are one (parent, level) pair with one hint, on one probe
+        // chain, and only the children's stored keys tell them apart.
+        let mut t = PatternTable::new();
+        let edge = intern_pattern(&mut t, &Pattern::clique(2), false);
+        let levels: Vec<Level> = (1..4)
+            .map(|l| Level::Edge {
+                lo: 0,
+                hi: 2,
+                label: 0,
+                new_vertex: Some(l << 16 | 9),
+            })
+            .collect();
+        let ids: Vec<u32> = levels.iter().map(|&l| t.child(edge, l)).collect();
+        let edges: Vec<ChildSlot> = t
+            .children
+            .iter()
+            .copied()
+            .filter(|s| s.child != 0)
+            .collect();
+        assert_eq!(edges.len(), 3);
+        assert!(edges
+            .iter()
+            .all(|s| (s.parent, s.level) == (edges[0].parent, edges[0].level)));
+        assert_eq!(t.stats(), (0, 4));
+        for (&level, &id) in levels.iter().zip(&ids) {
+            assert_eq!(t.child(edge, level), id, "{level:?}");
+            assert_eq!(intern_child_whole(&mut t, &Pattern::clique(2), level), id);
+            let Level::Edge { new_vertex, .. } = level else {
+                unreachable!()
+            };
+            assert_eq!(
+                t.form(id).code.to_pattern().vertex_label(2),
+                new_vertex.unwrap()
+            );
+        }
+        assert_eq!(t.stats(), (6, 4));
+        assert_eq!(t.num_children, 3);
     }
 
     #[test]

@@ -154,7 +154,10 @@ pub fn run() {
             eprintln!("execution path: {}", choice.summary());
         }
         "cliques" => {
-            let k = opt_num(&opts, "k").unwrap_or(3);
+            let crate::net::AppSpec::Kclist { k } = app_spec("cliques", &opts) else {
+                unreachable!("asked for cliques");
+            };
+            let k = k as usize;
             let n = if opts.contains_key("kclist") {
                 crate::apps::cliques::count_kclist(&fg, k)
             } else {
@@ -536,9 +539,9 @@ fn run_worker(opts: &HashMap<String, String>) {
 }
 
 /// The spec of the app called `name` with its size options read from `opts`
-/// and checked: the one place `motifs`, `fsm`, `trace`, `submit` and
-/// `client submit` get `-k` and `--max-edges` from, so a size no pattern can
-/// hold exits 2 naming the bound instead of panicking a core thread.
+/// and checked: the one place `motifs`, `cliques`, `fsm`, `trace`, `submit`
+/// and `client submit` get `-k` and `--max-edges` from, so a size no pattern
+/// or growth sequence can hold exits 2 naming the bound instead of panicking.
 fn app_spec(name: &str, opts: &HashMap<String, String>) -> crate::net::AppSpec {
     use crate::net::AppSpec;
     let size = |key: &str| opt_num(opts, key).map_or(3, |n| u32::try_from(n).unwrap_or(u32::MAX));
