@@ -23,42 +23,284 @@ use fractal_core::{Aggregator, ExecutionReport, FractalGraph, Fractoid};
 use fractal_pattern::canon::InternedForm;
 use fractal_pattern::CanonicalCode;
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasher, BuildHasherDefault, Hasher, RandomState};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-/// Hashes one `u32` vertex id with one multiply. Vertex ids are dense, and
-/// the hash table takes its control byte from the hash's top bits, so the
-/// identity would not do; an odd multiplier spreads every id bit upwards.
-/// The multiplier is drawn once per process, so a served graph cannot be
-/// crafted to collide.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct VertexHasher(u64);
+/// The set of original graph vertex ids seen at one canonical pattern
+/// position.
+///
+/// A sorted list while `32 · len ≤ max + 1`; past that a bitmap over
+/// `0..=max`, one `u32` word per 32 ids, with a count. A bitmap is chosen
+/// only when it has no more words than the list has ids, so a domain never
+/// takes more bytes than its list would, however sparse the ids. The shape
+/// is a function of the set alone, so equal sets compare equal.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Domain(Repr);
 
-impl Hasher for VertexHasher {
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        static MULTIPLIER: OnceLock<u64> = OnceLock::new();
-        let m = *MULTIPLIER.get_or_init(|| RandomState::new().hash_one(0u32) | 1);
-        self.0 = (v as u64).wrapping_mul(m);
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Repr {
+    /// Strictly increasing ids.
+    List(Vec<u32>),
+    /// Bit `v % 32` of word `v / 32` is set for each id `v`; `max / 32 + 1`
+    /// words, `len` bits set.
+    Bits { words: Vec<u32>, len: usize },
+}
+
+/// Whether `len` ids up to `max` are kept as a list.
+#[inline]
+fn sparse(len: usize, max: u32) -> bool {
+    32 * len as u64 <= max as u64 + 1
+}
+
+/// The bitmap of strictly increasing `ids`, the largest of which is `max`.
+fn bits_of(ids: &[u32], max: u32) -> Repr {
+    let mut words = vec![0u32; (max >> 5) as usize + 1];
+    for &v in ids {
+        words[(v >> 5) as usize] |= 1 << (v & 31);
     }
-
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("VertexHasher hashes u32 vertex ids only");
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
+    Repr::Bits {
+        words,
+        len: ids.len(),
     }
 }
 
-/// The set of graph vertices seen at one canonical pattern position.
-pub type Domain = HashSet<u32, BuildHasherDefault<VertexHasher>>;
+/// Merges strictly increasing `add` into strictly increasing `list` in
+/// place, from the back.
+fn merge_sorted(list: &mut Vec<u32>, add: &[u32]) {
+    if list.last().is_none_or(|&last| add[0] > last) {
+        list.extend_from_slice(add);
+        return;
+    }
+    let new = add
+        .iter()
+        .filter(|v| list.binary_search(v).is_err())
+        .count();
+    let (mut i, mut j) = (list.len(), add.len());
+    list.resize(i + new, 0);
+    let mut w = list.len();
+    while j > 0 {
+        w -= 1;
+        if i > 0 && list[i - 1] >= add[j - 1] {
+            if list[i - 1] == add[j - 1] {
+                j -= 1;
+            }
+            i -= 1;
+            list[w] = list[i];
+        } else {
+            j -= 1;
+            list[w] = add[j];
+        }
+    }
+}
+
+impl Default for Domain {
+    fn default() -> Self {
+        Domain(Repr::List(Vec::new()))
+    }
+}
+
+impl FromIterator<u32> for Domain {
+    fn from_iter<I: IntoIterator<Item = u32>>(ids: I) -> Self {
+        let mut ids: Vec<u32> = ids.into_iter().collect();
+        let mut domain = Domain::default();
+        domain.add(&mut ids);
+        domain
+    }
+}
+
+impl Domain {
+    /// The domain of `ids`, or `None` unless they are strictly increasing
+    /// (the wire layout).
+    pub fn from_increasing(ids: Vec<u32>) -> Option<Domain> {
+        if !ids.windows(2).all(|w| w[0] < w[1]) {
+            return None;
+        }
+        Some(match ids.last() {
+            Some(&max) if !sparse(ids.len(), max) => Domain(bits_of(&ids, max)),
+            _ => Domain(Repr::List(ids)),
+        })
+    }
+
+    /// Number of ids.
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            Repr::List(ids) => ids.len(),
+            Repr::Bits { len, .. } => *len,
+        }
+    }
+
+    /// Whether no id was seen.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Whether the domain is a bitmap rather than a list.
+    pub fn is_bitmap(&self) -> bool {
+        matches!(self.0, Repr::Bits { .. })
+    }
+
+    /// The ids in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        let (ids, words): (&[u32], &[u32]) = match &self.0 {
+            Repr::List(ids) => (ids, &[]),
+            Repr::Bits { words, .. } => (&[], words),
+        };
+        let bits = words.iter().enumerate().flat_map(|(at, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    at as u32 * 32 + bit
+                })
+            })
+        });
+        ids.iter().copied().chain(bits)
+    }
+
+    /// Adds one id.
+    #[inline]
+    fn insert(&mut self, v: u32) {
+        match &mut self.0 {
+            Repr::Bits { words, len } if ((v >> 5) as usize) < words.len() => {
+                let (word, bit) = (&mut words[(v >> 5) as usize], 1 << (v & 31));
+                *len += (*word & bit == 0) as usize;
+                *word |= bit;
+            }
+            Repr::List(list) => {
+                if let Err(at) = list.binary_search(&v) {
+                    list.insert(at, v);
+                    let max = list[list.len() - 1];
+                    if !sparse(list.len(), max) {
+                        self.0 = bits_of(list, max);
+                    }
+                }
+            }
+            _ => self.add_increasing(&[v]),
+        }
+    }
+
+    /// Adds `ids`, in any order and with repeats; leaves `ids` in no
+    /// particular order.
+    fn add(&mut self, ids: &mut Vec<u32>) {
+        if let Repr::Bits { words, len } = &mut self.0 {
+            if ids.iter().all(|&v| ((v >> 5) as usize) < words.len()) {
+                for &v in ids.iter() {
+                    let (word, bit) = (&mut words[(v >> 5) as usize], 1 << (v & 31));
+                    *len += (*word & bit == 0) as usize;
+                    *word |= bit;
+                }
+                return;
+            }
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        self.add_increasing(ids);
+    }
+
+    /// Adds strictly increasing `ids`, then takes the shape the new length
+    /// and largest id call for.
+    fn add_increasing(&mut self, ids: &[u32]) {
+        let Some(&top) = ids.last() else {
+            return;
+        };
+        match &mut self.0 {
+            Repr::List(list) => {
+                merge_sorted(list, ids);
+                let max = list[list.len() - 1];
+                if !sparse(list.len(), max) {
+                    self.0 = bits_of(list, max);
+                }
+            }
+            Repr::Bits { words, len } => {
+                let seen = |v: u32| {
+                    words
+                        .get((v >> 5) as usize)
+                        .is_some_and(|w| w >> (v & 31) & 1 != 0)
+                };
+                let grown = *len + ids.iter().filter(|&&v| !seen(v)).count();
+                let last = words.len() - 1;
+                let max = top.max(last as u32 * 32 + 31 - words[last].leading_zeros());
+                if sparse(grown, max) {
+                    let mut list: Vec<u32> = self.iter().collect();
+                    merge_sorted(&mut list, ids);
+                    self.0 = Repr::List(list);
+                } else {
+                    words.resize((max >> 5) as usize + 1, 0);
+                    for &v in ids {
+                        words[(v >> 5) as usize] |= 1 << (v & 31);
+                    }
+                    *len = grown;
+                }
+            }
+        }
+    }
+
+    /// Moves every id of `other` into this domain, leaving `other` empty.
+    fn absorb(&mut self, other: &mut Domain) {
+        let other = std::mem::take(other);
+        if self.is_empty() {
+            *self = other;
+            return;
+        }
+        let (theirs, their_len) = match other.0 {
+            Repr::List(ids) => return self.add_increasing(&ids),
+            Repr::Bits { words, len } => (words, len),
+        };
+        match &mut self.0 {
+            Repr::List(mine) => {
+                let mine = std::mem::take(mine);
+                self.0 = Repr::Bits {
+                    words: theirs,
+                    len: their_len,
+                };
+                self.add_increasing(&mine);
+            }
+            Repr::Bits { words, len } => {
+                // Two dense sets stay dense: the union has at least the
+                // larger count and the larger maximum of the two.
+                if words.len() < theirs.len() {
+                    words.resize(theirs.len(), 0);
+                }
+                for (mine, theirs) in words.iter_mut().zip(theirs) {
+                    *mine |= theirs;
+                }
+                *len = words.iter().map(|w| w.count_ones() as usize).sum();
+            }
+        }
+    }
+}
+
+/// Folds `rows` of `reps.len()` ids each into the domains of their orbit
+/// representatives.
+fn fold_rows(domains: &mut [Domain], reps: &[u8], rows: &[u32]) {
+    if rows.is_empty() {
+        return;
+    }
+    for row in rows.chunks_exact(reps.len()) {
+        for (&v, &rep) in row.iter().zip(reps) {
+            domains[rep as usize].insert(v);
+        }
+    }
+}
 
 /// Minimum image-based support: one vertex domain per canonical pattern
 /// position (the paper's `DomainSupport`).
+///
+/// Two sides. A fold *stages* an embedding as one row of original vertex
+/// ids appended to a flat buffer, with no hashing and no per-position
+/// container; [`absorb`](Self::absorb) *commits* rows into the
+/// [`Domain`]s. A value read for its support or domains must hold no staged
+/// rows: the aggregation passes every value through `absorb` before anyone
+/// reads it (`Aggregator::by_pattern` settles each class's value with
+/// `absorb(value, empty(code))`), and [`support`](Self::support) and
+/// [`domains`](Self::domains) panic on rows left over.
 #[derive(Debug, Clone, Default)]
 pub struct DomainSupport {
+    /// The class's `orbit_reps`, copied on the first fold.
+    reps: Vec<u8>,
+    /// Staged embeddings, `reps.len()` ids each: `row[perm[i]]` is the
+    /// original id of the subgraph's `i`-th vertex.
+    rows: Vec<u32>,
     domains: Vec<Domain>,
 }
 
@@ -68,37 +310,59 @@ impl DomainSupport {
     pub fn empty(positions: usize) -> Self {
         DomainSupport {
             domains: vec![Domain::default(); positions],
+            ..DomainSupport::default()
         }
     }
 
-    /// Inserts one embedding: each of the subgraph's `vertices` (insertion
-    /// order) lands in the domain of its canonical pattern position, read off
-    /// `form` (the subgraph's canonical form). Vertex ids are translated to
-    /// the original input graph via `fg` so reductions between steps don't
-    /// skew supports.
+    /// Stages one embedding: the subgraph's `vertices` (insertion order),
+    /// translated to the original input graph via `fg` so reductions
+    /// between steps don't skew supports, are written as one row in the
+    /// canonical position order `form.perm` gives. Every embedding folded
+    /// into one value must be of one pattern class.
     ///
     /// Positions in the same automorphism orbit have identical domains
-    /// under exact minimum-image support; folding each vertex into its
-    /// orbit representative makes the computed support exact (and therefore
-    /// anti-monotone) even though each subgraph instance is enumerated with
-    /// a single canonical mapping.
+    /// under exact minimum-image support; committing each vertex into its
+    /// orbit representative's domain (`form.orbit_reps`) makes the computed
+    /// support exact (and therefore anti-monotone) even though each
+    /// subgraph instance is enumerated with a single canonical mapping.
     #[inline]
     pub fn insert(&mut self, vertices: &[u32], form: InternedForm<'_>, fg: &FractalGraph) {
+        if self.reps.is_empty() {
+            self.reps.extend_from_slice(form.orbit_reps);
+        }
+        debug_assert_eq!(self.reps, form.orbit_reps, "one value, two pattern classes");
+        let base = self.rows.len();
+        self.rows.resize(base + self.reps.len(), 0);
+        let row = &mut self.rows[base..];
         for (&v, &pos) in vertices.iter().zip(form.perm) {
-            self.domains[form.orbit_reps[pos as usize] as usize].insert(fg.orig_vertex(v));
+            row[pos as usize] = fg.orig_vertex(v);
         }
     }
 
-    /// Positionwise domain union that moves `other`'s vertices out, leaving
-    /// it empty with its tables allocated (the staged support of a unit is
-    /// absorbed on commit and refilled by the next unit).
+    /// Positionwise domain union: commits this value's own staged rows and
+    /// `other`'s, then moves `other`'s domains in. `other` is left empty
+    /// with its row buffer allocated (the staged support of a unit is
+    /// absorbed on commit and refilled by the next unit); this value's own
+    /// row buffer, staged only before a first-sight move, is freed.
     pub fn absorb(&mut self, other: &mut DomainSupport) {
-        if self.domains.len() < other.domains.len() {
-            self.domains
-                .resize_with(other.domains.len(), Domain::default);
+        let positions = [
+            self.domains.len(),
+            other.domains.len(),
+            self.reps.len(),
+            other.reps.len(),
+        ]
+        .into_iter()
+        .max()
+        .unwrap_or(0);
+        if self.domains.len() < positions {
+            self.domains.resize_with(positions, Domain::default);
         }
+        fold_rows(&mut self.domains, &self.reps, &self.rows);
+        self.rows = Vec::new();
+        fold_rows(&mut self.domains, &other.reps, &other.rows);
+        other.rows.clear();
         for (mine, theirs) in self.domains.iter_mut().zip(&mut other.domains) {
-            mine.extend(theirs.drain());
+            mine.absorb(theirs);
         }
     }
 
@@ -112,7 +376,7 @@ impl DomainSupport {
     /// always empty (their vertices fold into the representative) and are
     /// skipped.
     pub fn support(&self) -> u64 {
-        self.domains
+        self.domains()
             .iter()
             .filter(|d| !d.is_empty())
             .map(|d| d.len() as u64)
@@ -128,13 +392,21 @@ impl DomainSupport {
 
     /// The per-position vertex domains (wire serialization support).
     pub fn domains(&self) -> &[Domain] {
+        assert!(
+            self.rows.is_empty(),
+            "DomainSupport read with {} staged ids not committed: absorb it first",
+            self.rows.len()
+        );
         &self.domains
     }
 
     /// Rebuilds a support from decoded domains — the inverse of
     /// [`DomainSupport::domains`].
     pub fn from_domains(domains: Vec<Domain>) -> Self {
-        DomainSupport { domains }
+        DomainSupport {
+            domains,
+            ..DomainSupport::default()
+        }
     }
 }
 
@@ -171,6 +443,19 @@ impl FsmResult {
     pub fn max_size(&self) -> usize {
         self.frequent.iter().map(|p| p.num_edges).max().unwrap_or(0)
     }
+
+    /// Appends one round's frequent patterns of `num_edges` edges, sorted
+    /// by code so the result does not depend on the map's order.
+    fn push_round(&mut self, round: &HashMap<CanonicalCode, DomainSupport>, num_edges: usize) {
+        let start = self.frequent.len();
+        self.frequent
+            .extend(round.iter().map(|(code, sup)| FrequentPattern {
+                code: code.clone(),
+                support: sup.support(),
+                num_edges,
+            }));
+        self.frequent[start..].sort_unstable_by(|a, b| a.code.cmp(&b.code));
+    }
 }
 
 /// Exact FSM per Listing 3: bootstrap on single edges, then repeatedly
@@ -186,13 +471,7 @@ pub fn fsm(fg: &FractalGraph, min_support: u64, max_edges: usize) -> FsmResult {
     loop {
         result.reports.push(fractoid.execute());
         let frequent = fractoid.aggregation::<CanonicalCode, DomainSupport>("support");
-        for (code, sup) in &frequent {
-            result.frequent.push(FrequentPattern {
-                code: code.clone(),
-                support: sup.support(),
-                num_edges: size,
-            });
-        }
+        result.push_round(&frequent, size);
         if frequent.is_empty() || size >= max_edges {
             break;
         }
@@ -216,7 +495,9 @@ pub fn fsm_support_aggregator(
         "support",
         true,
         true,
-        |code| DomainSupport::empty(code.num_vertices()),
+        // No domains until a commit sizes them from the orbit
+        // representatives: a staged value is its rows and nothing else.
+        |_| DomainSupport::default(),
         move |sup: &mut DomainSupport, vertices, form| sup.insert(vertices, form, &fgc),
         DomainSupport::absorb,
     )
@@ -284,13 +565,7 @@ pub fn fsm_with_reduction(fg: &FractalGraph, min_support: u64, max_edges: usize)
         let frequent = fractoid.aggregation::<CanonicalCode, DomainSupport>("support");
         let participation = report.participation.clone();
         result.reports.push(report);
-        for (code, sup) in &frequent {
-            result.frequent.push(FrequentPattern {
-                code: code.clone(),
-                support: sup.support(),
-                num_edges: size,
-            });
-        }
+        result.push_round(&frequent, size);
         if frequent.is_empty() || size == max_edges {
             break;
         }
@@ -327,18 +602,14 @@ mod tests {
 
     #[test]
     fn domain_support_merge_and_support() {
-        let mut a = DomainSupport {
-            domains: vec![
-                [1u32, 2].into_iter().collect(),
-                [5u32].into_iter().collect(),
-            ],
-        };
-        let b = DomainSupport {
-            domains: vec![
-                [2u32, 3].into_iter().collect(),
-                [6u32].into_iter().collect(),
-            ],
-        };
+        let mut a = DomainSupport::from_domains(vec![
+            [1u32, 2].into_iter().collect(),
+            [5u32].into_iter().collect(),
+        ]);
+        let b = DomainSupport::from_domains(vec![
+            [2u32, 3].into_iter().collect(),
+            [6u32].into_iter().collect(),
+        ]);
         a.merge(b);
         assert_eq!(a.support(), 2); // min(|{1,2,3}|, |{5,6}|)
         assert!(a.has_enough_support(2));
@@ -370,7 +641,10 @@ mod tests {
             sg.pop_edge();
         }
         assert_eq!(got.len(), 2);
-        for (code, sup) in &got {
+        for (code, sup) in &mut got {
+            // Inserting stages rows; the settle's `absorb(value, empty)`
+            // commits them.
+            sup.absorb(&mut DomainSupport::empty(code.num_vertices()));
             let pattern = code.to_pattern();
             let want = if pattern.vertex_label(0) == pattern.vertex_label(1) {
                 // One orbit: both endpoints of both edges fold into the
@@ -395,6 +669,194 @@ mod tests {
         // Whichever way the positions line up, the smaller union is a
         // two-vertex by-label domain.
         assert_eq!(all.support(), 2);
+    }
+
+    #[test]
+    fn a_domain_is_a_list_until_its_bitmap_is_no_larger() {
+        // Ids up to 319 fill 10 words: 10 ids are a list, 11 a bitmap.
+        let ten: Vec<u32> = (1..10).map(|i| i * 32).chain([319]).collect();
+        let list: Domain = ten.iter().copied().collect();
+        assert!(!list.is_bitmap());
+        assert_eq!(list.len(), 10);
+        let mut grown = list.clone();
+        grown.add(&mut vec![7, 319, 7]);
+        assert!(grown.is_bitmap());
+        assert_eq!(grown.len(), 11);
+        let mut want: Vec<u32> = ten.clone();
+        want.push(7);
+        want.sort_unstable();
+        assert_eq!(grown.iter().collect::<Vec<_>>(), want);
+        // The same set decoded from its ids, or built in another order,
+        // has the same shape.
+        assert_eq!(Domain::from_increasing(want.clone()), Some(grown.clone()));
+        assert_eq!(want.iter().rev().copied().collect::<Domain>(), grown);
+        // A far id makes the bitmap sparse again: back to a list.
+        let mut far = grown.clone();
+        far.add(&mut vec![100_000]);
+        assert!(!far.is_bitmap());
+        assert_eq!(far.len(), 12);
+        assert_eq!(far.iter().last(), Some(100_000));
+        // Bitmap ∪ bitmap, list ∪ bitmap and bitmap ∪ list agree.
+        let dense: Domain = (300..400).collect();
+        assert!(dense.is_bitmap());
+        let mut all: Vec<u32> = want.iter().copied().chain(300..400).collect();
+        all.sort_unstable();
+        all.dedup();
+        for (a, b) in [
+            (&grown, &dense),
+            (&dense, &grown),
+            (&list, &dense),
+            (&dense, &list),
+        ] {
+            let (mut into, mut from) = (a.clone(), b.clone());
+            into.absorb(&mut from);
+            assert!(from.is_empty());
+            let want: Domain = a.iter().chain(b.iter()).collect();
+            assert_eq!(into, want);
+        }
+        let mut union = grown.clone();
+        union.absorb(&mut dense.clone());
+        assert_eq!(union.iter().collect::<Vec<_>>(), all);
+    }
+
+    #[test]
+    fn sparse_ids_near_the_top_of_u32_stay_a_list() {
+        let top: Vec<u32> = (0..40).map(|i| u32::MAX - 3 * i).collect();
+        let mut domain: Domain = top.iter().copied().collect();
+        assert!(!domain.is_bitmap());
+        assert_eq!(domain.len(), 40);
+        // A dense low bitmap that meets an id at the top turns into a
+        // list rather than a 512 MiB bitmap.
+        let mut low: Domain = (0..64).collect();
+        assert!(low.is_bitmap());
+        low.add(&mut vec![u32::MAX]);
+        assert!(!low.is_bitmap());
+        assert_eq!(low.len(), 65);
+        domain.absorb(&mut low);
+        assert!(!domain.is_bitmap());
+        assert_eq!(domain.len(), 40 + 64);
+        let ids: Vec<u32> = domain.iter().collect();
+        assert!(ids.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(ids.last(), Some(&u32::MAX));
+        assert_eq!(Domain::from_increasing(ids), Some(domain));
+    }
+
+    #[test]
+    #[should_panic(expected = "staged ids not committed")]
+    fn support_refuses_rows_not_committed() {
+        let fg = fg_of(gen::path(3));
+        let g = fg.graph();
+        let mut sup = DomainSupport::default();
+        let mut sg = fractal_enum::Subgraph::new(g);
+        sg.push_edge(g, 0);
+        let view = SubgraphView {
+            graph: g,
+            subgraph: &sg,
+        };
+        view.canonical_form(true, true, |form| sup.insert(view.vertices(), form, &fg));
+        sup.support();
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(40))]
+
+        /// The aggregation's life of a support, against one `BTreeSet` per
+        /// canonical position: embeddings of one or two edges staged into a
+        /// unit, units committed to one of two cores' durable shards or
+        /// aborted, first-sight moves settled, and the two cores' decoded
+        /// values merged as the driver merges them.
+        #[test]
+        fn supports_match_a_set_per_position(
+            n in 6usize..=400,
+            m in 8usize..=120,
+            labels in 1u32..=3,
+            seed in proptest::prelude::any::<u64>(),
+            steps in proptest::collection::vec(
+                (proptest::prelude::any::<u32>(), proptest::prelude::any::<u32>(), 0u8..6),
+                1..80,
+            ),
+        ) {
+            use fractal_core::aggregation::AggregatorSpec;
+            use std::collections::BTreeSet;
+            type Reference = HashMap<CanonicalCode, Vec<BTreeSet<u32>>>;
+
+            let fg = fg_of(gen::erdos_renyi(n, m, labels, seed));
+            let g = fg.graph();
+            let spec = fsm_support_aggregator(&fg, 0);
+            let (mut staged, mut cores) = (spec.new_shard(), [spec.new_shard(), spec.new_shard()]);
+            let mut pending: Vec<(CanonicalCode, usize, u32)> = Vec::new();
+            let mut want: Reference = HashMap::new();
+            let commit = |pending: &mut Vec<(CanonicalCode, usize, u32)>, want: &mut Reference| {
+                for (code, pos, v) in pending.drain(..) {
+                    let domains = want
+                        .entry(code.clone())
+                        .or_insert_with(|| vec![BTreeSet::new(); code.num_vertices()]);
+                    domains[pos].insert(v);
+                }
+            };
+            let mut sg = fractal_enum::Subgraph::new(g);
+            for (pick, next, action) in steps {
+                let e = pick % g.num_edges() as u32;
+                sg.push_edge(g, e);
+                let (u, _) = g.edge_endpoints(fractal_graph::EdgeId(e));
+                let more: Vec<u32> = g.incident_edges(u).iter().copied().filter(|&f| f != e).collect();
+                if next % 2 == 1 && !more.is_empty() {
+                    sg.push_edge(g, more[next as usize / 2 % more.len()]);
+                }
+                let view = SubgraphView { graph: g, subgraph: &sg };
+                staged.accumulate(&view);
+                view.canonical_form(true, true, |form| {
+                    for (&v, &at) in view.vertices().iter().zip(form.perm) {
+                        pending.push((form.code.clone(), form.orbit_reps[at as usize] as usize, v));
+                    }
+                });
+                while sg.num_edges() > 0 {
+                    sg.pop_edge();
+                }
+                match action {
+                    3 | 4 => {
+                        staged.drain_into(&mut *cores[(action - 3) as usize]);
+                        commit(&mut pending, &mut want);
+                    }
+                    5 => {
+                        staged.reset();
+                        pending.clear();
+                    }
+                    _ => {}
+                }
+            }
+            staged.drain_into(&mut *cores[0]);
+            commit(&mut pending, &mut want);
+
+            // Each core settles and encodes its map; the driver decodes and
+            // merges them.
+            let mut got: HashMap<CanonicalCode, DomainSupport> = HashMap::new();
+            for core in cores {
+                for (code, sup) in Aggregator::<CanonicalCode, DomainSupport>::take_map(core) {
+                    let decoded = DomainSupport::from_domains(
+                        sup.domains()
+                            .iter()
+                            .map(|d| Domain::from_increasing(d.iter().collect()).expect("ascending"))
+                            .collect(),
+                    );
+                    match got.entry(code) {
+                        std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().merge(decoded),
+                        std::collections::hash_map::Entry::Vacant(e) => {
+                            e.insert(decoded);
+                        }
+                    }
+                }
+            }
+            proptest::prop_assert_eq!(got.len(), want.len());
+            for (code, domains) in &want {
+                let sup = &got[code];
+                let have: Vec<BTreeSet<u32>> =
+                    sup.domains().iter().map(|d| d.iter().collect()).collect();
+                proptest::prop_assert_eq!(&have, domains, "{:?}", code);
+                let min = domains.iter().filter(|d| !d.is_empty()).map(|d| d.len() as u64).min();
+                proptest::prop_assert_eq!(sup.support(), min.unwrap_or(0));
+            }
+        }
     }
 
     #[test]

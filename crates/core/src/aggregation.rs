@@ -89,6 +89,7 @@ type FilterFn<K, V> = Arc<dyn Fn(&K, &V) -> bool + Send + Sync>;
 type EmptyFn<V> = Arc<dyn Fn(&CanonicalCode) -> V + Send + Sync>;
 type FoldFn<V> = Arc<dyn Fn(&mut V, &[u32], InternedForm<'_>) + Send + Sync>;
 type AbsorbFn<V> = Arc<dyn Fn(&mut V, &mut V) + Send + Sync>;
+type SettleFn<K, V> = Arc<dyn Fn(PatternClass, &mut V) -> K + Send + Sync>;
 
 /// How a shard turns one subgraph into (part of) an entry.
 enum Source<K, V> {
@@ -109,7 +110,9 @@ enum Source<K, V> {
         empty: EmptyFn<V>,
         fold: FoldFn<V>,
         absorb: AbsorbFn<V>,
-        resolve: fn(PatternClass) -> K,
+        /// Resolves a class to its key and passes its value through
+        /// `absorb(value, empty(key))`.
+        settle: SettleFn<K, V>,
     },
 }
 
@@ -142,6 +145,13 @@ where
     /// - `absorb(into, from)` moves everything in `from` into `into` and
     ///   leaves `from` equal to `empty` with its allocations kept: a unit's
     ///   staged values are absorbed on commit and reused by the next unit.
+    ///
+    /// A commit moves a staged value whole into a class the durable side
+    /// has not seen, so a value may reach the durable side exactly as its
+    /// folds left it. No reader sees it that way: when a shard settles,
+    /// each class's value passes once through `absorb(value, empty(code))`
+    /// (one call per class per shard), so a value that finishes its folds
+    /// only in `absorb` is always read finished.
     pub fn by_pattern(
         name: impl Into<String>,
         use_vlabels: bool,
@@ -150,17 +160,23 @@ where
         fold: impl Fn(&mut V, &[u32], InternedForm<'_>) + Send + Sync + 'static,
         absorb: impl Fn(&mut V, &mut V) + Send + Sync + 'static,
     ) -> Self {
+        let empty: EmptyFn<V> = Arc::new(empty);
         let absorb: AbsorbFn<V> = Arc::new(absorb);
-        let by_value = absorb.clone();
+        let (by_value, settle_empty, settle_absorb) =
+            (absorb.clone(), empty.clone(), absorb.clone());
         Aggregator {
             name: name.into(),
             source: Arc::new(Source::Pattern {
                 use_vlabels,
                 use_elabels,
-                empty: Arc::new(empty),
+                empty,
                 fold: Arc::new(fold),
                 absorb,
-                resolve: class_code,
+                settle: Arc::new(move |class, value| {
+                    let code = class_code(class);
+                    settle_absorb(value, &mut settle_empty(&code));
+                    code
+                }),
             }),
             reduce_fn: Arc::new(move |acc, mut v| by_value(acc, &mut v)),
             agg_filter: None,
@@ -300,9 +316,10 @@ impl<V> ClassLevel<V> {
     /// Commits every live value into `target`'s slot of the same class,
     /// leaving this level with no live class. A class `target` has not seen
     /// takes the value itself (a pattern met by one unit holds one value,
-    /// not a durable one and an emptied staged one); a class it has seen
-    /// absorbs it, and the emptied value stays here, allocated, for the
-    /// next unit.
+    /// not a durable one and an emptied staged one; it is as its folds left
+    /// it until the next `absorb` into it or the shard settles); a class it
+    /// has seen absorbs it, and the emptied value stays here, allocated, for
+    /// the next unit.
     fn commit_into(&mut self, target: &mut ClassLevel<V>, absorb: &AbsorbFn<V>) {
         for index in self.live.drain(..) {
             let from = &mut self.slots[index as usize];
@@ -476,11 +493,13 @@ where
     }
 
     fn settle(&mut self) {
-        if let Source::Pattern { resolve, .. } = &*self.source {
+        if let Source::Pattern { settle, .. } = &*self.source {
             let (map, approx_bytes, reduce) =
                 (&mut self.map, &mut self.approx_bytes, &self.reduce_fn);
-            self.classes
-                .drain(|class, v| fold_entry(map, approx_bytes, reduce, resolve(class), v));
+            self.classes.drain(|class, mut v| {
+                let key = settle(class, &mut v);
+                fold_entry(map, approx_bytes, reduce, key, v)
+            });
         }
     }
 

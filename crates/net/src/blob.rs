@@ -344,7 +344,7 @@ pub fn decode_plan_totals(bytes: &[u8]) -> Result<Vec<i128>, BlobError> {
 // ---- FSM aggregation map ----
 
 /// Encodes an FSM support map: per canonical pattern, the per-position
-/// vertex domains (each domain sorted; patterns sorted by code).
+/// vertex domains (each domain's ids ascending; patterns sorted by code).
 pub fn encode_fsm_map(map: &HashMap<CanonicalCode, DomainSupport>) -> Vec<u8> {
     let mut rows: Vec<(&CanonicalCode, &DomainSupport)> = map.iter().collect();
     rows.sort_by(|a, b| a.0 .0.cmp(&b.0 .0));
@@ -355,10 +355,8 @@ pub fn encode_fsm_map(map: &HashMap<CanonicalCode, DomainSupport>) -> Vec<u8> {
         let domains = sup.domains();
         out.u32(domains.len() as u32);
         for d in domains {
-            let mut vs: Vec<u32> = d.iter().copied().collect();
-            vs.sort_unstable();
-            out.u32(vs.len() as u32);
-            for v in vs {
+            out.u32(d.len() as u32);
+            for v in d.iter() {
                 out.u32(v);
             }
         }
@@ -366,7 +364,8 @@ pub fn encode_fsm_map(map: &HashMap<CanonicalCode, DomainSupport>) -> Vec<u8> {
     out.finish()
 }
 
-/// Decodes an FSM support map.
+/// Decodes an FSM support map. Each domain's ids must be strictly
+/// increasing, as the encoder writes them.
 pub fn decode_fsm_map(bytes: &[u8]) -> Result<HashMap<CanonicalCode, DomainSupport>, BlobError> {
     let mut c = Reader::new(bytes);
     let n = c.count(8)?;
@@ -377,11 +376,14 @@ pub fn decode_fsm_map(bytes: &[u8]) -> Result<HashMap<CanonicalCode, DomainSuppo
         let mut domains = Vec::with_capacity(nd);
         for _ in 0..nd {
             let nv = c.count(4)?;
-            let mut set = Domain::with_capacity_and_hasher(nv, Default::default());
-            for _ in 0..nv {
-                set.insert(c.u32()?);
-            }
-            domains.push(set);
+            let ids = c
+                .take(nv * 4)?
+                .chunks_exact(4)
+                .map(|b| u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
+                .collect();
+            domains.push(Domain::from_increasing(ids).ok_or(BlobError::Malformed(
+                "fsm domain ids not strictly increasing",
+            ))?);
         }
         if map
             .insert(code, DomainSupport::from_domains(domains))
@@ -581,6 +583,47 @@ mod tests {
             assert_eq!(g.domains(), sup.domains());
             assert_eq!(g.support(), sup.support());
         }
+    }
+
+    #[test]
+    fn fsm_map_refuses_id_runs_out_of_order() {
+        // One pattern, one domain of ids 1, 5, 9: the blob ends with them.
+        let one = |ids: &[u32]| {
+            let mut map = HashMap::new();
+            map.insert(
+                CanonicalCode(vec![2, 0, 0]),
+                DomainSupport::from_domains(vec![ids.iter().copied().collect()]),
+            );
+            encode_fsm_map(&map)
+        };
+        let good = one(&[1, 5, 9]);
+        let at = good.len() - 12;
+        let with_ids = |ids: [u32; 3]| {
+            let mut bytes = good[..at].to_vec();
+            bytes.extend(ids.iter().flat_map(|v| v.to_be_bytes()));
+            decode_fsm_map(&bytes)
+        };
+        assert_eq!(
+            with_ids([1, 5, 9]).expect("decode")[&CanonicalCode(vec![2, 0, 0])].support(),
+            3
+        );
+        let refused = BlobError::Malformed("fsm domain ids not strictly increasing");
+        assert_eq!(with_ids([1, 9, 5]).unwrap_err(), refused);
+        assert_eq!(with_ids([1, 5, 5]).unwrap_err(), refused);
+        assert_eq!(with_ids([9, 5, 1]).unwrap_err(), refused);
+        for cut in 0..good.len() {
+            assert!(decode_fsm_map(&good[..cut]).is_err(), "cut at {cut}");
+        }
+        assert_eq!(
+            decode_fsm_map(&good[..good.len() - 4]).unwrap_err(),
+            BlobError::Truncated
+        );
+        // A dense run decodes to the same bitmap the ids build.
+        let dense: Vec<u32> = (0..100).collect();
+        let back = decode_fsm_map(&one(&dense)).expect("decode");
+        let domain = &back[&CanonicalCode(vec![2, 0, 0])].domains()[0];
+        assert!(domain.is_bitmap());
+        assert_eq!(domain.iter().collect::<Vec<_>>(), dense);
     }
 
     #[test]

@@ -62,6 +62,33 @@ fn fsm_results_invariant() {
 }
 
 #[test]
+fn fsm_cli_prints_identically_run_to_run() {
+    // Each process hashes with its own seed, so two runs list a round's
+    // ~20 patterns in the same order only if the order is the codes'.
+    let run = |extra: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_fractal"))
+            .args(["fsm", "--support", "8", "--max-edges", "2"])
+            .args(["--gen", "patents", "--n", "200", "--seed", "3"])
+            .args(extra)
+            .output()
+            .expect("run fractal fsm");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).expect("utf-8 stdout")
+    };
+    for extra in [&[][..], &["--reduce"][..]] {
+        let first = run(extra);
+        assert!(first.lines().count() > 20, "too few patterns:\n{first}");
+        for _ in 0..2 {
+            assert_eq!(run(extra), first, "fsm {extra:?} output moved");
+        }
+    }
+}
+
+#[test]
 fn repeated_runs_identical() {
     let g = fractal::graph::gen::youtube_like(200, 1, 31);
     let fg = FractalContext::new(ClusterConfig::local(2, 2)).fractal_graph(g);
