@@ -26,14 +26,11 @@
 //!   GraMi-like FSM [17], single-thread KClist [12], a Neo4j-like
 //!   node-iterator triangle counter and a GraphFrames-like join triangle
 //!   counter [13].
-//! - [`gminer`] — a G-Miner-like coarse-task engine [10]: global task
-//!   queue, no subtree sharing (the §7 related-work comparison point).
 //! - [`pattern_growth`] — shared pattern-growth candidate generation and
 //!   exact MNI support used by the FSM baselines.
 
 pub mod bfs_engine;
 pub mod budget;
-pub mod gminer;
 pub mod mr;
 pub mod pattern_growth;
 pub mod scalemine;

@@ -217,15 +217,6 @@ impl Fractoid {
         roots
     }
 
-    /// Number of Aggregate primitives in the workflow (the positional
-    /// space of [`Fractoid::seed_aggregation`]).
-    pub fn num_aggregations(&self) -> usize {
-        self.primitives
-            .iter()
-            .filter(|p| matches!(p, Primitive::Aggregate { .. }))
-            .count()
-    }
-
     /// Seeds the `position`-th Aggregate primitive (0-based, workflow
     /// order) with an externally computed shard, marking it replayed. In a
     /// distributed run the driver ships globally merged + filtered results

@@ -7,10 +7,8 @@
 //! before encoding) and bounds-checked on decode, mirroring the frame
 //! layer's adversarial-input posture.
 
-use fractal_apps::cliques::MAX_CLIQUE_SIZE;
 use fractal_apps::fsm::{Domain, DomainSupport};
 use fractal_graph::{try_graph_from_edges, Graph, GraphError};
-use fractal_pattern::pattern::MAX_PATTERN_VERTICES;
 use fractal_pattern::CanonicalCode;
 use fractal_runtime::fault::FaultStats;
 use fractal_runtime::level::GlobalCoreId;
@@ -49,7 +47,10 @@ impl From<wire::Error> for BlobError {
     }
 }
 
-/// Which GPM application a cluster job runs.
+// ---- app spec ----
+
+/// Which GPM application a cluster job runs. Its bytes are below; what
+/// each variant runs, merges and commits on a cluster is [`crate::app`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AppSpec {
     /// Motif counting: `vfractoid.expand(k).aggregate("motifs", …)`, or —
@@ -66,73 +67,6 @@ pub enum AppSpec {
     /// Frequent subgraph mining (iterative, one round per pattern size).
     Fsm { min_support: u64, max_edges: u32 },
 }
-
-impl AppSpec {
-    /// Whether workers count result subgraphs (vs. aggregate only).
-    pub fn counts(&self) -> bool {
-        matches!(self, AppSpec::Kclist { .. })
-    }
-
-    /// Upper bound on driver rounds (FSM may stop earlier).
-    pub fn max_rounds(&self) -> u32 {
-        match self {
-            AppSpec::Motifs { .. } | AppSpec::Kclist { .. } => 1,
-            AppSpec::Fsm { max_edges, .. } => (*max_edges).max(1),
-        }
-    }
-
-    /// The root work words of every round: the extensions of the empty
-    /// subgraph, a pure function of graph + app (every vertex for the
-    /// vertex-induced, decomposed and KClist paths — isolated vertices
-    /// included, size-1 plan nodes count them — and every edge for FSM),
-    /// so the driver lists them without building a fractoid
-    /// (`worker::tests` pins this against `Fractoid::step_roots`).
-    pub fn root_words(&self, graph: &Graph) -> Vec<u64> {
-        let count = match self {
-            AppSpec::Motifs { .. } | AppSpec::Kclist { .. } => graph.num_vertices(),
-            AppSpec::Fsm { .. } => graph.num_edges(),
-        };
-        (0..count as u64).collect()
-    }
-
-    /// Why no engine can run this spec, if its size is one no pattern or
-    /// growth sequence can hold: a motif census of more than
-    /// [`MAX_PATTERN_VERTICES`] vertices, FSM growing past
-    /// `MAX_PATTERN_VERTICES - 1` edges (a tree of that many edges already
-    /// spans every vertex a pattern has), or cliques of more than
-    /// [`MAX_CLIQUE_SIZE`] vertices. The engine refuses such a workflow with
-    /// a panic (and a subgraph too large to name panics a core thread), so
-    /// every front door (CLI verbs, `serve` admission) refuses the spec with
-    /// this reason.
-    pub fn size_blocker(&self) -> Option<String> {
-        let max = MAX_PATTERN_VERTICES as u32;
-        match *self {
-            AppSpec::Motifs { k, .. } if !(1..=max).contains(&k) => Some(format!(
-                "motifs takes k in 1..={max}: a pattern holds at most {max} vertices"
-            )),
-            AppSpec::Fsm { max_edges, .. } if max_edges >= max => Some(format!(
-                "fsm takes max-edges in 0..={}: a pattern holds at most {max} vertices",
-                max - 1
-            )),
-            AppSpec::Kclist { k } if !(1..=MAX_CLIQUE_SIZE as u32).contains(&k) => Some(format!(
-                "cliques takes k in 1..={MAX_CLIQUE_SIZE}: a vertex-induced subgraph grows to \
-                 at most {MAX_CLIQUE_SIZE} vertices"
-            )),
-            _ => None,
-        }
-    }
-
-    /// Short name for logs and reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            AppSpec::Motifs { .. } => "motifs",
-            AppSpec::Kclist { .. } => "kclist",
-            AppSpec::Fsm { .. } => "fsm",
-        }
-    }
-}
-
-// ---- app spec ----
 
 fn put_app(out: &mut Writer, app: &AppSpec) {
     match app {
@@ -500,33 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn job_round_trip() {
-        let g = gen::patents_like(60, 3, 5);
-        for app in [
-            AppSpec::Motifs {
-                k: 3,
-                use_labels: true,
-                decomposed: false,
-            },
-            AppSpec::Motifs {
-                k: 5,
-                use_labels: false,
-                decomposed: true,
-            },
-            AppSpec::Kclist { k: 4 },
-            AppSpec::Fsm {
-                min_support: 12,
-                max_edges: 3,
-            },
-        ] {
-            let bytes = encode_job(&app, &g);
-            let (app2, g2) = decode_job(&bytes).expect("decode");
-            assert_eq!(app, app2);
-            assert_eq!(g.num_edges(), g2.num_edges());
-        }
-    }
-
-    #[test]
     fn motifs_map_round_trip_and_determinism() {
         let mut map = HashMap::new();
         map.insert(CanonicalCode(vec![3, 1, 2]), 99u64);
@@ -627,11 +534,12 @@ mod tests {
     }
 
     #[test]
-    fn app_spec_round_trip() {
+    fn app_spec_and_job_round_trip() {
+        let g = gen::patents_like(60, 3, 5);
         for app in [
             AppSpec::Motifs {
-                k: 4,
-                use_labels: false,
+                k: 3,
+                use_labels: true,
                 decomposed: false,
             },
             AppSpec::Motifs {
@@ -639,14 +547,16 @@ mod tests {
                 use_labels: false,
                 decomposed: true,
             },
-            AppSpec::Kclist { k: 5 },
+            AppSpec::Kclist { k: 4 },
             AppSpec::Fsm {
-                min_support: 3,
-                max_edges: 2,
+                min_support: 12,
+                max_edges: 3,
             },
         ] {
-            let bytes = encode_app_spec(&app);
-            assert_eq!(decode_app_spec(&bytes).expect("decode"), app);
+            assert_eq!(decode_app_spec(&encode_app_spec(&app)), Ok(app));
+            let (app2, g2) = decode_job(&encode_job(&app, &g)).expect("decode");
+            assert_eq!(app, app2);
+            assert_eq!(g.num_edges(), g2.num_edges());
         }
         assert!(decode_app_spec(&[]).is_err());
         assert!(decode_app_spec(&[9]).is_err());

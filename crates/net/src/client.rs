@@ -16,15 +16,12 @@
 //! replays exactly the missed suffix — no event lost, none duplicated.
 
 use crate::blob::{self, AppSpec};
-use crate::frame::{read_frame, write_frame, EventKind, Frame, Role};
+use crate::frame::{expect_hello, read_frame, write_frame, EventKind, Frame, Role};
+use crate::invalid;
 use fractal_runtime::fault::splitmix64;
 use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
-
-fn invalid(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
 
 /// A job's terminal outcome as observed by [`Client::wait`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,16 +111,8 @@ impl Client {
     }
 
     fn handshake(&mut self) -> io::Result<()> {
-        self.send(&Frame::Hello {
-            role: Role::Client,
-            cores: 0,
-        })?;
-        match self.recv()? {
-            Frame::Hello {
-                role: Role::Driver, ..
-            } => Ok(()),
-            _ => Err(invalid("expected driver Hello")),
-        }
+        self.send(&Frame::hello(Role::Client, 0))?;
+        expect_hello(read_frame(&mut self.reader), Role::Driver).map(drop)
     }
 
     fn send(&mut self, frame: &Frame) -> io::Result<()> {

@@ -20,14 +20,15 @@
 //! triggers a *recovery assign*: its unflushed word sets re-run on a
 //! survivor as an extra pass with stealing disabled.
 
+use crate::app::{Accumulator, Committed};
 use crate::blob::{self, AppSpec};
-use crate::frame::{Frame, FrameSink, FrameSource, Role, MISS_WORD, SHUTDOWN_ROUND};
+use crate::frame::{expect_hello, Frame, FrameSink, FrameSource, Role, MISS_WORD, SHUTDOWN_ROUND};
+use crate::invalid;
 use fractal_apps::fsm::DomainSupport;
 use fractal_graph::Graph;
-use fractal_pattern::{CanonicalCode, CountingPlan, GraphStats};
-use fractal_runtime::steal::{encode_unit, StolenUnit};
+use fractal_pattern::CanonicalCode;
 use fractal_runtime::{CoreStats, FaultStats, GlobalCoreId, JobReport, PlannerStats};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::io::{self, BufRead, BufReader};
 use std::net::{SocketAddr, TcpStream};
 use std::process::{Child, Command, Stdio};
@@ -37,10 +38,6 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use fractal_runtime::sync::{AtomicBool, Mutex, Ordering};
-
-fn invalid(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
 
 /// Deterministic fault injection for the cluster substrate: SIGKILL a
 /// worker process once it has demonstrably made progress (first heartbeat
@@ -91,45 +88,16 @@ pub struct DriverConfig {
     pub resume: Option<ResumeState>,
 }
 
-/// Committed cumulative state of a partially run job, decoded from its
-/// last journalled `WordSetCommitted` record. [`run_cluster_links`] picks
-/// up at round `rounds_done` with these accumulators pre-seeded, so a
-/// resumed run's final counts are bit-identical to an uninterrupted one.
+/// Committed state of a partially run job, decoded from its last
+/// journalled `WordSetCommitted` record. [`run_cluster_links`] picks up at
+/// round `rounds_done` from this result, so a resumed run's final counts
+/// are bit-identical to an uninterrupted one.
 #[derive(Debug, Clone, Default)]
 pub struct ResumeState {
     /// Fully committed rounds; execution restarts at this round index.
     pub rounds_done: u32,
-    /// Cumulative result count over the committed rounds.
-    pub count: u64,
-    /// Cumulative motif map (Motifs only).
-    pub motifs: HashMap<CanonicalCode, u64>,
-    /// Per-round globally filtered frequent maps (FSM only).
-    pub frequent: Vec<HashMap<CanonicalCode, DomainSupport>>,
-}
-
-impl ResumeState {
-    /// Decodes the cumulative agg blob of a `WordSetCommitted` record back
-    /// into driver accumulators (the inverse of what
-    /// [`DriverConfig::on_round_commit`] is handed).
-    pub fn decode(app: &AppSpec, rounds_done: u32, count: u64, agg: &[u8]) -> io::Result<Self> {
-        let mut state = ResumeState {
-            rounds_done,
-            count,
-            ..ResumeState::default()
-        };
-        match app {
-            AppSpec::Motifs { .. } => {
-                state.motifs = blob::decode_motifs_map(agg)
-                    .map_err(|e| invalid(format!("resume motifs: {e}")))?;
-            }
-            AppSpec::Kclist { .. } => {}
-            AppSpec::Fsm { .. } => {
-                state.frequent = blob::decode_fsm_seeds(agg)
-                    .map_err(|e| invalid(format!("resume fsm seeds: {e}")))?;
-            }
-        }
-        Ok(state)
-    }
+    /// The result those rounds committed.
+    pub committed: Committed,
 }
 
 impl DriverConfig {
@@ -261,12 +229,6 @@ struct RoundState {
     /// thief's request seq to echo).
     pending: HashMap<(usize, u32), (usize, u32)>,
     done_broadcast: bool,
-    count: u64,
-    motifs: HashMap<CanonicalCode, u64>,
-    /// Element-wise sum of decomposed-plan partial totals (decomposed
-    /// motifs only); sized by the first flush of the round.
-    plan_totals: Vec<i128>,
-    fsm: HashMap<CanonicalCode, DomainSupport>,
 }
 
 impl RoundState {
@@ -278,16 +240,12 @@ impl RoundState {
             orphans: VecDeque::new(),
             pending: HashMap::new(),
             done_broadcast: false,
-            count: 0,
-            motifs: HashMap::new(),
-            plan_totals: Vec::new(),
-            fsm: HashMap::new(),
         }
     }
 }
 
 struct Driver<K: FrameSink> {
-    app: AppSpec,
+    acc: Accumulator,
     conns: Vec<Conn<K>>,
     heartbeat_timeout: Duration,
     chaos_kill: Option<ChaosKill>,
@@ -296,7 +254,7 @@ struct Driver<K: FrameSink> {
     recovery_assigns: u64,
     steal_relays: u64,
     // Federated metrics accumulators.
-    acc_cores: HashMap<(usize, usize), CoreStats>,
+    acc_cores: BTreeMap<(usize, usize), CoreStats>,
     bytes_served: u64,
     steal_requests: u64,
     steal_hits: u64,
@@ -313,6 +271,14 @@ impl<K: FrameSink> Driver<K> {
 
     fn send_or_kill(&mut self, i: usize, frame: &Frame, rs: &mut RoundState) {
         if !self.conns[i].send(frame) {
+            self.kill_worker(i, rs);
+        }
+    }
+
+    /// [`Self::send_or_kill`] under an explicit sequence number: steal
+    /// replies echo the request's, a relayed request takes a reserved one.
+    fn reply_or_kill(&mut self, i: usize, seq: u32, frame: &Frame, rs: &mut RoundState) {
+        if !self.conns[i].send_seq(seq, frame) {
             self.kill_worker(i, rs);
         }
     }
@@ -342,14 +308,7 @@ impl<K: FrameSink> Driver<K> {
             // just forget the entry — a later hit reply from the victim
             // finds no match and its word is orphaned below.)
             if key.0 == i && self.conns[thief].alive {
-                let miss = Frame::StealReply {
-                    round: rs.round,
-                    word: MISS_WORD,
-                    unit: None,
-                };
-                if !self.conns[thief].send_seq(tseq, &miss) {
-                    self.kill_worker(thief, rs);
-                }
+                self.reply_or_kill(thief, tseq, &Frame::miss(rs.round), rs);
             }
         }
 
@@ -396,6 +355,20 @@ impl<K: FrameSink> Driver<K> {
                 self.send_or_kill(s, &assign, rs);
             }
         }
+    }
+
+    /// Records a steal transfer of `word` to `thief`: its current pass
+    /// owes the word's results from now on.
+    fn hand_over(&mut self, thief: usize, word: u64) {
+        let c = &mut self.conns[thief];
+        match c.passes.front_mut() {
+            Some(front) => {
+                front.insert(word);
+            }
+            None => c.passes.push_back([word].into_iter().collect()),
+        }
+        c.summary.stolen_in += 1;
+        self.steal_relays += 1;
     }
 
     /// Folds one flushed worker report into the federated one. Its
@@ -456,37 +429,13 @@ impl<K: FrameSink> Driver<K> {
             Frame::StealRequest { round } => {
                 self.steal_requests += 1;
                 if round != rs.round || rs.done_broadcast {
-                    let miss = Frame::StealReply {
-                        round,
-                        word: MISS_WORD,
-                        unit: None,
-                    };
-                    if !self.conns[i].send_seq(seq, &miss) {
-                        self.kill_worker(i, rs);
-                    }
+                    self.reply_or_kill(i, seq, &Frame::miss(round), rs);
                 } else if let Some(w) = rs.orphans.pop_front() {
                     // Serve the orphan directly: a root unit has an empty
                     // prefix, so the driver encodes it itself.
-                    if let Some(front) = self.conns[i].passes.front_mut() {
-                        front.insert(w);
-                    } else {
-                        self.conns[i].passes.push_back([w].into_iter().collect());
-                    }
-                    self.conns[i].summary.stolen_in += 1;
-                    self.steal_relays += 1;
-                    let unit = encode_unit(&StolenUnit {
-                        prefix: Vec::new(),
-                        word: w,
-                    });
-                    let reply = Frame::StealReply {
-                        round,
-                        word: w,
-                        unit: Some(unit),
-                    };
-                    if !self.conns[i].send_seq(seq, &reply) {
-                        // The kill path re-orphans w via the thief's pass.
-                        self.kill_worker(i, rs);
-                    }
+                    self.hand_over(i, w);
+                    // A failed send re-orphans w via the thief's pass.
+                    self.reply_or_kill(i, seq, &Frame::root_unit(round, w), rs);
                 } else {
                     // Relay to the victim with the most unfinished words.
                     let victim = self
@@ -509,21 +458,9 @@ impl<K: FrameSink> Driver<K> {
                             let fwd_seq = self.conns[j].seq;
                             self.conns[j].seq = fwd_seq.wrapping_add(1);
                             rs.pending.insert((j, fwd_seq), (i, seq));
-                            let fwd = Frame::StealRequest { round };
-                            if !self.conns[j].send_seq(fwd_seq, &fwd) {
-                                self.kill_worker(j, rs);
-                            }
+                            self.reply_or_kill(j, fwd_seq, &Frame::StealRequest { round }, rs);
                         }
-                        None => {
-                            let miss = Frame::StealReply {
-                                round,
-                                word: MISS_WORD,
-                                unit: None,
-                            };
-                            if !self.conns[i].send_seq(seq, &miss) {
-                                self.kill_worker(i, rs);
-                            }
-                        }
+                        None => self.reply_or_kill(i, seq, &Frame::miss(round), rs),
                     }
                 }
             }
@@ -545,32 +482,15 @@ impl<K: FrameSink> Driver<K> {
                             }
                             self.conns[i].summary.stolen_out += 1;
                             if self.conns[thief].alive {
-                                if let Some(front) = self.conns[thief].passes.front_mut() {
-                                    front.insert(word);
-                                } else {
-                                    self.conns[thief]
-                                        .passes
-                                        .push_back([word].into_iter().collect());
-                                }
-                                self.conns[thief].summary.stolen_in += 1;
-                                self.steal_relays += 1;
+                                self.hand_over(thief, word);
                                 let fwd = Frame::StealReply { round, word, unit };
-                                if !self.conns[thief].send_seq(tseq, &fwd) {
-                                    self.kill_worker(thief, rs);
-                                }
+                                self.reply_or_kill(thief, tseq, &fwd, rs);
                             } else {
                                 rs.orphans.push_back(word);
                                 self.orphaned_words += 1;
                             }
                         } else if self.conns[thief].alive {
-                            let miss = Frame::StealReply {
-                                round,
-                                word: MISS_WORD,
-                                unit: None,
-                            };
-                            if !self.conns[thief].send_seq(tseq, &miss) {
-                                self.kill_worker(thief, rs);
-                            }
+                            self.reply_or_kill(thief, tseq, &Frame::miss(round), rs);
                         }
                     }
                     None => {
@@ -612,50 +532,9 @@ impl<K: FrameSink> Driver<K> {
                 self.conns[i].flushed += 1;
                 self.conns[i].summary.flushes += 1;
                 self.conns[i].passes.pop_front();
-                rs.count += count;
-                match self.app {
-                    // Decomposed motif workers flush raw per-plan-node
-                    // partial totals; per-root values are independent, so
-                    // the element-wise sum over workers is exact.
-                    AppSpec::Motifs {
-                        decomposed: true, ..
-                    } => {
-                        let totals = blob::decode_plan_totals(&agg)
-                            .map_err(|e| invalid(format!("plan totals flush: {e}")))?;
-                        if rs.plan_totals.is_empty() {
-                            rs.plan_totals = totals;
-                        } else {
-                            if rs.plan_totals.len() != totals.len() {
-                                return Err(invalid("plan totals length mismatch"));
-                            }
-                            for (t, v) in rs.plan_totals.iter_mut().zip(totals) {
-                                *t += v;
-                            }
-                        }
-                    }
-                    AppSpec::Motifs { .. } => {
-                        let map = blob::decode_motifs_map(&agg)
-                            .map_err(|e| invalid(format!("motifs flush: {e}")))?;
-                        for (k, v) in map {
-                            *rs.motifs.entry(k).or_insert(0) += v;
-                        }
-                    }
-                    AppSpec::Kclist { .. } => {}
-                    AppSpec::Fsm { .. } => {
-                        let map = blob::decode_fsm_map(&agg)
-                            .map_err(|e| invalid(format!("fsm flush: {e}")))?;
-                        for (k, v) in map {
-                            match rs.fsm.entry(k) {
-                                std::collections::hash_map::Entry::Occupied(mut e) => {
-                                    e.get_mut().merge(v)
-                                }
-                                std::collections::hash_map::Entry::Vacant(e) => {
-                                    e.insert(v);
-                                }
-                            }
-                        }
-                    }
-                }
+                self.acc
+                    .absorb(count, &agg)
+                    .map_err(|e| invalid(format!("agg flush: {e}")))?;
                 let rep = blob::decode_report(&report)
                     .map_err(|e| invalid(format!("report flush: {e}")))?;
                 self.accumulate_report(i, rep);
@@ -738,41 +617,18 @@ where
     // Identical on every process, and for FSM the same every round
     // (aggregation filters prune only deeper levels).
     let roots = app.root_words(&graph);
-    // The driver compiles the same plan every worker compiles from the
-    // shipped graph (compilation is deterministic); it owns the
-    // inclusion–exclusion finalize over the summed totals.
-    let driver_plan = match &app {
-        AppSpec::Motifs {
-            k,
-            decomposed: true,
-            ..
-        } => Some(CountingPlan::plan_motifs(
-            *k as usize,
-            GraphStats::of(&graph),
-        )),
-        _ => None,
-    };
+    // Resumed jobs pick up their committed result and skip the rounds
+    // that already flushed: a resumed run replays no work, so its final
+    // counts are bit-identical to an uninterrupted run.
+    let resume = resume.unwrap_or_default();
+    let acc = Accumulator::new(app, &graph, resume.rounds_done, resume.committed);
 
     let (tx, rx): (_, Receiver<Ev>) = channel();
     let mut conns = Vec::with_capacity(links.len());
     for (i, ((mut source, mut sink), name)) in links.into_iter().zip(names).enumerate() {
-        sink.send(
-            0,
-            &Frame::Hello {
-                role: Role::Driver,
-                cores: 0,
-            },
-        )?;
-        let cores = match source.recv()? {
-            (
-                _,
-                Frame::Hello {
-                    role: Role::Worker,
-                    cores,
-                },
-            ) => cores,
-            _ => return Err(invalid(format!("worker {name}: expected Hello"))),
-        };
+        sink.send(0, &Frame::hello(Role::Driver, 0))?;
+        let cores = expect_hello(source.recv(), Role::Worker)
+            .map_err(|e| io::Error::new(e.kind(), format!("worker {name}: {e}")))?;
         let txc = tx.clone();
         thread::spawn(move || loop {
             match source.recv() {
@@ -807,7 +663,7 @@ where
 
     let start = Instant::now();
     let mut drv = Driver {
-        app,
+        acc,
         conns,
         heartbeat_timeout,
         chaos_kill,
@@ -815,7 +671,7 @@ where
         orphaned_words: 0,
         recovery_assigns: 0,
         steal_relays: 0,
-        acc_cores: HashMap::new(),
+        acc_cores: BTreeMap::new(),
         bytes_served: 0,
         steal_requests: 0,
         steal_hits: 0,
@@ -823,21 +679,6 @@ where
         planner: PlannerStats::default(),
     };
 
-    // Resumed jobs pick up their committed accumulators and skip the
-    // rounds that already flushed: a resumed run replays no work, so its
-    // final counts are bit-identical to an uninterrupted run.
-    let resume = resume.unwrap_or_default();
-    let start_round = resume.rounds_done.min(app.max_rounds());
-    let mut total_count = resume.count;
-    let mut motifs_result = resume.motifs;
-    let mut frequent: Vec<HashMap<CanonicalCode, DomainSupport>> = resume.frequent;
-    let mut rounds_run = start_round;
-    // Replicate the FSM early-stop: if the committed state already ended
-    // with an empty frequent map, the uninterrupted run would have broken
-    // out of its round loop — a resumed run must not execute extra rounds.
-    let fsm_already_converged = matches!(app, AppSpec::Fsm { .. })
-        && start_round > 0
-        && frequent.last().is_some_and(|m| m.is_empty());
     let mut stall_after_done = chaos_stall_after_done;
     let mut cancelled = false;
     let is_cancelled = || {
@@ -848,22 +689,13 @@ where
             .is_some_and(|c| c.load(Ordering::Relaxed))
     };
 
-    let round_range = if fsm_already_converged {
-        start_round..start_round
-    } else {
-        start_round..app.max_rounds()
-    };
-    'rounds: for round in round_range {
+    'rounds: for round in drv.acc.remaining() {
         let alive = drv.alive();
         if alive.is_empty() {
             return Err(invalid("all workers died"));
         }
         let mut rs = RoundState::new(round, &roots);
-        let seed_blob = if matches!(app, AppSpec::Fsm { .. }) && round > 0 {
-            Some(blob::encode_fsm_seeds(&frequent))
-        } else {
-            None
-        };
+        let seed_blob = drv.acc.seed();
 
         // Partition root words round-robin over live workers and assign.
         let mut parts: Vec<Vec<u64>> = vec![Vec::new(); drv.conns.len()];
@@ -959,46 +791,17 @@ where
             }
         }
 
-        rounds_run = round + 1;
-        total_count += rs.count;
-        let mut fsm_converged = false;
-        match app {
-            AppSpec::Motifs {
-                decomposed: true, ..
-            } => {
-                let plan = driver_plan.as_ref().expect("decomposed plan compiled");
-                if rs.plan_totals.is_empty() {
-                    rs.plan_totals = vec![0; plan.nodes.len()];
-                }
-                motifs_result = plan.finalize(&rs.plan_totals).into_iter().collect();
-            }
-            AppSpec::Motifs { .. } => motifs_result = rs.motifs,
-            AppSpec::Kclist { .. } => {}
-            AppSpec::Fsm { min_support, .. } => {
-                // Workers flush unfiltered partial maps; the support
-                // filter is only meaningful on the global merge.
-                let filtered: HashMap<CanonicalCode, DomainSupport> = rs
-                    .fsm
-                    .into_iter()
-                    .filter(|(_, v)| v.has_enough_support(min_support))
-                    .collect();
-                fsm_converged = filtered.is_empty();
-                frequent.push(filtered);
-            }
-        }
         // Flush-is-commit boundary: every flush of this round is merged,
-        // so the cumulative accumulators are durable-safe to publish. The
-        // converged FSM round is committed too — replaying it is what
-        // tells a resumed run to stop where the original would have.
+        // so the committed result is durable-safe to publish.
+        let over = drv.acc.commit_round();
         if let Some(commit) = &on_round_commit {
-            let agg = match app {
-                AppSpec::Motifs { .. } => blob::encode_motifs_map(&motifs_result),
-                AppSpec::Kclist { .. } => Vec::new(),
-                AppSpec::Fsm { .. } => blob::encode_fsm_seeds(&frequent),
-            };
-            commit(rounds_run, total_count, &agg);
+            commit(
+                drv.acc.rounds(),
+                drv.acc.committed().count,
+                &drv.acc.encode(),
+            );
         }
-        if fsm_converged {
+        if over {
             break;
         }
     }
@@ -1010,14 +813,10 @@ where
         let _ = drv.conns[i].send(&shutdown);
     }
 
-    let mut keys: Vec<(usize, usize)> = drv.acc_cores.keys().copied().collect();
-    keys.sort_unstable();
-    let cores = keys
+    let cores = drv
+        .acc_cores
         .into_iter()
-        .map(|(worker, core)| {
-            let stats = drv.acc_cores.remove(&(worker, core)).expect("key");
-            (GlobalCoreId { worker, core }, stats)
-        })
+        .map(|((worker, core), stats)| (GlobalCoreId { worker, core }, stats))
         .collect();
     let report = JobReport {
         elapsed: start.elapsed(),
@@ -1030,12 +829,18 @@ where
         planner: drv.planner,
         trace: None,
     };
+    let rounds = drv.acc.rounds();
+    let Committed {
+        count,
+        motifs,
+        frequent,
+    } = drv.acc.into_committed();
     Ok(ClusterResult {
         app,
-        count: total_count,
-        motifs: motifs_result,
+        count,
+        motifs,
         frequent,
-        rounds: rounds_run,
+        rounds,
         report,
         workers: drv.conns.into_iter().map(|c| c.summary).collect(),
         deaths: drv.deaths,
@@ -1102,26 +907,10 @@ pub struct LocalCluster {
 }
 
 impl LocalCluster {
-    /// Spawns `n` workers by re-executing the current binary with
-    /// `worker --listen 127.0.0.1:0 --cores <cores>`.
-    pub fn spawn(n: usize, cores: usize) -> io::Result<LocalCluster> {
-        let exe = std::env::current_exe()?;
-        LocalCluster::spawn_with(n, |_| {
-            let mut cmd = Command::new(&exe);
-            cmd.args([
-                "worker",
-                "--listen",
-                "127.0.0.1:0",
-                "--cores",
-                &cores.to_string(),
-            ]);
-            cmd
-        })
-    }
-
-    /// Spawns `n` workers with caller-built commands (the chaos harness
-    /// re-executes itself with a hidden worker-mode argument). Each child
-    /// must print `LISTENING <addr>` as its first stdout line.
+    /// Spawns `n` workers with caller-built commands (the CLI re-executes
+    /// itself as `worker --listen 127.0.0.1:0 --cores <c>`, the chaos
+    /// harness with a hidden worker-mode argument). Each child must print
+    /// `LISTENING <addr>` as its first stdout line.
     pub fn spawn_with(
         n: usize,
         mut make: impl FnMut(usize) -> Command,

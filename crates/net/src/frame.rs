@@ -18,6 +18,7 @@
 //! whose encodings live in [`crate::blob`]; the frame layer only frames,
 //! checks and routes them.
 
+use fractal_runtime::steal::{encode_unit, StolenUnit};
 use fractal_runtime::wire::{self, unseal, Reader, Writer};
 use std::io::{self, Read, Write};
 
@@ -36,64 +37,47 @@ pub const SHUTDOWN_ROUND: u32 = u32::MAX;
 /// `StealReply { word: MISS_WORD, unit: None }` marks a steal miss.
 pub const MISS_WORD: u64 = u64::MAX;
 
-/// Who is speaking in a `Hello`.
+/// Who is speaking in a `Hello`. The discriminant is the wire byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
     /// The driver process.
-    Driver,
+    Driver = 0,
     /// A worker process.
-    Worker,
+    Worker = 1,
     /// A `fractal client` submitting jobs to a `fractal serve` daemon.
-    Client,
+    Client = 2,
 }
 
-/// What a [`Frame::JobEvent`] announces about a job's lifecycle.
+/// What a [`Frame::JobEvent`] announces about a job's lifecycle. The
+/// discriminant is the wire byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// Admission succeeded; `value` is the assigned job id.
-    Accepted,
+    Accepted = 0,
     /// Admission failed (queue full, tenant over quota); `detail` says why.
-    Rejected,
+    Rejected = 1,
     /// The job is waiting in the dispatch queue; `value` is its position.
-    Queued,
+    Queued = 2,
     /// The job started executing on the worker pool.
-    Running,
+    Running = 3,
     /// Partial progress: `value` root words completed this round so far.
-    Progress,
+    Progress = 4,
     /// The job finished; its result can be fetched with `Result`.
-    Done,
+    Done = 5,
     /// The job was cancelled before completing.
-    Cancelled,
+    Cancelled = 6,
     /// The job failed; `detail` carries the error text.
-    Failed,
+    Failed = 7,
 }
 
 impl EventKind {
-    fn code(self) -> u8 {
-        match self {
-            EventKind::Accepted => 0,
-            EventKind::Rejected => 1,
-            EventKind::Queued => 2,
-            EventKind::Running => 3,
-            EventKind::Progress => 4,
-            EventKind::Done => 5,
-            EventKind::Cancelled => 6,
-            EventKind::Failed => 7,
-        }
-    }
-
     fn from_code(code: u8) -> Result<Self, FrameError> {
-        Ok(match code {
-            0 => EventKind::Accepted,
-            1 => EventKind::Rejected,
-            2 => EventKind::Queued,
-            3 => EventKind::Running,
-            4 => EventKind::Progress,
-            5 => EventKind::Done,
-            6 => EventKind::Cancelled,
-            7 => EventKind::Failed,
-            _ => return Err(FrameError::Malformed("event kind")),
-        })
+        use EventKind::*;
+        let all = [
+            Accepted, Rejected, Queued, Running, Progress, Done, Cancelled, Failed,
+        ];
+        let kind = all.get(usize::from(code)).copied();
+        kind.ok_or(FrameError::Malformed("event kind"))
     }
 
     /// Whether this event ends the job's lifecycle.
@@ -211,6 +195,34 @@ pub enum Frame {
 }
 
 impl Frame {
+    /// A session opener from `role`.
+    pub fn hello(role: Role, cores: u32) -> Frame {
+        Frame::Hello { role, cores }
+    }
+
+    /// The steal reply that carries no work.
+    pub fn miss(round: u32) -> Frame {
+        Frame::StealReply {
+            round,
+            word: MISS_WORD,
+            unit: None,
+        }
+    }
+
+    /// The steal reply that hands over root word `word`: a root unit has
+    /// an empty prefix, so the driver can encode one as well as a worker.
+    pub fn root_unit(round: u32, word: u64) -> Frame {
+        let unit = encode_unit(&StolenUnit {
+            prefix: Vec::new(),
+            word,
+        });
+        Frame::StealReply {
+            round,
+            word,
+            unit: Some(unit),
+        }
+    }
+
     fn type_code(&self) -> u8 {
         match self {
             Frame::Hello { .. } => 1,
@@ -286,11 +298,7 @@ fn encode_payload(frame: &Frame) -> Vec<u8> {
     let mut p = Writer::new();
     match frame {
         Frame::Hello { role, cores } => {
-            p.u8(match role {
-                Role::Driver => 0,
-                Role::Worker => 1,
-                Role::Client => 2,
-            });
+            p.u8(*role as u8);
             p.u32(*cores);
         }
         Frame::Assign {
@@ -386,7 +394,7 @@ fn encode_payload(frame: &Frame) -> Vec<u8> {
             event_seq,
         } => {
             p.u64(*job);
-            p.u8(kind.code());
+            p.u8(*kind as u8);
             p.str(detail);
             p.u64(*value);
             p.u64(*event_seq);
@@ -407,12 +415,9 @@ fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, FrameError> {
     let mut c = Reader::new(payload);
     let frame = match ty {
         1 => {
-            let role = match c.u8()? {
-                0 => Role::Driver,
-                1 => Role::Worker,
-                2 => Role::Client,
-                _ => return Err(FrameError::Malformed("hello role")),
-            };
+            let all = [Role::Driver, Role::Worker, Role::Client];
+            let role = all.get(usize::from(c.u8()?)).copied();
+            let role = role.ok_or(FrameError::Malformed("hello role"))?;
             Frame::Hello {
                 role,
                 cores: c.u32()?,
@@ -560,6 +565,15 @@ pub fn decode_frame(buf: &[u8]) -> Result<(u32, Frame), FrameError> {
 /// Reads one frame from a stream. Returns `UnexpectedEof` when the peer
 /// closed the connection (cleanly between frames or mid-frame) and
 /// `InvalidData` on protocol corruption.
+/// Checks that a session opened with `role`'s `Hello` and returns the
+/// cores it announced.
+pub fn expect_hello(opened: io::Result<(u32, Frame)>, role: Role) -> io::Result<u32> {
+    match opened? {
+        (_, Frame::Hello { role: r, cores }) if r == role => Ok(cores),
+        _ => Err(crate::invalid(format!("expected {role:?} Hello"))),
+    }
+}
+
 pub fn read_frame(r: &mut impl Read) -> io::Result<(u32, Frame)> {
     let invalid = |e: FrameError| io::Error::new(io::ErrorKind::InvalidData, e);
     let mut buf = vec![0u8; HEADER_LEN];

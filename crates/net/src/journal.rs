@@ -367,19 +367,6 @@ impl Replay {
         }
         rep
     }
-
-    /// Incomplete jobs in original admission order (priority is applied
-    /// by the scheduler, exactly as for live submissions).
-    pub fn incomplete_jobs(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self
-            .jobs
-            .iter()
-            .filter(|(_, j)| j.incomplete())
-            .map(|(&id, _)| id)
-            .collect();
-        ids.sort_by_key(|id| self.jobs[id].submit_seq);
-        ids
-    }
 }
 
 /// An open, append-only journal. Every [`Journal::append`] is fsynced
@@ -528,42 +515,6 @@ mod tests {
         // Orphan terminal records (no JobAdmitted) are dropped.
         assert!(!rep.jobs.contains_key(&2));
         assert!(!rep.jobs.contains_key(&3));
-    }
-
-    #[test]
-    fn incomplete_jobs_keep_fifo_order() {
-        let recs = vec![
-            Record::JobAdmitted {
-                job: 7,
-                token: "b".into(),
-                tenant: "t".into(),
-                priority: 0,
-                submit_seq: 2,
-                snapshot: "s".into(),
-                app: vec![],
-            },
-            Record::JobAdmitted {
-                job: 4,
-                token: "a".into(),
-                tenant: "t".into(),
-                priority: 0,
-                submit_seq: 1,
-                snapshot: "s".into(),
-                app: vec![],
-            },
-            Record::JobAdmitted {
-                job: 9,
-                token: "c".into(),
-                tenant: "t".into(),
-                priority: 0,
-                submit_seq: 3,
-                snapshot: "s".into(),
-                app: vec![],
-            },
-            Record::JobCancelled { job: 4 },
-        ];
-        let rep = Replay::fold(recs, 0);
-        assert_eq!(rep.incomplete_jobs(), vec![7, 9]);
     }
 
     #[test]

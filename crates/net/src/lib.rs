@@ -13,6 +13,9 @@
 //!   and adversarially decoded.
 //! - [`blob`] — typed payload encodings carried inside frames: job spec
 //!   (app + graph), aggregation maps, metrics reports.
+//! - [`app`] — the one module that knows what each [`AppSpec`] computes:
+//!   the worker's round, the driver's per-round reduction and the
+//!   committed-result blob that is journalled, resumed from and served.
 //! - [`worker`] — the worker process loop: runs jobs with an
 //!   [`fractal_runtime::ExternalHooks`] pull source and answers steal
 //!   requests from its own run queues.
@@ -40,6 +43,7 @@
 //! died with the process, so exactly-once output is preserved by making
 //! flush, not completion, the commit point.
 
+pub mod app;
 pub mod blob;
 pub mod client;
 pub mod driver;
@@ -49,6 +53,7 @@ pub mod linkfault;
 pub mod serve;
 pub mod worker;
 
+pub use app::Committed;
 pub use blob::AppSpec;
 pub use client::{Client, JobTerminal, ReconnectPolicy};
 pub use driver::{
@@ -59,4 +64,9 @@ pub use frame::EventKind;
 pub use journal::{Journal, Record, Replay};
 pub use linkfault::{DedupSource, FaultySink};
 pub use serve::{load_snapshot, ServeConfig, Server};
-pub use worker::{serve, serve_conn, serve_with, ServeOutcome};
+pub use worker::{serve, serve_with, ServeOutcome};
+
+/// The error a malformed or unexpected peer message turns into.
+fn invalid(msg: impl Into<String>) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, msg.into())
+}

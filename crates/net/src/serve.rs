@@ -28,11 +28,14 @@
 //!   session* and re-dispatches the corpse's obligations per affected
 //!   job — survivors and unrelated jobs never notice.
 
+use crate::app::{self, Committed};
 use crate::blob::{self, AppSpec};
 use crate::driver::{run_cluster_links, DriverConfig, ResumeState};
 use crate::frame::{
-    read_frame, ChannelSource, EventKind, Frame, FrameSink, MuxSink, Role, SHUTDOWN_ROUND,
+    expect_hello, read_frame, ChannelSource, EventKind, Frame, FrameSink, MuxSink, Role,
+    SHUTDOWN_ROUND,
 };
+use crate::invalid;
 use crate::journal::{Journal, Record, Replay, ReplayTerminal};
 use crate::linkfault::DedupWindow;
 use fractal_graph::{gen, io::load_adjacency_list, Graph};
@@ -45,10 +48,6 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
-
-fn invalid(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
 
 /// Admission and resource limits of a serve daemon.
 #[derive(Debug, Clone)]
@@ -127,8 +126,8 @@ pub fn load_snapshot(spec: &str) -> io::Result<Graph> {
     let seed: u64 = seed
         .parse()
         .map_err(|_| invalid(format!("snapshot {spec}: bad seed")))?;
-    // The label-count constants mirror `fractal submit --gen` exactly, so
-    // a client-side verification run rebuilds a bit-identical graph.
+    // Every `fractal` verb's `--gen` reads its graph through here, so a
+    // client-side verification run rebuilds a bit-identical graph.
     Ok(match *name {
         "mico" => gen::mico_like(n, 29, seed),
         "patents" => gen::patents_like(n, 37, seed),
@@ -366,6 +365,19 @@ struct ServerState {
 }
 
 impl ServerState {
+    fn new(snapshot_budget_bytes: u64) -> Self {
+        ServerState {
+            next_job: 1,
+            submit_seq: 0,
+            jobs: HashMap::new(),
+            queue: Vec::new(),
+            running: 0,
+            tenant_inflight: HashMap::new(),
+            tokens: HashMap::new(),
+            snapshots: SnapshotCache::new(snapshot_budget_bytes),
+        }
+    }
+
     /// Pops the next job to run: highest priority first, submission order
     /// within a priority (priority-aware FIFO).
     fn pop_next(&mut self) -> Option<u64> {
@@ -444,16 +456,7 @@ impl Server {
         for (stream, name) in workers {
             links.push(WorkerLink::start(stream, name)?);
         }
-        let mut state = ServerState {
-            next_job: 1,
-            submit_seq: 0,
-            jobs: HashMap::new(),
-            queue: Vec::new(),
-            running: 0,
-            tenant_inflight: HashMap::new(),
-            tokens: HashMap::new(),
-            snapshots: SnapshotCache::new(config.snapshot_budget_bytes),
-        };
+        let mut state = ServerState::new(config.snapshot_budget_bytes);
         let stats = ServeStats::default();
         let journal = match &config.journal_dir {
             None => None,
@@ -579,8 +582,11 @@ fn restore_from_replay(state: &mut ServerState, replay: &Replay) {
                 rec.state = JobState::Queued;
                 rec.quota_released = false;
                 rec.resume = rj.committed.as_ref().and_then(|(rounds, count, agg)| {
-                    match ResumeState::decode(&rec.app, *rounds, *count, agg) {
-                        Ok(rs) => Some(rs),
+                    match Committed::decode(&rec.app, *count, agg) {
+                        Ok(committed) => Some(ResumeState {
+                            rounds_done: *rounds,
+                            committed,
+                        }),
                         Err(e) => {
                             // A commit record that no longer decodes is
                             // dropped: the job restarts from scratch,
@@ -664,17 +670,6 @@ fn log_event_locked(
     }
 }
 
-/// [`log_event_locked`] taking the lock itself.
-fn log_event(
-    inner: &ServerInner,
-    job: u64,
-    kind: EventKind,
-    detail: impl Into<String>,
-    value: u64,
-) {
-    log_event_locked(&mut inner.state.lock(), job, kind, detail, value);
-}
-
 /// Gives `job`'s tenant-quota slot back — exactly once per job, whatever
 /// the cancel/dispatch interleaving (the `quota_released` latch is
 /// flipped under the same lock that serializes state transitions).
@@ -710,7 +705,13 @@ fn run_one_job(inner: Arc<ServerInner>, job: u64) {
         )
     };
     inner.journal_append(&Record::JobStarted { job });
-    log_event(&inner, job, EventKind::Running, app.name(), 0);
+    log_event_locked(
+        &mut inner.state.lock(),
+        job,
+        EventKind::Running,
+        app.name(),
+        0,
+    );
 
     let outcome = execute_job(&inner, job, app, &snapshot, cancel, resume);
 
@@ -831,13 +832,9 @@ fn execute_job(
         // ordering: Relaxed — a lost race only skips one coarse progress
         // event; the counter is monotonic within the driver thread.
         if decile > last_decile.swap(decile, Ordering::Relaxed) {
-            log_event(
-                &progress_inner,
-                job,
-                EventKind::Progress,
-                format!("round {round}"),
-                done,
-            );
+            let detail = format!("round {round}");
+            let mut st = progress_inner.state.lock();
+            log_event_locked(&mut st, job, EventKind::Progress, detail, done);
         }
     }));
 
@@ -850,11 +847,7 @@ fn execute_job(
         return Ok(None);
     }
 
-    let agg = match app {
-        AppSpec::Motifs { .. } => blob::encode_motifs_map(&result.motifs),
-        AppSpec::Kclist { .. } => Vec::new(),
-        AppSpec::Fsm { .. } => blob::encode_fsm_seeds(&result.frequent),
-    };
+    let agg = app::encode_result(&app, &result.motifs, &result.frequent);
     let mut report = result.report;
     // Stamp the daemon's serve-path counters into the job's federated
     // report so `--metrics-out` artifacts carry them.
@@ -881,20 +874,8 @@ fn serve_client(inner: Arc<ServerInner>, stream: TcpStream) -> io::Result<()> {
         writer: Mutex::new(stream),
         seq: AtomicU32::new(0),
     });
-    match read_frame(&mut reader) {
-        Ok((
-            _,
-            Frame::Hello {
-                role: Role::Client, ..
-            },
-        )) => {}
-        Ok(_) => return Err(invalid("expected client Hello")),
-        Err(e) => return Err(e),
-    }
-    conn.send(&Frame::Hello {
-        role: Role::Driver,
-        cores: 0,
-    })?;
+    expect_hello(read_frame(&mut reader), Role::Client)?;
+    conn.send(&Frame::hello(Role::Driver, 0))?;
 
     loop {
         let (_, frame) = match read_frame(&mut reader) {
@@ -1185,5 +1166,49 @@ pub fn shutdown_workers(server: &Server) {
         let seq = link.physical_seq.fetch_add(1, Ordering::Relaxed);
         let mut w = link.physical.lock();
         let _ = w.send(seq, &shutdown);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn replayed_incomplete_jobs_requeue_in_fifo_order() {
+        let admitted = |job, submit_seq| Record::JobAdmitted {
+            job,
+            token: String::new(),
+            tenant: "t".into(),
+            priority: 0,
+            submit_seq,
+            snapshot: "s".into(),
+            app: blob::encode_app_spec(&AppSpec::Kclist { k: 3 }),
+        };
+        // A commit that decodes is resumed from; one that no longer
+        // decodes (a KClist blob must be empty) is dropped, and its job
+        // restarts from round 0.
+        let committed = |job, agg| Record::WordSetCommitted {
+            job,
+            rounds_done: 1,
+            count: 5,
+            agg,
+        };
+        let recs = vec![
+            admitted(7, 2),
+            admitted(4, 1),
+            admitted(9, 3),
+            Record::JobCancelled { job: 4 },
+            committed(7, vec![]),
+            committed(9, vec![1]),
+        ];
+        let mut state = ServerState::new(0);
+        restore_from_replay(&mut state, &Replay::fold(recs, 0));
+        assert_eq!(state.jobs[&4].state, JobState::Cancelled);
+        let order = [state.pop_next(), state.pop_next(), state.pop_next()];
+        assert_eq!(order, [Some(7), Some(9), None]);
+        let resume = state.jobs[&7].resume.as_ref().expect("job 7 resumes");
+        assert_eq!((resume.rounds_done, resume.committed.count), (1, 5));
+        assert!(state.jobs[&9].resume.is_none());
+        assert_eq!((state.tenant_inflight["t"], state.next_job), (2, 10));
     }
 }

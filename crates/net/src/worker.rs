@@ -35,19 +35,16 @@
 //! (deliberate oversubscription: the OS time-slices them, and
 //! bit-identical results never depend on scheduling).
 
-use crate::blob::{self, AppSpec};
+use crate::app::RoundRunner;
+use crate::blob;
 use crate::frame::{
-    decode_frame, read_frame, ChannelSource, Frame, FrameSink, FrameSource, MuxSink, Role,
-    MISS_WORD, SHUTDOWN_ROUND,
+    decode_frame, expect_hello, read_frame, ChannelSource, Frame, FrameSink, FrameSource, MuxSink,
+    Role, SHUTDOWN_ROUND,
 };
+use crate::invalid;
 use crate::linkfault::{DedupSource, FaultySink};
-use fractal_apps::fsm::{fsm_fractoid, fsm_support_aggregator, DomainSupport};
-use fractal_apps::{cliques, motifs};
-use fractal_core::{
-    execute_plan_step_distributed, Aggregator, FractalContext, FractalGraph, Fractoid,
-};
-use fractal_pattern::{CanonicalCode, CountingPlan, GraphStats};
-use fractal_runtime::steal::{decode_unit, encode_unit, StolenUnit};
+use fractal_core::FractalContext;
+use fractal_runtime::steal::decode_unit;
 use fractal_runtime::sync::Mutex;
 use fractal_runtime::sync::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use fractal_runtime::{
@@ -222,35 +219,6 @@ impl<K: FrameSink + 'static> ExternalHooks for WorkerHooks<K> {
     }
 }
 
-/// Builds the round's fractoid for `app` and seeds prior-round
-/// aggregations (FSM only).
-fn build_fractoid(
-    app: &AppSpec,
-    fg: &FractalGraph,
-    round: u32,
-    seeds: &[HashMap<CanonicalCode, DomainSupport>],
-) -> Fractoid {
-    match app {
-        AppSpec::Motifs { k, use_labels, .. } => {
-            motifs::motifs_fractoid(fg, *k as usize, *use_labels)
-        }
-        AppSpec::Kclist { k } => cliques::cliques_kclist_fractoid(fg, *k as usize),
-        AppSpec::Fsm { min_support, .. } => {
-            let fractoid = fsm_fractoid(fg, *min_support, round as usize + 1);
-            let agg = fsm_support_aggregator(fg, *min_support);
-            assert!(
-                seeds.len() >= round as usize,
-                "round {round} needs {round} seed maps, got {}",
-                seeds.len()
-            );
-            for (pos, map) in seeds.iter().take(round as usize).enumerate() {
-                fractoid.seed_aggregation(pos, agg.shard_from_map(map.clone()));
-            }
-            fractoid
-        }
-    }
-}
-
 /// The round's commit point: stamps the report with this flush's share of
 /// injected link faults and sends the `AggFlush`.
 fn flush_round<K: FrameSink>(
@@ -275,49 +243,6 @@ fn flush_round<K: FrameSink>(
     });
 }
 
-/// Runs one assigned round to completion and flushes its results.
-fn run_round_seeded<K: FrameSink>(
-    shared: &Arc<Shared<K>>,
-    app: &AppSpec,
-    fractoid: &Fractoid,
-    round: u32,
-    roots: Vec<u64>,
-    hooks: Option<Arc<dyn ExternalHooks>>,
-) {
-    let mut outcome = fractoid.execute_step_distributed(roots, app.counts(), hooks);
-    let agg = match app {
-        AppSpec::Motifs { .. } => {
-            let map = Aggregator::<CanonicalCode, u64>::take_map(outcome.shards.remove(0));
-            blob::encode_motifs_map(&map)
-        }
-        AppSpec::Kclist { .. } => Vec::new(),
-        AppSpec::Fsm { .. } => {
-            let map =
-                Aggregator::<CanonicalCode, DomainSupport>::take_map(outcome.shards.remove(0));
-            blob::encode_fsm_map(&map)
-        }
-    };
-    flush_round(shared, round, outcome.count, agg, outcome.report);
-}
-
-/// Runs one assigned round of a *decomposed* motif job: compile the
-/// counting plan from the shipped graph (deterministic — every worker and
-/// the driver compile the identical plan), evaluate the assigned roots,
-/// and flush the raw per-node partial totals. The driver sums partials
-/// element-wise and owns the inclusion–exclusion finalize.
-fn run_round_decomposed<K: FrameSink>(
-    shared: &Arc<Shared<K>>,
-    fg: &FractalGraph,
-    k: usize,
-    round: u32,
-    roots: Vec<u64>,
-    hooks: Option<Arc<dyn ExternalHooks>>,
-) {
-    let plan = CountingPlan::plan_motifs(k, GraphStats::of(fg.graph()));
-    let (totals, report) = execute_plan_step_distributed(fg, &plan, roots, hooks);
-    flush_round(shared, round, 0, blob::encode_plan_totals(&totals), report);
-}
-
 /// Serves exactly one connection accepted on `listener` and returns how
 /// it ended. The executor runs with `cores` threads and internal-only
 /// local stealing (cross-process balance goes through the driver instead
@@ -331,29 +256,16 @@ pub fn serve(listener: &TcpListener, cores: usize) -> io::Result<ServeOutcome> {
 /// (serve-daemon) sessions: each job's virtual link gets a
 /// deterministic, job-seeded injector, and the daemon's router dedups
 /// the other end — classic single-job links stay exact.
+///
+/// The connection's first frame decides the mode: a driver `Hello` runs
+/// one classic session, a [`Frame::Mux`] envelope runs the multiplexing
+/// dispatcher until the physical connection shuts down.
 pub fn serve_with(
     listener: &TcpListener,
     cores: usize,
     link_fault: Option<LinkFaultConfig>,
 ) -> io::Result<ServeOutcome> {
     let (stream, _) = listener.accept()?;
-    serve_conn_with(stream, cores, link_fault)
-}
-
-/// Serves one already-accepted connection (see [`serve`]). The first
-/// frame decides the mode: a driver `Hello` runs one classic session, a
-/// [`Frame::Mux`] envelope runs the multiplexing dispatcher until the
-/// physical connection shuts down.
-pub fn serve_conn(stream: TcpStream, cores: usize) -> io::Result<ServeOutcome> {
-    serve_conn_with(stream, cores, None)
-}
-
-/// [`serve_conn`] with an optional link-fault plan (see [`serve_with`]).
-pub fn serve_conn_with(
-    stream: TcpStream,
-    cores: usize,
-    link_fault: Option<LinkFaultConfig>,
-) -> io::Result<ServeOutcome> {
     stream.set_nodelay(true).ok();
     let mut reader = stream.try_clone()?;
     let first = read_frame(&mut reader)?;
@@ -365,10 +277,7 @@ pub fn serve_conn_with(
         Frame::Done {
             round: SHUTDOWN_ROUND,
         } => Ok(ServeOutcome::Shutdown),
-        _ => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "expected driver Hello or Mux",
-        )),
+        _ => Err(invalid("expected driver Hello or Mux")),
     }
 }
 
@@ -403,29 +312,8 @@ where
     });
 
     // Handshake: driver speaks first.
-    let hello = match peeked {
-        Some(f) => Ok(f),
-        None => source.recv(),
-    };
-    match hello {
-        Ok((
-            _,
-            Frame::Hello {
-                role: Role::Driver, ..
-            },
-        )) => {}
-        Ok(_) => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "expected driver Hello",
-            ))
-        }
-        Err(e) => return Err(e),
-    }
-    shared.send(&Frame::Hello {
-        role: Role::Worker,
-        cores: cores as u32,
-    })?;
+    expect_hello(peeked.map_or_else(|| source.recv(), Ok), Role::Driver)?;
+    shared.send(&Frame::hello(Role::Worker, cores as u32))?;
 
     // Heartbeat thread: liveness + completed-word deltas. It waits on the
     // stop channel, so a timeout means a beat is due and anything else
@@ -449,8 +337,7 @@ where
         })
     };
 
-    let mut ctx: Option<(AppSpec, FractalGraph)> = None;
-    let mut seeds: Vec<HashMap<CanonicalCode, DomainSupport>> = Vec::new();
+    let mut runner: Option<RoundRunner> = None;
     let mut job: Option<thread::JoinHandle<()>> = None;
     let outcome;
 
@@ -476,25 +363,20 @@ where
                     let _ = h.join();
                 }
                 if let Some(bytes) = job_blob {
-                    let (app, graph) = blob::decode_job(&bytes)
-                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+                    let (app, graph) =
+                        blob::decode_job(&bytes).map_err(|e| invalid(e.to_string()))?;
                     let config = ClusterConfig::local(1, cores).with_ws(WsMode::InternalOnly);
                     let fg = FractalContext::new(config).fractal_graph(graph);
-                    ctx = Some((app, fg));
+                    runner = Some(RoundRunner::new(app, fg));
                 }
-                if let Some(bytes) = seed {
-                    seeds = blob::decode_fsm_seeds(&bytes)
-                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-                }
-                let (app, fg) = match &ctx {
-                    Some(pair) => pair.clone(),
-                    None => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "Assign before job blob",
-                        ))
-                    }
+                let Some(runner) = runner.as_mut() else {
+                    return Err(invalid("Assign before job blob"));
                 };
+                if let Some(bytes) = seed {
+                    runner
+                        .set_seeds(&bytes)
+                        .map_err(|e| invalid(e.to_string()))?;
+                }
                 // ordering: SeqCst — round/round_done must be visible to the serve loop
                 // before any steal for this round is answered; all worker-protocol flags
                 // stay SeqCst.
@@ -517,19 +399,10 @@ where
                     }))
                 };
                 let shared_job = Arc::clone(&shared);
-                let seeds_job = seeds.clone();
+                let runner = runner.clone();
                 job = Some(thread::spawn(move || {
-                    if let AppSpec::Motifs {
-                        k,
-                        decomposed: true,
-                        ..
-                    } = app
-                    {
-                        run_round_decomposed(&shared_job, &fg, k as usize, round, roots, hooks);
-                    } else {
-                        let fractoid = build_fractoid(&app, &fg, round, &seeds_job);
-                        run_round_seeded(&shared_job, &app, &fractoid, round, roots, hooks);
-                    }
+                    let (count, agg, report) = runner.run(round, roots, hooks);
+                    flush_round(&shared_job, round, count, agg, report);
                 }));
             }
             Frame::StealRequest { round } => {
@@ -545,19 +418,8 @@ where
                     None
                 };
                 let reply = match word {
-                    Some(word) => Frame::StealReply {
-                        round,
-                        word,
-                        unit: Some(encode_unit(&StolenUnit {
-                            prefix: Vec::new(),
-                            word,
-                        })),
-                    },
-                    None => Frame::StealReply {
-                        round,
-                        word: MISS_WORD,
-                        unit: None,
-                    },
+                    Some(word) => Frame::root_unit(round, word),
+                    None => Frame::miss(round),
                 };
                 if shared.send_with_seq(seq, &reply).is_err() {
                     outcome = ServeOutcome::Disconnected;
@@ -728,46 +590,11 @@ fn serve_mux(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blob::AppSpec;
     use crate::frame::ChannelSink;
+    use fractal_apps::motifs;
     use fractal_graph::gen;
     use std::collections::HashSet;
-
-    /// `AppSpec::root_words` is what the driver partitions; the fractoid a
-    /// worker builds for the same app must start from exactly those words.
-    #[test]
-    fn root_words_match_every_apps_fractoid() {
-        let fg = FractalContext::new(ClusterConfig::local(1, 1))
-            .fractal_graph(gen::patents_like(70, 3, 5));
-        let motifs = |use_labels, decomposed| AppSpec::Motifs {
-            k: 3,
-            use_labels,
-            decomposed,
-        };
-        for app in [
-            motifs(false, false),
-            motifs(true, false),
-            AppSpec::Kclist { k: 4 },
-            AppSpec::Fsm {
-                min_support: 2,
-                max_edges: 2,
-            },
-        ] {
-            let roots = app.root_words(fg.graph());
-            assert!(!roots.is_empty());
-            assert_eq!(
-                roots,
-                build_fractoid(&app, &fg, 0, &[]).step_roots(),
-                "{}",
-                app.name()
-            );
-        }
-        // A decomposed plan has no fractoid: every vertex is a root.
-        let n = fg.graph().num_vertices() as u64;
-        assert_eq!(
-            motifs(false, true).root_words(fg.graph()),
-            (0..n).collect::<Vec<_>>()
-        );
-    }
 
     /// One whole session with the beat silenced (a period of an hour), so
     /// nothing in it can be found on a tick: the round's completion must
@@ -800,14 +627,7 @@ mod tests {
             // answered with a miss, as a driver with no other worker would.
             let next = || loop {
                 match from_worker.recv().expect("session up") {
-                    (seq, Frame::StealRequest { round }) => send(
-                        seq,
-                        Frame::StealReply {
-                            round,
-                            word: MISS_WORD,
-                            unit: None,
-                        },
-                    ),
+                    (seq, Frame::StealRequest { round }) => send(seq, Frame::miss(round)),
                     (_, frame) => break frame,
                 }
             };

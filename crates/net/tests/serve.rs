@@ -9,7 +9,7 @@ use fractal_apps::{cliques, fsm, motifs};
 use fractal_core::FractalContext;
 use fractal_net::blob::{decode_fsm_seeds, decode_motifs_map, decode_report};
 use fractal_net::frame::{read_frame, write_frame, EventKind, Frame, Role};
-use fractal_net::journal::{decode_record, Record, JOURNAL_FILE};
+use fractal_net::journal::{decode_record, encode_record, Record, JOURNAL_FILE};
 use fractal_net::worker::{serve, ServeOutcome};
 use fractal_net::{
     load_snapshot, AppSpec, Client, JobTerminal, ReconnectPolicy, ServeConfig, Server,
@@ -359,7 +359,9 @@ fn fsm_patterns(agg: &[u8]) -> Vec<(usize, CanonicalCode, u64)> {
 /// commits leaves behind — and boot a second daemon on the same journal
 /// directory. The job must be re-admitted, resume from the committed
 /// round rather than restarting, and produce results identical to both
-/// the pre-crash run and a single-process run.
+/// the pre-crash run and a single-process run. The same image with the
+/// commit's blob cut short must instead be dropped on replay, the job
+/// rerun from round 0 with the same result.
 #[test]
 fn restart_resumes_from_committed_word_set_bit_identically() {
     let graph = load_snapshot(SNAPSHOT).expect("snapshot");
@@ -407,50 +409,81 @@ fn restart_resumes_from_committed_word_set_bit_identically() {
     let path = dir.join(JOURNAL_FILE);
     let bytes = std::fs::read(&path).expect("read journal");
     let mut pos = 0;
-    let mut cut = 0;
+    let mut commit = None;
     while let Some((rec, used)) = decode_record(&bytes[pos..]) {
-        pos += used;
         if let Record::WordSetCommitted { rounds_done, .. } = rec {
             assert_eq!(rounds_done, 1, "first commit must be round 1");
-            cut = pos;
+            commit = Some((pos, rec));
+            pos += used;
             break;
         }
+        pos += used;
     }
-    assert!(cut > 0, "journal must contain a committed word-set");
-    assert!(cut < bytes.len(), "terminal records must follow the commit");
-    std::fs::write(&path, &bytes[..cut]).expect("rewind journal");
-
-    // Phase B: a second daemon on the same journal directory must
-    // re-admit the job and resume it from the committed round.
-    let (handles_b, workers_b) = start_workers(2, 2);
-    let config = ServeConfig {
-        journal_dir: Some(dir.clone()),
-        ..ServeConfig::default()
+    let (start, commit) = commit.expect("journal must contain a committed word-set");
+    assert!(pos < bytes.len(), "terminal records must follow the commit");
+    // The same image with the commit's blob cut short: the record still
+    // replays, but its result no longer decodes.
+    let Record::WordSetCommitted {
+        job: j,
+        rounds_done,
+        count,
+        agg,
+    } = commit
+    else {
+        unreachable!("matched above")
     };
-    let (server_b, addr_b) = start_server(workers_b, config);
-    let (terminal, count_b, agg_b) = within_secs(120, move || {
-        // A fresh connection that never submitted the job: Watch-based
-        // resumable waiting is the only way to observe it, exactly like
-        // a real `fractal client --wait` surviving a daemon restart.
-        let mut client = Client::connect(&addr_b).expect("connect B");
-        let terminal = client
-            .wait_resumable(job, &ReconnectPolicy::default(), |_, _, _| {})
-            .expect("wait B");
-        let (count, agg, _) = client.fetch_result(job).expect("result B");
-        (terminal, count, agg)
-    });
+    let mut corrupt = bytes[..start].to_vec();
+    corrupt.extend(encode_record(&Record::WordSetCommitted {
+        job: j,
+        rounds_done,
+        count,
+        agg: agg[..agg.len() - 1].to_vec(),
+    }));
 
-    assert_eq!(terminal, JobTerminal::Done { count: count_b });
+    // A second daemon on the same journal directory re-admits the job and
+    // runs it to the end; returns what it served and how many jobs resumed.
+    let restart_on = |image: &[u8]| {
+        std::fs::write(&path, image).expect("rewind journal");
+        let (handles, workers) = start_workers(2, 2);
+        let config = ServeConfig {
+            journal_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        };
+        let (server, addr) = start_server(workers, config);
+        let (terminal, count, agg) = within_secs(120, move || {
+            // A fresh connection that never submitted the job: Watch-based
+            // resumable waiting is the only way to observe it, exactly
+            // like a real `fractal client --wait` surviving a restart.
+            let mut client = Client::connect(&addr).expect("connect");
+            let terminal = client
+                .wait_resumable(job, &ReconnectPolicy::default(), |_, _, _| {})
+                .expect("wait");
+            let (count, agg, _) = client.fetch_result(job).expect("result");
+            (terminal, count, agg)
+        });
+        assert_eq!(terminal, JobTerminal::Done { count });
+        let resumed = server.resumed_jobs();
+        fractal_net::serve::shutdown_workers(&server);
+        join_shutdown(handles);
+        (resumed, count, agg)
+    };
+
+    // Phase B: the job resumes from the committed round.
+    let (resumed, count_b, agg_b) = restart_on(&bytes[..pos]);
     assert_eq!(
-        server_b.resumed_jobs(),
-        1,
+        resumed, 1,
         "the job must resume from the journal, not restart"
     );
     assert_eq!(count_b, count_a, "resumed count must be bit-identical");
     assert_eq!(fsm_patterns(&agg_b), expected);
 
-    fractal_net::serve::shutdown_workers(&server_b);
-    join_shutdown(handles_b);
+    // Phase C: a commit that no longer decodes is dropped and the job
+    // restarts from round 0, still exact.
+    let (resumed, count_c, agg_c) = restart_on(&corrupt);
+    assert_eq!(resumed, 0, "an undecodable commit must not be resumed from");
+    assert_eq!(count_c, count_a);
+    assert_eq!(fsm_patterns(&agg_c), expected);
+
     let _ = std::fs::remove_dir_all(&dir);
 }
 

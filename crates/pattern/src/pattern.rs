@@ -1,6 +1,6 @@
 //! The [`Pattern`] type: a small labeled graph template.
 
-use fractal_graph::{Graph, Label, VertexId};
+use fractal_graph::{Graph, VertexId};
 
 /// Maximum number of vertices in a pattern. Patterns are subgraph templates
 /// (motifs, queries, FSM candidates), which in practice have well under this
@@ -325,11 +325,6 @@ impl Pattern {
     pub fn star(k: usize) -> Pattern {
         let edges: Vec<(u8, u8)> = (1..=k as u8).map(|v| (0, v)).collect();
         Pattern::unlabeled(k + 1, &edges)
-    }
-
-    /// The label of vertex `v` as a [`Label`] (graph-side type).
-    pub fn vertex_label_t(&self, v: usize) -> Label {
-        Label(self.vertex_labels[v])
     }
 }
 

@@ -8,7 +8,7 @@
 //!
 //! 1. a deterministic, seedable **fault injector** ([`FaultConfig`] /
 //!    [`FaultInjector`]) that can kill a simulated worker, panic a unit at a
-//!    chosen enumeration depth, drop or delay steal RPCs, stall a core, and
+//!    chosen enumeration depth, drop steal RPCs, stall a core, and
 //!    corrupt an encoded stolen unit in flight;
 //! 2. **supervision** state: per-core heartbeats and in-flight unit records
 //!    ([`HealthBoard`]) feeding a watchdog that detects dead or stuck
@@ -108,10 +108,6 @@ pub struct FaultConfig {
     pub steal_drop_period: u64,
     /// Total steal requests to drop.
     pub steal_drop_budget: u32,
-    /// Extra latency applied to every Nth steal reply, seed-offset.
-    pub steal_delay_period: u64,
-    /// The extra reply latency, in microseconds.
-    pub steal_delay_us: u64,
     /// Corrupt the encoded bytes of every Nth served unit, seed-offset.
     pub corrupt_period: u64,
     /// Total served units to corrupt.
@@ -144,8 +140,6 @@ impl Default for FaultConfig {
             panic_budget: 2,
             steal_drop_period: 1,
             steal_drop_budget: 0,
-            steal_delay_period: 1,
-            steal_delay_us: 0,
             corrupt_period: 1,
             corrupt_budget: 0,
             stall_core: None,
@@ -186,16 +180,6 @@ impl FaultConfig {
             seed,
             steal_drop_period: 2,
             steal_drop_budget: 4,
-            ..Default::default()
-        }
-    }
-
-    /// A plan that delays steal replies by `us` microseconds.
-    pub fn steal_delay(seed: u64, us: u64) -> Self {
-        FaultConfig {
-            seed,
-            steal_delay_period: 2,
-            steal_delay_us: us,
             ..Default::default()
         }
     }
@@ -535,7 +519,6 @@ pub struct FaultInjector {
     pub config: FaultConfig,
     panic_site: BudgetedSite,
     drop_site: BudgetedSite,
-    delay_site: BudgetedSite,
     corrupt_site: BudgetedSite,
     stall_armed: AtomicBool,
     kill_fired: AtomicBool,
@@ -555,16 +538,6 @@ impl FaultInjector {
                 2,
                 config.steal_drop_period,
                 config.steal_drop_budget as u64,
-            ),
-            delay_site: BudgetedSite::new(
-                s,
-                3,
-                config.steal_delay_period,
-                if config.steal_delay_us > 0 {
-                    u64::MAX
-                } else {
-                    0
-                },
             ),
             corrupt_site: BudgetedSite::new(
                 s,
@@ -644,20 +617,6 @@ impl FaultInjector {
             ledger.faults_injected.fetch_add(1, Ordering::Relaxed);
         }
         fire
-    }
-
-    /// Extra server-side reply latency for this request, in microseconds.
-    pub fn reply_delay_us(&self, ledger: &FaultLedger) -> u64 {
-        if self.config.steal_delay_us == 0 {
-            return 0;
-        }
-        if self.delay_site.fire() {
-            // ordering: Relaxed — diagnostic counter, read after workers join.
-            ledger.faults_injected.fetch_add(1, Ordering::Relaxed);
-            self.config.steal_delay_us
-        } else {
-            0
-        }
     }
 
     /// Checked per served unit: corrupt the encoded bytes?

@@ -161,11 +161,6 @@ impl CoreStats {
             self.segments.push((start_ns, end_ns));
         }
     }
-
-    /// The instant (ns since job start) this core last finished work.
-    pub fn finished_at_ns(&self) -> u64 {
-        self.segments.last().map(|&(_, e)| e).unwrap_or(0)
-    }
 }
 
 /// Planner activity for jobs running a decomposed counting plan (all zero

@@ -353,7 +353,6 @@ pub fn steal_server(
                     spin_latency(latency_us);
                     let mut bytes = encode_unit(&u);
                     if let Some(inj) = &fcx.injector {
-                        spin_latency(inj.reply_delay_us(&fcx.ledger));
                         if inj.should_corrupt(&fcx.ledger) {
                             corrupt_payload(&mut bytes);
                         }

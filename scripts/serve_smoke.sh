@@ -2,10 +2,11 @@
 # serve-smoke: end-to-end gate for the `fractal serve` job server.
 #
 # Leg 1 (concurrent): starts a daemon with a 3-worker local cluster, then
-# submits three different apps (motifs, cliques, fsm) concurrently against
-# ONE shared snapshot. Every job must finish, verify bit-identical to a
-# single-process rerun (`--verify-single`), and leave a per-job
-# fractal-metrics/1 artifact.
+# submits four jobs (motifs, cliques, fsm, and a 4-motif census on the
+# decomposed plan) concurrently against ONE shared snapshot. Every job must
+# finish, verify bit-identical to a single-process rerun (`--verify-single`;
+# the decomposed census is checked against the enumerator), and leave a
+# per-job fractal-metrics/1 artifact.
 #
 # Leg 2 (chaos): with a long-running job and two survivor jobs in flight,
 # the long job is cancelled mid-run and one worker process is SIGKILLed.
@@ -96,19 +97,23 @@ check_job() { # name
 
 # ---- leg 1: three concurrent apps, one shared snapshot ----
 
-echo "serve-smoke: leg 1 — 3 concurrent jobs on $SNAPSHOT"
+echo "serve-smoke: leg 1 — 4 concurrent jobs on $SNAPSHOT"
 submit_wait motifs tenant-a --app motifs -k 3 &
 P1=$!
 submit_wait cliques tenant-b --app cliques -k 4 &
 P2=$!
 submit_wait fsm tenant-c --app fsm --support 50 --max-edges 2 &
 P3=$!
+submit_wait decomposed tenant-d --app motifs -k 4 --plan decomposed &
+P4=$!
 wait "$P1" || fail "motifs client exited nonzero"
 wait "$P2" || fail "cliques client exited nonzero"
 wait "$P3" || fail "fsm client exited nonzero"
+wait "$P4" || fail "decomposed client exited nonzero"
 check_job motifs
 check_job cliques
 check_job fsm
+check_job decomposed
 
 # ---- leg 2: cancel one job mid-run + SIGKILL one worker ----
 

@@ -115,12 +115,6 @@ pub fn run() {
     }
 
     let graph = load_graph(&opts);
-    eprintln!(
-        "graph: {} vertices, {} edges, {} labels",
-        graph.num_vertices(),
-        graph.num_edges(),
-        graph.num_vertex_labels()
-    );
 
     let workers: usize = opt_num(&opts, "workers").unwrap_or(2);
     let cores: usize = opt_num(&opts, "cores").unwrap_or(2);
@@ -460,21 +454,27 @@ fn opt_num(opts: &HashMap<String, String>, key: &str) -> Option<usize> {
     })
 }
 
+/// The input graph `--graph` or `--gen` names (read as a snapshot spec,
+/// so `fractal client --verify-single` rebuilds the same graph), announced
+/// on stderr.
 fn load_graph(opts: &HashMap<String, String>) -> crate::graph::Graph {
-    if let Some(path) = opts.get("graph") {
-        return crate::graph::io::load_adjacency_list(path)
-            .unwrap_or_else(|e| die(&format!("failed to load {path}: {e}")));
-    }
-    let n = opt_num(opts, "n").unwrap_or(2000);
-    let seed = opt_num(opts, "seed").unwrap_or(42) as u64;
-    match opts.get("gen").map(|s| s.as_str()).unwrap_or("mico") {
-        "mico" => crate::graph::gen::mico_like(n, 29, seed),
-        "patents" => crate::graph::gen::patents_like(n, 37, seed),
-        "youtube" => crate::graph::gen::youtube_like(n, 80, seed),
-        "wikidata" => crate::graph::gen::wikidata_like(n, n / 20 + 8, seed),
-        "orkut" => crate::graph::gen::orkut_like(n, seed),
-        other => die(&format!("unknown generator {other:?}")),
-    }
+    let spec = match opts.get("graph") {
+        Some(path) => format!("file:{path}"),
+        None => format!(
+            "gen:{}:{}:{}",
+            opts.get("gen").map_or("mico", String::as_str),
+            opt_num(opts, "n").unwrap_or(2000),
+            opt_num(opts, "seed").unwrap_or(42)
+        ),
+    };
+    let graph = crate::net::load_snapshot(&spec).unwrap_or_else(|e| die(&e.to_string()));
+    eprintln!(
+        "graph: {} vertices, {} edges, {} labels",
+        graph.num_vertices(),
+        graph.num_edges(),
+        graph.num_vertex_labels()
+    );
+    graph
 }
 
 /// `<shape><k>` with `k` in `min..=MAX_PATTERN_VERTICES`; any other size
@@ -583,43 +583,15 @@ fn parse_app_spec(opts: &HashMap<String, String>) -> crate::net::AppSpec {
 /// a freshly spawned local fleet (`--local-cluster N`) or pre-started
 /// workers (`--workers host:port,...`).
 fn run_submit(opts: &HashMap<String, String>) {
-    use crate::net::{run_cluster, AppSpec, ChaosKill, DriverConfig, LocalCluster};
+    use crate::net::{run_cluster, AppSpec, ChaosKill, DriverConfig};
     let graph = load_graph(opts);
-    eprintln!(
-        "graph: {} vertices, {} edges, {} labels",
-        graph.num_vertices(),
-        graph.num_edges(),
-        graph.num_vertex_labels()
-    );
     let (app, plan_summary) = apply_plan_flag(opts, parse_app_spec(opts), Some(&graph));
     if let Some(s) = &plan_summary {
         eprintln!("{s}");
     }
     let cores = opt_num(opts, "cores").unwrap_or(2);
-    let (cluster, streams, names) = if let Some(n) = opt_num(opts, "local-cluster") {
-        if n == 0 {
-            die("--local-cluster needs at least 1 worker");
-        }
-        let lc = LocalCluster::spawn(n, cores)
-            .unwrap_or_else(|e| die(&format!("cannot spawn local cluster: {e}")));
-        let streams = lc
-            .connect()
-            .unwrap_or_else(|e| die(&format!("cannot connect to local workers: {e}")));
-        let names = (0..n).map(|i| format!("local{i}")).collect::<Vec<_>>();
-        (Some(lc), streams, names)
-    } else if let Some(list) = opts.get("workers") {
-        let names: Vec<String> = list.split(',').map(str::to_string).collect();
-        let streams = names
-            .iter()
-            .map(|a| {
-                std::net::TcpStream::connect(a.as_str())
-                    .unwrap_or_else(|e| die(&format!("cannot connect to worker {a}: {e}")))
-            })
-            .collect();
-        (None, streams, names)
-    } else {
-        die("submit requires --local-cluster N or --workers host:port,...")
-    };
+    let local = opt_num(opts, "local-cluster");
+    let (cluster, streams, names) = fleet(opts, local, "submit", cores, None);
     let mut config = DriverConfig::new(app, graph.clone());
     if let Some(target) = opt_num(opts, "chaos-kill") {
         let lc = cluster
@@ -655,9 +627,66 @@ fn run_submit(opts: &HashMap<String, String>) {
     }
     write_report_metrics(opts, &result.report);
     if opts.contains_key("verify-single") {
-        verify_single(&result, graph, cores);
+        let r = &result;
+        verify_app(r.app, r.count, &r.motifs, &r.frequent, graph, cores);
     }
     eprintln!("done in {:.2}s", t0.elapsed().as_secs_f64());
+}
+
+/// The workers a cluster verb drives, with their names: `local` spawns
+/// that many worker processes of this binary with `cores` cores each (kept
+/// alive by the returned cluster), `--workers host:port,...` connects to
+/// running ones. With a `link_fault` seed (only `serve` passes one: a
+/// worker arms it on serve-mode job links alone) every spawned worker
+/// degrades those links deterministically (each further mixes the job id
+/// into the seed).
+fn fleet(
+    opts: &HashMap<String, String>,
+    local: Option<usize>,
+    verb: &str,
+    cores: usize,
+    link_fault: Option<usize>,
+) -> (
+    Option<crate::net::LocalCluster>,
+    Vec<std::net::TcpStream>,
+    Vec<String>,
+) {
+    if let Some(n) = local {
+        if n == 0 {
+            die("--local-cluster needs at least 1 worker");
+        }
+        let exe = std::env::current_exe()
+            .unwrap_or_else(|e| die(&format!("cannot resolve own binary: {e}")));
+        let lc = crate::net::LocalCluster::spawn_with(n, |_| {
+            let mut cmd = std::process::Command::new(&exe);
+            let cores = cores.to_string();
+            cmd.args(["worker", "--listen", "127.0.0.1:0", "--cores", &cores]);
+            if let Some(seed) = link_fault {
+                cmd.args(["--link-fault", &seed.to_string()]);
+            }
+            cmd
+        })
+        .unwrap_or_else(|e| die(&format!("cannot spawn local cluster: {e}")));
+        let streams = lc
+            .connect()
+            .unwrap_or_else(|e| die(&format!("cannot connect to local workers: {e}")));
+        let names = (0..n).map(|i| format!("local{i}")).collect();
+        (Some(lc), streams, names)
+    } else if let Some(list) = opts.get("workers") {
+        let names: Vec<String> = list.split(',').map(str::to_string).collect();
+        let streams = names
+            .iter()
+            .map(|a| {
+                std::net::TcpStream::connect(a.as_str())
+                    .unwrap_or_else(|e| die(&format!("cannot connect to worker {a}: {e}")))
+            })
+            .collect();
+        (None, streams, names)
+    } else {
+        die(&format!(
+            "{verb} requires --local-cluster N or --workers host:port,..."
+        ))
+    }
 }
 
 /// Prints a motif census, most frequent class first.
@@ -683,20 +712,25 @@ fn print_result(
         AppSpec::Kclist { k } => println!("{k}-cliques: {count}"),
         AppSpec::Fsm { min_support, .. } => {
             println!("frequent patterns (support >= {min_support}):");
-            for (r, map) in frequent.iter().enumerate() {
-                let mut rows: Vec<_> = map.iter().collect();
-                rows.sort_by(|a, b| a.0 .0.cmp(&b.0 .0));
-                for (code, sup) in rows {
-                    println!(
-                        "{:>9}  {} edges  {}",
-                        sup.support(),
-                        r + 1,
-                        code.to_pattern()
-                    );
-                }
+            for (edges, code, support) in frequent_rows(frequent) {
+                println!("{support:>9}  {edges} edges  {}", code.to_pattern());
             }
         }
     }
+}
+
+/// A cluster FSM result as `(edges, pattern, support)` rows, by round and
+/// then by pattern.
+fn frequent_rows(
+    frequent: &[HashMap<crate::pattern::CanonicalCode, crate::apps::fsm::DomainSupport>],
+) -> Vec<(usize, crate::pattern::CanonicalCode, u64)> {
+    let mut rows: Vec<_> = frequent
+        .iter()
+        .enumerate()
+        .flat_map(|(r, m)| m.iter().map(move |(c, s)| (r + 1, c.clone(), s.support())))
+        .collect();
+    rows.sort();
+    rows
 }
 
 /// Writes a metrics artifact and says where it went.
@@ -711,19 +745,6 @@ fn write_report_metrics(opts: &HashMap<String, String>, report: &fractal_runtime
         let buckets = opt_num(opts, "buckets").unwrap_or(32);
         write_metrics(path, &report.to_json(buckets));
     }
-}
-
-/// Re-runs the job single-process and compares exact results — the CI
-/// cluster-smoke bit-identity gate.
-fn verify_single(result: &crate::net::ClusterResult, graph: crate::graph::Graph, cores: usize) {
-    verify_app(
-        result.app,
-        result.count,
-        &result.motifs,
-        &result.frequent,
-        graph,
-        cores,
-    );
 }
 
 /// The bit-identity check shared by `submit --verify-single` and
@@ -766,19 +787,13 @@ fn verify_app(
             max_edges,
         } => {
             let single = crate::apps::fsm::fsm(&fg, min_support, max_edges as usize);
-            let mut expect: Vec<(usize, crate::pattern::CanonicalCode, u64)> = single
+            let mut expect: Vec<_> = single
                 .frequent
                 .iter()
                 .map(|p| (p.num_edges, p.code.clone(), p.support))
                 .collect();
             expect.sort();
-            let mut got: Vec<(usize, crate::pattern::CanonicalCode, u64)> = frequent
-                .iter()
-                .enumerate()
-                .flat_map(|(r, m)| m.iter().map(move |(c, s)| (r + 1, c.clone(), s.support())))
-                .collect();
-            got.sort();
-            if got != expect {
+            if frequent_rows(frequent) != expect {
                 die("verify-single: frequent pattern sets differ from single-process run");
             }
         }
@@ -790,51 +805,10 @@ fn verify_app(
 /// `SERVING <addr>` (the banner serve-smoke and the integration tests
 /// parse) and accepts `fractal client` connections until killed.
 fn run_serve(opts: &HashMap<String, String>) {
-    use crate::net::{LocalCluster, ServeConfig, Server};
+    use crate::net::{ServeConfig, Server};
     let cores = opt_num(opts, "cores").unwrap_or(2);
-    let link_fault_seed = opt_num(opts, "link-fault");
-    let (_lc, streams, names) = if let Some(n) = opt_num(opts, "local-cluster") {
-        if n == 0 {
-            die("--local-cluster needs at least 1 worker");
-        }
-        // With --link-fault, spawn each worker with the same flag so the
-        // whole fleet degrades its job links deterministically (each
-        // worker further mixes the job id into the seed).
-        let exe = std::env::current_exe()
-            .unwrap_or_else(|e| die(&format!("cannot resolve own binary: {e}")));
-        let lc = LocalCluster::spawn_with(n, |_| {
-            let mut cmd = std::process::Command::new(&exe);
-            cmd.args([
-                "worker",
-                "--listen",
-                "127.0.0.1:0",
-                "--cores",
-                &cores.to_string(),
-            ]);
-            if let Some(seed) = link_fault_seed {
-                cmd.args(["--link-fault", &seed.to_string()]);
-            }
-            cmd
-        })
-        .unwrap_or_else(|e| die(&format!("cannot spawn local cluster: {e}")));
-        let streams = lc
-            .connect()
-            .unwrap_or_else(|e| die(&format!("cannot connect to local workers: {e}")));
-        let names = (0..n).map(|i| format!("local{i}")).collect::<Vec<_>>();
-        (Some(lc), streams, names)
-    } else if let Some(list) = opts.get("workers") {
-        let names: Vec<String> = list.split(',').map(str::to_string).collect();
-        let streams = names
-            .iter()
-            .map(|a| {
-                std::net::TcpStream::connect(a.as_str())
-                    .unwrap_or_else(|e| die(&format!("cannot connect to worker {a}: {e}")))
-            })
-            .collect();
-        (None, streams, names)
-    } else {
-        die("serve requires --local-cluster N or --workers host:port,...")
-    };
+    let local = opt_num(opts, "local-cluster");
+    let (_lc, streams, names) = fleet(opts, local, "serve", cores, opt_num(opts, "link-fault"));
 
     let mut config = ServeConfig::default();
     if let Some(n) = opt_num(opts, "max-running") {
@@ -983,24 +957,13 @@ fn report_result(
     reconnects: u64,
     opts: &HashMap<String, String>,
 ) {
-    use crate::net::AppSpec;
     let (count, agg, report) = result;
-    let count = *count;
-    let mut motifs = HashMap::new();
-    let mut frequent = Vec::new();
-    match app {
-        AppSpec::Motifs { k, .. } => {
-            motifs = crate::net::blob::decode_motifs_map(agg)
-                .unwrap_or_else(|e| die(&format!("bad motifs blob: {e}")));
-            eprintln!("job {job} motifs k={k}: {} pattern classes", motifs.len());
-        }
-        AppSpec::Kclist { .. } => {}
-        AppSpec::Fsm { .. } => {
-            frequent = crate::net::blob::decode_fsm_seeds(agg)
-                .unwrap_or_else(|e| die(&format!("bad fsm blob: {e}")));
-        }
+    let c = crate::net::Committed::decode(&app, *count, agg)
+        .unwrap_or_else(|e| die(&format!("bad {} result blob: {e}", app.name())));
+    if let crate::net::AppSpec::Motifs { k, .. } = app {
+        eprintln!("job {job} motifs k={k}: {} pattern classes", c.motifs.len());
     }
-    print_result(app, count, &motifs, &frequent);
+    print_result(app, c.count, &c.motifs, &c.frequent);
     if opts.contains_key("metrics-out") {
         let mut decoded = crate::net::blob::decode_report(report)
             .unwrap_or_else(|e| die(&format!("bad report blob: {e}")));
@@ -1015,25 +978,20 @@ fn report_result(
         }
         let graph = crate::net::load_snapshot(snapshot).unwrap_or_else(|e| die(&format!("{e}")));
         let cores = opt_num(opts, "cores").unwrap_or(2);
-        verify_app(app, count, &motifs, &frequent, graph, cores);
+        verify_app(app, c.count, &c.motifs, &c.frequent, graph, cores);
     }
-    println!("RESULT {job} {count}");
+    println!("RESULT {job} {}", c.count);
 }
 
 /// `fractal trace --per-worker`: run motifs on a local cluster and render
 /// the driver-merged per-worker breakdown plus the unified metrics JSON.
 fn run_trace_per_worker(opts: &HashMap<String, String>) {
-    use crate::net::{run_cluster, AppSpec, DriverConfig, LocalCluster};
+    use crate::net::{run_cluster, AppSpec, DriverConfig};
     let graph = load_graph(opts);
     let k = motif_size(opts);
     let n = opt_num(opts, "local-cluster").unwrap_or(2);
     let cores = opt_num(opts, "cores").unwrap_or(2);
-    let lc = LocalCluster::spawn(n, cores)
-        .unwrap_or_else(|e| die(&format!("cannot spawn local cluster: {e}")));
-    let streams = lc
-        .connect()
-        .unwrap_or_else(|e| die(&format!("cannot connect to local workers: {e}")));
-    let names = (0..n).map(|i| format!("local{i}")).collect::<Vec<_>>();
+    let (_lc, streams, names) = fleet(opts, Some(n), "trace --per-worker", cores, None);
     let config = DriverConfig::new(
         AppSpec::Motifs {
             k: k as u32,
