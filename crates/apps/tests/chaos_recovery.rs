@@ -9,7 +9,7 @@
 //! *would* catch a broken recovery path — lives in the runtime's own unit
 //! tests and in the chaos smoke binary's self-test leg.
 
-use fractal_apps::{cliques, fsm, motifs};
+use fractal_apps::{cliques, fsm, motifs, query};
 use fractal_core::{FractalContext, FractalGraph};
 use fractal_graph::{gen, Graph};
 use fractal_runtime::{ClusterConfig, FaultConfig};
@@ -73,6 +73,28 @@ fn cliques_k4_bit_identical_under_all_faults() {
                 want,
                 "4-cliques diverged under {name} seed {seed}"
             );
+        }
+    }
+}
+
+#[test]
+fn query_bit_identical_under_all_faults() {
+    // Pattern-induced units carry vertex marks in the enumerator: a unit
+    // unwound mid-depth leaves them set, and the next unit on that core
+    // (or a rebuilt stolen prefix) must start from none.
+    let g = gen::mico_like(150, 4, 7);
+    for q in [query::diamond(), query::house()] {
+        let want = query::count_matches(&fg_of(&g, base_cfg()), &q);
+        assert!(want > 0);
+        for seed in SEEDS {
+            for (name, plan) in fault_plans(seed) {
+                let fg = fg_of(&g, base_cfg().with_faults(plan));
+                assert_eq!(
+                    query::count_matches(&fg, &q),
+                    want,
+                    "{q} diverged under {name} seed {seed}"
+                );
+            }
         }
     }
 }

@@ -134,12 +134,12 @@ pub fn match_pattern(
                     _ => continue 'cand,
                 }
             }
-            for &q in plan.must_be_less_than(pos) {
+            for q in plan.must_be_less_than(pos) {
                 if cand >= matched[q as usize] {
                     continue 'cand;
                 }
             }
-            for &q in plan.must_be_greater_than(pos) {
+            for q in plan.must_be_greater_than(pos) {
                 if cand <= matched[q as usize] {
                     continue 'cand;
                 }

@@ -11,9 +11,9 @@
 
 use crate::canonical::{canonical_edge_extension, canonical_vertex_extension};
 use crate::subgraph::Subgraph;
-use fractal_graph::kernels::seek_above;
 use fractal_graph::{EdgeId, ExtensionKernels, Graph, KernelCounters, VertexId};
 use fractal_pattern::canon::Level;
+use fractal_pattern::plan::Marks;
 use fractal_pattern::ExplorationPlan;
 use std::sync::Arc;
 
@@ -386,6 +386,12 @@ impl SubgraphEnumerator for EdgeInducedEnumerator {
 /// Pattern-induced extension (Fig. 1): grow matches of a reference pattern
 /// position by position along an [`ExplorationPlan`], with Grochow–Kellis
 /// symmetry breaking removing automorphic duplicates.
+///
+/// Candidates come from the plan's candidate step, the one the counting
+/// executor takes ([`ExplorationPlan::candidate_slice`] plus a [`Marks`]
+/// test): `extend` marks a match's neighbourhood at positions whose level
+/// sets a mark and `retract` unmarks it, so no adjacency list is ever
+/// intersected.
 #[derive(Clone)]
 pub struct PatternEnumerator {
     plan: Arc<ExplorationPlan>,
@@ -394,9 +400,7 @@ pub struct PatternEnumerator {
     /// Whether graph edge labels must equal pattern edge labels.
     match_edge_labels: bool,
     edge_scratch: Vec<(u8, u32)>,
-    kernels: ExtensionKernels,
-    cand_a: Vec<u32>,
-    cand_b: Vec<u32>,
+    marks: Marks,
 }
 
 impl PatternEnumerator {
@@ -411,49 +415,28 @@ impl PatternEnumerator {
             match_vertex_labels,
             match_edge_labels,
             edge_scratch: Vec::new(),
-            kernels: ExtensionKernels::new(),
-            cand_a: Vec::new(),
-            cand_b: Vec::new(),
+            marks: Marks::default(),
         }
     }
 
-    /// The plan driving this enumerator.
-    pub fn plan(&self) -> &ExplorationPlan {
-        &self.plan
-    }
-
-    /// Constraints the kernel pre-pass cannot discharge: membership,
-    /// vertex label, edge labels, and upper symmetry bounds. Adjacency to
-    /// every back-edge anchor and the `must_be_greater_than` lower bound
-    /// are already guaranteed by the anchored intersection.
-    fn residual_ok(&self, g: &Graph, matched: &[u32], pos: usize, cand: u32) -> bool {
-        if matched.contains(&cand) {
-            return false;
-        }
+    /// Whether `cand`, adjacent to every back edge's match at `pos`, has the
+    /// labels the plan asks for there. Only labels being matched are read.
+    fn labels_ok(&self, g: &Graph, matched: &[u32], pos: usize, cand: u32) -> bool {
         if self.match_vertex_labels
             && g.vertex_label(VertexId(cand)).raw() != self.plan.label_at(pos)
         {
             return false;
         }
-        if self.match_edge_labels {
-            for &(epos, elabel) in self.plan.back_edges(pos) {
-                // panic-ok: the candidate came out of intersecting the matched
-                // vertices' adjacency lists, so every back edge exists; a miss is a
-                // kernel bug that must abort rather than silently skew counts.
+        !self.match_edge_labels
+            || self.plan.back_edges(pos).iter().all(|&(epos, elabel)| {
+                // panic-ok: the candidate step yields only vertices adjacent to
+                // every back edge's match; a miss is a marks bug that must abort
+                // rather than silently skew counts.
                 let e = g
                     .edge_between(VertexId(matched[epos as usize]), VertexId(cand))
-                    .expect("intersection produced a non-adjacent candidate");
-                if g.edge_label(e).raw() != elabel {
-                    return false;
-                }
-            }
-        }
-        for &q in self.plan.must_be_less_than(pos) {
-            if cand >= matched[q as usize] {
-                return false;
-            }
-        }
-        true
+                    .expect("candidate step produced a non-adjacent candidate");
+                g.edge_label(e).raw() == elabel
+            })
     }
 }
 
@@ -464,60 +447,28 @@ impl SubgraphEnumerator for PatternEnumerator {
         if pos >= self.plan.len() {
             return 0;
         }
-        let matched = sg.vertices();
         if pos == 0 {
-            let mut tests = 0u64;
-            for v in 0..g.num_vertices() as u32 {
-                tests += 1;
-                if !self.match_vertex_labels
-                    || g.vertex_label(VertexId(v)).raw() == self.plan.label_at(0)
-                {
-                    out.push(v as u64);
-                }
-            }
-            return tests;
+            let label = self.plan.label_at(0);
+            let roots = (0..g.num_vertices() as u32).filter(|&v| {
+                !self.match_vertex_labels || g.vertex_label(VertexId(v)).raw() == label
+            });
+            out.extend(roots.map(u64::from));
+            return g.num_vertices() as u64;
         }
-        // Candidates must be adjacent to *every* matched back-edge anchor:
-        // intersect the anchors' sorted neighborhoods (smallest first),
-        // with the `must_be_greater_than` symmetry lower bound pushed into
-        // the kernel so excluded ranges are never scanned.
-        let back = self.plan.back_edges(pos);
-        debug_assert!(!back.is_empty(), "plan orders are connected");
-        let lo = self
-            .plan
-            .must_be_greater_than(pos)
-            .iter()
-            .map(|&q| matched[q as usize])
-            .max();
-        self.kernels.ensure_universe(g.num_vertices());
-        let mut acc = std::mem::take(&mut self.cand_a);
-        let mut tmp = std::mem::take(&mut self.cand_b);
-        acc.clear();
-        {
-            let mut anchors: Vec<u32> = back.iter().map(|&(p, _)| matched[p as usize]).collect();
-            anchors.sort_unstable_by_key(|&v| g.degree(VertexId(v)));
-            anchors.dedup();
-            let base = g.neighbors(VertexId(anchors[0]));
-            let base = match lo {
-                Some(l) => seek_above(base, l),
-                None => base,
-            };
-            acc.extend_from_slice(base);
-            for &a in &anchors[1..] {
-                self.kernels
-                    .intersect_into(&acc, g.neighbors(VertexId(a)), &mut tmp);
-                std::mem::swap(&mut acc, &mut tmp);
-            }
-        }
+        // The candidates pass adjacency, both symmetry bounds and
+        // membership; one test each, before any label is read.
+        let matched = sg.vertices();
+        let mask = self.plan.level(pos).mask;
         let mut tests = 0u64;
-        for &cand in &acc {
+        for &cand in self.plan.candidate_slice(g, pos, matched) {
+            if !self.marks.carries(cand, mask) || sg.has_vertex(cand) {
+                continue;
+            }
             tests += 1;
-            if self.residual_ok(g, matched, pos, cand) {
+            if self.labels_ok(g, matched, pos, cand) {
                 out.push(cand as u64);
             }
         }
-        self.cand_a = acc;
-        self.cand_b = tmp;
         tests
     }
 
@@ -527,7 +478,7 @@ impl SubgraphEnumerator for PatternEnumerator {
         self.edge_scratch.clear();
         for &(epos, _) in self.plan.back_edges(pos) {
             let u = sg.vertices()[epos as usize];
-            // panic-ok: extend candidates are adjacency-intersection members (same
+            // panic-ok: extend candidates come out of the candidate step (same
             // invariant as label matching above).
             let e = g
                 .edge_between(VertexId(u), VertexId(v))
@@ -537,18 +488,25 @@ impl SubgraphEnumerator for PatternEnumerator {
         let edges = std::mem::take(&mut self.edge_scratch);
         sg.push_matched(v, &edges);
         self.edge_scratch = edges;
+        if self.plan.level(pos).sets_mark {
+            self.marks.mark(g, v, 1 << pos);
+        }
     }
 
-    fn retract(&mut self, _g: &Graph, sg: &mut Subgraph) {
-        sg.pop_matched();
+    fn retract(&mut self, g: &Graph, sg: &mut Subgraph) {
+        if self.plan.level(sg.num_vertices() - 1).sets_mark {
+            self.marks.unmark_last(g);
+        }
+        sg.pop_vertex_induced();
     }
 
     fn max_words(&self) -> usize {
         self.plan.len()
     }
 
-    fn take_kernel_counters(&mut self) -> KernelCounters {
-        self.kernels.take_counters()
+    fn reset_state(&mut self, g: &Graph) {
+        // Whatever a finished or unwound unit left marked, and nothing else.
+        self.marks.clear(g);
     }
 
     fn clone_boxed(&self) -> Box<dyn SubgraphEnumerator> {

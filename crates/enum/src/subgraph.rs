@@ -253,11 +253,6 @@ impl Subgraph {
         self.level_edges.push(matched.len() as u32);
     }
 
-    /// Undoes the most recent [`push_matched`](Self::push_matched).
-    pub fn pop_matched(&mut self) {
-        self.pop_vertex_induced();
-    }
-
     /// Clears everything, keeping capacity.
     pub fn reset(&mut self) {
         for &v in &self.vertices {
@@ -446,7 +441,7 @@ mod tests {
         sg.push_matched(2, &[(1, 1)]); // only pattern edge 1-2, not 0-2
         assert_eq!(sg.num_edges(), 2);
         assert!(!sg.has_edge(2));
-        sg.pop_matched();
+        sg.pop_vertex_induced();
         assert_eq!(sg.num_edges(), 1);
         assert!(!sg.has_vertex(2));
     }

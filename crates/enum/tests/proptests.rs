@@ -8,7 +8,12 @@ use fractal_enum::enumerator::{
 use fractal_enum::{KClistEnumerator, Subgraph};
 use fractal_graph::{Graph, GraphBuilder, Label, VertexId};
 use fractal_pattern::canon::{canonical_form, PatternTable};
-use fractal_pattern::{ExplorationPlan, Pattern};
+use fractal_pattern::decompose::connected_shapes;
+use fractal_pattern::exec::count_all_roots;
+use fractal_pattern::planner::{PlanKind, PlanNode};
+use fractal_pattern::{
+    CountingPlan, ExplorationPlan, GraphStats, Pattern, RootedPattern, SymmetryConditions,
+};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::BTreeSet;
@@ -241,6 +246,135 @@ fn oracle_connected_vertex_sets(g: &Graph, k: usize) -> BTreeSet<BTreeSet<u32>> 
     out
 }
 
+/// Drives `en` from `sg` to the plan's full depth, adding each level's
+/// extension cost into `ec[level]`; returns the number of complete matches.
+fn drive_counting(
+    g: &Graph,
+    en: &mut dyn SubgraphEnumerator,
+    sg: &mut Subgraph,
+    depth: usize,
+    ec: &mut [u64],
+) -> u64 {
+    let level = sg.num_vertices();
+    if level == depth {
+        return 1;
+    }
+    let mut exts = Vec::new();
+    ec[level] += en.compute_extensions(g, sg, &mut exts);
+    let mut matches = 0;
+    for w in exts {
+        en.extend(g, sg, w);
+        matches += drive_counting(g, en, sg, depth, ec);
+        en.retract(g, sg);
+    }
+    matches
+}
+
+/// A connected matching order of `p`; `seed` picks the root and then one
+/// of the attachable vertices at every step.
+fn seeded_order(p: &Pattern, mut seed: u64) -> Vec<u8> {
+    let n = p.num_vertices();
+    let mut order = vec![(seed % n as u64) as u8];
+    while order.len() < n {
+        let open: Vec<u8> = (0..n as u8)
+            .filter(|v| !order.contains(v))
+            .filter(|&v| order.iter().any(|&u| p.adjacent(u as usize, v as usize)))
+            .collect();
+        seed = seed / 7 + 0x9e37;
+        order.push(open[(seed % open.len() as u64) as usize]);
+    }
+    order
+}
+
+/// K4 minus one edge: two triangles sharing an edge.
+fn diamond() -> Pattern {
+    Pattern::unlabeled(4, &[(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+}
+
+/// The executor's count and extension cost on `plan` as a one-direct-node
+/// counting plan with `stab_size` 1: every match, each once.
+fn executor_count(g: &Graph, plan: ExplorationPlan) -> (i128, u64) {
+    let pattern = plan.pattern().clone();
+    let root = plan.vertex_at(0);
+    let counting = CountingPlan {
+        nodes: vec![PlanNode {
+            rooted: RootedPattern::new(pattern.clone(), root),
+            kind: PlanKind::Direct {
+                plan: Box::new(plan),
+                stab_size: 1,
+            },
+            est_cost: 0.0,
+        }],
+        outputs: Vec::new(),
+        basis: None,
+        k: pattern.num_vertices(),
+        stats: GraphStats::of(g),
+    };
+    let (totals, _, ec) = count_all_roots(g, &counting);
+    (totals[0], ec)
+}
+
+/// The first `d` positions of `plan` as a plan of their own: the pattern
+/// induced on them, matched in the same order, under the conditions both
+/// of whose vertices are among them. Its walk is `plan`'s walk cut at depth
+/// `d`.
+fn prefix_plan(plan: &ExplorationPlan, d: usize) -> ExplorationPlan {
+    let order: Vec<u8> = (0..d).map(|pos| plan.vertex_at(pos)).collect();
+    let pos_of = |v: u8| plan.position_of(v as usize);
+    let less_than = plan
+        .conditions()
+        .less_than
+        .iter()
+        .filter(|&&(a, b)| (pos_of(a) as usize) < d && (pos_of(b) as usize) < d)
+        .map(|&(a, b)| (pos_of(a), pos_of(b)))
+        .collect();
+    ExplorationPlan::with_order(
+        &plan.pattern().induced_on(&order),
+        (0..d as u8).collect(),
+        SymmetryConditions { less_than },
+    )
+}
+
+/// Walks `en` down `depth` words from the root, taking extension
+/// `pick(len)` of the `len` at every level; returns the words taken (fewer
+/// when the walk runs out of extensions).
+fn descend(
+    g: &Graph,
+    en: &mut dyn SubgraphEnumerator,
+    sg: &mut Subgraph,
+    depth: usize,
+    pick: fn(usize) -> usize,
+) -> Vec<u64> {
+    let mut words = Vec::new();
+    let mut exts = Vec::new();
+    while words.len() < depth {
+        en.compute_extensions(g, sg, &mut exts);
+        let Some(&w) = exts.get(pick(exts.len())) else {
+            break;
+        };
+        en.extend(g, sg, w);
+        words.push(w);
+    }
+    words
+}
+
+/// Every subgraph one more word reaches from `sg`, in word order.
+fn completions(
+    g: &Graph,
+    en: &mut dyn SubgraphEnumerator,
+    sg: &mut Subgraph,
+) -> Vec<(Vec<u32>, Vec<u32>)> {
+    let mut out = Vec::new();
+    let mut exts = Vec::new();
+    en.compute_extensions(g, sg, &mut exts);
+    for w in exts {
+        en.extend(g, sg, w);
+        out.push(sg.snapshot());
+        en.retract(g, sg);
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -376,40 +510,75 @@ proptest! {
     }
 
     /// Stolen-prefix rebuild: continuing enumeration from a rebuilt state
-    /// yields the same completions as continuing in place.
+    /// yields the same completions as continuing in place, for
+    /// vertex-induced growth and for pattern-induced growth (whose marks
+    /// are state a rebuild must re-derive). The thief's enumerator was
+    /// abandoned mid-depth without retracting first, as an unwound unit
+    /// leaves its core's enumerator.
     #[test]
-    fn rebuild_equivalence(g in arb_graph()) {
-        let mut en: Box<dyn SubgraphEnumerator> = Box::new(VertexInducedEnumerator::new());
-        let mut sg = Subgraph::new(&g);
-        let mut exts = Vec::new();
-        en.compute_extensions(&g, &sg, &mut exts);
-        if exts.is_empty() { return Ok(()); }
-        en.extend(&g, &mut sg, exts[exts.len() / 2]);
-        let prefix = sg.vertices().iter().map(|&v| v as u64).collect::<Vec<u64>>();
-
-        // Continue in place.
-        let mut in_place = Vec::new();
-        let mut exts2 = Vec::new();
-        en.compute_extensions(&g, &sg, &mut exts2);
-        for w in exts2 {
-            en.extend(&g, &mut sg, w);
-            in_place.push(sg.snapshot());
-            en.retract(&g, &mut sg);
+    fn rebuild_equivalence(g in arb_graph(), depth in 1usize..=3) {
+        let queries = [Pattern::cycle(4), diamond(), Pattern::clique(4)];
+        let mut fresh: Vec<Box<dyn Fn() -> Box<dyn SubgraphEnumerator>>> =
+            vec![Box::new(|| Box::new(VertexInducedEnumerator::new()) as Box<dyn SubgraphEnumerator>)];
+        for q in &queries {
+            let plan = Arc::new(ExplorationPlan::new(q));
+            fresh.push(Box::new(move || {
+                Box::new(PatternEnumerator::new(plan.clone(), false, false)) as Box<dyn SubgraphEnumerator>
+            }));
         }
+        for fresh in &fresh {
+            let mut en = fresh();
+            let mut sg = Subgraph::new(&g);
+            let prefix = descend(&g, &mut *en, &mut sg, depth, |len| len / 2);
+            if prefix.len() == en.max_words() {
+                continue;
+            }
+            let in_place = completions(&g, &mut *en, &mut sg);
 
-        // Rebuild on a fresh enumerator (thief side).
-        let mut en2: Box<dyn SubgraphEnumerator> = Box::new(VertexInducedEnumerator::new());
-        let mut sg2 = Subgraph::new(&g);
-        en2.rebuild(&g, &mut sg2, &prefix);
-        let mut stolen = Vec::new();
-        let mut exts3 = Vec::new();
-        en2.compute_extensions(&g, &sg2, &mut exts3);
-        for w in exts3 {
-            en2.extend(&g, &mut sg2, w);
-            stolen.push(sg2.snapshot());
-            en2.retract(&g, &mut sg2);
+            // Thief side: a fresh enumerator, and one abandoned part-way
+            // down another branch, with its marks still set.
+            let mut en2 = fresh();
+            let mut sg2 = Subgraph::new(&g);
+            en2.rebuild(&g, &mut sg2, &prefix);
+            prop_assert_eq!(&completions(&g, &mut *en2, &mut sg2), &in_place);
+            let mut abandoned = fresh();
+            let mut sg3 = Subgraph::new(&g);
+            let deep = (abandoned.max_words() - 1).min(3);
+            descend(&g, &mut *abandoned, &mut sg3, deep, |len| len.saturating_sub(1) / 3);
+            abandoned.rebuild(&g, &mut sg3, &prefix);
+            prop_assert_eq!(&completions(&g, &mut *abandoned, &mut sg3), &in_place);
         }
-        prop_assert_eq!(in_place, stolen);
+    }
+
+    /// The pattern-induced enumerator and the counting-plan executor take
+    /// one candidate step: for every connected shape of 2..=5 vertices
+    /// matched in a random connected order, they count the same matches,
+    /// and every level below the root has the same extension cost (the
+    /// executor's, read off the plan cut at each depth).
+    #[test]
+    fn pattern_enumerator_and_plan_executor_agree(g in arb_graph(), order_seed in any::<u64>()) {
+        for p in (2..=5).flat_map(connected_shapes) {
+            let order = seeded_order(&p, order_seed);
+            let plan = ExplorationPlan::with_order(&p, order.clone(), SymmetryConditions::for_pattern(&p));
+            let k = plan.len();
+            let mut en = PatternEnumerator::new(Arc::new(plan.clone()), false, false);
+            let mut ec = vec![0u64; k];
+            let matches = drive_counting(&g, &mut en, &mut Subgraph::new(&g), k, &mut ec);
+            prop_assert_eq!(ec[0], g.num_vertices() as u64, "the root level tests every vertex");
+            prop_assert_eq!(
+                executor_count(&g, plan.clone()).0,
+                matches as i128,
+                "shape={} order={:?}", p, order
+            );
+            for d in 2..=k {
+                let (_, exec_ec) = executor_count(&g, prefix_plan(&plan, d));
+                prop_assert_eq!(
+                    exec_ec,
+                    ec[1..d].iter().sum::<u64>(),
+                    "shape={} order={:?} levels 1..{}", p, order, d
+                );
+            }
+        }
     }
 
     /// The quick pattern read off a live subgraph names the same pattern

@@ -24,11 +24,11 @@
 //! heuristic stays observable through the flight recorder and the CI perf
 //! gate.
 //!
-//! The intersection-with-filter variant
-//! ([`ExtensionKernels::intersect_above_into`]) pushes a symmetry-breaking
-//! lower bound *into* the kernel: both inputs are first advanced past the
-//! bound with a binary search ([`seek_above`]), so candidates ruled out by a
-//! `must_be_greater_than` constraint are never scanned at all.
+//! Matching orders (pattern-induced extension and counting plans) use no
+//! intersection here: their candidate step scans one neighbour slice,
+//! trimmed to its symmetry bounds by [`seek_above`] and [`seek_below`], and
+//! tests the other back edges against per-vertex marks
+//! (`fractal_pattern::plan`).
 //!
 //! Candidate sets themselves live in a per-core bump arena
 //! ([`ExtensionKernels`] level stack): DFS levels are strictly nested, so
@@ -93,8 +93,8 @@ impl KernelCounters {
 }
 
 /// The subslice of a sorted list whose elements are strictly greater than
-/// `lo` — the degenerate (single-list) lower-bound filter, used when a
-/// symmetry-breaking bound applies but there is nothing to intersect with.
+/// `lo` — the lower-bound filter of the matching-order candidate step, used
+/// for `must_be_greater_than` symmetry bounds.
 #[inline]
 pub fn seek_above(list: &[u32], lo: u32) -> &[u32] {
     &list[list.partition_point(|&x| x <= lo)..]
@@ -102,7 +102,7 @@ pub fn seek_above(list: &[u32], lo: u32) -> &[u32] {
 
 /// The subslice of a sorted list whose elements are strictly smaller than
 /// `hi` — the upper-bound counterpart of [`seek_above`], used by the
-/// decomposed-counting executor for `must_be_less_than` symmetry bounds.
+/// matching-order candidate step for `must_be_less_than` symmetry bounds.
 #[inline]
 pub fn seek_below(list: &[u32], hi: u32) -> &[u32] {
     &list[..list.partition_point(|&x| x < hi)]
@@ -502,48 +502,11 @@ impl ExtensionKernels {
         }
     }
 
-    // ---- flat (non-arena) intersections with bitset support ----
-
-    /// Hybrid intersection into a caller buffer, with the bitset path
-    /// available (unlike the free [`intersect`]).
-    pub fn intersect_into(&mut self, a: &[u32], b: &[u32], out: &mut Vec<u32>) {
-        out.clear();
-        let (s, l) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-        if s.is_empty() {
-            return;
-        }
-        if l.len() / s.len() >= GALLOP_RATIO {
-            gallop_into(s, l, out, &mut self.counters);
-        } else if s.len() >= BITSET_MIN && self.slices_fit_universe(s, l) {
-            self.bitset_into(s, l, out);
-        } else {
-            merge_into(s, l, out, &mut self.counters);
-        }
-    }
-
-    /// Hybrid intersection keeping only elements strictly above `lo` (the
-    /// symmetry-breaking lower-bound filter): both inputs are advanced past
-    /// the bound before any scanning happens.
-    pub fn intersect_above_into(&mut self, a: &[u32], b: &[u32], lo: u32, out: &mut Vec<u32>) {
-        let a = seek_above(a, lo);
-        let b = seek_above(b, lo);
-        self.intersect_into(a, b, out);
-    }
-
-    fn slices_fit_universe(&self, a: &[u32], b: &[u32]) -> bool {
-        if self.universe == 0 {
-            return false;
-        }
-        let amax = a.last().copied().unwrap_or(0);
-        let bmax = b.last().copied().unwrap_or(0);
-        (amax.max(bmax) as usize) < self.universe
-    }
-
     /// Bitset intersection of two flat slices (`s` marked, `l` probed);
     /// exposed for direct testing of the path.
     pub fn bitset_into(&mut self, s: &[u32], l: &[u32], out: &mut Vec<u32>) {
         assert!(
-            self.slices_fit_universe(s, l),
+            s.last().max(l.last()).map_or(0, |&m| m as usize) < self.universe,
             "bitset path requires ensure_universe over all ids"
         );
         self.counters.bitset_calls += 1;
@@ -677,21 +640,13 @@ mod tests {
                 k.bitset_into(&b, &a, &mut out);
             }
             assert_eq!(out, want, "bitset {a:?} {b:?}");
-            k.intersect_into(&a, &b, &mut out);
-            assert_eq!(out, want, "stateful {a:?} {b:?}");
         }
         assert!(c.calls() > 0 && c.elements_scanned > 0);
     }
 
     #[test]
-    fn lower_bound_variant_filters() {
+    fn seek_above_starts_past_the_bound() {
         let a: Vec<u32> = (0..100).collect();
-        let b: Vec<u32> = (0..100).step_by(2).collect();
-        let mut out = Vec::new();
-        let want: Vec<u32> = (52..100).step_by(2).collect();
-        let mut k = ExtensionKernels::new();
-        k.intersect_above_into(&a, &b, 50, &mut out);
-        assert_eq!(out, want);
         assert_eq!(seek_above(&a, 97), &[98, 99]);
         assert!(seek_above(&a, 99).is_empty());
     }

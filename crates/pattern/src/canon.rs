@@ -147,6 +147,9 @@ struct Search<'a> {
     cur: Vec<u32>,
     /// Best complete code so far and its ordering.
     best: Option<(Vec<u32>, Vec<u8>)>,
+    /// Automorphisms met on the way (`aut[v]` = image of `v`): a leaf
+    /// whose code equals the best one is one automorphism away from it.
+    auts: Vec<Vec<u8>>,
 }
 
 impl Search<'_> {
@@ -154,12 +157,16 @@ impl Search<'_> {
         let n = self.p.num_vertices();
         let pos = self.slot.len();
         if pos == n {
-            let better = match &self.best {
-                None => true,
-                Some((b, _)) => self.cur < *b,
-            };
-            if better {
-                self.best = Some((self.cur.clone(), self.slot.clone()));
+            match &self.best {
+                Some((b, slot)) if self.cur == *b => {
+                    let mut aut = vec![0u8; n];
+                    for (&from, &to) in slot.iter().zip(&self.slot) {
+                        aut[from as usize] = to;
+                    }
+                    self.auts.push(aut);
+                }
+                Some((b, _)) if self.cur > *b => {}
+                _ => self.best = Some((self.cur.clone(), self.slot.clone())),
             }
             return;
         }
@@ -172,10 +179,18 @@ impl Search<'_> {
                 min_color = min_color.min(self.colors[v]);
             }
         }
+        let mut explored = 0u32;
         for v in 0..n {
             if self.used >> v & 1 == 1 || self.colors[v] != min_color {
                 continue;
             }
+            // An automorphism fixing the placed vertices that maps an
+            // explored sibling onto `v` maps that sibling's orderings onto
+            // `v`'s, codes unchanged: nothing below `v` can come first.
+            if explored != 0 && self.orbit_of(v) & explored != 0 {
+                continue;
+            }
+            explored |= 1 << v;
             // Append column for position `pos`: vertex label cell was fixed
             // by cell order; adjacency entries vs. earlier positions.
             let checkpoint = self.cur.len();
@@ -207,6 +222,27 @@ impl Search<'_> {
             self.cur.truncate(checkpoint);
         }
     }
+
+    /// `v`'s orbit, as a bit set, under the group the automorphisms met so
+    /// far generate once restricted to those fixing every placed vertex.
+    fn orbit_of(&self, v: usize) -> u32 {
+        let fixing = self
+            .auts
+            .iter()
+            .filter(|aut| self.slot.iter().all(|&u| aut[u as usize] == u));
+        let mut orbit = 1u32 << v;
+        loop {
+            let grown = fixing.clone().fold(orbit, |o, aut| {
+                (0..aut.len())
+                    .filter(|&u| o >> u & 1 == 1)
+                    .fold(o, |o, u| o | 1 << aut[u])
+            });
+            if grown == orbit {
+                return orbit;
+            }
+            orbit = grown;
+        }
+    }
 }
 
 /// Computes the canonical form (code + permutation) of `p`.
@@ -235,6 +271,7 @@ pub fn canonical_form(p: &Pattern) -> CanonicalForm {
         used: 0,
         cur: header,
         best: None,
+        auts: Vec::new(),
     };
     search.run();
     let (code, slots) = search.best.expect("canonical search found no ordering");
@@ -730,18 +767,12 @@ impl PatternTable {
     /// Code, permutation and orbit representatives of quick pattern `id`.
     #[inline]
     pub fn form(&mut self, id: u32) -> InternedForm<'_> {
-        #[cold]
-        fn orbit_reps_of(code: &CanonicalCode) -> Box<[u8]> {
-            let pattern = code.to_pattern();
-            let auts = crate::autom::automorphisms(&pattern);
-            (0..pattern.num_vertices())
-                .map(|pos| crate::autom::orbit(&auts, pos)[0])
-                .collect()
-        }
         let e = self.entries[id as usize];
         let class = &mut self.classes[e.class as usize];
         let code = &class.code;
-        let orbit_reps = class.orbit_reps.get_or_insert_with(|| orbit_reps_of(code));
+        let orbit_reps = class
+            .orbit_reps
+            .get_or_insert_with(|| crate::autom::orbit_representatives(&code.to_pattern()).into());
         // One representative per vertex: that length is at hand, the code's
         // own is behind another pointer.
         let perm = &self.perms[e.perm_start as usize..][..orbit_reps.len()];

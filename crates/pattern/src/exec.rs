@@ -6,82 +6,23 @@
 //! corrections. Because nodes are in topological order, one linear pass
 //! suffices per root.
 //!
-//! The DFS never intersects adjacency lists (DESIGN.md §14.2). At position
-//! `q` it scans the bound-trimmed neighbour slice of the **latest** back
-//! edge in place, and every **earlier** back edge is one mask test per
-//! candidate against the per-core `marks` words: bit `p` of `marks[u]` is
-//! set while `u` is adjacent to the match at position `p`. A match marks its
-//! neighbourhood once, however many partial matches are explored below it.
-//! The deepest level is counted, not walked.
+//! The DFS never intersects adjacency lists (DESIGN.md §14.2): every
+//! position takes its plan's candidate step
+//! ([`ExplorationPlan::candidate_slice`] plus one [`Marks`] test per
+//! candidate, the step the pattern-induced enumerator takes too), and the
+//! deepest level is counted, not walked.
 //!
 //! Per-root evaluation is what lets the engine distribute this exactly like
 //! enumeration jobs: each root vertex is one work unit, node values are
 //! additive over roots, and a worker's kernel counters drain into the same
 //! `fractal-metrics/1` fields the enumerator uses.
 
-use fractal_graph::kernels::{seek_above, seek_below, KernelCounters};
-use fractal_graph::{Graph, VertexId};
+use fractal_graph::kernels::KernelCounters;
+use fractal_graph::Graph;
 
+use crate::plan::{Marks, PlanLevel};
 use crate::planner::{CountingPlan, PlanKind};
 use crate::{CanonicalCode, ExplorationPlan, Pattern};
-
-/// One DFS position of a direct node, compiled once in
-/// [`PlanExecutor::new`].
-#[derive(Debug, Clone, Copy)]
-struct Level {
-    /// The latest back edge: its match's neighbour slice is the one scanned.
-    latest: u8,
-    /// Bits of the earlier back-edge positions; a candidate must carry all
-    /// of them in `marks`. Zero when `latest` is the only back edge.
-    mask: u32,
-    /// Whether a match at this position marks its neighbourhood: true iff
-    /// some deeper level tests this position's bit, i.e. has it as a back
-    /// edge that is not that level's latest one.
-    sets_mark: bool,
-}
-
-/// Compiles the per-position scan/mask/mark table of one matching order.
-fn compile_levels(plan: &ExplorationPlan) -> Vec<Level> {
-    let mut levels = vec![
-        Level {
-            latest: 0,
-            mask: 0,
-            sets_mark: false
-        };
-        plan.len()
-    ];
-    let mut tested = 0u32;
-    for (pos, level) in levels.iter_mut().enumerate().skip(1) {
-        // Back edges are listed by ascending earlier position.
-        let (&(latest, _), earlier) = plan
-            .back_edges(pos)
-            .split_last()
-            .expect("matching orders are connected");
-        level.latest = latest;
-        level.mask = earlier.iter().fold(0, |m, &(p, _)| m | 1 << p);
-        tested |= level.mask;
-    }
-    for (pos, level) in levels.iter_mut().enumerate() {
-        level.sets_mark = tested >> pos & 1 == 1;
-    }
-    levels
-}
-
-/// Sets `bit` in the mark word of every vertex of `nbrs`.
-#[inline]
-fn mark(marks: &mut [u32], nbrs: &[u32], bit: u32) {
-    for &u in nbrs {
-        marks[u as usize] |= bit;
-    }
-}
-
-/// Clears `bit` again: the inverse of [`mark`] over the same slice.
-#[inline]
-fn unmark(marks: &mut [u32], nbrs: &[u32], bit: u32) {
-    for &u in nbrs {
-        marks[u as usize] &= !bit;
-    }
-}
 
 /// Evaluates a compiled counting plan one root vertex at a time.
 pub struct PlanExecutor<'a> {
@@ -89,16 +30,11 @@ pub struct PlanExecutor<'a> {
     plan: &'a CountingPlan,
     /// Per-node value for the current root (scratch, overwritten per root).
     vals: Vec<i128>,
-    /// Per-node level table (empty for product nodes).
-    levels: Vec<Vec<Level>>,
     /// Whether any direct node tests bit 0: the root is position 0 of every
     /// one of them, so it marks once per root, not once per node.
     root_marks: bool,
-    /// One word per graph vertex; all zero between evaluations.
-    marks: Vec<u32>,
-    /// Set for the duration of an `eval_root`; still set on entry only when
-    /// the previous evaluation was unwound and may have left marks behind.
-    in_flight: bool,
+    /// Nothing marked between evaluations, unless one was unwound.
+    marks: Marks,
     matched: Vec<u32>,
     counters: KernelCounters,
     ec: u64,
@@ -107,47 +43,30 @@ pub struct PlanExecutor<'a> {
 impl<'a> PlanExecutor<'a> {
     /// Prepares an executor for `plan` over `g`.
     pub fn new(g: &'a Graph, plan: &'a CountingPlan) -> Self {
-        let levels: Vec<Vec<Level>> = plan
-            .nodes
-            .iter()
-            .map(|n| match &n.kind {
-                PlanKind::Direct { plan, .. } => compile_levels(plan),
-                PlanKind::Product { .. } => Vec::new(),
+        let direct = || {
+            plan.nodes.iter().filter_map(|n| match &n.kind {
+                PlanKind::Direct { plan, .. } => Some(plan),
+                PlanKind::Product { .. } => None,
             })
-            .collect();
-        let max_len = levels.iter().map(Vec::len).max().unwrap_or(1);
+        };
         PlanExecutor {
             g,
             plan,
             vals: vec![0; plan.nodes.len()],
-            root_marks: levels
-                .iter()
-                .any(|l| l.first().is_some_and(|l| l.sets_mark)),
-            levels,
-            marks: vec![0; g.num_vertices()],
-            in_flight: false,
-            matched: Vec::with_capacity(max_len),
+            root_marks: direct().any(|p| p.level(0).sets_mark),
+            marks: Marks::default(),
+            matched: Vec::with_capacity(direct().map(|p| p.len()).max().unwrap_or(1)),
             counters: KernelCounters::default(),
             ec: 0,
         }
     }
 
-    /// The plan being executed.
-    pub fn plan(&self) -> &'a CountingPlan {
-        self.plan
-    }
-
-    /// Bytes this executor keeps resident for its lifetime: the mark words
-    /// (4 per graph vertex) plus the per-node value, level and match tables.
+    /// Bytes this executor keeps resident for its lifetime: the marks (4
+    /// per graph vertex) plus the per-node value and match tables.
     pub fn resident_bytes(&self) -> usize {
-        self.marks.capacity() * std::mem::size_of::<u32>()
+        self.marks.resident_bytes()
             + self.vals.capacity() * std::mem::size_of::<i128>()
             + self.matched.capacity() * std::mem::size_of::<u32>()
-            + self
-                .levels
-                .iter()
-                .map(|l| l.capacity() * std::mem::size_of::<Level>())
-                .sum::<usize>()
     }
 
     /// Evaluates every node for root `v` and adds the per-node values into
@@ -155,30 +74,17 @@ impl<'a> PlanExecutor<'a> {
     /// vertices yields the totals [`CountingPlan::finalize`] expects.
     pub fn eval_root(&mut self, v: u32, acc: &mut [i128]) {
         debug_assert_eq!(acc.len(), self.plan.nodes.len());
-        if self.in_flight {
-            // The previous evaluation never reached its end (a unit unwound
-            // by a fault): whatever it marked is still set.
-            self.marks.fill(0);
-        }
-        self.in_flight = true;
-        let root_nbrs = self.g.neighbors(VertexId(v));
+        // Empty unless the previous evaluation was unwound by a fault part
+        // way: then exactly what it left marked is cleared.
+        self.marks.clear(self.g);
         if self.root_marks {
-            mark(&mut self.marks, root_nbrs, 1);
+            self.marks.mark(self.g, v, 1);
         }
+        let nodes = &self.plan.nodes;
         for (i, slot) in acc.iter_mut().enumerate() {
-            let val = match &self.plan.nodes[i].kind {
+            let val = match &nodes[i].kind {
                 PlanKind::Direct { plan, stab_size } => {
-                    let count = Walk {
-                        g: self.g,
-                        plan,
-                        levels: &self.levels[i],
-                        marks: &mut self.marks,
-                        matched: &mut self.matched,
-                        counters: &mut self.counters,
-                        ec: &mut self.ec,
-                    }
-                    .rooted_count(v);
-                    count as i128 * *stab_size as i128
+                    self.rooted_count(plan, v) as i128 * *stab_size as i128
                 }
                 PlanKind::Product {
                     left,
@@ -197,11 +103,10 @@ impl<'a> PlanExecutor<'a> {
             *slot += val;
         }
         if self.root_marks {
-            unmark(&mut self.marks, root_nbrs, 1);
+            self.marks.unmark_last(self.g);
         }
-        self.in_flight = false;
         debug_assert!(
-            self.marks.iter().all(|&m| m == 0),
+            self.marks.is_clear(),
             "every mark is cleared by the level that set it"
         );
     }
@@ -216,94 +121,70 @@ impl<'a> PlanExecutor<'a> {
     pub fn take_ec(&mut self) -> u64 {
         std::mem::take(&mut self.ec)
     }
-}
 
-/// The rooted DFS of one direct node for one root: borrows the executor's
-/// per-core state for the duration of the node.
-struct Walk<'e> {
-    g: &'e Graph,
-    plan: &'e ExplorationPlan,
-    levels: &'e [Level],
-    marks: &'e mut [u32],
-    matched: &'e mut Vec<u32>,
-    counters: &'e mut KernelCounters,
-    ec: &'e mut u64,
-}
-
-impl Walk<'_> {
-    /// Rooted symmetry-broken DFS: the number of injective embeddings of
-    /// `plan.pattern()` with position 0 pinned to `root`, restricted to the
-    /// plan's symmetry-condition representatives. The root's own marks are
-    /// the caller's (they are shared by every node of the plan).
-    fn rooted_count(&mut self, root: u32) -> u64 {
+    /// Rooted symmetry-broken DFS of one direct node: the number of
+    /// injective embeddings of `plan.pattern()` with position 0 pinned to
+    /// `root`, restricted to the plan's symmetry-condition representatives.
+    /// The root's own marks are the caller's (they are shared by every node
+    /// of the plan).
+    fn rooted_count(&mut self, plan: &ExplorationPlan, root: u32) -> u64 {
         self.matched.clear();
         self.matched.push(root);
-        if self.plan.len() == 1 {
-            *self.ec += 1;
+        if plan.len() == 1 {
+            self.ec += 1;
             return 1;
         }
-        self.dfs(1)
+        self.dfs(plan, 1)
     }
 
-    /// One DFS level: the accepted candidates at `pos` are the vertices of
-    /// the latest back edge's bound-trimmed neighbour slice that carry every
-    /// earlier back edge's mark and are not matched already.
-    fn dfs(&mut self, pos: usize) -> u64 {
+    /// One DFS level: the accepted candidates at `pos` are the plan's
+    /// candidate step minus the matched vertices.
+    fn dfs(&mut self, plan: &ExplorationPlan, pos: usize) -> u64 {
         let g = self.g;
-        let Level {
-            latest,
-            mask,
-            sets_mark,
-        } = self.levels[pos];
-        let mut slice = g.neighbors(VertexId(self.matched[latest as usize]));
-        let lo = self.plan.must_be_greater_than(pos).iter();
-        if let Some(lo) = lo.map(|&p| self.matched[p as usize]).max() {
-            slice = seek_above(slice, lo);
-        }
-        let hi = self.plan.must_be_less_than(pos).iter();
-        if let Some(hi) = hi.map(|&p| self.matched[p as usize]).min() {
-            slice = seek_below(slice, hi);
-        }
+        let PlanLevel {
+            mask, sets_mark, ..
+        } = *plan.level(pos);
+        let slice = plan.candidate_slice(g, pos, &self.matched);
         if mask != 0 {
             self.counters.bitset_calls += 1;
             self.counters.elements_scanned += slice.len() as u64;
         }
-        let hit = |marks: &[u32], u: u32| marks[u as usize] & mask == mask;
 
-        if pos + 1 == self.plan.len() {
+        if pos + 1 == plan.len() {
             // Counted, not walked: a leaf only ever adds 1, so the level is
             // the number of hits in the slice minus the matched vertices
             // among them (injectivity). `ec` grows by what a walk would
             // have accepted one at a time.
+            let marks = &self.marks;
             let hits = if mask == 0 {
                 slice.len()
             } else {
-                slice.iter().filter(|&&u| hit(self.marks, u)).count()
+                slice.iter().filter(|&&u| marks.carries(u, mask)).count()
             };
             let taken = self
                 .matched
                 .iter()
-                .filter(|&&m| hit(self.marks, m) && slice.binary_search(&m).is_ok())
+                .filter(|&&m| marks.carries(m, mask) && slice.binary_search(&m).is_ok())
                 .count();
             let accepted = (hits - taken) as u64;
-            *self.ec += accepted;
+            self.ec += accepted;
             return accepted;
         }
 
         let bit = 1u32 << pos;
         let mut count = 0u64;
         for &cand in slice {
-            if !hit(self.marks, cand) || self.matched.contains(&cand) {
+            if !self.marks.carries(cand, mask) || self.matched.contains(&cand) {
                 continue;
             }
-            *self.ec += 1;
+            self.ec += 1;
             self.matched.push(cand);
             if sets_mark {
-                mark(self.marks, g.neighbors(VertexId(cand)), bit);
+                self.marks.mark(g, cand, bit);
             }
-            count += self.dfs(pos + 1);
+            count += self.dfs(plan, pos + 1);
             if sets_mark {
-                unmark(self.marks, g.neighbors(VertexId(cand)), bit);
+                self.marks.unmark_last(g);
             }
             self.matched.pop();
         }
@@ -351,7 +232,8 @@ mod tests {
     use crate::planner::{GraphStats, PlanNode};
     use crate::symmetry::SymmetryConditions;
     use fractal_graph::builder::graph_from_edges;
-    use fractal_graph::kernels::intersect;
+    use fractal_graph::kernels::{intersect, seek_above, seek_below};
+    use fractal_graph::VertexId;
     use proptest::prelude::*;
 
     fn complete_graph(n: u32) -> Graph {
@@ -490,10 +372,10 @@ mod tests {
             matched: &mut Vec<u32>,
             ec: &mut u64,
         ) -> u64 {
-            let lo = plan.must_be_greater_than(pos).iter();
-            let lo = lo.map(|&p| matched[p as usize]).max();
-            let hi = plan.must_be_less_than(pos).iter();
-            let hi = hi.map(|&p| matched[p as usize]).min();
+            let lo = plan.must_be_greater_than(pos);
+            let lo = lo.map(|p| matched[p as usize]).max();
+            let hi = plan.must_be_less_than(pos);
+            let hi = hi.map(|p| matched[p as usize]).min();
             let (&(first, _), rest) = plan.back_edges(pos).split_first().unwrap();
             let mut cands = g.neighbors(VertexId(matched[first as usize])).to_vec();
             if let Some(lo) = lo {
@@ -615,7 +497,7 @@ mod tests {
                             ((count * stab_size) as i128, ec),
                             "shape={} order={:?} root vertex={}", shape, order, v
                         );
-                        prop_assert!(exec.marks.iter().all(|&m| m == 0));
+                        prop_assert!(exec.marks.is_clear());
                     }
                 }
             }
@@ -641,10 +523,11 @@ mod tests {
         edges.extend([(0, 13, 0), (1, 13, 0), (2, 9, 0), (5, 11, 0), (7, 12, 0)]);
         let g = graph_from_edges(&[0; 14], &edges);
         let plan = single_node_plan(&p, (0..12).collect(), &g);
-        let levels = compile_levels(direct_plan(&plan).0);
-        assert_eq!(levels[10].mask, 1 << 8);
-        assert_eq!(levels[11].mask, 1 << 8 | 1 << 9);
-        assert!(levels[8].sets_mark && levels[9].sets_mark && !levels[10].sets_mark);
+        let direct = direct_plan(&plan).0;
+        assert_eq!(direct.level(10).mask, 1 << 8);
+        assert_eq!(direct.level(11).mask, 1 << 8 | 1 << 9);
+        assert!(direct.level(8).sets_mark && direct.level(9).sets_mark);
+        assert!(!direct.level(10).sets_mark);
         let (totals, _, _) = count_all_roots(&g, &plan);
         let aut = automorphisms(&p).len() as i128;
         let want = brute_count(&g, &p);
@@ -655,20 +538,21 @@ mod tests {
         assert_eq!(totals[0], want as i128 * aut);
     }
 
-    /// An evaluation that is unwound part-way leaves `in_flight` set and
-    /// whatever it had marked; the next `eval_root` must not see either.
+    /// An evaluation that is unwound part-way leaves whatever it had marked
+    /// and matched; the next `eval_root` must see neither.
     #[test]
     fn an_unwound_evaluation_leaves_nothing_for_the_next_root() {
         let g = lcg_graph(14, 9, 45);
         let plan = CountingPlan::plan_motifs(5, GraphStats::of(&g));
         let mut clean = PlanExecutor::new(&g, &plan);
         let mut unwound = PlanExecutor::new(&g, &plan);
-        // What a panic between a mark and its clear leaves behind.
-        unwound.in_flight = true;
+        // What a panic between a mark and its clear leaves behind: the
+        // root's neighbourhood and two deeper ones, overlapping.
         unwound.matched.extend([3, 1, 4]);
-        for (u, m) in unwound.marks.iter_mut().enumerate() {
-            *m = 0x0301 << (u % 5);
+        for (v, bit) in [(3, 1), (1, 1 << 1), (4, 1 << 2), (1, 1 << 9)] {
+            unwound.marks.mark(&g, v, bit);
         }
+        assert!(!unwound.marks.is_clear());
         let n = plan.nodes.len();
         for v in 0..g.num_vertices() as u32 {
             let (mut a, mut b) = (vec![0i128; n], vec![0i128; n]);
@@ -676,8 +560,7 @@ mod tests {
             unwound.eval_root(v, &mut b);
             assert_eq!(a, b, "root {v}");
             assert_eq!(clean.take_ec(), unwound.take_ec(), "root {v}");
-            assert!(!unwound.in_flight);
-            assert!(unwound.marks.iter().all(|&m| m == 0), "root {v}");
+            assert!(unwound.marks.is_clear(), "root {v}");
         }
     }
 }

@@ -7,9 +7,106 @@
 //! of an already-matched vertex — the pattern-induced extension of Fig. 1.
 //! Symmetry-breaking conditions are pre-translated to per-position
 //! `<`/`>` checks against earlier matches.
+//!
+//! Both walkers of a matching order, the pattern-induced enumerator and
+//! the counting-plan executor ([`crate::exec`]), take one candidate step
+//! compiled into the plan's [`PlanLevel`] table and intersect nothing
+//! (DESIGN.md §14.2): [`ExplorationPlan::candidate_slice`] plus one
+//! [`Marks`] test per candidate.
+
+use fractal_graph::kernels::{seek_above, seek_below};
+use fractal_graph::{Graph, VertexId};
 
 use crate::symmetry::SymmetryConditions;
 use crate::Pattern;
+
+/// One position of a matching order, compiled for the candidate step.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlanLevel {
+    /// The latest back edge: its match's neighbour slice is the one scanned.
+    pub latest: u8,
+    /// Bits of the earlier back-edge positions; a candidate must carry all
+    /// of them in its [`Marks`]. Zero when `latest` is the only back edge.
+    pub mask: u32,
+    /// Whether a match at this position marks its neighbourhood: true iff
+    /// some deeper level tests this position's bit, i.e. has it as a back
+    /// edge that is not that level's latest one.
+    pub sets_mark: bool,
+    /// Bits of the positions whose match the candidate must exceed.
+    pub above: u32,
+    /// Bits of the positions whose match must exceed the candidate.
+    pub below: u32,
+}
+
+/// The positions set in `bits`, ascending.
+fn positions(mut bits: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let p = bits.trailing_zeros() as usize;
+        bits &= bits.wrapping_sub(1);
+        (p < 32).then_some(p)
+    })
+}
+
+/// Per-vertex position marks of one walker: bit `p` of a vertex's word is
+/// set while the vertex is adjacent to the match at position `p`. The marks
+/// remember which neighbourhoods they hold, so [`clear`](Self::clear)
+/// unsets exactly what is still set, also after a walk unwound mid-depth,
+/// in `O(Σ deg)` of what was marked, never `O(|V|)`.
+#[derive(Debug, Default, Clone)]
+pub struct Marks {
+    /// One word per graph vertex, grown on the first mark.
+    words: Vec<u32>,
+    /// `(vertex, bit)` of every neighbourhood marked and not yet unmarked,
+    /// in marking order.
+    marked: Vec<(u32, u32)>,
+}
+
+impl Marks {
+    /// Sets `bit` on every neighbour of `v`.
+    #[inline]
+    pub fn mark(&mut self, g: &Graph, v: u32, bit: u32) {
+        if self.words.len() < g.num_vertices() {
+            self.words.resize(g.num_vertices(), 0);
+        }
+        self.marked.push((v, bit));
+        for &u in g.neighbors(VertexId(v)) {
+            self.words[u as usize] |= bit;
+        }
+    }
+
+    /// Clears the most recently marked neighbourhood.
+    #[inline]
+    pub fn unmark_last(&mut self, g: &Graph) {
+        let (v, bit) = self.marked.pop().expect("unmark without a mark");
+        for &u in g.neighbors(VertexId(v)) {
+            self.words[u as usize] &= !bit;
+        }
+    }
+
+    /// Clears every neighbourhood still marked.
+    pub fn clear(&mut self, g: &Graph) {
+        while !self.marked.is_empty() {
+            self.unmark_last(g);
+        }
+    }
+
+    /// Whether `u` carries every bit of `mask` (always, for mask 0).
+    #[inline(always)]
+    pub fn carries(&self, u: u32, mask: u32) -> bool {
+        mask == 0 || self.words[u as usize] & mask == mask
+    }
+
+    /// Whether nothing is marked: no neighbourhood held and every word zero.
+    pub fn is_clear(&self) -> bool {
+        self.marked.is_empty() && self.words.iter().all(|&w| w == 0)
+    }
+
+    /// Bytes kept resident: the words and the record of what is marked.
+    pub fn resident_bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<u32>()
+            + self.marked.capacity() * std::mem::size_of::<(u32, u32)>()
+    }
+}
 
 /// A compiled matching order for a query pattern.
 #[derive(Debug, Clone)]
@@ -24,16 +121,13 @@ pub struct ExplorationPlan {
     /// For each position, `(earlier_position, edge_label)` pairs: the
     /// candidate must be adjacent (with that edge label) to each of them.
     back_edges: Vec<Vec<(u8, u32)>>,
-    /// For each position, earlier positions whose match must be **greater**
-    /// than the candidate (candidate < match[p]).
-    must_be_less_than: Vec<Vec<u8>>,
-    /// For each position, earlier positions whose match must be **smaller**
-    /// than the candidate (candidate > match[p]).
-    must_be_greater_than: Vec<Vec<u8>>,
     /// Positions at which earlier matched vertices must NOT be adjacent to
     /// the candidate are implied by induced matching; pattern-induced
     /// matching in the paper is *not* induced, so non-edges are not checked.
     conditions: SymmetryConditions,
+    /// The candidate step of each position; its `above`/`below` bits are
+    /// the symmetry conditions translated to earlier positions.
+    levels: Vec<PlanLevel>,
 }
 
 impl ExplorationPlan {
@@ -141,17 +235,27 @@ impl ExplorationPlan {
                 }
             }
         }
-        let mut must_be_less_than: Vec<Vec<u8>> = vec![Vec::new(); n];
-        let mut must_be_greater_than: Vec<Vec<u8>> = vec![Vec::new(); n];
+        let mut levels = vec![PlanLevel::default(); n];
         for &(a, b) in &conditions.less_than {
             let (pa, pb) = (pos_of[a as usize], pos_of[b as usize]);
             if pa < pb {
                 // match[a] already fixed; candidate at pb must be greater.
-                must_be_greater_than[pb as usize].push(pa);
+                levels[pb as usize].above |= 1 << pa;
             } else {
                 // candidate at pa must be smaller than match at pb.
-                must_be_less_than[pa as usize].push(pb);
+                levels[pa as usize].below |= 1 << pb;
             }
+        }
+        let mut tested = 0u32;
+        for (level, back) in levels.iter_mut().zip(&back_edges).skip(1) {
+            // Back edges are listed by ascending earlier position.
+            let (&(latest, _), earlier) = back.split_last().expect("matching orders are connected");
+            level.latest = latest;
+            level.mask = earlier.iter().fold(0, |m, &(p, _)| m | 1 << p);
+            tested |= level.mask;
+        }
+        for (pos, level) in levels.iter_mut().enumerate() {
+            level.sets_mark = tested >> pos & 1 == 1;
         }
 
         ExplorationPlan {
@@ -160,9 +264,8 @@ impl ExplorationPlan {
             pos_of,
             labels,
             back_edges,
-            must_be_less_than,
-            must_be_greater_than,
             conditions,
+            levels,
         }
     }
 
@@ -209,30 +312,44 @@ impl ExplorationPlan {
     }
 
     /// Earlier positions whose match must exceed the candidate at `pos`.
-    #[inline(always)]
-    pub fn must_be_less_than(&self, pos: usize) -> &[u8] {
-        &self.must_be_less_than[pos]
+    pub fn must_be_less_than(&self, pos: usize) -> impl Iterator<Item = u8> {
+        positions(self.levels[pos].below).map(|p| p as u8)
     }
 
     /// Earlier positions whose match must be below the candidate at `pos`.
+    pub fn must_be_greater_than(&self, pos: usize) -> impl Iterator<Item = u8> {
+        positions(self.levels[pos].above).map(|p| p as u8)
+    }
+
+    /// The compiled candidate step at `pos`.
     #[inline(always)]
-    pub fn must_be_greater_than(&self, pos: usize) -> &[u8] {
-        &self.must_be_greater_than[pos]
+    pub fn level(&self, pos: usize) -> &PlanLevel {
+        &self.levels[pos]
+    }
+
+    /// The candidate step at `pos ≥ 1` over the matches of the earlier
+    /// positions: the neighbour slice of the latest back edge's match,
+    /// trimmed by `seek_above`/`seek_below` to the open interval between
+    /// the largest match the candidate must exceed and the smallest it must
+    /// stay below. Ascending, like every adjacency slice. A vertex of the
+    /// slice is a candidate iff it [`carries`](Marks::carries) the level's
+    /// `mask` and is not matched already.
+    #[inline]
+    pub fn candidate_slice<'g>(&self, g: &'g Graph, pos: usize, matched: &[u32]) -> &'g [u32] {
+        let level = &self.levels[pos];
+        let mut slice = g.neighbors(VertexId(matched[level.latest as usize]));
+        if let Some(lo) = positions(level.above).map(|p| matched[p]).max() {
+            slice = seek_above(slice, lo);
+        }
+        if let Some(hi) = positions(level.below).map(|p| matched[p]).min() {
+            slice = seek_below(slice, hi);
+        }
+        slice
     }
 
     /// The symmetry conditions the plan encodes.
     pub fn conditions(&self) -> &SymmetryConditions {
         &self.conditions
-    }
-
-    /// Reorders a complete match (indexed by position) into pattern-vertex
-    /// order: `out[v] = matched graph vertex of pattern vertex v`.
-    pub fn match_by_pattern_vertex(&self, by_pos: &[u32]) -> Vec<u32> {
-        let mut out = vec![0u32; by_pos.len()];
-        for (pos, &g) in by_pos.iter().enumerate() {
-            out[self.order[pos] as usize] = g;
-        }
-        out
     }
 }
 
@@ -283,31 +400,20 @@ mod tests {
         let plan = ExplorationPlan::new(&Pattern::clique(3));
         // Triangle: 3 total-order conditions distributed over positions.
         let total: usize = (0..3)
-            .map(|p| plan.must_be_less_than(p).len() + plan.must_be_greater_than(p).len())
+            .map(|p| plan.must_be_less_than(p).count() + plan.must_be_greater_than(p).count())
             .sum();
         assert_eq!(total, 3);
         // Position 0 can never carry a check (nothing earlier).
-        assert!(plan.must_be_less_than(0).is_empty());
-        assert!(plan.must_be_greater_than(0).is_empty());
-    }
-
-    #[test]
-    fn match_reordering_roundtrip() {
-        let p = Pattern::path(3);
-        let plan = ExplorationPlan::new(&p);
-        let by_pos = vec![10, 20, 30];
-        let by_vertex = plan.match_by_pattern_vertex(&by_pos);
-        for pos in 0..3 {
-            assert_eq!(by_vertex[plan.vertex_at(pos) as usize], by_pos[pos]);
-        }
+        assert!(plan.must_be_less_than(0).next().is_none());
+        assert!(plan.must_be_greater_than(0).next().is_none());
     }
 
     #[test]
     fn without_symmetry_has_no_checks() {
         let plan = ExplorationPlan::without_symmetry(&Pattern::clique(4));
         for pos in 0..4 {
-            assert!(plan.must_be_less_than(pos).is_empty());
-            assert!(plan.must_be_greater_than(pos).is_empty());
+            assert!(plan.must_be_less_than(pos).next().is_none());
+            assert!(plan.must_be_greater_than(pos).next().is_none());
         }
     }
 
@@ -335,10 +441,10 @@ mod tests {
         let stab = stabilizer(&automorphisms(&p), 0);
         let conds = SymmetryConditions::for_group(3, stab);
         let plan = ExplorationPlan::with_order(&p, vec![0, 1, 2], conds);
-        assert!(plan.must_be_less_than(0).is_empty());
-        assert!(plan.must_be_greater_than(0).is_empty());
+        assert!(plan.must_be_less_than(0).next().is_none());
+        assert!(plan.must_be_greater_than(0).next().is_none());
         let total: usize = (0..3)
-            .map(|pos| plan.must_be_less_than(pos).len() + plan.must_be_greater_than(pos).len())
+            .map(|pos| plan.must_be_less_than(pos).count() + plan.must_be_greater_than(pos).count())
             .sum();
         assert_eq!(total, 1);
     }

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 
 use fractal_graph::Graph;
 
-use crate::autom::{automorphism_count, automorphisms, orbit, stabilizer};
+use crate::autom::{automorphism_count, orbit_representatives, StabilizerChain};
 use crate::canon::canonical_code;
 use crate::decompose::{overlap_terms, split_at_root, MotifBasis, RootedPattern};
 use crate::symmetry::SymmetryConditions;
@@ -200,11 +200,9 @@ impl PlanBuilder {
     /// model (exhaustive for small patterns, greedy attachment otherwise).
     fn direct(&self, rooted: &RootedPattern) -> PlanKind {
         let p = &rooted.pattern;
-        let n = p.num_vertices();
-        let auts = automorphisms(p);
-        let stab = stabilizer(&auts, rooted.root as usize);
-        let stab_size = stab.len() as u64;
-        let conditions = SymmetryConditions::for_group(n, stab);
+        let chain = StabilizerChain::of(p, &[rooted.root]);
+        let stab_size = chain.order();
+        let conditions = SymmetryConditions::for_chain(&chain);
         let mut best: Option<(f64, ExplorationPlan)> = None;
         for order in root_first_orders(p, rooted.root) {
             let plan = ExplorationPlan::with_order(p, order, conditions.clone());
@@ -483,18 +481,16 @@ impl CountingPlan {
 /// orbit, each costed with a throwaway builder) and registers the rooted
 /// shape with `builder`.
 fn output_for(builder: &mut PlanBuilder, shape: &Pattern) -> PlanOutput {
-    let auts = automorphisms(shape);
-    let n = shape.num_vertices();
     let mut best: Option<(f64, u8)> = None;
-    for v in 0..n {
-        if orbit(&auts, v)[0] as usize != v {
+    for (v, rep) in orbit_representatives(shape).into_iter().enumerate() {
+        if rep as usize != v {
             continue; // one representative per orbit
         }
         let mut probe = PlanBuilder::new(builder.stats);
-        probe.node_for(RootedPattern::new(shape.clone(), v as u8));
+        probe.node_for(RootedPattern::new(shape.clone(), rep));
         let cost: f64 = probe.nodes.iter().map(|n| n.est_cost).sum();
         if best.is_none_or(|(c, _)| cost < c) {
-            best = Some((cost, v as u8));
+            best = Some((cost, rep));
         }
     }
     let (_, root) = best.expect("pattern has at least one vertex");

@@ -7,7 +7,7 @@
 //! vertices such that exactly one embedding per automorphism class
 //! satisfies them all.
 
-use crate::autom::{automorphisms, orbit, stabilizer};
+use crate::autom::{orbit, stabilizer, StabilizerChain};
 use crate::Pattern;
 
 /// A set of `match[a] < match[b]` conditions over pattern vertices.
@@ -20,17 +20,30 @@ pub struct SymmetryConditions {
 
 impl SymmetryConditions {
     /// Derives the conditions for `p` by iteratively fixing the smallest
-    /// vertex of a non-trivial orbit and descending into its stabilizer.
+    /// vertex of a non-trivial orbit and descending into its stabilizer,
+    /// read off the stabilizer chain without listing `Aut(p)`.
     pub fn for_pattern(p: &Pattern) -> Self {
-        Self::for_group(p.num_vertices(), automorphisms(p))
+        Self::for_chain(&StabilizerChain::of(p, &[]))
     }
 
-    /// Derives conditions for an arbitrary permutation group over `n`
+    /// The conditions of a stabilizer chain: each base point below every
+    /// other member of its orbit. Equal to [`for_group`](Self::for_group)
+    /// over the group the chain describes.
+    pub fn for_chain(chain: &StabilizerChain) -> Self {
+        let less_than = chain
+            .base
+            .iter()
+            .flat_map(|(v, orbit)| orbit[1..].iter().map(move |&u| (*v, u)))
+            .collect();
+        SymmetryConditions { less_than }
+    }
+
+    /// Derives conditions for an explicit permutation group over `n`
     /// vertices (the Grochow–Kellis loop is valid for any subgroup, not
     /// just the full automorphism group): exactly one member of each
-    /// group-orbit of injective assignments satisfies them. The planner
-    /// uses this with the *stabilizer* of a rooted pattern's root, whose
-    /// conditions then never constrain the root itself.
+    /// group-orbit of injective assignments satisfies them. The reference
+    /// the stabilizer chain is tested against; with the *stabilizer* of a
+    /// rooted pattern's root, the conditions never constrain the root.
     pub fn for_group(n: usize, group: Vec<Vec<u8>>) -> Self {
         let mut group = group;
         let mut less_than = Vec::new();
@@ -84,65 +97,46 @@ impl SymmetryConditions {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::autom::automorphisms;
 
     /// Brute-force check: over all injective assignments of `n` pattern
-    /// vertices onto `0..universe` graph ids that are automorphic images of
-    /// each other, exactly one satisfies the conditions.
-    fn assert_one_per_class(p: &Pattern) {
-        let conds = SymmetryConditions::for_pattern(p);
-        let auts = automorphisms(p);
-        let n = p.num_vertices();
-        let universe = n + 2;
-        // Enumerate all injective assignments m: pattern -> universe.
-        let mut assignment = vec![u32::MAX; n];
-        let mut used = vec![false; universe];
-        fn rec(
-            pos: usize,
-            n: usize,
-            universe: usize,
-            assignment: &mut Vec<u32>,
-            used: &mut Vec<bool>,
-            all: &mut Vec<Vec<u32>>,
-        ) {
-            if pos == n {
+    /// vertices onto `0..n + 2` graph ids, every orbit under `group`
+    /// (assignments that are images of each other) has exactly one member
+    /// satisfying `conds`.
+    fn assert_one_per_orbit(conds: &SymmetryConditions, n: usize, group: &[Vec<u8>]) {
+        fn rec(pos: usize, universe: usize, assignment: &mut Vec<u32>, all: &mut Vec<Vec<u32>>) {
+            if pos == assignment.len() {
                 all.push(assignment.clone());
                 return;
             }
-            for g in 0..universe {
-                if !used[g] {
-                    used[g] = true;
-                    assignment[pos] = g as u32;
-                    rec(pos + 1, n, universe, assignment, used, all);
-                    used[g] = false;
+            for g in 0..universe as u32 {
+                if !assignment[..pos].contains(&g) {
+                    assignment[pos] = g;
+                    rec(pos + 1, universe, assignment, all);
                 }
             }
         }
         let mut all = Vec::new();
-        rec(0, n, universe, &mut assignment, &mut used, &mut all);
-        // Group assignments into automorphism classes: m ~ m' iff there is
-        // an automorphism σ with m'[v] = m[σ(v)] for all v.
-        use std::collections::HashSet;
-        let mut seen: HashSet<Vec<u32>> = HashSet::new();
+        rec(0, n + 2, &mut vec![u32::MAX; n], &mut all);
+        // m ~ m' iff there is a σ in the group with m'[v] = m[σ(v)] for all v.
+        let mut seen = std::collections::HashSet::new();
         for m in &all {
             if seen.contains(m) {
                 continue;
             }
-            let mut class = Vec::new();
-            for a in &auts {
-                let img: Vec<u32> = (0..n).map(|v| m[a[v] as usize]).collect();
-                class.push(img);
-            }
-            class.sort();
-            class.dedup();
+            let class: std::collections::BTreeSet<Vec<u32>> = group
+                .iter()
+                .map(|a| (0..n).map(|v| m[a[v] as usize]).collect())
+                .collect();
             let satisfying = class.iter().filter(|mm| conds.check(mm)).count();
-            assert_eq!(
-                satisfying, 1,
-                "pattern {p}, class of {m:?}: {satisfying} satisfy"
-            );
-            for mm in class {
-                seen.insert(mm);
-            }
+            assert_eq!(satisfying, 1, "class of {m:?}: {satisfying} satisfy");
+            seen.extend(class);
         }
+    }
+
+    fn assert_one_per_class(p: &Pattern) {
+        let conds = SymmetryConditions::for_pattern(p);
+        assert_one_per_orbit(&conds, p.num_vertices(), &automorphisms(p));
     }
 
     #[test]
@@ -186,58 +180,6 @@ mod tests {
         assert_one_per_class(&q);
     }
 
-    /// Like [`assert_one_per_class`] but for an explicit subgroup: each
-    /// subgroup-orbit of injective assignments has exactly one
-    /// representative satisfying the derived conditions.
-    fn assert_one_per_subgroup_class(n: usize, group: &[Vec<u8>]) {
-        let conds = SymmetryConditions::for_group(n, group.to_vec());
-        let universe = n + 2;
-        let mut all: Vec<Vec<u32>> = Vec::new();
-        let mut assignment = vec![u32::MAX; n];
-        let mut used = vec![false; universe];
-        fn rec(
-            pos: usize,
-            n: usize,
-            universe: usize,
-            assignment: &mut Vec<u32>,
-            used: &mut Vec<bool>,
-            all: &mut Vec<Vec<u32>>,
-        ) {
-            if pos == n {
-                all.push(assignment.clone());
-                return;
-            }
-            for g in 0..universe {
-                if !used[g] {
-                    used[g] = true;
-                    assignment[pos] = g as u32;
-                    rec(pos + 1, n, universe, assignment, used, all);
-                    used[g] = false;
-                }
-            }
-        }
-        rec(0, n, universe, &mut assignment, &mut used, &mut all);
-        use std::collections::HashSet;
-        let mut seen: HashSet<Vec<u32>> = HashSet::new();
-        for m in &all {
-            if seen.contains(m) {
-                continue;
-            }
-            let mut class = Vec::new();
-            for a in group {
-                let img: Vec<u32> = (0..n).map(|v| m[a[v] as usize]).collect();
-                class.push(img);
-            }
-            class.sort();
-            class.dedup();
-            let satisfying = class.iter().filter(|mm| conds.check(mm)).count();
-            assert_eq!(satisfying, 1, "class of {m:?}: {satisfying} satisfy");
-            for mm in class {
-                seen.insert(mm);
-            }
-        }
-    }
-
     #[test]
     fn subgroup_conditions_fix_one_per_stabilizer_orbit() {
         use crate::autom::stabilizer;
@@ -256,7 +198,7 @@ mod tests {
                 assert_ne!(a as usize, root, "{p} root {root}");
                 assert_ne!(b as usize, root, "{p} root {root}");
             }
-            assert_one_per_subgroup_class(p.num_vertices(), &stab);
+            assert_one_per_orbit(&conds, p.num_vertices(), &stab);
         }
     }
 
