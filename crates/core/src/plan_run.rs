@@ -17,7 +17,7 @@ use crate::context::FractalGraph;
 use crate::engine::ExecutionReport;
 use fractal_graph::Graph;
 use fractal_pattern::canon::CanonicalCode;
-use fractal_pattern::{CountingPlan, PlanExecutor};
+use fractal_pattern::{exec, CountingPlan, PlanExecutor};
 use fractal_runtime::executor::{run_job_with, CoreCtx, CoreTask, ExternalHooks, JobSpec};
 use fractal_runtime::level::GlobalCoreId;
 use fractal_runtime::stats::{JobReport, PlannerStats};
@@ -81,9 +81,7 @@ impl CoreTask for PlanCoreTask<'_> {
         self.exec.eval_root(word as u32, &mut self.staged);
         // Commit: the unit completed, so its staged per-node values become
         // durable. A unit unwound mid-flight never reaches this point.
-        for (d, s) in self.durable.iter_mut().zip(&self.staged) {
-            *d += *s;
-        }
+        exec::add_totals(&mut self.durable, &self.staged);
         ctx.add_ec(self.exec.take_ec());
         let kc = self.exec.take_counters();
         if !kc.is_empty() {
@@ -108,10 +106,7 @@ impl CoreTask for PlanCoreTask<'_> {
 
     fn finish(&mut self, ctx: &mut CoreCtx<'_>) {
         ctx.track_state_bytes(self.state_bytes());
-        let mut totals = self.spec.totals.lock();
-        for (t, d) in totals.iter_mut().zip(&self.durable) {
-            *t += *d;
-        }
+        exec::add_totals(&mut self.spec.totals.lock(), &self.durable);
     }
 }
 

@@ -11,7 +11,8 @@
 
 use crate::canonical::{canonical_edge_extension, canonical_vertex_extension};
 use crate::subgraph::Subgraph;
-use fractal_graph::{EdgeId, ExtensionKernels, Graph, KernelCounters, VertexId};
+use fractal_graph::kernels::seek_above;
+use fractal_graph::{EdgeId, Graph, KernelCounters, VertexId};
 use fractal_pattern::canon::Level;
 use fractal_pattern::plan::Marks;
 use fractal_pattern::ExplorationPlan;
@@ -175,12 +176,13 @@ impl Clone for Box<dyn SubgraphEnumerator> {
 
 /// Vertex-induced extension (Fig. 1): add a neighbor vertex plus all its
 /// edges into the subgraph, filtered by the canonicality rule.
+///
+/// Its [`Marks`] hold bit `p` on `N(prefix[p])`. `compute_extensions` makes
+/// them follow the subgraph it is given, so `extend`, `retract` and
+/// `rebuild` touch no marks and a stolen or unwound unit leaves none stale.
 #[derive(Debug, Default, Clone)]
 pub struct VertexInducedEnumerator {
-    kernels: ExtensionKernels,
-    scratch: Vec<u32>,
-    masks: Vec<u32>,
-    sufmax: Vec<u32>,
+    marks: Marks,
 }
 
 impl VertexInducedEnumerator {
@@ -197,50 +199,32 @@ impl SubgraphEnumerator for VertexInducedEnumerator {
             out.extend(0..g.num_vertices() as u64);
             return g.num_vertices() as u64;
         }
-        // Multi-way merge-union of the prefix's sorted neighborhoods (the
-        // CSR slices are sorted, so no gather + sort + dedup). The union
-        // reports which prefix positions each candidate is adjacent to. The
-        // lowest is its anchor, which turns the canonicality rule into a
-        // single suffix-max comparison: a candidate `u` anchored at position
-        // `a` is canonical iff `u > prefix[0]` and `u > max(prefix[a+1..])`.
-        // No per-candidate adjacency probes, and the whole mask rides in the
-        // word: it is the candidate's induced edges.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let mut masks = std::mem::take(&mut self.masks);
-        {
-            let lists: Vec<&[u32]> = sg
-                .vertices()
-                .iter()
-                .map(|&v| g.neighbors(VertexId(v)))
-                .collect();
-            self.kernels
-                .union_sorted_masked_into(&lists, &mut scratch, &mut masks);
-        }
+        // A candidate's word is the set of prefix positions it is adjacent
+        // to: its lowest bit is its anchor `a`, the whole word its induced
+        // edges. It is canonical iff `u > max(prefix[0], prefix[a+1..])`, so
+        // member `a`'s sorted slice is entered past that bound and keeps the
+        // vertices it anchors: each candidate comes out once, from the first
+        // list holding it, and nothing is merged.
         let prefix = sg.vertices();
-        self.sufmax.clear();
-        self.sufmax.resize(prefix.len(), 0);
-        let mut running = 0u32;
-        for i in (0..prefix.len()).rev() {
-            running = running.max(prefix[i]);
-            self.sufmax[i] = running;
-        }
-        let first = prefix[0];
-        let mut tests = 0u64;
-        for (&u, &mask) in scratch.iter().zip(&masks) {
-            if sg.has_vertex(u) {
-                continue;
-            }
-            tests += 1;
-            let anchor = mask.trailing_zeros() as usize;
-            let canonical = u > first && self.sufmax.get(anchor + 1).is_none_or(|&m| m < u);
-            debug_assert_eq!(canonical, canonical_vertex_extension(g, prefix, u));
-            if canonical {
+        assert!(
+            prefix.len() < MAX_VERTEX_WORDS,
+            "a vertex-induced word's mask names at most 32 positions"
+        );
+        self.marks.follow(g, prefix, u32::MAX);
+        for (i, &v) in prefix.iter().enumerate() {
+            let bound = prefix[i + 1..].iter().fold(prefix[0], |m, &w| m.max(w));
+            for &u in seek_above(g.neighbors(VertexId(v)), bound) {
+                let mask = self.marks.word(u);
+                if mask.trailing_zeros() as usize != i || sg.has_vertex(u) {
+                    continue;
+                }
+                debug_assert!(canonical_vertex_extension(g, prefix, u));
                 out.push(vertex_word(u, mask));
             }
         }
-        self.scratch = scratch;
-        self.masks = masks;
-        tests
+        // The extension cost: the union's vertices that are not members.
+        let members = prefix.iter().filter(|&&v| self.marks.word(v) != 0).count();
+        (self.marks.covered() as usize - members) as u64
     }
 
     fn extend(&mut self, g: &Graph, sg: &mut Subgraph, word: u64) {
@@ -259,10 +243,6 @@ impl SubgraphEnumerator for VertexInducedEnumerator {
 
     fn max_words(&self) -> usize {
         MAX_VERTEX_WORDS
-    }
-
-    fn take_kernel_counters(&mut self) -> KernelCounters {
-        self.kernels.take_counters()
     }
 
     fn clone_boxed(&self) -> Box<dyn SubgraphEnumerator> {
@@ -389,9 +369,9 @@ impl SubgraphEnumerator for EdgeInducedEnumerator {
 ///
 /// Candidates come from the plan's candidate step, the one the counting
 /// executor takes ([`ExplorationPlan::candidate_slice`] plus a [`Marks`]
-/// test): `extend` marks a match's neighbourhood at positions whose level
-/// sets a mark and `retract` unmarks it, so no adjacency list is ever
-/// intersected.
+/// test). `compute_extensions` makes the marks follow the match it extends,
+/// at the positions whose level sets a mark, so no adjacency list is ever
+/// intersected and `extend`, `retract` and `rebuild` touch no marks.
 #[derive(Clone)]
 pub struct PatternEnumerator {
     plan: Arc<ExplorationPlan>,
@@ -401,6 +381,8 @@ pub struct PatternEnumerator {
     match_edge_labels: bool,
     edge_scratch: Vec<(u8, u32)>,
     marks: Marks,
+    /// Bits of the positions whose level sets a mark.
+    marking: u32,
 }
 
 impl PatternEnumerator {
@@ -410,12 +392,16 @@ impl PatternEnumerator {
         match_vertex_labels: bool,
         match_edge_labels: bool,
     ) -> Self {
+        let marking = (0..plan.len())
+            .filter(|&pos| plan.level(pos).sets_mark)
+            .fold(0, |m, pos| m | 1 << pos);
         PatternEnumerator {
             plan,
             match_vertex_labels,
             match_edge_labels,
             edge_scratch: Vec::new(),
             marks: Marks::default(),
+            marking,
         }
     }
 
@@ -458,6 +444,7 @@ impl SubgraphEnumerator for PatternEnumerator {
         // The candidates pass adjacency, both symmetry bounds and
         // membership; one test each, before any label is read.
         let matched = sg.vertices();
+        self.marks.follow(g, matched, self.marking);
         let mask = self.plan.level(pos).mask;
         let mut tests = 0u64;
         for &cand in self.plan.candidate_slice(g, pos, matched) {
@@ -488,25 +475,14 @@ impl SubgraphEnumerator for PatternEnumerator {
         let edges = std::mem::take(&mut self.edge_scratch);
         sg.push_matched(v, &edges);
         self.edge_scratch = edges;
-        if self.plan.level(pos).sets_mark {
-            self.marks.mark(g, v, 1 << pos);
-        }
     }
 
-    fn retract(&mut self, g: &Graph, sg: &mut Subgraph) {
-        if self.plan.level(sg.num_vertices() - 1).sets_mark {
-            self.marks.unmark_last(g);
-        }
+    fn retract(&mut self, _g: &Graph, sg: &mut Subgraph) {
         sg.pop_vertex_induced();
     }
 
     fn max_words(&self) -> usize {
         self.plan.len()
-    }
-
-    fn reset_state(&mut self, g: &Graph) {
-        // Whatever a finished or unwound unit left marked, and nothing else.
-        self.marks.clear(g);
     }
 
     fn clone_boxed(&self) -> Box<dyn SubgraphEnumerator> {

@@ -1,9 +1,10 @@
 //! Property tests: enumeration strategies vs brute-force oracles on random
 //! graphs.
 
-use fractal_enum::canonical::canonical_edge_extension;
+use fractal_enum::canonical::{canonical_edge_extension, canonical_vertex_extension};
 use fractal_enum::enumerator::{
-    EdgeInducedEnumerator, PatternEnumerator, SubgraphEnumerator, VertexInducedEnumerator,
+    vertex_word_parts, EdgeInducedEnumerator, PatternEnumerator, SubgraphEnumerator,
+    VertexInducedEnumerator,
 };
 use fractal_enum::{KClistEnumerator, Subgraph};
 use fractal_graph::{Graph, GraphBuilder, Label, VertexId};
@@ -448,6 +449,67 @@ proptest! {
             }
             let w = pool[rng.gen_range(0..pool.len())];
             en.extend(&g, &mut sg, w);
+        }
+    }
+
+    /// Over a random walk that extends, sometimes retracts and sometimes
+    /// rebuilds onto an unrelated prefix without retracting (as a thief or
+    /// an unwound unit leaves its core's enumerator), `compute_extensions`
+    /// returns exactly "the union of the members' neighbourhoods, minus the
+    /// members, filtered by `canonical_vertex_extension`", each word carries
+    /// its vertex's adjacency mask, and the count is the size of that union
+    /// minus the members.
+    #[test]
+    fn vertex_extensions_equal_filtered_neighbour_union(g in arb_graph(), seed in 0u64..1000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut en = VertexInducedEnumerator::new();
+        let mut sg = Subgraph::new(&g);
+        let mut got = Vec::new();
+        for _ in 0..12 {
+            let tests = en.compute_extensions(&g, &sg, &mut got);
+            let candidates: BTreeSet<u32> = if sg.num_vertices() == 0 {
+                (0..g.num_vertices() as u32).collect()
+            } else {
+                sg.vertices()
+                    .iter()
+                    .flat_map(|&v| g.neighbors(VertexId(v)).iter().copied())
+                    .filter(|&u| !sg.has_vertex(u))
+                    .collect()
+            };
+            let want: BTreeSet<u32> = candidates
+                .iter()
+                .copied()
+                .filter(|&u| canonical_vertex_extension(&g, sg.vertices(), u))
+                .collect();
+            let words: BTreeSet<u32> = got.iter().map(|&w| vertex_word_parts(w).0).collect();
+            prop_assert_eq!(words.len(), got.len(), "duplicate words after {:?}", sg.vertices());
+            prop_assert_eq!(&words, &want, "words after {:?}", sg.vertices());
+            prop_assert_eq!(tests, candidates.len() as u64, "tests after {:?}", sg.vertices());
+            if sg.num_vertices() > 0 {
+                for &w in &got {
+                    let (v, mask) = vertex_word_parts(w);
+                    prop_assert_eq!(mask, sg.adjacency_mask(&g, v), "mask of {}", v);
+                }
+            }
+            match rng.gen_range(0..6) {
+                0 if sg.num_vertices() > 0 => en.retract(&g, &mut sg),
+                1 => {
+                    let mut other = VertexInducedEnumerator::new();
+                    let mut osg = Subgraph::new(&g);
+                    let picks: [fn(usize) -> usize; 3] =
+                        [|_| 0, |len| len / 2, |len| len.saturating_sub(1)];
+                    let pick = picks[rng.gen_range(0..picks.len())];
+                    let words = descend(&g, &mut other, &mut osg, rng.gen_range(1usize..=4), pick);
+                    en.rebuild(&g, &mut sg, &words);
+                }
+                _ => {
+                    if got.is_empty() {
+                        break;
+                    }
+                    let w = got[rng.gen_range(0..got.len())];
+                    en.extend(&g, &mut sg, w);
+                }
+            }
         }
     }
 

@@ -24,11 +24,10 @@
 //! heuristic stays observable through the flight recorder and the CI perf
 //! gate.
 //!
-//! Matching orders (pattern-induced extension and counting plans) use no
-//! intersection here: their candidate step scans one neighbour slice,
-//! trimmed to its symmetry bounds by [`seek_above`] and [`seek_below`], and
-//! tests the other back edges against per-vertex marks
-//! (`fractal_pattern::plan`).
+//! Matching orders (pattern-induced extension and counting plans) and
+//! vertex-induced extension use no kernel here: they scan neighbour slices
+//! trimmed to their bounds by [`seek_above`] and [`seek_below`] and test
+//! each element against per-vertex marks (`fractal_pattern::plan::Marks`).
 //!
 //! Candidate sets themselves live in a per-core bump arena
 //! ([`ExtensionKernels`] level stack): DFS levels are strictly nested, so
@@ -211,7 +210,7 @@ pub fn retain_mapped(
 ///
 /// `mask` names those members by position in `members` (bit `p` set: the
 /// vertex is adjacent to `members[p]`); whoever found the vertex already
-/// knows it (the anchored union sees every member list a candidate sits in),
+/// knows it (the enumerator's marks hold every member list it sits in),
 /// so nothing is searched for here that could be absent: each named member
 /// is binary-probed into the adjacency for its edge id. Emits
 /// `(edge id, position in members of the edge's other endpoint)` in
@@ -265,8 +264,6 @@ pub struct ExtensionKernels {
     arena: Vec<u32>,
     /// Start offset of each live level inside `arena`.
     marks: Vec<usize>,
-    /// Per-list cursor scratch for the anchored k-way union.
-    cursors: Vec<usize>,
 }
 
 impl ExtensionKernels {
@@ -522,71 +519,6 @@ impl ExtensionKernels {
             self.bits[(v as usize) >> 6] &= !(1 << (v & 63));
         }
         self.counters.elements_scanned += (2 * s.len() + l.len()) as u64;
-    }
-
-    // ---- multi-way sorted union ----
-
-    /// Sorted, deduplicated k-way union that also reports, for every output
-    /// element, **which lists contain it** (`masks`, same length as `out`:
-    /// bit `i` set iff `lists[i]` holds the element). For vertex-induced
-    /// growth the lists are the prefix's neighbourhoods, so a candidate's
-    /// mask is the set of prefix positions it is adjacent to: its lowest bit
-    /// is the anchor of the growth-sequence canonicality rule (no
-    /// per-candidate adjacency probe in the extension filter), and the whole
-    /// mask is the candidate's induced edges (none looked up again when the
-    /// candidate is pushed or named).
-    ///
-    /// Uses a direct k-way head scan (not the pairwise fold, which reorders
-    /// lists and loses source indices); `k` is the prefix length, which is
-    /// small, so the `O(out · k)` head comparisons stay cheap. The loop that
-    /// advances the cursors past the minimum visits exactly the lists that
-    /// hold it, so the mask costs one `or` per membership.
-    pub fn union_sorted_masked_into(
-        &mut self,
-        lists: &[&[u32]],
-        out: &mut Vec<u32>,
-        masks: &mut Vec<u32>,
-    ) {
-        out.clear();
-        masks.clear();
-        let k = lists.len();
-        assert!(
-            k <= u32::BITS as usize,
-            "a membership mask names at most 32 lists, got {k}"
-        );
-        if k == 0 {
-            return;
-        }
-        self.counters.merge_calls += 1;
-        let cursors = &mut self.cursors;
-        cursors.clear();
-        cursors.resize(k, 0);
-        loop {
-            let mut min = 0u32;
-            let mut found = false;
-            for i in 0..k {
-                if cursors[i] < lists[i].len() {
-                    let v = lists[i][cursors[i]];
-                    if !found || v < min {
-                        min = v;
-                        found = true;
-                    }
-                }
-            }
-            if !found {
-                break;
-            }
-            let mut mask = 0u32;
-            for i in 0..k {
-                if cursors[i] < lists[i].len() && lists[i][cursors[i]] == min {
-                    cursors[i] += 1;
-                    mask |= 1 << i;
-                }
-            }
-            out.push(min);
-            masks.push(mask);
-        }
-        self.counters.elements_scanned += lists.iter().map(|l| l.len() as u64).sum::<u64>();
     }
 }
 

@@ -95,33 +95,6 @@ proptest! {
     }
 
     #[test]
-    fn masked_union_equals_union_plus_every_membership(
-        lists in proptest::collection::vec(arb_sorted_set(256, 60), 0..6),
-    ) {
-        let mut k = ExtensionKernels::new();
-        let refs: Vec<&[u32]> = lists.iter().map(|l| l.as_slice()).collect();
-        let (mut out, mut masks) = (Vec::new(), Vec::new());
-        k.union_sorted_masked_into(&refs, &mut out, &mut masks);
-        let mut plain: Vec<u32> = lists.iter().flatten().copied().collect();
-        plain.sort_unstable();
-        plain.dedup();
-        prop_assert_eq!(&out, &plain);
-        prop_assert_eq!(masks.len(), out.len());
-        for (&u, &mask) in out.iter().zip(&masks) {
-            // The mask is exactly the set of lists holding the element...
-            let want = lists
-                .iter()
-                .enumerate()
-                .filter(|(_, l)| l.binary_search(&u).is_ok())
-                .fold(0u32, |m, (i, _)| m | 1 << i);
-            prop_assert_eq!(mask, want, "element {}", u);
-            // ...so its lowest bit is the anchor: the first list holding it.
-            let anchor = lists.iter().position(|l| l.binary_search(&u).is_ok());
-            prop_assert_eq!(Some(mask.trailing_zeros() as usize), anchor);
-        }
-    }
-
-    #[test]
     fn induced_edges_are_the_masked_members_in_adjacency_order(
         nbrs in arb_sorted_set(256, 60),
         others in arb_sorted_set(256, 12),

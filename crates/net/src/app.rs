@@ -320,7 +320,9 @@ impl Accumulator {
                     return Err(BlobError::Malformed("plan totals length mismatch"));
                 } else {
                     for (t, v) in self.totals.iter_mut().zip(totals) {
-                        *t += v;
+                        *t = t
+                            .checked_add(v)
+                            .ok_or(BlobError::Malformed("plan totals overflow"))?;
                     }
                 }
             }

@@ -84,23 +84,18 @@ impl<'a> PlanExecutor<'a> {
         for (i, slot) in acc.iter_mut().enumerate() {
             let val = match &nodes[i].kind {
                 PlanKind::Direct { plan, stab_size } => {
-                    self.rooted_count(plan, v) as i128 * *stab_size as i128
+                    (self.rooted_count(plan, v) as i128).checked_mul(*stab_size as i128)
                 }
                 PlanKind::Product {
                     left,
                     right,
                     corrections,
-                } => {
-                    let mut val = self.vals[*left] * self.vals[*right];
-                    for &(m, node) in corrections {
-                        val -= m as i128 * self.vals[node];
-                    }
-                    debug_assert!(val >= 0, "per-root embedding count is non-negative");
-                    val
-                }
-            };
+                } => product_value(*left, *right, corrections, &self.vals),
+            }
+            .unwrap_or_else(|| overflow(i));
+            debug_assert!(val >= 0, "per-root embedding count is non-negative");
             self.vals[i] = val;
-            *slot += val;
+            *slot = slot.checked_add(val).unwrap_or_else(|| overflow(i));
         }
         if self.root_marks {
             self.marks.unmark_last(self.g);
@@ -192,6 +187,37 @@ impl<'a> PlanExecutor<'a> {
     }
 }
 
+/// Stops a count that left `i128`, naming the plan node it was computing:
+/// release builds would otherwise wrap it and finalize a wrong count.
+fn overflow(node: usize) -> ! {
+    panic!("plan node {node}: count overflows i128")
+}
+
+/// A product node's per-root value from the values `vals` of the nodes
+/// before it: `vals[left] · vals[right] − Σ m · vals[c]` over its `(m, c)`
+/// inclusion–exclusion corrections. `None` when a step leaves `i128`.
+pub fn product_value(
+    left: usize,
+    right: usize,
+    corrections: &[(u64, usize)],
+    vals: &[i128],
+) -> Option<i128> {
+    let mut val = vals[left].checked_mul(vals[right])?;
+    for &(m, c) in corrections {
+        val = val.checked_sub((m as i128).checked_mul(vals[c])?)?;
+    }
+    Some(val)
+}
+
+/// Adds per-node totals `from` into `into` (the same plan's nodes), every
+/// sum checked.
+pub fn add_totals(into: &mut [i128], from: &[i128]) {
+    debug_assert_eq!(into.len(), from.len());
+    for (node, (t, &v)) in into.iter_mut().zip(from).enumerate() {
+        *t = t.checked_add(v).unwrap_or_else(|| overflow(node));
+    }
+}
+
 /// Evaluates `plan` over every vertex of `g` single-threaded, returning the
 /// per-node totals plus the drained kernel counters and extension count.
 /// The engine's parallel path (`fractal-core::plan_run`) partitions the
@@ -249,6 +275,28 @@ mod tests {
     fn path_graph(n: u32) -> Graph {
         let edges: Vec<(u32, u32, u32)> = (1..n).map(|v| (v - 1, v, 0)).collect();
         graph_from_edges(&vec![0; n as usize], &edges)
+    }
+
+    #[test]
+    fn product_values_are_exact_past_i64_and_none_past_i128() {
+        // 2^40 · 2^40 − 3 · 2^50 is past i64.
+        let vals = [1i128 << 40, 1 << 40, 1 << 50];
+        let want = (1 << 80) - 3 * (1 << 50);
+        assert_eq!(product_value(0, 1, &[(3, 2)], &vals), Some(want));
+        // Past i128: the product, a correction term, and the difference of
+        // two terms that fit.
+        assert_eq!(product_value(0, 1, &[], &[1 << 64, 1 << 64]), None);
+        assert_eq!(product_value(0, 0, &[(u64::MAX, 1)], &[1, 1 << 70]), None);
+        assert_eq!(product_value(0, 1, &[(1, 2)], &[-1, i128::MAX, 2]), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "plan node 1: count overflows i128")]
+    fn a_total_past_i128_names_its_node() {
+        let mut totals = [i64::MAX as i128, i128::MAX - 1];
+        add_totals(&mut totals, &[1, 1]);
+        assert_eq!(totals, [i64::MAX as i128 + 1, i128::MAX]);
+        add_totals(&mut totals, &[0, 1]);
     }
 
     #[test]

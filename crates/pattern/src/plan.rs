@@ -51,14 +51,18 @@ fn positions(mut bits: u32) -> impl Iterator<Item = usize> {
 /// set while the vertex is adjacent to the match at position `p`. The marks
 /// remember which neighbourhoods they hold, so [`clear`](Self::clear)
 /// unsets exactly what is still set, also after a walk unwound mid-depth,
-/// in `O(Σ deg)` of what was marked, never `O(|V|)`.
+/// in `O(Σ deg)` of what was marked, never `O(|V|)`. They also count the
+/// vertices whose word is nonzero: the size of the union of the held
+/// neighbourhoods.
 #[derive(Debug, Default, Clone)]
 pub struct Marks {
     /// One word per graph vertex, grown on the first mark.
     words: Vec<u32>,
-    /// `(vertex, bit)` of every neighbourhood marked and not yet unmarked,
-    /// in marking order.
-    marked: Vec<(u32, u32)>,
+    /// `(vertex, bit, covered before it)` of every neighbourhood marked and
+    /// not yet unmarked, in marking order.
+    marked: Vec<(u32, u32, u32)>,
+    /// Vertices with a nonzero word.
+    covered: u32,
 }
 
 impl Marks {
@@ -68,26 +72,55 @@ impl Marks {
         if self.words.len() < g.num_vertices() {
             self.words.resize(g.num_vertices(), 0);
         }
-        self.marked.push((v, bit));
+        self.marked.push((v, bit, self.covered));
+        let mut fresh = 0;
         for &u in g.neighbors(VertexId(v)) {
-            self.words[u as usize] |= bit;
+            let word = &mut self.words[u as usize];
+            fresh += (*word == 0) as u32;
+            *word |= bit;
         }
+        self.covered += fresh;
     }
 
     /// Clears the most recently marked neighbourhood.
     #[inline]
     pub fn unmark_last(&mut self, g: &Graph) {
-        let (v, bit) = self.marked.pop().expect("unmark without a mark");
+        let (v, bit, covered) = self.marked.pop().expect("unmark without a mark");
         for &u in g.neighbors(VertexId(v)) {
             self.words[u as usize] &= !bit;
         }
+        self.covered = covered;
     }
 
     /// Clears every neighbourhood still marked.
     pub fn clear(&mut self, g: &Graph) {
-        while !self.marked.is_empty() {
+        self.follow(g, &[], 0);
+    }
+
+    /// Holds `N(prefix[p])` at bit `p` for each position `p` of the prefix
+    /// in `marking`, and nothing else: what is held for the longest common
+    /// prefix stays, the rest is unmarked, the missing positions are marked.
+    /// A walker that calls this on entry to each level follows any prefix,
+    /// also one a thief rebuilt or an unwound unit left, with no marking in
+    /// its push and pop.
+    pub fn follow(&mut self, g: &Graph, prefix: &[u32], marking: u32) {
+        let at = || positions(marking).take_while(|&p| p < prefix.len());
+        let held = at()
+            .zip(&self.marked)
+            .take_while(|&(p, &(v, bit, _))| v == prefix[p] && bit == 1 << p)
+            .count();
+        while self.marked.len() > held {
             self.unmark_last(g);
         }
+        for p in at().skip(held) {
+            self.mark(g, prefix[p], 1 << p);
+        }
+    }
+
+    /// The position bits `u` carries.
+    #[inline(always)]
+    pub fn word(&self, u: u32) -> u32 {
+        self.words[u as usize]
     }
 
     /// Whether `u` carries every bit of `mask` (always, for mask 0).
@@ -96,15 +129,21 @@ impl Marks {
         mask == 0 || self.words[u as usize] & mask == mask
     }
 
+    /// How many vertices carry some bit: the size of the held union.
+    #[inline]
+    pub fn covered(&self) -> u32 {
+        self.covered
+    }
+
     /// Whether nothing is marked: no neighbourhood held and every word zero.
     pub fn is_clear(&self) -> bool {
-        self.marked.is_empty() && self.words.iter().all(|&w| w == 0)
+        self.marked.is_empty() && self.covered == 0 && self.words.iter().all(|&w| w == 0)
     }
 
     /// Bytes kept resident: the words and the record of what is marked.
     pub fn resident_bytes(&self) -> usize {
         self.words.capacity() * std::mem::size_of::<u32>()
-            + self.marked.capacity() * std::mem::size_of::<(u32, u32)>()
+            + self.marked.capacity() * std::mem::size_of::<(u32, u32, u32)>()
     }
 }
 
