@@ -1,18 +1,18 @@
 //! Chaos acceptance tests (fault tolerance, DESIGN.md §9): every
 //! application result must be **bit-identical** to its fault-free run
-//! under every injected fault scenario — worker kill with supervised
+//! under every injected fault kind — worker kill with supervised
 //! recovery, unit panics with retry, dropped steal requests, and corrupted
-//! stolen units. The job must also terminate (the test finishing is the
-//! assertion).
-//!
-//! The deliberately-sabotaged-recovery scenario — proving these tests
-//! *would* catch a broken recovery path — lives in the runtime's own unit
-//! tests and in the chaos smoke binary's self-test leg.
+//! stolen units — on every seed of [`SEEDS`], and every kind must actually
+//! fire. The job must also terminate (the test finishing is the
+//! assertion). A sabotaged-recovery run proves the matrix would catch a
+//! broken recovery path.
 
 use fractal_apps::{cliques, fsm, motifs, query};
 use fractal_core::{FractalContext, FractalGraph};
 use fractal_graph::{gen, Graph};
-use fractal_runtime::{ClusterConfig, FaultConfig};
+use fractal_runtime::{ClusterConfig, FaultConfig, FaultStats, JobReport};
+use std::collections::BTreeMap;
+use std::fmt::Debug;
 
 fn fg_of(g: &Graph, cfg: ClusterConfig) -> FractalGraph {
     FractalContext::new(cfg).fractal_graph(g.clone())
@@ -41,40 +41,66 @@ fn fault_plans(seed: u64) -> Vec<(&'static str, FaultConfig)> {
     ]
 }
 
-const SEEDS: [u64; 2] = [1, 42];
+const SEEDS: std::ops::RangeInclusive<u64> = 1..=6;
+
+fn faults(reports: &[JobReport]) -> FaultStats {
+    let mut sum = FaultStats::default();
+    for r in reports {
+        sum.absorb(&r.faults);
+    }
+    sum
+}
+
+/// Runs `run` fault-free, then under every fault kind on every seed:
+/// each result must equal the fault-free one with no unit lost, and each
+/// kind must inject at least one fault across the seeds.
+fn assert_exact_under_all_faults<T: PartialEq + Debug>(
+    what: &str,
+    g: &Graph,
+    run: impl Fn(&FractalGraph) -> (T, Vec<JobReport>),
+) {
+    let (want, reports) = run(&fg_of(g, base_cfg()));
+    assert_eq!(
+        faults(&reports),
+        FaultStats::default(),
+        "{what}: fault-free run"
+    );
+    let mut fired: BTreeMap<&str, u64> = BTreeMap::new();
+    for seed in SEEDS {
+        for (kind, plan) in fault_plans(seed) {
+            let (got, reports) = run(&fg_of(g, base_cfg().with_faults(plan)));
+            assert_eq!(got, want, "{what} diverged under {kind} seed {seed}");
+            let f = faults(&reports);
+            assert_eq!(
+                f.units_lost, 0,
+                "{what} lost units under {kind} seed {seed}"
+            );
+            *fired.entry(kind).or_default() += f.faults_injected;
+        }
+    }
+    for (kind, n) in fired {
+        assert!(n > 0, "{what}: {kind} never fired on seeds {SEEDS:?}");
+    }
+}
 
 #[test]
 fn motifs_k3_bit_identical_under_all_faults() {
     let g = gen::mico_like(150, 4, 7);
-    let want = motifs::motifs(&fg_of(&g, base_cfg()), 3);
-    assert!(!want.is_empty());
-    for seed in SEEDS {
-        for (name, plan) in fault_plans(seed) {
-            let fg = fg_of(&g, base_cfg().with_faults(plan));
-            assert_eq!(
-                motifs::motifs(&fg, 3),
-                want,
-                "motifs k=3 diverged under {name} seed {seed}"
-            );
-        }
-    }
+    assert_exact_under_all_faults("motifs k=3", &g, |fg| {
+        let (hist, report) = motifs::motifs_with_report(fg, 3, false);
+        assert!(!hist.is_empty());
+        (hist, report.steps)
+    });
 }
 
 #[test]
 fn cliques_k4_bit_identical_under_all_faults() {
     let g = gen::mico_like(170, 4, 11);
-    let want = cliques::count_kclist(&fg_of(&g, base_cfg()), 4);
-    assert!(want > 0);
-    for seed in SEEDS {
-        for (name, plan) in fault_plans(seed) {
-            let fg = fg_of(&g, base_cfg().with_faults(plan));
-            assert_eq!(
-                cliques::count_kclist(&fg, 4),
-                want,
-                "4-cliques diverged under {name} seed {seed}"
-            );
-        }
-    }
+    assert_exact_under_all_faults("KClist k=4", &g, |fg| {
+        let (count, report) = cliques::count_kclist_with_report(fg, 4);
+        assert!(count > 0);
+        (count, report.steps)
+    });
 }
 
 #[test]
@@ -84,18 +110,11 @@ fn query_bit_identical_under_all_faults() {
     // (or a rebuilt stolen prefix) must start from none.
     let g = gen::mico_like(150, 4, 7);
     for q in [query::diamond(), query::house()] {
-        let want = query::count_matches(&fg_of(&g, base_cfg()), &q);
-        assert!(want > 0);
-        for seed in SEEDS {
-            for (name, plan) in fault_plans(seed) {
-                let fg = fg_of(&g, base_cfg().with_faults(plan));
-                assert_eq!(
-                    query::count_matches(&fg, &q),
-                    want,
-                    "{q} diverged under {name} seed {seed}"
-                );
-            }
-        }
+        assert_exact_under_all_faults(&q.to_string(), &g, |fg| {
+            let (count, report) = query::count_matches_with_report(fg, &q);
+            assert!(count > 0);
+            (count, report.steps)
+        });
     }
 }
 
@@ -104,16 +123,46 @@ fn fsm_bit_identical_under_all_faults() {
     // FSM is the hardest case: multiple fractal steps, live aggregations
     // published between steps, and aggregation-filtered re-execution — the
     // per-unit staged-commit path must be exact for supports to match.
+    // Three edges, because the deepest level is named, not registered:
+    // with two, no unit registers a level at depth 1 and unit panics
+    // never fire.
     let g = gen::patents_like(100, 4, 23);
-    let want = fsm::frequent_map(&fsm::fsm(&fg_of(&g, base_cfg()), 12, 2));
-    assert!(!want.is_empty());
+    assert_exact_under_all_faults("FSM", &g, |fg| {
+        let result = fsm::fsm(fg, 12, 3);
+        let frequent = fsm::frequent_map(&result);
+        assert!(!frequent.is_empty());
+        (
+            frequent,
+            result.reports.into_iter().flat_map(|r| r.steps).collect(),
+        )
+    });
+}
+
+#[test]
+fn sabotaged_recovery_is_detected() {
+    // Killed units are accounted but never re-executed: the matrix must
+    // see units lost on every seed and a diverged census on at least one
+    // (a lost unit may hold no subgraph, so divergence is only guaranteed
+    // across the seeds).
+    let g = gen::mico_like(150, 4, 7);
+    let want = motifs::motifs(&fg_of(&g, base_cfg()), 3);
+    let mut diverged = false;
     for seed in SEEDS {
-        for (name, plan) in fault_plans(seed) {
-            let fg = fg_of(&g, base_cfg().with_faults(plan));
-            let got = fsm::frequent_map(&fsm::fsm(&fg, 12, 2));
-            assert_eq!(got, want, "FSM diverged under {name} seed {seed}");
-        }
+        let plan = FaultConfig::worker_kill(seed, 1)
+            .with_kill_after_units(2)
+            .with_sabotaged_recovery();
+        let fg = fg_of(&g, base_cfg().with_faults(plan));
+        let (got, report) = motifs::motifs_with_report(&fg, 3, false);
+        assert!(
+            faults(&report.steps).units_lost > 0,
+            "seed {seed}: sabotaged recovery lost no units, so the kill exercised nothing"
+        );
+        diverged |= got != want;
     }
+    assert!(
+        diverged,
+        "sabotaged recovery stayed exact on every seed: the matrix cannot detect it"
+    );
 }
 
 #[test]

@@ -57,7 +57,7 @@
 //! A [`Failure`] prints a schedule string such as `"1.0.r0.2"`. Feed it
 //! back to reproduce the exact interleaving:
 //!
-//! ```ignore
+//! ```text
 //! let failure = Builder::new().check(model_fn).unwrap_err();
 //! let again = Builder::new().replay(&failure.schedule, model_fn).unwrap_err();
 //! assert_eq!(format!("{:?}", again.kind), format!("{:?}", failure.kind));

@@ -636,6 +636,7 @@ mod tests {
     }
 
     #[test]
+    #[ignore = "exhaustive, minutes in debug: run with -- --ignored"]
     fn passing_models_also_pass_unbounded() {
         queue_claim_exclusive(None).expect("claim protocol (unbounded)");
         message_passing_release_acquire(None).expect("release/acquire (unbounded)");

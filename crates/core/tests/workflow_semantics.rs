@@ -134,3 +134,47 @@ fn derived_branches_do_not_collide() {
     assert!(na[&0] < nb[&0]);
     assert_eq!(nb[&0], 4);
 }
+
+/// Runs `count()` of a workflow whose filter panics on one 3-vertex
+/// subgraph, on a thread, and returns its panic message. Fails instead of
+/// hanging when the job does not end within a second.
+fn count_with_panicking_filter(cfg: ClusterConfig) -> String {
+    let g = fractal_graph::gen::mico_like(400, 4, 7);
+    let mut target: Vec<u32> = g.neighbors(fractal_graph::VertexId(0))[..2].to_vec();
+    target.push(0);
+    target.sort_unstable();
+    let fractoid = FractalContext::new(cfg)
+        .fractal_graph(g)
+        .vfractoid()
+        .expand(3)
+        .filter(move |s| {
+            let mut vs = s.vertices().to_vec();
+            vs.sort_unstable();
+            assert_ne!(vs, target, "filter rejects subgraph {target:?}");
+            true
+        });
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fractoid.count()));
+        let _ = tx.send(outcome);
+    });
+    let outcome = rx
+        .recv_timeout(std::time::Duration::from_secs(1))
+        .expect("the job did not end within 1 s");
+    let payload = outcome.expect_err("count() returned despite the panicking filter");
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_else(|| format!("non-string panic payload: {payload:?}"))
+}
+
+#[test]
+fn a_unit_out_of_retries_fails_its_job_with_the_unit_panic() {
+    for cfg in [ClusterConfig::local(1, 2), ClusterConfig::local(2, 2)] {
+        let msg = count_with_panicking_filter(cfg.clone());
+        assert!(
+            msg.contains("filter rejects subgraph"),
+            "{cfg:?}: wrong panic: {msg}"
+        );
+    }
+}

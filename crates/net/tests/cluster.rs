@@ -5,15 +5,16 @@
 
 use fractal_apps::{cliques, fsm, motifs};
 use fractal_core::{Aggregator, FractalContext};
-use fractal_graph::gen;
+use fractal_graph::{gen, Graph};
 use fractal_net::frame::{read_frame, write_frame, Frame, Role, MISS_WORD, SHUTDOWN_ROUND};
 use fractal_net::{run_cluster, serve, AppSpec, DriverConfig, ServeOutcome};
 use fractal_pattern::CanonicalCode;
-use fractal_runtime::ClusterConfig;
+use fractal_runtime::{ClusterConfig, JobReport};
 use std::collections::HashMap;
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc::channel;
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
@@ -231,14 +232,35 @@ fn within_secs<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'sta
         .expect("operation timed out")
 }
 
+/// The 3-motif census of each root word.
+type Census = Arc<HashMap<u64, HashMap<CanonicalCode, u64>>>;
+
+/// `graph`'s [`Census`], computed before the driver starts, so a scripted
+/// worker answers its `Assign` by summing tables instead of enumerating
+/// against the driver's staleness clock.
+fn census_by_root(graph: &Graph) -> Census {
+    let fg = FractalContext::new(ClusterConfig::local(1, 1)).fractal_graph(graph.clone());
+    let fractoid = motifs::motifs_fractoid(&fg, 3, false);
+    let census = fractoid.step_roots().into_iter().map(|root| {
+        let mut outcome = fractoid.execute_step_distributed(vec![root], false, None);
+        let map = Aggregator::<CanonicalCode, u64>::take_map(outcome.shards.remove(0));
+        (root, map)
+    });
+    Arc::new(census.collect())
+}
+
 /// A hand-scripted worker for the shutdown-race regression below: it
-/// computes its assigned motifs roots correctly, reports every completion
-/// in ONE heartbeat, and after the round's `Done` sends its final
-/// `AggFlush` and then goes *silent* (no further heartbeats) until the
-/// shutdown broadcast. The only liveness evidence the driver gets after
-/// `Done` is the flush itself. `tap_drained` is stamped into the flushed
-/// report so a test can tell the two workers' reports apart.
-fn scripted_quiet_flush_worker(listener: TcpListener, tap_drained: u64) -> thread::JoinHandle<()> {
+/// sums its assigned roots' motif census from `census`, reports every
+/// completion in ONE heartbeat, and after the round's `Done` sends its
+/// final `AggFlush` and then goes *silent* (no further heartbeats) until
+/// the shutdown broadcast. The only liveness evidence the driver gets
+/// after `Done` is the flush itself. `tap_drained` is stamped into the
+/// flushed report so a test can tell the two workers' reports apart.
+fn scripted_quiet_flush_worker(
+    listener: TcpListener,
+    census: Census,
+    tap_drained: u64,
+) -> thread::JoinHandle<()> {
     thread::spawn(move || {
         let (mut stream, _) = listener.accept().expect("accept");
         match read_frame(&mut stream).expect("driver hello") {
@@ -260,21 +282,18 @@ fn scripted_quiet_flush_worker(listener: TcpListener, tap_drained: u64) -> threa
         )
         .expect("hello reply");
 
-        let (job, roots) = match read_frame(&mut stream).expect("assign") {
-            (_, Frame::Assign { job, roots, .. }) => (job.expect("job blob"), roots),
+        let roots = match read_frame(&mut stream).expect("assign") {
+            (_, Frame::Assign { roots, .. }) => roots,
             other => panic!("expected Assign, got {other:?}"),
         };
-        let (app, graph) = fractal_net::blob::decode_job(&job).expect("job");
-        let fg = FractalContext::new(ClusterConfig::local(1, 1)).fractal_graph(graph);
-        let fractoid = match app {
-            AppSpec::Motifs { k, use_labels, .. } => {
-                motifs::motifs_fractoid(&fg, k as usize, use_labels)
+        let mut map: HashMap<CanonicalCode, u64> = HashMap::new();
+        for root in &roots {
+            for (code, n) in &census[root] {
+                *map.entry(code.clone()).or_default() += n;
             }
-            other => panic!("scripted worker only runs motifs, got {other:?}"),
-        };
-        let mut outcome = fractoid.execute_step_distributed(roots.clone(), false, None);
-        outcome.report.faults.tap_drained = tap_drained;
-        let map = Aggregator::<CanonicalCode, u64>::take_map(outcome.shards.remove(0));
+        }
+        let mut report = JobReport::default();
+        report.faults.tap_drained = tap_drained;
 
         write_frame(
             &mut stream,
@@ -303,9 +322,9 @@ fn scripted_quiet_flush_worker(listener: TcpListener, tap_drained: u64) -> threa
             2,
             &Frame::AggFlush {
                 round: 0,
-                count: outcome.count,
+                count: 0,
                 agg: fractal_net::blob::encode_motifs_map(&map),
-                report: fractal_net::blob::encode_report(&outcome.report),
+                report: fractal_net::blob::encode_report(&report),
             },
         )
         .expect("flush");
@@ -340,13 +359,14 @@ fn post_done_flush_survives_slow_driver_iteration() {
         let fg = FractalContext::new(ClusterConfig::local(1, 2)).fractal_graph(graph.clone());
         motifs::motifs(&fg, 3)
     };
+    let census = census_by_root(&graph);
 
     let mut handles = Vec::new();
     let mut streams = Vec::new();
     for _ in 0..2 {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
-        handles.push(scripted_quiet_flush_worker(listener, 0));
+        handles.push(scripted_quiet_flush_worker(listener, census.clone(), 0));
         streams.push(TcpStream::connect(addr).expect("connect"));
     }
 
@@ -385,12 +405,18 @@ fn post_done_flush_survives_slow_driver_iteration() {
 /// sum; the merge is now derived from `FaultStats::FIELDS`.
 #[test]
 fn federated_report_sums_tap_drained() {
+    let graph = gen::mico_like(60, 4, 13);
+    let census = census_by_root(&graph);
     let mut handles = Vec::new();
     let mut streams = Vec::new();
     for tap_drained in [3, 4] {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
-        handles.push(scripted_quiet_flush_worker(listener, tap_drained));
+        handles.push(scripted_quiet_flush_worker(
+            listener,
+            census.clone(),
+            tap_drained,
+        ));
         streams.push(TcpStream::connect(addr).expect("connect"));
     }
     let config = DriverConfig::new(
@@ -399,7 +425,7 @@ fn federated_report_sums_tap_drained() {
             use_labels: false,
             decomposed: false,
         },
-        gen::mico_like(60, 4, 13),
+        graph,
     );
     let result = within_secs(30, move || {
         run_cluster(streams, vec!["ta".into(), "tb".into()], config).expect("cluster run")

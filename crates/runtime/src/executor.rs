@@ -28,7 +28,9 @@
 //! exponential backoff ([`dispatch_unit`]): a panicking unit's registered
 //! levels are retired (collecting the words thieves already took as
 //! [`ReplayExclusions`]) and the unit re-executes from scratch, skipping
-//! exactly those words. Fail-stopped ("killed") cores stop cooperating;
+//! exactly those words. A unit that exhausts its retries fails the job:
+//! every core stops and [`run_job_with`] re-raises the unit's panic on
+//! the caller's thread. Fail-stopped ("killed") cores stop cooperating;
 //! the watchdog thread detects them — heartbeat staleness raises a trip,
 //! the core's own fail-stop flag confirms — and *reconciles*: unclaimed
 //! words of the dead core's pre-counted root partition and its in-flight
@@ -48,10 +50,11 @@ use crate::steal::{
     decode_unit, steal_from_registry, steal_server, ServerStats, StealRequest, StolenUnit,
 };
 use crate::sync::channel::{bounded, unbounded, RecvTimeoutError, Sender};
-use crate::sync::{AtomicBool, AtomicI64, Ordering};
+use crate::sync::{AtomicBool, AtomicI64, Mutex, Ordering};
 use crate::trace::{CoreTrace, EventKind, Recorder, TraceDump};
 use crate::{ClusterConfig, WsMode};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -61,6 +64,9 @@ use std::time::{Duration, Instant};
 pub struct JobState {
     pending: AtomicI64,
     done: AtomicBool,
+    /// The panic of a unit that exhausted its retries (see
+    /// [`fail`](Self::fail)).
+    failure: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
 impl JobState {
@@ -69,7 +75,17 @@ impl JobState {
         JobState {
             pending: AtomicI64::new(roots as i64),
             done: AtomicBool::new(roots == 0),
+            failure: Mutex::new(None),
         }
+    }
+
+    /// Fails the job with a unit's panic payload: flags `done` with
+    /// obligations still open, so every core stops, and keeps the first
+    /// payload for [`run_job_with`] to re-raise on the caller's thread.
+    pub fn fail(&self, payload: Box<dyn Any + Send>) {
+        self.failure.lock().get_or_insert(payload);
+        // ordering: SeqCst — the same done flag sub_pending stores.
+        self.done.store(true, Ordering::SeqCst);
     }
 
     /// Adds `n` in-flight units (stolen-unit inflation).
@@ -246,7 +262,7 @@ pub struct CoreCtx<'a> {
     slot: &'a CoreSlot,
     t0: Instant,
     fcx: &'a FaultCtx,
-    total_workers: usize,
+    registries: &'a [Arc<WorkerRegistry>],
     /// Replay exclusions of the unit currently being (re-)executed:
     /// level-prefix → words already committed elsewhere, filtered out in
     /// [`push_level`](Self::push_level). Empty on first executions.
@@ -290,7 +306,7 @@ impl CoreCtx<'_> {
         match &self.fcx.injector {
             Some(inj) => {
                 let now = self.t0.elapsed().as_nanos() as u64;
-                inj.should_die(self.id.worker, &self.fcx.ledger, now, self.total_workers)
+                inj.should_die(self.id.worker, &self.fcx.ledger, now, self.registries.len())
             }
             None => false,
         }
@@ -420,9 +436,10 @@ struct WorkerChannels {
 
 /// What became of one dispatched unit.
 enum UnitFate {
-    /// The unit completed (possibly after retries) — or was deliberately
-    /// abandoned under a sabotaged-recovery plan. Its `pending` obligation
-    /// has been settled either way.
+    /// The unit completed (possibly after retries) or was deliberately
+    /// abandoned under a sabotaged-recovery plan, settling its `pending`
+    /// obligation either way; or it exhausted its retries and failed the
+    /// job ([`JobState::fail`]).
     Done,
     /// The core fail-stopped mid-unit. The obligation is still open; the
     /// slot's levels and the health record hold everything the watchdog
@@ -517,9 +534,10 @@ fn dispatch_unit(
                     return UnitFate::Done;
                 }
                 if attempt >= budget {
-                    // Budget exhausted: this is a genuine, persistent
-                    // failure — propagate it.
-                    std::panic::resume_unwind(payload);
+                    // Budget exhausted: a persistent failure fails the job.
+                    fail_job(job, payload, ctx.registries);
+                    ctx.health().clear_inflight();
+                    return UnitFate::Done;
                 }
                 attempt += 1;
                 // ordering: Relaxed — diagnostic counter, read after join.
@@ -529,6 +547,21 @@ fn dispatch_unit(
                 ctx.recorder
                     .record(t, EventKind::UnitRetry, attempt as u64, backoff_us);
                 std::thread::sleep(Duration::from_micros(backoff_us));
+            }
+        }
+    }
+}
+
+/// Fails the job with a unit's panic ([`JobState::fail`]): `done` stops
+/// the thieves, and claiming away every core's unclaimed root words stops
+/// the cores still draining their partitions after their current unit.
+#[cold]
+fn fail_job(job: &JobState, payload: Box<dyn Any + Send>, registries: &[Arc<WorkerRegistry>]) {
+    job.fail(payload);
+    for registry in registries {
+        for slot in &registry.slots {
+            if let Some(root) = slot.find_stealable().filter(|l| l.counted) {
+                while root.queue.claim().is_some() {}
             }
         }
     }
@@ -551,6 +584,11 @@ pub fn run_job(spec: &dyn JobSpec, config: &ClusterConfig) -> JobReport {
 /// exactly once, after which the job drains any remaining local work and
 /// terminates normally. Without hooks this is exactly `run_job` — the
 /// external machinery costs nothing when unconfigured.
+///
+/// # Panics
+///
+/// With the panic of a unit that exhausted its retries, once every core
+/// has stopped.
 pub fn run_job_with(
     spec: &dyn JobSpec,
     config: &ClusterConfig,
@@ -663,6 +701,9 @@ pub fn run_job_with(
         }
     });
 
+    if let Some(payload) = job.failure.lock().take() {
+        resume_unwind(payload);
+    }
     debug_assert!(job.done(), "job must be done after all cores joined");
     debug_assert_eq!(job.pending(), 0, "pending leak: {}", job.pending());
 
@@ -822,7 +863,7 @@ fn core_main(
         slot,
         t0,
         fcx,
-        total_workers: registries.len(),
+        registries,
         exclusions: ReplayExclusions::new(),
         stats: CoreStats::default(),
         recorder: Recorder::new(config.trace),

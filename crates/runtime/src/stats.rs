@@ -193,7 +193,7 @@ impl PlannerStats {
 }
 
 /// The result of executing one job on the simulated cluster.
-#[derive(Debug, Clone)]
+#[derive(Debug, Default, Clone)]
 pub struct JobReport {
     /// Wall-clock duration of the job.
     pub elapsed: Duration,

@@ -1,21 +1,20 @@
 //! End-to-end CLI tests for the multi-process cluster path: `fractal
-//! submit --local-cluster N` spawns real worker processes over localhost
+//! submit --local-cluster 3` spawns real worker processes over localhost
 //! TCP and `--verify-single` re-runs the job in-process, dying unless the
-//! results are bit-identical. The chaos variant SIGKILLs one worker
-//! mid-job and demands the same exactness from the recovery path. The
+//! results are bit-identical, for motifs, KClist and FSM. The chaos
+//! variant SIGKILLs each worker in turn mid-job and demands the same
+//! exactness from the recovery path. The
 //! remaining tests are the refusal table: every verb taking `--plan` refuses
 //! an explicit `decomposed` on a task the planner cannot compile, naming the
 //! blocker, and every verb taking a pattern size refuses one outside what a
 //! pattern can hold, naming the bound.
 
+use fractal::runtime::json;
 use std::process::{Command, Output};
 
-fn submit(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_fractal"))
-        .arg("submit")
-        .args(args)
-        .output()
-        .expect("run fractal submit")
+/// Runs `fractal submit` with space-separated `args`.
+fn submit(args: &str) -> Output {
+    fractal(&format!("submit {args}"))
 }
 
 fn assert_verified(out: &Output) {
@@ -31,71 +30,75 @@ fn assert_verified(out: &Output) {
     );
 }
 
+/// Runs a verified `submit` with `--metrics-out` and returns its output
+/// and the merged metrics JSON.
+fn submit_with_metrics(args: &str, name: &str) -> (Output, json::Value) {
+    let path = std::env::temp_dir().join(format!("fractal-{name}-{}.json", std::process::id()));
+    let out = submit(&format!("{args} --metrics-out {}", path.display()));
+    assert_verified(&out);
+    let text = std::fs::read_to_string(&path).expect("read merged metrics");
+    std::fs::remove_file(&path).expect("remove merged metrics");
+    let metrics = json::parse(&text).expect("merged metrics are JSON");
+    assert_eq!(
+        metrics.get("schema").and_then(json::Value::as_str),
+        Some("fractal-metrics/1")
+    );
+    (out, metrics)
+}
+
+fn metric(metrics: &json::Value, key: &str) -> u64 {
+    metrics
+        .get(key)
+        .and_then(json::Value::as_u64)
+        .unwrap_or_else(|| panic!("merged metrics lack {key}"))
+}
+
 #[test]
 fn submit_local_cluster_matches_single_process() {
-    let out = submit(&[
-        "--app",
-        "motifs",
-        "-k",
-        "3",
-        "--gen",
-        "mico",
-        "--n",
-        "220",
-        "--seed",
-        "7",
-        "--local-cluster",
-        "2",
-        "--verify-single",
-    ]);
-    assert_verified(&out);
+    let (out, metrics) = submit_with_metrics(
+        "--app motifs -k 3 --gen mico --n 220 --seed 7 --local-cluster 3 --verify-single \
+         --per-worker",
+        "motifs-metrics",
+    );
+    assert_eq!(metric(&metrics, "workers"), 3);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("local2"), "no per-worker table:\n{stderr}");
 }
 
 #[test]
 fn submit_survives_worker_kill_with_identical_results() {
-    let out = submit(&[
-        "--app",
-        "motifs",
-        "-k",
-        "3",
-        "--gen",
-        "mico",
-        "--n",
-        "300",
-        "--seed",
-        "7",
-        "--local-cluster",
-        "3",
-        "--chaos-kill",
-        "1",
-        "--verify-single",
-    ]);
-    assert_verified(&out);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("recovered from 1 worker death(s)"),
-        "kill never fired:\n{stderr}"
-    );
+    for target in 0..3 {
+        let (out, metrics) = submit_with_metrics(
+            &format!(
+                "--app motifs -k 3 --gen mico --n 300 --seed 7 --local-cluster 3 \
+                 --chaos-kill {target} --verify-single"
+            ),
+            &format!("kill{target}-metrics"),
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("recovered from 1 worker death(s)"),
+            "kill of worker {target} never fired:\n{stderr}"
+        );
+        // The dead worker's words reach the survivors as orphans, which
+        // they pull over the network.
+        assert!(metric(&metrics, "net_units") > 0, "worker {target}");
+    }
 }
 
 #[test]
 fn submit_kclist_local_cluster_matches_single_process() {
-    let out = submit(&[
-        "--app",
-        "cliques",
-        "-k",
-        "4",
-        "--gen",
-        "mico",
-        "--n",
-        "250",
-        "--seed",
-        "11",
-        "--local-cluster",
-        "3",
-        "--verify-single",
-    ]);
-    assert_verified(&out);
+    assert_verified(&submit(
+        "--app cliques -k 4 --gen mico --n 250 --seed 11 --local-cluster 3 --verify-single",
+    ));
+}
+
+#[test]
+fn submit_fsm_local_cluster_matches_single_process() {
+    assert_verified(&submit(
+        "--app fsm --support 12 --max-edges 2 --gen patents --n 110 --seed 23 \
+         --local-cluster 3 --verify-single",
+    ));
 }
 
 fn assert_refused_naming(out: &Output, reason: &str) {

@@ -4,9 +4,14 @@
 
 use fractal::prelude::*;
 use fractal_baselines::bfs_engine::{self, BfsConfig, Storage};
+use fractal_baselines::{Budget, Outcome};
 
 /// §4.1/Table 2: the BFS engine's stored state grows steeply with the
 /// enumeration depth; Fractal's from-scratch DFS state stays flat.
+///
+/// The BFS runs share a 128 MiB state budget: k = 4 fits (about 78 MB),
+/// k = 5 outgrows it and stops there as OOM, where Fractal's k = 5 state
+/// is a few kilobytes.
 #[test]
 fn memory_flat_vs_growing() {
     let g = fractal::graph::gen::mico_like(250, 2, 31);
@@ -19,13 +24,27 @@ fn memory_flat_vs_growing() {
             r.peak_worker_state_bytes()
         })
         .collect();
-    let bfs_mem: Vec<u64> = (3..=5)
-        .map(|k| {
-            bfs_engine::motifs_bfs(&g, k, &BfsConfig::new(2).with_storage(Storage::Flat), false)
-                .stats()
-                .peak_state_bytes
-        })
+    let budget = Budget {
+        max_state_bytes: 128 << 20,
+        ..Budget::unlimited()
+    };
+    let cfg = BfsConfig::new(2)
+        .with_storage(Storage::Flat)
+        .with_budget(budget);
+    let bfs: Vec<_> = (3..=5)
+        .map(|k| bfs_engine::motifs_bfs(&g, k, &cfg, false))
         .collect();
+    assert!(
+        bfs[1].is_ok(),
+        "k = 4 must fit the budget: {:?}",
+        bfs[1].stats()
+    );
+    assert!(
+        matches!(bfs[2], Outcome::Oom(_)),
+        "k = 5 must outgrow the budget: {:?}",
+        bfs[2].stats()
+    );
+    let bfs_mem: Vec<u64> = bfs.iter().map(|o| o.stats().peak_state_bytes).collect();
     // BFS state explodes with depth…
     assert!(bfs_mem[2] > 4 * bfs_mem[0], "bfs: {bfs_mem:?}");
     // …while Fractal stays within a small constant factor.
