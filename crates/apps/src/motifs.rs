@@ -18,13 +18,8 @@ pub fn motifs_fractoid(fg: &FractalGraph, k: usize, use_labels: bool) -> Fractoi
     assert!(k >= 1, "motif size must be at least 1");
     fg.vfractoid()
         .expand(k)
-        .aggregate_spec(Arc::new(Aggregator::by_pattern(
-            "motifs",
-            use_labels,
-            use_labels,
-            |_| 0u64,
-            |count: &mut u64, _, _| *count += 1,
-            |into, from| *into += std::mem::take(from),
+        .aggregate_spec(Arc::new(Aggregator::pattern_count(
+            "motifs", use_labels, use_labels,
         )))
 }
 

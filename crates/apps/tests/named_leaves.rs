@@ -9,17 +9,14 @@
 //! core and with stealing.
 
 use fractal_apps::{fsm, motifs};
-use fractal_baselines::single_thread::{grami_fsm, gtries_motifs};
+use fractal_baselines::single_thread::{grami_fsm, gtries_motifs, gtries_motifs_labeled};
 use fractal_core::{Aggregator, FractalContext, FractalGraph};
-use fractal_enum::canonical::canonical_vertex_extension;
-use fractal_graph::{gen, Graph, VertexId};
+use fractal_graph::{gen, Graph};
 use fractal_pattern::canon::canonical_code;
 use fractal_pattern::{CanonicalCode, Pattern};
 use fractal_runtime::{ClusterConfig, WsMode};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-type Census = HashMap<CanonicalCode, u64>;
 
 fn shapes() -> Vec<ClusterConfig> {
     vec![
@@ -37,53 +34,12 @@ fn fg_of(g: &Graph, cfg: ClusterConfig) -> FractalGraph {
     FractalContext::new(cfg).fractal_graph(g.clone())
 }
 
-/// The labeled motif census the slow way: canonical growth sequences, one
-/// `Pattern` and one `canonical_code` per subgraph. `gtries_motifs` with
-/// label flags.
-fn census_oracle(g: &Graph, k: usize, use_vlabels: bool, use_elabels: bool) -> Census {
-    fn rec(g: &Graph, k: usize, flags: (bool, bool), prefix: &mut Vec<u32>, out: &mut Census) {
-        if prefix.len() == k {
-            let p = Pattern::from_vertex_induced(g, prefix, flags.0, flags.1);
-            *out.entry(canonical_code(&p)).or_insert(0) += 1;
-            return;
-        }
-        let mut cands: Vec<u32> = if prefix.is_empty() {
-            (0..g.num_vertices() as u32).collect()
-        } else {
-            prefix
-                .iter()
-                .flat_map(|&v| g.neighbors(VertexId(v)).iter().copied())
-                .filter(|u| !prefix.contains(u))
-                .collect()
-        };
-        cands.sort_unstable();
-        cands.dedup();
-        for u in cands {
-            if canonical_vertex_extension(g, prefix, u) {
-                prefix.push(u);
-                rec(g, k, flags, prefix, out);
-                prefix.pop();
-            }
-        }
-    }
-    let mut out = Census::new();
-    rec(g, k, (use_vlabels, use_elabels), &mut Vec::new(), &mut out);
-    out
-}
-
 fn counting(
     name: &str,
     use_vlabels: bool,
     use_elabels: bool,
 ) -> Arc<Aggregator<CanonicalCode, u64>> {
-    Arc::new(Aggregator::by_pattern(
-        name,
-        use_vlabels,
-        use_elabels,
-        |_| 0u64,
-        |n: &mut u64, _, _| *n += 1,
-        |into, from| *into += std::mem::take(from),
-    ))
+    Arc::new(Aggregator::pattern_count(name, use_vlabels, use_elabels))
 }
 
 #[test]
@@ -120,15 +76,15 @@ fn named_fsm_rounds_match_grami() {
 fn two_named_aggregations_keep_their_own_label_flags() {
     let g = labeled_graph();
     let unlabeled = gtries_motifs(&g, 3);
-    let by_vertex_labels = census_oracle(&g, 3, true, false);
-    assert!(census_oracle(&g, 3, true, true).len() > by_vertex_labels.len());
+    let by_vertex_labels = gtries_motifs_labeled(&g, 3, (true, false));
+    assert!(gtries_motifs_labeled(&g, 3, (true, true)).len() > by_vertex_labels.len());
     for cfg in shapes() {
         let fg = fg_of(&g, cfg);
         // Vertex labels only: both levels can be read off a vertex tip. With
         // edge labels the vertex tip declines for the second aggregation, and
         // the leaf is materialised for both.
         for (vl, el) in [(true, false), (true, true)] {
-            let labeled = census_oracle(&g, 3, vl, el);
+            let labeled = gtries_motifs_labeled(&g, 3, (vl, el));
             assert!(labeled.len() > unlabeled.len());
             let f = fg
                 .vfractoid()
@@ -192,8 +148,8 @@ fn labeled_motifs_are_materialised_for_their_edge_labels() {
     // Table 2's -ML census: a vertex tip knows its edges but not their ids,
     // so not their labels either.
     let g = labeled_graph();
-    let want = census_oracle(&g, 3, true, true);
-    assert!(want.len() > census_oracle(&g, 3, true, false).len());
+    let want = gtries_motifs_labeled(&g, 3, (true, true));
+    assert!(want.len() > gtries_motifs_labeled(&g, 3, (true, false)).len());
     for cfg in shapes() {
         assert_eq!(motifs::motifs_labeled(&fg_of(&g, cfg), 3), want);
     }

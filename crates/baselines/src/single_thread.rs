@@ -14,6 +14,16 @@ use std::collections::HashMap;
 /// Gtries-like motif counting [46]: single-thread canonical DFS with a
 /// pattern-code memo cache.
 pub fn gtries_motifs(g: &Graph, k: usize) -> HashMap<CanonicalCode, u64> {
+    gtries_motifs_labeled(g, k, (false, false))
+}
+
+/// [`gtries_motifs`] with patterns keyed by `(vertex labels, edge labels)`
+/// as `flags` says.
+pub fn gtries_motifs_labeled(
+    g: &Graph,
+    k: usize,
+    flags: (bool, bool),
+) -> HashMap<CanonicalCode, u64> {
     let mut counts: HashMap<CanonicalCode, u64> = HashMap::new();
     let mut cache = CodeCache::new();
     let mut prefix: Vec<u32> = Vec::with_capacity(k);
@@ -22,13 +32,14 @@ pub fn gtries_motifs(g: &Graph, k: usize) -> HashMap<CanonicalCode, u64> {
     fn rec(
         g: &Graph,
         k: usize,
+        flags: (bool, bool),
         prefix: &mut Vec<u32>,
         cand_stack: &mut Vec<Vec<u32>>,
         cache: &mut CodeCache,
         counts: &mut HashMap<CanonicalCode, u64>,
     ) {
         if prefix.len() == k {
-            let p = Pattern::from_vertex_induced(g, prefix, false, false);
+            let p = Pattern::from_vertex_induced(g, prefix, flags.0, flags.1);
             *counts
                 .entry(cache.canonical_form(&p).code.clone())
                 .or_insert(0) += 1;
@@ -51,12 +62,20 @@ pub fn gtries_motifs(g: &Graph, k: usize) -> HashMap<CanonicalCode, u64> {
         let cands = cand_stack.last().unwrap().clone();
         for u in cands {
             prefix.push(u);
-            rec(g, k, prefix, cand_stack, cache, counts);
+            rec(g, k, flags, prefix, cand_stack, cache, counts);
             prefix.pop();
         }
         cand_stack.pop();
     }
-    rec(g, k, &mut prefix, &mut cand_stack, &mut cache, &mut counts);
+    rec(
+        g,
+        k,
+        flags,
+        &mut prefix,
+        &mut cand_stack,
+        &mut cache,
+        &mut counts,
+    );
     counts
 }
 

@@ -27,6 +27,10 @@ pub trait AggregatorSpec: Send + Sync {
     /// ([`AggShard::accumulate_named`]); `None` for one that reads the
     /// subgraph through key and value functions.
     fn pattern_flags(&self) -> Option<(bool, bool)>;
+    /// Whether this is a pattern count ([`Aggregator::pattern_count`]),
+    /// whose shards fold a group of same-pattern subgraphs at once
+    /// ([`AggShard::accumulate_count`]).
+    fn counts_patterns(&self) -> bool;
 }
 
 /// A per-core accumulation shard.
@@ -46,6 +50,10 @@ pub trait AggShard: Send + Sync {
     /// this thread. Everything such a shard reads from a view. Panics on a
     /// shard whose [`AggregatorSpec::pattern_flags`] is `None`.
     fn accumulate_named(&mut self, vertices: &[u32], class: PatternClass, form: InternedForm<'_>);
+    /// Folds `n` subgraphs of one class into a pattern count's shard, as
+    /// `n` [`accumulate_named`](Self::accumulate_named) calls would. Panics
+    /// on a shard whose [`AggregatorSpec::counts_patterns`] is `false`.
+    fn accumulate_count(&mut self, class: PatternClass, form: InternedForm<'_>, n: u64);
     /// Merges another shard of the same aggregation into this one.
     fn merge_from(&mut self, other: Box<dyn AggShard>);
     /// Moves every entry of this shard into `target` (same aggregation),
@@ -89,6 +97,7 @@ type FilterFn<K, V> = Arc<dyn Fn(&K, &V) -> bool + Send + Sync>;
 type EmptyFn<V> = Arc<dyn Fn(&CanonicalCode) -> V + Send + Sync>;
 type FoldFn<V> = Arc<dyn Fn(&mut V, &[u32], InternedForm<'_>) + Send + Sync>;
 type AbsorbFn<V> = Arc<dyn Fn(&mut V, &mut V) + Send + Sync>;
+type CountFn<V> = fn(&mut V, u64);
 type SettleFn<K, V> = Arc<dyn Fn(PatternClass, &mut V) -> K + Send + Sync>;
 
 /// How a shard turns one subgraph into (part of) an entry.
@@ -113,6 +122,8 @@ enum Source<K, V> {
         /// Resolves a class to its key and passes its value through
         /// `absorb(value, empty(key))`.
         settle: SettleFn<K, V>,
+        /// Folds `n` subgraphs at once: pattern counts only.
+        count: Option<CountFn<V>>,
     },
 }
 
@@ -177,10 +188,32 @@ where
                     settle_absorb(value, &mut settle_empty(&code));
                     code
                 }),
+                count: None,
             }),
             reduce_fn: Arc::new(move |acc, mut v| by_value(acc, &mut v)),
             agg_filter: None,
         }
+    }
+}
+
+impl Aggregator<CanonicalCode, u64> {
+    /// The number of subgraphs of each canonical pattern (Listing 1's motif
+    /// census): [`by_pattern`](Self::by_pattern) over a `u64`, whose shards
+    /// fold `n` subgraphs of one pattern with one `+= n`.
+    pub fn pattern_count(name: impl Into<String>, use_vlabels: bool, use_elabels: bool) -> Self {
+        let take = |into: &mut u64, from: &mut u64| *into += std::mem::take(from);
+        let mut agg = Self::by_pattern(
+            name,
+            use_vlabels,
+            use_elabels,
+            |_| 0,
+            |n, _, _| *n += 1,
+            take,
+        );
+        if let Some(Source::Pattern { count, .. }) = Arc::get_mut(&mut agg.source) {
+            *count = Some(|into, n| *into += n);
+        }
+        agg
     }
 }
 
@@ -409,6 +442,10 @@ where
             } => Some((*use_vlabels, *use_elabels)),
         }
     }
+
+    fn counts_patterns(&self) -> bool {
+        matches!(&*self.source, Source::Pattern { count: Some(_), .. })
+    }
 }
 
 impl<K, V> AggShard for TypedShard<K, V>
@@ -449,6 +486,22 @@ where
             vertices,
             form,
         )
+    }
+
+    fn accumulate_count(&mut self, class: PatternClass, form: InternedForm<'_>, n: u64) {
+        let Source::Pattern {
+            empty,
+            count: Some(count),
+            ..
+        } = &*self.source
+        else {
+            panic!(
+                "a group of subgraphs was counted for an aggregation that is not a pattern count"
+            );
+        };
+        self.accumulated += n;
+        let value = &mut self.classes.slot(class).value;
+        count(value.get_or_insert_with(|| empty(form.code)), n)
     }
 
     fn merge_from(&mut self, other: Box<dyn AggShard>) {

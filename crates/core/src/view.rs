@@ -273,14 +273,7 @@ pub(crate) mod tests {
         let g = fractal_graph::gen::mico_like(60, 1, 3);
         let stats = || PATTERNS.with(|p| (p.borrow().table.stats(), p.borrow().table.len()));
         let ((hits0, misses0), len0) = stats();
-        let spec = Aggregator::by_pattern(
-            "motifs",
-            false,
-            false,
-            |_| 0u64,
-            |n: &mut u64, _, _| *n += 1,
-            |into, from| *into += std::mem::take(from),
-        );
+        let spec = Aggregator::pattern_count("motifs", false, false);
         let (mut staged, mut durable) = (spec.new_shard(), spec.new_shard());
         let mut want: HashMap<CanonicalCode, u64> = HashMap::new();
         let mut leaves = 0u64;

@@ -160,6 +160,32 @@ proptest! {
         }
     }
 
+    /// A census of pattern counts is tallied a level at a time; a pass-all
+    /// filter after the deepest `expand` has every leaf materialised. Both
+    /// give one census and extension cost, and fold what they count.
+    #[test]
+    fn tallied_census_equals_materialised(
+        n in 5usize..14,
+        seed in 0u64..500,
+        k in 3usize..=5,
+        vlabels in 0usize..2,
+    ) {
+        let use_vlabels = vlabels == 1;
+        let g = labeled_graph(n, seed);
+        for cfg in [ClusterConfig::local(1, 1), ClusterConfig::local(2, 2)] {
+            let fg = FractalContext::new(cfg).fractal_graph(g.clone());
+            let census = |f: Fractoid| {
+                let f = f.aggregate_spec(Arc::new(Aggregator::pattern_count("c", use_vlabels, false)));
+                let ((count, report), result) = (f.count_with_report(), f.aggregation_result("c"));
+                (result.map::<CanonicalCode, u64>().clone(), result.accumulated(), count, report.total_ec())
+            };
+            let tallied = census(fg.vfractoid().expand(k));
+            let materialised = census(fg.vfractoid().expand(k).filter(|_| true));
+            prop_assert_eq!(tallied.1, tallied.2);
+            prop_assert_eq!(tallied, materialised);
+        }
+    }
+
     /// Random [expand, filter?]* workflows: engine == oracle across
     /// cluster shapes and stealing modes.
     #[test]

@@ -30,21 +30,10 @@ pub mod subgraph;
 
 pub use cost::expansion_cost_estimate;
 pub use enumerator::{
-    EdgeInducedEnumerator, PatternEnumerator, SubgraphEnumerator, Tip, VertexInducedEnumerator,
-    MAX_EDGE_WORDS, MAX_VERTEX_WORDS,
+    EdgeInducedEnumerator, PatternEnumerator, SubgraphEnumerator, Tip, TipTally,
+    VertexInducedEnumerator, MAX_EDGE_WORDS, MAX_VERTEX_WORDS,
 };
 pub use kclist::KClistEnumerator;
 pub use queue::ExtensionQueue;
 pub use sampling::SamplingEnumerator;
 pub use subgraph::Subgraph;
-
-/// How subgraphs are grown — the three extension strategies of Fig. 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Induction {
-    /// Grow vertex-by-vertex; all edges to the new vertex are included.
-    Vertex,
-    /// Grow edge-by-edge.
-    Edge,
-    /// Grow vertex-by-vertex guided by a reference pattern.
-    Pattern,
-}

@@ -406,6 +406,7 @@ pub fn decode_report(bytes: &[u8]) -> Result<JobReport, BlobError> {
         faults,
         planner,
         trace: None,
+        workers: 0,
     })
 }
 

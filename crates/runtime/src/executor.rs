@@ -723,6 +723,7 @@ pub fn run_job_with(
         } else {
             None
         },
+        workers: num_workers,
     }
 }
 

@@ -213,6 +213,10 @@ pub struct JobReport {
     /// The flight-recorder dump, present when the job ran with
     /// [`TraceConfig::enabled`](crate::trace::TraceConfig) tracing.
     pub trace: Option<TraceDump>,
+    /// Workers the job was assigned, reporting or not (a killed worker's
+    /// cores never report); 0 when only the reporting cores are known, as
+    /// in a report decoded from a blob.
+    pub workers: usize,
 }
 
 impl JobReport {
@@ -307,14 +311,13 @@ impl JobReport {
     }
 
     /// Per-worker intermediate state: sum of its cores' peaks, in bytes
-    /// (the Table 2 metric).
+    /// (the Table 2 metric), for every worker the job was assigned.
     pub fn worker_state_bytes(&self) -> Vec<u64> {
         let num_workers = self
             .cores
             .iter()
             .map(|(id, _)| id.worker + 1)
-            .max()
-            .unwrap_or(0);
+            .fold(self.workers, usize::max);
         let mut out = vec![0u64; num_workers];
         for (id, s) in &self.cores {
             out[id.worker] += s.peak_state_bytes;
@@ -538,6 +541,7 @@ mod tests {
             faults: FaultStats::default(),
             planner: PlannerStats::default(),
             trace: None,
+            workers: 1,
         }
     }
 
@@ -599,8 +603,10 @@ mod tests {
             faults: FaultStats::default(),
             planner: PlannerStats::default(),
             trace: None,
+            workers: 3,
         };
-        assert_eq!(r.worker_state_bytes(), vec![100, 50]);
+        // The third worker reported nothing: it still counts, with 0 bytes.
+        assert_eq!(r.worker_state_bytes(), vec![100, 50, 0]);
     }
 
     #[test]

@@ -83,6 +83,8 @@ fn submit_survives_worker_kill_with_identical_results() {
         // The dead worker's words reach the survivors as orphans, which
         // they pull over the network.
         assert!(metric(&metrics, "net_units") > 0, "worker {target}");
+        // The job was assigned three workers, whichever of them died.
+        assert_eq!(metric(&metrics, "workers"), 3, "worker {target}");
     }
 }
 

@@ -215,6 +215,7 @@ fn report() -> JobReport {
             ie_terms: 53,
         },
         trace: None,
+        workers: 0,
     }
 }
 
