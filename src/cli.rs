@@ -617,10 +617,14 @@ fn run_submit(opts: &HashMap<String, String>) {
         }
     }
     if result.deaths > 0 {
-        eprintln!(
-            "recovered from {} worker death(s): {} orphaned words, {} recovery assigns",
+        // One write: the workers share this stderr, and a line written in
+        // pieces can be split by theirs.
+        let line = format!(
+            "recovered from {} worker death(s): {} orphaned words, {} recovery assigns\n",
             result.deaths, result.orphaned_words, result.recovery_assigns
         );
+        use std::io::Write as _;
+        let _ = std::io::stderr().write_all(line.as_bytes());
     }
     if opts.contains_key("per-worker") {
         eprint!("{}", crate::net::render_per_worker(&result));
