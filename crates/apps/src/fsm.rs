@@ -498,7 +498,9 @@ pub fn fsm_support_aggregator(
         // No domains until a commit sizes them from the orbit
         // representatives: a staged value is its rows and nothing else.
         |_| DomainSupport::default(),
-        move |sup: &mut DomainSupport, vertices, form| sup.insert(vertices, form, &fgc),
+        move |sup: &mut DomainSupport, leaves, form| {
+            leaves.for_each(|vertices| sup.insert(vertices, form, &fgc))
+        },
         DomainSupport::absorb,
     )
     .with_filter(move |_, v: &DomainSupport| v.has_enough_support(min_support))

@@ -23,14 +23,10 @@ pub trait AggregatorSpec: Send + Sync {
     fn new_shard(&self) -> Box<dyn AggShard>;
     /// `(use_vlabels, use_elabels)` of an aggregation keyed by the canonical
     /// pattern ([`Aggregator::by_pattern`]), whose shards can be handed a
-    /// subgraph by class and vertex list
+    /// group of subgraphs by class and vertex lists
     /// ([`AggShard::accumulate_named`]); `None` for one that reads the
     /// subgraph through key and value functions.
     fn pattern_flags(&self) -> Option<(bool, bool)>;
-    /// Whether this is a pattern count ([`Aggregator::pattern_count`]),
-    /// whose shards fold a group of same-pattern subgraphs at once
-    /// ([`AggShard::accumulate_count`]).
-    fn counts_patterns(&self) -> bool;
 }
 
 /// A per-core accumulation shard.
@@ -44,16 +40,12 @@ pub trait AggregatorSpec: Send + Sync {
 pub trait AggShard: Send + Sync {
     /// Folds one subgraph into the shard.
     fn accumulate(&mut self, view: &SubgraphView<'_>);
-    /// Folds one subgraph that was never materialised into a pattern-keyed
-    /// shard: its vertices in insertion order, and the class and form its
-    /// quick pattern was interned under with the shard's label flags, on
-    /// this thread. Everything such a shard reads from a view. Panics on a
-    /// shard whose [`AggregatorSpec::pattern_flags`] is `None`.
-    fn accumulate_named(&mut self, vertices: &[u32], class: PatternClass, form: InternedForm<'_>);
-    /// Folds `n` subgraphs of one class into a pattern count's shard, as
-    /// `n` [`accumulate_named`](Self::accumulate_named) calls would. Panics
-    /// on a shard whose [`AggregatorSpec::counts_patterns`] is `false`.
-    fn accumulate_count(&mut self, class: PatternClass, form: InternedForm<'_>, n: u64);
+    /// Folds a group of subgraphs into a pattern-keyed shard: their vertex
+    /// lists, and the class and form their quick pattern was interned under
+    /// with the shard's label flags, on this thread. Everything such a shard
+    /// reads from a view. Panics on a shard whose
+    /// [`AggregatorSpec::pattern_flags`] is `None`.
+    fn accumulate_named(&mut self, leaves: Leaves<'_>, class: PatternClass, form: InternedForm<'_>);
     /// Merges another shard of the same aggregation into this one.
     fn merge_from(&mut self, other: Box<dyn AggShard>);
     /// Moves every entry of this shard into `target` (same aggregation),
@@ -72,9 +64,8 @@ pub trait AggShard: Send + Sync {
     fn finalize(&mut self);
     /// Number of reduced entries.
     fn len(&self) -> usize;
-    /// Total [`accumulate`](Self::accumulate) calls folded into this shard,
-    /// including through merges (monotonic; feeds the flight recorder's
-    /// aggregation-flush accounting).
+    /// Total subgraphs folded into this shard, including through merges
+    /// (monotonic; feeds the flight recorder's aggregation-flush accounting).
     fn accumulated(&self) -> u64;
     /// Whether the shard holds no entries.
     fn is_empty(&self) -> bool {
@@ -91,13 +82,46 @@ pub trait AggShard: Send + Sync {
     fn into_any(self: Box<Self>) -> Box<dyn Any + Send>;
 }
 
+/// A group of subgraphs of one class and canonical form that a
+/// pattern-keyed fold is handed at once: one subgraph, or the leaves one
+/// parent grows by one level. Their vertex lists, in insertion order, are
+/// written only for a fold that asks for them.
+#[derive(Clone, Copy)]
+pub struct Leaves<'a> {
+    len: usize,
+    each: EachLeaf<'a>,
+}
+
+/// Hands each subgraph's vertex list of a [`Leaves`] to its argument.
+type EachLeaf<'a> = &'a dyn Fn(&mut dyn FnMut(&[u32]));
+
+impl<'a> Leaves<'a> {
+    pub(crate) fn new(len: usize, each: EachLeaf<'a>) -> Self {
+        Leaves { len, each }
+    }
+
+    /// Number of subgraphs in the group.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the group holds no subgraph.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Calls `f` on each subgraph's vertex list.
+    pub fn for_each(&self, mut f: impl FnMut(&[u32])) {
+        (self.each)(&mut f)
+    }
+}
+
 type ExtractFn<T> = Arc<dyn Fn(&SubgraphView<'_>) -> T + Send + Sync>;
 type ReduceFn<V> = Arc<dyn Fn(&mut V, V) + Send + Sync>;
 type FilterFn<K, V> = Arc<dyn Fn(&K, &V) -> bool + Send + Sync>;
 type EmptyFn<V> = Arc<dyn Fn(&CanonicalCode) -> V + Send + Sync>;
-type FoldFn<V> = Arc<dyn Fn(&mut V, &[u32], InternedForm<'_>) + Send + Sync>;
+type FoldFn<V> = Arc<dyn Fn(&mut V, Leaves<'_>, InternedForm<'_>) + Send + Sync>;
 type AbsorbFn<V> = Arc<dyn Fn(&mut V, &mut V) + Send + Sync>;
-type CountFn<V> = fn(&mut V, u64);
 type SettleFn<K, V> = Arc<dyn Fn(PatternClass, &mut V) -> K + Send + Sync>;
 
 /// How a shard turns one subgraph into (part of) an entry.
@@ -122,8 +146,6 @@ enum Source<K, V> {
         /// Resolves a class to its key and passes its value through
         /// `absorb(value, empty(key))`.
         settle: SettleFn<K, V>,
-        /// Folds `n` subgraphs at once: pattern counts only.
-        count: Option<CountFn<V>>,
     },
 }
 
@@ -147,12 +169,12 @@ where
     /// value built per subgraph:
     ///
     /// - `empty(code)` makes the value of a pattern nothing was folded into;
-    /// - `fold(value, vertices, form)` folds one subgraph in place, given as
-    ///   its vertices in insertion order and its canonical form (`form.perm`
-    ///   maps vertex positions to canonical positions). That is all a fold
-    ///   can read: a deepest-level subgraph is named from its parent and
-    ///   never materialised, so there is no view to hand over. `fold` runs
-    ///   inside the core's pattern table;
+    /// - `fold(value, leaves, form)` folds a group of subgraphs of one
+    ///   canonical form in place, each given as its vertices in insertion
+    ///   order ([`Leaves`]; `form.perm` maps vertex positions to canonical
+    ///   positions). That is all a fold can read: a deepest-level subgraph is
+    ///   named from its parent and never materialised, so there is no view to
+    ///   hand over. `fold` runs inside the core's pattern table;
     /// - `absorb(into, from)` moves everything in `from` into `into` and
     ///   leaves `from` equal to `empty` with its allocations kept: a unit's
     ///   staged values are absorbed on commit and reused by the next unit.
@@ -168,7 +190,7 @@ where
         use_vlabels: bool,
         use_elabels: bool,
         empty: impl Fn(&CanonicalCode) -> V + Send + Sync + 'static,
-        fold: impl Fn(&mut V, &[u32], InternedForm<'_>) + Send + Sync + 'static,
+        fold: impl Fn(&mut V, Leaves<'_>, InternedForm<'_>) + Send + Sync + 'static,
         absorb: impl Fn(&mut V, &mut V) + Send + Sync + 'static,
     ) -> Self {
         let empty: EmptyFn<V> = Arc::new(empty);
@@ -188,7 +210,6 @@ where
                     settle_absorb(value, &mut settle_empty(&code));
                     code
                 }),
-                count: None,
             }),
             reduce_fn: Arc::new(move |acc, mut v| by_value(acc, &mut v)),
             agg_filter: None,
@@ -198,22 +219,17 @@ where
 
 impl Aggregator<CanonicalCode, u64> {
     /// The number of subgraphs of each canonical pattern (Listing 1's motif
-    /// census): [`by_pattern`](Self::by_pattern) over a `u64`, whose shards
-    /// fold `n` subgraphs of one pattern with one `+= n`.
+    /// census): [`by_pattern`](Self::by_pattern) over a `u64`, which folds
+    /// a group of subgraphs of one pattern with one `+=`.
     pub fn pattern_count(name: impl Into<String>, use_vlabels: bool, use_elabels: bool) -> Self {
-        let take = |into: &mut u64, from: &mut u64| *into += std::mem::take(from);
-        let mut agg = Self::by_pattern(
+        Self::by_pattern(
             name,
             use_vlabels,
             use_elabels,
             |_| 0,
-            |n, _, _| *n += 1,
-            take,
-        );
-        if let Some(Source::Pattern { count, .. }) = Arc::get_mut(&mut agg.source) {
-            *count = Some(|into, n| *into += n);
-        }
-        agg
+            |n, leaves, _| *n += leaves.len() as u64,
+            |into, from| *into += std::mem::take(from),
+        )
     }
 }
 
@@ -398,7 +414,7 @@ struct TypedShard<K, V> {
     agg_filter: Option<FilterFn<K, V>>,
     /// Rough per-entry size estimate maintained incrementally.
     approx_bytes: usize,
-    /// Total accumulate calls (monotonic, merged additively).
+    /// Total subgraphs folded (monotonic, merged additively).
     accumulated: u64,
 }
 
@@ -442,10 +458,6 @@ where
             } => Some((*use_vlabels, *use_elabels)),
         }
     }
-
-    fn counts_patterns(&self) -> bool {
-        matches!(&*self.source, Source::Pattern { count: Some(_), .. })
-    }
 }
 
 impl<K, V> AggShard for TypedShard<K, V>
@@ -470,38 +482,24 @@ where
                 use_elabels,
                 ..
             } => view.classified(use_vlabels, use_elabels, |class, form| {
-                self.accumulate_named(view.vertices(), class, form)
+                let each = |f: &mut dyn FnMut(&[u32])| f(view.vertices());
+                self.accumulate_named(Leaves::new(1, &each), class, form)
             }),
         }
     }
 
-    fn accumulate_named(&mut self, vertices: &[u32], class: PatternClass, form: InternedForm<'_>) {
+    fn accumulate_named(
+        &mut self,
+        leaves: Leaves<'_>,
+        class: PatternClass,
+        form: InternedForm<'_>,
+    ) {
         let Source::Pattern { empty, fold, .. } = &*self.source else {
             panic!("a subgraph was named for an aggregation that is not keyed by pattern");
         };
-        self.accumulated += 1;
+        self.accumulated += leaves.len() as u64;
         let value = &mut self.classes.slot(class).value;
-        fold(
-            value.get_or_insert_with(|| empty(form.code)),
-            vertices,
-            form,
-        )
-    }
-
-    fn accumulate_count(&mut self, class: PatternClass, form: InternedForm<'_>, n: u64) {
-        let Source::Pattern {
-            empty,
-            count: Some(count),
-            ..
-        } = &*self.source
-        else {
-            panic!(
-                "a group of subgraphs was counted for an aggregation that is not a pattern count"
-            );
-        };
-        self.accumulated += n;
-        let value = &mut self.classes.slot(class).value;
-        count(value.get_or_insert_with(|| empty(form.code)), n)
+        fold(value.get_or_insert_with(|| empty(form.code)), leaves, form)
     }
 
     fn merge_from(&mut self, other: Box<dyn AggShard>) {
@@ -656,6 +654,10 @@ mod tests {
     use fractal_enum::Subgraph;
     use fractal_graph::builder::unlabeled_from_edges;
 
+    fn view<'a>(graph: &'a fractal_graph::Graph, subgraph: &'a Subgraph) -> SubgraphView<'a> {
+        SubgraphView { graph, subgraph }
+    }
+
     fn count_agg() -> Aggregator<usize, u64> {
         Aggregator::new(
             "counts",
@@ -672,19 +674,10 @@ mod tests {
         let mut shard = spec.new_shard();
         let mut sg = Subgraph::new(&g);
         sg.push_vertex_induced(&g, 0, sg.adjacency_mask(&g, 0));
-        shard.accumulate(&SubgraphView {
-            graph: &g,
-            subgraph: &sg,
-        });
+        shard.accumulate(&view(&g, &sg));
         sg.push_vertex_induced(&g, 1, sg.adjacency_mask(&g, 1));
-        shard.accumulate(&SubgraphView {
-            graph: &g,
-            subgraph: &sg,
-        });
-        shard.accumulate(&SubgraphView {
-            graph: &g,
-            subgraph: &sg,
-        });
+        shard.accumulate(&view(&g, &sg));
+        shard.accumulate(&view(&g, &sg));
         let result = AggResult::new(shard);
         assert_eq!(result.map::<usize, u64>()[&1], 1);
         assert_eq!(result.map::<usize, u64>()[&2], 2);
@@ -701,14 +694,8 @@ mod tests {
         let mut b = spec.new_shard();
         let mut sg = Subgraph::new(&g);
         sg.push_vertex_induced(&g, 0, sg.adjacency_mask(&g, 0));
-        a.accumulate(&SubgraphView {
-            graph: &g,
-            subgraph: &sg,
-        });
-        b.accumulate(&SubgraphView {
-            graph: &g,
-            subgraph: &sg,
-        });
+        a.accumulate(&view(&g, &sg));
+        b.accumulate(&view(&g, &sg));
         a.merge_from(b);
         let result = AggResult::new(a);
         assert_eq!(result.map::<usize, u64>()[&1], 2);
@@ -722,19 +709,10 @@ mod tests {
         let mut shard = spec.new_shard();
         let mut sg = Subgraph::new(&g);
         sg.push_vertex_induced(&g, 0, sg.adjacency_mask(&g, 0));
-        shard.accumulate(&SubgraphView {
-            graph: &g,
-            subgraph: &sg,
-        });
+        shard.accumulate(&view(&g, &sg));
         sg.push_vertex_induced(&g, 1, sg.adjacency_mask(&g, 1));
-        shard.accumulate(&SubgraphView {
-            graph: &g,
-            subgraph: &sg,
-        });
-        shard.accumulate(&SubgraphView {
-            graph: &g,
-            subgraph: &sg,
-        });
+        shard.accumulate(&view(&g, &sg));
+        shard.accumulate(&view(&g, &sg));
         shard.finalize();
         let result = AggResult::new(shard);
         assert_eq!(result.len(), 1);
@@ -750,28 +728,16 @@ mod tests {
         let mut staged = spec.new_shard();
         let mut sg = Subgraph::new(&g);
         sg.push_vertex_induced(&g, 0, sg.adjacency_mask(&g, 0));
-        durable.accumulate(&SubgraphView {
-            graph: &g,
-            subgraph: &sg,
-        });
-        staged.accumulate(&SubgraphView {
-            graph: &g,
-            subgraph: &sg,
-        });
+        durable.accumulate(&view(&g, &sg));
+        staged.accumulate(&view(&g, &sg));
         sg.push_vertex_induced(&g, 1, sg.adjacency_mask(&g, 1));
-        staged.accumulate(&SubgraphView {
-            graph: &g,
-            subgraph: &sg,
-        });
+        staged.accumulate(&view(&g, &sg));
         staged.drain_into(&mut *durable);
         assert!(staged.is_empty());
         assert_eq!(staged.accumulated(), 0);
         assert_eq!(staged.resident_bytes(), 0);
         // The staging shard is immediately reusable for the next unit.
-        staged.accumulate(&SubgraphView {
-            graph: &g,
-            subgraph: &sg,
-        });
+        staged.accumulate(&view(&g, &sg));
         assert_eq!(staged.accumulated(), 1);
         let result = AggResult::new(durable);
         assert_eq!(result.map::<usize, u64>()[&1], 2);
@@ -786,10 +752,7 @@ mod tests {
         let mut shard = spec.new_shard();
         let mut sg = Subgraph::new(&g);
         sg.push_vertex_induced(&g, 0, sg.adjacency_mask(&g, 0));
-        shard.accumulate(&SubgraphView {
-            graph: &g,
-            subgraph: &sg,
-        });
+        shard.accumulate(&view(&g, &sg));
         assert!(!shard.is_empty());
         shard.reset();
         assert!(shard.is_empty());
@@ -804,8 +767,8 @@ mod tests {
             false,
             false,
             |_| Vec::new(),
-            |set: &mut Vec<u32>, vertices, _| {
-                set.extend_from_slice(vertices);
+            |set: &mut Vec<u32>, leaves, _| {
+                leaves.for_each(|vertices| set.extend_from_slice(vertices));
                 set.sort_unstable();
                 set.dedup();
             },
@@ -849,15 +812,15 @@ mod tests {
                 if folded == budget {
                     return;
                 }
-                let tip = en
-                    .tip(g, parent.subgraph, w)
-                    .expect("vertex words have tips");
-                vertices[2] = tip.new_vertex().expect("a vertex tip adds its vertex");
-                let level = tip.level(g, false, false).expect("no edge labels asked");
+                let (level, v) = fractal_enum::WordKind::Vertex
+                    .level(g, parent.subgraph, w, false, false)
+                    .expect("vertex words are named without edge labels");
+                vertices[2] = v.expect("a vertex word appends its vertex");
                 crate::view::with_patterns(|uid, table| {
                     let id = parent.intern(table, false, false);
                     let (class, form) = crate::view::classify_child(uid, table, id, level);
-                    shard.accumulate_named(&vertices, class, form)
+                    let each = |f: &mut dyn FnMut(&[u32])| f(&vertices);
+                    shard.accumulate_named(Leaves::new(1, &each), class, form)
                 });
                 folded += 1;
             }

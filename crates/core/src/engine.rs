@@ -1,10 +1,10 @@
 //! The execution engine: Algorithm 2 (from-scratch step splitting) driving
 //! Algorithm 1 (DFS step processing) on the work-stealing runtime.
 
-use crate::aggregation::{AggResult, AggShard};
+use crate::aggregation::{AggResult, AggShard, Leaves};
 use crate::fractoid::{Fractoid, Primitive};
 use crate::view::{classify_child, with_patterns, SubgraphData, SubgraphView};
-use fractal_enum::{Subgraph, SubgraphEnumerator, TipTally};
+use fractal_enum::{Subgraph, SubgraphEnumerator, WordKind};
 use fractal_graph::bitset::Bitset;
 use fractal_graph::Graph;
 use fractal_pattern::canon::Level;
@@ -13,6 +13,7 @@ use fractal_runtime::level::GlobalCoreId;
 use fractal_runtime::stats::JobReport;
 use fractal_runtime::sync::Mutex;
 use fractal_runtime::sync::{AtomicU64, Ordering};
+use std::cell::{Cell, OnceCell};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -446,32 +447,22 @@ struct NamedAgg {
 /// What a step does with the subgraphs of its deepest `Expand`: the least
 /// that what comes after it needs.
 enum DeepestLevel {
-    /// Nothing after the deepest `Expand` reads the subgraph: its
-    /// extensions are only counted.
-    Counted,
-    /// The subgraph is only counted by pattern, for these pattern counts,
-    /// which agree on vertex labels and read no edge labels: the extensions
-    /// come as a histogram of the levels their tips add, and each distinct
-    /// level is folded in once, `n` at a time, under the pattern it grows
-    /// out of the parent's.
-    Tallied(Vec<NamedAgg>),
-    /// The subgraph is only named, for these aggregations: each extension
-    /// is folded in under the pattern its tip grows out of the parent's.
-    Named(Vec<NamedAgg>),
+    /// Nothing after the deepest `Expand` reads more of a subgraph than its
+    /// pattern: each parent's extensions are folded into these aggregations
+    /// (none: only counted) one group per level they add to its pattern. A
+    /// parent whose words cannot all be named is materialised.
+    Folded(Vec<NamedAgg>),
     /// Something reads the subgraph itself: `extend`, run the tail,
     /// `retract`.
     Materialised,
 }
 
 impl DeepestLevel {
-    /// Decided from the step's shape alone. With an output mode that reads
-    /// no subgraph (`None`, `Count`): counted when every primitive after the
-    /// deepest `Expand` is a replayed aggregation (a pass-through) or there
-    /// is none; tallied when the rest are live pattern counts that agree on
-    /// vertex labels and read no edge labels; named when they are live
-    /// aggregations keyed by pattern, which a [`fractal_enum::Tip`] and the
-    /// parent suffice for. A filter after the deepest `Expand`, a key/value
-    /// aggregation, `Collect` and `TrackOnly` all read the subgraph itself.
+    /// Decided from the step's shape alone: folded when the output mode
+    /// reads no subgraph (`None`, `Count`) and every primitive after the
+    /// deepest `Expand` is a replayed aggregation (a pass-through) or a live
+    /// one keyed by pattern. A filter, a key/value aggregation, `Collect` and
+    /// `TrackOnly` read the subgraph itself.
     fn of(
         resolved: &[Resolved],
         ext_indices: &[usize],
@@ -484,7 +475,7 @@ impl DeepestLevel {
         if !matches!(mode, OutputMode::None | OutputMode::Count) {
             return DeepestLevel::Materialised;
         }
-        let mut named = Vec::new();
+        let mut tail = Vec::new();
         for r in &resolved[deepest + 1..] {
             match r {
                 Resolved::AggregateReplayed => {}
@@ -493,7 +484,7 @@ impl DeepestLevel {
                     else {
                         return DeepestLevel::Materialised;
                     };
-                    named.push(NamedAgg {
+                    tail.push(NamedAgg {
                         slot: *slot,
                         use_vlabels,
                         use_elabels,
@@ -504,19 +495,148 @@ impl DeepestLevel {
                 }
             }
         }
-        let tallies = |a: &NamedAgg| {
-            a.use_vlabels == named[0].use_vlabels
-                && !a.use_elabels
-                && live_agg_specs[a.slot].counts_patterns()
-        };
-        if named.is_empty() {
-            DeepestLevel::Counted
-        } else if named.iter().all(tallies) {
-            DeepestLevel::Tallied(named)
-        } else {
-            DeepestLevel::Named(named)
+        DeepestLevel::Folded(tail)
+    }
+}
+
+/// One parent's extensions grouped by the level each adds to its quick
+/// pattern under one aggregation's label flags.
+#[derive(Default)]
+struct LevelGroups {
+    /// Each distinct level, in the order first met, with its leaf count.
+    levels: Vec<(Level, usize)>,
+    /// Whether the last tally indexed `levels` rather than scanning them;
+    /// the open-addressed index, per slot the stamp of the tally that filled
+    /// it and the level's position.
+    indexed: bool,
+    index: Vec<(u32, u32)>,
+    stamp: u32,
+    /// The vertex each leaf appends, level by level, and where each level's
+    /// leaves end: written for a fold that reads a vertex list, never a count.
+    added: OnceCell<(Vec<Option<u32>>, Vec<usize>)>,
+    /// One leaf's vertex list.
+    leaf: Cell<Vec<u32>>,
+}
+
+impl LevelGroups {
+    /// Groups `words` by their levels: per word one `name` and one match
+    /// against the levels met so far, a scan or, when `indexed`, a hash
+    /// probe. `false` as soon as a word cannot be named.
+    #[inline]
+    fn tally(
+        &mut self,
+        words: &[u64],
+        name: impl Fn(u64) -> Option<(Level, Option<u32>)>,
+        indexed: bool,
+    ) -> bool {
+        self.levels.clear();
+        self.added = OnceCell::new();
+        self.indexed = indexed;
+        if indexed {
+            self.stamp = self.stamp.wrapping_add(1);
+            let slots = (2 * words.len()).next_power_of_two();
+            if self.index.len() < slots || self.stamp == 0 {
+                self.index = vec![(0, 0); slots.max(self.index.len())];
+                self.stamp = 1;
+            }
+        }
+        for &w in words {
+            let Some((level, _)) = name(w) else {
+                return false;
+            };
+            if !indexed {
+                match self.levels.iter_mut().find(|(l, _)| *l == level) {
+                    Some((_, n)) => *n += 1,
+                    None => self.levels.push((level, 1)),
+                }
+                continue;
+            }
+            match self.find(&level) {
+                Ok(at) => self.levels[at].1 += 1,
+                Err(slot) => {
+                    self.index[slot] = (self.stamp, self.levels.len() as u32);
+                    self.levels.push((level, 1));
+                }
+            }
+        }
+        true
+    }
+
+    /// The position of `level` among the last tally's levels; else, when
+    /// they are indexed, the free slot it would take.
+    #[inline]
+    fn find(&self, level: &Level) -> Result<usize, usize> {
+        if !self.indexed {
+            return self.levels.iter().position(|(l, _)| l == level).ok_or(0);
+        }
+        let mask = self.index.len() - 1;
+        let mut slot = level_hash(level) & mask;
+        loop {
+            let (stamp, at) = self.index[slot];
+            if stamp != self.stamp {
+                return Err(slot);
+            }
+            if self.levels[at as usize].0 == *level {
+                return Ok(at as usize);
+            }
+            slot = (slot + 1) & mask;
         }
     }
+
+    /// Calls `f` on the vertex list of each leaf of level `at` of the last
+    /// tally of `words`: `parent` plus the vertex its word appends, if any.
+    fn for_each_leaf(
+        &self,
+        at: usize,
+        parent: &[u32],
+        words: &[u64],
+        name: &dyn Fn(u64) -> Option<(Level, Option<u32>)>,
+        f: &mut dyn FnMut(&[u32]),
+    ) {
+        let n = self.levels[at].1;
+        let (added, ends) = self.added.get_or_init(|| {
+            let mut ends: Vec<_> = (self.levels.iter())
+                .scan(0, |end, &(_, n)| {
+                    *end += n;
+                    Some(*end - n)
+                })
+                .collect();
+            let mut added = vec![None; words.len()];
+            for (level, v) in words.iter().filter_map(|&w| name(w)) {
+                if let Ok(at) = self.find(&level) {
+                    added[ends[at]] = v;
+                    ends[at] += 1;
+                }
+            }
+            (added, ends)
+        });
+        let mut leaf = self.leaf.take();
+        leaf.clear();
+        leaf.extend_from_slice(parent);
+        leaf.push(0);
+        for &v in &added[ends[at] - n..ends[at]] {
+            leaf[parent.len()] = v.unwrap_or(0);
+            f(&leaf[..parent.len() + v.is_some() as usize]);
+        }
+        self.leaf.set(leaf);
+    }
+}
+
+/// A hash of `level` for [`LevelGroups`]'s index.
+fn level_hash(level: &Level) -> usize {
+    let (a, b) = match *level {
+        Level::Vertex { label, mask } => (label, mask),
+        Level::Edge {
+            lo,
+            hi,
+            label,
+            new_vertex,
+        } => (
+            label,
+            new_vertex.map_or(0, |l| l.wrapping_add(1)) << 16 ^ (lo as u32) << 8 ^ hi as u32,
+        ),
+    };
+    (((a as u64) << 32 | b as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize
 }
 
 impl JobSpec for StepSpec<'_> {
@@ -558,10 +678,7 @@ impl JobSpec for StepSpec<'_> {
             levels_since_track: 0,
             levels_registered: 0,
             exts_pool: Vec::new(),
-            leaf_vertices: Vec::new(),
-            parent_ids: Vec::new(),
-            levels: Vec::new(),
-            tally: TipTally::default(),
+            groups: Vec::new(),
         })
     }
 }
@@ -599,14 +716,9 @@ struct StepTask<'a> {
     /// Spare extension buffers for inlined (unregistered) levels, one per
     /// active inlined depth, recycled across the whole job.
     exts_pool: Vec<Vec<u64>>,
-    /// Scratch of [`name_leaf`](Self::name_leaf): the leaf's vertex list,
-    /// and per named aggregation the parent's quick pattern id and the level
-    /// the leaf adds to it.
-    leaf_vertices: Vec<u32>,
-    parent_ids: Vec<u32>,
-    levels: Vec<Level>,
-    /// Scratch of [`fold_tally`](Self::fold_tally).
-    tally: TipTally,
+    /// Scratch of [`fold_deepest`](Self::fold_deepest), one per aggregation
+    /// it folds into.
+    groups: Vec<LevelGroups>,
 }
 
 /// How many stealable levels one dispatched unit registers before the DFS
@@ -618,105 +730,76 @@ struct StepTask<'a> {
 const MAX_REGISTERED_LEVELS: usize = 1;
 
 impl StepTask<'_> {
-    /// Folds the extension `word` of the current subgraph into the
-    /// aggregations of `tail` without materialising it: the parent's quick
-    /// pattern is interned once per aggregation (by the first leaf named
-    /// after [`begin_named_level`](Self::begin_named_level)), then a leaf
-    /// costs its [`fractal_enum::Tip`], one trie probe (`PatternTable::child`) and the
-    /// fold. Returns `false`, having folded nothing, when the word has no tip
-    /// or a tip that cannot name the level under some aggregation's label
-    /// flags (a vertex tip knows no edge labels): the caller materialises
-    /// the leaf.
-    fn name_leaf(&mut self, tail: &[NamedAgg], word: u64) -> bool {
-        let g = self.spec.graph;
-        let Some(tip) = self.enumerator.tip(g, &self.sg, word) else {
-            return false;
+    /// Folds the extensions `exts` of the current subgraph into `tail`
+    /// without materialising them: per aggregation one parent intern, and
+    /// per level the words add one trie probe (`PatternTable::child`) and
+    /// one group fold. `false`, having folded nothing, when a word cannot
+    /// say its level under some aggregation's label flags (an opaque word, a
+    /// root edge, a vertex word asked for edge labels).
+    fn fold_deepest(&mut self, tail: &[NamedAgg], exts: &[u64]) -> bool {
+        let folded = match self.enumerator.word_kind() {
+            _ if tail.is_empty() => true,
+            Some(WordKind::Vertex) => self.fold_named(tail, exts, false, |g, sg, w, vl, el| {
+                WordKind::Vertex.level(g, sg, w, vl, el)
+            }),
+            Some(WordKind::Edge) => self.fold_named(tail, exts, true, |g, sg, w, vl, el| {
+                WordKind::Edge.level(g, sg, w, vl, el)
+            }),
+            None => false,
         };
-        self.levels.clear();
-        for a in tail {
-            match tip.level(g, a.use_vlabels, a.use_elabels) {
-                Some(level) => self.levels.push(level),
-                None => return false,
+        if folded && self.spec.mode.counts() {
+            self.staged_count += exts.len() as u64;
+        }
+        folded
+    }
+
+    /// [`fold_deepest`](Self::fold_deepest) over words that `level` names,
+    /// `indexed` for edge words (tens of levels per parent, not a few).
+    #[inline]
+    fn fold_named(
+        &mut self,
+        tail: &[NamedAgg],
+        exts: &[u64],
+        indexed: bool,
+        level: impl Fn(&Graph, &Subgraph, u64, bool, bool) -> Option<(Level, Option<u32>)> + Copy,
+    ) -> bool {
+        let (g, sg) = (self.spec.graph, &self.sg);
+        let namer = |a: &NamedAgg| {
+            let (vl, el) = (a.use_vlabels, a.use_elabels);
+            move |w| level(g, sg, w, vl, el)
+        };
+        self.groups.resize_with(tail.len(), LevelGroups::default);
+        for (a, groups) in tail.iter().zip(&mut self.groups) {
+            if !groups.tally(exts, namer(a), indexed) {
+                return false;
             }
         }
-        let n = self.sg.num_vertices();
-        let vertices = match tip.new_vertex() {
-            Some(v) => {
-                self.leaf_vertices[n] = v;
-                &self.leaf_vertices[..]
-            }
-            None => &self.leaf_vertices[..n],
-        };
         let view = SubgraphView {
             graph: g,
-            subgraph: &self.sg,
+            subgraph: sg,
         };
-        let (levels, parents, staged) =
-            (&self.levels, &mut self.parent_ids, &mut self.staged_shards);
+        let (all_groups, staged) = (&self.groups, &mut self.staged_shards);
         with_patterns(|uid, table| {
-            if parents.is_empty() {
-                parents.extend(
-                    tail.iter()
-                        .map(|a| view.intern(table, a.use_vlabels, a.use_elabels)),
-                );
-            }
-            for ((a, &parent), &level) in tail.iter().zip(&*parents).zip(levels) {
-                let (class, form) = classify_child(uid, table, parent, level);
-                staged[a.slot].accumulate_named(vertices, class, form);
+            for (a, groups) in tail.iter().zip(all_groups) {
+                let name = namer(a);
+                let parent = view.intern(table, a.use_vlabels, a.use_elabels);
+                for (at, &(level, n)) in groups.levels.iter().enumerate() {
+                    let (class, form) = classify_child(uid, table, parent, level);
+                    let each = |f: &mut dyn FnMut(&[u32])| {
+                        groups.for_each_leaf(at, sg.vertices(), exts, &name, f)
+                    };
+                    staged[a.slot].accumulate_named(Leaves::new(n, &each), class, form);
+                }
             }
         });
-        if self.spec.mode.counts() {
-            self.staged_count += 1;
-        }
         true
     }
 
-    /// Folds the extensions of the current subgraph into the pattern counts
-    /// of `tail` a level at a time: one `tally_tips`, one parent intern, and
-    /// per distinct level and count one trie probe and one `+= n`. Words the
-    /// enumerator could not tally are materialised.
-    fn fold_tally(&mut self, ctx: &mut CoreCtx<'_>, idx: usize, tail: &[NamedAgg]) {
-        let (g, mut tally) = (self.spec.graph, std::mem::take(&mut self.tally));
-        let use_vlabels = tail[0].use_vlabels;
-        let ec = self
-            .enumerator
-            .tally_tips(g, &self.sg, use_vlabels, &mut tally);
-        ctx.add_ec(ec);
-        if !tally.levels.is_empty() {
-            let staged = &mut self.staged_shards;
-            let view = SubgraphView {
-                graph: g,
-                subgraph: &self.sg,
-            };
-            with_patterns(|uid, table| {
-                let parent = view.intern(table, use_vlabels, false);
-                for a in tail {
-                    for &(level, n) in &tally.levels {
-                        let (class, form) = classify_child(uid, table, parent, level);
-                        staged[a.slot].accumulate_count(class, form, n);
-                    }
-                }
-            });
-            if self.spec.mode.counts() {
-                self.staged_count += tally.levels.iter().map(|&(_, n)| n).sum::<u64>();
-            }
+    fn view(&self) -> SubgraphView<'_> {
+        SubgraphView {
+            graph: self.spec.graph,
+            subgraph: &self.sg,
         }
-        for &w in &tally.words {
-            self.enumerator.extend(g, &mut self.sg, w);
-            self.dfs(ctx, idx + 1);
-            self.enumerator.retract(g, &mut self.sg);
-        }
-        self.tally = tally;
-    }
-
-    /// Readies [`name_leaf`](Self::name_leaf) for the extensions of the
-    /// current subgraph: the leaf's vertex list is the parent's, copied here
-    /// once, plus one element rewritten per leaf.
-    fn begin_named_level(&mut self) {
-        self.parent_ids.clear();
-        self.leaf_vertices.clear();
-        self.leaf_vertices.extend_from_slice(self.sg.vertices());
-        self.leaf_vertices.push(0);
     }
 
     fn leaf(&mut self) {
@@ -780,48 +863,21 @@ impl StepTask<'_> {
                 // untouched, and the stealable frontier still deepens on
                 // demand: a stolen prefix re-registers its own shallowest
                 // level on the thief.
-                if Some(&idx) == self.spec.ext_indices.last()
-                    || self.levels_registered >= MAX_REGISTERED_LEVELS
-                {
-                    let deepest =
-                        (Some(&idx) == self.spec.ext_indices.last()).then_some(&self.spec.deepest);
-                    if let Some(DeepestLevel::Tallied(tail)) = deepest {
-                        self.fold_tally(ctx, idx, tail);
-                        return;
-                    }
+                let deepest = Some(&idx) == self.spec.ext_indices.last();
+                if deepest || self.levels_registered >= MAX_REGISTERED_LEVELS {
                     let mut exts = self.exts_pool.pop().unwrap_or_default();
-                    exts.clear();
                     let ec =
                         self.enumerator
                             .compute_extensions(self.spec.graph, &self.sg, &mut exts);
                     ctx.add_ec(ec);
-                    if let Some(DeepestLevel::Counted) = deepest {
-                        // Nothing below this Expand reads subgraph state, so
-                        // each extension contributes exactly one to the
-                        // tally: count them without materializing (for
-                        // KClist that skips a candidate-set intersection per
-                        // leaf). Under `None` there is not even a tally.
-                        if self.spec.mode.counts() {
-                            self.staged_count += exts.len() as u64;
-                        }
-                    } else {
-                        // Named: everything below this Expand names the
-                        // subgraph and reads nothing else of it, so each
-                        // extension is folded in under the pattern its tip
-                        // grows out of the parent's, without being pushed; a
-                        // word whose enumerator gives no tip is materialised
-                        // after all, like every word of any other level.
-                        let named = match deepest {
-                            Some(DeepestLevel::Named(tail)) => Some(&tail[..]),
-                            _ => None,
-                        };
-                        if named.is_some() {
-                            self.begin_named_level();
-                        }
+                    // The deepest level is folded from the parent when it
+                    // can be; every other word is materialised.
+                    let folded = match (deepest, &self.spec.deepest) {
+                        (true, DeepestLevel::Folded(tail)) => self.fold_deepest(tail, &exts),
+                        _ => false,
+                    };
+                    if !folded {
                         for &w in &exts {
-                            if named.is_some_and(|tail| self.name_leaf(tail, w)) {
-                                continue;
-                            }
                             self.enumerator.extend(self.spec.graph, &mut self.sg, w);
                             self.dfs(ctx, idx + 1);
                             self.enumerator.retract(self.spec.graph, &mut self.sg);
@@ -853,33 +909,21 @@ impl StepTask<'_> {
                 self.levels_registered -= 1;
             }
             Resolved::Filter(f) => {
-                let pass = f(&SubgraphView {
-                    graph: self.spec.graph,
-                    subgraph: &self.sg,
-                });
-                if pass {
+                if f(&self.view()) {
                     self.dfs(ctx, idx + 1);
                 }
             }
             Resolved::AggFilter { f, source } => {
-                let pass = f(
-                    &SubgraphView {
-                        graph: self.spec.graph,
-                        subgraph: &self.sg,
-                    },
-                    source,
-                );
-                if pass {
+                if f(&self.view(), source) {
                     self.dfs(ctx, idx + 1);
                 }
             }
             Resolved::AggregateLive(slot) => {
-                let slot = *slot;
                 let view = SubgraphView {
                     graph: self.spec.graph,
                     subgraph: &self.sg,
                 };
-                self.staged_shards[slot].accumulate(&view);
+                self.staged_shards[*slot].accumulate(&view);
                 self.dfs(ctx, idx + 1);
             }
             Resolved::AggregateReplayed => {
@@ -1197,21 +1241,15 @@ mod tests {
         assert!(report.elapsed.as_nanos() > 0);
     }
 
-    /// What becomes of the deepest level of `f` run in `mode`: `"counted"`,
-    /// `"materialised"`, or per aggregation it is tallied or named for, its
-    /// label flags.
+    /// What becomes of the deepest level of `f` run in `mode`:
+    /// `"materialised"`, or `"folded"` followed by the label flags of each
+    /// aggregation it is folded into.
     fn deepest_of(f: &Fractoid, mode: OutputMode) -> String {
         match StepSpec::build(f, &f.primitives, mode).deepest {
-            DeepestLevel::Counted => "counted".into(),
             DeepestLevel::Materialised => "materialised".into(),
-            DeepestLevel::Tallied(tail) => tail
-                .iter()
-                .map(|a| format!("tallied({})", a.use_vlabels))
-                .collect(),
-            DeepestLevel::Named(tail) => tail
-                .iter()
-                .map(|a| format!("named({}, {})", a.use_vlabels, a.use_elabels))
-                .collect(),
+            DeepestLevel::Folded(tail) => tail.iter().fold("folded".into(), |s, a| {
+                format!("{s}({}, {})", a.use_vlabels, a.use_elabels)
+            }),
         }
     }
 
@@ -1227,37 +1265,54 @@ mod tests {
             false,
             false,
             |_| Vec::new(),
-            |all: &mut Vec<u32>, vertices, _| all.extend_from_slice(vertices),
+            |all: &mut Vec<u32>, leaves, _| leaves.for_each(|v| all.extend_from_slice(v)),
             |into, from| into.append(from),
         ));
         let census = fg
             .vfractoid()
             .expand(3)
             .aggregate_spec(count("m", false, false));
-        assert_eq!(deepest_of(&census, OutputMode::None), "tallied(false)");
-        assert_eq!(deepest_of(&census, OutputMode::Count), "tallied(false)");
+        assert_eq!(
+            deepest_of(&census, OutputMode::None),
+            "folded(false, false)"
+        );
+        assert_eq!(
+            deepest_of(&census, OutputMode::Count),
+            "folded(false, false)"
+        );
         let folded = fg.vfractoid().expand(3).aggregate_spec(vertex_sets);
-        assert_eq!(deepest_of(&folded, OutputMode::None), "named(false, false)");
+        assert_eq!(
+            deepest_of(&folded, OutputMode::None),
+            "folded(false, false)"
+        );
         // Output that reads the subgraph itself has it materialised.
         assert_eq!(deepest_of(&census, OutputMode::Collect), "materialised");
         assert_eq!(deepest_of(&census, OutputMode::TrackOnly), "materialised");
-        // Two pattern counts that disagree on labels are named, each with
+        // Two pattern counts that disagree on labels are folded, each under
         // its own label flags.
         let two = census.clone().aggregate_spec(count("l", true, true));
         assert_eq!(
             deepest_of(&two, OutputMode::None),
-            "named(false, false)named(true, true)"
+            "folded(false, false)(true, true)"
         );
-        // A pattern count of edge labels is named: the vertex tip declines
-        // and each leaf is materialised then.
-        let labeled = fg
-            .vfractoid()
-            .expand(3)
-            .aggregate_spec(count("l", false, true));
-        assert_eq!(deepest_of(&labeled, OutputMode::None), "named(false, true)");
-        // Nothing after the deepest Expand.
+        // A pattern count of edge labels is folded too: an edge tip names
+        // its level, a vertex tip cannot, and its parent's words are then
+        // materialised at run time.
+        let labeled = |grow: fn(&crate::context::FractalGraph) -> Fractoid| {
+            grow(&fg).expand(3).aggregate_spec(count("l", false, true))
+        };
+        for grow in [
+            crate::context::FractalGraph::vfractoid,
+            crate::context::FractalGraph::efractoid,
+        ] {
+            assert_eq!(
+                deepest_of(&labeled(grow), OutputMode::None),
+                "folded(false, true)"
+            );
+        }
+        // Nothing after the deepest Expand: its extensions are only counted.
         let bare = fg.vfractoid().expand(3);
-        assert_eq!(deepest_of(&bare, OutputMode::Count), "counted");
+        assert_eq!(deepest_of(&bare, OutputMode::Count), "folded");
         assert_eq!(deepest_of(&bare, OutputMode::Collect), "materialised");
         // A filter or a key/value aggregation after it reads a view.
         let filtered = fg
@@ -1278,12 +1333,69 @@ mod tests {
             .aggregate("e", |s| s.num_edges(), |_| 1u64, |a, v| *a += v)
             .expand(2)
             .aggregate_spec(count("m", false, false));
-        assert_eq!(deepest_of(&earlier, OutputMode::None), "tallied(false)");
+        assert_eq!(
+            deepest_of(&earlier, OutputMode::None),
+            "folded(false, false)"
+        );
         // A replayed aggregation passes through: once computed, the census
-        // leaves nothing to tally for and its leaves are counted.
+        // leaves no aggregation to fold into and its leaves are counted.
         assert_eq!(census.count(), 3);
-        assert_eq!(deepest_of(&census, OutputMode::Count), "counted");
+        assert_eq!(deepest_of(&census, OutputMode::Count), "folded");
         assert_eq!(census.count(), 3);
+    }
+
+    #[test]
+    fn leaves_are_grouped_by_the_level_their_tips_add() {
+        // A 10-vertex path with a pendant on each vertex and two vertices
+        // joined to two of them. Vertex 0 alone has three extensions of one
+        // level; the whole path has 12 of 12 distinct levels, masks past the
+        // eighth position included. Scanned and indexed tallies agree.
+        let mut edges: Vec<(u32, u32)> = (0..9).map(|v| (v, v + 1)).collect();
+        edges.extend((0..10).map(|v| (v, v + 10)));
+        edges.extend([(0, 20), (1, 20), (2, 21), (3, 21)]);
+        let g = unlabeled_from_edges(22, &edges);
+        let mut en = fractal_enum::VertexInducedEnumerator::new();
+        let mut groups = LevelGroups::default();
+        let mut levels = |sg: &Subgraph, indexed: bool, use_elabels: bool| {
+            let mut words = Vec::new();
+            en.compute_extensions(&g, sg, &mut words);
+            let name = |w| WordKind::Vertex.level(&g, sg, w, false, use_elabels);
+            // A vertex tip cannot say its edge labels: nothing is named.
+            if !groups.tally(&words, name, indexed) {
+                return None;
+            }
+            let mut want = std::collections::BTreeMap::<_, Vec<_>>::new();
+            for (level, v) in words.iter().filter_map(|&w| name(w)) {
+                let leaf = sg.vertices().iter().copied().chain(v).collect();
+                want.entry(format!("{level:?}")).or_default().push(leaf);
+            }
+            let mut got = std::collections::BTreeMap::new();
+            for (at, (level, n)) in groups.levels.iter().enumerate() {
+                let mut leaves = Vec::new();
+                let mut push = |leaf: &[u32]| leaves.push(leaf.to_vec());
+                groups.for_each_leaf(at, sg.vertices(), &words, &name, &mut push);
+                assert_eq!(leaves.len(), *n);
+                assert!(got.insert(format!("{level:?}"), leaves).is_none());
+            }
+            assert_eq!(got, want, "one group per level, in word order");
+            Some(
+                got.into_values()
+                    .map(|leaves| leaves.len())
+                    .collect::<Vec<_>>(),
+            )
+        };
+        let mut sg = Subgraph::new(&g);
+        sg.push_vertex_induced(&g, 0, 0);
+        for indexed in [false, true] {
+            assert_eq!(levels(&sg, indexed, false), Some(vec![3]));
+        }
+        for v in 1..10 {
+            sg.push_vertex_induced(&g, v, sg.adjacency_mask(&g, v));
+        }
+        for indexed in [false, true] {
+            assert_eq!(levels(&sg, indexed, false), Some(vec![1; 12]));
+            assert_eq!(levels(&sg, indexed, true), None);
+        }
     }
 
     #[test]

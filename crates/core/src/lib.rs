@@ -34,7 +34,7 @@ pub mod fractoid;
 pub mod plan_run;
 pub mod view;
 
-pub use aggregation::{AggResult, AggShard, Aggregator};
+pub use aggregation::{AggResult, AggShard, Aggregator, Leaves};
 pub use context::{FractalContext, FractalGraph};
 pub use engine::{ExecutionReport, Participation, StepOutcome};
 pub use fractoid::Fractoid;

@@ -86,32 +86,36 @@ fn engine_count(g: &Graph, levels: &[Option<u32>], cfg: ClusterConfig) -> u64 {
 /// canonical form.
 type Folded = (Vec<u32>, Vec<u8>, Vec<u8>);
 
-/// Runs `fractoid` into an aggregation that records, per canonical pattern,
-/// every [`Folded`] its fold was called with.
+/// Counts `fractoid`'s subgraphs into an aggregation that records, per
+/// canonical pattern, every [`Folded`] its fold was handed; returns that map,
+/// the aggregation's `accumulated()`, the count and the extension cost.
 fn folded_by_pattern(
     fractoid: Fractoid,
     use_vlabels: bool,
     use_elabels: bool,
-) -> HashMap<CanonicalCode, Vec<Folded>> {
+) -> (HashMap<CanonicalCode, Vec<Folded>>, u64, u64, u64) {
     let spec = Aggregator::by_pattern(
         "folded",
         use_vlabels,
         use_elabels,
         |_| Vec::new(),
-        |all: &mut Vec<Folded>, vertices, form| {
-            all.push((
-                vertices.to_vec(),
-                form.perm.to_vec(),
-                form.orbit_reps.to_vec(),
-            ))
+        |all: &mut Vec<Folded>, leaves, form| {
+            leaves.for_each(|vertices| {
+                all.push((
+                    vertices.to_vec(),
+                    form.perm.to_vec(),
+                    form.orbit_reps.to_vec(),
+                ))
+            })
         },
         |into: &mut Vec<Folded>, from: &mut Vec<Folded>| into.append(from),
     );
-    let mut map = fractoid
-        .aggregate_spec(Arc::new(spec))
-        .aggregation::<CanonicalCode, Vec<Folded>>("folded");
+    let f = fractoid.aggregate_spec(Arc::new(spec));
+    let (count, report) = f.count_with_report();
+    let result = f.aggregation_result("folded");
+    let mut map = result.map::<CanonicalCode, Vec<Folded>>().clone();
     map.values_mut().for_each(|all| all.sort());
-    map
+    (map, result.accumulated(), count, report.total_ec())
 }
 
 /// `erdos_renyi(n, 2n)` with three vertex labels and three edge labels.
@@ -133,12 +137,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// A deepest level that is only named is never materialised: each leaf
-    /// is folded under the class its tip grows out of its parent's, with the
-    /// parent's vertex list plus the tip's vertex. A pass-all filter after
-    /// the deepest `expand` makes the engine `extend` every leaf and name it
-    /// by its whole key instead. Both growth modes, depths 2..=5, every label
-    /// setting: the folds must be handed the same class, permutation, orbit
-    /// representatives and vertex list for every leaf.
+    /// is folded, in a group of its parent's leaves that add one level,
+    /// under the class its tip grows out of its parent's, with the parent's
+    /// vertex list plus the tip's vertex. A pass-all filter after the
+    /// deepest `expand` makes the engine `extend` every leaf and name it by
+    /// its whole key instead. Both growth modes, depths 2..=5, every label
+    /// setting, under a counting output mode: the folds must be handed the
+    /// same class, permutation, orbit representatives and vertex list for
+    /// every leaf, and count, `accumulated` and extension cost must agree.
     #[test]
     fn named_leaves_fold_what_materialised_leaves_fold(
         n in 5usize..12,
@@ -156,33 +162,38 @@ proptest! {
                 use_vlabels,
                 use_elabels,
             );
+            prop_assert_eq!(named.1, named.2);
             prop_assert_eq!(named, materialised);
         }
     }
 
-    /// A census of pattern counts is tallied a level at a time; a pass-all
-    /// filter after the deepest `expand` has every leaf materialised. Both
-    /// give one census and extension cost, and fold what they count.
+    /// A census of pattern counts is folded a group of leaves at a time; a
+    /// pass-all filter after the deepest `expand` has every leaf
+    /// materialised. Both growth modes, every label setting: both give one
+    /// census and extension cost, and fold what they count.
     #[test]
-    fn tallied_census_equals_materialised(
+    fn folded_census_equals_materialised(
         n in 5usize..14,
         seed in 0u64..500,
         k in 3usize..=5,
-        vlabels in 0usize..2,
+        flags in 0usize..4,
     ) {
-        let use_vlabels = vlabels == 1;
+        let (use_vlabels, use_elabels) = (flags & 1 == 1, flags & 2 == 2);
         let g = labeled_graph(n, seed);
         for cfg in [ClusterConfig::local(1, 1), ClusterConfig::local(2, 2)] {
             let fg = FractalContext::new(cfg).fractal_graph(g.clone());
             let census = |f: Fractoid| {
-                let f = f.aggregate_spec(Arc::new(Aggregator::pattern_count("c", use_vlabels, false)));
+                let count = Aggregator::pattern_count("c", use_vlabels, use_elabels);
+                let f = f.aggregate_spec(Arc::new(count));
                 let ((count, report), result) = (f.count_with_report(), f.aggregation_result("c"));
                 (result.map::<CanonicalCode, u64>().clone(), result.accumulated(), count, report.total_ec())
             };
-            let tallied = census(fg.vfractoid().expand(k));
-            let materialised = census(fg.vfractoid().expand(k).filter(|_| true));
-            prop_assert_eq!(tallied.1, tallied.2);
-            prop_assert_eq!(tallied, materialised);
+            for grow in [FractalGraph::vfractoid, FractalGraph::efractoid] {
+                let folded = census(grow(&fg).expand(k));
+                let materialised = census(grow(&fg).expand(k).filter(|_| true));
+                prop_assert_eq!(folded.1, folded.2);
+                prop_assert_eq!(folded, materialised);
+            }
         }
     }
 

@@ -40,89 +40,68 @@ pub fn vertex_word_parts(word: u64) -> (u32, u32) {
     (word as u32, (word >> 32) as u32)
 }
 
-/// What one extension word adds to the subgraph it extends, in local
-/// positions: enough to name the extended subgraph's pattern and vertex list
-/// without pushing the word
-/// ([`SubgraphEnumerator::tip`]).
+/// What an enumerator's extension words say on their own
+/// ([`SubgraphEnumerator::word_kind`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Tip {
-    /// Vertex `v`, adjacent to the positions in `mask` (all its edges into
-    /// the subgraph; their ids are not known).
-    Vertex {
-        /// The vertex added, at position `num_vertices()`.
-        v: u32,
-        /// Positions of the subgraph's vertices `v` is adjacent to.
-        mask: u32,
-    },
-    /// Edge `e` between local positions `lo < hi`.
-    Edge {
-        /// The edge added.
-        e: u32,
-        /// Position of its earlier endpoint, always a member.
-        lo: u8,
-        /// Position of its later endpoint: `num_vertices()` when the edge
-        /// brings that endpoint in.
-        hi: u8,
-        /// The endpoint the edge brings in, if any.
-        new_vertex: Option<u32>,
-    },
+pub enum WordKind {
+    /// [`vertex_word`]s.
+    Vertex,
+    /// Edge ids.
+    Edge,
 }
 
-impl Tip {
-    /// The vertex this tip appends to the subgraph's vertex list, if any.
-    #[inline]
-    pub fn new_vertex(&self) -> Option<u32> {
-        match *self {
-            Tip::Vertex { v, .. } => Some(v),
-            Tip::Edge { new_vertex, .. } => new_vertex,
-        }
-    }
-
-    /// What this tip adds to its parent's quick pattern under the given
-    /// label flags. `None` when the tip cannot say: a vertex tip holds no
-    /// edge ids, so it knows its edges but not their labels.
-    #[inline]
-    pub fn level(&self, g: &Graph, use_vlabels: bool, use_elabels: bool) -> Option<Level> {
-        let vlabel = |v: u32| {
-            if use_vlabels {
-                g.vertex_label(VertexId(v)).raw()
-            } else {
-                0
-            }
+impl WordKind {
+    /// What `word`, one of `sg`'s extensions, adds to `sg`'s quick pattern
+    /// under the given label flags, and the vertex it appends to `sg`'s
+    /// vertex list, if any, without adding it: enough to name the extended
+    /// subgraph. `None` when the word cannot say: a root edge brings both
+    /// its endpoints and is not one level over a parent, and a vertex word
+    /// holds no edge ids, so it knows its edges but not their labels.
+    #[inline(always)]
+    pub fn level(
+        self,
+        g: &Graph,
+        sg: &Subgraph,
+        word: u64,
+        use_vlabels: bool,
+        use_elabels: bool,
+    ) -> Option<(Level, Option<u32>)> {
+        let vlabel = |v: u32| match use_vlabels {
+            true => g.vertex_label(VertexId(v)).raw(),
+            false => 0,
         };
-        match *self {
-            Tip::Vertex { .. } if use_elabels => None,
-            Tip::Vertex { v, mask } => Some(Level::Vertex {
-                label: vlabel(v),
-                mask,
-            }),
-            Tip::Edge {
-                e,
-                lo,
-                hi,
-                new_vertex,
-            } => Some(Level::Edge {
-                lo,
-                hi,
-                label: if use_elabels {
-                    g.edge_label(EdgeId(e)).raw()
-                } else {
-                    0
-                },
-                new_vertex: new_vertex.map(vlabel),
-            }),
+        match self {
+            WordKind::Vertex if use_elabels => None,
+            WordKind::Vertex => {
+                let (v, mask) = vertex_word_parts(word);
+                let label = vlabel(v);
+                Some((Level::Vertex { label, mask }, Some(v)))
+            }
+            WordKind::Edge => {
+                let e = EdgeId(word as u32);
+                let (s, d) = g.edge_endpoints(e);
+                let n = sg.num_vertices();
+                let (lo, hi, new_vertex) = match (sg.position_of(s.raw()), sg.position_of(d.raw()))
+                {
+                    (Some(a), Some(b)) => (a.min(b), a.max(b), None),
+                    (Some(a), None) => (a, n, Some(d.raw())),
+                    (None, Some(b)) => (b, n, Some(s.raw())),
+                    (None, None) => return None,
+                };
+                let level = Level::Edge {
+                    lo: lo as u8,
+                    hi: hi as u8,
+                    label: if use_elabels {
+                        g.edge_label(e).raw()
+                    } else {
+                        0
+                    },
+                    new_vertex: new_vertex.map(vlabel),
+                };
+                Some((level, new_vertex))
+            }
         }
     }
-}
-
-/// The extensions of one subgraph as [`SubgraphEnumerator::tally_tips`]
-/// returns them.
-#[derive(Debug, Default)]
-pub struct TipTally {
-    /// Each distinct level, with the number of extensions that add it.
-    pub levels: Vec<(Level, u64)>,
-    /// Words whose tips cannot name their level, for the caller to push.
-    pub words: Vec<u64>,
 }
 
 /// A strategy for growing subgraphs one word at a time (Fig. 7).
@@ -140,45 +119,13 @@ pub trait SubgraphEnumerator: Send {
     /// Undoes the most recent extension.
     fn retract(&mut self, g: &Graph, sg: &mut Subgraph);
 
-    /// What `word` (one of `compute_extensions(g, sg, ..)`'s) would add to
-    /// `sg`, without adding it. The engine names a deepest-level subgraph
-    /// from its parent through this instead of `extend` + `retract`.
-    /// Enumerators whose words do not say (`None`, the default) have every
-    /// subgraph materialised.
-    fn tip(&self, _g: &Graph, _sg: &Subgraph, _word: u64) -> Option<Tip> {
+    /// What this enumerator's words say on their own. The engine names a
+    /// deepest-level subgraph from its parent through
+    /// [`WordKind::level`] instead of `extend` + `retract`. Enumerators whose
+    /// words do not say (`None`, the default) have every subgraph
+    /// materialised.
+    fn word_kind(&self) -> Option<WordKind> {
         None
-    }
-
-    /// The extensions of `sg` as a histogram of the levels their tips add
-    /// under `use_vlabels` and no edge labels, into `out`, with the words
-    /// whose tips cannot say; returns the extension cost
-    /// `compute_extensions` returns. A census folds each distinct level once
-    /// through this instead of naming each leaf.
-    fn tally_tips(
-        &mut self,
-        g: &Graph,
-        sg: &Subgraph,
-        use_vlabels: bool,
-        out: &mut TipTally,
-    ) -> u64 {
-        let mut words = std::mem::take(&mut out.words);
-        let ec = self.compute_extensions(g, sg, &mut words);
-        out.levels.clear();
-        words.retain(|&w| {
-            let Some(level) = self
-                .tip(g, sg, w)
-                .and_then(|t| t.level(g, use_vlabels, false))
-            else {
-                return true;
-            };
-            match out.levels.iter_mut().find(|(l, _)| *l == level) {
-                Some((_, n)) => *n += 1,
-                None => out.levels.push((level, 1)),
-            }
-            false
-        });
-        out.words = words;
-        ec
     }
 
     /// The longest word sequence this enumerator can grow. The engine
@@ -278,9 +225,8 @@ impl SubgraphEnumerator for VertexInducedEnumerator {
         sg.pop_vertex_induced();
     }
 
-    fn tip(&self, _g: &Graph, _sg: &Subgraph, word: u64) -> Option<Tip> {
-        let (v, mask) = vertex_word_parts(word);
-        Some(Tip::Vertex { v, mask })
+    fn word_kind(&self) -> Option<WordKind> {
+        Some(WordKind::Vertex)
     }
 
     fn max_words(&self) -> usize {
@@ -377,23 +323,8 @@ impl SubgraphEnumerator for EdgeInducedEnumerator {
         sg.pop_edge();
     }
 
-    fn tip(&self, g: &Graph, sg: &Subgraph, word: u64) -> Option<Tip> {
-        let e = word as u32;
-        let (s, d) = g.edge_endpoints(EdgeId(e));
-        let n = sg.num_vertices();
-        let (lo, hi, new_vertex) = match (sg.position_of(s.raw()), sg.position_of(d.raw())) {
-            (Some(a), Some(b)) => (a.min(b), a.max(b), None),
-            (Some(a), None) => (a, n, Some(d.raw())),
-            (None, Some(b)) => (b, n, Some(s.raw())),
-            // A root edge brings both endpoints: not one level over a parent.
-            (None, None) => return None,
-        };
-        Some(Tip::Edge {
-            e,
-            lo: lo as u8,
-            hi: hi as u8,
-            new_vertex,
-        })
+    fn word_kind(&self) -> Option<WordKind> {
+        Some(WordKind::Edge)
     }
 
     fn max_words(&self) -> usize {
@@ -701,9 +632,11 @@ pub(crate) mod tests {
         en.extend(&g, &mut sg, vertex_word(1, 0b1));
         en.compute_extensions(&g, &sg, &mut exts);
         assert_eq!(exts, vec![vertex_word(2, 0b11)]);
+        assert_eq!(en.word_kind(), Some(WordKind::Vertex));
+        let (label, mask) = (0, 0b11);
         assert_eq!(
-            en.tip(&g, &sg, exts[0]),
-            Some(Tip::Vertex { v: 2, mask: 0b11 })
+            WordKind::Vertex.level(&g, &sg, exts[0], false, false),
+            Some((Level::Vertex { label, mask }, Some(2)))
         );
         en.retract(&g, &mut sg);
         en.extend(&g, &mut sg, vertex_word(2, 0b1));
@@ -721,130 +654,65 @@ pub(crate) mod tests {
         // (edge 3).
         let g = unlabeled_from_edges(4, &[(0, 1), (1, 2), (0, 2), (2, 3)]);
         let mut en = EdgeInducedEnumerator::new();
+        assert_eq!(en.word_kind(), Some(WordKind::Edge));
         let mut sg = Subgraph::new(&g);
+        let edge = |sg: &Subgraph, w| WordKind::Edge.level(&g, sg, w, false, false);
+        let level = |lo, hi, new_vertex| Level::Edge {
+            lo,
+            hi,
+            label: 0,
+            new_vertex,
+        };
         // A root edge brings both endpoints in: not a level over a parent.
-        assert_eq!(en.tip(&g, &sg, 0), None);
+        assert_eq!(edge(&sg, 0), None);
         en.extend(&g, &mut sg, 0);
-        assert_eq!(
-            en.tip(&g, &sg, 1),
-            Some(Tip::Edge {
-                e: 1,
-                lo: 1,
-                hi: 2,
-                new_vertex: Some(2)
-            })
-        );
+        assert_eq!(edge(&sg, 1), Some((level(1, 2, Some(0)), Some(2))));
         en.extend(&g, &mut sg, 1);
         // Edge 2 closes the triangle between positions 0 and 2.
-        let closing = Tip::Edge {
-            e: 2,
-            lo: 0,
-            hi: 2,
-            new_vertex: None,
-        };
-        assert_eq!(en.tip(&g, &sg, 2), Some(closing));
-        assert_eq!(closing.new_vertex(), None);
-        // What a tip says is what `extend` then does.
+        assert_eq!(edge(&sg, 2), Some((level(0, 2, None), None)));
+        // What a word says is what `extend` then does.
+        assert_eq!(edge(&sg, 3), Some((level(2, 3, Some(0)), Some(3))));
         en.extend(&g, &mut sg, 3);
         assert_eq!(sg.edge_ends().last(), Some(&(2, 3)));
+        assert_eq!(sg.vertices().last(), Some(&3));
         // Positions, not ids, order the endpoints: reached as [1, 2] the
         // members are 1, 2, 0 and edge 0 closes between positions 2 and 0.
         sg.reset();
         sg.push_edge(&g, 1);
         sg.push_edge(&g, 2);
         assert_eq!(sg.vertices(), &[1, 2, 0]);
-        let closing = Tip::Edge {
-            e: 0,
-            lo: 0,
-            hi: 2,
-            new_vertex: None,
-        };
-        assert_eq!(en.tip(&g, &sg, 0), Some(closing));
+        assert_eq!(edge(&sg, 0), Some((level(0, 2, None), None)));
     }
 
     #[test]
     fn a_vertex_tip_knows_its_edges_but_not_their_labels() {
         let g = graph_from_edges(&[4, 5, 6], &[(0, 1, 7), (1, 2, 8), (0, 2, 9)]);
-        let tip = Tip::Vertex { v: 2, mask: 0b11 };
-        assert_eq!(
-            tip.level(&g, true, false),
-            Some(Level::Vertex {
-                label: 6,
-                mask: 0b11
-            })
-        );
-        assert_eq!(
-            tip.level(&g, false, false),
-            Some(Level::Vertex {
-                label: 0,
-                mask: 0b11
-            })
-        );
-        assert_eq!(tip.level(&g, true, true), None);
-        let tip = Tip::Edge {
-            e: 1,
-            lo: 1,
-            hi: 2,
-            new_vertex: Some(2),
-        };
-        assert_eq!(
-            tip.level(&g, true, true),
-            Some(Level::Edge {
-                lo: 1,
-                hi: 2,
-                label: 8,
-                new_vertex: Some(6)
-            })
-        );
-        assert_eq!(
-            tip.level(&g, false, false),
-            Some(Level::Edge {
-                lo: 1,
-                hi: 2,
-                label: 0,
-                new_vertex: Some(0)
-            })
-        );
-    }
-
-    #[test]
-    fn tally_tips_groups_the_words_by_level() {
-        use std::collections::BTreeMap;
-        // A 10-vertex path with a pendant on each vertex and two vertices
-        // joined to two of them. Vertex 0 alone has three extensions of one
-        // level; the whole path has 12 of 12 distinct levels, masks past the
-        // eighth position included.
-        let mut edges: Vec<(u32, u32)> = (0..9).map(|v| (v, v + 1)).collect();
-        edges.extend((0..10).map(|v| (v, v + 10)));
-        edges.extend([(0, 20), (1, 20), (2, 21), (3, 21)]);
-        let g = unlabeled_from_edges(22, &edges);
-        let mut en = VertexInducedEnumerator::new();
-        let mut levels = |sg: &Subgraph| {
-            let (mut words, mut tally) = (Vec::new(), TipTally::default());
-            let ec = en.compute_extensions(&g, sg, &mut words);
-            assert_eq!(en.tally_tips(&g, sg, false, &mut tally), ec);
-            assert!(tally.words.is_empty());
-            let mut want = BTreeMap::new();
-            for w in words {
-                let level = en.tip(&g, sg, w).and_then(|t| t.level(&g, false, false));
-                *want.entry(format!("{:?}", level.unwrap())).or_insert(0u64) += 1;
-            }
-            let got: BTreeMap<_, _> = tally
-                .levels
-                .iter()
-                .map(|(l, n)| (format!("{l:?}"), *n))
-                .collect();
-            assert_eq!(got.len(), tally.levels.len(), "one entry per level");
-            assert_eq!(got, want);
-            want.into_values().collect::<Vec<_>>()
-        };
         let mut sg = Subgraph::new(&g);
         sg.push_vertex_induced(&g, 0, 0);
-        assert_eq!(levels(&sg), [3]);
-        for v in 1..10 {
-            sg.push_vertex_induced(&g, v, sg.adjacency_mask(&g, v));
-        }
-        assert_eq!(levels(&sg), [1; 12]);
+        sg.push_vertex_induced(&g, 1, 0b1);
+        let word = vertex_word(2, 0b11);
+        let vertex = |vl, el| WordKind::Vertex.level(&g, &sg, word, vl, el);
+        let mask = 0b11;
+        assert_eq!(
+            vertex(true, false),
+            Some((Level::Vertex { label: 6, mask }, Some(2)))
+        );
+        assert_eq!(
+            vertex(false, false),
+            Some((Level::Vertex { label: 0, mask }, Some(2)))
+        );
+        assert_eq!(vertex(true, true), None);
+        let mut sg = Subgraph::new(&g);
+        sg.push_edge(&g, 0);
+        let edge = |vl, el| WordKind::Edge.level(&g, &sg, 1, vl, el).map(|(l, _)| l);
+        let level = |label, new_vertex| Level::Edge {
+            lo: 1,
+            hi: 2,
+            label,
+            new_vertex,
+        };
+        assert_eq!(edge(true, true), Some(level(8, Some(6))));
+        assert_eq!(edge(false, false), Some(level(0, Some(0))));
     }
 
     #[test]

@@ -30,8 +30,8 @@ pub mod subgraph;
 
 pub use cost::expansion_cost_estimate;
 pub use enumerator::{
-    EdgeInducedEnumerator, PatternEnumerator, SubgraphEnumerator, Tip, TipTally,
-    VertexInducedEnumerator, MAX_EDGE_WORDS, MAX_VERTEX_WORDS,
+    EdgeInducedEnumerator, PatternEnumerator, SubgraphEnumerator, VertexInducedEnumerator,
+    WordKind, MAX_EDGE_WORDS, MAX_VERTEX_WORDS,
 };
 pub use kclist::KClistEnumerator;
 pub use queue::ExtensionQueue;

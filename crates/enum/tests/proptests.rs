@@ -109,10 +109,10 @@ fn walk_and_check(
 }
 
 /// Every label setting, every subgraph `depth` more words reach from `sg`,
-/// every extension on the way: the id the trie gives for (parent's id, the tip's level)
-/// is the id the whole key of the materialised child interns to, and the
-/// tip's new vertex is what `extend` appends. Returns how many children
-/// were named.
+/// every extension on the way: the id the trie gives for (parent's id, the
+/// word's level) is the id the whole key of the materialised child interns
+/// to, and the vertex the word appends is what `extend` appends. Returns how
+/// many children were named.
 fn check_children_named_from_parents(
     table: &mut PatternTable,
     g: &Graph,
@@ -125,27 +125,24 @@ fn check_children_named_from_parents(
     let mut exts = Vec::new();
     en.compute_extensions(g, sg, &mut exts);
     for w in exts {
-        let tip = if sg.is_empty() {
-            None
-        } else {
-            en.tip(g, sg, w)
-        };
+        let kind = en.word_kind().filter(|_| !sg.is_empty());
+        let levels = FLAGS.map(|(vl, el)| kind.and_then(|k| k.level(g, sg, w, vl, el)));
         let parents = FLAGS.map(|(vl, el)| table.intern(|q| sg.quick_pattern(g, vl, el, q)));
         let before = sg.vertices().to_vec();
         en.extend(g, sg, w);
-        if let Some(tip) = tip {
+        if let Some((_, added)) = levels[0] {
             let mut want = before;
-            want.extend(tip.new_vertex());
+            want.extend(added);
             if sg.vertices() != want {
                 return Err(format!(
-                    "{tip:?} names {want:?}, extend built {:?}",
+                    "word {w} names {want:?}, extend built {:?}",
                     sg.vertices()
                 ));
             }
-            for ((vl, el), parent) in FLAGS.into_iter().zip(parents) {
+            for (((vl, el), parent), level) in FLAGS.into_iter().zip(parents).zip(levels) {
                 let whole = table.intern(|q| sg.quick_pattern(g, vl, el, q));
-                match tip.level(g, vl, el) {
-                    Some(level) => {
+                match level {
+                    Some((level, _)) => {
                         let child = table.child(parent, level);
                         if child != whole {
                             return Err(format!(
@@ -156,13 +153,13 @@ fn check_children_named_from_parents(
                         }
                         named += 1;
                     }
-                    // Only a vertex tip asked for edge labels may decline.
-                    None if el && matches!(tip, fractal_enum::Tip::Vertex { .. }) => {}
-                    None => return Err(format!("{tip:?} declined labels ({vl}, {el})")),
+                    // Only a vertex word asked for edge labels may decline.
+                    None if el && kind == Some(fractal_enum::WordKind::Vertex) => {}
+                    None => return Err(format!("word {w} declined labels ({vl}, {el})")),
                 }
             }
-        } else if !want_no_tip(sg) {
-            return Err(format!("no tip for word {w} onto {:?}", sg.snapshot()));
+        } else if !is_root(sg) {
+            return Err(format!("no level for word {w} onto {:?}", sg.snapshot()));
         }
         if depth > 1 {
             named += check_children_named_from_parents(table, g, en, sg, depth - 1)?;
@@ -173,7 +170,7 @@ fn check_children_named_from_parents(
 }
 
 /// Only a root word (one vertex, or one edge) has no parent to be named from.
-fn want_no_tip(sg: &Subgraph) -> bool {
+fn is_root(sg: &Subgraph) -> bool {
     sg.num_vertices() == 1 || sg.num_edges() == 1 && sg.num_vertices() == 2
 }
 
