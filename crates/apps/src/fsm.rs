@@ -19,7 +19,7 @@
 //!   subgraphs. Domains are recorded in original-graph ids so supports are
 //!   unaffected by re-indexing.
 
-use fractal_core::{Aggregator, ExecutionReport, FractalGraph, Fractoid};
+use fractal_core::{Aggregator, ExecutionReport, FractalGraph, Fractoid, Leaves};
 use fractal_pattern::canon::InternedForm;
 use fractal_pattern::CanonicalCode;
 use std::collections::{HashMap, HashSet};
@@ -64,18 +64,10 @@ fn bits_of(ids: &[u32], max: u32) -> Repr {
 }
 
 /// Merges strictly increasing `add` into strictly increasing `list` in
-/// place, from the back.
+/// place, in one pass from the back.
 fn merge_sorted(list: &mut Vec<u32>, add: &[u32]) {
-    if list.last().is_none_or(|&last| add[0] > last) {
-        list.extend_from_slice(add);
-        return;
-    }
-    let new = add
-        .iter()
-        .filter(|v| list.binary_search(v).is_err())
-        .count();
     let (mut i, mut j) = (list.len(), add.len());
-    list.resize(i + new, 0);
+    list.resize(i + j, 0);
     let mut w = list.len();
     while j > 0 {
         w -= 1;
@@ -90,6 +82,9 @@ fn merge_sorted(list: &mut Vec<u32>, add: &[u32]) {
             list[w] = add[j];
         }
     }
+    // Each repeat left one slot unwritten between the untouched head and
+    // the merged tail.
+    list.drain(i..w);
 }
 
 impl Default for Domain {
@@ -157,33 +152,12 @@ impl Domain {
         ids.iter().copied().chain(bits)
     }
 
-    /// Adds one id.
-    #[inline]
-    fn insert(&mut self, v: u32) {
-        match &mut self.0 {
-            Repr::Bits { words, len } if ((v >> 5) as usize) < words.len() => {
-                let (word, bit) = (&mut words[(v >> 5) as usize], 1 << (v & 31));
-                *len += (*word & bit == 0) as usize;
-                *word |= bit;
-            }
-            Repr::List(list) => {
-                if let Err(at) = list.binary_search(&v) {
-                    list.insert(at, v);
-                    let max = list[list.len() - 1];
-                    if !sparse(list.len(), max) {
-                        self.0 = bits_of(list, max);
-                    }
-                }
-            }
-            _ => self.add_increasing(&[v]),
-        }
-    }
-
-    /// Adds `ids`, in any order and with repeats; leaves `ids` in no
-    /// particular order.
+    /// Adds `ids`, in any order and with repeats, at once: a bitmap sets
+    /// their bits; a list drops those it holds, then sorts, dedups and
+    /// merges the rest in one pass. Leaves `ids` changed.
     fn add(&mut self, ids: &mut Vec<u32>) {
-        if let Repr::Bits { words, len } = &mut self.0 {
-            if ids.iter().all(|&v| ((v >> 5) as usize) < words.len()) {
+        match &mut self.0 {
+            Repr::Bits { words, len } if ids.iter().all(|&v| ((v >> 5) as usize) < words.len()) => {
                 for &v in ids.iter() {
                     let (word, bit) = (&mut words[(v >> 5) as usize], 1 << (v & 31));
                     *len += (*word & bit == 0) as usize;
@@ -191,6 +165,8 @@ impl Domain {
                 }
                 return;
             }
+            Repr::List(list) => ids.retain(|v| list.binary_search(v).is_err()),
+            Repr::Bits { .. } => {}
         }
         ids.sort_unstable();
         ids.dedup();
@@ -270,37 +246,23 @@ impl Domain {
     }
 }
 
-/// Folds `rows` of `reps.len()` ids each into the domains of their orbit
-/// representatives.
-fn fold_rows(domains: &mut [Domain], reps: &[u8], rows: &[u32]) {
-    if rows.is_empty() {
-        return;
-    }
-    for row in rows.chunks_exact(reps.len()) {
-        for (&v, &rep) in row.iter().zip(reps) {
-            domains[rep as usize].insert(v);
-        }
-    }
-}
-
 /// Minimum image-based support: one vertex domain per canonical pattern
 /// position (the paper's `DomainSupport`).
 ///
-/// Two sides. A fold *stages* an embedding as one row of original vertex
-/// ids appended to a flat buffer, with no hashing and no per-position
-/// container; [`absorb`](Self::absorb) *commits* rows into the
-/// [`Domain`]s. A value read for its support or domains must hold no staged
-/// rows: the aggregation passes every value through `absorb` before anyone
-/// reads it (`Aggregator::by_pattern` settles each class's value with
+/// Two sides. A fold *stages* a group of embeddings
+/// ([`stage`](Self::stage)): each orbit-representative position keeps a run
+/// of original vertex ids, appended to with no hashing, search or sorting;
+/// [`absorb`](Self::absorb) *commits* each position's run into its
+/// [`Domain`] at once. A value read for its support or domains must hold no
+/// staged ids: the aggregation passes every value through `absorb` before
+/// anyone reads it (`Aggregator::by_pattern` settles each class's value with
 /// `absorb(value, empty(code))`), and [`support`](Self::support) and
-/// [`domains`](Self::domains) panic on rows left over.
+/// [`domains`](Self::domains) panic on ids left over.
 #[derive(Debug, Clone, Default)]
 pub struct DomainSupport {
-    /// The class's `orbit_reps`, copied on the first fold.
-    reps: Vec<u8>,
-    /// Staged embeddings, `reps.len()` ids each: `row[perm[i]]` is the
-    /// original id of the subgraph's `i`-th vertex.
-    rows: Vec<u32>,
+    /// Staged original ids, one run per canonical position (empty off the
+    /// orbit representatives), sized by the first fold.
+    staged: Vec<Vec<u32>>,
     domains: Vec<Domain>,
 }
 
@@ -314,42 +276,49 @@ impl DomainSupport {
         }
     }
 
-    /// Stages one embedding: the subgraph's `vertices` (insertion order),
-    /// translated to the original input graph via `fg` so reductions
-    /// between steps don't skew supports, are written as one row in the
-    /// canonical position order `form.perm` gives. Every embedding folded
-    /// into one value must be of one pattern class.
+    /// Stages a group of embeddings of one canonical form: the parent's
+    /// vertices once, at the canonical positions `form.perm` gives, then
+    /// each leaf's appended vertex at the position after them, all
+    /// translated to the original input graph via `fg` so reductions between
+    /// steps don't skew supports. Every group staged into one value must be
+    /// of one pattern class.
     ///
     /// Positions in the same automorphism orbit have identical domains
-    /// under exact minimum-image support; committing each vertex into its
-    /// orbit representative's domain (`form.orbit_reps`) makes the computed
-    /// support exact (and therefore anti-monotone) even though each
-    /// subgraph instance is enumerated with a single canonical mapping.
+    /// under exact minimum-image support; staging each vertex at its orbit
+    /// representative (`form.orbit_reps`) makes the computed support exact
+    /// (and therefore anti-monotone) even though each subgraph instance is
+    /// enumerated with a single canonical mapping.
     #[inline]
-    pub fn insert(&mut self, vertices: &[u32], form: InternedForm<'_>, fg: &FractalGraph) {
-        if self.reps.is_empty() {
-            self.reps.extend_from_slice(form.orbit_reps);
+    pub fn stage(&mut self, leaves: Leaves<'_>, form: InternedForm<'_>, fg: &FractalGraph) {
+        if self.staged.len() < form.perm.len() {
+            self.staged.resize_with(form.perm.len(), Vec::new);
         }
-        debug_assert_eq!(self.reps, form.orbit_reps, "one value, two pattern classes");
-        let base = self.rows.len();
-        self.rows.resize(base + self.reps.len(), 0);
-        let row = &mut self.rows[base..];
-        for (&v, &pos) in vertices.iter().zip(form.perm) {
-            row[pos as usize] = fg.orig_vertex(v);
+        let run = |at: usize| form.orbit_reps[form.perm[at] as usize] as usize;
+        let (parent, added) = leaves.vertices();
+        for (at, &v) in parent.iter().enumerate() {
+            // A unit's groups repeat the vertices their parents share.
+            let (run, v) = (&mut self.staged[run(at)], fg.orig_vertex(v));
+            if run.last() != Some(&v) {
+                run.push(v);
+            }
+        }
+        if !added.is_empty() {
+            let run = &mut self.staged[run(parent.len())];
+            run.extend(added.iter().map(|&v| fg.orig_vertex(v)));
         }
     }
 
-    /// Positionwise domain union: commits this value's own staged rows and
-    /// `other`'s, then moves `other`'s domains in. `other` is left empty
-    /// with its row buffer allocated (the staged support of a unit is
-    /// absorbed on commit and refilled by the next unit); this value's own
-    /// row buffer, staged only before a first-sight move, is freed.
+    /// Positionwise domain union: commits this value's own staged runs and
+    /// `other`'s, each position's run at once, then moves `other`'s domains
+    /// in. `other` is left empty with its runs allocated (the staged support
+    /// of a unit is absorbed on commit and refilled by the next unit); this
+    /// value's own runs, staged only before a first-sight move, are freed.
     pub fn absorb(&mut self, other: &mut DomainSupport) {
         let positions = [
             self.domains.len(),
             other.domains.len(),
-            self.reps.len(),
-            other.reps.len(),
+            self.staged.len(),
+            other.staged.len(),
         ]
         .into_iter()
         .max()
@@ -357,10 +326,14 @@ impl DomainSupport {
         if self.domains.len() < positions {
             self.domains.resize_with(positions, Domain::default);
         }
-        fold_rows(&mut self.domains, &self.reps, &self.rows);
-        self.rows = Vec::new();
-        fold_rows(&mut self.domains, &other.reps, &other.rows);
-        other.rows.clear();
+        for (domain, run) in self.domains.iter_mut().zip(&mut self.staged) {
+            domain.add(run);
+        }
+        self.staged = Vec::new();
+        for (domain, run) in self.domains.iter_mut().zip(&mut other.staged) {
+            domain.add(run);
+            run.clear();
+        }
         for (mine, theirs) in self.domains.iter_mut().zip(&mut other.domains) {
             mine.absorb(theirs);
         }
@@ -392,10 +365,10 @@ impl DomainSupport {
 
     /// The per-position vertex domains (wire serialization support).
     pub fn domains(&self) -> &[Domain] {
+        let staged: usize = self.staged.iter().map(Vec::len).sum();
         assert!(
-            self.rows.is_empty(),
-            "DomainSupport read with {} staged ids not committed: absorb it first",
-            self.rows.len()
+            staged == 0,
+            "DomainSupport read with {staged} staged ids not committed: absorb it first"
         );
         &self.domains
     }
@@ -495,12 +468,10 @@ pub fn fsm_support_aggregator(
         "support",
         true,
         true,
-        // No domains until a commit sizes them from the orbit
-        // representatives: a staged value is its rows and nothing else.
+        // No domains until a commit sizes them from the staged runs: a
+        // staged value is its runs and nothing else.
         |_| DomainSupport::default(),
-        move |sup: &mut DomainSupport, leaves, form| {
-            leaves.for_each(|vertices| sup.insert(vertices, form, &fgc))
-        },
+        move |sup: &mut DomainSupport, leaves, form| sup.stage(leaves, form, &fgc),
         DomainSupport::absorb,
     )
     .with_filter(move |_, v: &DomainSupport| v.has_enough_support(min_support))
@@ -595,7 +566,7 @@ mod tests {
     use super::*;
     use fractal_core::{FractalContext, SubgraphView};
     use fractal_graph::builder::graph_from_edges;
-    use fractal_graph::gen;
+    use fractal_graph::{gen, VertexId};
     use fractal_runtime::ClusterConfig;
 
     fn fg_of(g: fractal_graph::Graph) -> FractalGraph {
@@ -620,14 +591,16 @@ mod tests {
 
     #[test]
     fn inserting_embeddings_one_at_a_time_builds_the_domains() {
-        // Two (0)-(1) edges and two (0)-(0) edges sharing vertex 4.
+        // Two (0)-(1) edges, and two (0)-(0) edges that share vertex 0.
         let g = graph_from_edges(
             &[0, 1, 0, 1, 0],
-            &[(0, 1, 0), (2, 3, 0), (0, 4, 0), (2, 4, 0)],
+            &[(0, 1, 0), (2, 3, 0), (0, 4, 0), (0, 2, 0)],
         );
         let fg = fg_of(g);
         let g = fg.graph();
-        let mut got: HashMap<CanonicalCode, DomainSupport> = HashMap::new();
+        // Each edge is a leaf of its first vertex, grouped as the engine
+        // groups a level: by parent, class and form.
+        let mut groups: HashMap<(u32, CanonicalCode, Vec<u8>), Vec<u32>> = HashMap::new();
         let mut sg = fractal_enum::Subgraph::new(g);
         for e in 0..g.num_edges() as u32 {
             sg.push_edge(g, e);
@@ -635,16 +608,35 @@ mod tests {
                 graph: g,
                 subgraph: &sg,
             };
+            let &[u, v] = view.vertices() else {
+                panic!("an edge has two vertices")
+            };
+            view.canonical_form(true, true, |form| {
+                let key = (u, form.code.clone(), form.perm.to_vec());
+                groups.entry(key).or_default().push(v)
+            });
+            sg.pop_edge();
+        }
+        assert_eq!(groups.len(), 3, "the (0)-(0) edges make one group");
+        let mut got: HashMap<CanonicalCode, DomainSupport> = HashMap::new();
+        for ((u, _, _), added) in &groups {
+            let parent = [*u];
+            let e = g.edge_between(VertexId(*u), VertexId(added[0]));
+            sg.push_edge(g, e.expect("a staged edge").0);
+            let view = SubgraphView {
+                graph: g,
+                subgraph: &sg,
+            };
             view.canonical_form(true, true, |form| {
                 got.entry(form.code.clone())
                     .or_insert_with(|| DomainSupport::empty(form.code.num_vertices()))
-                    .insert(view.vertices(), form, &fg)
+                    .stage(Leaves::new(added.len(), &|| (&parent, added)), form, &fg)
             });
             sg.pop_edge();
         }
         assert_eq!(got.len(), 2);
         for (code, sup) in &mut got {
-            // Inserting stages rows; the settle's `absorb(value, empty)`
+            // Staging fills runs; the settle's `absorb(value, empty)`
             // commits them.
             sup.absorb(&mut DomainSupport::empty(code.num_vertices()));
             let pattern = code.to_pattern();
@@ -719,6 +711,29 @@ mod tests {
         let mut union = grown.clone();
         union.absorb(&mut dense.clone());
         assert_eq!(union.iter().collect::<Vec<_>>(), all);
+        // A staged run, unsorted and with repeats, commits at once into an
+        // empty domain, a list and a bitmap, which take the shape of the
+        // union: list -> bitmap past `32 * len > max + 1`, bitmap -> list
+        // below it.
+        for (into, run, bitmap) in [
+            (Domain::default(), vec![319, 7, 64, 7, 319, 5], false),
+            (
+                Domain::default(),
+                (0..64).rev().chain(0..64).collect(),
+                true,
+            ),
+            (list.clone(), vec![319, 7, 64, 7, 319, 5], true),
+            (list.clone(), vec![100_000, 64, 100_000], false),
+            (dense.clone(), vec![399, 0, 64, 0, 399], true),
+            (dense.clone(), vec![100_000, 350, 100_000], false),
+        ] {
+            let want: Domain = into.iter().chain(run.iter().copied()).collect();
+            let (mut got, mut run) = (into.clone(), run);
+            got.add(&mut run);
+            assert_eq!(got, want);
+            assert_eq!(got.is_bitmap(), bitmap, "{want:?}");
+            assert_eq!(Domain::from_increasing(want.iter().collect()), Some(got));
+        }
     }
 
     #[test]
@@ -755,7 +770,9 @@ mod tests {
             graph: g,
             subgraph: &sg,
         };
-        view.canonical_form(true, true, |form| sup.insert(view.vertices(), form, &fg));
+        view.canonical_form(true, true, |form| {
+            sup.stage(Leaves::new(1, &|| (view.vertices(), &[])), form, &fg)
+        });
         sup.support();
     }
 

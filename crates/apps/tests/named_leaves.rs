@@ -8,14 +8,16 @@
 //! per subgraph and share no table, trie or tip with the engine), on one
 //! core and with stealing.
 
-use fractal_apps::{fsm, motifs};
+use fractal_apps::fsm::{self, Domain, DomainSupport};
+use fractal_apps::motifs;
 use fractal_baselines::single_thread::{grami_fsm, gtries_motifs, gtries_motifs_labeled};
-use fractal_core::{Aggregator, FractalContext, FractalGraph};
-use fractal_graph::{gen, Graph};
+use fractal_core::{Aggregator, FractalContext, FractalGraph, SubgraphView};
+use fractal_enum::Subgraph;
+use fractal_graph::{gen, EdgeId, Graph};
 use fractal_pattern::canon::canonical_code;
 use fractal_pattern::{CanonicalCode, Pattern};
-use fractal_runtime::{ClusterConfig, WsMode};
-use std::collections::HashMap;
+use fractal_runtime::{ClusterConfig, FaultConfig, WsMode};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 fn shapes() -> Vec<ClusterConfig> {
@@ -165,4 +167,120 @@ fn fsm_with_reduction_tracks_participation_and_matches_grami() {
         let result = fsm::fsm_with_reduction(&fg_of(&g, cfg.clone()), 9, 3);
         assert_eq!(fsm::frequent_map(&result), want, "{cfg:?}");
     }
+}
+
+/// Per pattern of `edges` edges whose support reaches `min_support`, its
+/// domains built from every embedding materialised on its own: each
+/// connected set of `edges` edges, its canonical form, and each vertex put
+/// at its canonical position's orbit representative.
+fn domains_by_embedding(
+    g: &Graph,
+    edges: usize,
+    min_support: u64,
+) -> HashMap<CanonicalCode, Vec<Domain>> {
+    let mut sets: HashSet<Vec<u32>> = (0..g.num_edges() as u32).map(|e| vec![e]).collect();
+    for _ in 1..edges {
+        let mut grown = HashSet::new();
+        for set in &sets {
+            for &e in set {
+                let (u, v) = g.edge_endpoints(EdgeId(e));
+                for &f in g.incident_edges(u).iter().chain(g.incident_edges(v)) {
+                    if !set.contains(&f) {
+                        let mut more = set.clone();
+                        more.push(f);
+                        more.sort_unstable();
+                        grown.insert(more);
+                    }
+                }
+            }
+        }
+        sets = grown;
+    }
+    let mut ids: HashMap<CanonicalCode, Vec<Vec<u32>>> = HashMap::new();
+    let mut sg = Subgraph::new(g);
+    for set in sets {
+        // Each edge after the first touches one before it.
+        let mut rest = set;
+        while !rest.is_empty() {
+            let at = (rest.iter())
+                .position(|&e| {
+                    let (u, v) = g.edge_endpoints(EdgeId(e));
+                    let touches = sg.position_of(u.raw()).or(sg.position_of(v.raw()));
+                    sg.num_edges() == 0 || touches.is_some()
+                })
+                .expect("a connected edge set");
+            sg.push_edge(g, rest.remove(at));
+        }
+        let view = SubgraphView {
+            graph: g,
+            subgraph: &sg,
+        };
+        view.canonical_form(true, true, |form| {
+            let domains =
+                (ids.entry(form.code.clone())).or_insert_with(|| vec![Vec::new(); form.perm.len()]);
+            for (&v, &at) in view.vertices().iter().zip(form.perm) {
+                domains[form.orbit_reps[at as usize] as usize].push(v);
+            }
+        });
+        while sg.num_edges() > 0 {
+            sg.pop_edge();
+        }
+    }
+    ids.into_iter()
+        .map(|(code, ids)| {
+            (
+                code,
+                ids.into_iter().map(Domain::from_iter).collect::<Vec<_>>(),
+            )
+        })
+        .filter(|(_, domains)| {
+            let support = domains
+                .iter()
+                .filter(|d| !d.is_empty())
+                .map(Domain::len)
+                .min();
+            support.unwrap_or(0) as u64 >= min_support
+        })
+        .collect()
+}
+
+#[test]
+fn named_fsm_domains_match_materialised_embeddings() {
+    // Whole domains, list or bitmap, not only their sizes: ids staged at
+    // the wrong canonical position can leave a support as it was, not the
+    // domains. The fault leg aborts and retries units.
+    let (g, min_support) = (gen::patents_like(80, 8, 5), 2);
+    let want: Vec<_> = (1..=3)
+        .map(|edges| domains_by_embedding(&g, edges, min_support))
+        .collect();
+    let shapes = want.iter().flat_map(|round| round.values().flatten());
+    let (lists, bitmaps) = shapes.filter(|d| !d.is_empty()).fold((0, 0), |(l, b), d| {
+        (l + !d.is_bitmap() as usize, b + d.is_bitmap() as usize)
+    });
+    assert!(lists > 0 && bitmaps > 0, "{lists} lists, {bitmaps} bitmaps");
+    assert!(want[2].keys().any(|c| c.num_vertices() == 4));
+    let faulty = ClusterConfig::local(2, 2).with_faults(FaultConfig::unit_panic(1, 1));
+    let mut retried = 0;
+    for cfg in [
+        ClusterConfig::local(1, 1),
+        ClusterConfig::local(2, 2),
+        faulty,
+    ] {
+        let fg = fg_of(&g, cfg.clone());
+        for (rounds, want) in (1..).zip(&want) {
+            let f = fsm::fsm_fractoid(&fg, min_support, rounds);
+            let report = f.execute();
+            retried += report
+                .steps
+                .iter()
+                .map(|s| s.faults.units_retried)
+                .sum::<u64>();
+            let got = f.aggregation::<CanonicalCode, DomainSupport>("support");
+            assert_eq!(got.len(), want.len(), "round {rounds} on {cfg:?}");
+            for (code, domains) in want {
+                assert_eq!(got[code].domains(), &domains[..], "{code:?} on {cfg:?}");
+            }
+        }
+    }
+    assert!(retried > 0, "no unit was aborted and retried");
 }

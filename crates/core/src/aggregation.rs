@@ -83,21 +83,22 @@ pub trait AggShard: Send + Sync {
 }
 
 /// A group of subgraphs of one class and canonical form that a
-/// pattern-keyed fold is handed at once: one subgraph, or the leaves one
-/// parent grows by one level. Their vertex lists, in insertion order, are
-/// written only for a fold that asks for them.
+/// pattern-keyed fold is handed at once: the leaves one parent grows by one
+/// level, or one materialised subgraph. Each is the parent's vertex list
+/// (insertion order) plus one appended vertex, or plus none: a closing
+/// edge's group, and a materialised subgraph's (its whole list is the
+/// parent), hold one.
 #[derive(Clone, Copy)]
 pub struct Leaves<'a> {
     len: usize,
-    each: EachLeaf<'a>,
+    /// Lists the vertices when a fold asks: a census never does.
+    vertices: &'a dyn Fn() -> (&'a [u32], &'a [u32]),
 }
 
-/// Hands each subgraph's vertex list of a [`Leaves`] to its argument.
-type EachLeaf<'a> = &'a dyn Fn(&mut dyn FnMut(&[u32]));
-
 impl<'a> Leaves<'a> {
-    pub(crate) fn new(len: usize, each: EachLeaf<'a>) -> Self {
-        Leaves { len, each }
+    /// `len` subgraphs whose parent and appended vertices `vertices` lists.
+    pub fn new(len: usize, vertices: &'a dyn Fn() -> (&'a [u32], &'a [u32])) -> Self {
+        Leaves { len, vertices }
     }
 
     /// Number of subgraphs in the group.
@@ -110,9 +111,10 @@ impl<'a> Leaves<'a> {
         self.len == 0
     }
 
-    /// Calls `f` on each subgraph's vertex list.
-    pub fn for_each(&self, mut f: impl FnMut(&[u32])) {
-        (self.each)(&mut f)
+    /// The vertices every subgraph of the group starts with, and the vertex
+    /// each appends to them, one per subgraph (none when they append none).
+    pub fn vertices(&self) -> (&'a [u32], &'a [u32]) {
+        (self.vertices)()
     }
 }
 
@@ -170,11 +172,13 @@ where
     ///
     /// - `empty(code)` makes the value of a pattern nothing was folded into;
     /// - `fold(value, leaves, form)` folds a group of subgraphs of one
-    ///   canonical form in place, each given as its vertices in insertion
-    ///   order ([`Leaves`]; `form.perm` maps vertex positions to canonical
-    ///   positions). That is all a fold can read: a deepest-level subgraph is
-    ///   named from its parent and never materialised, so there is no view to
-    ///   hand over. `fold` runs inside the core's pattern table;
+    ///   canonical form in place, given as their parent's vertices in
+    ///   insertion order and the vertex each appends ([`Leaves`]; `form.perm`
+    ///   maps vertex positions to canonical positions, and the appended
+    ///   vertex is at position `parent.len()`). That is all a fold can read:
+    ///   a deepest-level subgraph is named from its parent and never
+    ///   materialised, so there is no view to hand over. `fold` runs inside
+    ///   the core's pattern table;
     /// - `absorb(into, from)` moves everything in `from` into `into` and
     ///   leaves `from` equal to `empty` with its allocations kept: a unit's
     ///   staged values are absorbed on commit and reused by the next unit.
@@ -482,8 +486,7 @@ where
                 use_elabels,
                 ..
             } => view.classified(use_vlabels, use_elabels, |class, form| {
-                let each = |f: &mut dyn FnMut(&[u32])| f(view.vertices());
-                self.accumulate_named(Leaves::new(1, &each), class, form)
+                self.accumulate_named(Leaves::new(1, &|| (view.vertices(), &[])), class, form)
             }),
         }
     }
@@ -768,7 +771,9 @@ mod tests {
             false,
             |_| Vec::new(),
             |set: &mut Vec<u32>, leaves, _| {
-                leaves.for_each(|vertices| set.extend_from_slice(vertices));
+                let (parent, added) = leaves.vertices();
+                set.extend_from_slice(parent);
+                set.extend_from_slice(added);
                 set.sort_unstable();
                 set.dedup();
             },
@@ -819,8 +824,8 @@ mod tests {
                 crate::view::with_patterns(|uid, table| {
                     let id = parent.intern(table, false, false);
                     let (class, form) = crate::view::classify_child(uid, table, id, level);
-                    let each = |f: &mut dyn FnMut(&[u32])| f(&vertices);
-                    shard.accumulate_named(Leaves::new(1, &each), class, form)
+                    let lists = || vertices.split_at(2);
+                    shard.accumulate_named(Leaves::new(1, &lists), class, form)
                 });
                 folded += 1;
             }

@@ -13,7 +13,7 @@ use fractal_runtime::level::GlobalCoreId;
 use fractal_runtime::stats::JobReport;
 use fractal_runtime::sync::Mutex;
 use fractal_runtime::sync::{AtomicU64, Ordering};
-use std::cell::{Cell, OnceCell};
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -511,11 +511,13 @@ struct LevelGroups {
     indexed: bool,
     index: Vec<(u32, u32)>,
     stamp: u32,
-    /// The vertex each leaf appends, level by level, and where each level's
-    /// leaves end: written for a fold that reads a vertex list, never a count.
-    added: OnceCell<(Vec<Option<u32>>, Vec<usize>)>,
-    /// One leaf's vertex list.
-    leaf: Cell<Vec<u32>>,
+    /// Per word of an indexed tally that appends a vertex: its level's
+    /// position and the vertex. A scanned tally writes nothing per word.
+    tags: Vec<(u32, u32)>,
+    /// The vertices the leaves append, level after level, and where each
+    /// level's run ends: placed by an indexed tally as it groups, and after a
+    /// scanned one only when a fold asks (a census never does).
+    added: OnceCell<(Vec<u32>, Vec<usize>)>,
 }
 
 impl LevelGroups {
@@ -530,9 +532,10 @@ impl LevelGroups {
         indexed: bool,
     ) -> bool {
         self.levels.clear();
-        self.added = OnceCell::new();
+        let mut listed = self.added.take().unwrap_or_default();
         self.indexed = indexed;
         if indexed {
+            self.tags.clear();
             self.stamp = self.stamp.wrapping_add(1);
             let slots = (2 * words.len()).next_power_of_two();
             if self.index.len() < slots || self.stamp == 0 {
@@ -541,7 +544,7 @@ impl LevelGroups {
             }
         }
         for &w in words {
-            let Some((level, _)) = name(w) else {
+            let Some((level, v)) = name(w) else {
                 return false;
             };
             if !indexed {
@@ -551,13 +554,24 @@ impl LevelGroups {
                 }
                 continue;
             }
-            match self.find(&level) {
-                Ok(at) => self.levels[at].1 += 1,
+            let at = match self.find(&level) {
+                Ok(at) => {
+                    self.levels[at].1 += 1;
+                    at
+                }
                 Err(slot) => {
                     self.index[slot] = (self.stamp, self.levels.len() as u32);
                     self.levels.push((level, 1));
+                    self.levels.len() - 1
                 }
+            };
+            if let Some(v) = v {
+                self.tags.push((at as u32, v));
             }
+        }
+        if indexed {
+            place(self.levels.len(), &self.tags, &mut listed);
+            self.added = OnceCell::from(listed);
         }
         true
     }
@@ -583,42 +597,45 @@ impl LevelGroups {
         }
     }
 
-    /// Calls `f` on the vertex list of each leaf of level `at` of the last
-    /// tally of `words`: `parent` plus the vertex its word appends, if any.
-    fn for_each_leaf(
+    /// The vertices the leaves of level `at` of the last tally of `words`
+    /// append, in word order; empty for a closing edge's level.
+    fn added(
         &self,
         at: usize,
-        parent: &[u32],
         words: &[u64],
         name: &dyn Fn(u64) -> Option<(Level, Option<u32>)>,
-        f: &mut dyn FnMut(&[u32]),
-    ) {
-        let n = self.levels[at].1;
+    ) -> &[u32] {
         let (added, ends) = self.added.get_or_init(|| {
-            let mut ends: Vec<_> = (self.levels.iter())
-                .scan(0, |end, &(_, n)| {
-                    *end += n;
-                    Some(*end - n)
-                })
+            // A scanned tally tagged nothing: its words are named again.
+            let tags: Vec<(u32, u32)> = (words.iter().filter_map(|&w| name(w)))
+                .filter_map(|(level, v)| Some((self.find(&level).ok()? as u32, v?)))
                 .collect();
-            let mut added = vec![None; words.len()];
-            for (level, v) in words.iter().filter_map(|&w| name(w)) {
-                if let Ok(at) = self.find(&level) {
-                    added[ends[at]] = v;
-                    ends[at] += 1;
-                }
-            }
-            (added, ends)
+            let mut listed = Default::default();
+            place(self.levels.len(), &tags, &mut listed);
+            listed
         });
-        let mut leaf = self.leaf.take();
-        leaf.clear();
-        leaf.extend_from_slice(parent);
-        leaf.push(0);
-        for &v in &added[ends[at] - n..ends[at]] {
-            leaf[parent.len()] = v.unwrap_or(0);
-            f(&leaf[..parent.len() + v.is_some() as usize]);
-        }
-        self.leaf.set(leaf);
+        &added[at.checked_sub(1).map_or(0, |before| ends[before])..ends[at]]
+    }
+}
+
+/// Places each tagged vertex in the run of its level, one of `levels`, in
+/// tag order, by a counting sort: each level's run starts where the last
+/// ends, and `ends[at]` moves past its vertices.
+fn place(levels: usize, tags: &[(u32, u32)], (added, ends): &mut (Vec<u32>, Vec<usize>)) {
+    ends.clear();
+    ends.resize(levels, 0);
+    for &(at, _) in tags {
+        ends[at as usize] += 1;
+    }
+    let mut start = 0;
+    for end in ends.iter_mut() {
+        (*end, start) = (start, start + *end);
+    }
+    added.clear();
+    added.resize(tags.len(), 0);
+    for &(at, v) in tags {
+        added[ends[at as usize]] = v;
+        ends[at as usize] += 1;
     }
 }
 
@@ -785,10 +802,8 @@ impl StepTask<'_> {
                 let parent = view.intern(table, a.use_vlabels, a.use_elabels);
                 for (at, &(level, n)) in groups.levels.iter().enumerate() {
                     let (class, form) = classify_child(uid, table, parent, level);
-                    let each = |f: &mut dyn FnMut(&[u32])| {
-                        groups.for_each_leaf(at, sg.vertices(), exts, &name, f)
-                    };
-                    staged[a.slot].accumulate_named(Leaves::new(n, &each), class, form);
+                    let vertices = || (sg.vertices(), groups.added(at, exts, &name));
+                    staged[a.slot].accumulate_named(Leaves::new(n, &vertices), class, form);
                 }
             }
         });
@@ -1265,7 +1280,11 @@ mod tests {
             false,
             false,
             |_| Vec::new(),
-            |all: &mut Vec<u32>, leaves, _| leaves.for_each(|v| all.extend_from_slice(v)),
+            |all: &mut Vec<u32>, leaves, _| {
+                let (parent, added) = leaves.vertices();
+                all.extend_from_slice(parent);
+                all.extend_from_slice(added)
+            },
             |into, from| into.append(from),
         ));
         let census = fg
@@ -1371,9 +1390,9 @@ mod tests {
             }
             let mut got = std::collections::BTreeMap::new();
             for (at, (level, n)) in groups.levels.iter().enumerate() {
-                let mut leaves = Vec::new();
-                let mut push = |leaf: &[u32]| leaves.push(leaf.to_vec());
-                groups.for_each_leaf(at, sg.vertices(), &words, &name, &mut push);
+                let leaves: Vec<Vec<u32>> = (groups.added(at, &words, &name).iter())
+                    .map(|&v| sg.vertices().iter().copied().chain([v]).collect())
+                    .collect();
                 assert_eq!(leaves.len(), *n);
                 assert!(got.insert(format!("{level:?}"), leaves).is_none());
             }
@@ -1396,6 +1415,29 @@ mod tests {
             assert_eq!(levels(&sg, indexed, false), Some(vec![1; 12]));
             assert_eq!(levels(&sg, indexed, true), None);
         }
+        // Edge words: the path 0-1-2 of a triangle with two pendants on 2
+        // grows by one closing edge, a group of one leaf that appends no
+        // vertex, and by two edges that append 3 and 4 in one group.
+        let g = unlabeled_from_edges(5, &[(0, 1), (1, 2), (0, 2), (2, 3), (2, 4)]);
+        let mut en = fractal_enum::EdgeInducedEnumerator::new();
+        let mut sg = Subgraph::new(&g);
+        for e in [0, 1] {
+            en.extend(&g, &mut sg, e);
+        }
+        let mut words = Vec::new();
+        en.compute_extensions(&g, &sg, &mut words);
+        let name = |w| WordKind::Edge.level(&g, &sg, w, false, false);
+        assert!(groups.tally(&words, name, true));
+        let mut got: Vec<(usize, Vec<u32>)> = (0..groups.levels.len())
+            .map(|at| {
+                (
+                    groups.levels[at].1,
+                    groups.added(at, &words, &name).to_vec(),
+                )
+            })
+            .collect();
+        got.sort();
+        assert_eq!(got, [(1, vec![]), (2, vec![3, 4])]);
     }
 
     #[test]

@@ -100,13 +100,19 @@ fn folded_by_pattern(
         use_elabels,
         |_| Vec::new(),
         |all: &mut Vec<Folded>, leaves, form| {
-            leaves.for_each(|vertices| {
+            let (parent, added) = leaves.vertices();
+            assert_eq!(leaves.len(), added.len().max(1));
+            for v in added
+                .iter()
+                .map(|&v| Some(v))
+                .chain(added.is_empty().then_some(None))
+            {
                 all.push((
-                    vertices.to_vec(),
+                    parent.iter().copied().chain(v).collect(),
                     form.perm.to_vec(),
                     form.orbit_reps.to_vec(),
                 ))
-            })
+            }
         },
         |into: &mut Vec<Folded>, from: &mut Vec<Folded>| into.append(from),
     );

@@ -20,7 +20,7 @@ def side(out):
     layers = load("motifs_enum.traced.json")["per_layer"]
     return {
         "job_s": {w: {k: load(f"{w}.json")["job_s"][k] for k in ("q1", "median", "q3")}
-                  for w in ("motifs_enum", "motifs_plan", "fsm_cluster")},
+                  for w in ("motifs_enum", "motifs_plan", "fsm_cluster", "serve_mix")},
         "traced": {p: layers[p]["value"]
                    for p in ("enum.ns_per_ext", "enum.total_ec", "pattern.exec_ns_per_ext",
                              "enum.edge_ns_per_ext", "enum.edge_total_ec", "core.fsm_step3_s")},
