@@ -67,7 +67,8 @@ struct PlanCoreTask<'a> {
 
 impl PlanCoreTask<'_> {
     /// The per-node accumulators plus what the executor keeps resident
-    /// (its mark words: 4 bytes a graph vertex a core).
+    /// (its mark words and common-neighbour counts: 4 bytes each a graph
+    /// vertex a core).
     fn state_bytes(&self) -> u64 {
         let sums = (self.durable.len() + self.staged.len()) * std::mem::size_of::<i128>();
         (sums + self.exec.resident_bytes()) as u64

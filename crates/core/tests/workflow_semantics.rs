@@ -3,7 +3,12 @@
 //! explore operator's interaction with aggregation uids.
 
 use fractal_core::prelude::*;
+use fractal_core::Aggregator;
+use fractal_pattern::CanonicalCode;
 use fractal_runtime::ClusterConfig;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 fn fg() -> FractalGraph {
     // Triangle + tail (4 vertices, 4 edges).
@@ -177,4 +182,51 @@ fn a_unit_out_of_retries_fails_its_job_with_the_unit_panic() {
             "{cfg:?}: wrong panic: {msg}"
         );
     }
+}
+
+/// A 3-vertex census of pattern counts on two workers of two cores whose
+/// fold panics once, if `fault` is set: in the middle of a unit, on a
+/// class the unit has already staged a count under. Returns the census
+/// and the number of unit retries.
+fn census_with_one_mid_unit_fold_panic(fault: bool) -> (BTreeMap<CanonicalCode, u64>, u64) {
+    let g = fractal_graph::gen::mico_like(150, 1, 7);
+    let armed = AtomicBool::new(fault);
+    let fractoid = FractalContext::new(ClusterConfig::local(2, 2))
+        .fractal_graph(g)
+        .vfractoid()
+        .expand(3)
+        .aggregate_spec(Arc::new(Aggregator::by_pattern(
+            "motifs",
+            false,
+            false,
+            |_| 0u64,
+            move |n, leaves, _| {
+                // ordering: a lone flag, read-modify-written once; no other
+                // memory is published through it.
+                if *n > 0 && armed.swap(false, Ordering::Relaxed) {
+                    panic!("fold fault after {n} staged leaves");
+                }
+                *n += leaves.len() as u64;
+            },
+            |into, from| *into += std::mem::take(from),
+        )));
+    let report = fractoid.execute();
+    let retried = report.steps.iter().map(|s| s.faults.units_retried).sum();
+    let census = fractoid.aggregation::<CanonicalCode, u64>("motifs");
+    (census.into_iter().collect(), retried)
+}
+
+/// A unit aborted after its deepest level staged pattern-keyed values
+/// drops them with the rest of its staging: its retry commits each leaf
+/// once, so the census equals the fault-free one.
+#[test]
+fn a_unit_aborted_after_staging_pattern_values_commits_each_leaf_once() {
+    let (want, retried) = census_with_one_mid_unit_fold_panic(false);
+    assert_eq!(retried, 0);
+    let (got, retried) = census_with_one_mid_unit_fold_panic(true);
+    assert_eq!(
+        retried, 1,
+        "the fold panicked once and its unit was retried"
+    );
+    assert_eq!(got, want);
 }

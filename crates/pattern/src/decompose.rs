@@ -559,15 +559,13 @@ mod tests {
     fn test_graph(n: usize, seed: u64, density_pct: u64) -> Vec<Vec<bool>> {
         let mut adj = vec![vec![false; n]; n];
         let mut s = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
-        for u in 0..n {
-            for v in (u + 1)..n {
-                s = s
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                if (s >> 33) % 100 < density_pct {
-                    adj[u][v] = true;
-                    adj[v][u] = true;
-                }
+        for (u, v) in (0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v))) {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            if (s >> 33) % 100 < density_pct {
+                adj[u][v] = true;
+                adj[v][u] = true;
             }
         }
         adj

@@ -10,7 +10,9 @@
 //! position takes its plan's candidate step
 //! ([`ExplorationPlan::candidate_slice`] plus one [`Marks`] test per
 //! candidate, the step the pattern-induced enumerator takes too), and the
-//! deepest level is counted, not walked.
+//! deepest level is counted, not walked. A deepest level that closes on
+//! the root ([`PlanLevel::closes_on_root`]) scans nothing either: its hits
+//! are read from the root's common-neighbour counts.
 //!
 //! Per-root evaluation is what lets the engine distribute this exactly like
 //! enumeration jobs: each root vertex is one work unit, node values are
@@ -18,7 +20,7 @@
 //! `fractal-metrics/1` fields the enumerator uses.
 
 use fractal_graph::kernels::KernelCounters;
-use fractal_graph::Graph;
+use fractal_graph::{Graph, VertexId};
 
 use crate::plan::{Marks, PlanLevel};
 use crate::planner::{CountingPlan, PlanKind};
@@ -35,6 +37,9 @@ pub struct PlanExecutor<'a> {
     root_marks: bool,
     /// Nothing marked between evaluations, unless one was unwound.
     marks: Marks,
+    /// The common-neighbour counts of the current root, once a level that
+    /// closes on it has been reached; cleared by the next `eval_root`.
+    common: CommonCounts,
     matched: Vec<u32>,
     counters: KernelCounters,
     ec: u64,
@@ -55,16 +60,19 @@ impl<'a> PlanExecutor<'a> {
             vals: vec![0; plan.nodes.len()],
             root_marks: direct().any(|p| p.level(0).sets_mark),
             marks: Marks::default(),
+            common: CommonCounts::default(),
             matched: Vec::with_capacity(direct().map(|p| p.len()).max().unwrap_or(1)),
             counters: KernelCounters::default(),
             ec: 0,
         }
     }
 
-    /// Bytes this executor keeps resident for its lifetime: the marks (4
-    /// per graph vertex) plus the per-node value and match tables.
+    /// Bytes this executor keeps resident for its lifetime: the marks and
+    /// the common-neighbour counts (4 each per graph vertex) plus the
+    /// per-node value and match tables.
     pub fn resident_bytes(&self) -> usize {
         self.marks.resident_bytes()
+            + self.common.resident_bytes()
             + self.vals.capacity() * std::mem::size_of::<i128>()
             + self.matched.capacity() * std::mem::size_of::<u32>()
     }
@@ -77,6 +85,8 @@ impl<'a> PlanExecutor<'a> {
         // Empty unless the previous evaluation was unwound by a fault part
         // way: then exactly what it left marked is cleared.
         self.marks.clear(self.g);
+        // Whatever root the counts were filled for, completed or unwound.
+        self.common.clear(self.g);
         if self.root_marks {
             self.marks.mark(self.g, v, 1);
         }
@@ -137,10 +147,14 @@ impl<'a> PlanExecutor<'a> {
     fn dfs(&mut self, plan: &ExplorationPlan, pos: usize) -> u64 {
         let g = self.g;
         let PlanLevel {
-            mask, sets_mark, ..
+            latest,
+            mask,
+            sets_mark,
+            closes_on_root,
+            ..
         } = *plan.level(pos);
         let slice = plan.candidate_slice(g, pos, &self.matched);
-        if mask != 0 {
+        if mask != 0 && !closes_on_root {
             self.counters.bitset_calls += 1;
             self.counters.elements_scanned += slice.len() as u64;
         }
@@ -149,9 +163,17 @@ impl<'a> PlanExecutor<'a> {
             // Counted, not walked: a leaf only ever adds 1, so the level is
             // the number of hits in the slice minus the matched vertices
             // among them (injectivity). `ec` grows by what a walk would
-            // have accepted one at a time.
+            // have accepted one at a time. On a level that closes on the
+            // root the hits are `|N(root) ∩ N(matched[latest])|`, read from
+            // the root's common-neighbour counts, which the first such
+            // level under the root fills.
             let marks = &self.marks;
-            let hits = if mask == 0 {
+            let hits = if closes_on_root {
+                if self.common.root.is_none() {
+                    self.counters.elements_scanned += self.common.fill(g, self.matched[0]);
+                }
+                self.common.counts[self.matched[latest as usize] as usize] as usize
+            } else if mask == 0 {
                 slice.len()
             } else {
                 slice.iter().filter(|&&u| marks.carries(u, mask)).count()
@@ -184,6 +206,55 @@ impl<'a> PlanExecutor<'a> {
             self.matched.pop();
         }
         count
+    }
+}
+
+/// Per-vertex common-neighbour counts of one root `r`: `counts[x]` is
+/// `|N(r) ∩ N(x)|`, the hits of a level that closes on `r` and scans
+/// `N(x)`. Filled by walking the 2-walks from `r` and cleared by walking
+/// them again, so both cost `Σ deg` over `N(r)`, never `O(|V|)`.
+#[derive(Debug, Default)]
+struct CommonCounts {
+    /// One count per graph vertex, grown on the first fill.
+    counts: Vec<u32>,
+    /// The root the counts are held for. Set before the fill starts, so a
+    /// fill unwound part-way is still cleared in full.
+    root: Option<u32>,
+}
+
+impl CommonCounts {
+    /// Fills the counts of root `r` into a clear table; returns the number
+    /// of neighbour-slice elements walked.
+    fn fill(&mut self, g: &Graph, r: u32) -> u64 {
+        debug_assert!(self.root.is_none(), "fill over held counts");
+        if self.counts.len() < g.num_vertices() {
+            self.counts.resize(g.num_vertices(), 0);
+        }
+        self.root = Some(r);
+        let mut walked = 0;
+        for &a in g.neighbors(VertexId(r)) {
+            let nbrs = g.neighbors(VertexId(a));
+            walked += nbrs.len() as u64;
+            for &x in nbrs {
+                self.counts[x as usize] += 1;
+            }
+        }
+        walked
+    }
+
+    /// Zeroes the counts of the root held, if any.
+    fn clear(&mut self, g: &Graph) {
+        if let Some(r) = self.root.take() {
+            for &a in g.neighbors(VertexId(r)) {
+                for &x in g.neighbors(VertexId(a)) {
+                    self.counts[x as usize] = 0;
+                }
+            }
+        }
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.counts.capacity() * std::mem::size_of::<u32>()
     }
 }
 
@@ -514,8 +585,9 @@ mod tests {
 
         /// Every connected shape of 2..=5 vertices, rooted in every orbit
         /// and matched in a seeded order: the marked, leaf-counting executor
-        /// returns the reference walk's count and `ec` for every root, and
-        /// leaves no mark behind.
+        /// (whose levels that close on the root read the common-neighbour
+        /// counts, refilled root after root) returns the reference walk's
+        /// count and `ec` for every root, and leaves no mark behind.
         #[test]
         fn marks_and_counted_leaves_equal_the_walked_merge_fold(
             n in 2u32..=10,
@@ -546,10 +618,127 @@ mod tests {
                             "shape={} order={:?} root vertex={}", shape, order, v
                         );
                         prop_assert!(exec.marks.is_clear());
+                        prop_assert!(exec.common.root.unwrap_or(v) == v);
                     }
                 }
             }
         }
+    }
+
+    /// Whether the deepest level of `plan` closes on the root unbounded,
+    /// read from its back edges and conditions rather than its level table.
+    fn closes_on_root_unbounded(plan: &ExplorationPlan) -> bool {
+        let last = plan.len() - 1;
+        let back: Vec<u8> = plan.back_edges(last).iter().map(|&(p, _)| p).collect();
+        let bounded = plan
+            .must_be_less_than(last)
+            .chain(plan.must_be_greater_than(last));
+        back.len() == 2 && back[0] == 0 && bounded.count() == 0
+    }
+
+    /// A plan of `node` alone, for evaluating one direct node of a larger
+    /// plan by itself.
+    fn alone(node: &PlanNode, of: &CountingPlan) -> CountingPlan {
+        CountingPlan {
+            nodes: vec![node.clone()],
+            outputs: Vec::new(),
+            basis: None,
+            k: node.rooted.len(),
+            stats: of.stats,
+        }
+    }
+
+    /// On the bench-shaped graph, the 5-motif plan counts exactly the
+    /// deepest levels whose only earlier back edge is the root and which
+    /// carry no bound from the root's common-neighbour counts, the 5-cycle
+    /// among them, scans the bounded ones, and `describe` marks the counted
+    /// ones. The 5-cycle node alone then makes no mask scan: what it reads
+    /// is each root's fill, the 2-walks from that root.
+    #[test]
+    fn exactly_the_unbounded_root_closing_levels_are_counted_per_root() {
+        let g = fractal_graph::gen::patents_like(1600, 1, 2019);
+        let plan = CountingPlan::plan_motifs(5, GraphStats::of(&g));
+        let (mut counted, mut bounded) = (Vec::new(), 0);
+        let described = plan.describe();
+        for (i, node) in plan.nodes.iter().enumerate() {
+            let PlanKind::Direct { plan: direct, .. } = &node.kind else {
+                continue;
+            };
+            let closes = closes_on_root_unbounded(direct);
+            let deepest = direct.level(direct.len() - 1);
+            assert_eq!(deepest.closes_on_root, closes, "node {i}: {}", node.rooted);
+            let line = described
+                .lines()
+                .find(|l| l.starts_with(&format!("  node {i}: ")))
+                .expect("every node is described");
+            assert_eq!(line.ends_with(" closing=per-root-counts"), closes, "{line}");
+            if closes {
+                counted.push(i);
+            } else if deepest.mask == 1 && deepest.latest != 0 {
+                bounded += 1;
+            }
+        }
+        assert!(
+            bounded > 0,
+            "a bounded root closure must be there to stay scanned"
+        );
+        let cycle = canonical_code(&Pattern::cycle(5));
+        let cycle = plan
+            .nodes
+            .iter()
+            .position(|n| canonical_code(&n.rooted.pattern) == cycle)
+            .expect("the 5-motif plan counts the 5-cycle");
+        assert!(counted.contains(&cycle), "{counted:?} lacks the 5-cycle");
+
+        let (_, kc, _) = count_all_roots(&g, &alone(&plan.nodes[cycle], &plan));
+        let two_walks: u64 = (0..g.num_vertices() as u32)
+            .map(|a| (g.degree(VertexId(a)) as u64).pow(2))
+            .sum();
+        assert_eq!(
+            kc.bitset_calls, 0,
+            "the 5-cycle scans no slice against a mask"
+        );
+        assert_eq!(kc.elements_scanned, two_walks, "one fill per root");
+    }
+
+    /// Every direct node of the 5-motif plan on a small hub-heavy graph,
+    /// each evaluated alone by one executor over every root in turn: its
+    /// value and `ec` equal the scanned walk's for every root, whether its
+    /// closing level is read from the common-neighbour counts or scanned.
+    #[test]
+    fn every_direct_node_equals_the_scanned_walk_on_a_hub_heavy_graph() {
+        let g = fractal_graph::gen::orkut_like(40, 3);
+        let plan = CountingPlan::plan_motifs(5, GraphStats::of(&g));
+        let (mut counted, mut scanned) = (0, 0);
+        for node in &plan.nodes {
+            let PlanKind::Direct {
+                plan: direct,
+                stab_size,
+            } = &node.kind
+            else {
+                continue;
+            };
+            let deepest = direct.level(direct.len() - 1);
+            counted += deepest.closes_on_root as usize;
+            scanned += (deepest.mask != 0 && !deepest.closes_on_root) as usize;
+            let single = alone(node, &plan);
+            let mut exec = PlanExecutor::new(&g, &single);
+            for v in 0..g.num_vertices() as u32 {
+                let mut acc = [0i128];
+                exec.eval_root(v, &mut acc);
+                let (count, ec) = reference_rooted_count(&g, direct, v);
+                assert_eq!(
+                    (acc[0], exec.take_ec()),
+                    ((count * stab_size) as i128, ec),
+                    "{} root vertex {v}",
+                    node.rooted
+                );
+            }
+        }
+        assert!(
+            counted > 0 && scanned > 0,
+            "{counted} counted, {scanned} scanned"
+        );
     }
 
     /// Twelve positions: a path 0-1-…-8 ending in the 4-clique {8, 9, 10, 11},
@@ -601,6 +790,8 @@ mod tests {
             unwound.marks.mark(&g, v, bit);
         }
         assert!(!unwound.marks.is_clear());
+        // And the common-neighbour counts of a root other than the first.
+        assert!(unwound.common.fill(&g, 3) > 0);
         let n = plan.nodes.len();
         for v in 0..g.num_vertices() as u32 {
             let (mut a, mut b) = (vec![0i128; n], vec![0i128; n]);
@@ -609,6 +800,9 @@ mod tests {
             assert_eq!(a, b, "root {v}");
             assert_eq!(clean.take_ec(), unwound.take_ec(), "root {v}");
             assert!(unwound.marks.is_clear(), "root {v}");
+            assert!(unwound.common.root.unwrap_or(v) == v, "root {v}");
         }
+        // The marks and the counts, 4 bytes a vertex each, are reported.
+        assert!(unwound.resident_bytes() >= 8 * g.num_vertices());
     }
 }

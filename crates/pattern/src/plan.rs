@@ -36,6 +36,12 @@ pub struct PlanLevel {
     pub above: u32,
     /// Bits of the positions whose match must exceed the candidate.
     pub below: u32,
+    /// Whether this is the deepest level and it closes on the root: its
+    /// back edges are the root and `latest` only, and it has no symmetry
+    /// bound. Its hits in the slice are then `|N(root) ∩ N(match at
+    /// latest)|`, which the counting executor reads from a per-root table
+    /// of common-neighbour counts instead of scanning (DESIGN.md §14.2).
+    pub closes_on_root: bool,
 }
 
 /// The positions set in `bits`, ascending.
@@ -296,6 +302,9 @@ impl ExplorationPlan {
         for (pos, level) in levels.iter_mut().enumerate() {
             level.sets_mark = tested >> pos & 1 == 1;
         }
+        let deepest = &mut levels[n - 1];
+        deepest.closes_on_root =
+            deepest.mask == 1 && deepest.latest != 0 && deepest.above | deepest.below == 0;
 
         ExplorationPlan {
             pattern: pattern.clone(),

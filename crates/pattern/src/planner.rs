@@ -425,9 +425,16 @@ impl CountingPlan {
                     let order: Vec<String> = (0..plan.len())
                         .map(|pos| plan.vertex_at(pos).to_string())
                         .collect();
+                    // A closing level read from the root's common-neighbour
+                    // counts instead of scanned (DESIGN.md §14.2).
+                    let closing = if plan.level(plan.len() - 1).closes_on_root {
+                        " closing=per-root-counts"
+                    } else {
+                        ""
+                    };
                     let _ = writeln!(
                         s,
-                        "  node {i}: {} direct order=[{}] conds={} stab={} cost={:.1}",
+                        "  node {i}: {} direct order=[{}] conds={} stab={} cost={:.1}{closing}",
                         node.rooted,
                         order.join(","),
                         plan.conditions().len(),
