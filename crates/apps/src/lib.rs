@@ -18,6 +18,8 @@
 //! Every application takes a [`fractal_core::FractalGraph`] so the caller
 //! controls the simulated cluster shape and work-stealing mode.
 
+#![forbid(unsafe_code)]
+
 pub mod cliques;
 pub mod fsm;
 pub mod keyword;

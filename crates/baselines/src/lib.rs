@@ -29,6 +29,8 @@
 //! - [`pattern_growth`] — shared pattern-growth candidate generation and
 //!   exact MNI support used by the FSM baselines.
 
+#![forbid(unsafe_code)]
+
 pub mod bfs_engine;
 pub mod budget;
 pub mod mr;

@@ -18,6 +18,8 @@
 //!
 //! Usage: `perf_smoke [--out <path>]` (default: stdout).
 
+#![forbid(unsafe_code)]
+
 use fractal_apps::planned::PlanMode;
 use fractal_core::{ExecutionReport, FractalContext, FractalGraph};
 use fractal_graph::gen;

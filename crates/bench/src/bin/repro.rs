@@ -8,6 +8,8 @@
 //! fig8 fig11 fig12 fig13 fig15 fig16 fig17 fig18 fig19 fig20a fig20b
 //! table2 memest reduction-ec ws-overhead
 
+#![forbid(unsafe_code)]
+
 use fractal_bench::datasets::Scale;
 use fractal_bench::experiments;
 use std::path::PathBuf;

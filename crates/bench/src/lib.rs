@@ -9,6 +9,8 @@
 //! workspace simulates the cluster in-process and reimplements the
 //! baselines as algorithmic analogs (see DESIGN.md).
 
+#![forbid(unsafe_code)]
+
 pub mod datasets;
 pub mod experiments;
 pub mod table;

@@ -2,7 +2,7 @@
 //!
 //! Product crates import their atomics and mutexes from here (usually via
 //! the `fractal_runtime::sync` re-export) instead of `std::sync` /
-//! `parking_lot` directly — `fractal lint` enforces it. In
+//! `parking_lot` directly — clippy's `disallowed-types` enforces it. In
 //! a normal build the facade re-exports the real primitives, so it
 //! compiles away entirely (zero overhead, bit-identical behaviour). Under
 //! `RUSTFLAGS="--cfg fractal_check"` it re-exports the instrumented types

@@ -73,6 +73,8 @@
 //! behind that cfg; the always-on mirror models in [`models`] run in
 //! every `cargo test` and back the `fractal check` CLI subcommand.
 
+#![forbid(unsafe_code)]
+
 pub mod facade;
 pub mod models;
 mod sched;

@@ -4,3 +4,5 @@
 //! itself remains only because `crates/runtime` and `crates/enum` still
 //! list it and `fractal_bench/Cargo.lock` pins that edge; it goes away
 //! with the next PR that may refresh that lock (ROADMAP item 3).
+
+#![forbid(unsafe_code)]

@@ -6,6 +6,8 @@
 //! `std::sync::mpsc` (see `crates/compat/README.md` for why these shims
 //! exist).
 
+#![forbid(unsafe_code)]
+
 pub mod channel {
     use std::sync::mpsc;
     use std::time::Duration;

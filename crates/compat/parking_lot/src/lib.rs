@@ -7,6 +7,8 @@
 //! `lock()` returns the guard directly, recovering the inner data if a
 //! panicking thread poisoned the std mutex.
 
+#![forbid(unsafe_code)]
+
 use std::sync::PoisonError;
 
 /// A mutex whose `lock` never returns a poison error.

@@ -14,6 +14,8 @@
 //! (`prop_map`, `prop_flat_map`, `prop_shuffle`, tuples, ranges,
 //! `collection::vec`, `option::of`, `any`) matches proptest semantics.
 
+#![forbid(unsafe_code)]
+
 pub mod strategy;
 pub mod test_runner;
 

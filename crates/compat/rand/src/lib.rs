@@ -8,6 +8,8 @@
 //! workspace treats generated data as "arbitrary but reproducible", so the
 //! exact stream does not matter.
 
+#![forbid(unsafe_code)]
+
 /// A generator seedable from a `u64`.
 pub trait SeedableRng: Sized {
     /// Builds the generator from a 64-bit seed (deterministic).

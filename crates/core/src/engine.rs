@@ -1,6 +1,8 @@
 //! The execution engine: Algorithm 2 (from-scratch step splitting) driving
 //! Algorithm 1 (DFS step processing) on the work-stealing runtime.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::aggregation::{AggResult, AggShard, Leaves};
 use crate::fractoid::{Fractoid, Primitive};
 use crate::view::{classify_child, with_patterns, SubgraphData, SubgraphView};
@@ -162,10 +164,13 @@ pub(crate) fn split_steps(fractoid: &Fractoid) -> Vec<usize> {
     let mut ends = Vec::new();
     for (i, p) in prims.iter().enumerate() {
         if let Primitive::AggFilter { name, .. } = p {
-            // panic-ok: plan-split-time validation, once per job — an unknown
-            // aggregation name is a programming error in the workflow and must
-            // surface before any work runs.
             let source = resolve_source(prims, i, name);
+            #[expect(
+                clippy::panic,
+                reason = "plan-split-time validation, once per job: an unknown aggregation \
+                          name is a programming error in the workflow and must surface \
+                          before any work runs"
+            )]
             let source = source
                 .unwrap_or_else(|| panic!("aggregation filter reads unknown aggregation {name:?}"));
             if !fractoid.store.contains(source) && !known.contains(&source) {
@@ -219,8 +224,11 @@ pub(crate) fn execute(fractoid: &Fractoid, mode: OutputMode) -> (ExecutionReport
     let prims = &fractoid.primitives;
     check_workflow(fractoid);
     let ends = split_steps(fractoid);
-    // panic-ok: split_steps returns at least one boundary for a workflow
-    // that passed the expand() assert above.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "split_steps returns at least one boundary for a workflow that passed the \
+                  expand() assert above"
+    )]
     let last = *ends.last().unwrap();
     let mut reports = Vec::with_capacity(ends.len());
     let mut output = OutputData::default();
@@ -390,15 +398,21 @@ impl<'a> StepSpec<'a> {
                 }
                 Primitive::Filter(f) => resolved.push(Resolved::Filter(f.clone())),
                 Primitive::AggFilter { name, f } => {
-                    // panic-ok: resolution re-walks the same primitives split_steps
-                    // already validated; a miss here is unreachable.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "resolution re-walks the same primitives split_steps already \
+                                  validated; a miss here is unreachable"
+                    )]
                     let uid = resolve_source(prims, i, name)
                         .expect("aggregation filter reads unknown aggregation");
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the source aggregation was computed by an earlier step in \
+                                  the order split_steps produced"
+                    )]
                     let source = fractoid
                         .store
                         .get(uid)
-                        // panic-ok: the source aggregation was computed by an
-                        // earlier step in the order split_steps produced.
                         .expect("step splitting must have computed the source aggregation");
                     resolved.push(Resolved::AggFilter {
                         f: f.clone(),
@@ -833,8 +847,11 @@ impl StepTask<'_> {
             }
             OutputMode::Count => self.staged_count += 1,
             OutputMode::TrackOnly => {
-                // panic-ok: participation is Some whenever the mode is TrackOnly; both
-                // are set together at engine construction.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "participation is Some whenever the mode is TrackOnly; both are set \
+                              together at engine construction"
+                )]
                 let p = self.part.as_mut().expect("participation mask missing");
                 for &v in self.sg.vertices() {
                     p.vertices.set(v as usize);

@@ -27,6 +27,8 @@
 //! paper's behaviour (a trailing aggregation still terminates the
 //! recursion) and keeps replayed steps uniform.
 
+#![forbid(unsafe_code)]
+
 pub mod aggregation;
 pub mod context;
 pub mod engine;

@@ -388,9 +388,12 @@ impl PatternEnumerator {
         }
         !self.match_edge_labels
             || self.plan.back_edges(pos).iter().all(|&(epos, elabel)| {
-                // panic-ok: the candidate step yields only vertices adjacent to
-                // every back edge's match; a miss is a marks bug that must abort
-                // rather than silently skew counts.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the candidate step yields only vertices adjacent to every back \
+                              edge's match; a miss is a marks bug that must abort rather \
+                              than silently skew counts"
+                )]
                 let e = g
                     .edge_between(VertexId(matched[epos as usize]), VertexId(cand))
                     .expect("candidate step produced a non-adjacent candidate");
@@ -438,8 +441,11 @@ impl SubgraphEnumerator for PatternEnumerator {
         self.edge_scratch.clear();
         for &(epos, _) in self.plan.back_edges(pos) {
             let u = sg.vertices()[epos as usize];
-            // panic-ok: extend candidates come out of the candidate step (same
-            // invariant as label matching above).
+            #[expect(
+                clippy::expect_used,
+                reason = "extend candidates come out of the candidate step (same invariant as \
+                          label matching above)"
+            )]
             let e = g
                 .edge_between(VertexId(u), VertexId(v))
                 .expect("extend called with a non-adjacent candidate");

@@ -20,6 +20,9 @@
 //! - [`queue`] — shared extension queues with atomic claim cursors, the
 //!   unit of work stealing (§4.2).
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod canonical;
 pub mod cost;
 pub mod enumerator;

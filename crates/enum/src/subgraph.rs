@@ -123,9 +123,12 @@ impl Subgraph {
     /// Local position (index into [`vertices`](Self::vertices)) of `v`, if
     /// it is a member.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "the membership bitmap mirrors `vertices`; a set bit without a list entry \
+                  is a corrupted subgraph"
+    )]
     pub fn position_of(&self, v: u32) -> Option<usize> {
-        // panic-ok: the membership bitmap mirrors `vertices`; a set bit
-        // without a list entry is a corrupted subgraph.
         self.has_vertex(v).then(|| {
             let at = self.vertices.iter().position(|&x| x == v);
             at.expect("member bitmap and list disagree")
@@ -184,9 +187,11 @@ impl Subgraph {
 
     /// Undoes the most recent [`push_vertex_induced`](Self::push_vertex_induced).
     pub fn pop_vertex_induced(&mut self) {
-        // panic-ok: push/pop discipline is enforced by the enumerator's
-        // recursion; an underflow is a traversal bug and must fail loudly, not
-        // corrupt counts.
+        #[expect(
+            clippy::expect_used,
+            reason = "push/pop discipline is enforced by the enumerator's recursion; an \
+                      underflow is a traversal bug and must fail loudly, not corrupt counts"
+        )]
         let added = self.level_edges.pop().expect("pop on empty subgraph") as usize;
         let keep = self.edges.len() - added;
         for &e in &self.edges[keep..] {
@@ -194,8 +199,10 @@ impl Subgraph {
         }
         self.edges.truncate(keep);
         self.edge_ends.truncate(keep);
-        // panic-ok: same pop discipline — vertices/edges stay balanced with
-        // level_edges.
+        #[expect(
+            clippy::unwrap_used,
+            reason = "same pop discipline: vertices/edges stay balanced with level_edges"
+        )]
         let v = self.vertices.pop().unwrap();
         self.vmember.clear(v as usize);
     }
@@ -222,14 +229,23 @@ impl Subgraph {
 
     /// Undoes the most recent [`push_edge`](Self::push_edge).
     pub fn pop_edge(&mut self) {
-        // panic-ok: push/pop discipline, see pop_vertex_induced.
+        #[expect(
+            clippy::expect_used,
+            reason = "push/pop discipline, see pop_vertex_induced"
+        )]
         let added = self.level_vertices.pop().expect("pop on empty subgraph") as usize;
+        #[expect(
+            clippy::unwrap_used,
+            reason = "push/pop discipline: the level recorded `added` vertices"
+        )]
         for _ in 0..added {
             let v = self.vertices.pop().unwrap();
             self.vmember.clear(v as usize);
         }
-        // panic-ok: same pop discipline — the edge pushed with this level is
-        // still present.
+        #[expect(
+            clippy::unwrap_used,
+            reason = "same pop discipline: the edge pushed with this level is still present"
+        )]
         let e = self.edges.pop().unwrap();
         self.edge_ends.pop();
         self.emember.clear(e as usize);
@@ -290,8 +306,11 @@ impl Subgraph {
                 .collect();
             return Pattern::new(labels, Vec::new());
         }
-        // panic-ok: the canonical relabeling looks up vertices taken from this
-        // subgraph's own vertex list; a miss is impossible by construction.
+        #[expect(
+            clippy::unwrap_used,
+            reason = "the canonical relabeling looks up vertices taken from this subgraph's \
+                      own vertex list; a miss is impossible by construction"
+        )]
         let local_of = |v: u32| -> u8 { self.vertices.iter().position(|&x| x == v).unwrap() as u8 };
         let labels = self
             .vertices

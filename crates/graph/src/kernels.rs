@@ -37,6 +37,8 @@
 //! from-scratch prefix (`SubgraphEnumerator::rebuild`), so arenas never
 //! travel in steal messages.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 /// Size ratio at which the galloping path takes over from sorted-merge.
 pub const GALLOP_RATIO: usize = 16;
 
@@ -229,9 +231,12 @@ pub fn collect_induced_edges(
     while rest != 0 {
         let at = rest.trailing_zeros() as usize;
         rest &= rest - 1;
-        // panic-ok: the mask is the enumerator's own record of which member
-        // lists held this vertex; a named member missing from the vertex's
-        // adjacency is a corrupted word and must not yield a subgraph.
+        #[expect(
+            clippy::expect_used,
+            reason = "the mask is the enumerator's own record of which member lists held this \
+                      vertex; a named member missing from the vertex's adjacency is a \
+                      corrupted word and must not yield a subgraph"
+        )]
         let pos = nbrs
             .binary_search(&members[at])
             .expect("adjacency mask names a non-adjacent member");
@@ -318,8 +323,11 @@ impl ExtensionKernels {
     /// The top (deepest) candidate set.
     #[inline]
     pub fn top(&self) -> &[u32] {
-        // panic-ok: callers never read top() of an empty stack — a level is
-        // pushed before any read (enumerator recursion invariant).
+        #[expect(
+            clippy::expect_used,
+            reason = "callers never read top() of an empty stack: a level is pushed before \
+                      any read (enumerator recursion invariant)"
+        )]
         let lo = *self.marks.last().expect("no live level");
         &self.arena[lo..]
     }
@@ -335,8 +343,11 @@ impl ExtensionKernels {
     /// adaptively. The parent level is read in place while the result is
     /// bump-allocated behind it.
     pub fn push_level_intersect(&mut self, other: &[u32]) {
-        // panic-ok: intersect is only called with a parent level open;
-        // enforced by the enumerator's push/pop pairing.
+        #[expect(
+            clippy::expect_used,
+            reason = "intersect is only called with a parent level open, enforced by the \
+                      enumerator's push/pop pairing"
+        )]
         let plo = *self.marks.last().expect("no parent level");
         let phi = self.arena.len();
         self.marks.push(phi);
@@ -356,8 +367,11 @@ impl ExtensionKernels {
 
     /// Closes the top level, reclaiming its arena region.
     pub fn pop_level(&mut self) {
-        // panic-ok: pop pairs a prior push in the same recursion; underflow is
-        // a kernel bug that must abort the count.
+        #[expect(
+            clippy::expect_used,
+            reason = "pop pairs a prior push in the same recursion; underflow is a kernel bug \
+                      that must abort the count"
+        )]
         let lo = self.marks.pop().expect("pop on empty level stack");
         self.arena.truncate(lo);
     }

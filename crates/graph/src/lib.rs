@@ -25,6 +25,8 @@
 //!   `efilter` and participation-driven reduction),
 //! - [`keywords`] — interned keyword dictionary and per-element keyword sets.
 
+#![forbid(unsafe_code)]
+
 pub mod bitset;
 pub mod builder;
 pub mod gen;

@@ -332,8 +332,8 @@ impl<'a> Lexer<'a> {
     }
 }
 
-/// Tokenize `src`, preserving comments (the passes need them for
-/// `// ordering:` / `// SAFETY:` / `// panic-ok:` tag discovery).
+/// Tokenize `src`, preserving comments (the ordering audit needs them
+/// for `// ordering:` tag discovery).
 pub fn tokenize(src: &str) -> Vec<Tok> {
     Lexer {
         src: src.as_bytes(),

@@ -2,36 +2,32 @@
 //!
 //! Token-level static analysis for the fractal workspace (DESIGN.md §15).
 //! Std-only, no crates.io dependencies — the same philosophy as the
-//! compat shims; JSON goes through `fractal_runtime::json`. Five passes run over every product `.rs` file:
+//! compat shims; JSON goes through `fractal_runtime::json`. Two passes
+//! run over every product `.rs` file, the rules rustc and clippy cannot
+//! express:
 //!
-//! 1. **facade-escape** — `std::sync::{atomic,Mutex,RwLock,Condvar}`,
-//!    `crossbeam`, `parking_lot` and raw `UnsafeCell` are forbidden
-//!    outside `crates/runtime/src/sync*`, `crates/check` and
-//!    `crates/compat`, so every synchronization site stays
-//!    model-checkable under `--cfg fractal_check` (DESIGN.md §11).
-//! 2. **ordering** — every atomic `load/store/swap/compare_exchange/`
+//! 1. **ordering** — every atomic `load/store/swap/compare_exchange/`
 //!    `fetch_*` call site must carry a `// ordering:` comment within
 //!    10 lines above it justifying the memory ordering.
-//! 3. **unsafe** — every `unsafe` token needs a `// SAFETY:` comment
-//!    within 3 lines, and the per-file unsafe census must match the
-//!    committed `ci/unsafe-inventory.json`, making new unsafe an
-//!    explicit, reviewed diff.
-//! 4. **artifacts** — cross-artifact consistency: every `pub … : u64`
+//! 2. **artifacts** — cross-artifact consistency: every `pub … : u64`
 //!    counter in the stats/fault structs must be serialized into the
 //!    `fractal-metrics/1` schema and pinned by the perf baseline (or
 //!    allow-listed with a reason); every `Frame`/`AppSpec` variant must
 //!    have encode and decode match arms and a mention in `crates/net`
 //!    tests.
-//! 5. **panic** — `.unwrap()` / `.expect()` / `panic!` in designated
-//!    hot-path modules are denied without a `// panic-ok:` waiver, and
-//!    network reads in `crates/net/src` may never unwrap on the same
-//!    line (a peer can close the socket at any byte).
 //!
-//! Waivers: in-code tags (`// ordering:` / `// SAFETY:` document a site;
-//! `// panic-ok: <reason>` waives one) plus the JSON waiver file
-//! `ci/lint-waivers.json` for file-level facade waivers and counter/codec
-//! allow-list entries. Every waiver needs a reason; stale or reasonless
-//! waivers are themselves findings (`waiver-hygiene`).
+//! The sync facade, `unsafe` and hot-path panics are the toolchain's:
+//! `#![forbid(unsafe_code)]` at every crate root, clippy's
+//! `disallowed-types` (root `clippy.toml`) under `--cfg fractal_check`,
+//! and `#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]`
+//! in the hot modules and `crates/net` (DESIGN.md §11.2).
+//!
+//! Waivers: `// ordering:` documents a site; the JSON waiver file
+//! `ci/lint-waivers.json` holds counter/codec allow-list entries. Every
+//! waiver needs a reason; stale or reasonless waivers are themselves
+//! findings (`waiver-hygiene`).
+
+#![forbid(unsafe_code)]
 
 pub mod artifacts;
 pub mod lexer;
@@ -46,7 +42,7 @@ use source::SourceFile;
 use std::path::{Path, PathBuf};
 
 /// One lint violation. `pass` is the rule identifier (e.g.
-/// `facade-escape`, `ordering-tag`); `line` is 0 for whole-file or
+/// `ordering-tag`); `line` is 0 for whole-file or
 /// whole-artifact findings.
 #[derive(Debug, Clone)]
 pub struct Finding {
@@ -67,23 +63,15 @@ impl Finding {
     }
 }
 
-/// Rule identifiers, grouped into the five pass families for reporting.
-pub const RULE_FACADE: &str = "facade-escape";
+/// Rule identifiers, grouped into pass families for reporting.
 pub const RULE_ORDERING: &str = "ordering-tag";
-pub const RULE_SAFETY: &str = "safety-comment";
-pub const RULE_INVENTORY: &str = "unsafe-inventory";
 pub const RULE_ARTIFACT: &str = "artifact-consistency";
-pub const RULE_PANIC: &str = "hot-path-panic";
-pub const RULE_NET_UNWRAP: &str = "net-read-unwrap";
 pub const RULE_WAIVER: &str = "waiver-hygiene";
 
 /// (pass family shown in the report, rule ids it aggregates)
 pub const PASS_FAMILIES: &[(&str, &[&str])] = &[
-    ("facade", &[RULE_FACADE]),
     ("ordering", &[RULE_ORDERING]),
-    ("unsafe", &[RULE_SAFETY, RULE_INVENTORY]),
     ("artifacts", &[RULE_ARTIFACT]),
-    ("panic", &[RULE_PANIC, RULE_NET_UNWRAP]),
     ("waiver", &[RULE_WAIVER]),
 ];
 
@@ -93,23 +81,15 @@ pub const PASS_FAMILIES: &[(&str, &[&str])] = &[
 /// itself is what gets exercised.
 pub struct LintConfig {
     pub root: PathBuf,
-    /// Rewrite `ci/unsafe-inventory.json` from the current census
-    /// instead of diffing against it.
-    pub update_inventory: bool,
-    /// Files/dirs (relative, `/`-separated prefixes) allowed to name raw
-    /// sync primitives.
+    /// Files/dirs (relative, `/`-separated prefixes) that implement the
+    /// sync facade; their atomics are the checker's, not product sites.
     pub facade_exempt: Vec<String>,
-    /// Hot-path modules for the panic audit (relative prefixes).
-    pub hot_paths: Vec<String>,
-    /// Crate source root whose reads must not unwrap inline.
-    pub net_src: String,
     /// Counter declarations: (file, struct names).
     pub counter_structs: Vec<(String, Vec<String>)>,
     /// Files whose string literals form the metrics schema surface.
     pub schema_files: Vec<String>,
     pub baseline: String,
     pub waiver_file: String,
-    pub inventory_file: String,
     /// Enum codec coverage: (file, enum, [encode fn, decode fn]).
     pub enums: Vec<(String, String, Vec<String>)>,
     /// Directory whose test files must mention every codec variant.
@@ -120,21 +100,11 @@ impl LintConfig {
     pub fn default_for(root: &Path) -> LintConfig {
         LintConfig {
             root: root.to_path_buf(),
-            update_inventory: false,
             facade_exempt: vec![
                 "crates/runtime/src/sync".into(),
                 "crates/check/".into(),
                 "crates/compat/".into(),
             ],
-            hot_paths: vec![
-                "crates/graph/src/kernels.rs".into(),
-                "crates/enum/src/".into(),
-                "crates/runtime/src/executor.rs".into(),
-                "crates/runtime/src/steal.rs".into(),
-                "crates/runtime/src/level.rs".into(),
-                "crates/core/src/engine.rs".into(),
-            ],
-            net_src: "crates/net/src/".into(),
             counter_structs: vec![
                 (
                     "crates/runtime/src/stats.rs".into(),
@@ -151,7 +121,6 @@ impl LintConfig {
             ],
             baseline: "ci/perf-baseline.json".into(),
             waiver_file: "ci/lint-waivers.json".into(),
-            inventory_file: "ci/unsafe-inventory.json".into(),
             enums: vec![
                 (
                     "crates/net/src/frame.rs".into(),
@@ -175,17 +144,13 @@ impl LintConfig {
             .iter()
             .any(|p| rel.starts_with(p.as_str()))
     }
-
-    pub fn is_hot_path(&self, rel: &str) -> bool {
-        self.hot_paths.iter().any(|p| rel.starts_with(p.as_str()))
-    }
 }
 
 /// Aggregated result of one lint run.
 pub struct LintOutcome {
     pub files_scanned: usize,
     pub findings: Vec<Finding>,
-    /// Waivers actually consumed: waiver-file entries + `panic-ok` tags.
+    /// Waiver-file entries actually consumed.
     pub waivers_used: usize,
     /// Per pass family: (name, findings, waivers used).
     pub pass_stats: Vec<(&'static str, usize, usize)>,
@@ -258,16 +223,11 @@ pub fn run(cfg: &LintConfig) -> Result<LintOutcome, String> {
 
     let mut waivers = waivers::Waivers::load(cfg);
     let mut findings = Vec::new();
-    let mut panic_waivers_used = 0usize;
 
-    passes::facade_pass(cfg, &files, &mut waivers, &mut findings);
     passes::ordering_pass(cfg, &files, &mut findings);
-    passes::unsafe_pass(cfg, &files, &mut findings)?;
     artifacts::artifact_pass(cfg, &files, &mut waivers, &mut findings);
-    passes::panic_pass(cfg, &files, &mut findings, &mut panic_waivers_used);
     waivers.hygiene(&mut findings);
 
-    let waivers_used = waivers.used_count() + panic_waivers_used;
     // Order findings by file then line for stable output.
     findings.sort_by(|a, b| (a.file.as_str(), a.line).cmp(&(b.file.as_str(), b.line)));
 
@@ -275,9 +235,7 @@ pub fn run(cfg: &LintConfig) -> Result<LintOutcome, String> {
     for (family, rules) in PASS_FAMILIES {
         let n = findings.iter().filter(|f| rules.contains(&f.pass)).count();
         let w = match *family {
-            "facade" => waivers.used_for("facade-escape"),
-            "artifacts" => waivers.used_for("counter-pin") + waivers.used_for("codec-test"),
-            "panic" => panic_waivers_used,
+            "artifacts" => waivers.used_count(),
             _ => 0,
         };
         pass_stats.push((*family, n, w));
@@ -286,7 +244,7 @@ pub fn run(cfg: &LintConfig) -> Result<LintOutcome, String> {
     Ok(LintOutcome {
         files_scanned: files.len(),
         findings,
-        waivers_used,
+        waivers_used: waivers.used_count(),
         pass_stats,
     })
 }

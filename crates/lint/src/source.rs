@@ -1,14 +1,12 @@
 //! Per-file analysis context: tokens, `#[cfg(test)]` region masking, and
-//! the comment-tag index (`// ordering:` / `// SAFETY:` / `// panic-ok:`)
-//! the window checks run against.
+//! the `// ordering:` tag index the ordering audit runs against.
 
 use crate::lexer::{tokenize, Tok};
-use std::collections::{BTreeSet, HashSet};
+use std::collections::HashSet;
 
-/// How far above a site a tag comment may sit and still cover it.
+/// How far above a site an `// ordering:` comment may sit and still
+/// cover it.
 pub const ORDERING_WINDOW: u32 = 10;
-pub const SAFETY_WINDOW: u32 = 3;
-pub const PANIC_OK_WINDOW: u32 = 3;
 
 pub struct SourceFile {
     /// Path relative to the lint root, `/`-separated.
@@ -16,16 +14,8 @@ pub struct SourceFile {
     pub toks: Vec<Tok>,
     /// Parallel to `toks`: true for tokens inside a `#[cfg(test)]` item.
     pub in_test: Vec<bool>,
-    /// Lines carrying each tag kind in a comment, with the tag's
-    /// trailing reason text (empty string = bare tag, which the waiver
-    /// pass rejects for `panic-ok`).
+    /// Lines covered by an `// ordering:` comment.
     ordering_tags: HashSet<u32>,
-    safety_tags: HashSet<u32>,
-    panic_ok_tags: Vec<(u32, String)>,
-}
-
-fn tag_reason<'a>(body: &'a str, tag: &str) -> Option<&'a str> {
-    body.find(tag).map(|p| body[p + tag.len()..].trim())
 }
 
 /// Doc comments (`///`, `//!`, `/** */`, `/*! */`) are documentation,
@@ -40,8 +30,6 @@ impl SourceFile {
         let toks = tokenize(src);
         let in_test = test_mask(&toks);
         let mut ordering_tags = HashSet::new();
-        let mut safety_tags = HashSet::new();
-        let mut panic_ok_tags = Vec::new();
         // A wrapped `//` comment lexes as one token per line, but reads
         // as one block: a tag anywhere in a contiguous run of line
         // comments covers through the run's last line (block comments
@@ -64,59 +52,21 @@ impl SourceFile {
                     ordering_tags.insert(l);
                 }
             }
-            if t.text.contains("SAFETY:") {
-                for l in t.line..=run_end[i] {
-                    safety_tags.insert(l);
-                }
-            }
-            if let Some(reason) = tag_reason(&t.text, "panic-ok:") {
-                panic_ok_tags.push((run_end[i], reason.to_string()));
-            }
         }
         SourceFile {
             rel,
             toks,
             in_test,
             ordering_tags,
-            safety_tags,
-            panic_ok_tags,
         }
     }
 
     /// True if an `// ordering:` tag covers `line` (same line or up to
-    /// `window` lines above).
+    /// [`ORDERING_WINDOW`] lines above), or any line down to `upto`.
     pub fn ordering_tag_near(&self, line: u32, upto: u32) -> bool {
-        near(&self.ordering_tags, line, ORDERING_WINDOW, upto)
+        let lo = line.saturating_sub(ORDERING_WINDOW);
+        (lo..=upto.max(line)).any(|l| self.ordering_tags.contains(&l))
     }
-
-    pub fn safety_tag_near(&self, line: u32) -> bool {
-        near(&self.safety_tags, line, SAFETY_WINDOW, line)
-    }
-
-    /// Returns the waiver reason if a `// panic-ok:` tag covers `line`.
-    /// `used` collects the tag lines actually consumed, so bare tags
-    /// that waive nothing can be flagged as stale.
-    pub fn panic_ok_near(&self, line: u32, used: &mut BTreeSet<u32>) -> Option<&str> {
-        let lo = line.saturating_sub(PANIC_OK_WINDOW);
-        // Nearest tag wins, so a stacked pair of sites each binds to its
-        // own tag rather than both to the first.
-        for (l, reason) in self.panic_ok_tags.iter().rev() {
-            if *l >= lo && *l <= line {
-                used.insert(*l);
-                return Some(reason);
-            }
-        }
-        None
-    }
-
-    pub fn panic_ok_tags(&self) -> &[(u32, String)] {
-        &self.panic_ok_tags
-    }
-}
-
-fn near(set: &HashSet<u32>, line: u32, window: u32, upto: u32) -> bool {
-    let lo = line.saturating_sub(window);
-    (lo..=upto.max(line)).any(|l| set.contains(&l))
 }
 
 /// Compute the `#[cfg(test)]` mask: for each `#[cfg(...)]` attribute
@@ -288,19 +238,5 @@ mod tests {
         let sf = SourceFile::parse("a.rs".into(), src);
         assert!(sf.ordering_tag_near(2, 2));
         assert!(!sf.ordering_tag_near(13, 13)); // 12 lines below the tag
-    }
-
-    #[test]
-    fn panic_ok_reason_extraction() {
-        let src =
-            "// panic-ok: bounded by construction\nv[i].unwrap();\n// panic-ok:\nw.unwrap();\n";
-        let sf = SourceFile::parse("a.rs".into(), src);
-        let mut used = BTreeSet::new();
-        assert_eq!(
-            sf.panic_ok_near(2, &mut used),
-            Some("bounded by construction")
-        );
-        assert_eq!(sf.panic_ok_near(4, &mut used), Some(""));
-        assert_eq!(used.len(), 2);
     }
 }

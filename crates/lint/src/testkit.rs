@@ -39,10 +39,6 @@ impl Scratch {
         std::fs::write(&path, cur).expect("append scratch file");
     }
 
-    pub fn remove(&self, rel: &str) {
-        let _ = std::fs::remove_file(self.root.join(rel));
-    }
-
     pub fn path(&self) -> &Path {
         &self.root
     }
@@ -60,8 +56,7 @@ impl Drop for Scratch {
 pub fn clean_tree(tag: &str) -> Scratch {
     let s = Scratch::new(tag);
 
-    // A product file exercising the tagged-atomic, SAFETY'd-unsafe and
-    // waiver-free happy paths.
+    // A product file exercising the tagged-atomic, waiver-free happy path.
     s.write(
         "crates/scratch/src/lib.rs",
         r#"pub fn tagged(c: &C) -> u64 {
@@ -69,17 +64,11 @@ pub fn clean_tree(tag: &str) -> Scratch {
     c.load(Ordering::Relaxed)
 }
 
-pub fn peek(v: &[u8]) -> u8 {
-    // SAFETY: callers uphold v.len() > 0 (scratch fixture)
-    unsafe { *v.get_unchecked(0) }
-}
-
 #[cfg(test)]
 mod tests {
-    // Test regions are masked: this untagged atomic and unwrap are fine.
+    // Test regions are masked: this untagged atomic is fine.
     fn t(c: &C) {
         let _ = c.load(Ordering::SeqCst);
-        let _ = std::env::var("X").unwrap();
     }
 }
 "#,
@@ -163,14 +152,7 @@ pub fn get_app(_code: u8) -> AppSpec {
         "// mentions: Frame::Ping Frame::Pong AppSpec::Motifs\n",
     );
 
-    // A hot-path module with no panics.
-    s.write(
-        "crates/graph/src/kernels.rs",
-        "pub fn intersect(a: &[u32], b: &[u32]) -> usize {\n    a.iter().filter(|x| b.contains(x)).count()\n}\n",
-    );
-
-    // Artifacts: baseline pins, empty waivers, inventory matching the
-    // one SAFETY'd unsafe above.
+    // Artifacts: baseline pins and empty waivers.
     s.write(
         "ci/perf-baseline.json",
         r#"{
@@ -183,10 +165,6 @@ pub fn get_app(_code: u8) -> AppSpec {
     s.write(
         "ci/lint-waivers.json",
         "{\n  \"schema\": \"fractal-lint-waivers/1\",\n  \"waivers\": []\n}\n",
-    );
-    s.write(
-        "ci/unsafe-inventory.json",
-        "{\n  \"schema\": \"fractal-unsafe-inventory/1\",\n  \"files\": {\n    \"crates/scratch/src/lib.rs\": 1\n  }\n}\n",
     );
 
     s

@@ -1,16 +1,14 @@
 //! The JSON waiver file `ci/lint-waivers.json`
-//! (`fractal-lint-waivers/1`): file-level facade waivers and
-//! counter/codec allow-list entries. Every entry needs a real reason
-//! (≥ 10 characters after trimming); reasonless, unknown-pass, and
-//! never-consumed entries are reported as `waiver-hygiene` findings so
+//! (`fractal-lint-waivers/1`): counter/codec allow-list entries. Every
+//! entry needs a real reason (≥ 10 characters after trimming);
+//! reasonless, unknown-pass, and never-consumed entries are reported as `waiver-hygiene` findings so
 //! the file can only shrink or be consciously grown.
 
 use crate::json;
 use crate::{Finding, LintConfig, RULE_WAIVER};
 
-/// Passes that accept waiver-file entries (everything else waives via
-/// in-code tags).
-const WAIVABLE: &[&str] = &["facade-escape", "counter-pin", "codec-test"];
+/// Passes that accept waiver-file entries (both artifact checks).
+const WAIVABLE: &[&str] = &["counter-pin", "codec-test"];
 
 const MIN_REASON: usize = 10;
 
@@ -86,13 +84,6 @@ impl Waivers {
 
     pub fn used_count(&self) -> usize {
         self.entries.iter().filter(|e| e.used).count()
-    }
-
-    pub fn used_for(&self, pass: &str) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| e.used && e.pass == pass)
-            .count()
     }
 
     /// Emit `waiver-hygiene` findings: load errors, unknown passes,

@@ -1,8 +1,8 @@
 //! Golden-fixture tests: for each pass, a clean snippet, a violating
-//! snippet, and a *waivered* snippet (the self-test covers
-//! clean-vs-violating; the waiver legs live here). All fixtures run the
-//! production `LintConfig::default_for` against scratch trees from
-//! `fractal_lint::testkit`.
+//! snippet, and a *waivered* snippet where the pass takes waivers (the
+//! self-test covers clean-vs-violating; the waiver legs live here). All
+//! fixtures run the production `LintConfig::default_for` against scratch
+//! trees from `fractal_lint::testkit`.
 
 use fractal_lint::testkit::{clean_tree, Scratch};
 use fractal_lint::{metrics_json, run, LintConfig, LintOutcome};
@@ -20,41 +20,8 @@ fn clean_tree_is_clean() {
     let s = clean_tree("golden-clean");
     let out = lint(&s);
     assert!(out.findings.is_empty(), "unexpected: {:?}", rules(&out));
-    assert_eq!(out.files_scanned, 6);
+    assert_eq!(out.files_scanned, 5);
     assert_eq!(out.waivers_used, 0);
-}
-
-#[test]
-fn facade_escape_waivable_per_file() {
-    let s = clean_tree("golden-facade");
-    s.append(
-        "crates/scratch/src/lib.rs",
-        "use std::sync::Mutex;\nuse std::sync::{Condvar, mpsc};\n",
-    );
-    let out = lint(&s);
-    // Both forbidden names flagged (mpsc is fine), at their own lines.
-    assert_eq!(
-        rules(&out),
-        vec!["facade-escape", "facade-escape"],
-        "{:?}",
-        out.findings
-    );
-
-    // Now waive the file with a reason: findings disappear, waiver counted.
-    s.write(
-        "ci/lint-waivers.json",
-        r#"{
-  "schema": "fractal-lint-waivers/1",
-  "waivers": [
-    {"pass": "facade-escape", "key": "crates/scratch/src/lib.rs",
-     "reason": "scratch fixture exercising the waiver path end to end"}
-  ]
-}
-"#,
-    );
-    let out = lint(&s);
-    assert!(out.findings.is_empty(), "{:?}", out.findings);
-    assert_eq!(out.waivers_used, 1);
 }
 
 #[test]
@@ -101,43 +68,6 @@ fn ordering_cmp_match_arms_are_not_atomic_sites() {
 }
 "#,
     );
-    let out = lint(&s);
-    assert!(out.findings.is_empty(), "{:?}", out.findings);
-}
-
-#[test]
-fn safety_comment_window_and_census() {
-    let s = clean_tree("golden-safety");
-    // SAFETY 3 lines above the unsafe: accepted; census bumped to 2.
-    s.append(
-        "crates/scratch/src/lib.rs",
-        "pub fn two(v: &[u8]) -> u8 {\n    // SAFETY: fixture — bounds upheld by caller\n    // (wrapped explanation line)\n    unsafe { *v.get_unchecked(0) }\n}\n",
-    );
-    s.write(
-        "ci/unsafe-inventory.json",
-        "{\n  \"schema\": \"fractal-unsafe-inventory/1\",\n  \"files\": {\n    \"crates/scratch/src/lib.rs\": 2\n  }\n}\n",
-    );
-    let out = lint(&s);
-    assert!(out.findings.is_empty(), "{:?}", out.findings);
-}
-
-#[test]
-fn update_inventory_rewrites_census() {
-    let s = clean_tree("golden-inventory");
-    s.append(
-        "crates/scratch/src/lib.rs",
-        "pub fn extra(v: &[u8]) -> u8 {\n    // SAFETY: fixture addition\n    unsafe { *v.get_unchecked(0) }\n}\n",
-    );
-    let mut cfg = LintConfig::default_for(s.path());
-    cfg.update_inventory = true;
-    let out = run(&cfg).expect("lint run");
-    assert!(out.findings.is_empty(), "{:?}", out.findings);
-    let written = std::fs::read_to_string(s.path().join("ci/unsafe-inventory.json")).unwrap();
-    assert!(
-        written.contains("\"crates/scratch/src/lib.rs\": 2"),
-        "{written}"
-    );
-    // And the rewritten inventory satisfies a subsequent plain run.
     let out = lint(&s);
     assert!(out.findings.is_empty(), "{:?}", out.findings);
 }
@@ -218,30 +148,15 @@ fn codec_test_mention_required_and_waivable() {
 }
 
 #[test]
-fn panic_ok_tag_waives_hot_path_unwrap() {
-    let s = clean_tree("golden-panic");
-    s.append(
-        "crates/graph/src/kernels.rs",
-        "pub fn first(a: &[u32]) -> u32 {\n    // panic-ok: fixture — callers guarantee non-empty input\n    *a.first().unwrap()\n}\n",
-    );
-    let out = lint(&s);
-    assert!(out.findings.is_empty(), "{:?}", out.findings);
-    assert_eq!(out.waivers_used, 1);
-}
-
-#[test]
 fn test_regions_are_exempt_everywhere() {
     let s = clean_tree("golden-testmask");
     s.append(
-        "crates/graph/src/kernels.rs",
+        "crates/scratch/src/lib.rs",
         r#"#[cfg(test)]
-mod tests {
+mod more_tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     fn poke(c: &AtomicU64) -> u64 {
-        let _ = c.load(Ordering::SeqCst);
-        std::env::var("X").unwrap();
-        unsafe { std::mem::transmute::<u32, i32>(0) };
-        0
+        c.load(Ordering::SeqCst)
     }
 }
 "#,
@@ -263,9 +178,9 @@ fn metrics_json_is_canonical_and_parses() {
     assert_eq!(v.get("schema").unwrap().as_str(), Some("fractal-metrics/1"));
     assert_eq!(v.get("kind").unwrap().as_str(), Some("lint"));
     assert_eq!(v.get("lint_findings").unwrap().as_num(), Some(1.0));
-    assert_eq!(v.get("lint_files_scanned").unwrap().as_num(), Some(6.0));
+    assert_eq!(v.get("lint_files_scanned").unwrap().as_num(), Some(5.0));
     let passes = v.get("passes").unwrap().as_arr().unwrap();
-    assert_eq!(passes.len(), 6);
+    assert_eq!(passes.len(), 3);
     let findings = v.get("findings").unwrap().as_arr().unwrap();
     assert_eq!(findings.len(), 1);
     assert_eq!(

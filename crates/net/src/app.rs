@@ -357,6 +357,10 @@ impl Accumulator {
             AppSpec::Motifs {
                 decomposed: true, ..
             } => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a decomposed motifs job compiles its plan when it is built"
+                )]
                 let plan = self.plan.as_ref().expect("decomposed plan compiled");
                 let mut totals = std::mem::take(&mut self.totals);
                 if totals.is_empty() {

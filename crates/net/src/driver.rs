@@ -718,6 +718,7 @@ where
             };
             drv.send_or_kill(i, &assign, &mut rs);
             if round == 0 && drv.chaos_kill.as_ref().is_some_and(|ck| ck.target == i) {
+                #[expect(clippy::expect_used, reason = "is_some_and checked it on this line")]
                 (drv.chaos_kill.take().expect("checked").kill)();
             }
         }
@@ -918,6 +919,10 @@ impl LocalCluster {
             let mut cmd = make(i);
             cmd.stdout(Stdio::piped());
             let mut child = cmd.spawn()?;
+            #[expect(
+                clippy::expect_used,
+                reason = "stdout was set to Stdio::piped() before the spawn"
+            )]
             let stdout = child.stdout.take().expect("stdout piped");
             let mut reader = BufReader::new(stdout);
             let mut line = String::new();

@@ -43,6 +43,9 @@
 //! died with the process, so exactly-once output is preserved by making
 //! flush, not completion, the commit point.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod app;
 pub mod blob;
 pub mod client;

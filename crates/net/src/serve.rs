@@ -179,12 +179,14 @@ impl SnapshotCache {
         let bytes = graph_bytes(&graph);
         let mut evictions = 0;
         while !self.entries.is_empty() && self.used + bytes > self.budget {
+            #[expect(clippy::expect_used, reason = "the loop condition holds entries")]
             let lru = self
                 .entries
                 .iter()
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| k.clone())
                 .expect("non-empty");
+            #[expect(clippy::expect_used, reason = "lru was just read from entries")]
             let e = self.entries.remove(&lru).expect("present");
             self.used -= e.bytes;
             evictions += 1;
@@ -619,6 +621,10 @@ fn scheduler_loop(inner: Arc<ServerInner>, rx: Receiver<()>) {
                 }
                 let Some(id) = st.pop_next() else { break };
                 st.running += 1;
+                #[expect(
+                    clippy::expect_used,
+                    reason = "admitted jobs keep their records; only a failed admission is removed"
+                )]
                 let rec = st.jobs.get_mut(&id).expect("queued job");
                 rec.state = JobState::Running;
                 id
@@ -696,6 +702,10 @@ fn release_quota(inner: &ServerInner, st: &mut ServerState, job: u64) {
 fn run_one_job(inner: Arc<ServerInner>, job: u64) {
     let (app, snapshot, cancel, resume) = {
         let mut st = inner.state.lock();
+        #[expect(
+            clippy::expect_used,
+            reason = "admitted jobs keep their records; only a failed admission is removed"
+        )]
         let rec = st.jobs.get_mut(&job).expect("dispatched job");
         (
             rec.app,
@@ -734,6 +744,10 @@ fn run_one_job(inner: Arc<ServerInner>, job: u64) {
 
     let mut st = inner.state.lock();
     st.running -= 1;
+    #[expect(
+        clippy::expect_used,
+        reason = "admitted jobs keep their records; only a failed admission is removed"
+    )]
     let rec = st.jobs.get_mut(&job).expect("running job");
     let (kind, detail, value) = match outcome {
         Ok(None) => {
@@ -959,6 +973,10 @@ fn handle_submit(
                 // Retry of an already-admitted submission: re-reply with
                 // the original id and attach this connection — never
                 // double-admit.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a token names an admitted job, whose record is never removed"
+                )]
                 let rec = st.jobs.get_mut(&id).expect("token-indexed job");
                 if !rec.subscribers.iter().any(|s| Arc::ptr_eq(s, conn)) {
                     rec.subscribers.push(Arc::clone(conn));

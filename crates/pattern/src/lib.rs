@@ -24,6 +24,8 @@
 //! - [`exec`] — single-root execution of compiled plans: neighbour-slice
 //!   scans against per-position vertex marks, the deepest level counted.
 
+#![forbid(unsafe_code)]
+
 pub mod autom;
 pub mod canon;
 pub mod decompose;

@@ -41,6 +41,8 @@
 //! death. Unit side effects are staged and committed only on unit success
 //! (see `fractal-core`), making re-execution exactly-once.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::fault::{
     install_quiet_panic_hook, FaultCtx, RecoveryUnit, ReplayExclusions, WorkerKilled,
 };
@@ -367,11 +369,20 @@ impl CoreCtx<'_> {
             let t = self.now_ns();
             self.recorder
                 .record(t, EventKind::FaultInjected, 1, depth as u64);
+            #[expect(
+                clippy::panic,
+                reason = "fault injection: the unit's catch_unwind turns this into a retry"
+            )]
             std::panic::panic_any(crate::fault::InjectedPanic { depth });
         }
         if self.should_die_now() {
             let t = self.now_ns();
             self.recorder.record(t, EventKind::FaultInjected, 0, 0);
+            #[expect(
+                clippy::panic,
+                reason = "fault injection: a simulated worker death unwinds to the unit's \
+                          catch_unwind, which stops the core for the watchdog to reconcile"
+            )]
             std::panic::panic_any(WorkerKilled);
         }
     }
@@ -515,7 +526,10 @@ fn dispatch_unit(
                 // set so the re-execution skips work already committed
                 // elsewhere.
                 while ctx.slot.depth() > depth0 {
-                    // panic-ok: depth > depth0 is the loop condition; pop_top cannot miss.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "depth > depth0 is the loop condition; pop_top cannot miss"
+                    )]
                     let lvl = ctx.slot.pop_top().expect("depth checked above");
                     let stolen = lvl.retire_collect();
                     if !stolen.is_empty() {
@@ -683,20 +697,27 @@ pub fn run_job_with(
             .is_some()
             .then(|| s.spawn(|| watchdog_loop(&fcx, &registries, &job, t0)));
         for (id, h) in handles {
-            // panic-ok: a core-thread panic is a runtime bug (injected unit panics
-            // are caught per-unit, not here); propagating it is the fail-loud
-            // path.
+            #[expect(
+                clippy::expect_used,
+                reason = "a core-thread panic is a runtime bug (injected unit panics are caught \
+                          per unit, not here); propagating it is the fail-loud path"
+            )]
             let (stats, trace) = h.join().expect("core thread panicked");
             core_stats.push((id, stats));
             core_traces.push(trace);
         }
         for h in server_handles {
-            // panic-ok: steal servers only panic on runtime bugs; join propagates
-            // them.
+            #[expect(
+                clippy::expect_used,
+                reason = "steal servers only panic on runtime bugs; join propagates them"
+            )]
             h.join().expect("steal server panicked");
         }
         if let Some(h) = watchdog {
-            // panic-ok: watchdog likewise — propagate, never swallow.
+            #[expect(
+                clippy::expect_used,
+                reason = "the watchdog likewise: propagate, never swallow"
+            )]
             h.join().expect("watchdog panicked");
         }
     });

@@ -7,6 +7,8 @@
 //! level — plain DFS — while thieves scan a victim's registry from the
 //! **bottom**, stealing the shallowest (largest) remaining subtrees.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::sync::Mutex;
 use fractal_enum::ExtensionQueue;
 use std::sync::Arc;

@@ -21,6 +21,8 @@
 //! - [`wire`] / [`json`] — the one byte codec and the one JSON layer
 //!   everything that leaves the process is written and read with.
 
+#![forbid(unsafe_code)]
+
 pub mod executor;
 
 pub mod sync;

@@ -21,6 +21,8 @@
 //! before acking. Either way the obligation lands on exactly one owner and
 //! the job's `pending` invariant survives lost or mangled messages.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::executor::JobState;
 use crate::fault::{FaultCtx, RecoveryUnit};
 use crate::level::{LevelQueue, WorkerRegistry};

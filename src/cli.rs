@@ -55,12 +55,10 @@
 //!              restarted daemon resumes incomplete jobs from their last
 //!              committed word-set; --link-fault (local-cluster only)
 //!              spawns the workers with degraded job links
-//!   lint       [--root <dir>] [--metrics-out f.json] [--update-inventory]
-//!              [--self-test]
+//!   lint       [--root <dir>] [--metrics-out f.json] [--self-test]
 //!              runs the in-tree static analyzer (`crates/lint`) over the
-//!              workspace: facade-escape, ordering/SAFETY audits,
-//!              cross-artifact consistency and hot-path panic checks;
-//!              --self-test plants one violation per pass in a scratch
+//!              workspace: the ordering audit and cross-artifact
+//!              consistency; --self-test plants one violation per pass in a scratch
 //!              tree and asserts each is caught
 //!   client <submit|status|cancel|result> --server <addr>
 //!              submit: --tenant <t> --priority <p> --snapshot <spec>
@@ -346,7 +344,6 @@ fn parse_opts(args: &[String]) -> HashMap<String, String> {
                     | "unbounded"
                     | "wait"
                     | "self-test"
-                    | "update-inventory"
             );
             if flaggy {
                 opts.insert(key.to_string(), "true".to_string());
@@ -1100,15 +1097,10 @@ fn run_lint(opts: &HashMap<String, String>) {
         .get("root")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| std::path::PathBuf::from("."));
-    let mut cfg = fractal_lint::LintConfig::default_for(&root);
-    cfg.update_inventory = opts.contains_key("update-inventory");
-    let outcome = match fractal_lint::run(&cfg) {
+    let outcome = match fractal_lint::run(&fractal_lint::LintConfig::default_for(&root)) {
         Ok(o) => o,
         Err(e) => die(&format!("lint: {e}")),
     };
-    if cfg.update_inventory {
-        eprintln!("lint: rewrote {}", cfg.inventory_file);
-    }
     let json = fractal_lint::metrics_json(&outcome);
     if let Some(path) = opts.get("metrics-out") {
         write_metrics(path, &json);
@@ -1151,9 +1143,9 @@ fn usage() {
                          --app <motifs|cliques|fsm> + app options\n\
                          [--token t] [--wait] [--verify-single] [--metrics-out f.json]\n\
                  status|cancel|result: --job <id>\n\
-         lint:   [--root dir] [--metrics-out f.json] [--self-test] [--update-inventory]\n\
-                 static analysis (DESIGN.md \u{a7}15): facade coverage, ordering/SAFETY\n\
-                 audits, cross-artifact consistency, hot-path panic audit"
+         lint:   [--root dir] [--metrics-out f.json] [--self-test]\n\
+                 static analysis (DESIGN.md \u{a7}15): ordering audit and\n\
+                 cross-artifact consistency"
     );
 }
 

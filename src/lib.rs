@@ -32,6 +32,8 @@
 //! assert!(count > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cli;
 
 pub use fractal_apps as apps;
