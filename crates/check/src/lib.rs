@@ -68,15 +68,16 @@
 //! Product crates never name these types directly; they import from the
 //! [`facade`] (via `fractal_runtime::sync`), which compiles to the plain
 //! `std::sync` / `parking_lot` primitives in normal builds and to the
-//! instrumented ones under `RUSTFLAGS="--cfg fractal_check"`. The model
-//! tests against real product structures live in `crates/check/tests/`
-//! behind that cfg; the always-on mirror models in [`models`] run in
-//! every `cargo test` and back the `fractal check` CLI subcommand.
+//! instrumented ones under `RUSTFLAGS="--cfg fractal_check"`. The models
+//! of the real product structures live in `crates/check/tests/real_structures.rs`
+//! behind that cfg; `crates/check/tests/instrumented.rs` builds and runs
+//! them from every plain `cargo test`. `crates/check/tests/planted_bugs.rs`
+//! holds the checker's own self-tests: models with a known bug that it
+//! must catch and replay.
 
 #![forbid(unsafe_code)]
 
 pub mod facade;
-pub mod models;
 mod sched;
 pub mod sync;
 pub mod thread;
@@ -84,13 +85,27 @@ pub mod thread;
 pub use sched::{in_model, Builder, Failure, FailureKind, Report, MAX_THREADS};
 
 /// Explores `f` with the default [`Builder`]; panics on the first
-/// counterexample, printing its replay schedule.
+/// counterexample, printing its replay schedule, and on an exploration
+/// stopped at the execution cap.
 pub fn model<F>(f: F)
 where
     F: Fn() + Send + Sync + 'static,
 {
-    if let Err(failure) = Builder::new().check(f) {
-        panic!("model check failed: {failure}");
+    proven(Builder::new().check(f));
+}
+
+/// Panics unless `result` is an exhausted exploration: a counterexample
+/// fails with its replay schedule, and a capped one fails because nothing
+/// past the cap was explored.
+fn proven(result: Result<Report, Failure>) {
+    match result {
+        Err(failure) => panic!("model check failed: {failure}"),
+        Ok(r) if r.capped => panic!(
+            "model check stopped at the execution cap after {} executions; \
+             the rest of the schedule space is unexplored",
+            r.executions
+        ),
+        Ok(_) => {}
     }
 }
 
@@ -100,4 +115,37 @@ where
     F: Fn() + Send + Sync + 'static,
 {
     Builder::new().replay(schedule, f)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sync::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    /// Two threads each store once: more than one interleaving.
+    fn two_stores() {
+        let a = Arc::new(AtomicUsize::new(0));
+        let writer = {
+            let a = a.clone();
+            thread::spawn(move || a.store(1, Ordering::SeqCst))
+        };
+        a.store(2, Ordering::SeqCst);
+        writer.join();
+    }
+
+    #[test]
+    fn a_capped_exploration_fails_the_model() {
+        let full = Builder::new()
+            .check(two_stores)
+            .expect("no assertion to fail");
+        assert!(full.executions > 1 && !full.capped);
+        let capped = Builder::new().max_executions(1).check(two_stores);
+        let panic = std::panic::catch_unwind(|| proven(capped)).expect_err("a capped run passed");
+        let message = panic.downcast_ref::<String>().expect("formatted message");
+        assert!(
+            message.contains("execution cap after 1 executions"),
+            "{message}"
+        );
+    }
 }

@@ -1,21 +1,21 @@
-//! Model checks against the *real* product structures, not mirrors.
+//! Model checks against the real product structures.
 //!
 //! These tests only exist when the whole workspace is built with
-//! `RUSTFLAGS="--cfg fractal_check"` — the [`fractal_check::facade`]
+//! `RUSTFLAGS="--cfg fractal_check"`: the [`fractal_check::facade`]
 //! then resolves to the instrumented primitives, so every atomic and
 //! mutex operation inside `fractal-enum` / `fractal-runtime` /
 //! `fractal-core` yields to the DFS scheduler. In normal builds this
-//! file compiles to nothing.
-//!
-//! Run with:
+//! file compiles to nothing, and `tests/instrumented.rs` builds and runs
+//! it under that cfg instead, in its own target directory. By hand:
 //!
 //! ```text
-//! RUSTFLAGS="--cfg fractal_check" cargo test -p fractal-check --tests
+//! RUSTFLAGS="--cfg fractal_check" CARGO_TARGET_DIR=target/model-check \
+//!     cargo test -p fractal-check --test real_structures
 //! ```
 #![cfg(fractal_check)]
 
 use fractal_check::sync::{AtomicU64 as ModelAtomicU64, Mutex as ModelMutex, Ordering};
-use fractal_check::{model, thread, Builder};
+use fractal_check::{model, thread};
 use fractal_core::{AggShard, Aggregator};
 use fractal_enum::queue::ExtensionQueue;
 use fractal_runtime::executor::JobState;
@@ -141,44 +141,81 @@ fn try_claim_transfers_obligation_exactly_once() {
 /// as `None`, never as a frankenstein record.
 #[test]
 fn trace_tap_never_returns_torn_records() {
-    // Bounded a bit tighter than the default: each publish is 4 model
-    // ops and each read 3, so the schedule space is deep.
-    let r = Builder::new()
-        .preemption_bound(2)
-        .check(|| {
-            let tap = Arc::new(TraceTap::new(2));
-            let writer = {
-                let tap = tap.clone();
-                thread::spawn(move || {
-                    for i in 0..3u64 {
-                        tap.publish(EventKind::TaskClaim, i, i * 7);
+    // Each publish is 4 model ops and each read 3, so the schedule space
+    // is deep: unbounded, it overruns the execution cap.
+    model(|| {
+        let tap = Arc::new(TraceTap::new(2));
+        let writer = {
+            let tap = tap.clone();
+            thread::spawn(move || {
+                for i in 0..3u64 {
+                    tap.publish(EventKind::TaskClaim, i, i * 7);
+                }
+            })
+        };
+        let reader = {
+            let tap = tap.clone();
+            thread::spawn(move || {
+                for i in 0..3u64 {
+                    if let Some(rec) = tap.read(i) {
+                        assert_eq!(rec.kind, EventKind::TaskClaim);
+                        assert_eq!(rec.a, i, "record index and payload disagree");
+                        assert_eq!(rec.b, i * 7, "torn record: words from different publishes");
                     }
-                })
-            };
-            let reader = {
-                let tap = tap.clone();
-                thread::spawn(move || {
-                    for i in 0..3u64 {
-                        if let Some(rec) = tap.read(i) {
-                            assert_eq!(rec.kind, EventKind::TaskClaim);
-                            assert_eq!(rec.a, i, "record index and payload disagree");
-                            assert_eq!(rec.b, i * 7, "torn record: words from different publishes");
-                        }
-                    }
-                })
-            };
-            writer.join();
-            reader.join();
-            // Quiescent: all three records readable... except slot 0's
-            // first record, overwritten by record 2 (capacity 2).
-            assert!(
-                tap.read(0).is_none(),
-                "overwritten record must not resurface"
-            );
-            assert_eq!(tap.read(2).map(|r| (r.a, r.b)), Some((2, 14)));
-        })
-        .unwrap_or_else(|f| panic!("model check failed: {f}"));
-    assert!(!r.capped);
+                }
+            })
+        };
+        writer.join();
+        reader.join();
+        // Quiescent: all three records readable... except slot 0's
+        // first record, overwritten by record 2 (capacity 2).
+        assert!(
+            tap.read(0).is_none(),
+            "overwritten record must not resurface"
+        );
+        assert_eq!(tap.read(2).map(|r| (r.a, r.b)), Some((2, 14)));
+    });
+}
+
+/// A thief races `try_claim` on an uncounted two-word level while the
+/// reconciler retires the level (`retire_collect`, as a failed unit's
+/// teardown and `reconcile_core` do) and then drains what is left, as
+/// the owning unit's re-execution would. The steal log's one lock makes
+/// claim-vs-retire atomic, so: each word is taken exactly once, by the
+/// thief or by the drain; the thief's words are exactly the collected
+/// replay-exclusion set; no word is held after `done`; and `pending`
+/// never goes negative (`sub_pending` asserts it) and settles at 0.
+#[test]
+fn retirement_collects_exactly_the_thief_claims() {
+    model(|| {
+        let job = Arc::new(JobState::new(1)); // the owning unit
+        let level = Arc::new(LevelQueue::new(vec![1], vec![10, 11], false));
+        let thief = {
+            let (job, level) = (job.clone(), level.clone());
+            thread::spawn(move || {
+                let mut took = Vec::new();
+                while let Some(w) = try_claim(&level, &job) {
+                    assert!(!job.done(), "word {w} held after done");
+                    took.push(w);
+                    job.sub_pending();
+                }
+                took
+            })
+        };
+        let collected = level.retire_collect();
+        let mut drained = Vec::new();
+        while let Some(w) = level.queue.claim() {
+            drained.push(w);
+        }
+        job.sub_pending(); // the owning unit's re-execution settles
+        let took = thief.join();
+        assert_eq!(took, collected, "retirement collected the wrong words");
+        let mut all = [took, drained].concat();
+        all.sort_unstable();
+        assert_eq!(all, vec![10, 11], "a word was lost or taken twice");
+        assert!(job.done());
+        assert_eq!(job.pending(), 0);
+    });
 }
 
 /// Two workers commit their aggregation shards through the engine's
@@ -206,7 +243,7 @@ fn aggregation_merge_commit_loses_nothing() {
                         none => *none = Some(shard),
                     }
                     drop(slot);
-                    // ordering: mirror of StepSpec.counter — fetch_add
+                    // ordering: as StepSpec.counter: fetch_add
                     // atomicity suffices, read after join.
                     counter.fetch_add(1, Ordering::Relaxed);
                 })

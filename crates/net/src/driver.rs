@@ -260,6 +260,8 @@ struct Driver<K: FrameSink> {
     steal_hits: u64,
     faults: FaultStats,
     planner: PlannerStats,
+    /// Set by a worker's [`Frame::UnitFailed`]: the job fails with this.
+    failed: Option<String>,
 }
 
 impl<K: FrameSink> Driver<K> {
@@ -513,6 +515,14 @@ impl<K: FrameSink> Driver<K> {
                 }
             }
             Frame::Ack { .. } => {} // metrics already counted at forward
+            Frame::UnitFailed { round, message } => {
+                if round == rs.round && self.failed.is_none() {
+                    let name = &self.conns[i].summary.name;
+                    self.failed = Some(format!(
+                        "a unit failed on worker {name} in round {round}: {message}"
+                    ));
+                }
+            }
             Frame::AggFlush {
                 round,
                 count,
@@ -561,10 +571,12 @@ fn handle_ev<K: FrameSink>(drv: &mut Driver<K>, rs: &mut RoundState, ev: Ev) -> 
 
 /// Runs a cluster job over already-connected worker TCP streams and
 /// reduces the final result. `names` label the workers in reports
-/// (host:port or synthetic). Returns an error only for driver-side
-/// failures (handshake, corrupt flush blobs, all workers dead) —
-/// individual worker deaths are recovered from and surfaced in the
-/// result's counters.
+/// (host:port or synthetic). Returns an error for driver-side failures
+/// (handshake, corrupt flush blobs, all workers dead) and for a unit that
+/// failed with no retries left (a worker's [`Frame::UnitFailed`]; the
+/// error names its panic, and the workers' sessions are shut down as on
+/// cancel) — individual worker deaths are recovered from and surfaced in
+/// the result's counters.
 pub fn run_cluster(
     streams: Vec<TcpStream>,
     names: Vec<String>,
@@ -670,6 +682,7 @@ where
         steal_hits: 0,
         faults: FaultStats::default(),
         planner: PlannerStats::default(),
+        failed: None,
     };
 
     let mut stall_after_done = chaos_stall_after_done;
@@ -728,6 +741,9 @@ where
         loop {
             if is_cancelled() {
                 cancelled = true;
+                break 'rounds;
+            }
+            if drv.failed.is_some() {
                 break 'rounds;
             }
             if !rs.done_broadcast && rs.done_count == rs.words.len() {
@@ -808,6 +824,9 @@ where
     };
     for i in drv.alive() {
         let _ = drv.conns[i].send(&shutdown);
+    }
+    if let Some(message) = drv.failed {
+        return Err(invalid(message));
     }
 
     let cores = drv

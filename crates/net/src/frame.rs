@@ -192,6 +192,10 @@ pub enum Frame {
     /// after a disconnect the client re-sends `Watch` with the last
     /// sequence number it saw and loses nothing.
     Watch { job: u64, after_seq: u64 },
+    /// Worker → driver: a unit of round `round` panicked with no retries
+    /// left, so the round cannot flush. `message` is the panic's. The
+    /// driver fails the job naming it.
+    UnitFailed { round: u32, message: String },
 }
 
 impl Frame {
@@ -241,6 +245,7 @@ impl Frame {
             Frame::JobEvent { .. } => 14,
             Frame::Mux { .. } => 15,
             Frame::Watch { .. } => 16,
+            Frame::UnitFailed { .. } => 17,
         }
     }
 }
@@ -407,6 +412,10 @@ fn encode_payload(frame: &Frame) -> Vec<u8> {
             p.u64(*job);
             p.u64(*after_seq);
         }
+        Frame::UnitFailed { round, message } => {
+            p.u32(*round);
+            p.str(message);
+        }
     }
     p.finish()
 }
@@ -506,6 +515,10 @@ fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, FrameError> {
         16 => Frame::Watch {
             job: c.u64()?,
             after_seq: c.u64()?,
+        },
+        17 => Frame::UnitFailed {
+            round: c.u32()?,
+            message: c.str()?,
         },
         other => return Err(FrameError::UnknownType(other)),
     };
@@ -817,6 +830,10 @@ mod tests {
             Frame::Watch {
                 job: 0,
                 after_seq: 0,
+            },
+            Frame::UnitFailed {
+                round: 3,
+                message: "filter rejects subgraph".into(),
             },
         ]
     }

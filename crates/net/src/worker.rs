@@ -44,16 +44,19 @@ use crate::frame::{
 use crate::invalid;
 use crate::linkfault::{DedupSource, FaultySink};
 use fractal_core::FractalContext;
+use fractal_runtime::fault::InjectedPanic;
 use fractal_runtime::steal::decode_unit;
 use fractal_runtime::sync::Mutex;
 use fractal_runtime::sync::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use fractal_runtime::{
-    ClusterConfig, ExternalHooks, ExternalJobHandle, ExternalPull, JobReport, LinkFaultConfig,
-    LinkFaultInjector, WsMode,
+    ClusterConfig, ExternalHooks, ExternalJobHandle, ExternalPull, FaultConfig, JobReport,
+    LinkFaultConfig, LinkFaultInjector, WsMode,
 };
+use std::any::Any;
 use std::collections::HashMap;
 use std::io;
 use std::net::{TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread;
@@ -243,6 +246,19 @@ fn flush_round<K: FrameSink>(
     });
 }
 
+/// The text of a unit's panic payload, for [`Frame::UnitFailed`].
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else if let Some(p) = payload.downcast_ref::<InjectedPanic>() {
+        format!("injected unit panic at depth {}", p.depth)
+    } else {
+        "unit panicked with a non-string payload".to_string()
+    }
+}
+
 /// Serves exactly one connection accepted on `listener` and returns how
 /// it ended. The executor runs with `cores` threads and internal-only
 /// local stealing (cross-process balance goes through the driver instead
@@ -265,6 +281,17 @@ pub fn serve_with(
     cores: usize,
     link_fault: Option<LinkFaultConfig>,
 ) -> io::Result<ServeOutcome> {
+    accept_and_serve(listener, cores, link_fault, None)
+}
+
+/// [`serve_with`] plus the test seam `unit_panic`: a fault plan installed
+/// in the executor of the first job this connection runs.
+fn accept_and_serve(
+    listener: &TcpListener,
+    cores: usize,
+    link_fault: Option<LinkFaultConfig>,
+    unit_panic: Option<FaultConfig>,
+) -> io::Result<ServeOutcome> {
     let (stream, _) = listener.accept()?;
     stream.set_nodelay(true).ok();
     let mut reader = stream.try_clone()?;
@@ -272,8 +299,16 @@ pub fn serve_with(
     match &first.1 {
         Frame::Hello {
             role: Role::Driver, ..
-        } => run_session(reader, stream, cores, Some(first), None, HEARTBEAT_EVERY),
-        Frame::Mux { .. } => serve_mux(reader, stream, cores, first, link_fault),
+        } => run_session(
+            reader,
+            stream,
+            cores,
+            Some(first),
+            None,
+            HEARTBEAT_EVERY,
+            unit_panic,
+        ),
+        Frame::Mux { .. } => serve_mux(reader, stream, cores, first, link_fault, unit_panic),
         Frame::Done {
             round: SHUTDOWN_ROUND,
         } => Ok(ServeOutcome::Shutdown),
@@ -285,7 +320,12 @@ pub fn serve_with(
 /// the caller already read off the source (the mode-dispatch peek); it is
 /// processed first. The session starts with the driver's `Hello`.
 /// `heartbeat_every` is [`HEARTBEAT_EVERY`] everywhere but in the test
-/// that silences the beat.
+/// that silences the beat, and `unit_panic` (a fault plan for the job's
+/// executor) is `None` everywhere but in the tests of a failing unit.
+///
+/// A unit that panics with no retries left fails its round: the job
+/// thread catches the panic and sends [`Frame::UnitFailed`] in place of
+/// the round's `AggFlush`, and the session goes on serving.
 fn run_session<S, K>(
     mut source: S,
     sink: K,
@@ -293,6 +333,7 @@ fn run_session<S, K>(
     peeked: Option<(u32, Frame)>,
     injector: Option<Arc<LinkFaultInjector>>,
     heartbeat_every: Duration,
+    unit_panic: Option<FaultConfig>,
 ) -> io::Result<ServeOutcome>
 where
     S: FrameSource,
@@ -365,7 +406,10 @@ where
                 if let Some(bytes) = job_blob {
                     let (app, graph) =
                         blob::decode_job(&bytes).map_err(|e| invalid(e.to_string()))?;
-                    let config = ClusterConfig::local(1, cores).with_ws(WsMode::InternalOnly);
+                    let mut config = ClusterConfig::local(1, cores).with_ws(WsMode::InternalOnly);
+                    if let Some(plan) = &unit_panic {
+                        config = config.with_faults(plan.clone());
+                    }
                     let fg = FractalContext::new(config).fractal_graph(graph);
                     runner = Some(RoundRunner::new(app, fg));
                 }
@@ -401,8 +445,15 @@ where
                 let shared_job = Arc::clone(&shared);
                 let runner = runner.clone();
                 job = Some(thread::spawn(move || {
-                    let (count, agg, report) = runner.run(round, roots, hooks);
-                    flush_round(&shared_job, round, count, agg, report);
+                    match catch_unwind(AssertUnwindSafe(|| runner.run(round, roots, hooks))) {
+                        Ok((count, agg, report)) => {
+                            flush_round(&shared_job, round, count, agg, report)
+                        }
+                        Err(payload) => {
+                            let message = panic_message(payload.as_ref());
+                            let _ = shared_job.send(&Frame::UnitFailed { round, message });
+                        }
+                    }
                 }));
             }
             Frame::StealRequest { round } => {
@@ -458,7 +509,8 @@ where
             | Frame::Result { .. }
             | Frame::JobEvent { .. }
             | Frame::Mux { .. }
-            | Frame::Watch { .. } => {}
+            | Frame::Watch { .. }
+            | Frame::UnitFailed { .. } => {}
         }
     }
 
@@ -497,13 +549,15 @@ where
 /// when the physical connection shuts down: a bare `Done{SHUTDOWN_ROUND}`
 /// is a clean daemon shutdown; EOF or a read error is a disconnect —
 /// either way every virtual session sees channel EOF, and still-draining
-/// discarded work dies with the process.
+/// discarded work dies with the process. `unit_panic` arms the first
+/// job's session only (see [`run_session`]).
 fn serve_mux(
     mut reader: TcpStream,
     writer: TcpStream,
     cores: usize,
     first: (u32, Frame),
     link_fault: Option<LinkFaultConfig>,
+    mut unit_panic: Option<FaultConfig>,
 ) -> io::Result<ServeOutcome> {
     let physical: Arc<Mutex<TcpStream>> = Arc::new(Mutex::new(writer));
     let physical_seq = Arc::new(AtomicU32::new(0));
@@ -525,6 +579,7 @@ fn serve_mux(
                         }
                     );
                     let session = sessions.entry(job).or_insert_with(|| {
+                        let unit_panic = unit_panic.take();
                         let (tx, rx) = channel();
                         let sink =
                             MuxSink::new(job, Arc::clone(&physical), Arc::clone(&physical_seq));
@@ -546,13 +601,22 @@ fn serve_mux(
                                         None,
                                         Some(injector),
                                         HEARTBEAT_EVERY,
+                                        unit_panic,
                                     )
                                 });
                             }
                             None => {
                                 thread::spawn(move || {
                                     let source = ChannelSource(rx);
-                                    run_session(source, sink, cores, None, None, HEARTBEAT_EVERY)
+                                    run_session(
+                                        source,
+                                        sink,
+                                        cores,
+                                        None,
+                                        None,
+                                        HEARTBEAT_EVERY,
+                                        unit_panic,
+                                    )
                                 });
                             }
                         }
@@ -591,8 +655,11 @@ fn serve_mux(
 mod tests {
     use super::*;
     use crate::blob::AppSpec;
+    use crate::driver::{run_cluster, DriverConfig};
     use crate::frame::ChannelSink;
-    use fractal_apps::motifs;
+    use crate::serve::{load_snapshot, shutdown_workers, ServeConfig, Server};
+    use crate::{Client, JobTerminal};
+    use fractal_apps::{cliques, motifs};
     use fractal_graph::gen;
     use std::collections::HashSet;
 
@@ -620,7 +687,15 @@ mod tests {
             let session = thread::spawn(move || {
                 let hour = Duration::from_secs(3600);
                 let source = ChannelSource(from_driver);
-                run_session(source, ChannelSink(to_driver), cores, None, None, hour)
+                run_session(
+                    source,
+                    ChannelSink(to_driver),
+                    cores,
+                    None,
+                    None,
+                    hour,
+                    None,
+                )
             });
             let send = |seq: u32, frame: Frame| to_worker.send((seq, frame)).expect("session up");
             // The next frame that is not steal traffic; every pull is
@@ -692,6 +767,110 @@ mod tests {
         done_rx
             .recv_timeout(Duration::from_secs(60))
             .expect("session hung or failed: it waited on the silenced beat");
+    }
+
+    /// A plan that panics a unit at its first depth-1 level with no
+    /// retries, so the job it arms fails on the first injected fault.
+    fn panic_with_no_retries() -> FaultConfig {
+        FaultConfig {
+            retry_budget: 0,
+            ..FaultConfig::unit_panic(1, 1)
+        }
+    }
+
+    /// Runs `f` on a thread and returns its value; fails if that takes
+    /// more than a second.
+    fn within_a_second<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = channel();
+        thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(Duration::from_secs(1))
+            .expect("the job did not end within 1 s")
+    }
+
+    /// A worker thread serving one TCP connection with `unit_panic`
+    /// armed, and the address to connect to it.
+    fn armed_worker() -> (thread::JoinHandle<io::Result<ServeOutcome>>, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let worker = thread::spawn(move || {
+            accept_and_serve(&listener, 2, None, Some(panic_with_no_retries()))
+        });
+        (worker, TcpStream::connect(addr).expect("connect"))
+    }
+
+    const MOTIFS: AppSpec = AppSpec::Motifs {
+        k: 3,
+        use_labels: false,
+        decomposed: false,
+    };
+
+    /// The `--local-cluster` driver path: `run_cluster` over TCP to a
+    /// worker whose unit panics with no retries left. The job fails within
+    /// a second with an error naming the panic, and the worker's classic
+    /// session is shut down cleanly.
+    #[test]
+    fn a_failed_unit_fails_a_cluster_job() {
+        let (worker, stream) = armed_worker();
+        let config = DriverConfig::new(MOTIFS, gen::mico_like(60, 4, 13));
+        let result = within_a_second(move || run_cluster(vec![stream], vec!["w0".into()], config));
+        match result {
+            Err(e) => assert!(
+                e.to_string().contains("injected unit panic at depth 1"),
+                "the error does not name the panic: {e}"
+            ),
+            Ok(_) => panic!("the job succeeded despite the failed unit"),
+        }
+        let outcome = worker.join().expect("worker thread").expect("session");
+        assert_eq!(outcome, ServeOutcome::Shutdown);
+    }
+
+    /// The `serve` path: a daemon over one mux worker whose first job's
+    /// unit panics with no retries left. That job fails within a second,
+    /// naming the panic, and the daemon's next job completes with the
+    /// single-process count.
+    #[test]
+    fn a_failed_unit_fails_its_served_job_and_the_daemon_serves_on() {
+        const SNAPSHOT: &str = "gen:mico:60:13";
+        let (worker, stream) = armed_worker();
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let workers = vec![(stream, "w0".to_string())];
+        let server =
+            Arc::new(Server::bind(listener, workers, ServeConfig::default()).expect("bind"));
+        let addr = server.local_addr().expect("addr").to_string();
+        let accept = Arc::clone(&server);
+        thread::spawn(move || accept.run());
+
+        let mut client = Client::connect(&addr).expect("client");
+        let job = client
+            .submit("t", 0, SNAPSHOT, &MOTIFS, "first")
+            .expect("submit");
+        let (mut client, terminal) = within_a_second(move || {
+            let terminal = client.wait(job).expect("wait");
+            (client, terminal)
+        });
+        match terminal {
+            JobTerminal::Failed(message) => assert!(
+                message.contains("injected unit panic at depth 1"),
+                "the failure does not name the panic: {message}"
+            ),
+            other => panic!("expected the job to fail, got {other:?}"),
+        }
+
+        let fg = FractalContext::new(ClusterConfig::local(1, 1))
+            .fractal_graph(load_snapshot(SNAPSHOT).expect("snapshot"));
+        let triangles = AppSpec::Kclist { k: 3 };
+        let job = client
+            .submit("t", 0, SNAPSHOT, &triangles, "second")
+            .expect("submit");
+        match client.wait(job).expect("wait") {
+            JobTerminal::Done { count } => assert_eq!(count, cliques::count_kclist(&fg, 3)),
+            other => panic!("the next job did not complete: {other:?}"),
+        }
+        shutdown_workers(&server);
+        let outcome = worker.join().expect("worker thread").expect("session");
+        assert_eq!(outcome, ServeOutcome::Shutdown);
     }
 
     #[test]

@@ -39,11 +39,11 @@ const EVENT_KINDS: [EventKind; 8] = [
     EventKind::Failed,
 ];
 
-/// An arbitrary frame spanning all sixteen wire types, including optional
+/// An arbitrary frame spanning all seventeen wire types, including optional
 /// blob presence/absence combinations and sentinel-adjacent integers.
 fn arb_frame() -> impl Strategy<Value = Frame> {
     (
-        0u8..16, // variant selector
+        0u8..17, // variant selector
         any::<u32>(),
         any::<u64>(),
         (0u8..8, arb_blob(40), arb_blob(40)),
@@ -115,9 +115,13 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
                     job: word,
                     inner: blob_a,
                 },
-                _ => Frame::Watch {
+                15 => Frame::Watch {
                     job: word,
                     after_seq: round as u64,
+                },
+                _ => Frame::UnitFailed {
+                    round,
+                    message: text_a,
                 },
             },
         )

@@ -39,11 +39,6 @@
 //!              explicit decomposed on a task the planner cannot compile
 //!              exits 2 naming the blocker, on every verb that takes it)
 //!              and the summary names the execution path taken and why
-//!   check      [--bound <n> | --unbounded] [--metrics-out f.json]
-//!              runs the concurrency model-check suite of `crates/check`
-//!              (mirror models of the lock-free protocols, including the
-//!              checker self-validation entries) and prints per-model
-//!              explored-interleaving counts as `fractal-metrics/1` JSON
 //!   serve      --listen <addr> (--local-cluster <n> | --workers a,b,...)
 //!              [--cores <n>] [--max-running <n>] [--max-queue <n>]
 //!              [--tenant-quota <n>] [--snapshot-budget-mb <n>]
@@ -105,7 +100,6 @@ pub fn run() {
     match app.as_str() {
         "worker" => return run_worker(&opts),
         "submit" => return run_submit(&opts),
-        "check" => return run_check(&opts),
         "serve" => return run_serve(&opts),
         "lint" => return run_lint(&opts),
         "trace" if opts.contains_key("per-worker") => return run_trace_per_worker(&opts),
@@ -1011,71 +1005,6 @@ fn run_trace_per_worker(opts: &HashMap<String, String>) {
     );
 }
 
-/// `fractal check`: the concurrency model-check suite as a CLI verb.
-///
-/// Runs every entry of `fractal_check::models::run_all` under the given
-/// preemption bound (default 2, the CHESS sweet spot; `--unbounded` for
-/// full exhaustion) and reports explored-interleaving counts in the same
-/// `fractal-metrics/1` JSON shape the flight recorder uses, so the CI
-/// model-check job and EXPERIMENTS.md tooling can parse it uniformly.
-fn run_check(opts: &HashMap<String, String>) {
-    let bound = if opts.contains_key("unbounded") {
-        None
-    } else {
-        Some(opt_num(opts, "bound").unwrap_or(2))
-    };
-    let started = std::time::Instant::now();
-    // run_all panics (with a replay schedule in the message) if any model
-    // fails or any self-validation entry is not caught — a non-zero exit.
-    let runs = fractal_check::models::run_all(bound);
-    let wall_ms = started.elapsed().as_millis() as u64;
-
-    let mut total_executions = 0u64;
-    let mut e = Emitter::pretty();
-    e.begin_obj();
-    e.key("schema").str("fractal-metrics/1");
-    e.key("kind").str("model_check");
-    e.key("preemption_bound");
-    match bound {
-        Some(b) => e.u64(b as u64),
-        None => e.null(),
-    };
-    e.key("wall_ms").u64(wall_ms);
-    e.key("models").begin_arr();
-    for r in &runs {
-        total_executions += r.executions;
-        let role = if r.expect_failure {
-            "self_validation"
-        } else {
-            "invariant"
-        };
-        e.inline().begin_obj();
-        e.key("name").str(r.name);
-        e.key("role").str(role);
-        e.key("executions").u64(r.executions);
-        e.key("steps").u64(r.steps);
-        e.key("pruned").u64(r.pruned);
-        if let Some(s) = &r.schedule {
-            e.key("caught_schedule").str(s);
-        }
-        e.end_obj();
-        eprintln!(
-            "model {: <32} {: <16} executions={: <8} pruned={}",
-            r.name, role, r.executions, r.pruned
-        );
-    }
-    e.end_arr();
-    e.key("total_executions").u64(total_executions);
-    e.end_obj();
-    let json = e.finish();
-
-    eprintln!("total explored interleavings: {total_executions} in {wall_ms} ms");
-    match opts.get("metrics-out") {
-        Some(path) => write_metrics(path, &json),
-        None => print!("{json}"),
-    }
-}
-
 /// `fractal lint`: the in-tree static analysis pass (DESIGN.md §15).
 /// Exit 0 on a clean tree, 1 on findings, 2 on usage/environment errors
 /// — mirroring the perf/chaos gate conventions so CI can tell "dirty
@@ -1115,7 +1044,7 @@ fn run_lint(opts: &HashMap<String, String>) {
 
 fn usage() {
     println!(
-        "fractal-cli <motifs|cliques|triangles|fsm|query|keywords|plan|trace|worker|submit|check|serve|client> [options]\n\
+        "fractal-cli <motifs|cliques|triangles|fsm|query|keywords|plan|trace|worker|submit|serve|client> [options]\n\
          input:  --graph <path.adj> | --gen <mico|patents|youtube|wikidata|orkut> [--n N] [--seed S]\n\
          app:    -k <size> [--kclist] | --support N [--max-edges N] [--reduce]\n\
                  | --query <q1..q8|clique<k>|path<k>|cycle<k>> | --words a,b,c [--no-reduce]\n\
@@ -1131,9 +1060,6 @@ fn usage() {
          submit: --app <motifs|cliques|fsm> (--local-cluster N | --workers host:port,...)\n\
                  [--plan enumerate|decomposed|auto] [--cores N] [--verify-single]\n\
                  [--per-worker] [--chaos-kill i] [--metrics-out f.json]\n\
-         check:  [--bound N | --unbounded] [--metrics-out f.json]\n\
-                 runs the concurrency model-check suite (crates/check) and prints\n\
-                 per-model explored-interleaving counts as fractal-metrics/1 JSON\n\
          serve:  --listen <addr> (--local-cluster N | --workers host:port,...) [--cores N]\n\
                  [--max-running N] [--max-queue N] [--tenant-quota N]\n\
                  [--snapshot-budget-mb N] [--heartbeat-ms N]\n\

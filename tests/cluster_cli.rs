@@ -164,8 +164,9 @@ fn out_of_range_query_sizes_are_refused_naming_the_bound() {
         assert!(out.status.success(), "{name} refused");
     }
     // A subgraph of more than 32 vertices panics the core thread that names
-    // its pattern (and the job then hangs): every verb that grows subgraphs
-    // to a size given on the command line refuses such a size first.
+    // its pattern, which fails the job with that panic: every verb that
+    // grows subgraphs to a size given on the command line refuses such a
+    // size first.
     let (k, max_edges) = ("motifs takes k in 1..=32", "fsm takes max-edges in 0..=31");
     for (task, bound) in [
         ("motifs -k 33", k),

@@ -90,6 +90,10 @@ fn frames() -> Vec<Frame> {
             job: 12,
             after_seq: 5,
         },
+        Frame::UnitFailed {
+            round: 2,
+            message: "filter rejects subgraph \u{e9}".into(),
+        },
     ]
 }
 
@@ -117,6 +121,9 @@ const FRAMES_HEX: &[&str] = &[
     "f2ac010f0000007200000024000000000000000400000018f2ac01090000000b0000000400000001e8f1aecb\
      38c4a53b6a93baef02f337bb",
     "f2ac01100000007300000010000000000000000c0000000000000005a52909dd355378ec",
+    // Tag 17 postdates the fold: captured from the encoder that added it.
+    "f2ac01110000007400000022000000020000001a66696c7465722072656a65637473207375626772617068\
+     20c3a988c632abcf33672b",
 ];
 
 fn records() -> Vec<Record> {
