@@ -34,6 +34,18 @@ pub enum JobTerminal {
     Failed(String),
 }
 
+impl JobTerminal {
+    /// The outcome a job event announces; `None` for a non-terminal event.
+    fn from_event(kind: EventKind, detail: String, value: u64) -> Option<JobTerminal> {
+        match kind {
+            EventKind::Done => Some(JobTerminal::Done { count: value }),
+            EventKind::Cancelled => Some(JobTerminal::Cancelled),
+            EventKind::Failed | EventKind::Rejected => Some(JobTerminal::Failed(detail)),
+            _ => None,
+        }
+    }
+}
+
 /// How [`Client::wait_resumable`] rides out a flaky or restarting
 /// server: capped exponential backoff with deterministic jitter between
 /// reconnect attempts, and a per-frame read deadline so a silently dead
@@ -174,31 +186,9 @@ impl Client {
     pub fn wait_with(
         &mut self,
         job: u64,
-        mut on_event: impl FnMut(EventKind, &str, u64),
+        on_event: impl FnMut(EventKind, &str, u64),
     ) -> io::Result<JobTerminal> {
-        loop {
-            if let Frame::JobEvent {
-                job: j,
-                kind,
-                detail,
-                value,
-                ..
-            } = self.recv()?
-            {
-                if j != job {
-                    continue;
-                }
-                on_event(kind, &detail, value);
-                match kind {
-                    EventKind::Done => return Ok(JobTerminal::Done { count: value }),
-                    EventKind::Cancelled => return Ok(JobTerminal::Cancelled),
-                    EventKind::Failed | EventKind::Rejected => {
-                        return Ok(JobTerminal::Failed(detail))
-                    }
-                    _ => {}
-                }
-            }
-        }
+        self.follow(job, None, on_event)
     }
 
     /// [`Client::wait_with`] without an event callback.
@@ -217,52 +207,54 @@ impl Client {
         &mut self,
         job: u64,
         policy: &ReconnectPolicy,
-        mut on_event: impl FnMut(EventKind, &str, u64),
+        on_event: impl FnMut(EventKind, &str, u64),
     ) -> io::Result<JobTerminal> {
-        let mut last_seq = 0u64;
         // Subscribe explicitly: unlike `wait_with`, this path must work
         // on a connection that did not submit the job (post-restart).
         self.reader.set_read_timeout(Some(policy.read_timeout)).ok();
-        self.send(&Frame::Watch {
-            job,
-            after_seq: last_seq,
-        })
-        .or_else(|_| self.reconnect_and_watch(job, last_seq, policy))?;
+        self.send(&Frame::Watch { job, after_seq: 0 })
+            .or_else(|_| self.reconnect_and_watch(job, 0, policy))?;
+        self.follow(job, Some(policy), on_event)
+    }
+
+    /// Reads `job`'s events until a terminal one. With a `policy`, a
+    /// disconnect or an expired read deadline reconnects and resumes after
+    /// the last sequenced event delivered; without one it is an error.
+    fn follow(
+        &mut self,
+        job: u64,
+        policy: Option<&ReconnectPolicy>,
+        mut on_event: impl FnMut(EventKind, &str, u64),
+    ) -> io::Result<JobTerminal> {
+        let mut last_seq = 0u64;
         loop {
-            let frame = match self.recv() {
-                Ok(f) => f,
-                Err(_) => {
-                    // Disconnect or deadline: resume from last_seq.
+            let frame = match (self.recv(), policy) {
+                (Ok(frame), _) => frame,
+                (Err(e), None) => return Err(e),
+                (Err(_), Some(policy)) => {
                     self.reconnect_and_watch(job, last_seq, policy)?;
                     continue;
                 }
             };
-            if let Frame::JobEvent {
+            let Frame::JobEvent {
                 job: j,
                 kind,
                 detail,
                 value,
                 event_seq,
             } = frame
-            {
-                if j != job {
-                    continue;
-                }
-                if event_seq > 0 {
-                    if event_seq <= last_seq {
-                        continue; // replayed duplicate
-                    }
-                    last_seq = event_seq;
-                }
-                on_event(kind, &detail, value);
-                match kind {
-                    EventKind::Done => return Ok(JobTerminal::Done { count: value }),
-                    EventKind::Cancelled => return Ok(JobTerminal::Cancelled),
-                    EventKind::Failed | EventKind::Rejected => {
-                        return Ok(JobTerminal::Failed(detail))
-                    }
-                    _ => {}
-                }
+            else {
+                continue;
+            };
+            // A sequenced event at or before `last_seq` is a replayed
+            // duplicate.
+            if j != job || (event_seq > 0 && event_seq <= last_seq) {
+                continue;
+            }
+            last_seq = last_seq.max(event_seq);
+            on_event(kind, &detail, value);
+            if let Some(terminal) = JobTerminal::from_event(kind, detail, value) {
+                return Ok(terminal);
             }
         }
     }

@@ -122,7 +122,7 @@ impl DriverConfig {
     }
 }
 
-/// Per-worker breakdown of a cluster run, for `fractal trace
+/// Per-worker breakdown of a cluster run, for `fractal submit
 /// --per-worker` and test assertions.
 #[derive(Debug, Clone, Default)]
 pub struct WorkerSummary {
@@ -868,7 +868,7 @@ where
     })
 }
 
-/// Renders the per-worker breakdown table (`fractal trace --per-worker`).
+/// Renders the per-worker breakdown table (`fractal submit --per-worker`).
 pub fn render_per_worker(result: &ClusterResult) -> String {
     let mut out = String::new();
     out.push_str(&format!(

@@ -56,7 +56,8 @@ pub enum EventKind {
     Accepted = 0,
     /// Admission failed (queue full, tenant over quota); `detail` says why.
     Rejected = 1,
-    /// The job is waiting in the dispatch queue; `value` is its position.
+    /// The job is waiting in the dispatch queue; `value` is its rank in
+    /// dispatch order (1 = next).
     Queued = 2,
     /// The job started executing on the worker pool.
     Running = 3,

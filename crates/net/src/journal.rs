@@ -26,7 +26,7 @@ use fractal_runtime::wire::{unseal, Reader, Writer};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read as _, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Journal record magic ("FJ" + record-format tag).
 pub const JOURNAL_MAGIC: u32 = 0xF24A_4E01;
@@ -95,18 +95,6 @@ impl Record {
             Record::JobFinished { .. } => 4,
             Record::JobCancelled { .. } => 5,
             Record::JobFailed { .. } => 6,
-        }
-    }
-
-    /// The job this record belongs to.
-    pub fn job(&self) -> u64 {
-        match *self {
-            Record::JobAdmitted { job, .. }
-            | Record::JobStarted { job }
-            | Record::WordSetCommitted { job, .. }
-            | Record::JobFinished { job, .. }
-            | Record::JobCancelled { job }
-            | Record::JobFailed { job, .. } => job,
         }
     }
 }
@@ -242,9 +230,10 @@ pub fn replay_prefix(bytes: &[u8]) -> (Vec<Record>, usize) {
     (records, pos)
 }
 
-/// A job's terminal state as reconstructed from the journal.
+/// How a job ended. The serve daemon's job table and journal replay share
+/// it; each variant is journaled as one terminal record.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReplayTerminal {
+pub enum Terminal {
     Finished {
         count: u64,
         agg: Vec<u8>,
@@ -252,6 +241,25 @@ pub enum ReplayTerminal {
     },
     Cancelled,
     Failed(String),
+}
+
+impl Terminal {
+    /// The record that journals `job` ending this way.
+    pub fn record(&self, job: u64) -> Record {
+        match self {
+            Terminal::Finished { count, agg, report } => Record::JobFinished {
+                job,
+                count: *count,
+                agg: agg.clone(),
+                report: report.clone(),
+            },
+            Terminal::Cancelled => Record::JobCancelled { job },
+            Terminal::Failed(error) => Record::JobFailed {
+                job,
+                error: error.clone(),
+            },
+        }
+    }
 }
 
 /// One job's folded journal history.
@@ -273,7 +281,7 @@ pub struct ReplayJob {
     /// Latest committed word-set: `(rounds_done, cumulative count,
     /// cumulative agg blob)`. Later commits supersede earlier ones.
     pub committed: Option<(u32, u64, Vec<u8>)>,
-    pub terminal: Option<ReplayTerminal>,
+    pub terminal: Option<Terminal>,
 }
 
 impl ReplayJob {
@@ -306,7 +314,7 @@ impl Replay {
             jobs: BTreeMap::new(),
         };
         for rec in records {
-            match rec {
+            let (job, terminal) = match rec {
                 Record::JobAdmitted {
                     job,
                     token,
@@ -327,11 +335,13 @@ impl Replay {
                         committed: None,
                         terminal: None,
                     });
+                    continue;
                 }
                 Record::JobStarted { job } => {
                     if let Some(j) = rep.jobs.get_mut(&job) {
                         j.starts += 1;
                     }
+                    continue;
                 }
                 Record::WordSetCommitted {
                     job,
@@ -342,27 +352,19 @@ impl Replay {
                     if let Some(j) = rep.jobs.get_mut(&job) {
                         j.committed = Some((rounds_done, count, agg));
                     }
+                    continue;
                 }
                 Record::JobFinished {
                     job,
                     count,
                     agg,
                     report,
-                } => {
-                    if let Some(j) = rep.jobs.get_mut(&job) {
-                        j.terminal = Some(ReplayTerminal::Finished { count, agg, report });
-                    }
-                }
-                Record::JobCancelled { job } => {
-                    if let Some(j) = rep.jobs.get_mut(&job) {
-                        j.terminal = Some(ReplayTerminal::Cancelled);
-                    }
-                }
-                Record::JobFailed { job, error } => {
-                    if let Some(j) = rep.jobs.get_mut(&job) {
-                        j.terminal = Some(ReplayTerminal::Failed(error));
-                    }
-                }
+                } => (job, Terminal::Finished { count, agg, report }),
+                Record::JobCancelled { job } => (job, Terminal::Cancelled),
+                Record::JobFailed { job, error } => (job, Terminal::Failed(error)),
+            };
+            if let Some(j) = rep.jobs.get_mut(&job) {
+                j.terminal = Some(terminal);
             }
         }
         rep
@@ -375,7 +377,6 @@ impl Replay {
 #[derive(Debug)]
 pub struct Journal {
     file: File,
-    path: PathBuf,
 }
 
 impl Journal {
@@ -402,7 +403,7 @@ impl Journal {
         use std::io::Seek as _;
         file.seek(io::SeekFrom::Start(valid_len as u64))?;
         let replay = Replay::fold(records, valid_len);
-        Ok((Journal { file, path }, replay))
+        Ok((Journal { file }, replay))
     }
 
     /// Appends one record and fsyncs it. On return the record is durable.
@@ -410,11 +411,6 @@ impl Journal {
         let bytes = encode_record(rec);
         self.file.write_all(&bytes)?;
         self.file.sync_data()
-    }
-
-    /// The journal file path (diagnostics, smoke-test assertions).
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -509,8 +505,10 @@ mod tests {
         assert_eq!(j1.committed.as_ref().unwrap().0, 1);
         assert!(matches!(
             j1.terminal,
-            Some(ReplayTerminal::Finished { count: 99, .. })
+            Some(Terminal::Finished { count: 99, .. })
         ));
+        // A folded terminal journals as the record it was folded from.
+        assert_eq!(j1.terminal.as_ref().unwrap().record(1), sample_records()[3]);
         assert!(!j1.incomplete());
         // Orphan terminal records (no JobAdmitted) are dropped.
         assert!(!rep.jobs.contains_key(&2));

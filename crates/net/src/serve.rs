@@ -36,11 +36,12 @@ use crate::frame::{
     SHUTDOWN_ROUND,
 };
 use crate::invalid;
-use crate::journal::{Journal, Record, Replay, ReplayTerminal};
+use crate::journal::{Journal, Record, Replay, Terminal};
 use crate::linkfault::DedupWindow;
 use fractal_graph::{gen, io::load_adjacency_list, Graph};
 use fractal_runtime::sync::{AtomicBool, AtomicU32, AtomicU64, Mutex, Ordering};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -94,9 +95,6 @@ pub struct ServeStats {
     pub journal_replayed: AtomicU64,
     /// Jobs that restarted from a journaled committed word-set.
     pub resumed_jobs: AtomicU64,
-    /// Exactly-once tenant-quota releases (one per terminalized job; the
-    /// cancel-vs-dispatch regression test asserts this never double-fires).
-    pub quota_releases: AtomicU64,
 }
 
 // ---- snapshot cache ----
@@ -308,22 +306,87 @@ impl WorkerLink {
     }
 }
 
-// ---- job table ----
+// ---- job lifecycle ----
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum JobState {
+/// Where a job is in its lifecycle. A job holds one slot of its tenant's
+/// quota exactly while it is `Queued` or `Running`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Phase {
     Queued,
     Running,
-    Done,
-    Cancelled,
-    Failed,
+    Ended(Terminal),
 }
 
-/// A finished job's result payload, served to `Result` fetches.
-struct JobOutcome {
-    count: u64,
-    agg: Vec<u8>,
-    report: Vec<u8>,
+impl Phase {
+    /// The kind of event that reports this phase.
+    fn kind(&self) -> EventKind {
+        match self {
+            Phase::Queued => EventKind::Queued,
+            Phase::Running => EventKind::Running,
+            Phase::Ended(Terminal::Finished { .. }) => EventKind::Done,
+            Phase::Ended(Terminal::Cancelled) => EventKind::Cancelled,
+            Phase::Ended(Terminal::Failed(_)) => EventKind::Failed,
+        }
+    }
+}
+
+/// What can happen to a job.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Input {
+    /// Passed the admission checks; carries the `JobAdmitted` record.
+    Admit(Record),
+    /// The admission could not be journaled; carries why.
+    Rollback(String),
+    Dispatch,
+    Cancel,
+    /// The job's driver returned.
+    Finish(Terminal),
+    /// Found in the journal at startup: ended, or incomplete (`None`).
+    Restore(Option<Terminal>),
+}
+
+/// The lifecycle table's answer to one input.
+#[derive(Debug, PartialEq, Eq)]
+struct Step {
+    next: Phase,
+    /// Journaled (fsynced) before any client hears of `next`.
+    record: Option<Record>,
+    /// The sequenced event, reporting `next`, logged to subscribers.
+    event: Option<EventKind>,
+    /// `1` takes a slot of the tenant's quota, `-1` gives it back.
+    quota: i8,
+}
+
+/// The job lifecycle as one transition table (DESIGN.md §12.3): `job`'s
+/// phase (`None` before it exists) and an input decide the next phase,
+/// the record journaled, the event logged and the quota moved. `None`
+/// refuses the input, and nothing changes.
+fn transition(job: u64, from: Option<&Phase>, input: Input) -> Option<Step> {
+    use Phase::{Ended, Queued, Running};
+    let (record, next) = match (from, input) {
+        (None, Input::Admit(admitted)) => (Some(admitted), Queued),
+        (None, Input::Restore(None)) => (None, Queued),
+        (None, Input::Restore(Some(t))) => (None, Ended(t)),
+        (Some(Queued), Input::Rollback(why)) => (None, Ended(Terminal::Failed(why))),
+        (Some(Queued), Input::Dispatch) => (Some(Record::JobStarted { job }), Running),
+        (Some(Queued), Input::Cancel) => (
+            Some(Record::JobCancelled { job }),
+            Ended(Terminal::Cancelled),
+        ),
+        // Cooperative: the job's driver notices the cancel flag, winds its
+        // virtual sessions down and finishes the job as `Cancelled`.
+        (Some(Running), Input::Cancel) => (None, Running),
+        (Some(Running), Input::Finish(t)) => (Some(t.record(job)), Ended(t)),
+        _ => return None,
+    };
+    let held = |p: Option<&Phase>| i8::from(matches!(p, Some(Queued | Running)));
+    Some(Step {
+        quota: held(Some(&next)) - held(from),
+        // Clients hear of exactly the transitions that are journaled.
+        event: record.as_ref().map(|_| next.kind()),
+        next,
+        record,
+    })
 }
 
 struct JobRecord {
@@ -334,14 +397,9 @@ struct JobRecord {
     snapshot: String,
     /// Client-generated idempotency token ("" = none).
     token: String,
-    state: JobState,
+    phase: Phase,
     cancel: Arc<AtomicBool>,
-    outcome: Option<JobOutcome>,
-    error: String,
     subscribers: Vec<Arc<ClientConn>>,
-    /// Whether this job's tenant-quota slot has been given back. Exactly
-    /// one release per job, whatever the cancel/dispatch interleaving.
-    quota_released: bool,
     /// Base of this job's `event_seq` numbers: `(journaled starts) << 32`.
     /// Each daemon restart re-emits under a higher epoch, so sequence
     /// numbers never move backwards and a reconnecting watcher's
@@ -353,14 +411,25 @@ struct JobRecord {
     resume: Option<ResumeState>,
 }
 
+impl JobRecord {
+    /// This job's key in [`ServerState::queue`]: highest priority first,
+    /// submission order within a priority.
+    fn queue_key(&self) -> (Reverse<u8>, u64) {
+        (Reverse(self.priority), self.submit_seq)
+    }
+}
+
 struct ServerState {
     next_job: u64,
     submit_seq: u64,
     jobs: HashMap<u64, JobRecord>,
-    /// Admitted, not yet running (ordering applied at pop time).
-    queue: Vec<u64>,
+    /// Dispatchable queued jobs in dispatch order: the first entry runs
+    /// next, and a job's rank here is the queue position it reports.
+    queue: BTreeMap<(Reverse<u8>, u64), u64>,
     running: usize,
     tenant_inflight: HashMap<String, usize>,
+    /// Quota slots given back: one per job that ends while holding one.
+    quota_releases: u64,
     /// Idempotency token → admitted job id (re-submissions re-reply).
     tokens: HashMap<String, u64>,
     snapshots: SnapshotCache,
@@ -372,27 +441,94 @@ impl ServerState {
             next_job: 1,
             submit_seq: 0,
             jobs: HashMap::new(),
-            queue: Vec::new(),
+            queue: BTreeMap::new(),
             running: 0,
             tenant_inflight: HashMap::new(),
+            quota_releases: 0,
             tokens: HashMap::new(),
             snapshots: SnapshotCache::new(snapshot_budget_bytes),
         }
     }
 
-    /// Pops the next job to run: highest priority first, submission order
-    /// within a priority (priority-aware FIFO).
-    fn pop_next(&mut self) -> Option<u64> {
-        let best = self
-            .queue
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, id)| {
-                let j = &self.jobs[*id];
-                (std::cmp::Reverse(j.priority), j.submit_seq)
-            })
-            .map(|(pos, _)| pos)?;
-        Some(self.queue.swap_remove(best))
+    /// Adds `job` to the table as `input` (an admission or a restore)
+    /// says; `make` builds its record in the phase the table gives.
+    fn add(
+        &mut self,
+        job: u64,
+        input: Input,
+        make: impl FnOnce(Phase) -> JobRecord,
+    ) -> Option<Step> {
+        let step = transition(job, None, input)?;
+        let rec = make(step.next.clone());
+        self.charge(&rec.tenant, step.quota);
+        if !rec.token.is_empty() {
+            self.tokens.insert(rec.token.clone(), job);
+        }
+        self.jobs.insert(job, rec);
+        Some(step)
+    }
+
+    /// Feeds `input` to `job`'s lifecycle and applies the table's answer.
+    /// `None`: the job is unknown or the table refuses the input.
+    fn advance(&mut self, job: u64, input: Input) -> Option<Step> {
+        let step = transition(job, Some(&self.jobs.get(&job)?.phase), input)?;
+        self.apply(job, &step);
+        Some(step)
+    }
+
+    /// Moves `job` to `step.next`. A job that stops being queued leaves
+    /// the queue, and the running count and the tenant's quota follow the
+    /// phase; the caller journals `step.record` and logs `step.event`
+    /// where write-ahead ordering puts them.
+    fn apply(&mut self, job: u64, step: &Step) {
+        let Some(rec) = self.jobs.get_mut(&job) else {
+            return;
+        };
+        let from = std::mem::replace(&mut rec.phase, step.next.clone());
+        if from == Phase::Queued {
+            self.queue.remove(&rec.queue_key());
+        }
+        self.running = self.running + usize::from(step.next == Phase::Running)
+            - usize::from(from == Phase::Running);
+        let tenant = rec.tenant.clone();
+        self.charge(&tenant, step.quota);
+    }
+
+    /// Takes (`quota` 1) or gives back (`quota` -1) a slot of `tenant`'s
+    /// quota.
+    fn charge(&mut self, tenant: &str, quota: i8) {
+        if quota != 0 {
+            let inflight = self.tenant_inflight.entry(tenant.to_string()).or_insert(0);
+            *inflight = inflight.saturating_add_signed(isize::from(quota));
+            self.quota_releases += u64::from(quota < 0);
+        }
+    }
+
+    /// Makes `job` dispatchable if it is still queued.
+    fn enqueue(&mut self, job: u64) {
+        if let Some(rec) = self.jobs.get(&job).filter(|r| r.phase == Phase::Queued) {
+            self.queue.insert(rec.queue_key(), job);
+        }
+    }
+
+    /// The (unsequenced) event reporting `job`'s phase: a queued job's
+    /// value is its rank in dispatch order, a running job's detail its
+    /// app, an ended job's detail or value its terminal's.
+    fn status_event(&self, job: u64) -> Frame {
+        let Some(rec) = self.jobs.get(&job) else {
+            return event(job, EventKind::Failed, "unknown job", 0);
+        };
+        let (detail, value) = match &rec.phase {
+            Phase::Queued => (
+                String::new(),
+                self.queue.range(..rec.queue_key()).count() as u64 + 1,
+            ),
+            Phase::Running => (rec.app.name().to_string(), 0),
+            Phase::Ended(Terminal::Finished { count, .. }) => (String::new(), *count),
+            Phase::Ended(Terminal::Cancelled) => (String::new(), 0),
+            Phase::Ended(Terminal::Failed(error)) => (error.clone(), 0),
+        };
+        event(job, rec.phase.kind(), detail, value)
     }
 }
 
@@ -428,8 +564,8 @@ impl ServerInner {
     /// Appends one record to the journal (fsynced) if journaling is on.
     /// Non-admission records are best-effort: a failed append is logged
     /// but cannot un-happen the in-memory transition it describes.
-    fn journal_append(&self, rec: &Record) {
-        if let Some(j) = &self.journal {
+    fn journal_append(&self, rec: Option<&Record>) {
+        if let (Some(j), Some(rec)) = (&self.journal, rec) {
             if let Err(e) = j.lock().append(rec) {
                 eprintln!("journal: append failed: {e}");
             }
@@ -501,10 +637,9 @@ impl Server {
             .unwrap_or(0)
     }
 
-    /// Test/introspection accessor: total exactly-once quota releases.
+    /// Test/introspection accessor: total quota releases.
     pub fn quota_releases(&self) -> u64 {
-        // ordering: Relaxed — monotonic diagnostic counter.
-        self.inner.stats.quota_releases.load(Ordering::Relaxed)
+        self.inner.state.lock().quota_releases
     }
 
     /// Test/introspection accessor: jobs resumed from journaled commits.
@@ -540,72 +675,48 @@ fn restore_from_replay(state: &mut ServerState, replay: &Replay) {
     for (&id, rj) in &replay.jobs {
         state.next_job = state.next_job.max(id + 1);
         state.submit_seq = state.submit_seq.max(rj.submit_seq);
-        let (app, mut err) = match blob::decode_app_spec(&rj.app) {
-            Ok(app) => (app, String::new()),
+        let (app, terminal) = match blob::decode_app_spec(&rj.app) {
+            Ok(app) => (app, rj.terminal.clone()),
+            // An undecodable record keeps a placeholder app and ends
+            // Failed, so it is never dispatched.
             Err(e) => (
-                // Placeholder app for an undecodable record; the job is
-                // forced Failed below and never dispatched.
                 AppSpec::Kclist { k: 3 },
-                format!("journal: undecodable app spec: {e}"),
+                Some(Terminal::Failed(format!(
+                    "journal: undecodable app spec: {e}"
+                ))),
             ),
         };
-        let mut rec = JobRecord {
+        let resume = match (&terminal, &rj.committed) {
+            (None, Some((rounds, count, agg))) => match Committed::decode(&app, *count, agg) {
+                Ok(committed) => Some(ResumeState {
+                    rounds_done: *rounds,
+                    committed,
+                }),
+                Err(e) => {
+                    // A commit record that no longer decodes is dropped:
+                    // the job restarts from scratch, which is slower but
+                    // still exact.
+                    eprintln!("journal: job {id}: ignoring commit: {e}");
+                    None
+                }
+            },
+            _ => None,
+        };
+        state.add(id, Input::Restore(terminal), |phase| JobRecord {
             tenant: rj.tenant.clone(),
             priority: rj.priority,
             submit_seq: rj.submit_seq,
             app,
             snapshot: rj.snapshot.clone(),
             token: rj.token.clone(),
-            state: JobState::Failed,
+            phase,
             cancel: Arc::new(AtomicBool::new(false)),
-            outcome: None,
-            error: String::new(),
             subscribers: Vec::new(),
-            // Terminal jobs never release again; incomplete ones own one
-            // freshly re-taken quota slot.
-            quota_released: true,
             epoch_base: rj.starts << 32,
             events: Vec::new(),
-            resume: None,
-        };
-        match (&rj.terminal, err.is_empty()) {
-            (_, false) => rec.error = std::mem::take(&mut err),
-            (Some(ReplayTerminal::Finished { count, agg, report }), true) => {
-                rec.state = JobState::Done;
-                rec.outcome = Some(JobOutcome {
-                    count: *count,
-                    agg: agg.clone(),
-                    report: report.clone(),
-                });
-            }
-            (Some(ReplayTerminal::Cancelled), true) => rec.state = JobState::Cancelled,
-            (Some(ReplayTerminal::Failed(e)), true) => rec.error = e.clone(),
-            (None, true) => {
-                rec.state = JobState::Queued;
-                rec.quota_released = false;
-                rec.resume = rj.committed.as_ref().and_then(|(rounds, count, agg)| {
-                    match Committed::decode(&rec.app, *count, agg) {
-                        Ok(committed) => Some(ResumeState {
-                            rounds_done: *rounds,
-                            committed,
-                        }),
-                        Err(e) => {
-                            // A commit record that no longer decodes is
-                            // dropped: the job restarts from scratch,
-                            // which is slower but still exact.
-                            eprintln!("journal: job {id}: ignoring commit: {e}");
-                            None
-                        }
-                    }
-                });
-                *state.tenant_inflight.entry(rj.tenant.clone()).or_insert(0) += 1;
-                state.queue.push(id);
-            }
-        }
-        if !rj.token.is_empty() {
-            state.tokens.insert(rj.token.clone(), id);
-        }
-        state.jobs.insert(id, rec);
+            resume,
+        });
+        state.enqueue(id);
     }
 }
 
@@ -614,29 +725,28 @@ fn restore_from_replay(state: &mut ServerState, replay: &Replay) {
 fn scheduler_loop(inner: Arc<ServerInner>, rx: Receiver<()>) {
     while rx.recv().is_ok() {
         loop {
-            let job = {
+            let (job, started) = {
                 let mut st = inner.state.lock();
                 if st.running >= inner.config.max_running {
                     break;
                 }
-                let Some(id) = st.pop_next() else { break };
-                st.running += 1;
-                #[expect(
-                    clippy::expect_used,
-                    reason = "admitted jobs keep their records; only a failed admission is removed"
-                )]
-                let rec = st.jobs.get_mut(&id).expect("queued job");
-                rec.state = JobState::Running;
-                id
+                let Some((_, job)) = st.queue.pop_first() else {
+                    break;
+                };
+                let Some(started) = st.advance(job, Input::Dispatch) else {
+                    continue;
+                };
+                (job, started)
             };
             let job_inner = Arc::clone(&inner);
-            thread::spawn(move || run_one_job(job_inner, job));
+            thread::spawn(move || run_one_job(job_inner, job, started));
         }
     }
 }
 
 /// An *unsequenced* event frame (`event_seq: 0` = point-in-time reply,
-/// always delivered, never deduplicated): status replies and rejections.
+/// always delivered, never deduplicated): status replies and rejections,
+/// or an event on its way into a job's log.
 fn event(job: u64, kind: EventKind, detail: impl Into<String>, value: u64) -> Frame {
     Frame::JobEvent {
         job,
@@ -647,64 +757,43 @@ fn event(job: u64, kind: EventKind, detail: impl Into<String>, value: u64) -> Fr
     }
 }
 
-/// Appends a *sequenced* lifecycle event to `job`'s event log and sends
-/// it to every subscriber. Runs entirely under the state lock on purpose:
-/// a concurrent `Watch` subscribes and replays the log under the same
-/// lock, so a reconnecting watcher can never see a gap or an out-of-order
-/// sequence — the property its `after_seq` dedup filter relies on.
-fn log_event_locked(
-    st: &mut ServerState,
-    job: u64,
-    kind: EventKind,
-    detail: impl Into<String>,
-    value: u64,
-) {
+/// Appends `frame`, a job event, to `job`'s event log under the next
+/// sequence number and sends it to every subscriber. Runs entirely under
+/// the state lock on purpose: a concurrent `Watch` subscribes and replays
+/// the log under the same lock, so a reconnecting watcher can never see a
+/// gap or an out-of-order sequence — the property its `after_seq` dedup
+/// filter relies on.
+fn log_event_locked(st: &mut ServerState, job: u64, mut frame: Frame) {
     let Some(rec) = st.jobs.get_mut(&job) else {
         return;
     };
-    let event_seq = rec.epoch_base + rec.events.len() as u64 + 1;
-    let frame = Frame::JobEvent {
-        job,
-        kind,
-        detail: detail.into(),
-        value,
-        event_seq,
-    };
-    rec.events.push(frame.clone());
+    if let Frame::JobEvent { event_seq, .. } = &mut frame {
+        *event_seq = rec.epoch_base + rec.events.len() as u64 + 1;
+    }
     for s in &rec.subscribers {
         let _ = s.send(&frame);
     }
+    rec.events.push(frame);
 }
 
-/// Gives `job`'s tenant-quota slot back — exactly once per job, whatever
-/// the cancel/dispatch interleaving (the `quota_released` latch is
-/// flipped under the same lock that serializes state transitions).
-fn release_quota(inner: &ServerInner, st: &mut ServerState, job: u64) {
-    let Some(rec) = st.jobs.get_mut(&job) else {
-        return;
-    };
-    if rec.quota_released {
-        return;
+/// Logs the event `step` announces, which reports the phase it entered.
+fn announce(st: &mut ServerState, job: u64, step: &Step) {
+    if step.event.is_some() {
+        let frame = st.status_event(job);
+        log_event_locked(st, job, frame);
     }
-    rec.quota_released = true;
-    let tenant = rec.tenant.clone();
-    if let Some(n) = st.tenant_inflight.get_mut(&tenant) {
-        *n = n.saturating_sub(1);
-    }
-    // ordering: Relaxed — monotonic diagnostic counter.
-    inner.stats.quota_releases.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Runs one admitted job end-to-end on the shared pool and publishes its
-/// terminal event. Always releases the job's slot and quota — exactly
-/// once. Terminal transitions are journaled (write-ahead) before clients
-/// see them.
-fn run_one_job(inner: Arc<ServerInner>, job: u64) {
+/// Runs one dispatched job end-to-end on the shared pool; `started` is
+/// the table's answer to its dispatch. The job's end goes through the
+/// table too, which frees its running slot and quota. Each record is
+/// journaled (write-ahead) before clients see the event it backs.
+fn run_one_job(inner: Arc<ServerInner>, job: u64, started: Step) {
     let (app, snapshot, cancel, resume) = {
         let mut st = inner.state.lock();
         #[expect(
             clippy::expect_used,
-            reason = "admitted jobs keep their records; only a failed admission is removed"
+            reason = "job records are never removed from the table"
         )]
         let rec = st.jobs.get_mut(&job).expect("dispatched job");
         (
@@ -714,67 +803,29 @@ fn run_one_job(inner: Arc<ServerInner>, job: u64) {
             rec.resume.take(),
         )
     };
-    inner.journal_append(&Record::JobStarted { job });
-    log_event_locked(
-        &mut inner.state.lock(),
-        job,
-        EventKind::Running,
-        app.name(),
-        0,
-    );
+    inner.journal_append(started.record.as_ref());
+    announce(&mut inner.state.lock(), job, &started);
 
-    let outcome = execute_job(&inner, job, app, &snapshot, cancel, resume);
-
-    // Write-ahead: the terminal record is durable before the in-memory
-    // transition happens and before any client sees the terminal event.
-    let terminal_rec = match &outcome {
-        Ok(None) => Record::JobCancelled { job },
-        Ok(Some(out)) => Record::JobFinished {
-            job,
-            count: out.count,
-            agg: out.agg.clone(),
-            report: out.report.clone(),
-        },
-        Err(e) => Record::JobFailed {
-            job,
-            error: e.to_string(),
-        },
-    };
-    inner.journal_append(&terminal_rec);
+    let terminal = execute_job(&inner, job, app, &snapshot, cancel, resume)
+        .unwrap_or_else(|e| Terminal::Failed(e.to_string()));
+    // Only this thread ends a running job, so the table is read for
+    // `Running` without the state lock, and the terminal record is
+    // durable before the phase changes and any client sees the event.
+    #[expect(clippy::expect_used, reason = "the table ends every running job")]
+    let finished = transition(job, Some(&Phase::Running), Input::Finish(terminal))
+        .expect("a running job finishes");
+    inner.journal_append(finished.record.as_ref());
 
     let mut st = inner.state.lock();
-    st.running -= 1;
-    #[expect(
-        clippy::expect_used,
-        reason = "admitted jobs keep their records; only a failed admission is removed"
-    )]
-    let rec = st.jobs.get_mut(&job).expect("running job");
-    let (kind, detail, value) = match outcome {
-        Ok(None) => {
-            rec.state = JobState::Cancelled;
-            (EventKind::Cancelled, String::new(), 0)
-        }
-        Ok(Some(out)) => {
-            let count = out.count;
-            rec.state = JobState::Done;
-            rec.outcome = Some(out);
-            (EventKind::Done, String::new(), count)
-        }
-        Err(e) => {
-            rec.state = JobState::Failed;
-            rec.error = e.to_string();
-            (EventKind::Failed, rec.error.clone(), 0)
-        }
-    };
-    release_quota(&inner, &mut st, job);
-    log_event_locked(&mut st, job, kind, detail, value);
+    st.apply(job, &finished);
+    announce(&mut st, job, &finished);
     drop(st);
     let _ = inner.sched_tx.send(());
 }
 
 /// The job body: resolve the snapshot, open per-job virtual sessions on
 /// every live worker, run the standard cluster driver over them, and
-/// package the result. `Ok(None)` means the job was cancelled.
+/// package the result.
 fn execute_job(
     inner: &Arc<ServerInner>,
     job: u64,
@@ -782,7 +833,7 @@ fn execute_job(
     snapshot: &str,
     cancel: Arc<AtomicBool>,
     resume: Option<ResumeState>,
-) -> io::Result<Option<JobOutcome>> {
+) -> io::Result<Terminal> {
     let graph = {
         let mut st = inner.state.lock();
         let (graph, evictions) = st.snapshots.get_or_load(snapshot)?;
@@ -827,12 +878,12 @@ fn execute_job(
         // from the last fully merged round instead of from scratch.
         let commit_inner = Arc::clone(inner);
         config.on_round_commit = Some(Arc::new(move |rounds_done, count, agg: &[u8]| {
-            commit_inner.journal_append(&Record::WordSetCommitted {
+            commit_inner.journal_append(Some(&Record::WordSetCommitted {
                 job,
                 rounds_done,
                 count,
                 agg: agg.to_vec(),
-            });
+            }));
             // Greppable marker for the restart chaos harness: seeing this
             // line means a SIGKILL now provably tests resume-from-commit.
             eprintln!("journal: committed job {job} round {rounds_done}");
@@ -848,7 +899,7 @@ fn execute_job(
         if decile > last_decile.swap(decile, Ordering::Relaxed) {
             let detail = format!("round {round}");
             let mut st = progress_inner.state.lock();
-            log_event_locked(&mut st, job, EventKind::Progress, detail, done);
+            log_event_locked(&mut st, job, event(job, EventKind::Progress, detail, done));
         }
     }));
 
@@ -858,7 +909,7 @@ fn execute_job(
     }
     let result = result?;
     if result.cancelled {
-        return Ok(None);
+        return Ok(Terminal::Cancelled);
     }
 
     let agg = app::encode_result(&app, &result.motifs, &result.frequent);
@@ -871,11 +922,11 @@ fn execute_job(
     report.faults.snapshot_evictions = inner.stats.snapshot_evictions.load(Ordering::Relaxed);
     report.faults.journal_replayed = inner.stats.journal_replayed.load(Ordering::Relaxed);
     report.faults.resumed_jobs = inner.stats.resumed_jobs.load(Ordering::Relaxed);
-    Ok(Some(JobOutcome {
+    Ok(Terminal::Finished {
         count: result.count,
         agg,
         report: blob::encode_report(&report),
-    }))
+    })
 }
 
 /// Serves one client connection: handshake, then submit/status/cancel/
@@ -906,7 +957,7 @@ fn serve_client(inner: Arc<ServerInner>, stream: TcpStream) -> io::Result<()> {
             } => handle_submit(&inner, &conn, tenant, priority, snapshot, &app, token)?,
             Frame::Watch { job, after_seq } => handle_watch(&inner, &conn, job, after_seq)?,
             Frame::Status { job } => {
-                let reply = status_event(&inner.state.lock(), job);
+                let reply = inner.state.lock().status_event(job);
                 conn.send(&reply)?;
             }
             Frame::Cancel { job } => {
@@ -916,14 +967,16 @@ fn serve_client(inner: Arc<ServerInner>, stream: TcpStream) -> io::Result<()> {
             Frame::Result { job, .. } => {
                 let reply = {
                     let st = inner.state.lock();
-                    match st.jobs.get(&job).and_then(|r| r.outcome.as_ref()) {
-                        Some(out) => Frame::Result {
-                            job,
-                            count: out.count,
-                            agg: out.agg.clone(),
-                            report: out.report.clone(),
-                        },
-                        None => status_event(&st, job),
+                    match st.jobs.get(&job).map(|r| &r.phase) {
+                        Some(Phase::Ended(Terminal::Finished { count, agg, report })) => {
+                            Frame::Result {
+                                job,
+                                count: *count,
+                                agg: agg.clone(),
+                                report: report.clone(),
+                            }
+                        }
+                        _ => st.status_event(job),
                     }
                 };
                 conn.send(&reply)?;
@@ -998,67 +1051,59 @@ fn handle_submit(
             st.next_job += 1;
             st.submit_seq += 1;
             let submit_seq = st.submit_seq;
-            *st.tenant_inflight.entry(tenant.clone()).or_insert(0) += 1;
-            if !token.is_empty() {
-                st.tokens.insert(token.clone(), id);
-            }
-            st.jobs.insert(
-                id,
-                JobRecord {
-                    tenant: tenant.clone(),
-                    priority,
-                    submit_seq,
-                    app,
-                    snapshot: snapshot.clone(),
-                    token: token.clone(),
-                    state: JobState::Queued,
-                    cancel: Arc::new(AtomicBool::new(false)),
-                    outcome: None,
-                    error: String::new(),
-                    subscribers: vec![Arc::clone(conn)],
-                    quota_released: false,
-                    epoch_base: 0,
-                    events: Vec::new(),
-                    resume: None,
-                },
-            );
-            Ok((id, submit_seq))
+            let admitted = Record::JobAdmitted {
+                job: id,
+                token: token.clone(),
+                tenant: tenant.clone(),
+                priority,
+                submit_seq,
+                snapshot: snapshot.clone(),
+                app: app_blob.to_vec(),
+            };
+            let make = |phase| JobRecord {
+                tenant,
+                priority,
+                submit_seq,
+                app,
+                snapshot,
+                token: token.clone(),
+                phase,
+                cancel: Arc::new(AtomicBool::new(false)),
+                subscribers: vec![Arc::clone(conn)],
+                epoch_base: 0,
+                events: Vec::new(),
+                resume: None,
+            };
+            #[expect(clippy::expect_used, reason = "the table admits every new job")]
+            let step = st.add(id, Input::Admit(admitted), make).expect("admission");
+            Ok((id, step))
         }
     };
     match verdict {
-        Ok((id, submit_seq)) => {
+        Ok((id, admitted)) => {
             // Phase 2 (no state lock): make the admission durable.
-            let durable = match &inner.journal {
-                None => Ok(()),
-                Some(j) => j.lock().append(&Record::JobAdmitted {
-                    job: id,
-                    token,
-                    tenant,
-                    priority,
-                    submit_seq,
-                    snapshot,
-                    app: app_blob.to_vec(),
-                }),
+            let durable = match (&inner.journal, &admitted.record) {
+                (Some(j), Some(rec)) => j.lock().append(rec),
+                _ => Ok(()),
             };
             // Phase 3 (state lock): publish or roll back.
             let mut st = inner.state.lock();
             match durable {
                 Ok(()) => {
-                    st.queue.push(id);
-                    let qpos = st.queue.len() as u64;
+                    st.enqueue(id);
                     // ordering: Relaxed — monotonic diagnostic counter.
                     inner.stats.jobs_admitted.fetch_add(1, Ordering::Relaxed);
-                    log_event_locked(&mut st, id, EventKind::Accepted, "", id);
-                    log_event_locked(&mut st, id, EventKind::Queued, "", qpos);
+                    log_event_locked(&mut st, id, event(id, EventKind::Accepted, "", id));
+                    announce(&mut st, id, &admitted);
                     drop(st);
                     let _ = inner.sched_tx.send(());
                     Ok(())
                 }
                 Err(e) => {
-                    release_quota(inner, &mut st, id);
-                    if let Some(rec) = st.jobs.remove(&id) {
-                        st.tokens.remove(&rec.token);
-                    }
+                    // The job ends unannounced and frees its token, so a
+                    // retry is admitted afresh.
+                    st.advance(id, Input::Rollback(format!("journal: {e}")));
+                    st.tokens.remove(&token);
                     drop(st);
                     // ordering: Relaxed — monotonic diagnostic counter.
                     inner.stats.jobs_rejected.fetch_add(1, Ordering::Relaxed);
@@ -1109,67 +1154,34 @@ fn handle_watch(
     // (restored from the journal) has an empty event log this epoch:
     // synthesize its terminal event (unsequenced = always delivered) so
     // the watcher completes instead of hanging.
-    if !logged_terminal
-        && matches!(
-            rec.state,
-            JobState::Done | JobState::Cancelled | JobState::Failed
-        )
-    {
-        let terminal = status_event(&st, job);
+    if !logged_terminal && matches!(rec.phase, Phase::Ended(_)) {
+        let terminal = st.status_event(job);
         drop(st);
         return conn.send(&terminal);
     }
     Ok(())
 }
 
-/// A `JobEvent` describing `job`'s current lifecycle state.
-fn status_event(st: &ServerState, job: u64) -> Frame {
-    match st.jobs.get(&job) {
-        None => event(job, EventKind::Failed, "unknown job", 0),
-        Some(rec) => match rec.state {
-            JobState::Queued => {
-                let pos = st.queue.iter().position(|&j| j == job).unwrap_or(0) as u64;
-                event(job, EventKind::Queued, "", pos + 1)
-            }
-            JobState::Running => event(job, EventKind::Running, rec.app.name(), 0),
-            JobState::Done => {
-                let count = rec.outcome.as_ref().map(|o| o.count).unwrap_or(0);
-                event(job, EventKind::Done, "", count)
-            }
-            JobState::Cancelled => event(job, EventKind::Cancelled, "", 0),
-            JobState::Failed => event(job, EventKind::Failed, rec.error.clone(), 0),
-        },
-    }
-}
-
 fn handle_cancel(inner: &ServerInner, job: u64) -> Frame {
     let mut st = inner.state.lock();
-    let Some(rec) = st.jobs.get_mut(&job) else {
-        return event(job, EventKind::Failed, "unknown job", 0);
-    };
-    match rec.state {
-        JobState::Queued => {
-            rec.state = JobState::Cancelled;
-            st.queue.retain(|&j| j != job);
-            release_quota(inner, &mut st, job);
+    match st.advance(job, Input::Cancel) {
+        Some(step) if step.next == Phase::Running => {
+            // ordering: SeqCst — cancel is a rare control-plane flag; the
+            // driver polls it between event-loop iterations, no tight loop
+            // reads it.
+            st.jobs[&job].cancel.store(true, Ordering::SeqCst);
+            event(job, EventKind::Running, "cancelling", 0)
+        }
+        Some(step) => {
             // Journaled while holding the state lock: the lock order is
             // state → journal everywhere, and durability must precede the
             // terminal event below.
-            inner.journal_append(&Record::JobCancelled { job });
-            log_event_locked(&mut st, job, EventKind::Cancelled, "", 0);
-            event(job, EventKind::Cancelled, "", 0)
+            inner.journal_append(step.record.as_ref());
+            announce(&mut st, job, &step);
+            st.status_event(job)
         }
-        JobState::Running => {
-            // Cooperative: the job's driver notices at its next event-loop
-            // iteration, winds the virtual sessions down and publishes the
-            // terminal Cancelled event itself.
-            // ordering: SeqCst — cancel is a rare control-plane flag; the driver
-            // polls it between event-loop iterations, no tight loop reads it.
-            rec.cancel.store(true, Ordering::SeqCst);
-            event(job, EventKind::Running, "cancelling", 0)
-        }
-        // Already terminal: report the state as-is.
-        _ => status_event(&st, job),
+        // Unknown or already ended: report the phase as it is.
+        None => st.status_event(job),
     }
 }
 
@@ -1191,16 +1203,116 @@ pub fn shutdown_workers(server: &Server) {
 mod tests {
     use super::*;
 
+    /// Every (phase, input) pair through the lifecycle table: the allowed
+    /// pairs move the phase, journal, log and charge the quota as listed,
+    /// and every other pair is refused.
+    #[test]
+    fn lifecycle_table_decides_every_pair() {
+        use EventKind as E;
+        use Phase::{Ended, Queued, Running};
+        use Terminal::{Cancelled, Failed};
+        let done = Terminal::Finished {
+            count: 5,
+            agg: vec![1],
+            report: vec![2],
+        };
+        let admitted = Record::JobAdmitted {
+            job: 3,
+            token: String::new(),
+            tenant: "t".into(),
+            priority: 0,
+            submit_seq: 1,
+            snapshot: "s".into(),
+            app: Vec::new(),
+        };
+        let boom = || Failed("boom".into());
+        let phases = [
+            ("new", None),
+            ("queued", Some(Queued)),
+            ("running", Some(Running)),
+            ("finished", Some(Ended(done.clone()))),
+            ("cancelled", Some(Ended(Cancelled))),
+            ("failed", Some(Ended(boom()))),
+        ];
+        let inputs = [
+            ("admit", Input::Admit(admitted.clone())),
+            ("rollback", Input::Rollback("full".into())),
+            ("dispatch", Input::Dispatch),
+            ("cancel", Input::Cancel),
+            ("finish-done", Input::Finish(done.clone())),
+            ("finish-cancelled", Input::Finish(Cancelled)),
+            ("finish-failed", Input::Finish(boom())),
+            ("restore", Input::Restore(None)),
+            ("restore-ended", Input::Restore(Some(done.clone()))),
+        ];
+        let (started, cancelled) = (
+            Record::JobStarted { job: 3 },
+            Record::JobCancelled { job: 3 },
+        );
+        #[rustfmt::skip]
+        let allowed = [
+            ("new", "admit", Queued, Some(admitted), Some(E::Queued), 1),
+            ("new", "restore", Queued, None, None, 1),
+            ("new", "restore-ended", Ended(done.clone()), None, None, 0),
+            ("queued", "rollback", Ended(Failed("full".into())), None, None, -1),
+            ("queued", "dispatch", Running, Some(started), Some(E::Running), 0),
+            ("queued", "cancel", Ended(Cancelled), Some(cancelled.clone()), Some(E::Cancelled), -1),
+            ("running", "cancel", Running, None, None, 0),
+            ("running", "finish-done", Ended(done.clone()), Some(done.record(3)), Some(E::Done), -1),
+            ("running", "finish-cancelled", Ended(Cancelled), Some(cancelled), Some(E::Cancelled), -1),
+            ("running", "finish-failed", Ended(boom()), Some(boom().record(3)), Some(E::Failed), -1),
+        ];
+        let mut refused = Vec::new();
+        for (from_name, from) in &phases {
+            for (input_name, input) in &inputs {
+                let pair = format!("{from_name} + {input_name}");
+                let want = allowed
+                    .iter()
+                    .find(|row| (row.0, row.1) == (*from_name, *input_name));
+                let want = want.map(|(_, _, next, record, event, quota)| Step {
+                    next: next.clone(),
+                    record: record.clone(),
+                    event: *event,
+                    quota: *quota,
+                });
+                let got = transition(3, from.as_ref(), input.clone());
+                assert_eq!(got, want, "{pair}");
+                if got.is_none() {
+                    refused.push(pair);
+                }
+            }
+        }
+        assert_eq!(refused.len(), phases.len() * inputs.len() - allowed.len());
+        for pair in [
+            "finished + cancel",
+            "cancelled + cancel",
+            "failed + cancel",
+            "queued + finish-done",
+            "running + dispatch",
+            "new + cancel",
+            "finished + restore",
+        ] {
+            assert!(refused.iter().any(|r| r == pair), "{pair} must be refused");
+        }
+    }
+
     #[test]
     fn replayed_incomplete_jobs_requeue_in_fifo_order() {
-        let admitted = |job, submit_seq| Record::JobAdmitted {
+        let app_job = |job, submit_seq, app| Record::JobAdmitted {
             job,
             token: String::new(),
             tenant: "t".into(),
             priority: 0,
             submit_seq,
             snapshot: "s".into(),
-            app: blob::encode_app_spec(&AppSpec::Kclist { k: 3 }),
+            app,
+        };
+        let admitted = |job, submit_seq| {
+            app_job(
+                job,
+                submit_seq,
+                blob::encode_app_spec(&AppSpec::Kclist { k: 3 }),
+            )
         };
         // A commit that decodes is resumed from; one that no longer
         // decodes (a KClist blob must be empty) is dropped, and its job
@@ -1211,22 +1323,42 @@ mod tests {
             count: 5,
             agg,
         };
+        let done = Terminal::Finished {
+            count: 8,
+            agg: Vec::new(),
+            report: vec![1],
+        };
         let recs = vec![
             admitted(7, 2),
             admitted(4, 1),
             admitted(9, 3),
+            admitted(11, 4),
+            admitted(12, 5),
+            app_job(13, 6, vec![0xFF]),
             Record::JobCancelled { job: 4 },
             committed(7, vec![]),
             committed(9, vec![1]),
+            done.record(11),
+            Record::JobFailed {
+                job: 12,
+                error: "boom".into(),
+            },
         ];
         let mut state = ServerState::new(0);
         restore_from_replay(&mut state, &Replay::fold(recs, 0));
-        assert_eq!(state.jobs[&4].state, JobState::Cancelled);
-        let order = [state.pop_next(), state.pop_next(), state.pop_next()];
-        assert_eq!(order, [Some(7), Some(9), None]);
+        let phase = |job| state.jobs[&job].phase.clone();
+        assert_eq!(phase(4), Phase::Ended(Terminal::Cancelled));
+        assert_eq!(phase(11), Phase::Ended(done));
+        assert_eq!(phase(12), Phase::Ended(Terminal::Failed("boom".into())));
+        assert!(matches!(
+            phase(13),
+            Phase::Ended(Terminal::Failed(e)) if e.starts_with("journal: undecodable app spec")
+        ));
+        let order: Vec<u64> = state.queue.values().copied().collect();
+        assert_eq!(order, [7, 9]);
         let resume = state.jobs[&7].resume.as_ref().expect("job 7 resumes");
         assert_eq!((resume.rounds_done, resume.committed.count), (1, 5));
         assert!(state.jobs[&9].resume.is_none());
-        assert_eq!((state.tenant_inflight["t"], state.next_job), (2, 10));
+        assert_eq!((state.tenant_inflight["t"], state.next_job), (2, 14));
     }
 }

@@ -287,11 +287,10 @@ fn oversized_specs_are_rejected_at_admission() {
     })
 }
 
-/// Higher-priority submissions dispatch first when capacity frees up:
-/// with the scheduler initially saturated at zero slots there is no way
-/// to run this end-to-end without a live worker, so this exercises the
-/// queue order through the public API: cancel drains in queue order and
-/// status reports queue position.
+/// A queued job's position is its rank in dispatch order (higher
+/// priority first, submission order within a priority). With no running
+/// slots nothing dispatches, so the order is observed through the public
+/// API: the `Queued` event each admission logs, `status`, and `cancel`.
 #[test]
 fn status_reports_queue_position() {
     within_secs(30, || {
@@ -302,27 +301,41 @@ fn status_reports_queue_position() {
         };
         let (server, addr) = start_server(workers, config);
         let app = AppSpec::Kclist { k: 3 };
+        let queued = |position| (EventKind::Queued, String::new(), position);
 
         let mut client = Client::connect(&addr).expect("connect");
-        let j1 = client
+        let low = client
             .submit("a", 0, SNAPSHOT, &app, "tok-p1")
             .expect("first");
-        let j2 = client
-            .submit("b", 0, SNAPSHOT, &app, "tok-p2")
+        let high = client
+            .submit("b", 9, SNAPSHOT, &app, "tok-p2")
             .expect("second");
 
-        let (kind, _, _) = client.status(j1).expect("status j1");
-        assert_eq!(kind, EventKind::Queued);
-        let (kind, _, _) = client.status(j2).expect("status j2");
-        assert_eq!(kind, EventKind::Queued);
+        // The later, higher-priority job dispatches first.
+        assert_eq!(client.status(high).expect("status high"), queued(1));
+        assert_eq!(client.status(low).expect("status low"), queued(2));
 
-        // Cancel the head; the tail must remain queued and cancellable.
-        let (kind, _, _) = client.cancel(j1).expect("cancel j1");
+        // Cancel the head; the tail moves up and stays cancellable.
+        let (kind, _, _) = client.cancel(high).expect("cancel high");
         assert_eq!(kind, EventKind::Cancelled);
-        let (kind, _, _) = client.status(j2).expect("status j2 after");
-        assert_eq!(kind, EventKind::Queued);
-        let (kind, _, _) = client.cancel(j2).expect("cancel j2");
+        assert_eq!(client.status(low).expect("status low after"), queued(1));
+        let (kind, _, _) = client.cancel(low).expect("cancel low");
         assert_eq!(kind, EventKind::Cancelled);
+
+        // Each admission's `Queued` event named its rank then: both went
+        // to the front.
+        let mut watcher = Client::connect(&addr).expect("connect watcher");
+        for job in [low, high] {
+            let mut positions = Vec::new();
+            let terminal = watcher
+                .wait_resumable(job, &ReconnectPolicy::default(), |kind, _, value| {
+                    if kind == EventKind::Queued {
+                        positions.push(value);
+                    }
+                })
+                .expect("watch");
+            assert_eq!((terminal, positions), (JobTerminal::Cancelled, vec![1]));
+        }
 
         fractal_net::serve::shutdown_workers(&server);
         join_shutdown(handles);

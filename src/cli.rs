@@ -19,11 +19,9 @@
 //!              enumeration estimate, and which path the mode would take
 //!   keywords   --words w1,w2,... [--no-reduce]
 //!   trace      -k <size> [--trace-out f.jsonl] [--metrics-out f.json]
-//!              [--buckets <n>] [--ring <events>] [--per-worker]
+//!              [--buckets <n>] [--ring <events>]
 //!              runs motifs with the flight recorder on and writes the
-//!              JSONL event trace plus the JSON metrics report; with
-//!              --per-worker, runs on a local cluster instead and renders
-//!              the driver-merged per-worker steal/recovery breakdown
+//!              JSONL event trace plus the JSON metrics report
 //!   worker     --listen <addr> --cores <n> [--link-fault <seed>]
 //!              starts a cluster worker process: binds, prints
 //!              "LISTENING <addr>" and serves one driver session;
@@ -102,8 +100,8 @@ pub fn run() {
         "submit" => return run_submit(&opts),
         "serve" => return run_serve(&opts),
         "lint" => return run_lint(&opts),
-        "trace" if opts.contains_key("per-worker") => return run_trace_per_worker(&opts),
-        _ => {}
+        "motifs" | "cliques" | "triangles" | "fsm" | "query" | "plan" | "keywords" | "trace" => {}
+        other => die(&format!("unknown app {other:?}")),
     }
 
     let graph = load_graph(&opts);
@@ -316,7 +314,7 @@ pub fn run() {
             );
             eprintln!("trace   -> {trace_path}");
         }
-        other => die(&format!("unknown app {other:?}")),
+        _ => unreachable!("verbs are checked before the graph loads"),
     }
     eprintln!("done in {:.2}s", t0.elapsed().as_secs_f64());
 }
@@ -335,7 +333,6 @@ fn parse_opts(args: &[String]) -> HashMap<String, String> {
                     | "no-reduce"
                     | "per-worker"
                     | "verify-single"
-                    | "unbounded"
                     | "wait"
                     | "self-test"
             );
@@ -978,33 +975,6 @@ fn report_result(
     println!("RESULT {job} {}", c.count);
 }
 
-/// `fractal trace --per-worker`: run motifs on a local cluster and render
-/// the driver-merged per-worker breakdown plus the unified metrics JSON.
-fn run_trace_per_worker(opts: &HashMap<String, String>) {
-    use crate::net::{run_cluster, AppSpec, DriverConfig};
-    let graph = load_graph(opts);
-    let k = motif_size(opts);
-    let n = opt_num(opts, "local-cluster").unwrap_or(2);
-    let cores = opt_num(opts, "cores").unwrap_or(2);
-    let (_lc, streams, names) = fleet(opts, Some(n), "trace --per-worker", cores, None);
-    let config = DriverConfig::new(
-        AppSpec::Motifs {
-            k: k as u32,
-            use_labels: false,
-            decomposed: false,
-        },
-        graph,
-    );
-    let result = run_cluster(streams, names, config)
-        .unwrap_or_else(|e| die(&format!("cluster run failed: {e}")));
-    print!("{}", crate::net::render_per_worker(&result));
-    write_report_metrics(opts, &result.report);
-    eprintln!(
-        "motifs k={k}: {} pattern classes across {n} workers",
-        result.motifs.len()
-    );
-}
-
 /// `fractal lint`: the in-tree static analysis pass (DESIGN.md §15).
 /// Exit 0 on a clean tree, 1 on findings, 2 on usage/environment errors
 /// — mirroring the perf/chaos gate conventions so CI can tell "dirty
@@ -1054,7 +1024,6 @@ fn usage() {
                  (-k N | --query q) prints the compiled decomposition, cost\n\
                  estimates and the auto choice\n\
          trace:  -k <size> [--trace-out f.jsonl] [--metrics-out f.json] [--buckets N] [--ring N]\n\
-                 [--per-worker [--local-cluster N]]\n\
          cluster (simulated): --workers N --cores N [--ws disabled|internal|external|both]\n\
          worker: --listen <addr> --cores N [--link-fault seed]\n\
          submit: --app <motifs|cliques|fsm> (--local-cluster N | --workers host:port,...)\n\

@@ -121,6 +121,19 @@ fn fractal(args: &str) -> Output {
         .expect("run fractal")
 }
 
+/// An unknown verb is refused by name before any graph is built.
+#[test]
+fn unknown_verb_is_refused_before_loading_a_graph() {
+    let out = fractal("nosuchverb");
+    assert_refused_naming(&out, "unknown app \"nosuchverb\"");
+    let printed = [out.stdout, out.stderr].concat();
+    let printed = String::from_utf8_lossy(&printed);
+    assert!(
+        !printed.contains("graph:"),
+        "built a graph first:\n{printed}"
+    );
+}
+
 #[test]
 fn explicit_decomposed_on_uncompilable_task_is_refused_by_name() {
     for (task, blocker) in [
