@@ -6,7 +6,10 @@
 //! seen at each canonical pattern position; the support is the minimum
 //! domain size, which is anti-monotone. An aggregation filter prunes
 //! subgraphs whose pattern fell below the threshold — the W4
-//! synchronization point that makes FSM a multi-step application.
+//! synchronization point that makes FSM a multi-step application — and
+//! each level's aggregation folds only candidate patterns
+//! ([`may_be_frequent`]): those whose every connected sub-pattern with one
+//! edge fewer was frequent in the level before.
 //!
 //! Two variants are provided:
 //!
@@ -19,9 +22,9 @@
 //!   subgraphs. Domains are recorded in original-graph ids so supports are
 //!   unaffected by re-indexing.
 
-use fractal_core::{Aggregator, ExecutionReport, FractalGraph, Fractoid, Leaves};
-use fractal_pattern::canon::InternedForm;
-use fractal_pattern::CanonicalCode;
+use fractal_core::{AggResult, Aggregator, ExecutionReport, FractalGraph, Fractoid, Leaves};
+use fractal_pattern::canon::{InternedForm, PatternTable};
+use fractal_pattern::{CanonicalCode, Pattern};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -477,9 +480,42 @@ pub fn fsm_support_aggregator(
     .with_filter(move |_, v: &DomainSupport| v.has_enough_support(min_support))
 }
 
+/// FSM's candidate rule, the pruning of gSpan and DIMSpan: a pattern of
+/// two or more edges can be frequent only if every connected sub-pattern
+/// with one edge fewer is ([`Pattern::one_edge_deletions`]), where
+/// `frequent` says whether such a sub-pattern is. Minimum-image support is
+/// anti-monotone: each embedding of the pattern restricts to an embedding of
+/// the sub-pattern, so each of the sub-pattern's domains holds the
+/// pattern's domain at the same position, and the sub-pattern's support is
+/// at least the pattern's.
+pub fn may_be_frequent(code: &CanonicalCode, frequent: impl FnMut(&Pattern) -> bool) -> bool {
+    code.to_pattern().one_edge_deletions().iter().all(frequent)
+}
+
+/// [`fsm_support_aggregator`] folding only the patterns
+/// [`may_be_frequent`] keeps, given the previous level's frequent patterns,
+/// the nearest earlier `support` aggregation of the workflow. Each
+/// sub-pattern is named through the core's pattern table, so one met
+/// before in the same vertex order, as a parent or for an earlier class,
+/// costs one probe.
+fn fsm_candidate_aggregator(
+    fg: &FractalGraph,
+    min_support: u64,
+) -> Aggregator<CanonicalCode, DomainSupport> {
+    fsm_support_aggregator(fg, min_support).with_candidates(
+        "support",
+        |code, frequent: &AggResult, table: &mut PatternTable| {
+            may_be_frequent(code, |sub| {
+                let class = table.pattern_class(sub);
+                frequent.contains_key::<CanonicalCode, DomainSupport>(table.class_code(class))
+            })
+        },
+    )
+}
+
 /// One FSM growth round appended to `fractoid`: keep subgraphs whose
 /// pattern was frequent in the previous round, extend by one edge,
-/// aggregate supports.
+/// aggregate the supports of candidate patterns.
 fn grow_round(fractoid: Fractoid, fg: &FractalGraph, min_support: u64) -> Fractoid {
     fractoid
         .filter_agg("support", |s, agg| {
@@ -488,7 +524,7 @@ fn grow_round(fractoid: Fractoid, fg: &FractalGraph, min_support: u64) -> Fracto
             })
         })
         .expand(1)
-        .aggregate_spec(Arc::new(fsm_support_aggregator(fg, min_support)))
+        .aggregate_spec(Arc::new(fsm_candidate_aggregator(fg, min_support)))
 }
 
 /// The FSM fractoid chain after `rounds` growth iterations (round 1 is the
@@ -514,26 +550,37 @@ pub fn fsm_fractoid(fg: &FractalGraph, min_support: u64, rounds: usize) -> Fract
 /// participated in at least one subgraph of the previous iteration. Sound
 /// by anti-monotonicity: every instance of a frequent (k+1)-pattern is
 /// made of edges participating in k-edge candidate subgraphs.
+///
+/// Iteration `k > 1` grows `k − 1` edges through the level filter, then a
+/// `support` aggregation seeded with iteration `k − 1`'s frequent patterns
+/// (a pass-through that the candidate rule reads), then the last edge.
 pub fn fsm_with_reduction(fg: &FractalGraph, min_support: u64, max_edges: usize) -> FsmResult {
     let mut result = FsmResult::default();
     let mut current = fg.clone();
     // Per-size frequent pattern keys, used by the level filter when
     // re-enumerating from scratch.
     let mut frequent_sets: Vec<Arc<HashSet<CanonicalCode>>> = Vec::new();
+    let mut last: Option<HashMap<CanonicalCode, DomainSupport>> = None;
 
     for size in 1..=max_edges {
         let sets = frequent_sets.clone();
-        let fractoid = current
-            .efractoid()
-            .expand(1)
-            .filter(move |s| {
-                let k = s.num_edges();
-                k == 0
-                    || k > sets.len()
-                    || s.canonical_form(true, true, |form| sets[k - 1].contains(form.code))
-            })
-            .explore(size)
-            .aggregate_spec(Arc::new(fsm_support_aggregator(&current, min_support)));
+        let support = Arc::new(fsm_support_aggregator(&current, min_support));
+        let fractoid = match last.take() {
+            None => current.efractoid().expand(1).aggregate_spec(support),
+            Some(last) => {
+                let fractoid = (current.efractoid().expand(1))
+                    .filter(move |s| {
+                        let k = s.num_edges();
+                        s.canonical_form(true, true, |form| sets[k - 1].contains(form.code))
+                    })
+                    .explore(size - 1)
+                    .aggregate_spec(support.clone())
+                    .expand(1)
+                    .aggregate_spec(Arc::new(fsm_candidate_aggregator(&current, min_support)));
+                fractoid.seed_aggregation(0, support.shard_from_map(last));
+                fractoid
+            }
+        };
         let report = fractoid.execute_tracking_participation();
         let frequent = fractoid.aggregation::<CanonicalCode, DomainSupport>("support");
         let participation = report.participation.clone();
@@ -542,7 +589,8 @@ pub fn fsm_with_reduction(fg: &FractalGraph, min_support: u64, max_edges: usize)
         if frequent.is_empty() || size == max_edges {
             break;
         }
-        frequent_sets.push(Arc::new(frequent.into_keys().collect()));
+        frequent_sets.push(Arc::new(frequent.keys().cloned().collect()));
+        last = Some(frequent);
         // Materialize the reduced graph for the next iteration.
         if let Some(p) = participation {
             let reduced = current.graph().reduce(&p.vertices, &p.edges);

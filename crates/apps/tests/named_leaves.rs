@@ -159,8 +159,8 @@ fn labeled_motifs_are_materialised_for_their_edge_labels() {
 
 #[test]
 fn fsm_with_reduction_tracks_participation_and_matches_grami() {
-    // TrackOnly reads every result subgraph's vertices and edges, and the
-    // level filter sits after the deepest expand: materialised twice over.
+    // TrackOnly reads every result subgraph's vertices and edges: the
+    // deepest level is materialised.
     let g = gen::patents_like(110, 3, 13);
     let want: HashMap<CanonicalCode, u64> = grami_fsm(&g, 9, 3).into_iter().collect();
     for cfg in shapes() {

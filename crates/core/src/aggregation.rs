@@ -7,8 +7,8 @@
 //! stored under the aggregation's name for downstream aggregation filters
 //! (W4) and output operators (O2).
 
-use crate::view::{class_code, PatternClass, SubgraphView};
-use fractal_pattern::canon::InternedForm;
+use crate::view::{class_code, with_patterns, PatternClass, SubgraphView};
+use fractal_pattern::canon::{InternedForm, PatternTable};
 use fractal_pattern::CanonicalCode;
 use std::any::Any;
 use std::collections::HashMap;
@@ -27,6 +27,13 @@ pub trait AggregatorSpec: Send + Sync {
     /// ([`AggShard::accumulate_named`]); `None` for one that reads the
     /// subgraph through key and value functions.
     fn pattern_flags(&self) -> Option<(bool, bool)>;
+    /// The name of the aggregation this one's candidate rule reads
+    /// ([`Aggregator::with_candidates`]); `None` without a rule.
+    fn candidate_source(&self) -> Option<&str>;
+    /// This aggregation with its candidate rule reading `source`: the result
+    /// a step resolved [`candidate_source`](Self::candidate_source) to. The
+    /// shards of a spec never handed one keep every class.
+    fn reading(&self, source: Arc<AggResult>) -> Arc<dyn AggregatorSpec>;
 }
 
 /// A per-core accumulation shard.
@@ -46,6 +53,16 @@ pub trait AggShard: Send + Sync {
     /// reads from a view. Panics on a shard whose
     /// [`AggregatorSpec::pattern_flags`] is `None`.
     fn accumulate_named(&mut self, leaves: Leaves<'_>, class: PatternClass, form: InternedForm<'_>);
+    /// Whether a pattern-keyed shard folds a group of subgraphs of `class`
+    /// at all: its candidate rule's answer, asked once per class on this
+    /// core and kept in the class's slot, and `true` without a rule. A
+    /// refused group counts as rejected ([`rejected`](Self::rejected)).
+    /// `table` is the calling core's pattern table, which interned `class`.
+    fn admits(&mut self, class: PatternClass, table: &mut PatternTable) -> bool;
+    /// `(classes, groups)` the candidate rule refused: classes once per core
+    /// that asked, groups once per committed unit. Merged and drained with
+    /// the entries.
+    fn rejected(&self) -> (u64, u64);
     /// Merges another shard of the same aggregation into this one.
     fn merge_from(&mut self, other: Box<dyn AggShard>);
     /// Moves every entry of this shard into `target` (same aggregation),
@@ -126,6 +143,22 @@ type FoldFn<V> = Arc<dyn Fn(&mut V, Leaves<'_>, InternedForm<'_>) + Send + Sync>
 type AbsorbFn<V> = Arc<dyn Fn(&mut V, &mut V) + Send + Sync>;
 type SettleFn<K, V> = Arc<dyn Fn(PatternClass, &mut V) -> K + Send + Sync>;
 
+/// A candidate rule ([`Aggregator::with_candidates`]): whether a pattern
+/// class, by its code, can pass the aggregation's final filter, given the
+/// result of the aggregation the rule reads and the calling core's pattern
+/// table to name other patterns through.
+type CandidateFn = dyn Fn(&CanonicalCode, &AggResult, &mut PatternTable) -> bool + Send + Sync;
+
+/// A candidate rule and the aggregation it reads.
+#[derive(Clone)]
+struct Candidates {
+    /// The name of the aggregation the rule reads.
+    source: String,
+    keep: Arc<CandidateFn>,
+    /// That aggregation's result, once a step resolved it.
+    reads: Option<Arc<AggResult>>,
+}
+
 /// How a shard turns one subgraph into (part of) an entry.
 enum Source<K, V> {
     /// The paper's key and value functions, evaluated per subgraph; the
@@ -158,6 +191,7 @@ pub struct Aggregator<K, V> {
     source: Arc<Source<K, V>>,
     reduce_fn: ReduceFn<V>,
     agg_filter: Option<FilterFn<K, V>>,
+    candidates: Option<Candidates>,
 }
 
 impl<V> Aggregator<CanonicalCode, V>
@@ -167,7 +201,9 @@ where
     /// An aggregation keyed by the canonical pattern of each subgraph (the
     /// paper's `ρ(S)`, Listings 1 and 3), whose values subgraphs are folded
     /// *into*. Same result map as keying [`Aggregator::new`] by
-    /// [`SubgraphView::pattern_code`], for one pattern-table lookup and no
+    /// [`SubgraphView::pattern_code`] (after the final filter, provided a
+    /// candidate rule, [`with_candidates`](Self::with_candidates), refuses
+    /// only classes that filter drops), for one pattern-table lookup and no
     /// value built per subgraph:
     ///
     /// - `empty(code)` makes the value of a pattern nothing was folded into;
@@ -217,7 +253,34 @@ where
             }),
             reduce_fn: Arc::new(move |acc, mut v| by_value(acc, &mut v)),
             agg_filter: None,
+            candidates: None,
         }
+    }
+
+    /// Adds a candidate rule to a [`by_pattern`](Self::by_pattern)
+    /// aggregation: `keep(code, result, table)` says whether a class can
+    /// pass the final filter, reading `result`, the nearest earlier
+    /// aggregation named `source` in the workflow. Each core asks once per
+    /// class, before anything of the class is staged or its canonical form
+    /// is read; a refused class stages, settles and ships nothing. The map
+    /// after the final filter is the same provided `keep` refuses only
+    /// classes that filter drops. A step runs this aggregation only once
+    /// `source` is computed, as for an aggregation filter reading it.
+    pub fn with_candidates(
+        mut self,
+        source: impl Into<String>,
+        keep: impl Fn(&CanonicalCode, &AggResult, &mut PatternTable) -> bool + Send + Sync + 'static,
+    ) -> Self {
+        assert!(
+            matches!(*self.source, Source::Pattern { .. }),
+            "a candidate rule needs an aggregation keyed by pattern"
+        );
+        self.candidates = Some(Candidates {
+            source: source.into(),
+            keep: Arc::new(keep),
+            reads: None,
+        });
+        self
     }
 }
 
@@ -257,6 +320,7 @@ where
             }),
             reduce_fn: Arc::new(reduce_fn),
             agg_filter: None,
+            candidates: None,
         }
     }
 
@@ -299,8 +363,11 @@ where
             source: self.source.clone(),
             reduce_fn: self.reduce_fn.clone(),
             agg_filter: self.agg_filter.clone(),
+            candidates: (self.candidates.as_ref())
+                .and_then(|c| Some((c.keep.clone(), c.reads.clone()?))),
             approx_bytes: 0,
             accumulated: 0,
+            rejected: (0, 0),
         }
     }
 }
@@ -318,6 +385,9 @@ struct ClassSlot<V> {
     /// Whether `value` holds something of the current unit (staging shard)
     /// or of any committed unit (durable shard).
     live: bool,
+    /// The candidate rule's answer for this class, once asked (staging
+    /// shard). Outlives units: the rule reads nothing a unit changes.
+    admitted: Option<bool>,
 }
 
 /// The class-indexed level of a [`Source::Pattern`] shard: one value per
@@ -341,9 +411,9 @@ impl<V> Default for ClassLevel<V> {
 }
 
 impl<V> ClassLevel<V> {
-    /// The slot of `class`, marked live.
+    /// The slot of `class`.
     #[inline]
-    fn slot(&mut self, class: PatternClass) -> &mut ClassSlot<V> {
+    fn entry(&mut self, class: PatternClass) -> &mut ClassSlot<V> {
         if self.table == 0 {
             self.table = class.table;
         }
@@ -356,14 +426,21 @@ impl<V> ClassLevel<V> {
             self.slots.resize_with(at + 1, || ClassSlot {
                 value: None,
                 live: false,
+                admitted: None,
             });
         }
-        let slot = &mut self.slots[at];
-        if !slot.live {
-            slot.live = true;
+        &mut self.slots[at]
+    }
+
+    /// The slot of `class`, marked live.
+    #[inline]
+    fn slot(&mut self, class: PatternClass) -> &mut ClassSlot<V> {
+        let at = class.index as usize;
+        if !self.entry(class).live {
+            self.slots[at].live = true;
             self.live.push(class.index);
         }
-        slot
+        &mut self.slots[at]
     }
 
     /// Commits every live value into `target`'s slot of the same class,
@@ -416,10 +493,17 @@ struct TypedShard<K, V> {
     source: Arc<Source<K, V>>,
     reduce_fn: ReduceFn<V>,
     agg_filter: Option<FilterFn<K, V>>,
+    /// The candidate rule and the result it reads, when the spec was handed
+    /// one ([`AggregatorSpec::reading`]).
+    candidates: Option<(Arc<CandidateFn>, Arc<AggResult>)>,
     /// Rough per-entry size estimate maintained incrementally.
     approx_bytes: usize,
     /// Total subgraphs folded (monotonic, merged additively).
     accumulated: u64,
+    /// `(classes, groups)` the candidate rule refused. A staging shard
+    /// counts a class when it first asks and keeps that count across an
+    /// abort, as it keeps the answer; it drops the aborted unit's groups.
+    rejected: (u64, u64),
 }
 
 /// Folds `(k, v)` into `map`, reducing into an existing entry.
@@ -462,6 +546,23 @@ where
             } => Some((*use_vlabels, *use_elabels)),
         }
     }
+
+    fn candidate_source(&self) -> Option<&str> {
+        self.candidates.as_ref().map(|c| c.source.as_str())
+    }
+
+    fn reading(&self, source: Arc<AggResult>) -> Arc<dyn AggregatorSpec> {
+        Arc::new(Aggregator {
+            name: self.name.clone(),
+            source: self.source.clone(),
+            reduce_fn: self.reduce_fn.clone(),
+            agg_filter: self.agg_filter.clone(),
+            candidates: (self.candidates.clone()).map(|c| Candidates {
+                reads: Some(source),
+                ..c
+            }),
+        })
+    }
 }
 
 impl<K, V> AggShard for TypedShard<K, V>
@@ -485,8 +586,12 @@ where
                 use_vlabels,
                 use_elabels,
                 ..
-            } => view.classified(use_vlabels, use_elabels, |class, form| {
-                self.accumulate_named(Leaves::new(1, &|| (view.vertices(), &[])), class, form)
+            } => with_patterns(|uid, table| {
+                let (id, class) = view.interned(uid, table, use_vlabels, use_elabels);
+                if self.admits(class, table) {
+                    let vertices = || (view.vertices(), &[][..]);
+                    self.accumulate_named(Leaves::new(1, &vertices), class, table.form(id))
+                }
             }),
         }
     }
@@ -505,12 +610,38 @@ where
         fold(value.get_or_insert_with(|| empty(form.code)), leaves, form)
     }
 
+    #[inline]
+    fn admits(&mut self, class: PatternClass, table: &mut PatternTable) -> bool {
+        let Some((keep, source)) = &self.candidates else {
+            return true;
+        };
+        let slot = self.classes.entry(class);
+        let admitted = match slot.admitted {
+            Some(admitted) => admitted,
+            None => {
+                let code = table.class_code(class.index).clone();
+                let admitted = keep(&code, source, table);
+                slot.admitted = Some(admitted);
+                self.rejected.0 += u64::from(!admitted);
+                admitted
+            }
+        };
+        self.rejected.1 += u64::from(!admitted);
+        admitted
+    }
+
+    fn rejected(&self) -> (u64, u64) {
+        self.rejected
+    }
+
     fn merge_from(&mut self, other: Box<dyn AggShard>) {
         let mut other = other
             .into_any()
             .downcast::<TypedShard<K, V>>()
             .expect("merging shards of different aggregations");
         self.accumulated += other.accumulated;
+        self.rejected.0 += other.rejected.0;
+        self.rejected.1 += other.rejected.1;
         other.settle();
         for (k, v) in other.map.drain() {
             fold_entry(&mut self.map, &mut self.approx_bytes, &self.reduce_fn, k, v);
@@ -524,6 +655,9 @@ where
             .expect("draining into a shard of a different aggregation");
         target.accumulated += self.accumulated;
         self.accumulated = 0;
+        let (classes, groups) = std::mem::take(&mut self.rejected);
+        target.rejected.0 += classes;
+        target.rejected.1 += groups;
         if let Source::Pattern { absorb, .. } = &*self.source {
             self.classes.commit_into(&mut target.classes, absorb);
         }
@@ -544,6 +678,7 @@ where
         self.classes.drain(|_, _| {});
         self.approx_bytes = 0;
         self.accumulated = 0;
+        self.rejected.1 = 0;
     }
 
     fn settle(&mut self) {
@@ -638,6 +773,12 @@ impl AggResult {
     /// Total subgraphs folded into this result across all cores.
     pub fn accumulated(&self) -> u64 {
         self.shard.accumulated()
+    }
+
+    /// `(classes, groups)` the aggregation's candidate rule refused, summed
+    /// over cores ([`AggShard::rejected`]).
+    pub fn rejected(&self) -> (u64, u64) {
+        self.shard.rejected()
     }
 
     /// Whether the result is empty.
@@ -794,8 +935,8 @@ mod tests {
     }
 
     /// [`run_unit`] the way the engine runs a census: 2-vertex parents are
-    /// materialised, every leaf is named from its parent and handed over as
-    /// class + vertex list. Stops (a unit failing half-way) once `budget`
+    /// materialised, every leaf is named from its parent and, unless the
+    /// candidate rule refuses its class, handed over as class + vertex list. Stops (a unit failing half-way) once `budget`
     /// leaves are folded; returns how many were.
     fn run_unit_named(
         g: &fractal_graph::Graph,
@@ -821,11 +962,13 @@ mod tests {
                     .level(g, parent.subgraph, w, false, false)
                     .expect("vertex words are named without edge labels");
                 vertices[2] = v.expect("a vertex word appends its vertex");
-                crate::view::with_patterns(|uid, table| {
-                    let id = parent.intern(table, false, false);
-                    let (class, form) = crate::view::classify_child(uid, table, id, level);
-                    let lists = || vertices.split_at(2);
-                    shard.accumulate_named(Leaves::new(1, &lists), class, form)
+                with_patterns(|uid, table| {
+                    let parent = parent.intern(table, false, false);
+                    let (id, class) = crate::view::classify_child(uid, table, parent, level);
+                    if shard.admits(class, table) {
+                        let lists = || vertices.split_at(2);
+                        shard.accumulate_named(Leaves::new(1, &lists), class, table.form(id))
+                    }
                 });
                 folded += 1;
             }
@@ -923,6 +1066,39 @@ mod tests {
         let panic = read.expect_err("class-keyed entries resolved on a foreign thread");
         let message = panic.downcast_ref::<String>().expect("assert message");
         assert!(message.contains("did not intern it"), "{message}");
+    }
+
+    #[test]
+    fn a_refused_class_stages_nothing_and_its_answer_survives_an_abort() {
+        use fractal_pattern::{canon::canonical_code, Pattern};
+        let g = fractal_graph::gen::mico_like(40, 1, 5);
+        let triangle = canonical_code(&Pattern::clique(3));
+        let plain = Aggregator::pattern_count("motifs", false, false);
+        let ruled = Aggregator::pattern_count("motifs", false, false)
+            .with_candidates("earlier", move |code, _, _| *code != triangle);
+        assert_eq!(ruled.candidate_source(), Some("earlier"));
+        let earlier = Arc::new(AggResult::new(plain.new_shard()));
+        let ruled = ruled.reading(earlier);
+        let (mut want, mut staged, mut durable) =
+            (plain.new_shard(), ruled.new_shard(), ruled.new_shard());
+        run_unit(&g, 0, &mut *want);
+        // An aborted attempt on both routes asks once and keeps the answer,
+        // and its refused groups go with it.
+        run_unit(&g, 0, &mut *staged);
+        run_unit_named(&g, 0, &mut *staged, u64::MAX);
+        let (classes, groups) = staged.rejected();
+        assert_eq!(classes, 1);
+        assert!(groups > 1);
+        staged.reset();
+        assert_eq!(staged.rejected(), (1, 0));
+        run_unit_named(&g, 0, &mut *staged, u64::MAX);
+        staged.drain_into(&mut *durable);
+        assert_eq!(durable.rejected().0, 1);
+        assert!(durable.rejected().1 > 0);
+        let mut want = Aggregator::<CanonicalCode, u64>::take_map(want);
+        let triangles = want.remove(&canonical_code(&Pattern::clique(3)));
+        assert!(triangles.is_some_and(|n| n > 0));
+        assert_eq!(Aggregator::<CanonicalCode, u64>::take_map(durable), want);
     }
 
     #[test]

@@ -154,16 +154,27 @@ impl ExecutionReport {
     }
 }
 
+/// The name of the aggregation `p` reads: an aggregation filter's source,
+/// or the one a live aggregation's candidate rule reads.
+fn reads(p: &Primitive) -> Option<&str> {
+    match p {
+        Primitive::AggFilter { name, .. } => Some(name),
+        Primitive::Aggregate { spec, .. } => spec.candidate_source(),
+        Primitive::Expand | Primitive::Filter(_) => None,
+    }
+}
+
 /// Splits the workflow into fractal steps (Algorithm 2): a step boundary
-/// sits before every aggregation filter whose source aggregation is not in
-/// the store. Returns the exclusive end index of each step; each step runs
+/// sits before every primitive reading an aggregation that is not in the
+/// store (an aggregation filter, or an aggregation with a candidate rule).
+/// Returns the exclusive end index of each step; each step runs
 /// `primitives[0..end]` from scratch.
 pub(crate) fn split_steps(fractoid: &Fractoid) -> Vec<usize> {
     let prims = &fractoid.primitives;
     let mut known: Vec<u64> = Vec::new(); // uids computed by earlier steps
     let mut ends = Vec::new();
     for (i, p) in prims.iter().enumerate() {
-        if let Primitive::AggFilter { name, .. } = p {
+        if let Some(name) = reads(p) {
             let source = resolve_source(prims, i, name);
             #[expect(
                 clippy::panic,
@@ -171,8 +182,8 @@ pub(crate) fn split_steps(fractoid: &Fractoid) -> Vec<usize> {
                           name is a programming error in the workflow and must surface \
                           before any work runs"
             )]
-            let source = source
-                .unwrap_or_else(|| panic!("aggregation filter reads unknown aggregation {name:?}"));
+            let source =
+                source.unwrap_or_else(|| panic!("workflow reads unknown aggregation {name:?}"));
             if !fractoid.store.contains(source) && !known.contains(&source) {
                 ends.push(i);
                 // Everything before the boundary is computed once this step
@@ -398,25 +409,9 @@ impl<'a> StepSpec<'a> {
                 }
                 Primitive::Filter(f) => resolved.push(Resolved::Filter(f.clone())),
                 Primitive::AggFilter { name, f } => {
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "resolution re-walks the same primitives split_steps already \
-                                  validated; a miss here is unreachable"
-                    )]
-                    let uid = resolve_source(prims, i, name)
-                        .expect("aggregation filter reads unknown aggregation");
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "the source aggregation was computed by an earlier step in \
-                                  the order split_steps produced"
-                    )]
-                    let source = fractoid
-                        .store
-                        .get(uid)
-                        .expect("step splitting must have computed the source aggregation");
                     resolved.push(Resolved::AggFilter {
                         f: f.clone(),
-                        source,
+                        source: read_source(fractoid, prims, i, name),
                     });
                 }
                 Primitive::Aggregate { uid, spec } => {
@@ -424,7 +419,10 @@ impl<'a> StepSpec<'a> {
                         resolved.push(Resolved::AggregateReplayed);
                     } else {
                         let slot = live_agg_specs.len();
-                        live_agg_specs.push(spec.clone());
+                        live_agg_specs.push(match spec.candidate_source() {
+                            Some(name) => spec.reading(read_source(fractoid, prims, i, name)),
+                            None => spec.clone(),
+                        });
                         live_agg_uids.push(*uid);
                         resolved.push(Resolved::AggregateLive(slot));
                     }
@@ -451,11 +449,33 @@ impl<'a> StepSpec<'a> {
     }
 }
 
+/// The result of the aggregation named `name` that primitive `i` reads,
+/// which an earlier step computed.
+fn read_source(fractoid: &Fractoid, prims: &[Primitive], i: usize, name: &str) -> Arc<AggResult> {
+    #[expect(
+        clippy::expect_used,
+        reason = "resolution re-walks the same primitives split_steps already validated; a \
+                  miss here is unreachable"
+    )]
+    let uid = resolve_source(prims, i, name).expect("workflow reads unknown aggregation");
+    #[expect(
+        clippy::expect_used,
+        reason = "the source aggregation was computed by an earlier step in the order \
+                  split_steps produced"
+    )]
+    fractoid
+        .store
+        .get(uid)
+        .expect("step splitting must have computed the source aggregation")
+}
+
 /// One live pattern-keyed aggregation after the deepest `Expand`.
 struct NamedAgg {
     slot: usize,
     use_vlabels: bool,
     use_elabels: bool,
+    /// Whether it has a candidate rule to ask ([`AggShard::admits`]).
+    ruled: bool,
 }
 
 /// What a step does with the subgraphs of its deepest `Expand`: the least
@@ -502,6 +522,7 @@ impl DeepestLevel {
                         slot: *slot,
                         use_vlabels,
                         use_elabels,
+                        ruled: live_agg_specs[*slot].candidate_source().is_some(),
                     });
                 }
                 Resolved::Expand | Resolved::Filter(_) | Resolved::AggFilter { .. } => {
@@ -763,8 +784,9 @@ const MAX_REGISTERED_LEVELS: usize = 1;
 impl StepTask<'_> {
     /// Folds the extensions `exts` of the current subgraph into `tail`
     /// without materialising them: per aggregation one parent intern, and
-    /// per level the words add one trie probe (`PatternTable::child`) and
-    /// one group fold. `false`, having folded nothing, when a word cannot
+    /// per level the words add one trie probe (`PatternTable::child`) and,
+    /// unless the aggregation's candidate rule refuses the class, one group
+    /// fold. `false`, having folded nothing, when a word cannot
     /// say its level under some aggregation's label flags (an opaque word, a
     /// root edge, a vertex word asked for edge labels).
     fn fold_deepest(&mut self, tail: &[NamedAgg], exts: &[u64]) -> bool {
@@ -812,12 +834,14 @@ impl StepTask<'_> {
         let (all_groups, staged) = (&self.groups, &mut self.staged_shards);
         with_patterns(|uid, table| {
             for (a, groups) in tail.iter().zip(all_groups) {
-                let name = namer(a);
+                let (name, shard) = (namer(a), &mut staged[a.slot]);
                 let parent = view.intern(table, a.use_vlabels, a.use_elabels);
                 for (at, &(level, n)) in groups.levels.iter().enumerate() {
-                    let (class, form) = classify_child(uid, table, parent, level);
-                    let vertices = || (sg.vertices(), groups.added(at, exts, &name));
-                    staged[a.slot].accumulate_named(Leaves::new(n, &vertices), class, form);
+                    let (id, class) = classify_child(uid, table, parent, level);
+                    if !a.ruled || shard.admits(class, table) {
+                        let vertices = || (sg.vertices(), groups.added(at, exts, &name));
+                        shard.accumulate_named(Leaves::new(n, &vertices), class, table.form(id));
+                    }
                 }
             }
         });
@@ -988,10 +1012,10 @@ impl CoreTask for StepTask<'_> {
         if !self.staged_collected.is_empty() {
             self.collected.append(&mut self.staged_collected);
         }
+        // A unit whose every group the candidate rule refused stages no
+        // entry, but its rejections commit.
         for (durable, staged) in self.shards.iter_mut().zip(self.staged_shards.iter_mut()) {
-            if !staged.is_empty() {
-                staged.drain_into(&mut **durable);
-            }
+            staged.drain_into(&mut **durable);
         }
         ctx.track_state_bytes(self.state_bytes());
         // Drain the enumerator's kernel counters into the core stats (one
@@ -1026,7 +1050,15 @@ impl CoreTask for StepTask<'_> {
 
     fn finish(&mut self, ctx: &mut CoreCtx<'_>) {
         ctx.track_state_bytes(self.state_bytes());
-        for (slot, shard) in self.shards.iter_mut().enumerate() {
+        for (slot, (shard, staged)) in self
+            .shards
+            .iter_mut()
+            .zip(&mut self.staged_shards)
+            .enumerate()
+        {
+            // Every unit committed; what is left to move is the count of
+            // classes the candidate rule refused.
+            staged.drain_into(&mut **shard);
             // Pattern-keyed entries sit under this core's interned classes;
             // only this thread can name them, so they get their codes here,
             // once per class, before the shard is handed to anyone else.
@@ -1141,6 +1173,32 @@ mod tests {
         let extended = f.clone().expand(1);
         let ends2 = split_steps(&extended);
         assert_eq!(ends2, vec![5]);
+    }
+
+    #[test]
+    fn a_candidate_rule_reads_its_source_like_an_aggregation_filter() {
+        use crate::aggregation::Aggregator;
+        use fractal_pattern::CanonicalCode;
+        let fg = small();
+        let census = || Arc::new(Aggregator::pattern_count("motifs", false, false));
+        let ruled = Aggregator::pattern_count("motifs", false, false)
+            .with_candidates("edges", |_, edges, _| edges.len() == 1);
+        let f = fg
+            .vfractoid()
+            .expand(2)
+            .aggregate_spec(Arc::new(Aggregator::pattern_count("edges", false, false)))
+            .expand(1)
+            .aggregate_spec(Arc::new(ruled));
+        // The ruled aggregation waits for "edges", as a filter reading it
+        // would, and keeps every class while its rule says so.
+        assert_eq!(split_steps(&f), vec![4, 5]);
+        let want = fg.vfractoid().expand(3).aggregate_spec(census());
+        let got = f.aggregation_result("motifs");
+        assert_eq!(
+            *got.map::<CanonicalCode, u64>(),
+            want.aggregation::<CanonicalCode, u64>("motifs")
+        );
+        assert_eq!(got.rejected(), (0, 0));
     }
 
     #[test]

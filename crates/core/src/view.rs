@@ -49,9 +49,9 @@ pub(crate) fn with_patterns<R>(f: impl FnOnce(u64, &mut PatternTable) -> R) -> R
     })
 }
 
-/// Class and form of the quick pattern `level` grows out of the interned
-/// quick pattern `parent` of `table` (whose identity is `uid`): what
-/// [`SubgraphView::classified`] finds for the extended subgraph, from one
+/// The quick pattern `level` grows out of the interned quick pattern
+/// `parent` of `table` (whose identity is `uid`), and its class: what
+/// [`SubgraphView::interned`] finds for the extended subgraph, from one
 /// trie probe and without the subgraph.
 #[inline]
 pub(crate) fn classify_child(
@@ -59,13 +59,13 @@ pub(crate) fn classify_child(
     table: &mut PatternTable,
     parent: u32,
     level: Level,
-) -> (PatternClass, InternedForm<'_>) {
+) -> (u32, PatternClass) {
     let id = table.child(parent, level);
     let class = PatternClass {
         table: uid,
         index: table.class(id),
     };
-    (class, table.form(id))
+    (id, class)
 }
 
 /// The canonical code `class` stands for.
@@ -157,18 +157,30 @@ impl SubgraphView<'_> {
         })
     }
 
+    /// This subgraph's quick pattern interned in `table` (whose identity is
+    /// `uid`), and its class.
+    #[inline]
+    pub(crate) fn interned(
+        &self,
+        uid: u64,
+        table: &mut PatternTable,
+        use_vlabels: bool,
+        use_elabels: bool,
+    ) -> (u32, PatternClass) {
+        let id = self.intern(table, use_vlabels, use_elabels);
+        let class = PatternClass {
+            table: uid,
+            index: table.class(id),
+        };
+        (id, class)
+    }
+
     /// The canonical pattern of this subgraph as an interned handle: what a
     /// pattern-keyed aggregation stages under
     /// ([`Aggregator::by_pattern`](crate::Aggregator::by_pattern)).
     #[inline]
     pub(crate) fn pattern_class(&self, use_vlabels: bool, use_elabels: bool) -> PatternClass {
-        with_patterns(|uid, table| {
-            let id = self.intern(table, use_vlabels, use_elabels);
-            PatternClass {
-                table: uid,
-                index: table.class(id),
-            }
-        })
+        with_patterns(|uid, table| self.interned(uid, table, use_vlabels, use_elabels).1)
     }
 
     /// The canonical code of this subgraph's pattern — the paper's `ρ(S)`.
@@ -190,26 +202,9 @@ impl SubgraphView<'_> {
         use_elabels: bool,
         f: impl FnOnce(InternedForm<'_>) -> R,
     ) -> R {
-        self.classified(use_vlabels, use_elabels, |_, form| f(form))
-    }
-
-    /// [`canonical_form`](Self::canonical_form) plus the interned class the
-    /// form belongs to, from one table lookup: everything a pattern-keyed
-    /// aggregation needs to fold this subgraph in place.
-    #[inline]
-    pub(crate) fn classified<R>(
-        &self,
-        use_vlabels: bool,
-        use_elabels: bool,
-        f: impl FnOnce(PatternClass, InternedForm<'_>) -> R,
-    ) -> R {
-        with_patterns(|uid, table| {
+        with_patterns(|_, table| {
             let id = self.intern(table, use_vlabels, use_elabels);
-            let class = PatternClass {
-                table: uid,
-                index: table.class(id),
-            };
-            f(class, table.form(id))
+            f(table.form(id))
         })
     }
 }

@@ -305,7 +305,8 @@ impl Client {
     }
 
     /// Requests cancellation; the reply reflects the state at receipt
-    /// (queued jobs cancel immediately, running jobs asynchronously).
+    /// (queued jobs cancel immediately, running jobs asynchronously, and a
+    /// job whose admission is still being journaled once it is).
     pub fn cancel(&mut self, job: u64) -> io::Result<(EventKind, String, u64)> {
         self.send(&Frame::Cancel { job })?;
         self.next_event_for(job)

@@ -409,6 +409,11 @@ struct JobRecord {
     events: Vec<Frame>,
     /// Journaled committed word-set to resume from (restart path).
     resume: Option<ResumeState>,
+    /// `Some` while admission appends the job's `JobAdmitted` record,
+    /// holding whether a cancel came meanwhile. Replay drops a
+    /// `JobCancelled` that precedes its job's admission as an orphan, so
+    /// such a cancel is journaled once the admission is published.
+    admitting: Option<bool>,
 }
 
 impl JobRecord {
@@ -558,7 +563,14 @@ struct ServerInner {
     /// The write-ahead journal (when `journal_dir` is configured). Lock
     /// order: `state` before `journal`, never the other way around.
     journal: Option<Mutex<Journal>>,
+    /// Called with a job's id between admission's reserve and its
+    /// `JobAdmitted` append: `None` everywhere but in the test that holds
+    /// an admission there.
+    hold_admission: Option<AdmissionHold>,
 }
+
+/// See [`ServerInner::hold_admission`].
+type AdmissionHold = Box<dyn Fn(u64) + Send + Sync>;
 
 impl ServerInner {
     /// Appends one record to the journal (fsynced) if journaling is on.
@@ -589,6 +601,16 @@ impl Server {
         workers: Vec<(TcpStream, String)>,
         config: ServeConfig,
     ) -> io::Result<Server> {
+        Self::bind_with(listener, workers, config, None)
+    }
+
+    /// [`bind`](Self::bind) plus the test seam `hold_admission`.
+    fn bind_with(
+        listener: TcpListener,
+        workers: Vec<(TcpStream, String)>,
+        config: ServeConfig,
+        hold_admission: Option<AdmissionHold>,
+    ) -> io::Result<Server> {
         assert!(!workers.is_empty(), "need at least one worker");
         let mut links = Vec::with_capacity(workers.len());
         for (stream, name) in workers {
@@ -617,6 +639,7 @@ impl Server {
             links,
             sched_tx,
             journal,
+            hold_admission,
         });
         let sched_inner = Arc::clone(&inner);
         thread::spawn(move || scheduler_loop(sched_inner, sched_rx));
@@ -715,6 +738,7 @@ fn restore_from_replay(state: &mut ServerState, replay: &Replay) {
             epoch_base: rj.starts << 32,
             events: Vec::new(),
             resume,
+            admitting: None,
         });
         state.enqueue(id);
     }
@@ -1073,6 +1097,7 @@ fn handle_submit(
                 epoch_base: 0,
                 events: Vec::new(),
                 resume: None,
+                admitting: Some(false),
             };
             #[expect(clippy::expect_used, reason = "the table admits every new job")]
             let step = st.add(id, Input::Admit(admitted), make).expect("admission");
@@ -1081,6 +1106,9 @@ fn handle_submit(
     };
     match verdict {
         Ok((id, admitted)) => {
+            if let Some(hold) = &inner.hold_admission {
+                hold(id);
+            }
             // Phase 2 (no state lock): make the admission durable.
             let durable = match (&inner.journal, &admitted.record) {
                 (Some(j), Some(rec)) => j.lock().append(rec),
@@ -1088,6 +1116,7 @@ fn handle_submit(
             };
             // Phase 3 (state lock): publish or roll back.
             let mut st = inner.state.lock();
+            let cancelled = st.jobs.get_mut(&id).and_then(|r| r.admitting.take()) == Some(true);
             match durable {
                 Ok(()) => {
                     st.enqueue(id);
@@ -1095,6 +1124,9 @@ fn handle_submit(
                     inner.stats.jobs_admitted.fetch_add(1, Ordering::Relaxed);
                     log_event_locked(&mut st, id, event(id, EventKind::Accepted, "", id));
                     announce(&mut st, id, &admitted);
+                    if cancelled {
+                        cancel(inner, &mut st, id);
+                    }
                     drop(st);
                     let _ = inner.sched_tx.send(());
                     Ok(())
@@ -1164,6 +1196,18 @@ fn handle_watch(
 
 fn handle_cancel(inner: &ServerInner, job: u64) -> Frame {
     let mut st = inner.state.lock();
+    match st.jobs.get_mut(&job).and_then(|r| r.admitting.as_mut()) {
+        // Its admission is not journaled yet: the cancel waits for it.
+        Some(cancelled) => {
+            *cancelled = true;
+            event(job, EventKind::Queued, "cancelling", 0)
+        }
+        None => cancel(inner, &mut st, job),
+    }
+}
+
+/// Feeds a cancel to `job`'s lifecycle and returns the reply.
+fn cancel(inner: &ServerInner, st: &mut ServerState, job: u64) -> Frame {
     match st.advance(job, Input::Cancel) {
         Some(step) if step.next == Phase::Running => {
             // ordering: SeqCst — cancel is a rare control-plane flag; the
@@ -1177,7 +1221,7 @@ fn handle_cancel(inner: &ServerInner, job: u64) -> Frame {
             // state → journal everywhere, and durability must precede the
             // terminal event below.
             inner.journal_append(step.record.as_ref());
-            announce(&mut st, job, &step);
+            announce(st, job, &step);
             st.status_event(job)
         }
         // Unknown or already ended: report the phase as it is.
@@ -1294,6 +1338,86 @@ mod tests {
         ] {
             assert!(refused.iter().any(|r| r == pair), "{pair} must be refused");
         }
+    }
+
+    /// A cancel that names a job between admission's reserve and its
+    /// `JobAdmitted` fsync: the job must stay cancelled across a restart on
+    /// the journal, and never run.
+    #[test]
+    fn cancel_inside_the_admission_gap_survives_a_restart() {
+        use crate::client::Client;
+        use crate::journal::{decode_record, JOURNAL_FILE};
+        use crate::worker::ServeOutcome;
+        let dir = std::env::temp_dir().join(format!("fractal-serve-gap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = || ServeConfig {
+            journal_dir: Some(dir.clone()),
+            ..ServeConfig::default()
+        };
+        let worker = || {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let handle = thread::spawn(move || crate::worker::serve(&listener, 1));
+            (
+                handle,
+                vec![(TcpStream::connect(addr).unwrap(), "w0".to_string())],
+            )
+        };
+        let started = |job| {
+            let bytes = std::fs::read(dir.join(JOURNAL_FILE)).unwrap();
+            let (mut at, mut started) = (0, false);
+            while let Some((rec, used)) = decode_record(&bytes[at..]) {
+                started |= rec == Record::JobStarted { job };
+                at += used;
+            }
+            started
+        };
+
+        // Admission stops after reserving the id until the test lets it go.
+        let (reserved_tx, reserved) = channel();
+        let (release, held) = channel::<()>();
+        let held = Mutex::new(held);
+        let hold: AdmissionHold = Box::new(move |job| {
+            let _ = reserved_tx.send(job);
+            let _ = held.lock().recv();
+        });
+        let (first_worker, workers) = worker();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let server = Arc::new(Server::bind_with(listener, workers, config(), Some(hold)).unwrap());
+        let addr = server.local_addr().unwrap().to_string();
+        let accept = Arc::clone(&server);
+        thread::spawn(move || accept.run());
+        let submit_to = addr.clone();
+        let submitter = thread::spawn(move || {
+            let app = AppSpec::Kclist { k: 3 };
+            Client::connect(&submit_to)?.submit("t", 0, "gen:mico:300:11", &app, "")
+        });
+        let job = reserved.recv().unwrap();
+        let mut client = Client::connect(&addr).unwrap();
+        client.cancel(job).unwrap();
+        release.send(()).unwrap();
+        assert_eq!(submitter.join().unwrap().unwrap(), job);
+        assert_eq!(client.status(job).unwrap().0, EventKind::Cancelled);
+        shutdown_workers(&server);
+        assert!(matches!(
+            first_worker.join().unwrap(),
+            Ok(ServeOutcome::Shutdown)
+        ));
+
+        // A second daemon on the same journal.
+        let (second_worker, workers) = worker();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let restarted = Server::bind(listener, workers, config()).unwrap();
+        let phase = restarted.inner.state.lock().jobs[&job].phase.clone();
+        assert_eq!(phase, Phase::Ended(Terminal::Cancelled));
+        assert!(restarted.inner.state.lock().queue.is_empty());
+        assert!(!started(job), "the cancelled job ran");
+        shutdown_workers(&restarted);
+        assert!(matches!(
+            second_worker.join().unwrap(),
+            Ok(ServeOutcome::Shutdown)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -758,6 +758,21 @@ impl PatternTable {
         self.entries[id as usize].class
     }
 
+    /// The class of pattern `p`, interned as the quick pattern of its own
+    /// vertex order: one probe when that order was met before, as a
+    /// subgraph or as an earlier `p`.
+    pub fn pattern_class(&mut self, p: &Pattern) -> u32 {
+        let id = self.intern(|q| {
+            for v in 0..p.num_vertices() {
+                q.vertex(p.vertex_label(v));
+            }
+            for &(u, v, label) in p.edges() {
+                q.edge(u, v, label);
+            }
+        });
+        self.class(id)
+    }
+
     /// The canonical code of class `class`.
     #[inline]
     pub fn class_code(&self, class: u32) -> &CanonicalCode {
@@ -998,6 +1013,22 @@ mod tests {
         // The 4-cycle with alternating labels has a dihedral symmetry that
         // maps several orderings onto one quick pattern.
         assert!(t.len() < 24 && t.len() > 1, "{} quick patterns", t.len());
+    }
+
+    #[test]
+    fn pattern_class_names_a_pattern_through_the_table() {
+        let mut t = PatternTable::new();
+        let p = Pattern::new(vec![3, 1, 2], vec![(0, 1, 4), (1, 2, 5)]);
+        let id = intern_pattern(&mut t, &p, true);
+        // The pattern's own vertex order was met as a subgraph: a hit.
+        assert_eq!(t.pattern_class(&p), t.class(id));
+        assert_eq!(t.stats(), (1, 1));
+        // Another order of the same pattern is one more quick pattern of
+        // the same class.
+        let q = p.permuted(&[2, 0, 1]);
+        assert_eq!(t.pattern_class(&q), t.class(id));
+        assert_eq!(t.class_code(t.class(id)), &canonical_code(&q));
+        assert_eq!(t.stats(), (1, 2));
     }
 
     #[test]

@@ -273,6 +273,34 @@ impl Pattern {
         Pattern::new(labels, edges)
     }
 
+    /// The connected sub-patterns with one edge fewer, one per edge whose
+    /// removal leaves one, in edge order: removing a cycle edge keeps every
+    /// vertex, removing a leaf edge drops its leaf vertex, and removing a
+    /// bridge between two non-leaf parts (or the only edge) leaves none.
+    /// Labels carry over and the vertices left keep their order. The
+    /// candidate rule of frequent subgraph mining (gSpan, DIMSpan) asks
+    /// each of these to be frequent.
+    pub fn one_edge_deletions(&self) -> Vec<Pattern> {
+        let all: Vec<u8> = (0..self.num_vertices() as u8).collect();
+        let mut out = Vec::with_capacity(self.edges.len());
+        for (at, &(u, v, _)) in self.edges.iter().enumerate() {
+            let mut edges = self.edges.clone();
+            edges.remove(at);
+            let rest = Pattern::new(self.vertex_labels.clone(), edges);
+            let sub = match (rest.degree(u as usize), rest.degree(v as usize)) {
+                (0, 0) => None,
+                (0, _) | (_, 0) => {
+                    let leaf = if rest.degree(u as usize) == 0 { u } else { v };
+                    let kept: Vec<u8> = all.iter().copied().filter(|&w| w != leaf).collect();
+                    Some(rest.induced_on(&kept))
+                }
+                _ => Some(rest),
+            };
+            out.extend(sub.filter(Pattern::is_connected));
+        }
+        out
+    }
+
     /// Whether this pattern is a clique.
     pub fn is_clique(&self) -> bool {
         let n = self.num_vertices();
@@ -454,6 +482,55 @@ mod tests {
         assert_eq!(q.vertex_label(2), 5);
         assert_eq!(q.edge_label(1, 2), Some(1));
         assert_eq!(q.edge_label(0, 1), Some(2));
+    }
+
+    #[test]
+    fn one_edge_deletions_follow_the_edge_kind() {
+        let labels = vec![10, 11, 12, 13];
+        let p =
+            |labels: &[u32], edges: &[(u8, u8, u32)]| Pattern::new(labels.to_vec(), edges.to_vec());
+        // Triangle: every edge is on a cycle, so every vertex stays.
+        let triangle = p(&labels[..3], &[(0, 1, 1), (0, 2, 2), (1, 2, 3)]);
+        assert_eq!(
+            triangle.one_edge_deletions(),
+            [
+                p(&labels[..3], &[(0, 2, 2), (1, 2, 3)]),
+                p(&labels[..3], &[(0, 1, 1), (1, 2, 3)]),
+                p(&labels[..3], &[(0, 1, 1), (0, 2, 2)]),
+            ]
+        );
+        // 3-edge path: an end edge drops its leaf; the middle edge is a
+        // bridge between two non-leaf parts and leaves nothing.
+        let path = p(&labels, &[(0, 1, 1), (1, 2, 2), (2, 3, 3)]);
+        assert_eq!(
+            path.one_edge_deletions(),
+            [
+                p(&[11, 12, 13], &[(0, 1, 2), (1, 2, 3)]),
+                p(&[10, 11, 12], &[(0, 1, 1), (1, 2, 2)]),
+            ]
+        );
+        // 3-star: every edge is a leaf edge; the centre stays first.
+        let star = p(&labels, &[(0, 1, 1), (0, 2, 2), (0, 3, 3)]);
+        assert_eq!(
+            star.one_edge_deletions(),
+            [
+                p(&[10, 12, 13], &[(0, 1, 2), (0, 2, 3)]),
+                p(&[10, 11, 13], &[(0, 1, 1), (0, 2, 3)]),
+                p(&[10, 11, 12], &[(0, 1, 1), (0, 2, 2)]),
+            ]
+        );
+        // 4-cycle with the chord 0-2: all five edges are cycle edges.
+        let edges = [(0, 1, 1), (0, 2, 5), (0, 3, 4), (1, 2, 2), (2, 3, 3)];
+        let chorded = p(&labels, &edges);
+        let subs = chorded.one_edge_deletions();
+        assert_eq!(subs.len(), 5);
+        for (at, sub) in subs.iter().enumerate() {
+            let mut rest = edges.to_vec();
+            rest.remove(at);
+            assert_eq!(*sub, p(&labels, &rest));
+        }
+        // The only edge of a pattern leaves no connected sub-pattern.
+        assert!(p(&[1, 2], &[(0, 1, 0)]).one_edge_deletions().is_empty());
     }
 
     #[test]
