@@ -25,7 +25,7 @@
 use fractal_core::{AggResult, Aggregator, ExecutionReport, FractalGraph, Fractoid, Leaves};
 use fractal_pattern::canon::{InternedForm, PatternTable};
 use fractal_pattern::{CanonicalCode, Pattern};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The set of original graph vertex ids seen at one canonical pattern
@@ -498,7 +498,7 @@ pub fn may_be_frequent(code: &CanonicalCode, frequent: impl FnMut(&Pattern) -> b
 /// sub-pattern is named through the core's pattern table, so one met
 /// before in the same vertex order, as a parent or for an earlier class,
 /// costs one probe.
-fn fsm_candidate_aggregator(
+pub fn fsm_candidate_aggregator(
     fg: &FractalGraph,
     min_support: u64,
 ) -> Aggregator<CanonicalCode, DomainSupport> {
@@ -514,14 +514,13 @@ fn fsm_candidate_aggregator(
 }
 
 /// One FSM growth round appended to `fractoid`: keep subgraphs whose
-/// pattern was frequent in the previous round, extend by one edge,
-/// aggregate the supports of candidate patterns.
+/// pattern was frequent in the previous round (a pattern filter, decided
+/// once per class per core), extend by one edge, aggregate the supports of
+/// candidate patterns.
 fn grow_round(fractoid: Fractoid, fg: &FractalGraph, min_support: u64) -> Fractoid {
     fractoid
-        .filter_agg("support", |s, agg| {
-            s.canonical_form(true, true, |form| {
-                agg.contains_key::<CanonicalCode, DomainSupport>(form.code)
-            })
+        .filter_agg_by_pattern("support", true, true, |code, frequent, _| {
+            frequent.contains_key::<CanonicalCode, DomainSupport>(code)
         })
         .expand(1)
         .aggregate_spec(Arc::new(fsm_candidate_aggregator(fg, min_support)))
@@ -551,36 +550,23 @@ pub fn fsm_fractoid(fg: &FractalGraph, min_support: u64, rounds: usize) -> Fract
 /// by anti-monotonicity: every instance of a frequent (k+1)-pattern is
 /// made of edges participating in k-edge candidate subgraphs.
 ///
-/// Iteration `k > 1` grows `k − 1` edges through the level filter, then a
-/// `support` aggregation seeded with iteration `k − 1`'s frequent patterns
-/// (a pass-through that the candidate rule reads), then the last edge.
+/// Iteration `k` runs [`fsm_fractoid`]'s `k` rounds on the reduced graph
+/// with the `support` aggregations of rounds `1..k` seeded with the frequent
+/// patterns those iterations found (pass-throughs that the pattern filters
+/// and the candidate rule read), as a cluster worker runs a round.
 pub fn fsm_with_reduction(fg: &FractalGraph, min_support: u64, max_edges: usize) -> FsmResult {
     let mut result = FsmResult::default();
     let mut current = fg.clone();
-    // Per-size frequent pattern keys, used by the level filter when
-    // re-enumerating from scratch.
-    let mut frequent_sets: Vec<Arc<HashSet<CanonicalCode>>> = Vec::new();
-    let mut last: Option<HashMap<CanonicalCode, DomainSupport>> = None;
+    // Per earlier iteration, its frequent patterns (the readers ask only
+    // which patterns are keys, so the supports are left out).
+    let mut seeds: Vec<HashMap<CanonicalCode, DomainSupport>> = Vec::new();
 
     for size in 1..=max_edges {
-        let sets = frequent_sets.clone();
-        let support = Arc::new(fsm_support_aggregator(&current, min_support));
-        let fractoid = match last.take() {
-            None => current.efractoid().expand(1).aggregate_spec(support),
-            Some(last) => {
-                let fractoid = (current.efractoid().expand(1))
-                    .filter(move |s| {
-                        let k = s.num_edges();
-                        s.canonical_form(true, true, |form| sets[k - 1].contains(form.code))
-                    })
-                    .explore(size - 1)
-                    .aggregate_spec(support.clone())
-                    .expand(1)
-                    .aggregate_spec(Arc::new(fsm_candidate_aggregator(&current, min_support)));
-                fractoid.seed_aggregation(0, support.shard_from_map(last));
-                fractoid
-            }
-        };
+        let fractoid = fsm_fractoid(&current, min_support, size);
+        let support = fsm_support_aggregator(&current, min_support);
+        for (position, seed) in seeds.iter().enumerate() {
+            fractoid.seed_aggregation(position, support.shard_from_map(seed.clone()));
+        }
         let report = fractoid.execute_tracking_participation();
         let frequent = fractoid.aggregation::<CanonicalCode, DomainSupport>("support");
         let participation = report.participation.clone();
@@ -589,8 +575,11 @@ pub fn fsm_with_reduction(fg: &FractalGraph, min_support: u64, max_edges: usize)
         if frequent.is_empty() || size == max_edges {
             break;
         }
-        frequent_sets.push(Arc::new(frequent.keys().cloned().collect()));
-        last = Some(frequent);
+        seeds.push(
+            (frequent.into_keys())
+                .map(|code| (code, DomainSupport::default()))
+                .collect(),
+        );
         // Materialize the reduced graph for the next iteration.
         if let Some(p) = participation {
             let reduced = current.graph().reduce(&p.vertices, &p.edges);

@@ -27,13 +27,12 @@ pub trait AggregatorSpec: Send + Sync {
     /// ([`AggShard::accumulate_named`]); `None` for one that reads the
     /// subgraph through key and value functions.
     fn pattern_flags(&self) -> Option<(bool, bool)>;
-    /// The name of the aggregation this one's candidate rule reads
-    /// ([`Aggregator::with_candidates`]); `None` without a rule.
-    fn candidate_source(&self) -> Option<&str>;
-    /// This aggregation with its candidate rule reading `source`: the result
-    /// a step resolved [`candidate_source`](Self::candidate_source) to. The
-    /// shards of a spec never handed one keep every class.
-    fn reading(&self, source: Arc<AggResult>) -> Arc<dyn AggregatorSpec>;
+    /// This aggregation's candidate rule ([`Aggregator::with_candidates`])
+    /// and the name of the aggregation it reads; `None` without a rule. The
+    /// engine resolves the name as it resolves an aggregation filter's and
+    /// applies the rule itself, once per class per core: a shard folds
+    /// every group it is handed.
+    fn candidates(&self) -> Option<(&str, &Arc<ClassRuleFn>)>;
 }
 
 /// A per-core accumulation shard.
@@ -53,12 +52,9 @@ pub trait AggShard: Send + Sync {
     /// reads from a view. Panics on a shard whose
     /// [`AggregatorSpec::pattern_flags`] is `None`.
     fn accumulate_named(&mut self, leaves: Leaves<'_>, class: PatternClass, form: InternedForm<'_>);
-    /// Whether a pattern-keyed shard folds a group of subgraphs of `class`
-    /// at all: its candidate rule's answer, asked once per class on this
-    /// core and kept in the class's slot, and `true` without a rule. A
-    /// refused group counts as rejected ([`rejected`](Self::rejected)).
-    /// `table` is the calling core's pattern table, which interned `class`.
-    fn admits(&mut self, class: PatternClass, table: &mut PatternTable) -> bool;
+    /// Adds `(classes, groups)` the candidate rule refused, as the engine
+    /// counted them, to this shard's tally.
+    fn add_rejected(&mut self, refused: (u64, u64));
     /// `(classes, groups)` the candidate rule refused: classes once per core
     /// that asked, groups once per committed unit. Merged and drained with
     /// the entries.
@@ -143,20 +139,80 @@ type FoldFn<V> = Arc<dyn Fn(&mut V, Leaves<'_>, InternedForm<'_>) + Send + Sync>
 type AbsorbFn<V> = Arc<dyn Fn(&mut V, &mut V) + Send + Sync>;
 type SettleFn<K, V> = Arc<dyn Fn(PatternClass, &mut V) -> K + Send + Sync>;
 
-/// A candidate rule ([`Aggregator::with_candidates`]): whether a pattern
-/// class, by its code, can pass the aggregation's final filter, given the
-/// result of the aggregation the rule reads and the calling core's pattern
-/// table to name other patterns through.
-type CandidateFn = dyn Fn(&CanonicalCode, &AggResult, &mut PatternTable) -> bool + Send + Sync;
+/// A rule over pattern classes: whether a class, by its code, is kept,
+/// given the result of the aggregation the rule reads and the calling core's
+/// pattern table to name other patterns through. A candidate rule
+/// ([`Aggregator::with_candidates`]) and a pattern-keyed aggregation filter
+/// ([`Fractoid::filter_agg_by_pattern`](crate::Fractoid::filter_agg_by_pattern))
+/// are both one.
+pub type ClassRuleFn = dyn Fn(&CanonicalCode, &AggResult, &mut PatternTable) -> bool + Send + Sync;
 
-/// A candidate rule and the aggregation it reads.
+/// A candidate rule and the name of the aggregation it reads.
 #[derive(Clone)]
 struct Candidates {
-    /// The name of the aggregation the rule reads.
     source: String,
-    keep: Arc<CandidateFn>,
-    /// That aggregation's result, once a step resolved it.
-    reads: Option<Arc<AggResult>>,
+    keep: Arc<ClassRuleFn>,
+}
+
+/// A [`ClassRuleFn`] bound to the result it reads, as one core evaluates
+/// it: each class of the core's pattern table is asked once, on first sight,
+/// and its verdict is read after that with one indexed load. The verdicts
+/// outlive units, aborted ones too: the rule reads nothing a unit changes.
+pub(crate) struct ClassRule {
+    keep: Arc<ClassRuleFn>,
+    source: Arc<AggResult>,
+    /// Per class index: `None` until asked.
+    verdicts: Vec<Option<bool>>,
+    /// `(classes, groups)` refused and not yet taken: a class when it is
+    /// first asked, a group each time a refused class is read.
+    refused: (u64, u64),
+}
+
+impl ClassRule {
+    pub(crate) fn new(keep: Arc<ClassRuleFn>, source: Arc<AggResult>) -> Self {
+        ClassRule {
+            keep,
+            source,
+            verdicts: Vec::new(),
+            refused: (0, 0),
+        }
+    }
+
+    /// Whether the rule keeps class `class` of `table`, the calling core's
+    /// table; counts one refused group when it does not.
+    #[inline]
+    pub(crate) fn admits(&mut self, class: u32, table: &mut PatternTable) -> bool {
+        let kept = match self.verdicts.get(class as usize) {
+            Some(&Some(kept)) => kept,
+            _ => self.ask(class, table),
+        };
+        self.refused.1 += u64::from(!kept);
+        kept
+    }
+
+    #[cold]
+    fn ask(&mut self, class: u32, table: &mut PatternTable) -> bool {
+        let code = table.class_code(class).clone();
+        let kept = (self.keep)(&code, &self.source, table);
+        let at = class as usize;
+        if at >= self.verdicts.len() {
+            self.verdicts.resize(at + 1, None);
+        }
+        self.verdicts[at] = Some(kept);
+        self.refused.0 += u64::from(!kept);
+        kept
+    }
+
+    /// Drops the groups an aborted unit refused; its classes stay counted,
+    /// as their verdicts stay known.
+    pub(crate) fn abort(&mut self) {
+        self.refused.1 = 0;
+    }
+
+    /// The refusals counted since the last take.
+    pub(crate) fn take_refused(&mut self) -> (u64, u64) {
+        std::mem::take(&mut self.refused)
+    }
 }
 
 /// How a shard turns one subgraph into (part of) an entry.
@@ -262,7 +318,8 @@ where
     /// pass the final filter, reading `result`, the nearest earlier
     /// aggregation named `source` in the workflow. Each core asks once per
     /// class, before anything of the class is staged or its canonical form
-    /// is read; a refused class stages, settles and ships nothing. The map
+    /// is read, and reads the answer from a class-indexed array after that;
+    /// a refused class stages, settles and ships nothing. The map
     /// after the final filter is the same provided `keep` refuses only
     /// classes that filter drops. A step runs this aggregation only once
     /// `source` is computed, as for an aggregation filter reading it.
@@ -278,7 +335,6 @@ where
         self.candidates = Some(Candidates {
             source: source.into(),
             keep: Arc::new(keep),
-            reads: None,
         });
         self
     }
@@ -363,8 +419,6 @@ where
             source: self.source.clone(),
             reduce_fn: self.reduce_fn.clone(),
             agg_filter: self.agg_filter.clone(),
-            candidates: (self.candidates.as_ref())
-                .and_then(|c| Some((c.keep.clone(), c.reads.clone()?))),
             approx_bytes: 0,
             accumulated: 0,
             rejected: (0, 0),
@@ -385,9 +439,6 @@ struct ClassSlot<V> {
     /// Whether `value` holds something of the current unit (staging shard)
     /// or of any committed unit (durable shard).
     live: bool,
-    /// The candidate rule's answer for this class, once asked (staging
-    /// shard). Outlives units: the rule reads nothing a unit changes.
-    admitted: Option<bool>,
 }
 
 /// The class-indexed level of a [`Source::Pattern`] shard: one value per
@@ -411,9 +462,9 @@ impl<V> Default for ClassLevel<V> {
 }
 
 impl<V> ClassLevel<V> {
-    /// The slot of `class`.
+    /// The slot of `class`, marked live.
     #[inline]
-    fn entry(&mut self, class: PatternClass) -> &mut ClassSlot<V> {
+    fn slot(&mut self, class: PatternClass) -> &mut ClassSlot<V> {
         if self.table == 0 {
             self.table = class.table;
         }
@@ -426,17 +477,9 @@ impl<V> ClassLevel<V> {
             self.slots.resize_with(at + 1, || ClassSlot {
                 value: None,
                 live: false,
-                admitted: None,
             });
         }
-        &mut self.slots[at]
-    }
-
-    /// The slot of `class`, marked live.
-    #[inline]
-    fn slot(&mut self, class: PatternClass) -> &mut ClassSlot<V> {
-        let at = class.index as usize;
-        if !self.entry(class).live {
+        if !self.slots[at].live {
             self.slots[at].live = true;
             self.live.push(class.index);
         }
@@ -493,16 +536,12 @@ struct TypedShard<K, V> {
     source: Arc<Source<K, V>>,
     reduce_fn: ReduceFn<V>,
     agg_filter: Option<FilterFn<K, V>>,
-    /// The candidate rule and the result it reads, when the spec was handed
-    /// one ([`AggregatorSpec::reading`]).
-    candidates: Option<(Arc<CandidateFn>, Arc<AggResult>)>,
     /// Rough per-entry size estimate maintained incrementally.
     approx_bytes: usize,
     /// Total subgraphs folded (monotonic, merged additively).
     accumulated: u64,
-    /// `(classes, groups)` the candidate rule refused. A staging shard
-    /// counts a class when it first asks and keeps that count across an
-    /// abort, as it keeps the answer; it drops the aborted unit's groups.
+    /// `(classes, groups)` the candidate rule refused, as the engine
+    /// committed them ([`AggShard::add_rejected`]).
     rejected: (u64, u64),
 }
 
@@ -547,21 +586,8 @@ where
         }
     }
 
-    fn candidate_source(&self) -> Option<&str> {
-        self.candidates.as_ref().map(|c| c.source.as_str())
-    }
-
-    fn reading(&self, source: Arc<AggResult>) -> Arc<dyn AggregatorSpec> {
-        Arc::new(Aggregator {
-            name: self.name.clone(),
-            source: self.source.clone(),
-            reduce_fn: self.reduce_fn.clone(),
-            agg_filter: self.agg_filter.clone(),
-            candidates: (self.candidates.clone()).map(|c| Candidates {
-                reads: Some(source),
-                ..c
-            }),
-        })
+    fn candidates(&self) -> Option<(&str, &Arc<ClassRuleFn>)> {
+        (self.candidates.as_ref()).map(|c| (c.source.as_str(), &c.keep))
     }
 }
 
@@ -588,10 +614,8 @@ where
                 ..
             } => with_patterns(|uid, table| {
                 let (id, class) = view.interned(uid, table, use_vlabels, use_elabels);
-                if self.admits(class, table) {
-                    let vertices = || (view.vertices(), &[][..]);
-                    self.accumulate_named(Leaves::new(1, &vertices), class, table.form(id))
-                }
+                let vertices = || (view.vertices(), &[][..]);
+                self.accumulate_named(Leaves::new(1, &vertices), class, table.form(id))
             }),
         }
     }
@@ -610,24 +634,9 @@ where
         fold(value.get_or_insert_with(|| empty(form.code)), leaves, form)
     }
 
-    #[inline]
-    fn admits(&mut self, class: PatternClass, table: &mut PatternTable) -> bool {
-        let Some((keep, source)) = &self.candidates else {
-            return true;
-        };
-        let slot = self.classes.entry(class);
-        let admitted = match slot.admitted {
-            Some(admitted) => admitted,
-            None => {
-                let code = table.class_code(class.index).clone();
-                let admitted = keep(&code, source, table);
-                slot.admitted = Some(admitted);
-                self.rejected.0 += u64::from(!admitted);
-                admitted
-            }
-        };
-        self.rejected.1 += u64::from(!admitted);
-        admitted
+    fn add_rejected(&mut self, (classes, groups): (u64, u64)) {
+        self.rejected.0 += classes;
+        self.rejected.1 += groups;
     }
 
     fn rejected(&self) -> (u64, u64) {
@@ -640,8 +649,7 @@ where
             .downcast::<TypedShard<K, V>>()
             .expect("merging shards of different aggregations");
         self.accumulated += other.accumulated;
-        self.rejected.0 += other.rejected.0;
-        self.rejected.1 += other.rejected.1;
+        self.add_rejected(other.rejected);
         other.settle();
         for (k, v) in other.map.drain() {
             fold_entry(&mut self.map, &mut self.approx_bytes, &self.reduce_fn, k, v);
@@ -655,9 +663,7 @@ where
             .expect("draining into a shard of a different aggregation");
         target.accumulated += self.accumulated;
         self.accumulated = 0;
-        let (classes, groups) = std::mem::take(&mut self.rejected);
-        target.rejected.0 += classes;
-        target.rejected.1 += groups;
+        target.add_rejected(std::mem::take(&mut self.rejected));
         if let Source::Pattern { absorb, .. } = &*self.source {
             self.classes.commit_into(&mut target.classes, absorb);
         }
@@ -678,7 +684,7 @@ where
         self.classes.drain(|_, _| {});
         self.approx_bytes = 0;
         self.accumulated = 0;
-        self.rejected.1 = 0;
+        self.rejected = (0, 0);
     }
 
     fn settle(&mut self) {
@@ -935,13 +941,15 @@ mod tests {
     }
 
     /// [`run_unit`] the way the engine runs a census: 2-vertex parents are
-    /// materialised, every leaf is named from its parent and, unless the
-    /// candidate rule refuses its class, handed over as class + vertex list. Stops (a unit failing half-way) once `budget`
-    /// leaves are folded; returns how many were.
+    /// materialised, every leaf is named from its parent and, unless `rule`
+    /// refuses its class, handed over as class + vertex list. Stops (a unit
+    /// failing half-way) once `budget` leaves are folded; returns how many
+    /// were.
     fn run_unit_named(
         g: &fractal_graph::Graph,
         root: u32,
         shard: &mut dyn AggShard,
+        mut rule: Option<&mut ClassRule>,
         budget: u64,
     ) -> u64 {
         use fractal_enum::{SubgraphEnumerator, VertexInducedEnumerator};
@@ -965,7 +973,7 @@ mod tests {
                 with_patterns(|uid, table| {
                     let parent = parent.intern(table, false, false);
                     let (id, class) = crate::view::classify_child(uid, table, parent, level);
-                    if shard.admits(class, table) {
+                    if (rule.as_deref_mut()).is_none_or(|r| r.admits(class.index, table)) {
                         let lists = || vertices.split_at(2);
                         shard.accumulate_named(Leaves::new(1, &lists), class, table.form(id))
                     }
@@ -1000,12 +1008,15 @@ mod tests {
         assert_eq!(staged.resident_bytes(), 0);
         // The same again with named leaves, aborted half-way through them:
         // nothing of the failed attempt may survive in the reused values.
-        assert_eq!(run_unit_named(&g, 0, &mut *staged, leaves / 2), leaves / 2);
+        assert_eq!(
+            run_unit_named(&g, 0, &mut *staged, None, leaves / 2),
+            leaves / 2
+        );
         assert!(!staged.is_empty());
         staged.reset();
         assert!(staged.is_empty());
         assert_eq!(staged.accumulated(), 0);
-        assert_eq!(run_unit_named(&g, 0, &mut *staged, u64::MAX), leaves);
+        assert_eq!(run_unit_named(&g, 0, &mut *staged, None, u64::MAX), leaves);
         let mut rerun = spec.new_shard();
         staged.drain_into(&mut *rerun);
         assert!(staged.is_empty());
@@ -1074,27 +1085,43 @@ mod tests {
         let g = fractal_graph::gen::mico_like(40, 1, 5);
         let triangle = canonical_code(&Pattern::clique(3));
         let plain = Aggregator::pattern_count("motifs", false, false);
-        let ruled = Aggregator::pattern_count("motifs", false, false)
-            .with_candidates("earlier", move |code, _, _| *code != triangle);
-        assert_eq!(ruled.candidate_source(), Some("earlier"));
+        use fractal_runtime::sync::{AtomicU64, Ordering};
+        let asked = Arc::new(AtomicU64::new(0));
+        let counter = asked.clone();
+        let ruled = Aggregator::pattern_count("motifs", false, false).with_candidates(
+            "earlier",
+            move |code, _, _| {
+                // ordering: Relaxed — a test tally read on this thread.
+                counter.fetch_add(1, Ordering::Relaxed);
+                *code != triangle
+            },
+        );
+        let (source, keep) = ruled.candidates().expect("a candidate rule");
+        assert_eq!(source, "earlier");
         let earlier = Arc::new(AggResult::new(plain.new_shard()));
-        let ruled = ruled.reading(earlier);
+        let mut rule = ClassRule::new(keep.clone(), earlier);
         let (mut want, mut staged, mut durable) =
             (plain.new_shard(), ruled.new_shard(), ruled.new_shard());
         run_unit(&g, 0, &mut *want);
-        // An aborted attempt on both routes asks once and keeps the answer,
-        // and its refused groups go with it.
-        run_unit(&g, 0, &mut *staged);
-        run_unit_named(&g, 0, &mut *staged, u64::MAX);
-        let (classes, groups) = staged.rejected();
+        // An aborted attempt asks once per class and keeps the answers; its
+        // refused groups go with it.
+        run_unit_named(&g, 0, &mut *staged, Some(&mut rule), u64::MAX);
+        let (classes, groups) = rule.refused;
         assert_eq!(classes, 1);
         assert!(groups > 1);
+        // ordering: Relaxed — written and read on this thread.
+        let asked_once = asked.load(Ordering::Relaxed);
+        assert_eq!(asked_once, 2, "a wedge and a triangle");
         staged.reset();
-        assert_eq!(staged.rejected(), (1, 0));
-        run_unit_named(&g, 0, &mut *staged, u64::MAX);
+        rule.abort();
+        assert_eq!(rule.refused, (1, 0));
+        run_unit_named(&g, 0, &mut *staged, Some(&mut rule), u64::MAX);
+        // ordering: Relaxed — written and read on this thread.
+        assert_eq!(asked.load(Ordering::Relaxed), asked_once);
+        // The engine's commit: the rule's count, then the staged entries.
+        durable.add_rejected(rule.take_refused());
         staged.drain_into(&mut *durable);
-        assert_eq!(durable.rejected().0, 1);
-        assert!(durable.rejected().1 > 0);
+        assert_eq!(durable.rejected(), (1, groups));
         let mut want = Aggregator::<CanonicalCode, u64>::take_map(want);
         let triangles = want.remove(&canonical_code(&Pattern::clique(3)));
         assert!(triangles.is_some_and(|n| n > 0));

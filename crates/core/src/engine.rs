@@ -3,9 +3,9 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use crate::aggregation::{AggResult, AggShard, Leaves};
+use crate::aggregation::{AggResult, AggShard, ClassRule, ClassRuleFn, Leaves};
 use crate::fractoid::{Fractoid, Primitive};
-use crate::view::{classify_child, with_patterns, SubgraphData, SubgraphView};
+use crate::view::{classify_child, with_patterns, PatternClass, SubgraphData, SubgraphView};
 use fractal_enum::{Subgraph, SubgraphEnumerator, WordKind};
 use fractal_graph::bitset::Bitset;
 use fractal_graph::Graph;
@@ -158,8 +158,8 @@ impl ExecutionReport {
 /// or the one a live aggregation's candidate rule reads.
 fn reads(p: &Primitive) -> Option<&str> {
     match p {
-        Primitive::AggFilter { name, .. } => Some(name),
-        Primitive::Aggregate { spec, .. } => spec.candidate_source(),
+        Primitive::AggFilter { name, .. } | Primitive::PatternFilter { name, .. } => Some(name),
+        Primitive::Aggregate { spec, .. } => spec.candidates().map(|(name, _)| name),
         Primitive::Expand | Primitive::Filter(_) => None,
     }
 }
@@ -363,6 +363,12 @@ enum Resolved {
         f: Arc<crate::fractoid::AggFilterFn>,
         source: Arc<AggResult>,
     },
+    /// A pattern-keyed aggregation filter: the step's class rule `rule`,
+    /// asked of the subgraph's class under `labels` (vertex, edge).
+    PatternFilter {
+        rule: usize,
+        labels: (bool, bool),
+    },
     /// A live aggregation accumulating into shard `slot`.
     AggregateLive(usize),
     /// An aggregation computed by an earlier step: pure pass-through.
@@ -380,6 +386,17 @@ struct StepSpec<'a> {
     live_agg_specs: Vec<Arc<dyn crate::aggregation::AggregatorSpec>>,
     /// Uid of each live aggregation, by slot.
     live_agg_uids: Vec<u64>,
+    /// Each live aggregation keyed by pattern, by slot; `None` for one that
+    /// reads views through key and value functions.
+    named: Vec<Option<NamedAgg>>,
+    /// The class rules of the step's pattern filters and candidate rules,
+    /// each with the result it reads; every core evaluates its own
+    /// ([`ClassRule`]).
+    rules: Vec<(Arc<ClassRuleFn>, Arc<AggResult>)>,
+    /// The label flags under which the DFS keeps the quick id of each
+    /// materialised level (those of the step's first pattern filter); `None`
+    /// when the step has none and keeps no ids.
+    id_labels: Option<(bool, bool)>,
     /// What becomes of the subgraphs of the deepest `Expand`.
     deepest: DeepestLevel,
     /// Merged shards (one per live slot), filled by core `finish`.
@@ -401,6 +418,9 @@ impl<'a> StepSpec<'a> {
         let mut ext_indices = Vec::new();
         let mut live_agg_specs = Vec::new();
         let mut live_agg_uids = Vec::new();
+        let mut named = Vec::new();
+        let mut rules = Vec::new();
+        let mut id_labels = None;
         for (i, p) in prims.iter().enumerate() {
             match p {
                 Primitive::Expand => {
@@ -414,23 +434,45 @@ impl<'a> StepSpec<'a> {
                         source: read_source(fractoid, prims, i, name),
                     });
                 }
+                Primitive::PatternFilter {
+                    name,
+                    use_vlabels,
+                    use_elabels,
+                    keep,
+                } => {
+                    let labels = (*use_vlabels, *use_elabels);
+                    id_labels.get_or_insert(labels);
+                    rules.push((keep.clone(), read_source(fractoid, prims, i, name)));
+                    resolved.push(Resolved::PatternFilter {
+                        rule: rules.len() - 1,
+                        labels,
+                    });
+                }
                 Primitive::Aggregate { uid, spec } => {
                     if fractoid.store.contains(*uid) {
                         resolved.push(Resolved::AggregateReplayed);
                     } else {
-                        let slot = live_agg_specs.len();
-                        live_agg_specs.push(match spec.candidate_source() {
-                            Some(name) => spec.reading(read_source(fractoid, prims, i, name)),
-                            None => spec.clone(),
+                        let rule = spec.candidates().map(|(name, keep)| {
+                            rules.push((keep.clone(), read_source(fractoid, prims, i, name)));
+                            rules.len() - 1
                         });
+                        named.push(spec.pattern_flags().map(|(use_vlabels, use_elabels)| {
+                            NamedAgg {
+                                slot: live_agg_specs.len(),
+                                use_vlabels,
+                                use_elabels,
+                                rule,
+                            }
+                        }));
+                        resolved.push(Resolved::AggregateLive(live_agg_specs.len()));
+                        live_agg_specs.push(spec.clone());
                         live_agg_uids.push(*uid);
-                        resolved.push(Resolved::AggregateLive(slot));
                     }
                 }
             }
         }
         let num_live = live_agg_specs.len();
-        let deepest = DeepestLevel::of(&resolved, &ext_indices, &live_agg_specs, mode);
+        let deepest = DeepestLevel::of(&resolved, &ext_indices, &named, mode);
         StepSpec {
             fractoid,
             graph,
@@ -438,6 +480,9 @@ impl<'a> StepSpec<'a> {
             ext_indices,
             live_agg_specs,
             live_agg_uids,
+            named,
+            rules,
+            id_labels,
             deepest,
             merged: Mutex::new((0..num_live).map(|_| None).collect()),
             mode,
@@ -469,13 +514,14 @@ fn read_source(fractoid: &Fractoid, prims: &[Primitive], i: usize, name: &str) -
         .expect("step splitting must have computed the source aggregation")
 }
 
-/// One live pattern-keyed aggregation after the deepest `Expand`.
+/// One live pattern-keyed aggregation.
+#[derive(Clone, Copy)]
 struct NamedAgg {
     slot: usize,
     use_vlabels: bool,
     use_elabels: bool,
-    /// Whether it has a candidate rule to ask ([`AggShard::admits`]).
-    ruled: bool,
+    /// The step's class rule that is its candidate rule, if it has one.
+    rule: Option<usize>,
 }
 
 /// What a step does with the subgraphs of its deepest `Expand`: the least
@@ -500,7 +546,7 @@ impl DeepestLevel {
     fn of(
         resolved: &[Resolved],
         ext_indices: &[usize],
-        live_agg_specs: &[Arc<dyn crate::aggregation::AggregatorSpec>],
+        named: &[Option<NamedAgg>],
         mode: OutputMode,
     ) -> Self {
         let Some(&deepest) = ext_indices.last() else {
@@ -513,21 +559,14 @@ impl DeepestLevel {
         for r in &resolved[deepest + 1..] {
             match r {
                 Resolved::AggregateReplayed => {}
-                Resolved::AggregateLive(slot) => {
-                    let Some((use_vlabels, use_elabels)) = live_agg_specs[*slot].pattern_flags()
-                    else {
-                        return DeepestLevel::Materialised;
-                    };
-                    tail.push(NamedAgg {
-                        slot: *slot,
-                        use_vlabels,
-                        use_elabels,
-                        ruled: live_agg_specs[*slot].candidate_source().is_some(),
-                    });
-                }
-                Resolved::Expand | Resolved::Filter(_) | Resolved::AggFilter { .. } => {
-                    return DeepestLevel::Materialised
-                }
+                Resolved::AggregateLive(slot) => match named[*slot] {
+                    Some(a) => tail.push(a),
+                    None => return DeepestLevel::Materialised,
+                },
+                Resolved::Expand
+                | Resolved::Filter(_)
+                | Resolved::AggFilter { .. }
+                | Resolved::PatternFilter { .. } => return DeepestLevel::Materialised,
             }
         }
         DeepestLevel::Folded(tail)
@@ -708,10 +747,16 @@ impl JobSpec for StepSpec<'_> {
             self.live_agg_specs.iter().map(|s| s.new_shard()).collect();
         let staged_shards: Vec<Box<dyn AggShard>> =
             self.live_agg_specs.iter().map(|s| s.new_shard()).collect();
+        let enumerator = (self.fractoid.factory)(self.graph);
         Box::new(StepTask {
             spec: self,
-            enumerator: (self.fractoid.factory)(self.graph),
+            kind: enumerator.word_kind(),
+            enumerator,
             sg: Subgraph::new(self.graph),
+            ids: Vec::new(),
+            rules: (self.rules.iter())
+                .map(|(keep, source)| ClassRule::new(keep.clone(), source.clone()))
+                .collect(),
             shards,
             staged_shards,
             words: Vec::new(),
@@ -749,7 +794,14 @@ impl JobSpec for StepSpec<'_> {
 struct StepTask<'a> {
     spec: &'a StepSpec<'a>,
     enumerator: Box<dyn SubgraphEnumerator>,
+    /// What the enumerator's words are, when they can name their levels.
+    kind: Option<WordKind>,
     sg: Subgraph,
+    /// When the step keeps them ([`StepSpec::id_labels`]): the quick id of
+    /// each materialised level of `sg`, from the unit's word up.
+    ids: Vec<u32>,
+    /// This core's evaluation of the step's class rules, by index.
+    rules: Vec<ClassRule>,
     shards: Vec<Box<dyn AggShard>>,
     /// Per-unit staging shards, drained into `shards` on unit commit.
     staged_shards: Vec<Box<dyn AggShard>>,
@@ -781,16 +833,60 @@ struct StepTask<'a> {
 /// shallowest level on the thief.
 const MAX_REGISTERED_LEVELS: usize = 1;
 
+/// The top of a DFS id stack kept under label flags `kept`, for a reader
+/// asking under `labels`: `None` when they differ or nothing is kept.
+#[inline]
+fn stacked_id(ids: &[u32], kept: Option<(bool, bool)>, labels: (bool, bool)) -> Option<u32> {
+    ids.last().copied().filter(|_| kept == Some(labels))
+}
+
 impl StepTask<'_> {
+    /// Extends `sg` by `w` and, when the step keeps quick ids, pushes the
+    /// id of the result: one trie probe off the parent's id when `w` names
+    /// its level (named before `extend`), else its whole pattern interned (a
+    /// unit's word, a root edge).
+    #[inline]
+    fn descend(&mut self, w: u64) {
+        let g = self.spec.graph;
+        let Some((vl, el)) = self.spec.id_labels else {
+            return self.enumerator.extend(g, &mut self.sg, w);
+        };
+        let step = match (self.ids.last(), self.kind) {
+            (Some(&parent), Some(kind)) => {
+                kind.level(g, &self.sg, w, vl, el).map(|l| (parent, l.0))
+            }
+            _ => None,
+        };
+        self.enumerator.extend(g, &mut self.sg, w);
+        let view = SubgraphView {
+            graph: g,
+            subgraph: &self.sg,
+        };
+        let id = with_patterns(|_, table| match step {
+            Some((parent, level)) => table.child(parent, level),
+            None => view.intern(table, vl, el),
+        });
+        self.ids.push(id);
+    }
+
+    /// Undoes the last [`descend`](Self::descend).
+    #[inline]
+    fn ascend(&mut self) {
+        self.enumerator.retract(self.spec.graph, &mut self.sg);
+        self.ids.pop();
+    }
+
     /// Folds the extensions `exts` of the current subgraph into `tail`
-    /// without materialising them: per aggregation one parent intern, and
-    /// per level the words add one trie probe (`PatternTable::child`) and,
-    /// unless the aggregation's candidate rule refuses the class, one group
-    /// fold. `false`, having folded nothing, when a word cannot
-    /// say its level under some aggregation's label flags (an opaque word, a
-    /// root edge, a vertex word asked for edge labels).
+    /// without materialising them: per aggregation one parent id (the DFS
+    /// stack's top when it is kept under the aggregation's label flags, else
+    /// an intern), and per level the words add one trie probe
+    /// (`PatternTable::child`) and, unless the aggregation's candidate rule
+    /// refuses the class (one indexed load once the class was asked), one
+    /// group fold. `false`, having folded nothing, when a word cannot say its
+    /// level under some aggregation's label flags (an opaque word, a root
+    /// edge, a vertex word asked for edge labels).
     fn fold_deepest(&mut self, tail: &[NamedAgg], exts: &[u64]) -> bool {
-        let folded = match self.enumerator.word_kind() {
+        let folded = match self.kind {
             _ if tail.is_empty() => true,
             Some(WordKind::Vertex) => self.fold_named(tail, exts, false, |g, sg, w, vl, el| {
                 WordKind::Vertex.level(g, sg, w, vl, el)
@@ -831,14 +927,18 @@ impl StepTask<'_> {
             graph: g,
             subgraph: sg,
         };
-        let (all_groups, staged) = (&self.groups, &mut self.staged_shards);
+        let (all_groups, staged, rules) = (&self.groups, &mut self.staged_shards, &mut self.rules);
+        let (ids, id_labels) = (&self.ids, self.spec.id_labels);
         with_patterns(|uid, table| {
             for (a, groups) in tail.iter().zip(all_groups) {
                 let (name, shard) = (namer(a), &mut staged[a.slot]);
-                let parent = view.intern(table, a.use_vlabels, a.use_elabels);
+                let labels = (a.use_vlabels, a.use_elabels);
+                let parent = stacked_id(ids, id_labels, labels)
+                    .unwrap_or_else(|| view.intern(table, labels.0, labels.1));
+                let mut rule = a.rule.map(|r| &mut rules[r]);
                 for (at, &(level, n)) in groups.levels.iter().enumerate() {
                     let (id, class) = classify_child(uid, table, parent, level);
-                    if !a.ruled || shard.admits(class, table) {
+                    if (rule.as_deref_mut()).is_none_or(|r| r.admits(class.index, table)) {
                         let vertices = || (sg.vertices(), groups.added(at, exts, &name));
                         shard.accumulate_named(Leaves::new(n, &vertices), class, table.form(id));
                     }
@@ -853,6 +953,34 @@ impl StepTask<'_> {
             graph: self.spec.graph,
             subgraph: &self.sg,
         }
+    }
+
+    /// Folds the current subgraph into live aggregation `slot`: a
+    /// pattern-keyed one by its class (the DFS stack's top id when kept under
+    /// its label flags), unless its candidate rule refuses the class.
+    fn accumulate(&mut self, slot: usize) {
+        let view = SubgraphView {
+            graph: self.spec.graph,
+            subgraph: &self.sg,
+        };
+        let shard = &mut self.staged_shards[slot];
+        let Some(a) = self.spec.named[slot] else {
+            return shard.accumulate(&view);
+        };
+        let labels = (a.use_vlabels, a.use_elabels);
+        let top = stacked_id(&self.ids, self.spec.id_labels, labels);
+        let rule = a.rule.map(|r| &mut self.rules[r]);
+        with_patterns(|uid, table| {
+            let id = top.unwrap_or_else(|| view.intern(table, labels.0, labels.1));
+            let class = PatternClass {
+                table: uid,
+                index: table.class(id),
+            };
+            if rule.is_none_or(|r| r.admits(class.index, table)) {
+                let vertices = || (view.vertices(), &[][..]);
+                shard.accumulate_named(Leaves::new(1, &vertices), class, table.form(id));
+            }
+        });
     }
 
     fn leaf(&mut self) {
@@ -885,6 +1013,16 @@ impl StepTask<'_> {
                 }
             }
             OutputMode::None => {}
+        }
+    }
+
+    /// Moves what each candidate rule refused since the last commit into
+    /// its aggregation's durable shard.
+    fn commit_rejections(&mut self) {
+        for a in self.spec.named.iter().flatten() {
+            if let Some(rule) = a.rule {
+                self.shards[a.slot].add_rejected(self.rules[rule].take_refused());
+            }
         }
     }
 
@@ -934,9 +1072,9 @@ impl StepTask<'_> {
                     };
                     if !folded {
                         for &w in &exts {
-                            self.enumerator.extend(self.spec.graph, &mut self.sg, w);
+                            self.descend(w);
                             self.dfs(ctx, idx + 1);
-                            self.enumerator.retract(self.spec.graph, &mut self.sg);
+                            self.ascend();
                         }
                     }
                     self.exts_pool.push(exts);
@@ -955,11 +1093,11 @@ impl StepTask<'_> {
                     ctx.track_state_bytes(self.state_bytes());
                 }
                 while let Some(w) = level.queue.claim() {
-                    self.enumerator.extend(self.spec.graph, &mut self.sg, w);
+                    self.descend(w);
                     self.words.push(w);
                     self.dfs(ctx, idx + 1);
                     self.words.pop();
-                    self.enumerator.retract(self.spec.graph, &mut self.sg);
+                    self.ascend();
                 }
                 ctx.pop_level();
                 self.levels_registered -= 1;
@@ -974,12 +1112,23 @@ impl StepTask<'_> {
                     self.dfs(ctx, idx + 1);
                 }
             }
-            Resolved::AggregateLive(slot) => {
+            &Resolved::PatternFilter { rule, labels } => {
+                let top = stacked_id(&self.ids, self.spec.id_labels, labels);
                 let view = SubgraphView {
                     graph: self.spec.graph,
                     subgraph: &self.sg,
                 };
-                self.staged_shards[*slot].accumulate(&view);
+                let rule = &mut self.rules[rule];
+                let kept = with_patterns(|_, table| {
+                    let id = top.unwrap_or_else(|| view.intern(table, labels.0, labels.1));
+                    rule.admits(table.class(id), table)
+                });
+                if kept {
+                    self.dfs(ctx, idx + 1);
+                }
+            }
+            Resolved::AggregateLive(slot) => {
+                self.accumulate(*slot);
                 self.dfs(ctx, idx + 1);
             }
             Resolved::AggregateReplayed => {
@@ -998,12 +1147,14 @@ impl CoreTask for StepTask<'_> {
         self.words.clear();
         self.words.extend_from_slice(prefix);
         self.levels_registered = 0;
-        self.enumerator.extend(self.spec.graph, &mut self.sg, word);
+        // A dispatched unit starts its id stack from its whole subgraph.
+        self.ids.clear();
+        self.descend(word);
         self.words.push(word);
         let resume = self.spec.ext_indices[self.words.len() - 1] + 1;
         self.dfs(ctx, resume);
         self.words.pop();
-        self.enumerator.retract(self.spec.graph, &mut self.sg);
+        self.ascend();
         // Commit: the unit completed, so its staged results become
         // durable. Everything before this point is discardable, which is
         // what lets the supervisor re-execute the unit from scratch.
@@ -1012,8 +1163,7 @@ impl CoreTask for StepTask<'_> {
         if !self.staged_collected.is_empty() {
             self.collected.append(&mut self.staged_collected);
         }
-        // A unit whose every group the candidate rule refused stages no
-        // entry, but its rejections commit.
+        self.commit_rejections();
         for (durable, staged) in self.shards.iter_mut().zip(self.staged_shards.iter_mut()) {
             staged.drain_into(&mut **durable);
         }
@@ -1042,6 +1192,9 @@ impl CoreTask for StepTask<'_> {
         for s in &mut self.staged_shards {
             s.reset();
         }
+        for rule in &mut self.rules {
+            rule.abort();
+        }
         self.levels_registered = 0;
         // Kernel counters of the aborted attempt would double-count scans:
         // drop them.
@@ -1050,15 +1203,10 @@ impl CoreTask for StepTask<'_> {
 
     fn finish(&mut self, ctx: &mut CoreCtx<'_>) {
         ctx.track_state_bytes(self.state_bytes());
-        for (slot, (shard, staged)) in self
-            .shards
-            .iter_mut()
-            .zip(&mut self.staged_shards)
-            .enumerate()
-        {
-            // Every unit committed; what is left to move is the count of
-            // classes the candidate rule refused.
-            staged.drain_into(&mut **shard);
+        // Every unit committed; what is left is the count of classes the
+        // candidate rules refused during aborted units.
+        self.commit_rejections();
+        for (slot, shard) in self.shards.iter_mut().enumerate() {
             // Pattern-keyed entries sit under this core's interned classes;
             // only this thread can name them, so they get their codes here,
             // once per class, before the shard is handed to anyone else.
@@ -1199,6 +1347,56 @@ mod tests {
             want.aggregation::<CanonicalCode, u64>("motifs")
         );
         assert_eq!(got.rejected(), (0, 0));
+    }
+
+    #[test]
+    fn a_pattern_filter_asks_its_rule_once_per_class_per_core() {
+        use crate::aggregation::Aggregator;
+        use fractal_pattern::CanonicalCode;
+        use fractal_runtime::FaultConfig;
+        // Two cores; units panic at the registered level under the filter,
+        // after it ran, and are retried.
+        let faulty = ClusterConfig::local(1, 2).with_faults(FaultConfig::unit_panic(1, 1));
+        let fg =
+            FractalContext::new(faulty).fractal_graph(fractal_graph::gen::patents_like(150, 4, 3));
+        let edges = || {
+            fg.efractoid()
+                .expand(1)
+                .aggregate_spec(Arc::new(Aggregator::pattern_count("edges", true, true)))
+        };
+        let keep = |code: &CanonicalCode, edges: &AggResult| {
+            edges.map::<CanonicalCode, u64>().get(code) > Some(&20)
+        };
+        type Asked = HashMap<(std::thread::ThreadId, CanonicalCode), u32>;
+        let asked: Arc<Mutex<Asked>> = Arc::default();
+        let log = asked.clone();
+        let by_class = edges()
+            .filter_agg_by_pattern("edges", true, true, move |code, edges, _| {
+                let at = (std::thread::current().id(), code.clone());
+                *log.lock().entry(at).or_default() += 1;
+                keep(code, edges)
+            })
+            .expand(2);
+        let by_view = edges()
+            .filter_agg("edges", move |s, edges| {
+                s.canonical_form(true, true, |form| keep(form.code, edges))
+            })
+            .expand(2);
+        let (count, report) = by_class.count_with_report();
+        assert_eq!(count, by_view.count());
+        let retried: u64 = (report.steps.iter()).map(|s| s.faults.units_retried).sum();
+        assert!(retried > 0, "no unit was aborted and retried");
+        let asked = asked.lock();
+        let twice: Vec<_> = asked.iter().filter(|(_, &n)| n > 1).collect();
+        assert!(
+            twice.is_empty(),
+            "asked more than once on a core: {twice:?}"
+        );
+        let classes: std::collections::HashSet<_> = asked.keys().map(|(_, code)| code).collect();
+        let edge_counts = edges().aggregation_result("edges");
+        let kept = classes.iter().filter(|code| keep(code, &edge_counts));
+        assert!(kept.count() < classes.len(), "the filter refused no class");
+        assert!(asked.len() <= 2 * classes.len());
     }
 
     #[test]

@@ -8,12 +8,14 @@
 //! can be executed and inspected separately — the interactive-analysis
 //! property the paper emphasizes.
 
-use crate::aggregation::{AggResult, AggShard, Aggregator, AggregatorSpec};
+use crate::aggregation::{AggResult, AggShard, Aggregator, AggregatorSpec, ClassRuleFn};
 use crate::context::FractalGraph;
 use crate::engine::{self, AggStore, ExecutionReport, OutputMode, StepOutcome};
 use crate::view::{SubgraphData, SubgraphView};
 use fractal_enum::{Subgraph, SubgraphEnumerator};
 use fractal_graph::Graph;
+use fractal_pattern::canon::PatternTable;
+use fractal_pattern::CanonicalCode;
 use fractal_runtime::executor::ExternalHooks;
 use fractal_runtime::sync::{AtomicU64, Ordering};
 use std::collections::HashMap;
@@ -45,6 +47,15 @@ pub(crate) enum Primitive {
     Filter(Arc<FilterFn>),
     /// F (aggregation): prune using an upstream named aggregation (W4).
     AggFilter { name: String, f: Arc<AggFilterFn> },
+    /// F (aggregation) whose verdict reads only the subgraph's canonical
+    /// pattern, under the given label flags, and the named aggregation: the
+    /// engine decides it once per pattern class per core.
+    PatternFilter {
+        name: String,
+        use_vlabels: bool,
+        use_elabels: bool,
+        keep: Arc<ClassRuleFn>,
+    },
     /// A: map subgraphs to key/value pairs and reduce (W2). The `uid`
     /// identifies this primitive instance in the shared result store.
     Aggregate {
@@ -59,7 +70,7 @@ impl Primitive {
         match self {
             Primitive::Expand => 'E',
             Primitive::Filter(_) => 'F',
-            Primitive::AggFilter { .. } => 'G',
+            Primitive::AggFilter { .. } | Primitive::PatternFilter { .. } => 'G',
             Primitive::Aggregate { .. } => 'A',
         }
     }
@@ -118,6 +129,32 @@ impl Fractoid {
         self.primitives.push(Primitive::AggFilter {
             name: agg_name.to_string(),
             f: Arc::new(f),
+        });
+        self
+    }
+
+    /// W4 for a filter whose verdict depends only on the subgraph's
+    /// canonical pattern (under the given label flags) and the aggregation
+    /// named `agg_name`: keeps a subgraph when `keep(code, result, table)`
+    /// holds, `table` being the calling core's pattern table to name other
+    /// patterns through. The same subgraphs as
+    /// [`filter_agg`](Self::filter_agg) with a closure that asks `keep` of
+    /// [`SubgraphView::canonical_form`]'s code, but each core asks `keep`
+    /// once per pattern class and reads the answer from a class-indexed
+    /// array after that, and names each subgraph's class by one trie probe
+    /// off its parent's rather than from its whole pattern.
+    pub fn filter_agg_by_pattern(
+        mut self,
+        agg_name: &str,
+        use_vlabels: bool,
+        use_elabels: bool,
+        keep: impl Fn(&CanonicalCode, &AggResult, &mut PatternTable) -> bool + Send + Sync + 'static,
+    ) -> Fractoid {
+        self.primitives.push(Primitive::PatternFilter {
+            name: agg_name.to_string(),
+            use_vlabels,
+            use_elabels,
+            keep: Arc::new(keep),
         });
         self
     }

@@ -6,7 +6,8 @@
 //! A GPM application is written by deriving [`Fractoid`]s from a
 //! [`FractalGraph`] and chaining the three computation primitives —
 //! extension ([`Fractoid::expand`]), filtering ([`Fractoid::filter`],
-//! [`Fractoid::filter_agg`]) and aggregation ([`Fractoid::aggregate`]) —
+//! [`Fractoid::filter_agg`], [`Fractoid::filter_agg_by_pattern`]) and
+//! aggregation ([`Fractoid::aggregate`]) —
 //! then triggering execution with an output operator
 //! ([`Fractoid::subgraphs`], [`Fractoid::count`],
 //! [`Fractoid::aggregation`]).

@@ -468,8 +468,9 @@ struct QuickEntry {
 /// (`label << 32 | mask`). An edge level sets [`EDGE_LEVEL`] in `parent` and
 /// keeps its [`edge_word`] in `level`, with the low half of the label of a
 /// vertex the edge brings in above it (bits 48..64, which an edge word
-/// leaves free); the rest of that label is read back from the child's own
-/// stored key, so identity is still the whole `(parent, level)`.
+/// leaves free). A label below 2^16 is all there, and [`WHOLE_LABEL`] says
+/// so; the rest of a larger one is read back from the child's own stored
+/// key, so identity is still the whole `(parent, level)`.
 #[derive(Debug, Clone, Copy, Default)]
 struct ChildSlot {
     parent: u32,
@@ -482,12 +483,48 @@ struct ChildSlot {
 /// below it: `key_start` is a `u32` and every key has at least one word.
 const EDGE_LEVEL: u32 = 1 << 31;
 
-/// Slot hint for a trie edge.
+/// Marks an edge level word that holds the whole label of the vertex the
+/// edge brings in. A free bit: an [`edge_word`]'s positions are below 32.
+const WHOLE_LABEL: u64 = 1 << 47;
+
+/// Slot hint for a trie edge. Every bit of `level` must reach the slot: a
+/// product's bit `i` reads only bits `0..=i` of its factors and the slot is
+/// taken from bits 32 up, so the high half is folded down first; without
+/// that, an edge level's new-vertex label (bits 48..64) never moved the
+/// slot, and children that differ only by it shared one probe chain.
 #[inline]
 fn child_hash(parent: u32, level: u64) -> usize {
     const K: u64 = 0x517c_c1b7_2722_0a95;
     let h = (parent as u64).wrapping_mul(K) ^ level;
-    (h.wrapping_mul(K) >> 32) as usize
+    ((h ^ h >> 32).wrapping_mul(K) >> 32) as usize
+}
+
+/// How the trie stores the edge `(parent, level)`: its tagged parent, its
+/// level word, and for a level that brings in a vertex whose label the word
+/// cannot hold whole, that vertex's key position and label (checked against
+/// the child's stored key).
+#[inline]
+fn trie_edge(parent: u32, level: Level) -> (u32, u64, Option<(usize, u64)>) {
+    match level {
+        Level::Vertex { label, mask } => (parent, (label as u64) << 32 | mask as u64, None),
+        Level::Edge {
+            lo,
+            hi,
+            label,
+            new_vertex,
+        } => {
+            let word = edge_word(lo, hi, label);
+            let (word, check) = match new_vertex {
+                None => (word, None),
+                Some(l) if l <= 0xffff => (word | (l as u64) << 48 | WHOLE_LABEL, None),
+                Some(l) => (
+                    word | (l as u64 & 0xffff) << 48,
+                    Some((1 + hi as usize, l as u64)),
+                ),
+            };
+            (parent | EDGE_LEVEL, word, check)
+        }
+    }
 }
 
 /// One canonical pattern (Arabesque's second aggregation level).
@@ -648,19 +685,7 @@ impl PatternTable {
     #[inline]
     pub fn child(&mut self, parent: u32, level: Level) -> u32 {
         debug_assert!((parent as usize) < self.entries.len());
-        let (tagged, word, new_at) = match level {
-            Level::Vertex { label, mask } => (parent, (label as u64) << 32 | mask as u64, None),
-            Level::Edge {
-                lo,
-                hi,
-                label,
-                new_vertex,
-            } => (
-                parent | EDGE_LEVEL,
-                edge_word(lo, hi, label) | (new_vertex.unwrap_or(0) as u64 & 0xffff) << 48,
-                new_vertex.map(|l| (1 + hi as usize, l as u64)),
-            ),
-        };
+        let (tagged, word, new_at) = trie_edge(parent, level);
         let mask = self.children.len() - 1;
         let mut slot = child_hash(tagged, word) & mask;
         loop {
@@ -1243,6 +1268,53 @@ mod tests {
         }
         assert_eq!(t.stats(), (6, 4));
         assert_eq!(t.num_children, 3);
+    }
+
+    #[test]
+    fn edge_children_that_differ_only_in_the_new_label_spread_over_the_trie() {
+        // 64 pendant edges of one parent whose levels differ only in the
+        // label of the vertex they bring in, which sits in the level word's
+        // top 16 bits. A hash blind to those bits starts all 64 at one slot
+        // and walks a chain of up to 64 per probe.
+        let mut t = PatternTable::new();
+        let edge = intern_pattern(&mut t, &Pattern::clique(2), false);
+        let levels: Vec<Level> = (0..64)
+            .map(|l| Level::Edge {
+                lo: 0,
+                hi: 2,
+                label: 0,
+                new_vertex: Some(l),
+            })
+            .collect();
+        let ids: Vec<u32> = levels.iter().map(|&l| t.child(edge, l)).collect();
+        let mask = t.children.len() - 1;
+        let start = |level| {
+            let (tagged, word, _) = trie_edge(edge, level);
+            child_hash(tagged, word) & mask
+        };
+        let starts: std::collections::HashSet<usize> = levels.iter().map(|&l| start(l)).collect();
+        // Slots a probe for each child visits, up to and including its own.
+        let visited: usize = (levels.iter().zip(&ids))
+            .map(|(&level, &id)| {
+                let mut slot = start(level);
+                let mut n = 1;
+                while t.children[slot].child != id + 1 {
+                    slot = (slot + 1) & mask;
+                    n += 1;
+                }
+                n
+            })
+            .sum();
+        assert!(
+            starts.len() >= 32,
+            "64 children start at {} slots",
+            starts.len()
+        );
+        assert!(
+            visited <= 2 * levels.len(),
+            "{visited} slots visited by {} probes",
+            levels.len()
+        );
     }
 
     #[test]

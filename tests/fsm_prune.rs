@@ -5,6 +5,11 @@
 //! the GraMi-like baseline's, and every domain equals an unpruned run's, on
 //! one core, on two cores with aborted units, with the graph reduction and
 //! through the cluster's worker rounds.
+//!
+//! The same cases hold FSM's pattern filter (`filter_agg_by_pattern`,
+//! decided once per class per core) against the reference chain that asks
+//! a `filter_agg` closure of every subgraph's canonical form: frequent
+//! sets, supports, domains and the candidate rule's refusals agree.
 
 use fractal::apps::fsm::{self, DomainSupport};
 use fractal::baselines::single_thread::grami_fsm;
@@ -32,6 +37,46 @@ fn pruned_rounds(fg: &FractalGraph, min_support: u64) -> Vec<Round> {
         .collect()
 }
 
+/// The closure filter of Listing 3: a subgraph passes when its canonical
+/// form is a key of the previous level's supports.
+fn frequent_before(fractoid: Fractoid) -> Fractoid {
+    fractoid.filter_agg("support", |s, agg| {
+        s.canonical_form(true, true, |form| {
+            agg.contains_key::<CanonicalCode, DomainSupport>(form.code)
+        })
+    })
+}
+
+/// `fsm_fractoid(fg, min_support, rounds)` with the closure filter in place
+/// of the pattern filter: the reference path.
+fn closure_fractoid(fg: &FractalGraph, min_support: u64, rounds: usize) -> Fractoid {
+    let mut fractoid = (fg.efractoid().expand(1))
+        .aggregate_spec(Arc::new(fsm::fsm_support_aggregator(fg, min_support)));
+    for _ in 1..rounds {
+        fractoid = frequent_before(fractoid)
+            .expand(1)
+            .aggregate_spec(Arc::new(fsm::fsm_candidate_aggregator(fg, min_support)));
+    }
+    fractoid
+}
+
+/// Levels 1..=3 of the reference path, each from scratch, and the third
+/// level's `(classes, groups)` the candidate rule refused.
+fn closure_rounds(fg: &FractalGraph, min_support: u64) -> (Vec<Round>, (u64, u64)) {
+    let levels: Vec<Fractoid> = (1..=3)
+        .map(|rounds| closure_fractoid(fg, min_support, rounds))
+        .collect();
+    let refused = levels[2].aggregation_result("support").rejected();
+    let rounds = levels.iter().map(|f| f.aggregation("support")).collect();
+    (rounds, refused)
+}
+
+/// The third level's refusals on `fsm_fractoid`'s path.
+fn rejected(fg: &FractalGraph, min_support: u64) -> (u64, u64) {
+    let third = fsm::fsm_fractoid(fg, min_support, 3);
+    third.aggregation_result("support").rejected()
+}
+
 /// Levels 1..=3 of Listing 3 without the candidate rule: every class met
 /// is staged, and only the final filter drops the infrequent ones.
 fn unpruned_rounds(fg: &FractalGraph, min_support: u64) -> Vec<Round> {
@@ -39,12 +84,7 @@ fn unpruned_rounds(fg: &FractalGraph, min_support: u64) -> Vec<Round> {
     let mut fractoid: Fractoid = fg.efractoid().expand(1).aggregate_spec(support());
     let mut rounds = vec![fractoid.aggregation("support")];
     for _ in 1..3 {
-        fractoid = fractoid
-            .filter_agg("support", |s, agg| {
-                s.canonical_form(true, true, |form| {
-                    agg.contains_key::<CanonicalCode, DomainSupport>(form.code)
-                })
-            })
+        fractoid = frequent_before(fractoid)
             .expand(1)
             .aggregate_spec(support());
         rounds.push(fractoid.aggregation("support"));
@@ -138,6 +178,19 @@ fn pruned_fsm_is_exact(name: &str, g: Graph, min_support: u64) {
     let one = fg_of(&g, ClusterConfig::local(1, 1));
     let pruned = pruned_rounds(&one, min_support);
     assert_same_domains(&pruned, &unpruned, &format!("{name} on local(1, 1)"));
+    let (closure, refused) = closure_rounds(&one, min_support);
+    assert_same_domains(
+        &pruned,
+        &closure,
+        &format!("{name}: closure on local(1, 1)"),
+    );
+    assert_eq!(
+        rejected(&one, min_support),
+        refused,
+        "{name} on local(1, 1)"
+    );
+    assert!(refused.0 > 0, "{name}: the rule refused no class");
+    assert_eq!(supports(&closure), want, "{name}: closure");
     assert_eq!(fsm::frequent_map(&fsm::fsm(&one, min_support, 3)), want);
     let reduced = fsm::fsm_with_reduction(&one, min_support, 3);
     assert_eq!(fsm::frequent_map(&reduced), want, "{name}: with reduction");
@@ -160,7 +213,25 @@ fn pruned_fsm_is_exact(name: &str, g: Graph, min_support: u64) {
         &unpruned,
         &format!("{name} on local(2, 2) with faults"),
     );
+    // Which core first meets a refused class depends on the schedule; each
+    // refused group is counted once, by the unit that commits it.
+    let (closure, refused) = closure_rounds(&fg, min_support);
+    assert_same_domains(&pruned, &closure, &format!("{name}: closure with faults"));
+    assert_eq!(
+        rejected(&fg, min_support).1,
+        refused.1,
+        "{name}: refused groups"
+    );
+    assert_eq!(supports(&closure), want, "{name}: closure with faults");
+    assert_eq!(fsm::frequent_map(&fsm::fsm(&fg, min_support, 3)), want);
+    let reduced = fsm::fsm_with_reduction(&fg, min_support, 3);
+    assert_eq!(
+        fsm::frequent_map(&reduced),
+        want,
+        "{name}: reduction with faults"
+    );
 
     let cluster = cluster_rounds(&g, min_support);
     assert_same_domains(&cluster, &unpruned, &format!("{name} through run_cluster"));
+    assert_same_domains(&cluster, &closure, &format!("{name}: closure, run_cluster"));
 }
