@@ -719,124 +719,80 @@ mod tests {
     use fractal_runtime::steal::corrupt_payload;
     use fractal_runtime::wire::fnv1a64;
 
+    /// `samples! { Variant {fields}, {fields}; ... }` lists each variant's
+    /// samples. The expansion matches exhaustively on the listed variants,
+    /// so a `Frame` variant without a sample does not compile.
+    macro_rules! samples {
+        ($($variant:ident $($fields:tt),+;)+) => {{
+            fn _every_variant_sampled(f: &Frame) {
+                match f {
+                    $(Frame::$variant { .. } => {})+
+                }
+            }
+            vec![$($(Frame::$variant $fields),+),+]
+        }};
+    }
+
     fn sample_frames() -> Vec<Frame> {
-        vec![
-            Frame::Hello {
-                role: Role::Worker,
-                cores: 8,
-            },
-            Frame::Hello {
-                role: Role::Driver,
-                cores: 0,
-            },
-            Frame::Assign {
+        samples! {
+            Hello { role: Role::Worker, cores: 8 }, { role: Role::Driver, cores: 0 },
+                { role: Role::Client, cores: 0 };
+            Assign {
                 round: 0,
                 recovery: false,
                 job: Some(vec![1, 2, 3]),
                 seed: None,
                 roots: vec![5, 9, 13],
-            },
-            Frame::Assign {
+            }, {
                 round: 3,
                 recovery: true,
                 job: None,
                 seed: Some(vec![0xAA; 17]),
                 roots: vec![],
-            },
-            Frame::StealRequest { round: 2 },
-            Frame::StealReply {
-                round: 2,
-                word: 77,
-                unit: Some(vec![9; 20]),
-            },
-            Frame::StealReply {
-                round: 2,
-                word: MISS_WORD,
-                unit: None,
-            },
-            Frame::Ack { round: 1, word: 42 },
-            Frame::Nack { round: 1, word: 43 },
-            Frame::AggFlush {
-                round: 4,
-                count: 1234,
-                agg: vec![7; 33],
-                report: vec![8; 9],
-            },
-            Frame::Heartbeat {
-                round: 4,
-                completed: vec![1, 2, 3, u64::MAX - 1],
-            },
-            Frame::Heartbeat {
-                round: 4,
-                completed: vec![],
-            },
-            Frame::Done { round: 5 },
-            Frame::Done {
-                round: SHUTDOWN_ROUND,
-            },
-            Frame::Hello {
-                role: Role::Client,
-                cores: 0,
-            },
-            Frame::Submit {
+            };
+            StealRequest { round: 2 };
+            StealReply { round: 2, word: 77, unit: Some(vec![9; 20]) },
+                { round: 2, word: MISS_WORD, unit: None };
+            Ack { round: 1, word: 42 };
+            Nack { round: 1, word: 43 };
+            AggFlush { round: 4, count: 1234, agg: vec![7; 33], report: vec![8; 9] };
+            Heartbeat { round: 4, completed: vec![1, 2, 3, u64::MAX - 1] },
+                { round: 4, completed: vec![] };
+            Done { round: 5 }, { round: SHUTDOWN_ROUND };
+            Submit {
                 tenant: "acme".into(),
                 priority: 7,
                 snapshot: "gen:mico:200:1".into(),
                 app: vec![1, 2, 3, 4],
                 token: "acme-42-a9".into(),
-            },
-            Frame::Submit {
+            }, {
                 tenant: String::new(),
                 priority: 0,
                 snapshot: String::new(),
                 app: vec![],
                 token: String::new(),
-            },
-            Frame::Status { job: 42 },
-            Frame::Cancel { job: u64::MAX },
-            Frame::Result {
-                job: 3,
-                count: 0,
-                agg: vec![],
-                report: vec![],
-            },
-            Frame::Result {
-                job: 9,
-                count: 123_456,
-                agg: vec![5; 21],
-                report: vec![6; 13],
-            },
-            Frame::JobEvent {
+            };
+            Status { job: 42 };
+            Cancel { job: u64::MAX };
+            Result { job: 3, count: 0, agg: vec![], report: vec![] },
+                { job: 9, count: 123_456, agg: vec![5; 21], report: vec![6; 13] };
+            JobEvent {
                 job: 9,
                 kind: EventKind::Progress,
                 detail: "round 2".into(),
                 value: 17,
                 event_seq: 3,
-            },
-            Frame::JobEvent {
+            }, {
                 job: 10,
                 kind: EventKind::Rejected,
                 detail: "tenant quota".into(),
                 value: 0,
                 event_seq: 0,
-            },
-            Frame::Mux {
-                job: 4,
-                inner: encode_frame(11, &Frame::Done { round: 1 }),
-            },
-            Frame::Watch {
-                job: 12,
-                after_seq: 5,
-            },
-            Frame::Watch {
-                job: 0,
-                after_seq: 0,
-            },
-            Frame::UnitFailed {
-                round: 3,
-                message: "filter rejects subgraph".into(),
-            },
-        ]
+            };
+            Mux { job: 4, inner: encode_frame(11, &Frame::Done { round: 1 }) };
+            Watch { job: 12, after_seq: 5 }, { job: 0, after_seq: 0 };
+            UnitFailed { round: 3, message: "filter rejects subgraph".into() };
+        }
     }
 
     #[test]

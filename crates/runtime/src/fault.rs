@@ -313,20 +313,20 @@ impl FaultLedger {
 impl FaultStats {
     /// The counters, in struct (= blob) order.
     pub const FIELDS: &'static [Field<FaultStats>] = &[
-        field!("faults_injected", Sum, faults_injected),
-        field!("units_retried", Sum, units_retried),
-        field!("units_reexecuted", Sum, units_reexecuted),
-        field!("watchdog_trips", Sum, watchdog_trips),
-        field!("recovery_ns", Sum, recovery_ns),
-        field!("units_lost", Sum, units_lost),
-        field!("tap_drained", Sum, tap_drained),
-        field!("jobs_admitted", Sum, jobs_admitted),
-        field!("jobs_rejected", Sum, jobs_rejected),
-        field!("snapshot_evictions", Sum, snapshot_evictions),
-        field!("journal_replayed", Sum, journal_replayed),
-        field!("resumed_jobs", Sum, resumed_jobs),
-        field!("link_faults_injected", Sum, link_faults_injected),
-        field!("client_reconnects", Sum, client_reconnects),
+        field!(faults_injected, Sum),
+        field!(units_retried, Sum),
+        field!(units_reexecuted, Sum),
+        field!(watchdog_trips, Sum),
+        field!(recovery_ns, Sum),
+        field!(units_lost, Sum),
+        field!(tap_drained, Sum),
+        field!(jobs_admitted, Sum),
+        field!(jobs_rejected, Sum),
+        field!(snapshot_evictions, Sum),
+        field!(journal_replayed, Sum),
+        field!(resumed_jobs, Sum),
+        field!(link_faults_injected, Sum),
+        field!(client_reconnects, Sum),
     ];
 
     /// Adds another report's counters to `self`.

@@ -31,12 +31,11 @@ pub struct Field<S> {
     pub get_mut: fn(&mut S) -> &mut u64,
 }
 
-/// One [`Field`] row. The name is spelled out as a literal because the
-/// lint artifact pass looks for `"<field>"` in this file.
+/// One [`Field`] row, named after its field.
 macro_rules! field {
-    ($name:literal, $merge:ident, $f:ident) => {
+    ($f:ident, $merge:ident) => {
         Field {
-            name: $name,
+            name: stringify!($f),
             merge: Merge::$merge,
             get: |s| s.$f,
             get_mut: |s| &mut s.$f,
@@ -123,21 +122,21 @@ pub struct CoreStats {
 impl CoreStats {
     /// The counters, in struct (= blob) order.
     pub const FIELDS: &'static [Field<CoreStats>] = &[
-        field!("busy_ns", Sum, busy_ns),
-        field!("units", Sum, units),
-        field!("internal_steals", Sum, internal_steals),
-        field!("external_steals", Sum, external_steals),
-        field!("net_units", Sum, net_units),
-        field!("failed_steal_rounds", Sum, failed_steal_rounds),
-        field!("bytes_received", Sum, bytes_received),
-        field!("ec", Sum, ec),
-        field!("peak_state_bytes", Max, peak_state_bytes),
-        field!("steal_ns", Sum, steal_ns),
-        field!("kernel_merge", Sum, kernel_merge),
-        field!("kernel_gallop", Sum, kernel_gallop),
-        field!("kernel_bitset", Sum, kernel_bitset),
-        field!("kernel_scanned", Sum, kernel_scanned),
-        field!("arena_peak_bytes", Max, arena_peak_bytes),
+        field!(busy_ns, Sum),
+        field!(units, Sum),
+        field!(internal_steals, Sum),
+        field!(external_steals, Sum),
+        field!(net_units, Sum),
+        field!(failed_steal_rounds, Sum),
+        field!(bytes_received, Sum),
+        field!(ec, Sum),
+        field!(peak_state_bytes, Max),
+        field!(steal_ns, Sum),
+        field!(kernel_merge, Sum),
+        field!(kernel_gallop, Sum),
+        field!(kernel_bitset, Sum),
+        field!(kernel_scanned, Sum),
+        field!(arena_peak_bytes, Max),
     ];
 
     /// Folds another round's counters for the same core into `self`
@@ -181,9 +180,9 @@ impl PlannerStats {
     /// every worker, so a merge takes the max rather than summing
     /// duplicates.
     pub const FIELDS: &'static [Field<PlannerStats>] = &[
-        field!("plans_compiled", Max, plans_compiled),
-        field!("subpatterns_counted", Max, subpatterns_counted),
-        field!("ie_terms", Max, ie_terms),
+        field!(plans_compiled, Max),
+        field!(subpatterns_counted, Max),
+        field!(ie_terms, Max),
     ];
 
     /// Folds another worker's report into `self`.
@@ -493,6 +492,96 @@ mod tests {
             (size_of::<CoreStats>() - size_of::<Vec<(u64, u64)>>()) / 8,
         );
         check_table(PlannerStats::FIELDS, size_of::<PlannerStats>() / 8);
+    }
+
+    /// How the perf baseline fails to account for the counters `names`.
+    /// Each counter must be pinned, in `fault_free_counters` or
+    /// `tolerances` under its own name or as `total_<name>`, or else be
+    /// `unpinned` with a reason. Each `unpinned` entry must name a counter
+    /// that is not pinned and give a reason of 10 characters or more.
+    fn pin_problems(names: &[&str], baseline: &str) -> Vec<String> {
+        let doc = crate::json::parse(baseline).expect("baseline JSON");
+        let mut pinned: Vec<&str> = doc
+            .get("fault_free_counters")
+            .and_then(|v| v.as_arr())
+            .unwrap_or_default()
+            .iter()
+            .filter_map(|v| v.as_str())
+            .collect();
+        if let Some(tolerances) = doc.get("tolerances").and_then(|v| v.as_obj()) {
+            pinned.extend(tolerances.keys().map(String::as_str));
+        }
+        let is_pinned = |name: &str| {
+            pinned
+                .iter()
+                .any(|p| *p == name || p.strip_prefix("total_") == Some(name))
+        };
+        let unpinned = doc.get("unpinned").and_then(|v| v.as_obj());
+        let mut problems = Vec::new();
+        for name in names {
+            if !is_pinned(name) && !unpinned.is_some_and(|u| u.contains_key(*name)) {
+                problems.push(format!("{name}: neither pinned nor unpinned"));
+            }
+        }
+        for (name, reason) in unpinned.into_iter().flatten() {
+            if !names.contains(&name.as_str()) {
+                problems.push(format!("{name}: unpinned but no such counter"));
+            }
+            if is_pinned(name) {
+                problems.push(format!("{name}: unpinned but also pinned"));
+            }
+            if reason.as_str().unwrap_or("").trim().len() < 10 {
+                problems.push(format!("{name}: unpinned without a reason"));
+            }
+        }
+        problems
+    }
+
+    #[test]
+    fn every_counter_is_pinned_or_unpinned_with_a_reason() {
+        let names: Vec<&str> = CoreStats::FIELDS
+            .iter()
+            .map(|f| f.name)
+            .chain(PlannerStats::FIELDS.iter().map(|f| f.name))
+            .chain(FaultStats::FIELDS.iter().map(|f| f.name))
+            .collect();
+        let baseline = include_str!("../../../ci/perf-baseline.json");
+        let problems = pin_problems(&names, baseline);
+        assert!(problems.is_empty(), "ci/perf-baseline.json: {problems:#?}");
+    }
+
+    #[test]
+    fn pin_check_cases() {
+        let names = ["ec", "busy_ns", "faults_injected"];
+        let baseline = |unpinned: &str| {
+            format!(
+                r#"{{"tolerances": {{"total_ec": 0.0}}, "fault_free_counters": ["faults_injected"],
+                    "unpinned": {{{unpinned}}}}}"#
+            )
+        };
+        // (case, `unpinned` members, problems)
+        let cases: &[(&str, &str, &[&str])] = &[
+            ("clean", r#""busy_ns": "wall-clock time""#, &[]),
+            ("missing", "", &["busy_ns: neither pinned nor unpinned"]),
+            (
+                "reasonless",
+                r#""busy_ns": "timing""#,
+                &["busy_ns: unpinned without a reason"],
+            ),
+            (
+                "stale",
+                r#""busy_ns": "wall-clock time", "ghost_ns": "deleted long ago""#,
+                &["ghost_ns: unpinned but no such counter"],
+            ),
+            (
+                "also pinned",
+                r#""busy_ns": "wall-clock time", "ec": "pinned as total_ec""#,
+                &["ec: unpinned but also pinned"],
+            ),
+        ];
+        for (case, unpinned, want) in cases {
+            assert_eq!(pin_problems(&names, &baseline(unpinned)), *want, "{case}");
+        }
     }
 
     #[test]

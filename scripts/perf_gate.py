@@ -10,15 +10,13 @@ stealing disabled; scheduling-dependent metrics in the parallel leg
 are gated only by loose absolute upper bounds. Wall-clock times are
 reported but never gated.
 
-With `--lint <lint.json>`, a `fractal lint --metrics-out` document
-(schema fractal-metrics/1, kind lint) is checked alongside the perf
-counters: the static-analysis pass must have scanned a non-empty tree
-and reported zero findings. Waivers are allowed (they carry reasons and
-are audited by the linter itself) but are echoed for visibility.
+The baseline's `unpinned` map names the counters no gate can pin
+(wall-clock and scheduling-dependent ones), each with its reason; a
+`crates/runtime` test holds every counter to a pin or an entry there, and
+`update` carries the map over unchanged.
 
 Usage:
     perf_gate.py check <smoke.json> [--baseline ci/perf-baseline.json]
-                                    [--lint lint.json]
     perf_gate.py update <smoke.json> [--baseline ci/perf-baseline.json]
 """
 
@@ -108,43 +106,7 @@ def load(path):
         return json.load(f)
 
 
-LINT_SCHEMA = "fractal-metrics/1"
-LINT_COUNTERS = ("lint_files_scanned", "lint_findings", "lint_waivers")
-
-
-def check_lint(lint_path, failures):
-    """Gate a `fractal lint --metrics-out` document: zero findings over a
-    non-empty scan. Returns the number of counters checked."""
-    doc = load(lint_path)
-    if doc.get("schema") != LINT_SCHEMA or doc.get("kind") != "lint":
-        sys.exit(f"perf-gate: {lint_path} is not a {LINT_SCHEMA} lint document")
-    checked = 0
-    for key in LINT_COUNTERS:
-        if doc.get(key) is None:
-            failures.append(f"lint.{key}: missing from lint report")
-    scanned = doc.get("lint_files_scanned", 0)
-    checked += 1
-    ok = scanned > 0
-    print(f"  [{'ok' if ok else 'FAIL'}] lint.lint_files_scanned: {scanned} > 0")
-    if not ok:
-        failures.append(f"lint.lint_files_scanned: {scanned} (empty scan — wrong root?)")
-    findings = doc.get("lint_findings", -1)
-    checked += 1
-    ok = findings == 0
-    print(f"  [{'ok' if ok else 'FAIL'}] lint.lint_findings: {findings} == 0")
-    if not ok:
-        failures.append(f"lint.lint_findings: {findings} unexplained finding(s)")
-        for f in doc.get("findings", [])[:20]:
-            print(
-                f"         {f.get('file')}:{f.get('line')}: "
-                f"[{f.get('pass')}] {f.get('message')}",
-                file=sys.stderr,
-            )
-    print(f"  [info] lint.lint_waivers: {doc.get('lint_waivers')} waiver(s) in use")
-    return checked
-
-
-def check(smoke_path, baseline_path, lint_path=None):
+def check(smoke_path, baseline_path):
     smoke = load(smoke_path)
     if smoke.get("schema") != SMOKE_SCHEMA:
         sys.exit(f"perf-gate: {smoke_path} is not a {SMOKE_SCHEMA} document")
@@ -238,9 +200,6 @@ def check(smoke_path, baseline_path, lint_path=None):
             if not ok:
                 failures.append(f"{leg}.faults.{key}: {got} != 0 in a fault-free run")
 
-    if lint_path is not None:
-        checked += check_lint(lint_path, failures)
-
     if checked == 0:
         sys.exit("perf-gate: no counters checked — baseline/smoke mismatch?")
     if failures:
@@ -260,6 +219,7 @@ def update(smoke_path, baseline_path):
     smoke = load(smoke_path)
     if smoke.get("schema") != SMOKE_SCHEMA:
         sys.exit(f"perf-gate: {smoke_path} is not a {SMOKE_SCHEMA} document")
+    old = load(baseline_path) if Path(baseline_path).exists() else {}
     baseline = {
         "schema": BASELINE_SCHEMA,
         "source": smoke.get("graph", {}),
@@ -271,6 +231,7 @@ def update(smoke_path, baseline_path):
         "tolerances": DETERMINISTIC_TOLERANCES,
         "parallel_bounds": PARALLEL_BOUNDS,
         "fault_free_counters": list(FAULT_COUNTERS),
+        "unpinned": old.get("unpinned", {}),
     }
     Path(baseline_path).write_text(json.dumps(baseline, indent=2) + "\n")
     print(f"perf-gate: baseline written to {baseline_path}")
@@ -281,19 +242,15 @@ def main(argv):
         sys.exit(__doc__)
     smoke_path = argv[2]
     baseline_path = "ci/perf-baseline.json"
-    lint_path = None
     rest = argv[3:]
     while rest:
         if rest[0] == "--baseline" and len(rest) >= 2:
             baseline_path = rest[1]
             rest = rest[2:]
-        elif rest[0] == "--lint" and len(rest) >= 2:
-            lint_path = rest[1]
-            rest = rest[2:]
         else:
             sys.exit(f"perf-gate: unknown argument {rest[0]}\n{__doc__}")
     if argv[1] == "check":
-        check(smoke_path, baseline_path, lint_path)
+        check(smoke_path, baseline_path)
     else:
         update(smoke_path, baseline_path)
 

@@ -48,11 +48,6 @@
 //!              restarted daemon resumes incomplete jobs from their last
 //!              committed word-set; --link-fault (local-cluster only)
 //!              spawns the workers with degraded job links
-//!   lint       [--root <dir>] [--metrics-out f.json] [--self-test]
-//!              runs the in-tree static analyzer (`crates/lint`) over the
-//!              workspace: the ordering audit and cross-artifact
-//!              consistency; --self-test plants one violation per pass in a scratch
-//!              tree and asserts each is caught
 //!   client <submit|status|cancel|result> --server <addr>
 //!              submit: --tenant <t> --priority <p> --snapshot <spec>
 //!                      --app <motifs|cliques|fsm> plus app options
@@ -99,7 +94,6 @@ pub fn run() {
         "worker" => return run_worker(&opts),
         "submit" => return run_submit(&opts),
         "serve" => return run_serve(&opts),
-        "lint" => return run_lint(&opts),
         "motifs" | "cliques" | "triangles" | "fsm" | "query" | "plan" | "keywords" | "trace" => {}
         other => die(&format!("unknown app {other:?}")),
     }
@@ -975,43 +969,6 @@ fn report_result(
     println!("RESULT {job} {}", c.count);
 }
 
-/// `fractal lint`: the in-tree static analysis pass (DESIGN.md §15).
-/// Exit 0 on a clean tree, 1 on findings, 2 on usage/environment errors
-/// — mirroring the perf/chaos gate conventions so CI can tell "dirty
-/// tree" from "broken run".
-fn run_lint(opts: &HashMap<String, String>) {
-    if opts.contains_key("self-test") {
-        match fractal_lint::selftest::self_test() {
-            Ok(log) => {
-                print!("{log}");
-                return;
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    let root = opts
-        .get("root")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("."));
-    let outcome = match fractal_lint::run(&fractal_lint::LintConfig::default_for(&root)) {
-        Ok(o) => o,
-        Err(e) => die(&format!("lint: {e}")),
-    };
-    let json = fractal_lint::metrics_json(&outcome);
-    if let Some(path) = opts.get("metrics-out") {
-        write_metrics(path, &json);
-    } else if outcome.ok() {
-        print!("{json}");
-    }
-    eprint!("{}", fractal_lint::render_text(&outcome));
-    if !outcome.ok() {
-        std::process::exit(1);
-    }
-}
-
 fn usage() {
     println!(
         "fractal-cli <motifs|cliques|triangles|fsm|query|keywords|plan|trace|worker|submit|serve|client> [options]\n\
@@ -1037,10 +994,7 @@ fn usage() {
                  submit: --tenant t --priority p --snapshot <gen:name:n:seed|file:path>\n\
                          --app <motifs|cliques|fsm> + app options\n\
                          [--token t] [--wait] [--verify-single] [--metrics-out f.json]\n\
-                 status|cancel|result: --job <id>\n\
-         lint:   [--root dir] [--metrics-out f.json] [--self-test]\n\
-                 static analysis (DESIGN.md \u{a7}15): ordering audit and\n\
-                 cross-artifact consistency"
+                 status|cancel|result: --job <id>"
     );
 }
 

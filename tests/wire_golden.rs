@@ -269,18 +269,27 @@ const JOB_APP: AppSpec = AppSpec::Motifs {
     use_labels: false,
     decomposed: true,
 };
-const APPS: [AppSpec; 3] = [
-    AppSpec::Motifs {
-        k: 3,
-        use_labels: true,
-        decomposed: false,
-    },
-    AppSpec::Kclist { k: 4 },
-    AppSpec::Fsm {
-        min_support: 12,
-        max_edges: 3,
-    },
-];
+
+/// `apps! { Variant {fields} => "hex", ... }` defines `APPS`, one
+/// (sample, golden) row per `AppSpec` variant. The expansion matches
+/// exhaustively on the listed variants, so a variant without a golden
+/// does not compile.
+macro_rules! apps {
+    ($($variant:ident $fields:tt => $hex:literal,)+) => {
+        fn _every_app_has_a_golden(app: &AppSpec) {
+            match app {
+                $(AppSpec::$variant { .. } => {})+
+            }
+        }
+        const APPS: &[(AppSpec, &str)] = &[$((AppSpec::$variant $fields, $hex)),+];
+    };
+}
+
+apps! {
+    Motifs { k: 3, use_labels: true, decomposed: false } => "010000000301",
+    Kclist { k: 4 } => "0200000004",
+    Fsm { min_support: 12, max_edges: 3 } => "03000000000000000c00000003",
+}
 
 const REPORT_HEX: &str = "\
     00000000004c4b51000000000000001500000000000000160000000000000017000000000000001f00000000\
@@ -296,7 +305,6 @@ const REPORT_HEX: &str = "\
 const JOB_HEX: &str = "\
     0100000005020000000300000007000000080000000900000002000000000000000100000004000000010000\
     000200000005";
-const APPS_HEX: [&str; 3] = ["010000000301", "0200000004", "03000000000000000c00000003"];
 const MOTIFS_HEX: &str = "\
     0000000300000000ffffffffffffffff00000001000000010000000000000007000000030000000300000001\
     000000020000000000000063";
@@ -391,7 +399,7 @@ fn job_and_app_blobs_are_byte_identical() {
     let (app, g2) = blob::decode_job(&unhex(JOB_HEX)).expect("decode job");
     assert_eq!(app, JOB_APP);
     assert_eq!(blob::encode_graph(&g2), blob::encode_graph(&g));
-    for (app, want) in APPS.iter().zip(APPS_HEX) {
+    for (app, want) in APPS {
         check("app spec", app, &blob::encode_app_spec(app), want);
         assert_eq!(blob::decode_app_spec(&unhex(want)), Ok(*app));
     }
