@@ -186,7 +186,7 @@ pub fn decode_graph(bytes: &[u8]) -> Result<Graph, BlobError> {
 
 // ---- job (app + graph) ----
 
-/// Encodes the job blob shipped in the first `Assign` of a session.
+/// Encodes a job blob: the app spec followed by the whole graph.
 pub fn encode_job(app: &AppSpec, g: &Graph) -> Vec<u8> {
     let mut out = Writer::new();
     put_app(&mut out, app);
@@ -199,6 +199,37 @@ pub fn decode_job(bytes: &[u8]) -> Result<(AppSpec, Graph), BlobError> {
     let mut c = Reader::new(bytes);
     let app = get_app(&mut c)?;
     Ok((app, decode_graph(c.rest())?))
+}
+
+/// Encodes the job part of a session's first `Assign`: the id its
+/// connection knows the graph by, a flag, and the app spec. `graph` is
+/// the [`encode_graph`] bytes, carried only on the connection's first use
+/// of the id; after the flag, a part that carries them is a job blob
+/// ([`encode_job`]).
+pub fn encode_job_part(app: &AppSpec, graph_id: u64, graph: Option<&[u8]>) -> Vec<u8> {
+    let mut out = Writer::new();
+    out.u64(graph_id);
+    out.u8(u8::from(graph.is_some()));
+    put_app(&mut out, app);
+    if let Some(g) = graph {
+        out.raw(g);
+    }
+    out.finish()
+}
+
+/// Decodes a job part encoded by [`encode_job_part`]: the graph id, the
+/// app spec and the graph when the part carries it.
+pub fn decode_job_part(bytes: &[u8]) -> Result<(u64, AppSpec, Option<Graph>), BlobError> {
+    let mut c = Reader::new(bytes);
+    let graph_id = c.u64()?;
+    match c.u8()? {
+        0 => Ok((graph_id, decode_app_spec(c.rest())?, None)),
+        1 => {
+            let (app, graph) = decode_job(c.rest())?;
+            Ok((graph_id, app, Some(graph)))
+        }
+        _ => Err(BlobError::Malformed("job part flag")),
+    }
 }
 
 // ---- canonical codes ----
@@ -558,7 +589,20 @@ mod tests {
             let (app2, g2) = decode_job(&encode_job(&app, &g)).expect("decode");
             assert_eq!(app, app2);
             assert_eq!(g.num_edges(), g2.num_edges());
+            let graph = encode_graph(&g);
+            let (id, app3, g3) =
+                decode_job_part(&encode_job_part(&app, 7, Some(&graph))).expect("decode");
+            assert_eq!((id, app3), (7, app));
+            assert_eq!(g3.map(|g3| encode_graph(&g3)), Some(graph));
+            let (id, app4, g4) = decode_job_part(&encode_job_part(&app, 9, None)).expect("decode");
+            assert_eq!((id, app4, g4.is_none()), (9, app, true));
         }
+        let mut part = encode_job_part(&AppSpec::Kclist { k: 3 }, 1, None);
+        part[8] = 2;
+        assert_eq!(
+            decode_job_part(&part).err(),
+            Some(BlobError::Malformed("job part flag"))
+        );
         assert!(decode_app_spec(&[]).is_err());
         assert!(decode_app_spec(&[9]).is_err());
         // Unknown flag bits and the labeled+decomposed combination are

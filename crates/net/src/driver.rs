@@ -53,10 +53,15 @@ pub struct ChaosKill {
 pub struct DriverConfig {
     /// Which application to run.
     pub app: AppSpec,
-    /// The input graph (shipped to workers in the first `Assign`). Held by
-    /// `Arc` so the serve daemon can hand many concurrent jobs the same
-    /// loaded snapshot without copying it.
+    /// The input graph, sent to a worker connection only if its
+    /// [`GraphLedger`] lacks `graph_id`. Held by `Arc` so the serve daemon
+    /// can hand many concurrent jobs the same loaded snapshot without
+    /// copying it.
     pub graph: Arc<Graph>,
+    /// The id the workers keep `graph` under. The serve daemon never
+    /// reuses a snapshot id; a classic `run_cluster` job's connections are
+    /// its own, so the default `0` is never confused with another graph.
+    pub graph_id: u64,
     /// Declare a worker dead when its heartbeats lapse this long (EOF on
     /// its connection is the primary death signal; this is the backstop
     /// for hung-but-connected processes).
@@ -111,6 +116,7 @@ impl DriverConfig {
         DriverConfig {
             app,
             graph,
+            graph_id: 0,
             heartbeat_timeout: Duration::from_millis(2000),
             chaos_kill: None,
             cancel: None,
@@ -185,8 +191,42 @@ enum Ev {
     Dead(usize),
 }
 
+/// The graph ids one physical worker connection holds: those whose bytes
+/// were sent on it and not forgotten since (DESIGN.md §12.4). Every
+/// session on the connection shares it. Whoever sends a frame that names
+/// an id — a session's first `Assign`, the daemon's [`Frame::Forget`] —
+/// holds the ledger locked across the send, so the worker reads those
+/// frames in ledger order: an `Assign` that leaves the graph out always
+/// follows the one that carried it.
+pub type GraphLedger = Arc<Mutex<HashSet<u64>>>;
+
+/// The job as the first `Assign` of each session names it. The graph is
+/// encoded at most once, for the first connection that lacks its id.
+struct JobGraph {
+    app: AppSpec,
+    id: u64,
+    graph: Arc<Graph>,
+    bytes: Option<Vec<u8>>,
+}
+
+impl JobGraph {
+    /// The job part for a connection whose ledger holds `held`, which
+    /// then holds the id, and the graph bytes the part carries.
+    fn part(&mut self, held: &mut HashSet<u64>) -> (Vec<u8>, u64) {
+        if !held.insert(self.id) {
+            return (blob::encode_job_part(&self.app, self.id, None), 0);
+        }
+        let bytes = self
+            .bytes
+            .get_or_insert_with(|| blob::encode_graph(&self.graph));
+        let part = blob::encode_job_part(&self.app, self.id, Some(bytes));
+        (part, bytes.len() as u64)
+    }
+}
+
 struct Conn<K: FrameSink> {
     writer: Option<K>,
+    ledger: GraphLedger,
     seq: u32,
     alive: bool,
     got_job: bool,
@@ -553,7 +593,8 @@ impl<K: FrameSink> Driver<K> {
             | Frame::Result { .. }
             | Frame::JobEvent { .. }
             | Frame::Mux { .. }
-            | Frame::Watch { .. } => {}
+            | Frame::Watch { .. }
+            | Frame::Forget { .. } => {}
         }
         Ok(())
     }
@@ -586,18 +627,19 @@ pub fn run_cluster(
     for stream in streams {
         stream.set_nodelay(true).ok();
         let reader = stream.try_clone()?;
-        links.push((reader, stream));
+        links.push((reader, stream, GraphLedger::default()));
     }
     run_cluster_links(links, names, config)
 }
 
 /// Runs a cluster job over generic frame transports — one
-/// `(source, sink)` pair per worker session. This is the whole driver:
+/// `(source, sink, ledger)` per worker session, the ledger being that of
+/// the session's physical connection. This is the whole driver:
 /// [`run_cluster`] is a thin TCP adapter over it, and the serve daemon
 /// calls it with per-job virtual channels demultiplexed out of shared
 /// physical worker connections.
 pub fn run_cluster_links<S, K>(
-    links: Vec<(S, K)>,
+    links: Vec<(S, K, GraphLedger)>,
     names: Vec<String>,
     config: DriverConfig,
 ) -> io::Result<ClusterResult>
@@ -610,6 +652,7 @@ where
     let DriverConfig {
         app,
         graph,
+        graph_id,
         heartbeat_timeout,
         chaos_kill,
         cancel,
@@ -618,7 +661,6 @@ where
         on_round_commit,
         resume,
     } = config;
-    let job_blob = blob::encode_job(&app, &graph);
     // Identical on every process, and for FSM the same every round
     // (aggregation filters prune only deeper levels).
     let roots = app.root_words(&graph);
@@ -627,10 +669,16 @@ where
     // counts are bit-identical to an uninterrupted run.
     let resume = resume.unwrap_or_default();
     let acc = Accumulator::new(app, &graph, resume.rounds_done, resume.committed);
+    let mut job = JobGraph {
+        app,
+        id: graph_id,
+        graph,
+        bytes: None,
+    };
 
     let (tx, rx): (_, Receiver<Ev>) = channel();
     let mut conns = Vec::with_capacity(links.len());
-    for (i, ((mut source, mut sink), name)) in links.into_iter().zip(names).enumerate() {
+    for (i, ((mut source, mut sink, ledger), name)) in links.into_iter().zip(names).enumerate() {
         sink.send(0, &Frame::hello(Role::Driver, 0))?;
         let cores = expect_hello(source.recv(), Role::Worker)
             .map_err(|e| io::Error::new(e.kind(), format!("worker {name}: {e}")))?;
@@ -650,6 +698,7 @@ where
         });
         conns.push(Conn {
             writer: Some(sink),
+            ledger,
             seq: 1,
             alive: true,
             got_job: false,
@@ -716,20 +765,25 @@ where
             c.passes.clear();
             c.passes.push_back(part.iter().copied().collect());
             c.summary.assigned += part.len() as u64;
-            let job = if c.got_job {
+            let ledger = Arc::clone(&c.ledger);
+            // Locked across the send: see [`GraphLedger`].
+            let mut held = ledger.lock();
+            let job_part = if std::mem::replace(&mut c.got_job, true) {
                 None
             } else {
-                c.got_job = true;
-                Some(job_blob.clone())
+                let (bytes, sent) = job.part(&mut held);
+                drv.faults.graph_bytes_sent += sent;
+                Some(bytes)
             };
             let assign = Frame::Assign {
                 round,
                 recovery: false,
-                job,
+                job: job_part,
                 seed: seed_blob.clone(),
                 roots: part,
             };
             drv.send_or_kill(i, &assign, &mut rs);
+            drop(held);
             if round == 0 && drv.chaos_kill.as_ref().is_some_and(|ck| ck.target == i) {
                 #[expect(clippy::expect_used, reason = "is_some_and checked it on this line")]
                 (drv.chaos_kill.take().expect("checked").kill)();

@@ -97,8 +97,10 @@ pub enum Frame {
     /// Session opener, both directions: who am I, how many cores.
     Hello { role: Role, cores: u32 },
     /// Driver → worker: run `roots` for `round`. The first Assign of a
-    /// session carries the job blob (graph + app spec); iterative apps
-    /// ship the previous round's merged aggregation as `seed`.
+    /// session carries the job part ([`crate::blob::encode_job_part`]):
+    /// the app spec and the id of the graph, plus the graph itself on its
+    /// connection's first use of the id. Iterative apps ship the previous
+    /// round's merged aggregation as `seed`.
     /// `recovery` passes re-execute a dead worker's words after the round
     /// was already declared done.
     Assign {
@@ -197,6 +199,10 @@ pub enum Frame {
     /// left, so the round cannot flush. `message` is the panic's. The
     /// driver fails the job naming it.
     UnitFailed { round: u32, message: String },
+    /// Serve daemon → worker, outside any `Mux` envelope: the daemon no
+    /// longer caches snapshot `graph` and no running job names it, so the
+    /// worker drops the graph it keeps for the connection under that id.
+    Forget { graph: u64 },
 }
 
 impl Frame {
@@ -247,6 +253,7 @@ impl Frame {
             Frame::Mux { .. } => 15,
             Frame::Watch { .. } => 16,
             Frame::UnitFailed { .. } => 17,
+            Frame::Forget { .. } => 18,
         }
     }
 }
@@ -417,6 +424,7 @@ fn encode_payload(frame: &Frame) -> Vec<u8> {
             p.u32(*round);
             p.str(message);
         }
+        Frame::Forget { graph } => p.u64(*graph),
     }
     p.finish()
 }
@@ -521,6 +529,7 @@ fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, FrameError> {
             round: c.u32()?,
             message: c.str()?,
         },
+        18 => Frame::Forget { graph: c.u64()? },
         other => return Err(FrameError::UnknownType(other)),
     };
     c.finish()?;
@@ -792,6 +801,7 @@ mod tests {
             Mux { job: 4, inner: encode_frame(11, &Frame::Done { round: 1 }) };
             Watch { job: 12, after_seq: 5 }, { job: 0, after_seq: 0 };
             UnitFailed { round: 3, message: "filter rejects subgraph".into() };
+            Forget { graph: 7 }, { graph: u64::MAX };
         }
     }
 

@@ -12,7 +12,8 @@
 //!   `StealReply`/`Ack`/`Nack`/`AggFlush`/`Heartbeat`/`Done`), checksummed
 //!   and adversarially decoded.
 //! - [`blob`] — typed payload encodings carried inside frames: job spec
-//!   (app + graph), aggregation maps, metrics reports.
+//!   (app + graph, or app + the id of a graph the worker already holds),
+//!   aggregation maps, metrics reports.
 //! - [`app`] — the one module that knows what each [`AppSpec`] computes:
 //!   the worker's round, the driver's per-round reduction and the
 //!   committed-result blob that is journalled, resumed from and served.

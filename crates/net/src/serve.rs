@@ -20,7 +20,10 @@
 //!   (`gen:<name>:<n>:<seed>` or `file:<path>`), loaded once, shared
 //!   across jobs via `Arc`'d CSR and evicted LRU against a byte budget.
 //!   Eviction only drops the cache's reference: running jobs keep their
-//!   snapshot alive through their own `Arc`s.
+//!   snapshot alive through their own `Arc`s. Each load takes an id that
+//!   is never reused; a worker is sent a snapshot's bytes once, keeps it
+//!   under that id and forgets it once the cache has evicted it and no
+//!   running job names it.
 //! * **Worker links** — one physical connection per worker, owned by a
 //!   router thread that demultiplexes `Mux` envelopes to per-job channel
 //!   sources. A dead worker (EOF, SIGKILL) drops every registered route,
@@ -30,7 +33,7 @@
 
 use crate::app::{self, Committed};
 use crate::blob::{self, AppSpec};
-use crate::driver::{run_cluster_links, DriverConfig, ResumeState};
+use crate::driver::{run_cluster_links, DriverConfig, GraphLedger, ResumeState};
 use crate::frame::{
     expect_hello, read_frame, ChannelSource, EventKind, Frame, FrameSink, MuxSink, Role,
     SHUTDOWN_ROUND,
@@ -142,9 +145,20 @@ fn graph_bytes(g: &Graph) -> u64 {
 }
 
 struct SnapshotEntry {
+    id: u64,
     graph: Arc<Graph>,
     bytes: u64,
     last_used: u64,
+}
+
+/// A running job's hold on a snapshot, from [`SnapshotCache::acquire`].
+struct Acquired {
+    id: u64,
+    graph: Arc<Graph>,
+    /// Entries evicted to make room.
+    evictions: u64,
+    /// Evicted ids no running job names: the workers forget them now.
+    forget: Vec<u64>,
 }
 
 struct SnapshotCache {
@@ -152,6 +166,11 @@ struct SnapshotCache {
     entries: HashMap<String, SnapshotEntry>,
     used: u64,
     tick: u64,
+    /// The id the next load takes. Ids are never reused, so a snapshot
+    /// reloaded after eviction is a new graph to every worker.
+    next_id: u64,
+    /// Running jobs per snapshot id, cached or evicted.
+    jobs: HashMap<u64, usize>,
 }
 
 impl SnapshotCache {
@@ -161,21 +180,29 @@ impl SnapshotCache {
             entries: HashMap::new(),
             used: 0,
             tick: 0,
+            next_id: 1,
+            jobs: HashMap::new(),
         }
     }
 
-    /// Returns the snapshot for `spec`, loading it on first use and
-    /// evicting least-recently-used entries past the byte budget. Returns
-    /// the evictions performed so the caller can count them.
-    fn get_or_load(&mut self, spec: &str) -> io::Result<(Arc<Graph>, u64)> {
+    /// Returns the snapshot for `spec` to a starting job, loading it on
+    /// first use and evicting least-recently-used entries past the byte
+    /// budget. The job holds the id until [`Self::release`].
+    fn acquire(&mut self, spec: &str) -> io::Result<Acquired> {
         self.tick += 1;
         if let Some(e) = self.entries.get_mut(spec) {
             e.last_used = self.tick;
-            return Ok((Arc::clone(&e.graph), 0));
+            *self.jobs.entry(e.id).or_default() += 1;
+            return Ok(Acquired {
+                id: e.id,
+                graph: Arc::clone(&e.graph),
+                evictions: 0,
+                forget: Vec::new(),
+            });
         }
         let graph = Arc::new(load_snapshot(spec)?);
         let bytes = graph_bytes(&graph);
-        let mut evictions = 0;
+        let (mut evictions, mut forget) = (0, Vec::new());
         while !self.entries.is_empty() && self.used + bytes > self.budget {
             #[expect(clippy::expect_used, reason = "the loop condition holds entries")]
             let lru = self
@@ -188,17 +215,43 @@ impl SnapshotCache {
             let e = self.entries.remove(&lru).expect("present");
             self.used -= e.bytes;
             evictions += 1;
+            if !self.jobs.contains_key(&e.id) {
+                forget.push(e.id);
+            }
         }
+        let id = self.next_id;
+        self.next_id += 1;
         self.used += bytes;
+        self.jobs.insert(id, 1);
         self.entries.insert(
             spec.to_string(),
             SnapshotEntry {
+                id,
                 graph: Arc::clone(&graph),
                 bytes,
                 last_used: self.tick,
             },
         );
-        Ok((graph, evictions))
+        Ok(Acquired {
+            id,
+            graph,
+            evictions,
+            forget,
+        })
+    }
+
+    /// Ends a job's hold on snapshot `id`. True when the workers should
+    /// forget it: the cache has evicted it and no running job names it.
+    fn release(&mut self, id: u64) -> bool {
+        let Some(n) = self.jobs.get_mut(&id) else {
+            return false;
+        };
+        *n -= 1;
+        if *n > 0 {
+            return false;
+        }
+        self.jobs.remove(&id);
+        !self.entries.values().any(|e| e.id == id)
     }
 }
 
@@ -214,6 +267,8 @@ struct WorkerLink {
     physical_seq: Arc<AtomicU32>,
     routes: RouteTable,
     dead: Arc<AtomicBool>,
+    /// The snapshot ids this worker holds.
+    graphs: GraphLedger,
 }
 
 impl WorkerLink {
@@ -229,6 +284,7 @@ impl WorkerLink {
             physical_seq: Arc::new(AtomicU32::new(0)),
             routes: Arc::new(Mutex::new(HashMap::new())),
             dead: Arc::new(AtomicBool::new(false)),
+            graphs: GraphLedger::default(),
         };
         let routes = Arc::clone(&link.routes);
         let dead = Arc::clone(&link.dead);
@@ -279,9 +335,25 @@ impl WorkerLink {
         self.dead.load(Ordering::SeqCst)
     }
 
+    /// Sends a physical frame, outside any job's envelope.
+    fn send_physical(&self, frame: &Frame) {
+        // ordering: Relaxed — physical seq needs only uniqueness.
+        let seq = self.physical_seq.fetch_add(1, Ordering::Relaxed);
+        let _ = self.physical.lock().send(seq, frame);
+    }
+
+    /// Tells the worker to drop snapshot `id`, if it holds it. The ledger
+    /// stays locked across the send (see [`GraphLedger`]).
+    fn forget(&self, id: u64) {
+        let mut held = self.graphs.lock();
+        if held.remove(&id) {
+            self.send_physical(&Frame::Forget { graph: id });
+        }
+    }
+
     /// Registers a job's route and returns its virtual link. `None` when
     /// the worker is already dead.
-    fn open_virtual(&self, job: u64) -> Option<(ChannelSource, MuxSink<TcpStream>)> {
+    fn open_virtual(&self, job: u64) -> Option<(ChannelSource, MuxSink<TcpStream>, GraphLedger)> {
         if self.is_dead() {
             return None;
         }
@@ -298,7 +370,7 @@ impl WorkerLink {
             Arc::clone(&self.physical),
             Arc::clone(&self.physical_seq),
         );
-        Some((ChannelSource(rx), sink))
+        Some((ChannelSource(rx), sink, Arc::clone(&self.graphs)))
     }
 
     fn close_virtual(&self, job: u64) {
@@ -573,6 +645,15 @@ struct ServerInner {
 type AdmissionHold = Box<dyn Fn(u64) + Send + Sync>;
 
 impl ServerInner {
+    /// Tells every worker that holds them to forget snapshots `ids`.
+    fn forget(&self, ids: &[u64]) {
+        for &id in ids {
+            for link in &self.links {
+                link.forget(id);
+            }
+        }
+    }
+
     /// Appends one record to the journal (fsynced) if journaling is on.
     /// Non-admission records are best-effort: a failed append is logged
     /// but cannot un-happen the in-memory transition it describes.
@@ -663,6 +744,17 @@ impl Server {
     /// Test/introspection accessor: total quota releases.
     pub fn quota_releases(&self) -> u64 {
         self.inner.state.lock().quota_releases
+    }
+
+    /// Test/introspection accessor: the snapshot ids each worker holds,
+    /// sorted, in worker order.
+    pub fn graphs_held(&self) -> Vec<Vec<u64>> {
+        let held = self.inner.links.iter().map(|l| {
+            let mut ids: Vec<u64> = l.graphs.lock().iter().copied().collect();
+            ids.sort_unstable();
+            ids
+        });
+        held.collect()
     }
 
     /// Test/introspection accessor: jobs resumed from journaled commits.
@@ -847,9 +939,8 @@ fn run_one_job(inner: Arc<ServerInner>, job: u64, started: Step) {
     let _ = inner.sched_tx.send(());
 }
 
-/// The job body: resolve the snapshot, open per-job virtual sessions on
-/// every live worker, run the standard cluster driver over them, and
-/// package the result.
+/// The job body: hold the snapshot while the job runs on it, and have
+/// the workers forget whatever the cache evicted and no job names.
 fn execute_job(
     inner: &Arc<ServerInner>,
     job: u64,
@@ -858,19 +949,31 @@ fn execute_job(
     cancel: Arc<AtomicBool>,
     resume: Option<ResumeState>,
 ) -> io::Result<Terminal> {
-    let graph = {
-        let mut st = inner.state.lock();
-        let (graph, evictions) = st.snapshots.get_or_load(snapshot)?;
-        if evictions > 0 {
-            // ordering: Relaxed — monotonic diagnostic counter.
-            inner
-                .stats
-                .snapshot_evictions
-                .fetch_add(evictions, Ordering::Relaxed);
-        }
-        graph
-    };
+    let acquired = inner.state.lock().snapshots.acquire(snapshot)?;
+    // ordering: Relaxed — monotonic diagnostic counter.
+    inner
+        .stats
+        .snapshot_evictions
+        .fetch_add(acquired.evictions, Ordering::Relaxed);
+    inner.forget(&acquired.forget);
+    let terminal = run_on_snapshot(inner, job, app, &acquired, cancel, resume);
+    if inner.state.lock().snapshots.release(acquired.id) {
+        inner.forget(&[acquired.id]);
+    }
+    terminal
+}
 
+/// Opens per-job virtual sessions on every live worker, runs the standard
+/// cluster driver over them on the acquired snapshot, and packages the
+/// result.
+fn run_on_snapshot(
+    inner: &Arc<ServerInner>,
+    job: u64,
+    app: AppSpec,
+    snapshot: &Acquired,
+    cancel: Arc<AtomicBool>,
+    resume: Option<ResumeState>,
+) -> io::Result<Terminal> {
     let mut links = Vec::new();
     let mut names = Vec::new();
     let mut opened: Vec<&WorkerLink> = Vec::new();
@@ -885,7 +988,8 @@ fn execute_job(
         return Err(invalid("no live workers"));
     }
 
-    let mut config = DriverConfig::new_shared(app, graph);
+    let mut config = DriverConfig::new_shared(app, Arc::clone(&snapshot.graph));
+    config.graph_id = snapshot.id;
     config.heartbeat_timeout = inner.config.heartbeat_timeout;
     config.cancel = Some(cancel);
     if resume.is_some() {
@@ -1233,13 +1337,9 @@ fn cancel(inner: &ServerInner, st: &mut ServerState, job: u64) -> Frame {
 /// `Done{SHUTDOWN_ROUND}`), so workers exit their mux dispatchers.
 pub fn shutdown_workers(server: &Server) {
     for link in &server.inner.links {
-        let shutdown = Frame::Done {
+        link.send_physical(&Frame::Done {
             round: SHUTDOWN_ROUND,
-        };
-        // ordering: Relaxed — physical seq needs only uniqueness.
-        let seq = link.physical_seq.fetch_add(1, Ordering::Relaxed);
-        let mut w = link.physical.lock();
-        let _ = w.send(seq, &shutdown);
+        });
     }
 }
 
@@ -1418,6 +1518,26 @@ mod tests {
             Ok(ServeOutcome::Shutdown)
         ));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Ids are never reused, and the workers forget an evicted snapshot
+    /// only once no running job holds it.
+    #[test]
+    fn snapshot_ids_are_fresh_and_held_ones_are_forgotten_at_release() {
+        let (one, two) = ("gen:mico:40:1", "gen:mico:40:2");
+        let mut cache = SnapshotCache::new(1);
+        let a = cache.acquire(one).unwrap();
+        let b = cache.acquire(two).unwrap();
+        assert_eq!((b.evictions, b.forget.as_slice()), (1, &[][..]));
+        assert!(cache.release(a.id), "evicted and no longer held");
+        assert!(!cache.release(b.id), "still cached");
+        let again = cache.acquire(one).unwrap();
+        assert_eq!((again.evictions, again.forget.as_slice()), (1, &[b.id][..]));
+        assert!(again.id != a.id && again.id != b.id);
+        let shared = cache.acquire(one).unwrap();
+        assert_eq!((shared.id, shared.evictions), (again.id, 0));
+        assert!(!cache.release(again.id) && !cache.release(shared.id));
+        assert!(!cache.release(a.id), "a released id is not held");
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! bit-identical results never depend on scheduling).
 
 use crate::app::RoundRunner;
-use crate::blob;
+use crate::blob::{self, AppSpec};
 use crate::frame::{
     decode_frame, expect_hello, read_frame, ChannelSource, Frame, FrameSink, FrameSource, MuxSink,
     Role, SHUTDOWN_ROUND,
@@ -44,6 +44,7 @@ use crate::frame::{
 use crate::invalid;
 use crate::linkfault::{DedupSource, FaultySink};
 use fractal_core::FractalContext;
+use fractal_graph::Graph;
 use fractal_runtime::fault::InjectedPanic;
 use fractal_runtime::steal::decode_unit;
 use fractal_runtime::sync::Mutex;
@@ -82,6 +83,31 @@ const HEARTBEAT_EVERY: Duration = Duration::from_millis(15);
 const PULL_WAIT: Duration = Duration::from_millis(25);
 
 type ReplySlot = (u64, Option<Vec<u8>>);
+
+/// The graphs one physical connection holds, by the id its driver or
+/// daemon gave each (DESIGN.md §12.4). A classic session owns its
+/// connection's; on a multiplexed connection the dispatcher keeps them
+/// for every session, until a [`Frame::Forget`] drops one.
+type Graphs = Arc<Mutex<HashMap<u64, Arc<Graph>>>>;
+
+/// Takes a session's job part: keeps the graph it carries under its id,
+/// or finds the graph it names among those the connection holds.
+fn hold(graphs: &Graphs, part: &[u8]) -> Result<(AppSpec, Arc<Graph>), String> {
+    let (id, app, graph) = blob::decode_job_part(part).map_err(|e| format!("job part: {e}"))?;
+    let mut held = graphs.lock();
+    let graph = match graph {
+        Some(graph) => {
+            let graph = Arc::new(graph);
+            held.insert(id, Arc::clone(&graph));
+            graph
+        }
+        None => held
+            .get(&id)
+            .cloned()
+            .ok_or_else(|| format!("graph {id} is not held on this connection"))?,
+    };
+    Ok((app, graph))
+}
 
 /// State shared between the reader, job, heartbeat and executor threads
 /// of one session (physical or virtual — `K` is its frame sink).
@@ -307,6 +333,7 @@ fn accept_and_serve(
             None,
             HEARTBEAT_EVERY,
             unit_panic,
+            Graphs::default(),
         ),
         Frame::Mux { .. } => serve_mux(reader, stream, cores, first, link_fault, unit_panic),
         Frame::Done {
@@ -325,7 +352,10 @@ fn accept_and_serve(
 ///
 /// A unit that panics with no retries left fails its round: the job
 /// thread catches the panic and sends [`Frame::UnitFailed`] in place of
-/// the round's `AggFlush`, and the session goes on serving.
+/// the round's `AggFlush`, and the session goes on serving. A job part
+/// that does not decode, or names a graph `graphs` lacks, fails the job
+/// the same way.
+#[allow(clippy::too_many_arguments)]
 fn run_session<S, K>(
     mut source: S,
     sink: K,
@@ -334,6 +364,7 @@ fn run_session<S, K>(
     injector: Option<Arc<LinkFaultInjector>>,
     heartbeat_every: Duration,
     unit_panic: Option<FaultConfig>,
+    graphs: Graphs,
 ) -> io::Result<ServeOutcome>
 where
     S: FrameSource,
@@ -403,14 +434,19 @@ where
                 if let Some(h) = job.take() {
                     let _ = h.join();
                 }
-                if let Some(bytes) = job_blob {
-                    let (app, graph) =
-                        blob::decode_job(&bytes).map_err(|e| invalid(e.to_string()))?;
+                if let Some(part) = job_blob {
+                    let (app, graph) = match hold(&graphs, &part) {
+                        Ok(held) => held,
+                        Err(message) => {
+                            let _ = shared.send(&Frame::UnitFailed { round, message });
+                            continue;
+                        }
+                    };
                     let mut config = ClusterConfig::local(1, cores).with_ws(WsMode::InternalOnly);
                     if let Some(plan) = &unit_panic {
                         config = config.with_faults(plan.clone());
                     }
-                    let fg = FractalContext::new(config).fractal_graph(graph);
+                    let fg = FractalContext::new(config).fractal_graph_shared(graph);
                     runner = Some(RoundRunner::new(app, fg));
                 }
                 let Some(runner) = runner.as_mut() else {
@@ -510,7 +546,8 @@ where
             | Frame::JobEvent { .. }
             | Frame::Mux { .. }
             | Frame::Watch { .. }
-            | Frame::UnitFailed { .. } => {}
+            | Frame::UnitFailed { .. }
+            | Frame::Forget { .. } => {}
         }
     }
 
@@ -551,6 +588,12 @@ where
 /// either way every virtual session sees channel EOF, and still-draining
 /// discarded work dies with the process. `unit_panic` arms the first
 /// job's session only (see [`run_session`]).
+///
+/// The dispatcher keeps the connection's graphs. It takes the graph an
+/// `Assign` carries before the job's session sees the frame, and passes
+/// the `Assign` on without it, so a later `Assign` that only names the id
+/// finds the graph whichever session runs first. [`Frame::Forget`] drops
+/// one.
 fn serve_mux(
     mut reader: TcpStream,
     writer: TcpStream,
@@ -561,6 +604,7 @@ fn serve_mux(
 ) -> io::Result<ServeOutcome> {
     let physical: Arc<Mutex<TcpStream>> = Arc::new(Mutex::new(writer));
     let physical_seq = Arc::new(AtomicU32::new(0));
+    let graphs = Graphs::default();
     let mut sessions: HashMap<u64, Sender<(u32, Frame)>> = HashMap::new();
     let mut next = first;
     let outcome;
@@ -571,7 +615,18 @@ fn serve_mux(
                 // a decode failure here means a daemon-side bug, not wire
                 // corruption. Drop the frame rather than kill every other
                 // job on the connection.
-                if let Ok(inner_frame) = decode_frame(&inner) {
+                if let Ok(mut inner_frame) = decode_frame(&inner) {
+                    if let Frame::Assign {
+                        job: Some(part), ..
+                    } = &mut inner_frame.1
+                    {
+                        // A part that does not decode is passed on as it
+                        // is: the session reports it.
+                        if let Ok((id, app, Some(graph))) = blob::decode_job_part(part) {
+                            graphs.lock().insert(id, Arc::new(graph));
+                            *part = blob::encode_job_part(&app, id, None);
+                        }
+                    }
                     let shutdown = matches!(
                         inner_frame.1,
                         Frame::Done {
@@ -580,6 +635,7 @@ fn serve_mux(
                     );
                     let session = sessions.entry(job).or_insert_with(|| {
                         let unit_panic = unit_panic.take();
+                        let graphs = Arc::clone(&graphs);
                         let (tx, rx) = channel();
                         let sink =
                             MuxSink::new(job, Arc::clone(&physical), Arc::clone(&physical_seq));
@@ -602,6 +658,7 @@ fn serve_mux(
                                         Some(injector),
                                         HEARTBEAT_EVERY,
                                         unit_panic,
+                                        graphs,
                                     )
                                 });
                             }
@@ -616,6 +673,7 @@ fn serve_mux(
                                         None,
                                         HEARTBEAT_EVERY,
                                         unit_panic,
+                                        graphs,
                                     )
                                 });
                             }
@@ -630,6 +688,9 @@ fn serve_mux(
                         sessions.remove(&job);
                     }
                 }
+            }
+            Frame::Forget { graph } => {
+                graphs.lock().remove(&graph);
             }
             Frame::Done {
                 round: SHUTDOWN_ROUND,
@@ -677,7 +738,7 @@ mod tests {
                 use_labels: false,
                 decomposed: false,
             };
-            let job = blob::encode_job(&app, &graph);
+            let job = blob::encode_job_part(&app, 0, Some(&blob::encode_graph(&graph)));
             let fg = FractalContext::new(ClusterConfig::local(1, 1)).fractal_graph(graph);
             let roots = motifs::motifs_fractoid(&fg, 3, false).step_roots();
             let expected = motifs::motifs(&fg, 3);
@@ -695,6 +756,7 @@ mod tests {
                     None,
                     hour,
                     None,
+                    Graphs::default(),
                 )
             });
             let send = |seq: u32, frame: Frame| to_worker.send((seq, frame)).expect("session up");

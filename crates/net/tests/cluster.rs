@@ -471,7 +471,8 @@ fn worker_survives_driver_disconnect_mid_round() {
         use_labels: false,
         decomposed: false,
     };
-    let job = fractal_net::blob::encode_job(&app, &graph);
+    let graph_bytes = fractal_net::blob::encode_graph(&graph);
+    let job = fractal_net::blob::encode_job_part(&app, 0, Some(&graph_bytes));
     let fg = FractalContext::new(ClusterConfig::local(1, 1)).fractal_graph(graph);
     let roots = motifs::motifs_fractoid(&fg, 3, false).step_roots();
     write_frame(
@@ -508,7 +509,8 @@ fn late_steal_request_after_done_gets_a_miss() {
         use_labels: false,
         decomposed: false,
     };
-    let job = fractal_net::blob::encode_job(&app, &graph);
+    let graph_bytes = fractal_net::blob::encode_graph(&graph);
+    let job = fractal_net::blob::encode_job_part(&app, 0, Some(&graph_bytes));
     let fg = FractalContext::new(ClusterConfig::local(1, 1)).fractal_graph(graph);
     let roots = motifs::motifs_fractoid(&fg, 3, false).step_roots();
     let total = roots.len();

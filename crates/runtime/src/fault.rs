@@ -286,6 +286,10 @@ pub struct FaultStats {
     pub link_faults_injected: u64,
     /// Client-side reconnects while streaming job events (`--wait`).
     pub client_reconnects: u64,
+    /// Encoded graph bytes the job's driver sent to its workers: a graph
+    /// travels once per worker connection, so a served job on a snapshot
+    /// its workers already hold sends none (DESIGN.md §12.4).
+    pub graph_bytes_sent: u64,
 }
 
 impl FaultLedger {
@@ -302,9 +306,10 @@ impl FaultLedger {
             recovery_ns: self.recovery_ns.load(Ordering::Relaxed),
             units_lost: self.units_lost.load(Ordering::Relaxed),
             tap_drained: self.tap_drained.load(Ordering::Relaxed),
-            // The serve-path and link-fault counters are owned by the
-            // `fractal serve` daemon and the transport wrappers, not the
-            // in-process ledger: always zero here.
+            // The serve-path, link-fault and graph-shipping counters are
+            // owned by the `fractal serve` daemon, the transport wrappers
+            // and the cluster driver, not the in-process ledger: always
+            // zero here.
             ..FaultStats::default()
         }
     }
@@ -327,6 +332,7 @@ impl FaultStats {
         field!(resumed_jobs, Sum),
         field!(link_faults_injected, Sum),
         field!(client_reconnects, Sum),
+        field!(graph_bytes_sent, Sum),
     ];
 
     /// Adds another report's counters to `self`.

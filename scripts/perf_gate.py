@@ -98,6 +98,8 @@ FAULT_COUNTERS = (
     "resumed_jobs",
     "link_faults_injected",
     "client_reconnects",
+    # A single-process leg has no worker to send a graph to.
+    "graph_bytes_sent",
 )
 
 

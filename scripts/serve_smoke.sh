@@ -8,6 +8,9 @@
 # the decomposed census is checked against the enumerator), and leave a
 # per-job fractal-metrics/1 artifact.
 #
+# The same snapshot submitted once more must send no graph bytes: the
+# workers kept it (its metrics read graph_bytes_sent == 0).
+#
 # Leg 2 (chaos): with a long-running job and two survivor jobs in flight,
 # the long job is cancelled mid-run and one worker process is SIGKILLed.
 # The survivors must still verify bit-identical — the corpse's obligations
@@ -114,6 +117,19 @@ check_job motifs
 check_job cliques
 check_job fsm
 check_job decomposed
+
+# The workers keep the snapshot: leg 1 sent it to each of them once, so
+# the same snapshot submitted again sends no graph bytes.
+submit_wait repeat tenant-a --app cliques -k 4 || fail "repeat client exited nonzero"
+check_job repeat
+python3 - "$OUT" <<'EOF' || fail "the workers did not keep the snapshot"
+import json, sys
+sent = lambda name: json.load(open(f"{sys.argv[1]}/{name}.metrics.json"))["graph_bytes_sent"]
+first = sum(sent(name) for name in ("motifs", "cliques", "fsm", "decomposed"))
+assert first > 0, f"leg 1 sent {first} graph bytes"
+assert sent("repeat") == 0, f"the repeated job sent {sent('repeat')} graph bytes"
+print(f"serve-smoke: snapshot kept (leg 1 sent {first} graph bytes, the repeat 0)")
+EOF
 
 # ---- leg 2: cancel one job mid-run + SIGKILL one worker ----
 

@@ -28,103 +28,90 @@ fn unhex(s: &str) -> Vec<u8> {
         .collect()
 }
 
-fn frames() -> Vec<Frame> {
-    vec![
-        Frame::Hello {
-            role: Role::Client,
-            cores: 8,
-        },
-        Frame::Assign {
-            round: 3,
-            recovery: true,
-            job: Some(vec![1, 2, 3]),
-            seed: Some(vec![0xAA, 0xBB]),
-            roots: vec![5, 9, u64::MAX - 1],
-        },
-        Frame::StealRequest { round: 2 },
-        Frame::StealReply {
-            round: 2,
-            word: 77,
-            unit: Some(vec![9, 8, 7, 6]),
-        },
-        Frame::Ack { round: 1, word: 42 },
-        Frame::Nack { round: 1, word: 43 },
-        Frame::AggFlush {
-            round: 4,
-            count: 1234,
-            agg: vec![7; 5],
-            report: vec![8; 3],
-        },
-        Frame::Heartbeat {
-            round: 4,
-            completed: vec![1, 2, 3],
-        },
-        Frame::Done { round: 5 },
-        Frame::Submit {
-            tenant: "acme".into(),
-            priority: 7,
-            snapshot: "gen:mico:200:1".into(),
-            app: vec![1, 2, 3, 4],
-            token: "acme-42-a9".into(),
-        },
-        Frame::Status { job: 42 },
-        Frame::Cancel { job: u64::MAX },
-        Frame::Result {
-            job: 9,
-            count: 123_456,
-            agg: vec![5; 4],
-            report: vec![6; 2],
-        },
-        Frame::JobEvent {
-            job: 9,
-            kind: EventKind::Progress,
-            detail: "round 2 \u{e9}".into(),
-            value: 17,
-            event_seq: 3,
-        },
-        Frame::Mux {
-            job: 4,
-            inner: encode_frame(11, &Frame::Done { round: 1 }),
-        },
-        Frame::Watch {
-            job: 12,
-            after_seq: 5,
-        },
-        Frame::UnitFailed {
-            round: 2,
-            message: "filter rejects subgraph \u{e9}".into(),
-        },
-    ]
+/// `frames! { Variant {fields} => "hex", ... }` defines `frames()`, one
+/// (sample, golden) row per `Frame` variant; row `i` is encoded under
+/// sequence number `100 + i`. The expansion matches exhaustively on the
+/// listed variants, so a variant without a golden does not compile.
+macro_rules! frames {
+    ($($variant:ident $fields:tt => $hex:literal,)+) => {
+        fn _every_frame_has_a_golden(frame: &Frame) {
+            match frame {
+                $(Frame::$variant { .. } => {})+
+            }
+        }
+
+        fn frames() -> Vec<(Frame, &'static str)> {
+            vec![$((Frame::$variant $fields, $hex)),+]
+        }
+    };
 }
 
-const FRAMES_HEX: &[&str] = &[
-    "f2ac010100000064000000050200000008f1b7061162cb4ae0",
-    "f2ac0102000000650000002e00000003070000000301020300000002aabb0000000300000000000000050000\
-     000000000009fffffffffffffffee10426465cd9ddf3",
-    "f2ac01030000006600000004000000025e488b562364ee27",
-    "f2ac0104000000670000001500000002000000000000004d010000000409080706f2e60847e22b5e34",
-    "f2ac0105000000680000000c00000001000000000000002a46f30a208da87a5c",
-    "f2ac0106000000690000000c00000001000000000000002baf26da552dc707e5",
-    "f2ac01070000006a0000001c0000000400000000000004d200000005070707070700000003080808b0b082b2\
-     f9520370",
-    "f2ac01080000006b000000200000000400000003000000000000000100000000000000020000000000000003\
-     0d23452ea7279f8e",
-    "f2ac01090000006c000000040000000502de6fd948c13f2e",
-    "f2ac010a0000006d000000310000000461636d65070000000e67656e3a6d69636f3a3230303a310000000401\
-     0203040000000a61636d652d34322d6139f9e0105176f30bb2",
-    "f2ac010b0000006e00000008000000000000002a65956ee7930e9a4b",
-    "f2ac010c0000006f00000008ffffffffffffffff671da3cead89d427",
-    "f2ac010d000000700000001e0000000000000009000000000001e2400000000405050505000000020606b840\
-     341162db1997",
-    "f2ac010e00000071000000270000000000000009040000000a726f756e64203220c3a9000000000000001100\
-     00000000000003f29b212909c73add",
-    "f2ac010f0000007200000024000000000000000400000018f2ac01090000000b0000000400000001e8f1aecb\
-     38c4a53b6a93baef02f337bb",
-    "f2ac01100000007300000010000000000000000c0000000000000005a52909dd355378ec",
+frames! {
+    Hello { role: Role::Client, cores: 8 } =>
+        "f2ac010100000064000000050200000008f1b7061162cb4ae0",
+    Assign {
+        round: 3,
+        recovery: true,
+        job: Some(vec![1, 2, 3]),
+        seed: Some(vec![0xAA, 0xBB]),
+        roots: vec![5, 9, u64::MAX - 1],
+    } =>
+        "f2ac0102000000650000002e00000003070000000301020300000002aabb0000000300000000000000050000\
+        000000000009fffffffffffffffee10426465cd9ddf3",
+    StealRequest { round: 2 } =>
+        "f2ac01030000006600000004000000025e488b562364ee27",
+    StealReply { round: 2, word: 77, unit: Some(vec![9, 8, 7, 6]) } =>
+        "f2ac0104000000670000001500000002000000000000004d010000000409080706f2e60847e22b5e34",
+    Ack { round: 1, word: 42 } =>
+        "f2ac0105000000680000000c00000001000000000000002a46f30a208da87a5c",
+    Nack { round: 1, word: 43 } =>
+        "f2ac0106000000690000000c00000001000000000000002baf26da552dc707e5",
+    AggFlush { round: 4, count: 1234, agg: vec![7; 5], report: vec![8; 3] } =>
+        "f2ac01070000006a0000001c0000000400000000000004d200000005070707070700000003080808b0b082b2\
+        f9520370",
+    Heartbeat { round: 4, completed: vec![1, 2, 3] } =>
+        "f2ac01080000006b000000200000000400000003000000000000000100000000000000020000000000000003\
+        0d23452ea7279f8e",
+    Done { round: 5 } =>
+        "f2ac01090000006c000000040000000502de6fd948c13f2e",
+    Submit {
+        tenant: "acme".into(),
+        priority: 7,
+        snapshot: "gen:mico:200:1".into(),
+        app: vec![1, 2, 3, 4],
+        token: "acme-42-a9".into(),
+    } =>
+        "f2ac010a0000006d000000310000000461636d65070000000e67656e3a6d69636f3a3230303a310000000401\
+        0203040000000a61636d652d34322d6139f9e0105176f30bb2",
+    Status { job: 42 } =>
+        "f2ac010b0000006e00000008000000000000002a65956ee7930e9a4b",
+    Cancel { job: u64::MAX } =>
+        "f2ac010c0000006f00000008ffffffffffffffff671da3cead89d427",
+    Result { job: 9, count: 123_456, agg: vec![5; 4], report: vec![6; 2] } =>
+        "f2ac010d000000700000001e0000000000000009000000000001e2400000000405050505000000020606b840\
+        341162db1997",
+    JobEvent {
+        job: 9,
+        kind: EventKind::Progress,
+        detail: "round 2 \u{e9}".into(),
+        value: 17,
+        event_seq: 3,
+    } =>
+        "f2ac010e00000071000000270000000000000009040000000a726f756e64203220c3a9000000000000001100\
+        00000000000003f29b212909c73add",
+    Mux { job: 4, inner: encode_frame(11, &Frame::Done { round: 1 }) } =>
+        "f2ac010f0000007200000024000000000000000400000018f2ac01090000000b0000000400000001e8f1aecb\
+        38c4a53b6a93baef02f337bb",
+    Watch { job: 12, after_seq: 5 } =>
+        "f2ac01100000007300000010000000000000000c0000000000000005a52909dd355378ec",
     // Tag 17 postdates the fold: captured from the encoder that added it.
-    "f2ac01110000007400000022000000020000001a66696c7465722072656a65637473207375626772617068\
-     20c3a988c632abcf33672b",
-];
+    UnitFailed { round: 2, message: "filter rejects subgraph \u{e9}".into() } =>
+        "f2ac01110000007400000022000000020000001a66696c7465722072656a65637473207375626772617068\
+        20c3a988c632abcf33672b",
+    // Tag 18 postdates the fold: captured from the encoder that added it.
+    Forget { graph: 7 } =>
+        "f2ac0112000000750000000800000000000000076c5ad347e4196c42",
+}
 
 fn records() -> Vec<Record> {
     vec![
@@ -215,6 +202,7 @@ fn report() -> JobReport {
             resumed_jobs: 42,
             link_faults_injected: 43,
             client_reconnects: 44,
+            graph_bytes_sent: 45,
         },
         planner: PlannerStats {
             plans_compiled: 51,
@@ -291,20 +279,28 @@ apps! {
     Fsm { min_support: 12, max_edges: 3 } => "03000000000000000c00000003",
 }
 
+// The fault counter `graph_bytes_sent` (0x2d) postdates the fold: its eight
+// bytes were captured from the encoder that added it.
 const REPORT_HEX: &str = "\
     00000000004c4b51000000000000001500000000000000160000000000000017000000000000001f00000000\
     0000002000000000000000210000000000000022000000000000002300000000000000240000000000000025\
     0000000000000026000000000000002700000000000000280000000000000029000000000000002a00000000\
-    0000002b000000000000002c0000000000000033000000000000003400000000000000350000000200000000\
-    0000000100000000000000650000000000000066000000000000006700000000000000680000000000000069\
-    000000000000006a000000000000006b000000000000006c000000000000006d000000000000006e00000000\
-    0000006f00000000000000700000000000000071000000000000007200000000000000730000000200000000\
-    00000000000000c900000000000000ca00000000000000cb00000000000000cc00000000000000cd00000000\
-    000000ce00000000000000cf00000000000000d000000000000000d100000000000000d200000000000000d3\
-    00000000000000d400000000000000d500000000000000d600000000000000d7";
+    0000002b000000000000002c000000000000002d000000000000003300000000000000340000000000000035\
+    0000000200000000000000010000000000000065000000000000006600000000000000670000000000000068\
+    0000000000000069000000000000006a000000000000006b000000000000006c000000000000006d00000000\
+    0000006e000000000000006f0000000000000070000000000000007100000000000000720000000000000073\
+    000000020000000000000000000000c900000000000000ca00000000000000cb00000000000000cc00000000\
+    000000cd00000000000000ce00000000000000cf00000000000000d000000000000000d100000000000000d2\
+    00000000000000d300000000000000d400000000000000d500000000000000d600000000000000d7";
 const JOB_HEX: &str = "\
     0100000005020000000300000007000000080000000900000002000000000000000100000004000000010000\
     000200000005";
+/// The job parts of `JOB_APP` on graph id 7: carrying the graph (then
+/// the part is the id, flag 1 and `JOB_HEX`) and naming it only.
+const JOB_PART_HEX: &str = "\
+    00000000000000070101000000050200000003000000070000000800000009000000020000000000000001000000\
+    04000000010000000200000005";
+const JOB_PART_NAMED_HEX: &str = "000000000000000700010000000502";
 const MOTIFS_HEX: &str = "\
     0000000300000000ffffffffffffffff00000001000000010000000000000007000000030000000300000001\
     000000020000000000000063";
@@ -330,9 +326,7 @@ fn check<T: std::fmt::Debug + PartialEq>(what: &str, value: &T, encoded: &[u8], 
 
 #[test]
 fn every_frame_variant_is_byte_identical() {
-    let frames = frames();
-    assert_eq!(frames.len(), FRAMES_HEX.len());
-    for (i, (f, want)) in frames.iter().zip(FRAMES_HEX).enumerate() {
+    for (i, (f, want)) in frames().iter().enumerate() {
         let seq = 100 + i as u32;
         check("frame", f, &encode_frame(seq, f), want);
         assert_eq!(decode_frame(&unhex(want)), Ok((seq, f.clone())));
@@ -399,6 +393,17 @@ fn job_and_app_blobs_are_byte_identical() {
     let (app, g2) = blob::decode_job(&unhex(JOB_HEX)).expect("decode job");
     assert_eq!(app, JOB_APP);
     assert_eq!(blob::encode_graph(&g2), blob::encode_graph(&g));
+    let graph = blob::encode_graph(&g);
+    let carried = blob::encode_job_part(&JOB_APP, 7, Some(&graph));
+    assert_eq!(hex(&carried), JOB_PART_HEX);
+    assert_eq!(JOB_PART_HEX, format!("{:016x}01{JOB_HEX}", 7));
+    let (id, app, g3) = blob::decode_job_part(&unhex(JOB_PART_HEX)).expect("decode job part");
+    assert_eq!((id, app), (7, JOB_APP));
+    assert_eq!(g3.map(|g3| blob::encode_graph(&g3)), Some(graph));
+    let named = blob::encode_job_part(&JOB_APP, 7, None);
+    assert_eq!(hex(&named), JOB_PART_NAMED_HEX);
+    let (id, app, g4) = blob::decode_job_part(&unhex(JOB_PART_NAMED_HEX)).expect("decode part");
+    assert_eq!((id, app, g4.is_none()), (7, JOB_APP, true));
     for (app, want) in APPS {
         check("app spec", app, &blob::encode_app_spec(app), want);
         assert_eq!(blob::decode_app_spec(&unhex(want)), Ok(*app));
