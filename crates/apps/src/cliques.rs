@@ -4,7 +4,9 @@
 use fractal_core::{ExecutionReport, FractalGraph, Fractoid, SubgraphData};
 use fractal_enum::kclist::CliqueDag;
 use fractal_enum::KClistEnumerator;
-use std::sync::Arc;
+use fractal_graph::Graph;
+use fractal_runtime::sync::Mutex;
+use std::sync::{Arc, Weak};
 
 /// The largest clique either fractoid here can grow: one vertex-induced
 /// word per clique vertex.
@@ -39,13 +41,63 @@ pub fn list(fg: &FractalGraph, k: usize) -> Vec<SubgraphData> {
 
 /// The Listing 7 fractoid: a vertex-induced fractoid with the custom
 /// KClist enumerator (`vfractoid(new KClistEnum(…)).expand(1).explore(k)`).
-/// The DAG is built once and shared across all cores.
+/// Every core reads the DAG kept with the graph, built on its first use.
 pub fn cliques_kclist_fractoid(fg: &FractalGraph, k: usize) -> Fractoid {
     assert!(k >= 1, "clique size must be at least 1");
-    let dag = Arc::new(CliqueDag::build(fg.graph()));
+    let dag = kept_dag(fg.graph());
     fg.vfractoid_with(move |_g| Box::new(KClistEnumerator::with_dag(dag.clone())))
         .expand(1)
         .explore(k)
+}
+
+/// The DAGs [`kept_dag`] saw built, by graph shape (vertices, edges):
+/// diagnostics that show a graph's jobs share one DAG and that it goes
+/// with its graph. Dead entries are pruned at each build.
+static KEPT: Mutex<Vec<Kept>> = Mutex::new(Vec::new());
+
+struct Kept {
+    shape: (usize, usize),
+    built: u64,
+    live: Vec<Weak<CliqueDag>>,
+}
+
+/// The DAG kept with `g` ([`Graph::clique_dag`]), built on its first use.
+fn kept_dag(g: &Graph) -> Arc<CliqueDag> {
+    let dag = Arc::clone(g.clique_dag());
+    let shape = (g.num_vertices(), g.num_edges());
+    let mut kept = KEPT.lock();
+    let at = kept
+        .iter()
+        .position(|k| k.shape == shape)
+        .unwrap_or_else(|| {
+            kept.push(Kept {
+                shape,
+                built: 0,
+                live: Vec::new(),
+            });
+            kept.len() - 1
+        });
+    let entry = &mut kept[at];
+    entry.live.retain(|w| w.strong_count() > 0);
+    // The slot's first use built the DAG; later uses find it listed.
+    if !entry.live.iter().any(|w| w.as_ptr() == Arc::as_ptr(&dag)) {
+        entry.built += 1;
+        entry.live.push(Arc::downgrade(&dag));
+    }
+    dag
+}
+
+/// `(built, live)` over graphs of `vertices` vertices and `edges` edges in
+/// this process: the DAGs the KClist fractoid built into their graphs, and
+/// those not yet dropped with their graph.
+pub fn kept_dags(vertices: usize, edges: usize) -> (u64, usize) {
+    let kept = KEPT.lock();
+    kept.iter()
+        .find(|k| k.shape == (vertices, edges))
+        .map_or((0, 0), |k| {
+            let live = k.live.iter().filter(|w| w.strong_count() > 0).count();
+            (k.built, live)
+        })
 }
 
 /// Counts k-cliques with the optimized KClist enumerator.

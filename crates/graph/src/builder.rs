@@ -141,8 +141,9 @@ impl GraphBuilder {
 ///
 /// O(V + E) plus a sort of each neighbourhood: a counting sort over
 /// endpoints places every `(neighbour, edge)` pair in its vertex's span,
-/// each span is sorted by neighbour id, and a duplicate edge is then two
-/// adjacent entries with the same neighbour — no hash set needed.
+/// each span not already in order is sorted by neighbour id, and a
+/// duplicate edge is then two adjacent entries with the same neighbour —
+/// no hash set needed.
 fn freeze(vertex_labels: Vec<u32>, edges: &[(u32, u32, u32)]) -> Result<Graph, GraphError> {
     let n = vertex_labels.len();
     let m = edges.len();
@@ -171,23 +172,36 @@ fn freeze(vertex_labels: Vec<u32>, edges: &[(u32, u32, u32)]) -> Result<Graph, G
     }
 
     let mut cursor: Vec<u32> = offsets[..n].to_vec();
-    let mut pairs = vec![(0u32, 0u32); 2 * m];
+    let mut nbr_vertices = vec![0u32; 2 * m];
+    let mut nbr_edges = vec![0u32; 2 * m];
     for (e, (&u, &v)) in edge_src.iter().zip(&edge_dst).enumerate() {
         for (at, nbr) in [(u, v), (v, u)] {
             let c = &mut cursor[at as usize];
-            pairs[*c as usize] = (nbr, e as u32);
+            nbr_vertices[*c as usize] = nbr;
+            nbr_edges[*c as usize] = e as u32;
             *c += 1;
         }
     }
+    let mut span = Vec::new();
     for i in 0..n {
-        let span = &mut pairs[offsets[i] as usize..offsets[i + 1] as usize];
+        let at = offsets[i] as usize..offsets[i + 1] as usize;
+        // Edges listed by their smaller endpoint in order (an adjacency
+        // list read line by line) land in every span sorted already.
+        if nbr_vertices[at.clone()].windows(2).all(|w| w[0] < w[1]) {
+            continue;
+        }
+        span.clear();
+        span.extend(at.clone().map(|k| (nbr_vertices[k], nbr_edges[k])));
         span.sort_unstable();
         if let Some(w) = span.windows(2).find(|w| w[0].0 == w[1].0) {
             let (i, j) = (i as u32, w[0].0);
             return Err(GraphError::DuplicateEdge(i.min(j), i.max(j)));
         }
+        for (k, (v, e)) in at.zip(span.drain(..)) {
+            nbr_vertices[k] = v;
+            nbr_edges[k] = e;
+        }
     }
-    let (nbr_vertices, nbr_edges) = pairs.into_iter().unzip();
 
     let num_vertex_labels = vertex_labels.iter().copied().max().map_or(0, |l| l + 1);
     let num_edge_labels = edge_labels.iter().copied().max().map_or(0, |l| l + 1);
@@ -204,6 +218,7 @@ fn freeze(vertex_labels: Vec<u32>, edges: &[(u32, u32, u32)]) -> Result<Graph, G
         keyword_table: None,
         num_vertex_labels,
         num_edge_labels,
+        clique_dag: Default::default(),
     };
     debug_assert!(g.validate().is_ok(), "freeze produced invalid graph");
     Ok(g)

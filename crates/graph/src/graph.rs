@@ -1,7 +1,8 @@
 //! The immutable CSR graph used by every other crate in the workspace.
 
 use crate::keywords::{KeywordSets, KeywordTable};
-use crate::{EdgeId, KeywordId, Label, VertexId};
+use crate::{CliqueDag, EdgeId, KeywordId, Label, VertexId};
+use std::sync::{Arc, OnceLock};
 
 /// A resolved edge: its id, endpoints and label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,6 +52,8 @@ pub struct Graph {
     pub(crate) keyword_table: Option<KeywordTable>,
     pub(crate) num_vertex_labels: u32,
     pub(crate) num_edge_labels: u32,
+    /// The KClist orientation, built on first use and kept with the graph.
+    pub(crate) clique_dag: OnceLock<Arc<CliqueDag>>,
 }
 
 impl Graph {
@@ -191,6 +194,14 @@ impl Graph {
         let mut c = crate::kernels::KernelCounters::default();
         crate::kernels::intersect(self.neighbors(u), self.neighbors(v), out, &mut c);
         out.len()
+    }
+
+    /// The degree-ordered DAG of this graph ([`CliqueDag`]), built on the
+    /// first call and kept: every core and every job over this graph reads
+    /// the same one, and it is dropped with the graph.
+    pub fn clique_dag(&self) -> &Arc<CliqueDag> {
+        self.clique_dag
+            .get_or_init(|| Arc::new(CliqueDag::build(self)))
     }
 
     /// Keyword set of vertex `v` (empty slice when the graph carries no

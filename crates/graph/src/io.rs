@@ -9,7 +9,7 @@
 
 use crate::builder::try_graph_from_edges;
 use crate::{Graph, GraphError};
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 /// Loads a graph in the Arabesque adjacency-list format from `path`.
@@ -23,33 +23,49 @@ pub fn load_adjacency_list(path: impl AsRef<Path>) -> Result<Graph, GraphError> 
 /// Lines are `vid vlabel nbr1 [nbr2 ...]`; a neighbor token may be
 /// `nbr,elabel` to carry an edge label. Vertex ids must be dense `0..n` and
 /// lines must appear in id order (the format used by Arabesque's datasets).
-pub fn read_adjacency_list<R: Read>(reader: BufReader<R>) -> Result<Graph, GraphError> {
-    let mut labels: Vec<u32> = Vec::new();
-    let mut edges: Vec<(u32, u32, u32)> = Vec::new();
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
+/// The input is parsed from its bytes in one pass, with no `String` per
+/// line: tokens split on ASCII whitespace, numbers read as `str::parse`
+/// reads a `u32`.
+pub fn read_adjacency_list<R: Read>(mut reader: BufReader<R>) -> Result<Graph, GraphError> {
+    let mut text = Vec::new();
+    reader.read_to_end(&mut text)?;
+    let (mut labels, mut edges) = (Vec::new(), Vec::new());
+    let (mut at, mut lineno) = (0, 0);
+    let line_ends = |at: usize| at == text.len() || text[at] == b'\n';
+    while at < text.len() {
+        lineno += 1;
+        let bad = |what: &str| GraphError::Parse(lineno, what.into());
+        at = skip_blanks(&text, at);
+        if line_ends(at) || text[at] == b'#' {
+            at += text[at..]
+                .iter()
+                .position(|&b| b == b'\n')
+                .map_or(text.len() - at, |p| p + 1);
             continue;
         }
-        let bad = |what: &str| GraphError::Parse(lineno + 1, what.into());
-        let mut tok = line.split_whitespace();
-        let vid: u32 = tok
-            .next()
-            .expect("a trimmed non-empty line has a token")
-            .parse()
-            .map_err(|_| bad("bad vertex id"))?;
+        let vid = number(&text, &mut at, b' ').ok_or_else(|| bad("bad vertex id"))?;
         if vid as usize != labels.len() {
             return Err(bad(&format!(
                 "vertex ids must be dense and ordered, got {vid}"
             )));
         }
-        let vlabel = tok.next().ok_or_else(|| bad("missing vertex label"))?;
-        labels.push(vlabel.parse().map_err(|_| bad("bad vertex label"))?);
-        for t in tok {
-            let (nbr, elabel) = t.split_once(',').unwrap_or((t, "0"));
-            let nbr: u32 = nbr.parse().map_err(|_| bad("bad neighbor id"))?;
-            let elabel: u32 = elabel.parse().map_err(|_| bad("bad edge label"))?;
+        at = skip_blanks(&text, at);
+        if line_ends(at) {
+            return Err(bad("missing vertex label"));
+        }
+        labels.push(number(&text, &mut at, b' ').ok_or_else(|| bad("bad vertex label"))?);
+        loop {
+            at = skip_blanks(&text, at);
+            if line_ends(at) {
+                at += 1;
+                break;
+            }
+            let nbr = number(&text, &mut at, b',').ok_or_else(|| bad("bad neighbor id"))?;
+            let mut elabel = 0;
+            if text.get(at) == Some(&b',') {
+                at += 1;
+                elabel = number(&text, &mut at, b' ').ok_or_else(|| bad("bad edge label"))?;
+            }
             // Each undirected edge appears twice; keep the (u < v) copy.
             if vid < nbr {
                 edges.push((vid, nbr, elabel));
@@ -57,6 +73,38 @@ pub fn read_adjacency_list<R: Read>(reader: BufReader<R>) -> Result<Graph, Graph
         }
     }
     try_graph_from_edges(&labels, &edges)
+}
+
+/// ASCII whitespace as `str::split_whitespace` sees it (vertical tab too).
+fn is_space(b: u8) -> bool {
+    b == b' ' || (b'\t'..=b'\r').contains(&b)
+}
+
+/// The first byte from `at` on that is not whitespace or is a line end.
+fn skip_blanks(text: &[u8], at: usize) -> usize {
+    at + text[at..]
+        .iter()
+        .take_while(|&&b| b != b'\n' && is_space(b))
+        .count()
+}
+
+/// Reads the decimal `u32` at `text[*at..]` as `str::parse` would (an
+/// optional `+`, at least one digit, no overflow), moving `at` past it;
+/// the number must end the text, or meet whitespace or `end`.
+fn number(text: &[u8], at: &mut usize, end: u8) -> Option<u32> {
+    *at += usize::from(text.get(*at) == Some(&b'+'));
+    let start = *at;
+    let mut n: u32 = 0;
+    while let Some(digit) = text
+        .get(*at)
+        .map(|b| b.wrapping_sub(b'0'))
+        .filter(|&d| d <= 9)
+    {
+        n = n.checked_mul(10)?.checked_add(u32::from(digit))?;
+        *at += 1;
+    }
+    let ends = text.get(*at).is_none_or(|&b| b == end || is_space(b));
+    (*at > start && ends).then_some(n)
 }
 
 /// Writes `g` in the adjacency-list format (with `nbr,elabel` tokens when
@@ -87,7 +135,7 @@ pub fn save_adjacency_list(g: &Graph, path: impl AsRef<Path>) -> std::io::Result
 mod tests {
     use super::*;
     use crate::builder::graph_from_edges;
-    use crate::{Label, VertexId};
+    use crate::{EdgeId, Label, VertexId};
 
     #[test]
     fn adjacency_roundtrip_unlabeled_edges() {
@@ -119,6 +167,35 @@ mod tests {
     fn adjacency_rejects_sparse_ids() {
         let input = b"0 1 1\n2 1 0\n" as &[u8];
         assert!(read_adjacency_list(BufReader::new(input)).is_err());
+    }
+
+    /// Every parse error names its message and its 1-based line, blank
+    /// and comment lines counted.
+    #[test]
+    fn adjacency_parse_errors_name_message_and_line() {
+        let cases: [(&[u8], usize, &str); 7] = [
+            (b"x 0\n", 1, "bad vertex id"),
+            (
+                b"0 0 1\n\n# c\n 2 0 0\n",
+                4,
+                "vertex ids must be dense and ordered, got 2",
+            ),
+            (b"0\n", 1, "missing vertex label"),
+            (b"0 0 1\n1 -1 0\n", 2, "bad vertex label"),
+            (b"0 0 1,\n1 0 0\n", 1, "bad edge label"),
+            (b"0 0 ,2\n1 0 0\n", 1, "bad neighbor id"),
+            (b"0 0 4294967296\n", 1, "bad neighbor id"),
+        ];
+        for (input, line, message) in cases {
+            match read_adjacency_list(BufReader::new(input)) {
+                Err(GraphError::Parse(l, m)) => assert_eq!((l, m.as_str()), (line, message)),
+                other => panic!("{:?}: {other:?}", String::from_utf8_lossy(input)),
+            }
+        }
+        let plus = read_adjacency_list(BufReader::new(b"+0 +1 +1,+2\r\n1\t0\t0,2" as &[u8]));
+        assert_eq!(plus.unwrap().edge_label(EdgeId(0)), Label(2));
+        let unterminated = read_adjacency_list(BufReader::new(b"0 0 1\n1 0 0" as &[u8]));
+        assert_eq!(unterminated.unwrap().num_edges(), 1);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Extension hot-path intersection kernels.
 //!
 //! Fractal's DFS spends nearly all of its time intersecting sorted
-//! adjacency lists to compute valid extensions (§3, Fig. 7; the KClist
-//! enumerator of Appendix B is repeated candidate-set intersection). This
+//! adjacency lists to compute valid extensions (§3, Fig. 7). This
 //! module concentrates those inner loops into one tuned layer:
 //!
 //! - **sorted-merge** — the classic two-pointer merge, best when the two
@@ -20,22 +19,15 @@
 //!
 //! The crossover between the three paths is decided per call from the
 //! relative set sizes; every invocation is tallied into [`KernelCounters`]
-//! (per-path call counts, elements scanned, arena high-water mark) so the
+//! (per-path call counts, elements scanned, scratch high-water mark) so the
 //! heuristic stays observable through the flight recorder and the CI perf
 //! gate.
 //!
 //! Matching orders (pattern-induced extension and counting plans) and
 //! vertex-induced extension use no kernel here: they scan neighbour slices
 //! trimmed to their bounds by [`seek_above`] and [`seek_below`] and test
-//! each element against per-vertex marks (`fractal_pattern::plan::Marks`).
-//!
-//! Candidate sets themselves live in a per-core bump arena
-//! ([`ExtensionKernels`] level stack): DFS levels are strictly nested, so
-//! a level is one contiguous arena region and push/pop is a truncation —
-//! no per-extension `Vec` allocation. The arena is worker-local scratch
-//! only: a stolen task re-derives its candidate stack from the
-//! from-scratch prefix (`SubgraphEnumerator::rebuild`), so arenas never
-//! travel in steal messages.
+//! each element against per-vertex marks (`fractal_pattern::plan::Marks`);
+//! KClist word-ANDs bitsets over a root's local sub-DAG (`fractal_enum::kclist`).
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -61,7 +53,7 @@ pub struct KernelCounters {
     pub bitset_calls: u64,
     /// Total elements scanned across all kernel invocations.
     pub elements_scanned: u64,
-    /// Peak resident bytes of the candidate-set arena (+ scratch).
+    /// Peak resident bytes of an enumerator's candidate-set scratch.
     pub arena_high_water_bytes: u64,
 }
 
@@ -250,25 +242,16 @@ pub fn collect_induced_edges(
     nh as u32
 }
 
-/// Per-core kernel state: the bump-arena candidate-set stack, the bitset
-/// scratch for the mark/probe path, and the accumulated counters.
-///
-/// One instance lives inside each enumerator clone (one per core); it is
-/// **never** shipped with stolen work — a thief rebuilds its own stack by
-/// replaying the stolen prefix, and [`reset_levels`](Self::reset_levels)
-/// keeps the allocations warm across units.
+/// Per-core kernel state: the bitset scratch for the mark/probe path and
+/// the accumulated counters.
 #[derive(Debug, Default, Clone)]
 pub struct ExtensionKernels {
-    /// Accumulated path counters, drained by the runtime per work unit.
+    /// Accumulated path counters.
     counters: KernelCounters,
     /// Vertex-universe size the bitset scratch covers (0 = path disabled).
     universe: usize,
     /// Bitset scratch words (`universe / 64` once sized).
     bits: Vec<u64>,
-    /// Bump arena holding all live candidate sets, contiguously.
-    arena: Vec<u32>,
-    /// Start offset of each live level inside `arena`.
-    marks: Vec<usize>,
 }
 
 impl ExtensionKernels {
@@ -290,227 +273,6 @@ impl ExtensionKernels {
     /// The counters accumulated so far.
     pub fn counters(&self) -> &KernelCounters {
         &self.counters
-    }
-
-    /// Drains the counters (stamping the current arena high-water mark).
-    pub fn take_counters(&mut self) -> KernelCounters {
-        self.note_high_water();
-        self.counters.take()
-    }
-
-    /// Resident bytes of the arena + scratch buffers.
-    pub fn resident_bytes(&self) -> usize {
-        self.arena.capacity() * 4
-            + self.bits.capacity() * 8
-            + self.marks.capacity() * std::mem::size_of::<usize>()
-    }
-
-    fn note_high_water(&mut self) {
-        let bytes = self.resident_bytes() as u64;
-        if bytes > self.counters.arena_high_water_bytes {
-            self.counters.arena_high_water_bytes = bytes;
-        }
-    }
-
-    // ---- candidate-set level stack (bump arena) ----
-
-    /// Number of live levels.
-    #[inline]
-    pub fn depth(&self) -> usize {
-        self.marks.len()
-    }
-
-    /// The top (deepest) candidate set.
-    #[inline]
-    pub fn top(&self) -> &[u32] {
-        #[expect(
-            clippy::expect_used,
-            reason = "callers never read top() of an empty stack: a level is pushed before \
-                      any read (enumerator recursion invariant)"
-        )]
-        let lo = *self.marks.last().expect("no live level");
-        &self.arena[lo..]
-    }
-
-    /// Opens a new level initialized with a copy of `src`.
-    pub fn push_level_copy(&mut self, src: &[u32]) {
-        self.marks.push(self.arena.len());
-        self.arena.extend_from_slice(src);
-        self.note_high_water();
-    }
-
-    /// Opens a new level holding `top() ∩ other`, choosing the kernel path
-    /// adaptively. The parent level is read in place while the result is
-    /// bump-allocated behind it.
-    pub fn push_level_intersect(&mut self, other: &[u32]) {
-        #[expect(
-            clippy::expect_used,
-            reason = "intersect is only called with a parent level open, enforced by the \
-                      enumerator's push/pop pairing"
-        )]
-        let plo = *self.marks.last().expect("no parent level");
-        let phi = self.arena.len();
-        self.marks.push(phi);
-        let (slen, llen) = ((phi - plo).min(other.len()), (phi - plo).max(other.len()));
-        if slen == 0 {
-            return;
-        }
-        if llen / slen >= GALLOP_RATIO {
-            self.gallop_parent(plo, phi, other);
-        } else if slen >= BITSET_MIN && self.fits_universe(phi - plo, other) {
-            self.bitset_parent(plo, phi, other);
-        } else {
-            self.merge_parent(plo, phi, other);
-        }
-        self.note_high_water();
-    }
-
-    /// Closes the top level, reclaiming its arena region.
-    pub fn pop_level(&mut self) {
-        #[expect(
-            clippy::expect_used,
-            reason = "pop pairs a prior push in the same recursion; underflow is a kernel bug \
-                      that must abort the count"
-        )]
-        let lo = self.marks.pop().expect("pop on empty level stack");
-        self.arena.truncate(lo);
-    }
-
-    /// Drops all levels (keeps capacity warm). Called when a stolen unit's
-    /// prefix is about to be replayed from scratch.
-    pub fn reset_levels(&mut self) {
-        self.marks.clear();
-        self.arena.clear();
-    }
-
-    fn fits_universe(&self, parent_len: usize, other: &[u32]) -> bool {
-        if self.universe == 0 {
-            return false;
-        }
-        let pmax = if parent_len == 0 {
-            0
-        } else {
-            self.arena[self.arena.len() - 1]
-        };
-        let omax = other.last().copied().unwrap_or(0);
-        (pmax.max(omax) as usize) < self.universe
-    }
-
-    /// Merge path over an arena parent: reads `arena[plo..phi]` by index
-    /// while pushing behind `phi` (pushes may reallocate, so no borrows are
-    /// held across them).
-    fn merge_parent(&mut self, plo: usize, phi: usize, other: &[u32]) {
-        self.counters.merge_calls += 1;
-        let (mut i, mut j) = (plo, 0usize);
-        while i < phi && j < other.len() {
-            let x = self.arena[i];
-            match x.cmp(&other[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    self.arena.push(x);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        self.counters.elements_scanned += (i - plo + j) as u64;
-    }
-
-    /// Gallop path over an arena parent: searches the smaller side's
-    /// elements inside the larger side.
-    fn gallop_parent(&mut self, plo: usize, phi: usize, other: &[u32]) {
-        let parent_len = phi - plo;
-        if parent_len <= other.len() {
-            // Parent is small: gallop each parent element through `other`.
-            self.counters.gallop_calls += 1;
-            let mut from = 0usize;
-            let mut probes = 0u64;
-            for i in plo..phi {
-                let x = self.arena[i];
-                let mut step = 1usize;
-                while from + step < other.len() && other[from + step] < x {
-                    step <<= 1;
-                    probes += 1;
-                }
-                let hi = (from + step + 1).min(other.len());
-                let idx = from + other[from..hi].partition_point(|&y| y < x);
-                probes += (hi - from).max(1).ilog2() as u64 + 1;
-                if idx < other.len() && other[idx] == x {
-                    self.arena.push(x);
-                    from = idx + 1;
-                } else {
-                    from = idx;
-                }
-                if from >= other.len() {
-                    break;
-                }
-            }
-            self.counters.elements_scanned += parent_len as u64 + probes;
-        } else {
-            // `other` is small: gallop its elements through the parent
-            // region (index-based binary searches into the arena).
-            self.counters.gallop_calls += 1;
-            let mut from = plo;
-            let mut probes = 0u64;
-            for &x in other {
-                let mut step = 1usize;
-                while from + step < phi && self.arena[from + step] < x {
-                    step <<= 1;
-                    probes += 1;
-                }
-                let hi = (from + step + 1).min(phi);
-                let idx = from + self.arena[from..hi].partition_point(|&y| y < x);
-                probes += (hi - from).max(1).ilog2() as u64 + 1;
-                if idx < phi && self.arena[idx] == x {
-                    self.arena.push(x);
-                    from = idx + 1;
-                } else {
-                    from = idx;
-                }
-                if from >= phi {
-                    break;
-                }
-            }
-            self.counters.elements_scanned += other.len() as u64 + probes;
-        }
-    }
-
-    /// Bitset path over an arena parent: mark the smaller side, probe the
-    /// larger side (branch-free word tests), clear only the marked bits.
-    fn bitset_parent(&mut self, plo: usize, phi: usize, other: &[u32]) {
-        self.counters.bitset_calls += 1;
-        let parent_len = phi - plo;
-        if parent_len <= other.len() {
-            for i in plo..phi {
-                let v = self.arena[i] as usize;
-                self.bits[v >> 6] |= 1 << (v & 63);
-            }
-            for &u in other {
-                if self.bits[(u as usize) >> 6] >> (u & 63) & 1 == 1 {
-                    self.arena.push(u);
-                }
-            }
-            for i in plo..phi {
-                let v = self.arena[i] as usize;
-                self.bits[v >> 6] &= !(1 << (v & 63));
-            }
-            self.counters.elements_scanned += (2 * parent_len + other.len()) as u64;
-        } else {
-            for &u in other {
-                self.bits[(u as usize) >> 6] |= 1 << (u & 63);
-            }
-            for i in plo..phi {
-                let v = self.arena[i];
-                if self.bits[(v as usize) >> 6] >> (v & 63) & 1 == 1 {
-                    self.arena.push(v);
-                }
-            }
-            for &u in other {
-                self.bits[(u as usize) >> 6] &= !(1 << (u & 63));
-            }
-            self.counters.elements_scanned += (2 * other.len() + parent_len) as u64;
-        }
     }
 
     /// Bitset intersection of two flat slices (`s` marked, `l` probed);
@@ -607,61 +369,6 @@ mod tests {
         assert!(seek_below(&a, 0).is_empty());
         // Above + below compose into an open interval.
         assert_eq!(seek_below(seek_above(&a, 2), 11), &[5, 8]);
-    }
-
-    #[test]
-    fn arena_levels_nest_and_reset() {
-        let mut k = ExtensionKernels::new();
-        k.ensure_universe(64);
-        k.push_level_copy(&[1, 2, 3, 5, 8]);
-        assert_eq!(k.top(), &[1, 2, 3, 5, 8]);
-        k.push_level_intersect(&[2, 3, 4, 8]);
-        assert_eq!(k.top(), &[2, 3, 8]);
-        k.push_level_intersect(&[8]);
-        assert_eq!(k.top(), &[8]);
-        assert_eq!(k.depth(), 3);
-        k.pop_level();
-        assert_eq!(k.top(), &[2, 3, 8]);
-        k.push_level_intersect(&[]);
-        assert!(k.top().is_empty());
-        k.reset_levels();
-        assert_eq!(k.depth(), 0);
-        let c = k.take_counters();
-        assert!(c.arena_high_water_bytes > 0);
-        assert!(k.counters().is_empty());
-    }
-
-    #[test]
-    fn arena_intersect_matches_naive_on_random_chains() {
-        // Pseudo-random sorted sets via a fixed LCG; compare the arena
-        // chain against naive progressive intersection.
-        let mut state = 0x2545F4914F6CDD1Du64;
-        let mut next = move |m: u32| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) as u32) % m
-        };
-        for trial in 0..50 {
-            let mut k = ExtensionKernels::new();
-            k.ensure_universe(2048);
-            let mk = |next: &mut dyn FnMut(u32) -> u32| {
-                let len = next(300) as usize;
-                let mut v: Vec<u32> = (0..len).map(|_| next(2048)).collect();
-                v.sort_unstable();
-                v.dedup();
-                v
-            };
-            let base = mk(&mut next);
-            k.push_level_copy(&base);
-            let mut want = base.clone();
-            for _ in 0..4 {
-                let other = mk(&mut next);
-                k.push_level_intersect(&other);
-                want.retain(|x| other.binary_search(x).is_ok());
-                assert_eq!(k.top(), &want[..], "trial {trial}");
-            }
-        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! - [`gen`] — deterministic synthetic generators shaped after the paper's
 //!   evaluation datasets (Table 1),
 //! - [`kernels`] — the extension hot-path intersection kernels (hybrid
-//!   sorted-merge / galloping / bitset) and per-core candidate-set arenas,
+//!   sorted-merge / galloping / bitset),
 //! - [`reduction`] — the graph-reduction optimization of §4.3 (`vfilter` /
 //!   `efilter` and participation-driven reduction),
 //! - [`keywords`] — interned keyword dictionary and per-element keyword sets.
@@ -29,6 +29,7 @@
 
 pub mod bitset;
 pub mod builder;
+mod dag;
 pub mod gen;
 pub mod io;
 pub mod kernels;
@@ -40,6 +41,7 @@ mod ids;
 
 pub use bitset::Bitset;
 pub use builder::{graph_from_edges, try_graph_from_edges, unlabeled_from_edges, GraphBuilder};
+pub use dag::CliqueDag;
 pub use graph::{EdgeRef, Graph};
 pub use ids::{EdgeId, KeywordId, Label, VertexId};
 pub use kernels::{ExtensionKernels, KernelCounters};

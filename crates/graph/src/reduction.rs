@@ -160,6 +160,7 @@ impl Graph {
             keyword_table: self.keyword_table.clone(),
             num_vertex_labels: self.num_vertex_labels,
             num_edge_labels: self.num_edge_labels,
+            clique_dag: Default::default(),
         };
         debug_assert!(graph.validate().is_ok());
         ReducedGraph {

@@ -1,8 +1,7 @@
 //! Property tests for the extension hot-path kernels: every variant
 //! (merge / gallop / bitset / adaptive) must equal the naive reference
 //! intersection on random sorted sets and on Mico-like generated graphs,
-//! `seek_above` must equal a filter, and the arena level stack must behave
-//! exactly like a stack of freshly-allocated `Vec`s.
+//! and `seek_above` must equal a filter.
 
 use fractal_graph::kernels::{
     collect_induced_edges, gallop_into, intersect, merge_into, seek_above, ExtensionKernels,
@@ -121,33 +120,6 @@ proptest! {
             .collect();
         prop_assert_eq!(added as usize, want.len());
         prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn arena_stack_equals_vec_stack(
-        base in arb_sorted_set(512, 200),
-        others in proptest::collection::vec(arb_sorted_set(512, 200), 1..5),
-        pops in 0usize..3,
-    ) {
-        let mut k = ExtensionKernels::new();
-        k.ensure_universe(512);
-        // Reference: a stack of owned Vecs.
-        let mut stack: Vec<Vec<u32>> = vec![base.clone()];
-        k.push_level_copy(&base);
-        for o in &others {
-            let top = stack.last().unwrap();
-            stack.push(naive_intersect(top, o));
-            k.push_level_intersect(o);
-            prop_assert_eq!(k.top(), &stack.last().unwrap()[..]);
-        }
-        for _ in 0..pops.min(others.len()) {
-            stack.pop();
-            k.pop_level();
-            prop_assert_eq!(k.top(), &stack.last().unwrap()[..]);
-        }
-        prop_assert_eq!(k.depth(), stack.len());
-        k.reset_levels();
-        prop_assert_eq!(k.depth(), 0);
     }
 
     #[test]

@@ -173,18 +173,127 @@ proptest! {
         }
     }
 
-    /// Adjacency-list round trip preserves the graph exactly.
+    /// Adjacency-list round trip preserves the graph exactly, edge labels
+    /// included, with and without `nbr,elabel` tokens, and
+    /// whatever whitespace, line endings and comment lines the file holds.
     #[test]
-    fn io_roundtrip((n, edges) in arb_graph()) {
+    fn io_roundtrip(
+        (n, edges) in arb_graph(),
+        labelled in any::<bool>(),
+        noise in proptest::collection::vec(0u8..5, 32),
+    ) {
+        let edges: Vec<_> = edges
+            .iter()
+            .map(|&(u, v, l)| (u, v, if labelled { l } else { 0 }))
+            .collect();
         let g = build(n, &edges);
         let mut buf = Vec::new();
         fractal_graph::io::write_adjacency_list(&g, &mut buf).unwrap();
-        let g2 = fractal_graph::io::read_adjacency_list(std::io::BufReader::new(buf.as_slice())).unwrap();
-        prop_assert_eq!(g2.num_vertices(), g.num_vertices());
-        prop_assert_eq!(g2.num_edges(), g.num_edges());
-        for v in g.vertices() {
-            prop_assert_eq!(g2.neighbors(v), g.neighbors(v));
-            prop_assert_eq!(g2.vertex_label(v), g.vertex_label(v));
+        prop_assert_eq!(buf.contains(&b','), g.num_edge_labels() > 1);
+        // The same file with its spaces, line ends and lines reshaped.
+        let mut noisy = Vec::new();
+        for (at, line) in buf.split(|&b| b == b'\n').enumerate() {
+            let pick = noise[at % noise.len()];
+            if pick == 4 {
+                noisy.extend_from_slice(b"  # a comment, 1 2 3\n\n");
+            }
+            for &b in line {
+                match (b, pick) {
+                    (b' ', 1) => noisy.extend_from_slice(b" \t "),
+                    (b' ', 2) => noisy.extend_from_slice(b"\x0b"),
+                    _ => noisy.push(b),
+                }
+            }
+            noisy.extend_from_slice(if pick == 3 { b" \r\n" } else { b"\n" });
+        }
+        for text in [&buf, &noisy] {
+            let g2 = fractal_graph::io::read_adjacency_list(std::io::BufReader::new(text.as_slice())).unwrap();
+            prop_assert_eq!(g2.num_vertices(), g.num_vertices());
+            prop_assert_eq!(g2.num_edges(), g.num_edges());
+            for v in g.vertices() {
+                prop_assert_eq!(g2.neighbors(v), g.neighbors(v));
+                prop_assert_eq!(g2.vertex_label(v), g.vertex_label(v));
+            }
+            for e in g.edges() {
+                let (u, v) = g.edge_endpoints(e);
+                let e2 = g2.edge_between(u, v).unwrap();
+                prop_assert_eq!(g2.edge_label(e2), g.edge_label(e));
+            }
         }
     }
+
+    /// On any line soup the byte parser fails, or succeeds, exactly where
+    /// a `str`-based reading of the format does, with the same message.
+    #[test]
+    fn io_parse_errors_match_a_str_reading(
+        tokens in proptest::collection::vec(0usize..TOKENS.len(), 0..40),
+    ) {
+        let text: String = tokens.iter().map(|&t| TOKENS[t]).collect();
+        let got = fractal_graph::io::read_adjacency_list(std::io::BufReader::new(text.as_bytes()));
+        match (str_reading(&text), got) {
+            (Err(want), Err(GraphError::Parse(line, msg))) => prop_assert_eq!((line, msg), want),
+            (Err(want), other) => prop_assert!(false, "{:?}: {:?}, want {:?}", text, other.err(), want),
+            (Ok(()), Err(GraphError::Parse(line, msg))) => {
+                prop_assert!(false, "{:?}: {} at {}", text, msg, line)
+            }
+            (Ok(()), _) => {}
+        }
+    }
+}
+
+/// Pieces of adjacency-list lines, valid and not.
+const TOKENS: [&str; 20] = [
+    "0",
+    "1",
+    "2",
+    " ",
+    "\t",
+    "\n",
+    "\r\n",
+    "#",
+    ",",
+    "+",
+    "x",
+    "-1",
+    "12",
+    "1,3",
+    "4294967296",
+    "\x0b",
+    "0 0 1 2",
+    "\n1 0 0",
+    "\n2 1 0,1",
+    " 2,",
+];
+
+/// The format read through `str`: `lines`, `trim`, `split_whitespace` and
+/// `u32::from_str`; the parse errors only, as `(line, message)`.
+fn str_reading(text: &str) -> Result<(), (usize, String)> {
+    let mut vertices = 0;
+    for (lineno, line) in text.lines().enumerate() {
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let bad = |what: &str| (lineno + 1, what.to_string());
+        let mut tok = line.split_whitespace();
+        let vid: u32 = tok
+            .next()
+            .unwrap()
+            .parse()
+            .map_err(|_| bad("bad vertex id"))?;
+        if vid != vertices {
+            return Err(bad(&format!(
+                "vertex ids must be dense and ordered, got {vid}"
+            )));
+        }
+        vertices += 1;
+        let vlabel = tok.next().ok_or_else(|| bad("missing vertex label"))?;
+        vlabel.parse::<u32>().map_err(|_| bad("bad vertex label"))?;
+        for t in tok {
+            let (nbr, elabel) = t.split_once(',').unwrap_or((t, "0"));
+            nbr.parse::<u32>().map_err(|_| bad("bad neighbor id"))?;
+            elabel.parse::<u32>().map_err(|_| bad("bad edge label"))?;
+        }
+    }
+    Ok(())
 }

@@ -41,7 +41,7 @@ use crate::frame::{
 use crate::invalid;
 use crate::journal::{Journal, Record, Replay, Terminal};
 use crate::linkfault::DedupWindow;
-use fractal_graph::{gen, io::load_adjacency_list, Graph};
+use fractal_graph::{gen, io::load_adjacency_list, CliqueDag, Graph};
 use fractal_runtime::sync::{AtomicBool, AtomicU32, AtomicU64, Mutex, Ordering};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap};
@@ -62,7 +62,8 @@ pub struct ServeConfig {
     pub max_per_tenant: usize,
     /// Maximum concurrently running jobs.
     pub max_running: usize,
-    /// Snapshot cache byte budget (approximate, CSR-sized).
+    /// Snapshot cache byte budget (approximate: CSR plus the kept KClist
+    /// DAG bound).
     pub snapshot_budget_bytes: u64,
     /// Per-job driver heartbeat staleness timeout.
     pub heartbeat_timeout: Duration,
@@ -139,9 +140,10 @@ pub fn load_snapshot(spec: &str) -> io::Result<Graph> {
     })
 }
 
-/// Rough resident size of a loaded CSR graph.
+/// Rough resident size of a loaded CSR graph, plus the bound of the
+/// KClist DAG a worker keeps with it once a clique job runs on it.
 fn graph_bytes(g: &Graph) -> u64 {
-    (g.num_vertices() as u64) * 16 + (g.num_edges() as u64) * 24
+    (g.num_vertices() as u64) * 16 + (g.num_edges() as u64) * 24 + CliqueDag::bound_bytes(g)
 }
 
 struct SnapshotEntry {

@@ -3,6 +3,9 @@
 //! results vs. single-process execution and the graceful-shutdown
 //! guarantees of the worker session loop.
 
+mod common;
+
+use common::within_secs;
 use fractal_apps::{cliques, fsm, motifs};
 use fractal_core::{Aggregator, FractalContext};
 use fractal_graph::{gen, Graph};
@@ -13,7 +16,6 @@ use fractal_runtime::{ClusterConfig, JobReport};
 use std::collections::HashMap;
 use std::io;
 use std::net::{TcpListener, TcpStream};
-use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -219,17 +221,6 @@ fn handshake(stream: &mut TcpStream) {
         ) => {}
         other => panic!("expected worker Hello, got {other:?}"),
     }
-}
-
-/// Runs `f` but fails the test if it takes longer than `secs` — a hung
-/// worker thread must fail fast, not wedge the suite.
-fn within_secs<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = channel();
-    thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    rx.recv_timeout(Duration::from_secs(secs))
-        .expect("operation timed out")
 }
 
 /// The 3-motif census of each root word.

@@ -5,6 +5,9 @@
 //! across jobs, and that admission control rejects cleanly (a Nack frame,
 //! never a hang).
 
+mod common;
+
+use common::within_secs;
 use fractal_apps::{cliques, fsm, motifs};
 use fractal_core::FractalContext;
 use fractal_net::blob::{decode_fsm_seeds, decode_motifs_map, decode_report};
@@ -57,15 +60,6 @@ fn join_shutdown(handles: Vec<WorkerHandle>) {
         let outcome = h.join().expect("worker thread").expect("serve");
         assert_eq!(outcome, ServeOutcome::Shutdown);
     }
-}
-
-fn within_secs<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = channel();
-    thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    rx.recv_timeout(Duration::from_secs(secs))
-        .expect("operation timed out")
 }
 
 const SNAPSHOT: &str = "gen:mico:300:11";

@@ -4,6 +4,9 @@
 //! it (DESIGN.md §12.4). Every count here is checked against a
 //! single-process run on the same graph.
 
+mod common;
+
+use common::within_secs;
 use fractal_apps::{cliques, motifs};
 use fractal_core::FractalContext;
 use fractal_net::blob::{decode_motifs_map, decode_report, encode_graph, encode_job_part};
@@ -14,7 +17,6 @@ use fractal_net::{load_snapshot, AppSpec, Client, JobTerminal, ServeConfig, Serv
 use fractal_runtime::ClusterConfig;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -24,15 +26,6 @@ const OTHER: &str = "gen:patents:200:5";
 const TRIANGLES: AppSpec = AppSpec::Kclist { k: 3 };
 
 type WorkerHandle = thread::JoinHandle<io::Result<ServeOutcome>>;
-
-fn within_secs<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = channel();
-    thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    rx.recv_timeout(Duration::from_secs(secs))
-        .expect("operation timed out")
-}
 
 /// `n` one-core worker threads, each serving `sessions` connections in
 /// turn, and a connection to each.
@@ -77,9 +70,9 @@ fn join_shutdown(server: &Server, handles: Vec<WorkerHandle>) {
     }
 }
 
-/// Runs a triangle count on `snapshot` and returns the graph bytes its
-/// driver sent, after checking the count against a single-process run.
-fn triangles(client: &mut Client, snapshot: &str, token: &str) -> u64 {
+/// Runs a triangle count on `snapshot`: its count and the graph bytes its
+/// driver sent.
+fn submit_triangles(client: &mut Client, snapshot: &str, token: &str) -> (u64, u64) {
     let job = client
         .submit("t", 0, snapshot, &TRIANGLES, token)
         .expect("submit");
@@ -88,13 +81,18 @@ fn triangles(client: &mut Client, snapshot: &str, token: &str) -> u64 {
         other => panic!("job {job} did not finish: {other:?}"),
     }
     let (count, _, report) = client.fetch_result(job).expect("result");
+    let report = decode_report(&report).expect("report");
+    (count, report.faults.graph_bytes_sent)
+}
+
+/// Runs a triangle count on `snapshot` and returns the graph bytes its
+/// driver sent, after checking the count against a single-process run.
+fn triangles(client: &mut Client, snapshot: &str, token: &str) -> u64 {
+    let (count, sent) = submit_triangles(client, snapshot, token);
     let fg = FractalContext::new(ClusterConfig::local(1, 1))
         .fractal_graph(load_snapshot(snapshot).expect("snapshot"));
     assert_eq!(count, cliques::count_kclist(&fg, 3), "{snapshot}");
-    decode_report(&report)
-        .expect("report")
-        .faults
-        .graph_bytes_sent
+    sent
 }
 
 /// The size of `snapshot`'s encoded graph.
@@ -146,6 +144,52 @@ fn an_evicted_snapshot_is_forgotten_and_sent_again() {
             ids.push(held[0][0]);
         }
         assert!(ids[0] != ids[1] && ids[1] != ids[2] && ids[0] != ids[2]);
+        join_shutdown(&server, handles);
+    });
+}
+
+/// Two KClist jobs on one snapshot build its DAG once on each worker,
+/// which keeps it with the graph; once the cache evicts the snapshot, the
+/// workers forget the graph and its DAG goes with it.
+#[test]
+fn a_worker_builds_a_snapshots_dag_once_and_drops_it_with_the_graph() {
+    within_secs(120, || {
+        // No other test here loads this graph, so the DAGs kept for its
+        // shape are this test's alone.
+        const KEPT: &str = "gen:youtube:240:3";
+        let graph = load_snapshot(KEPT).expect("snapshot");
+        let (n, m) = (graph.num_vertices(), graph.num_edges());
+        let fg = FractalContext::new(ClusterConfig::local(1, 1)).fractal_graph(graph);
+        let want = cliques::count_kclist(&fg, 3);
+        drop(fg);
+        assert_eq!(
+            cliques::kept_dags(n, m),
+            (1, 0),
+            "built here, dropped with fg"
+        );
+
+        let (handles, addrs) = start_workers(2, 1);
+        let config = ServeConfig {
+            snapshot_budget_bytes: 1,
+            ..ServeConfig::default()
+        };
+        let (server, mut client) = start_server(&addrs, config);
+        for token in ["a", "b"] {
+            assert_eq!(submit_triangles(&mut client, KEPT, token).0, want);
+            assert_eq!(cliques::kept_dags(n, m), (3, 2), "after job {token}");
+        }
+        // Loading another snapshot evicts this one.
+        triangles(&mut client, OTHER, "c");
+        let mut waited = 0;
+        while cliques::kept_dags(n, m).1 > 0 && waited < 200 {
+            thread::sleep(Duration::from_millis(50));
+            waited += 1;
+        }
+        assert_eq!(
+            cliques::kept_dags(n, m),
+            (3, 0),
+            "the evicted DAGs are kept"
+        );
         join_shutdown(&server, handles);
     });
 }

@@ -13,7 +13,10 @@ reported but never gated.
 The baseline's `unpinned` map names the counters no gate can pin
 (wall-clock and scheduling-dependent ones), each with its reason; a
 `crates/runtime` test holds every counter to a pin or an entry there, and
-`update` carries the map over unchanged.
+`update` carries the map over unchanged. Its `repinned` map gives, for
+each counter the last deliberate refresh moved, the old and new value and
+why; `update` carries it over too, and whoever next re-pins on purpose
+rewrites it.
 
 Usage:
     perf_gate.py check <smoke.json> [--baseline ci/perf-baseline.json]
@@ -234,6 +237,7 @@ def update(smoke_path, baseline_path):
         "parallel_bounds": PARALLEL_BOUNDS,
         "fault_free_counters": list(FAULT_COUNTERS),
         "unpinned": old.get("unpinned", {}),
+        "repinned": old.get("repinned", {}),
     }
     Path(baseline_path).write_text(json.dumps(baseline, indent=2) + "\n")
     print(f"perf-gate: baseline written to {baseline_path}")
