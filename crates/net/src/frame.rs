@@ -725,7 +725,6 @@ impl<K: FrameSink> FrameSink for MuxSink<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fractal_runtime::steal::corrupt_payload;
     use fractal_runtime::wire::fnv1a64;
 
     /// `samples! { Variant {fields}, {fields}; ... }` lists each variant's
@@ -839,7 +838,9 @@ mod tests {
         for f in sample_frames() {
             let mut wire = encode_frame(3, &f);
             if wire.len() > HEADER_LEN + CHECKSUM_LEN {
-                corrupt_payload(&mut wire[HEADER_LEN..]);
+                // A bit in the middle of the payload.
+                let payload = wire.len() - HEADER_LEN - CHECKSUM_LEN;
+                wire[HEADER_LEN + payload / 2] ^= 0x40;
             } else {
                 wire[HEADER_LEN] ^= 0x40; // flip a checksum byte
             }

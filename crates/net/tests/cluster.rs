@@ -12,6 +12,7 @@ use fractal_graph::{gen, Graph};
 use fractal_net::frame::{read_frame, write_frame, Frame, Role, MISS_WORD, SHUTDOWN_ROUND};
 use fractal_net::{run_cluster, serve, AppSpec, DriverConfig, ServeOutcome};
 use fractal_pattern::CanonicalCode;
+use fractal_runtime::steal::{encode_unit, StolenUnit};
 use fractal_runtime::{ClusterConfig, JobReport};
 use std::collections::HashMap;
 use std::io;
@@ -74,9 +75,10 @@ fn motifs_cluster_matches_single_process() {
     let completed: u64 = result.workers.iter().map(|w| w.completed).sum();
     let assigned: u64 = result.workers.iter().map(|w| w.assigned).sum();
     assert_eq!(completed, assigned);
-    // Cross-process steals are counted at the driver that relays them (the
-    // workers' in-process steal servers never see one): a hit is a reply
-    // that carried a unit, and every hit answers a thief's request.
+    // Cross-process steals are counted at the driver that relays them (a
+    // worker runs `WsMode::InternalOnly`, so its own report counts none): a
+    // hit is a reply that carried a unit, and every hit answers a thief's
+    // request.
     assert_eq!(result.report.steal_hits, result.steal_relays);
     assert!(result.report.steal_requests >= result.report.steal_hits);
     assert!(result.report.steal_requests > 0, "idle cores pull");
@@ -240,6 +242,28 @@ fn census_by_root(graph: &Graph) -> Census {
     Arc::new(census.collect())
 }
 
+/// Answers the worker `Hello` of a driver on a scripted worker's stream.
+fn worker_handshake(stream: &mut TcpStream) {
+    match read_frame(stream).expect("driver hello") {
+        (
+            _,
+            Frame::Hello {
+                role: Role::Driver, ..
+            },
+        ) => {}
+        other => panic!("expected driver Hello, got {other:?}"),
+    }
+    write_frame(
+        stream,
+        0,
+        &Frame::Hello {
+            role: Role::Worker,
+            cores: 1,
+        },
+    )
+    .expect("hello reply");
+}
+
 /// A hand-scripted worker for the shutdown-race regression below: it
 /// sums its assigned roots' motif census from `census`, reports every
 /// completion in ONE heartbeat, and after the round's `Done` sends its
@@ -254,25 +278,7 @@ fn scripted_quiet_flush_worker(
 ) -> thread::JoinHandle<()> {
     thread::spawn(move || {
         let (mut stream, _) = listener.accept().expect("accept");
-        match read_frame(&mut stream).expect("driver hello") {
-            (
-                _,
-                Frame::Hello {
-                    role: Role::Driver, ..
-                },
-            ) => {}
-            other => panic!("expected driver Hello, got {other:?}"),
-        }
-        write_frame(
-            &mut stream,
-            0,
-            &Frame::Hello {
-                role: Role::Worker,
-                cores: 1,
-            },
-        )
-        .expect("hello reply");
-
+        worker_handshake(&mut stream);
         let roots = match read_frame(&mut stream).expect("assign") {
             (_, Frame::Assign { roots, .. }) => roots,
             other => panic!("expected Assign, got {other:?}"),
@@ -334,6 +340,131 @@ fn scripted_quiet_flush_worker(
             }
         }
     })
+}
+
+/// A hand-scripted victim for the corrupt-unit test below. It answers the
+/// first relayed `StealRequest` by giving up its first root in a
+/// `StealReply` whose unit bytes fail `decode_unit`'s checksum, reports
+/// its other roots done, misses every later steal, and flushes their
+/// census. Returns the root it gave up.
+fn scripted_corrupt_victim(listener: TcpListener, census: Census) -> thread::JoinHandle<u64> {
+    thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        worker_handshake(&mut stream);
+        let roots = match read_frame(&mut stream).expect("assign") {
+            (_, Frame::Assign { roots, .. }) => roots,
+            other => panic!("expected Assign, got {other:?}"),
+        };
+        let seq = loop {
+            match read_frame(&mut stream).expect("relayed steal") {
+                (seq, Frame::StealRequest { round: 0 }) => break seq,
+                (_, Frame::Done { .. }) => panic!("round ended before any steal"),
+                _ => {}
+            }
+        };
+        let (stolen, kept) = roots.split_first().expect("the victim owns a root");
+        let mut unit = encode_unit(&StolenUnit {
+            prefix: Vec::new(),
+            word: *stolen,
+        });
+        unit[4] ^= 0x40; // a bit of the word: only the checksum sees it
+        let reply = Frame::StealReply {
+            round: 0,
+            word: *stolen,
+            unit: Some(unit),
+        };
+        write_frame(&mut stream, seq, &reply).expect("corrupt reply");
+
+        let mut map: HashMap<CanonicalCode, u64> = HashMap::new();
+        for root in kept {
+            for (code, n) in &census[root] {
+                *map.entry(code.clone()).or_default() += n;
+            }
+        }
+        let beat = Frame::Heartbeat {
+            round: 0,
+            completed: kept.to_vec(),
+        };
+        write_frame(&mut stream, 1, &beat).expect("heartbeat");
+        let mut flushed = false;
+        loop {
+            match read_frame(&mut stream) {
+                Ok((seq, Frame::StealRequest { round })) => {
+                    write_frame(&mut stream, seq, &Frame::miss(round)).expect("miss");
+                }
+                Ok((_, Frame::Done { round: 0 })) if !flushed => {
+                    flushed = true;
+                    let flush = Frame::AggFlush {
+                        round: 0,
+                        count: 0,
+                        agg: fractal_net::blob::encode_motifs_map(&map),
+                        report: fractal_net::blob::encode_report(&JobReport::default()),
+                    };
+                    write_frame(&mut stream, 2, &flush).expect("flush");
+                }
+                Ok((
+                    _,
+                    Frame::Done {
+                        round: SHUTDOWN_ROUND,
+                    },
+                ))
+                | Err(_) => break,
+                Ok(_) => {}
+            }
+        }
+        *stolen
+    })
+}
+
+/// A steal reply whose unit fails its checksum in flight is nacked by the
+/// real thief (`WorkerHooks::accept`); the driver re-owns the word as an
+/// orphan, counts the nack against the thief, and serves the word again,
+/// so the census still equals the single-process one.
+#[test]
+fn corrupt_steal_unit_is_nacked_and_reowned() {
+    let graph = gen::mico_like(60, 4, 13);
+    let single = {
+        let fg = FractalContext::new(ClusterConfig::local(1, 1)).fractal_graph(graph.clone());
+        motifs::motifs(&fg, 3)
+    };
+    let census = census_by_root(&graph);
+
+    let thief_listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let thief_addr = thief_listener.local_addr().expect("addr");
+    let thief = thread::spawn(move || serve(&thief_listener, 1));
+    let victim_listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let victim_addr = victim_listener.local_addr().expect("addr");
+    let victim = scripted_corrupt_victim(victim_listener, census);
+    let streams = vec![
+        TcpStream::connect(thief_addr).expect("connect"),
+        TcpStream::connect(victim_addr).expect("connect"),
+    ];
+
+    let mut config = DriverConfig::new(
+        AppSpec::Motifs {
+            k: 3,
+            use_labels: false,
+            decomposed: false,
+        },
+        graph,
+    );
+    // The victim beats only once it has been robbed.
+    config.heartbeat_timeout = Duration::from_secs(20);
+    let result = within_secs(60, move || {
+        run_cluster(streams, vec!["thief".into(), "victim".into()], config).expect("cluster run")
+    });
+    let stolen = victim.join().expect("victim thread");
+    join_shutdown(vec![thief]);
+
+    assert_eq!(result.motifs, single, "root {stolen} was lost or doubled");
+    assert_eq!(result.deaths, 0);
+    let (t, v) = (&result.workers[0], &result.workers[1]);
+    assert_eq!(t.nacks, 1, "the thief nacks the corrupt unit");
+    assert_eq!(v.nacks, 0);
+    assert_eq!(v.stolen_out, 1);
+    assert!(result.orphaned_words >= 1, "the nacked word is re-owned");
+    // Once handed the corrupt unit and once served the orphan.
+    assert!(t.stolen_in >= 2, "the orphan is served again");
 }
 
 /// Regression for the driver-side shutdown race: a worker that flushes

@@ -5,7 +5,9 @@
 //! empty subgraph and a partition of the root extensions "determined
 //! on-the-fly using its unique core identifier", drives its own DFS, and —
 //! once its partition is exhausted — turns thief, preferring internal over
-//! external steals (§4.2).
+//! external steals (§4.2). Both kinds are direct claims on another core's
+//! level queues ([`steal_from_registry`]); an external steal scans another
+//! worker's registry and pays the simulated network latency on a hit.
 //!
 //! ## Termination
 //!
@@ -20,7 +22,7 @@
 //! a thief inflates the counter **before** claiming from one, so work can
 //! never appear finished while a stolen fragment is in flight. The
 //! decrement that drives the counter to zero sets the `done` flag; idle
-//! cores and steal servers poll it.
+//! cores poll it.
 //!
 //! ## Supervision and recovery
 //!
@@ -48,10 +50,7 @@ use crate::fault::{
 };
 use crate::level::{CoreSlot, GlobalCoreId, LevelQueue, WorkerRegistry};
 use crate::stats::{CoreStats, JobReport};
-use crate::steal::{
-    decode_unit, steal_from_registry, steal_server, ServerStats, StealRequest, StolenUnit,
-};
-use crate::sync::channel::{bounded, unbounded, RecvTimeoutError, Sender};
+use crate::steal::{spin_latency, steal_from_registry, StolenUnit};
 use crate::sync::{AtomicBool, AtomicI64, Mutex, Ordering};
 use crate::trace::{CoreTrace, EventKind, Recorder, TraceDump};
 use crate::{ClusterConfig, WsMode};
@@ -204,7 +203,7 @@ pub trait ExternalHooks: Send + Sync {
     fn job_started(&self, _handle: ExternalJobHandle) {}
 
     /// Asks the external source for one unit. Called by idle cores after
-    /// local (internal + simulated-external) stealing came up empty.
+    /// in-process (internal + external) stealing came up empty.
     fn pull(&self) -> ExternalPull {
         ExternalPull::Drained
     }
@@ -269,6 +268,8 @@ pub struct CoreCtx<'a> {
     /// level-prefix → words already committed elsewhere, filtered out in
     /// [`push_level`](Self::push_level). Empty on first executions.
     exclusions: ReplayExclusions,
+    /// In-process external steals this core made.
+    tally: StealTally,
     /// Statistics being accumulated for this core.
     pub stats: CoreStats,
     /// The flight recorder of this core (no-op unless the job's
@@ -441,8 +442,16 @@ impl CoreCtx<'_> {
     }
 }
 
-struct WorkerChannels {
-    steal_tx: Vec<Sender<StealRequest>>,
+/// One core's in-process external steals, summed into the job's
+/// [`JobReport::steal_requests`], `steal_hits` and `bytes_served`.
+#[derive(Debug, Default)]
+struct StealTally {
+    /// Victim workers asked.
+    requests: u64,
+    /// Asks that claimed a unit.
+    hits: u64,
+    /// Wire size of the claimed units ([`StolenUnit::wire_len`]).
+    bytes: u64,
 }
 
 /// What became of one dispatched unit.
@@ -641,20 +650,10 @@ pub fn run_job_with(
         partitions[i % total_cores].push(w);
     }
 
-    // Per-worker steal-request channels.
-    let mut steal_rx = Vec::new();
-    let mut steal_tx = Vec::new();
-    for _ in 0..num_workers {
-        let (tx, rx) = unbounded::<StealRequest>();
-        steal_tx.push(tx);
-        steal_rx.push(rx);
-    }
-    let channels = WorkerChannels { steal_tx };
-    let server_stats: Vec<ServerStats> = (0..num_workers).map(|_| ServerStats::new()).collect();
-
     let t0 = Instant::now();
     let mut core_stats: Vec<(GlobalCoreId, CoreStats)> = Vec::with_capacity(total_cores);
     let mut core_traces: Vec<CoreTrace> = Vec::with_capacity(total_cores);
+    let mut steals = StealTally::default();
 
     std::thread::scope(|s| {
         let mut handles = Vec::with_capacity(total_cores);
@@ -664,30 +663,13 @@ pub fn run_job_with(
                 let my_roots = std::mem::take(&mut partitions[w * cores_per_worker + c]);
                 let job = &job;
                 let registries = &registries;
-                let channels = &channels;
                 let fcx = &fcx;
                 handles.push((
                     id,
                     s.spawn(move || {
-                        core_main(
-                            spec, id, my_roots, job, ext, registries, channels, config, t0, fcx,
-                        )
+                        core_main(spec, id, my_roots, job, ext, registries, config, t0, fcx)
                     }),
                 ));
-            }
-        }
-        // Steal servers, one per worker, only when external WS is on.
-        let mut server_handles = Vec::new();
-        if config.ws_mode.external() && num_workers > 1 {
-            for (w, rx) in steal_rx.into_iter().enumerate() {
-                let registry = registries[w].clone();
-                let job = &job;
-                let latency = config.net_latency_us;
-                let stats = &server_stats[w];
-                let fcx = &fcx;
-                server_handles.push(
-                    s.spawn(move || steal_server(&registry, w, job, &rx, latency, stats, fcx)),
-                );
             }
         }
         // The watchdog runs only under a fault plan: fault-free jobs have
@@ -702,16 +684,12 @@ pub fn run_job_with(
                 reason = "a core-thread panic is a runtime bug (injected unit panics are caught \
                           per unit, not here); propagating it is the fail-loud path"
             )]
-            let (stats, trace) = h.join().expect("core thread panicked");
+            let (stats, trace, tally) = h.join().expect("core thread panicked");
             core_stats.push((id, stats));
             core_traces.push(trace);
-        }
-        for h in server_handles {
-            #[expect(
-                clippy::expect_used,
-                reason = "steal servers only panic on runtime bugs; join propagates them"
-            )]
-            h.join().expect("steal server panicked");
+            steals.requests += tally.requests;
+            steals.hits += tally.hits;
+            steals.bytes += tally.bytes;
         }
         if let Some(h) = watchdog {
             #[expect(
@@ -728,15 +706,12 @@ pub fn run_job_with(
     debug_assert!(job.done(), "job must be done after all cores joined");
     debug_assert_eq!(job.pending(), 0, "pending leak: {}", job.pending());
 
-    // ordering: Relaxed — the servers incrementing these counters have
-    // joined above, which orders their final values before these reads.
-    let sum = |f: fn(&ServerStats) -> u64| server_stats.iter().map(f).sum();
     JobReport {
         elapsed: t0.elapsed(),
         cores: core_stats,
-        bytes_served: sum(|s| s.bytes_served.load(Ordering::Relaxed)),
-        steal_requests: sum(|s| s.requests.load(Ordering::Relaxed)),
-        steal_hits: sum(|s| s.hits.load(Ordering::Relaxed)),
+        bytes_served: steals.bytes,
+        steal_requests: steals.requests,
+        steal_hits: steals.hits,
         faults: fcx.ledger.snapshot(),
         planner: Default::default(),
         trace: if config.trace.enabled {
@@ -874,11 +849,10 @@ fn core_main(
     job: &JobState,
     ext: Option<&ExternalState>,
     registries: &[Arc<WorkerRegistry>],
-    channels: &WorkerChannels,
     config: &ClusterConfig,
     t0: Instant,
     fcx: &FaultCtx,
-) -> (CoreStats, CoreTrace) {
+) -> (CoreStats, CoreTrace, StealTally) {
     let slot = &registries[id.worker].slots[id.core];
     let mut ctx = CoreCtx {
         id,
@@ -887,6 +861,7 @@ fn core_main(
         fcx,
         registries,
         exclusions: ReplayExclusions::new(),
+        tally: StealTally::default(),
         stats: CoreStats::default(),
         recorder: Recorder::new(config.trace),
     };
@@ -938,7 +913,7 @@ fn core_main(
     // recovery units need consumers. With external hooks it always runs —
     // the termination hold is released from inside it.
     if !died && (config.ws_mode != WsMode::Disabled || fcx.injector.is_some() || ext.is_some()) {
-        died = steal_loop(&mut *task, &mut ctx, job, ext, registries, channels, config);
+        died = steal_loop(&mut *task, &mut ctx, job, ext, registries, config);
     }
 
     if died {
@@ -949,12 +924,13 @@ fn core_main(
         ctx.health().mark_dead();
     }
     task.finish(&mut ctx);
-    (ctx.stats, ctx.recorder.into_core_trace(id))
+    (ctx.stats, ctx.recorder.into_core_trace(id), ctx.tally)
 }
 
 /// The thief loop of one idle core. Priority order: recovery units (lost
-/// work is the oldest in the job), then internal steals, then simulated
-/// external steals, then the cross-process external source (if hooked).
+/// work is the oldest in the job), then internal steals, then external
+/// steals from the other workers, then the cross-process external source
+/// (if hooked).
 /// Returns `true` if the core fail-stopped.
 fn steal_loop(
     task: &mut dyn CoreTask,
@@ -962,11 +938,9 @@ fn steal_loop(
     job: &JobState,
     ext: Option<&ExternalState>,
     registries: &[Arc<WorkerRegistry>],
-    channels: &WorkerChannels,
     config: &ClusterConfig,
 ) -> bool {
     let id = ctx.core_id();
-    let num_workers = registries.len();
     loop {
         if job.done() {
             return false;
@@ -1007,13 +981,9 @@ fn steal_loop(
                 stolen = Some((u, false));
             }
         }
-        // Internal scans are pure steal work; external requests are mostly
-        // *blocked waiting* for the server's reply — idle time, not
-        // overhead — so only their active portion is charged below.
         ctx.stats.steal_ns += ctx.now_ns().saturating_sub(steal_start);
-        if stolen.is_none() && config.ws_mode.external() && num_workers > 1 {
-            let (unit, active_ns) = steal_external(ctx, job, channels, num_workers);
-            ctx.stats.steal_ns += active_ns;
+        if stolen.is_none() && config.ws_mode.external() {
+            let unit = steal_external(ctx, job, config.net_latency_us);
             if unit.is_some() && ctx.recorder.is_enabled() {
                 let t = ctx.now_ns();
                 ctx.recorder
@@ -1085,98 +1055,57 @@ fn steal_loop(
     }
 }
 
-/// One round of external steal attempts: ask every other worker once,
-/// round-robin starting after our own. Returns the unit (if any) plus the
-/// *active* nanoseconds spent (send/decode — excluding the blocked wait
-/// for the server's reply, which is idle time).
-///
-/// Replies are checksummed and acked: a clean decode is acked `true`
-/// (from then on this core's supervision owns the unit), a corrupt
-/// payload is nacked so the serving worker requeues the original for
-/// recovery — the corruption costs a round-trip, never a subgraph.
-fn steal_external(
-    ctx: &mut CoreCtx<'_>,
-    job: &JobState,
-    channels: &WorkerChannels,
-    num_workers: usize,
-) -> (Option<StolenUnit>, u64) {
+/// One round of external steal attempts: a direct claim on every other
+/// worker's registry, round-robin starting after our own, skipping a
+/// worker the fault plan has killed. A hit spins `latency_us` once, for
+/// the network hop a shipped unit would take. Only the claim scans are
+/// charged to `steal_ns`: the spin models time on the wire, not work.
+fn steal_external(ctx: &mut CoreCtx<'_>, job: &JobState, latency_us: u64) -> Option<StolenUnit> {
     let my_worker = ctx.core_id().worker;
-    let mut active_ns = 0u64;
+    let num_workers = ctx.registries.len();
     for i in 1..num_workers {
         if job.done() {
-            return (None, active_ns);
+            return None;
         }
         let victim = (my_worker + i) % num_workers;
-        let t_send = ctx.now_ns();
-        let (reply_tx, reply_rx) = bounded(1);
-        let sent = channels.steal_tx[victim]
-            .send(StealRequest { reply: reply_tx })
-            .is_ok();
-        active_ns += ctx.now_ns().saturating_sub(t_send);
-        if !sent {
+        let killed = ctx
+            .fcx
+            .injector
+            .as_ref()
+            .is_some_and(|inj| inj.targets_worker(victim) && inj.kill_fired());
+        if killed {
             continue;
         }
-        // The server always replies unless the job finished; on `done` any
-        // in-flight reply is guaranteed to be `None` (claims cannot succeed
-        // once pending is zero), so abandoning is safe. A dropped request
-        // (fault injection or server exit) surfaces as a disconnect —
-        // move on to the next victim rather than waiting out the timeout.
-        loop {
-            match reply_rx.recv_timeout(Duration::from_millis(10)) {
-                Ok(Some(reply)) => {
-                    let t_decode = ctx.now_ns();
-                    if ctx.recorder.is_enabled() {
-                        ctx.recorder.record(
-                            t_decode,
-                            EventKind::StealRoundTrip,
-                            victim as u64,
-                            t_decode.saturating_sub(t_send),
-                        );
-                        ctx.recorder.record(
-                            t_decode,
-                            EventKind::ExternalSteal,
-                            victim as u64,
-                            reply.bytes.len() as u64,
-                        );
-                    }
-                    ctx.stats.bytes_received += reply.bytes.len() as u64;
-                    match decode_unit(&reply.bytes) {
-                        Ok(unit) => {
-                            let _ = reply.ack.send(true);
-                            active_ns += ctx.now_ns().saturating_sub(t_decode);
-                            return (Some(unit), active_ns);
-                        }
-                        Err(_) => {
-                            // Corrupt in flight: nack so the server
-                            // requeues the original, and try elsewhere.
-                            let _ = reply.ack.send(false);
-                            active_ns += ctx.now_ns().saturating_sub(t_decode);
-                            break;
-                        }
-                    }
-                }
-                Ok(None) => {
-                    if ctx.recorder.is_enabled() {
-                        let t = ctx.now_ns();
-                        ctx.recorder.record(
-                            t,
-                            EventKind::StealRoundTrip,
-                            victim as u64,
-                            t.saturating_sub(t_send),
-                        );
-                    }
-                    break;
-                }
-                Err(RecvTimeoutError::Disconnected) => break,
-                Err(RecvTimeoutError::Timeout) => {
-                    if job.done() {
-                        return (None, active_ns);
-                    }
-                }
+        let t_ask = ctx.now_ns();
+        ctx.tally.requests += 1;
+        let claimed = steal_from_registry(&ctx.registries[victim], None, job);
+        ctx.stats.steal_ns += ctx.now_ns().saturating_sub(t_ask);
+        if claimed.is_some() {
+            spin_latency(latency_us);
+        }
+        if ctx.recorder.is_enabled() {
+            let t = ctx.now_ns();
+            ctx.recorder.record(
+                t,
+                EventKind::StealRoundTrip,
+                victim as u64,
+                t.saturating_sub(t_ask),
+            );
+        }
+        if let Some((_, unit)) = claimed {
+            let bytes = unit.wire_len() as u64;
+            ctx.tally.hits += 1;
+            ctx.tally.bytes += bytes;
+            ctx.stats.bytes_received += bytes;
+            if ctx.recorder.is_enabled() {
+                let t = ctx.now_ns();
+                ctx.recorder
+                    .record(t, EventKind::ExternalSteal, victim as u64, bytes);
             }
+            return Some(unit);
         }
     }
-    (None, active_ns)
+    None
 }
 
 #[cfg(test)]
@@ -1569,40 +1498,6 @@ mod tests {
             spec.total.load(Ordering::SeqCst) < expected,
             "dropped units must be missing from the result"
         );
-    }
-
-    #[test]
-    fn corrupt_steal_replies_are_detected_and_requeued() {
-        for seed in [2u64, 9] {
-            let spec = tree_spec();
-            let expected = tree_expected(&spec);
-            let report = run_job(
-                &spec,
-                &ClusterConfig::local(2, 2)
-                    .with_latency_us(0)
-                    .with_faults(FaultConfig::corrupt_unit(seed)),
-            );
-            assert_eq!(spec.total.load(Ordering::SeqCst), expected, "seed {seed}");
-            if report.faults.faults_injected > 0 {
-                assert!(
-                    report.faults.units_reexecuted > 0,
-                    "seed {seed}: corrupted units must be re-executed"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn dropped_steal_requests_do_not_hang_the_job() {
-        let spec = tree_spec();
-        let expected = tree_expected(&spec);
-        run_job(
-            &spec,
-            &ClusterConfig::local(2, 2)
-                .with_latency_us(0)
-                .with_faults(FaultConfig::steal_drop(4)),
-        );
-        assert_eq!(spec.total.load(Ordering::SeqCst), expected);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!
 //! 1. a deterministic, seedable **fault injector** ([`FaultConfig`] /
 //!    [`FaultInjector`]) that can kill a simulated worker, panic a unit at a
-//!    chosen enumeration depth, drop steal RPCs, stall a core, and
-//!    corrupt an encoded stolen unit in flight;
+//!    chosen enumeration depth, and stall a core (a steal that crosses a
+//!    real wire is checked by `fractal-net`'s `Ack`/`Nack`, DESIGN.md §10);
 //! 2. **supervision** state: per-core heartbeats and in-flight unit records
 //!    ([`HealthBoard`]) feeding a watchdog that detects dead or stuck
 //!    workers by timeout;
@@ -20,8 +20,9 @@
 //!
 //! ## Fault model
 //!
-//! Workers fail-stop: a killed worker stops claiming, stealing and serving
-//! at its next injection point and never comes back (within one job). Unit
+//! Workers fail-stop: a killed worker stops claiming and stealing at its
+//! next injection point and never comes back (within one job); thieves
+//! stop claiming from it once the kill fires. Unit
 //! commits are *durable* — the engine stages each unit's side effects and
 //! commits them atomically on unit completion (see `fractal-core`), so a
 //! failure loses at most the in-flight unit of each dead core plus the
@@ -34,7 +35,6 @@
 //! itself.
 
 use crate::stats::{absorb_fields, field, Field, Merge};
-use crate::steal::StolenUnit;
 use crate::sync::Mutex;
 use crate::sync::{AtomicBool, AtomicU64, Ordering};
 use std::collections::{HashMap, VecDeque};
@@ -104,14 +104,6 @@ pub struct FaultConfig {
     pub panic_period: u64,
     /// Total injected unit panics (keep below `retry_budget` per unit).
     pub panic_budget: u32,
-    /// Drop (never answer) every Nth steal request, seed-offset.
-    pub steal_drop_period: u64,
-    /// Total steal requests to drop.
-    pub steal_drop_budget: u32,
-    /// Corrupt the encoded bytes of every Nth served unit, seed-offset.
-    pub corrupt_period: u64,
-    /// Total served units to corrupt.
-    pub corrupt_budget: u32,
     /// Stall (sleep) this core once, to exercise the stuck-worker watchdog
     /// path without death: `(worker, core)`.
     pub stall_core: Option<(usize, usize)>,
@@ -138,10 +130,6 @@ impl Default for FaultConfig {
             panic_depth: None,
             panic_period: 1,
             panic_budget: 2,
-            steal_drop_period: 1,
-            steal_drop_budget: 0,
-            corrupt_period: 1,
-            corrupt_budget: 0,
             stall_core: None,
             stall_ms: 0,
             retry_budget: 3,
@@ -170,26 +158,6 @@ impl FaultConfig {
             panic_depth: Some(depth),
             panic_period: 2,
             panic_budget: 2,
-            ..Default::default()
-        }
-    }
-
-    /// A plan that drops a handful of steal requests on the floor.
-    pub fn steal_drop(seed: u64) -> Self {
-        FaultConfig {
-            seed,
-            steal_drop_period: 2,
-            steal_drop_budget: 4,
-            ..Default::default()
-        }
-    }
-
-    /// A plan that corrupts a handful of encoded stolen units in flight.
-    pub fn corrupt_unit(seed: u64) -> Self {
-        FaultConfig {
-            seed,
-            corrupt_period: 1,
-            corrupt_budget: 3,
             ..Default::default()
         }
     }
@@ -524,8 +492,6 @@ pub struct FaultInjector {
     /// The plan this injector executes.
     pub config: FaultConfig,
     panic_site: BudgetedSite,
-    drop_site: BudgetedSite,
-    corrupt_site: BudgetedSite,
     stall_armed: AtomicBool,
     kill_fired: AtomicBool,
     /// Nanosecond timestamp (job clock) of the kill, for recovery-latency
@@ -539,18 +505,6 @@ impl FaultInjector {
         let s = config.seed;
         FaultInjector {
             panic_site: BudgetedSite::new(s, 1, config.panic_period, config.panic_budget as u64),
-            drop_site: BudgetedSite::new(
-                s,
-                2,
-                config.steal_drop_period,
-                config.steal_drop_budget as u64,
-            ),
-            corrupt_site: BudgetedSite::new(
-                s,
-                4,
-                config.corrupt_period,
-                config.corrupt_budget as u64,
-            ),
             stall_armed: AtomicBool::new(config.stall_core.is_some()),
             kill_fired: AtomicBool::new(false),
             killed_at_ns: AtomicU64::new(0),
@@ -615,26 +569,6 @@ impl FaultInjector {
         fire
     }
 
-    /// Checked per steal request on the server: drop it on the floor?
-    pub fn should_drop_request(&self, ledger: &FaultLedger) -> bool {
-        let fire = self.drop_site.fire();
-        if fire {
-            // ordering: Relaxed — diagnostic counter, read after workers join.
-            ledger.faults_injected.fetch_add(1, Ordering::Relaxed);
-        }
-        fire
-    }
-
-    /// Checked per served unit: corrupt the encoded bytes?
-    pub fn should_corrupt(&self, ledger: &FaultLedger) -> bool {
-        let fire = self.corrupt_site.fire();
-        if fire {
-            // ordering: Relaxed — diagnostic counter, read after workers join.
-            ledger.faults_injected.fetch_add(1, Ordering::Relaxed);
-        }
-        fire
-    }
-
     /// Checked at level registration: stall this core once (milliseconds
     /// to sleep, 0 = no)?
     pub fn stall_ms(&self, worker: usize, core: usize, ledger: &FaultLedger) -> u64 {
@@ -682,12 +616,6 @@ impl RecoveryUnit {
             word,
             exclusions: ReplayExclusions::new(),
         }
-    }
-
-    /// Rebuilds a recovery unit from a stolen unit (corrupt-reply
-    /// requeue path).
-    pub fn from_stolen(unit: StolenUnit) -> Self {
-        RecoveryUnit::bare(unit.prefix, unit.word)
     }
 }
 
@@ -855,8 +783,8 @@ impl HealthBoard {
     }
 }
 
-/// The per-job fault-tolerance context threaded through cores, steal
-/// servers and the watchdog: the (optional) injector, the shared metric
+/// The per-job fault-tolerance context threaded through cores and the
+/// watchdog: the (optional) injector, the shared metric
 /// ledger, the recovery queue and the health board. Exists even on
 /// fault-free runs — supervision is always on; only injection is optional.
 #[derive(Debug)]

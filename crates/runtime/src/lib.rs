@@ -7,15 +7,15 @@
 //! worker-to-worker traffic. Here a *worker* is a group of OS threads
 //! inside one process (see DESIGN.md, Substitutions): threads of the same
 //! worker share memory directly (internal work stealing, `WS_int`), while
-//! threads of different workers may only exchange work through
-//! length-prefixed byte messages over channels, paying real serialization
-//! plus an optional simulated network latency (external work stealing,
-//! `WS_ext`). This preserves the cost asymmetry the paper's load balancer
-//! is designed around.
+//! a thread that claims from another worker's registry pays a simulated
+//! network latency and is accounted at the stolen unit's wire size
+//! (external work stealing, `WS_ext`). This keeps the cost asymmetry the
+//! paper's load balancer is designed around; the real wire is
+//! `fractal-net`'s.
 //!
 //! - [`level`] — per-core registries of stealable [`level::LevelQueue`]s,
 //! - [`executor`] — job execution, core main loops, exact termination,
-//! - [`steal`] — steal protocol: local scans, remote request/reply servers,
+//! - [`steal`] — steal protocol: registry claims and the stolen-unit format,
 //! - [`stats`] — per-core busy-time accounting and the [`JobReport`],
 //! - [`trace`] — the flight recorder: per-core event rings + histograms,
 //! - [`wire`] / [`json`] — the one byte codec and the one JSON layer

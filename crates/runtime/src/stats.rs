@@ -198,11 +198,12 @@ pub struct JobReport {
     pub elapsed: Duration,
     /// Per-core statistics.
     pub cores: Vec<(GlobalCoreId, CoreStats)>,
-    /// Total bytes served by steal servers (external-steal traffic).
+    /// Wire size of the units external steals took, summed over the
+    /// thieves ([`StolenUnit::wire_len`](crate::steal::StolenUnit::wire_len)).
     pub bytes_served: u64,
-    /// Steal requests received across all steal servers.
+    /// Victim workers asked by external steals.
     pub steal_requests: u64,
-    /// Steal requests answered with a unit across all steal servers.
+    /// External steal asks that claimed a unit.
     pub steal_hits: u64,
     /// Fault-injection and recovery counters (all zero on a fault-free
     /// run; the perf gate asserts this).

@@ -10,14 +10,3 @@
 //! interleavings.
 
 pub use fractal_check::facade::*;
-
-/// Channel endpoints for intra-process queues, routed through the facade
-/// so the rest of the tree has a single import point: the runtime is the
-/// only crate that depends on `crossbeam` (the compat shim). Channels are
-/// not interposed by the model checker — the §11 checker explores the
-/// lock-free queue/steal structures directly, and channel rendezvous
-/// would explode the interleaving space — so these are straight
-/// re-exports in every build flavor.
-pub mod channel {
-    pub use crossbeam::channel::*;
-}

@@ -48,12 +48,13 @@ pub enum EventKind {
     /// A successful intra-worker steal. `a` = victim core index,
     /// `b` = stolen word.
     InternalSteal,
-    /// A successful inter-worker steal. `a` = victim worker index,
-    /// `b` = reply payload bytes.
+    /// A successful inter-worker steal. `a` = victim worker index
+    /// (`u64::MAX` for a unit pulled from another process), `b` = the
+    /// unit's wire bytes.
     ExternalSteal,
-    /// One external steal request round-trip completed (hit or miss).
-    /// `a` = victim worker index, `b` = round-trip ns (including the
-    /// blocked wait).
+    /// One external steal ask completed (hit or miss). `a` = victim
+    /// worker index, `b` = ns from the ask to its answer (the claim scan,
+    /// plus the simulated latency on a hit).
     StealRoundTrip,
     /// An enumeration level was registered. `a` = depth (prefix words),
     /// `b` = number of extensions.

@@ -116,10 +116,14 @@ fn fig9_steal_chain() {
         "stolen work was not re-shared locally (case c of Fig. 9)"
     );
 
-    // External traffic really went over the byte channel.
+    // External traffic is accounted at its wire size, once per side.
     assert!(report.bytes_served > 0);
     let w1_bytes: u64 = stats[&(1, 0)].bytes_received + stats[&(1, 1)].bytes_received;
     assert!(w1_bytes > 0);
+    let sum = |f: fn(&fractal_runtime::CoreStats) -> u64| stats.values().map(f).sum::<u64>();
+    assert_eq!(report.steal_hits, sum(|s| s.external_steals));
+    assert_eq!(report.bytes_served, sum(|s| s.bytes_received));
+    assert!(report.steal_requests >= report.steal_hits);
 
     // Every core ended up doing real work.
     for ((w, c), s) in &stats {
